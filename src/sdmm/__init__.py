@@ -23,6 +23,7 @@ from .errors import (
     BudgetExceeded,
     BudgetExhausted,
     DecodeFailed,
+    InconsistentResponses,
     InsufficientResponses,
     NoSuchRoot,
     NotPrime,
@@ -98,6 +99,7 @@ __all__ = [
     "BudgetExceeded",
     "BudgetExhausted",
     "DecodeFailed",
+    "InconsistentResponses",
     "EvaluationPlan",
     "FieldCtx",
     "FieldElement",

@@ -1,138 +1,158 @@
-"""Exact Gaussian elimination over finite fields.
+"""Exact array arithmetic and Gaussian elimination over finite fields.
 
-Two execution paths behind one API: a vectorized numpy int64 kernel for
-prime fields with p < 2^31 (pivot products stay below 2^62, so signed
-64-bit arithmetic is exact), and a generic entry-wise path over
-FieldElement values for extension fields and larger characteristics.
-Callers pass matrices as lists of lists of FieldElement.
+A matrix over GF(p^r) is an ndarray of canonical residues with shape
+(rows, cols, r): the trailing axis holds the little-endian coefficients of
+each entry. The dtype is int64 for p < 2^31, where every product of two
+residues stays below 2^62, and object (Python ints) for wider primes. A
+product of two entries convolves their 2r-1 coefficient planes and folds
+the high planes back with FieldCtx._xpow, reducing mod p after each step,
+so int64 arithmetic never overflows. Matrix products split the right
+operand into 16-bit limbs and the inner dimension into chunks of 2^16
+(the delayed-reduction idea of FFLAS-FFPACK), which keeps every int64 dot
+product below 2^63 before it is reduced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularSystem
+from .errors import InconsistentResponses, ShapeMismatch, SingularSystem
 from .fields import FieldCtx, FieldElement
 
-_NP_LIMIT = 1 << 31
+_CHUNK = 1 << 16
 
 
-def _use_numpy(ctx: FieldCtx) -> bool:
-    return ctx.r == 1 and ctx.p < _NP_LIMIT
+def dtype(ctx: FieldCtx):
+    return np.int64 if ctx.p < (1 << 31) else object
 
 
-def _to_np(rows, p) -> np.ndarray:
-    return np.array([[e.coeffs[0] for e in row] for row in rows], dtype=np.int64) % p
+def as_array(data, ctx: FieldCtx) -> np.ndarray:
+    """Residue array of a matrix.
+
+    data is either a residue array of shape (rows, cols, r), returned as is
+    when its dtype fits, or nested rows whose entries are ints,
+    FieldElements or coefficient sequences.
+    """
+    if isinstance(data, np.ndarray):
+        return np.asarray(data, dtype=dtype(ctx))
+    rows = [list(row) for row in data]
+    cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ShapeMismatch("ragged rows")
+    flat = [ctx.element(v).coeffs for row in rows for v in row]
+    return np.array(flat, dtype=dtype(ctx)).reshape(len(rows), cols, ctx.r)
 
 
-def _np_forward(M: np.ndarray, p: int, ncols: int):
-    """Forward elimination on the first ncols columns; returns pivot columns."""
-    n = M.shape[0]
+def _convolve(a, b, ctx: FieldCtx, prod) -> np.ndarray:
+    """Field product from coefficient planes; prod multiplies two planes mod p.
+
+    Plane d of the product sums the plane products a_i * b_(d-i); the
+    planes from r up are then folded back below degree r.
+    """
+    p, r = ctx.p, ctx.r
+    planes = []
+    for d in range(2 * r - 1):
+        lo, hi = max(0, d - r + 1), min(d, r - 1)
+        plane = prod(a[..., lo], b[..., d - lo])
+        for i in range(lo + 1, hi + 1):
+            plane = (plane + prod(a[..., i], b[..., d - i])) % p
+        planes.append(plane)
+    out = np.concatenate([plane[..., None] for plane in planes[:r]], axis=-1)
+    for high, xpow in zip(planes[r:], ctx._xpow):
+        out = (out + high[..., None] * np.array(xpow, dtype=out.dtype)) % p
+    return out
+
+
+def mul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Entry-wise field product of two broadcastable residue arrays."""
+    return _convolve(a, b, ctx, lambda x, y: x * y % ctx.p)
+
+
+def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for 2-D residue arrays, exact for either dtype."""
+    if a.dtype == object:
+        return a.dot(b) % p
+    lo, hi = b & 0xFFFF, b >> 16
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[1], _CHUNK):
+        a_s = a[:, s:s + _CHUNK]
+        out = (out + a_s @ lo[s:s + _CHUNK] % p
+               + (a_s @ hi[s:s + _CHUNK] % p << 16)) % p
+    return out
+
+
+def matmul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Matrix product of residue arrays of shapes (n, s, r) and (s, m, r)."""
+    return _convolve(a, b, ctx, lambda x, y: _dot(x, y, ctx.p))
+
+
+def _pivots(M: np.ndarray, ncols: int, ctx: FieldCtx, counter=None):
+    """Gauss-Jordan elimination of M in place over its first ncols columns.
+
+    Yields, column by column, whether the column received a pivot: the
+    first nonzero row at or below the current pivot row. The pivot row is
+    normalised and then cleared from every other row. With a counter, each
+    normalisation and each eliminated nonzero row costs the row width in
+    field multiplications.
+    """
+    n, width = M.shape[:2]
     row = 0
-    pivots = []
     for col in range(ncols):
         if row == n:
-            break
-        nz = np.flatnonzero(M[row:, col])
-        if nz.size == 0:
+            return
+        hit = (M[:, col] != 0).any(axis=-1)
+        below = np.flatnonzero(hit[row:])
+        if below.size == 0:
+            yield False
             continue
-        piv = row + int(nz[0])
+        piv = row + int(below[0])
         if piv != row:
             M[[row, piv]] = M[[piv, row]]
-        inv = pow(int(M[row, col]), -1, p)
-        M[row] = M[row] * inv % p
-        below = M[row + 1:, col]
-        mask = below != 0
-        if mask.any():
-            M[row + 1:][mask] = (M[row + 1:][mask] - below[mask, None] * M[row]) % p
-        pivots.append(col)
+            hit[piv] = hit[row]
+        hit[row] = False
+        inv = FieldElement(tuple(M[row, col].tolist()), ctx).inv()
+        M[row] = mul(M[row], np.array(inv.coeffs, dtype=M.dtype), ctx)
+        if counter is not None:
+            counter.add(width * (1 + int(hit.sum())))
+        M[hit] = (M[hit] - mul(M[hit, col][:, None], M[row], ctx)) % ctx.p
         row += 1
-    return pivots
+        yield True
 
 
-def solve(rows, rhs, ctx: FieldCtx, counter=None):
+def solve(rows, rhs, ctx: FieldCtx, counter=None) -> np.ndarray:
     """Solve A X = B exactly; B has one or more columns.
 
-    A may have more rows than columns; the system must then be consistent
-    (as interpolation systems built from genuine evaluations are) and A must
-    have full column rank. Returns X as a list of lists of FieldElement.
-    Raises SingularSystem when the column rank is deficient. Passing a
-    MultCounter forces the entry-wise path and tallies its field
-    multiplications.
+    A and B are matrices in any form as_array accepts; X is returned as a
+    residue array. A may have more rows than columns; it must have full
+    column rank (else SingularSystem), and the equations beyond the
+    pivots must then be consistent, else InconsistentResponses: genuine
+    evaluations of one polynomial always are, so an inconsistency means
+    some right-hand side was corrupted.
     """
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    k = len(rhs[0]) if rhs else 0
+    A, B = as_array(rows, ctx), as_array(rhs, ctx)
+    n, m = A.shape[:2]
     if n < m:
         raise SingularSystem("fewer equations than unknowns")
-    if k == 0:
-        if rank(rows, ctx) < m:
-            raise SingularSystem("coefficient matrix is rank deficient")
-        return [[] for _ in range(m)]
-    if counter is None and _use_numpy(ctx):
-        p = ctx.p
-        M = np.concatenate([_to_np(rows, p), _to_np(rhs, p)], axis=1)
-        pivots = _np_forward(M, p, m)
-        if len(pivots) < m:
-            raise SingularSystem("coefficient matrix is rank deficient")
-        for row in range(m - 1, 0, -1):
-            above = M[:row, row]
-            mask = above != 0
-            if mask.any():
-                M[:row][mask] = (M[:row][mask] - above[mask, None] * M[row]) % p
-        return [[ctx.element(int(v)) for v in M[i, m:]] for i in range(m)]
-    # generic entry-wise path; full column rank puts pivot col at row col
-    M = [list(rows[i]) + list(rhs[i]) for i in range(n)]
-    width = m + k
-    for col in range(m):
-        piv = next((i for i in range(col, n) if not M[i][col].is_zero()), None)
-        if piv is None:
-            raise SingularSystem("coefficient matrix is rank deficient")
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col].inv()
-        M[col] = [inv * v for v in M[col]]
-        if counter is not None:
-            counter.add(width)
-        for i in range(n):
-            if i != col and not M[i][col].is_zero():
-                f = M[i][col]
-                M[i] = [vi - f * vc for vi, vc in zip(M[i], M[col])]
-                if counter is not None:
-                    counter.add(width)
-    return [row[m:] for row in M[:m]]
+    M = np.concatenate([A, B], axis=1)
+    # all() stops at the first column without a pivot, so a singular
+    # system is counted up to that column, as entry-wise elimination does
+    if not all(_pivots(M, m, ctx, counter)):
+        raise SingularSystem("coefficient matrix is rank deficient")
+    if (M[m:] != 0).any():
+        raise InconsistentResponses(
+            f"{n - m} spare equations disagree with the {m} unknowns")
+    return M[:m, m:]
 
 
 def rank(rows, ctx: FieldCtx) -> int:
     """Rank of an arbitrary (possibly non-square) matrix."""
-    if not rows or not rows[0]:
-        return 0
-    if _use_numpy(ctx):
-        M = _to_np(rows, ctx.p)
-        return len(_np_forward(M, ctx.p, M.shape[1]))
-    M = [list(r) for r in rows]
-    n, m = len(M), len(M[0])
-    row = 0
-    for col in range(m):
-        if row == n:
-            break
-        piv = next((i for i in range(row, n) if not M[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = M[row][col].inv()
-        M[row] = [inv * v for v in M[row]]
-        for i in range(row + 1, n):
-            if not M[i][col].is_zero():
-                f = M[i][col]
-                M[i] = [vi - f * vc for vi, vc in zip(M[i], M[row])]
-        row += 1
-    return row
+    M = np.array(as_array(rows, ctx))
+    return sum(_pivots(M, M.shape[1], ctx))
 
 
 def is_invertible(rows, ctx: FieldCtx) -> bool:
     """True iff the square matrix has a nonzero determinant."""
-    n = len(rows)
-    return rank(rows, ctx) == n
+    return rank(rows, ctx) == len(rows)
 
 
 def batch_is_invertible(mats: np.ndarray, p: int) -> np.ndarray:

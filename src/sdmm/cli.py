@@ -529,8 +529,7 @@ def _check_robustness_t2_witness():
         return "frozen witness points are not a subset of the deployment"
     from . import _gauss
     mat = gv_matrix([plan.ctx.element(v) for v in witness_points], supp, plan.ctx)
-    rows = [[mat.data[i][j] for j in range(mat.cols)] for i in range(mat.rows)]
-    rank = _gauss.rank(rows, plan.ctx)
+    rank = _gauss.rank(mat.array, plan.ctx)
     if rank != 24:
         return f"frozen 25-point witness has rank {rank}, expected 24 (singular)"
     rec = mp_recovery_threshold_with_security(None, plan)

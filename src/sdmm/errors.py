@@ -84,6 +84,10 @@ class DecodeFailed(SdmmError):
     """Decoding completed but produced an inconsistent result."""
 
 
+class InconsistentResponses(DecodeFailed):
+    """The responses overdetermine the product and disagree with each other."""
+
+
 class InsufficientResponses(SdmmError):
     """Too few worker responses to run any decoding path."""
 

@@ -179,8 +179,7 @@ def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
     ctx = mat.ctx
     checked = 0
     if ctx.r == 1 and ctx.p < (1 << 31):
-        base = np.array([[e.coeffs[0] for e in row] for row in mat.data],
-                        dtype=np.int64)
+        base = mat.array[..., 0]
         buf = []
         for cols in subsets:
             buf.append(cols)
@@ -197,7 +196,7 @@ def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
                 return MdsResult(False, mode, checked, total, witness=bad)
     else:
         for cols in subsets:
-            sub = [[row[j] for j in cols] for row in mat.data]
+            sub = mat.array[:, list(cols)]
             checked += 1
             if not _gauss.is_invertible(sub, ctx):
                 return MdsResult(False, mode, checked, total, witness=tuple(cols))
@@ -237,9 +236,7 @@ def decodability_check(plan_or_points, exponents: Sequence[int],
     exps = list(exponents)
     if len(points) < len(exps):
         return False
-    mat = gv_matrix(points, exps, ctx)
-    cols = [[mat.data[i][j] for i in range(mat.rows)] for j in range(len(points))]
-    return _gauss.rank(cols, ctx) == len(exps)
+    return _gauss.rank(gv_matrix(points, exps, ctx).array, ctx) == len(exps)
 
 
 @dataclass(frozen=True)

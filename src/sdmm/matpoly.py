@@ -1,11 +1,15 @@
 """Matrices over finite fields and polynomials with matrix coefficients.
 
-A BlockMatrix is an immutable dense matrix of FieldElement values. A
-MatPoly maps exponents to BlockMatrix coefficients, all of one shape, and
-is kept canonical: no zero coefficient is ever stored, so the term keys are
-exactly the support. Evaluation offers both a naive power-sum and a
-gap-aware Horner scheme whose multiplication count the caller can audit
-through a MultCounter.
+A BlockMatrix is an immutable dense matrix stored as one read-only array of
+canonical residues, so its arithmetic runs on whole arrays through the
+exact engine in _gauss; FieldElements appear only when single entries are
+read. Results are bit-for-bit those of entry-wise field arithmetic, and a
+MultCounter still records the scalar multiplications each operation
+stands for. A MatPoly maps exponents to BlockMatrix coefficients, all of
+one shape, and is kept canonical: no zero coefficient is ever stored, so
+the term keys are exactly the support. Evaluation offers both a naive
+power-sum and a gap-aware Horner scheme whose multiplication count the
+caller can audit through a MultCounter.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import json
 import random
 from typing import Iterable, Mapping, Optional
+
+import numpy as np
 
 from . import _gauss
 from .errors import BadSpec, NotPrimitiveRoot, ShapeMismatch, SingularSystem
@@ -26,32 +32,36 @@ from .fields import (
 
 
 class BlockMatrix:
-    """Immutable dense matrix over a single field context."""
+    """Immutable dense matrix over a single field context.
 
-    __slots__ = ("rows", "cols", "ctx", "data")
+    The entries live in one read-only residue array of shape
+    (rows, cols, r), the layout described in _gauss; FieldElements are made
+    only when a caller reads entries through [i, j] or .data. data is
+    nested rows of entries, or a residue array, which is adopted without a
+    copy and made read-only.
+    """
+
+    __slots__ = ("rows", "cols", "ctx", "array")
 
     def __init__(self, data, ctx: FieldCtx):
-        self.data = tuple(tuple(ctx.element(v) for v in row) for row in data)
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        if any(len(row) != self.cols for row in self.data):
-            raise ShapeMismatch("ragged rows")
+        self.array = _gauss.as_array(data, ctx)
+        self.array.flags.writeable = False
+        self.rows, self.cols = self.array.shape[:2]
         self.ctx = ctx
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, rows: int, cols: int, ctx: FieldCtx) -> "BlockMatrix":
-        z = ctx.zero()
-        return cls([[z] * cols for _ in range(rows)], ctx)
+        return cls(np.zeros((rows, cols, ctx.r), dtype=_gauss.dtype(ctx)), ctx)
 
     @classmethod
     def random(cls, rows: int, cols: int, ctx: FieldCtx, rng: random.Random) -> "BlockMatrix":
-        return cls([[ctx.random_element(rng) for _ in range(cols)] for _ in range(rows)], ctx)
-
-    @classmethod
-    def from_ints(cls, data, ctx: FieldCtx) -> "BlockMatrix":
-        return cls(data, ctx)
+        """Uniform entries, drawn as ctx.random_element draws them."""
+        idx = np.array([rng.randrange(ctx.order) for _ in range(rows * cols)], dtype=object)
+        place = np.array([ctx.p ** k for k in range(ctx.r)], dtype=object)
+        digits = idx[:, None] // place % ctx.p
+        return cls(digits.astype(_gauss.dtype(ctx)).reshape(rows, cols, ctx.r), ctx)
 
     # -- shape and identity ---------------------------------------------------
 
@@ -59,19 +69,25 @@ class BlockMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
+    def data(self) -> tuple[tuple[FieldElement, ...], ...]:
+        """The entries as rows of FieldElements."""
+        return tuple(tuple(FieldElement(tuple(c), self.ctx) for c in row)
+                     for row in self.array.tolist())
+
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.data for e in row)
+        return not self.array.any()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BlockMatrix) and self.shape == other.shape
-                and self.ctx == other.ctx and self.data == other.data)
+                and self.ctx == other.ctx and np.array_equal(self.array, other.array))
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.data))
+        return hash((self.shape, tuple(self.array.ravel().tolist())))
 
     def __getitem__(self, ij) -> FieldElement:
         i, j = ij
-        return self.data[i][j]
+        return FieldElement(tuple(self.array[i, j].tolist()), self.ctx)
 
     def __repr__(self) -> str:
         return f"BlockMatrix({self.rows}x{self.cols} over {self.ctx!r})"
@@ -86,21 +102,19 @@ class BlockMatrix:
 
     def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
         self._check_same_shape(other)
-        return BlockMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.ctx)
+        return BlockMatrix((self.array + other.array) % self.ctx.p, self.ctx)
 
     def __sub__(self, other: "BlockMatrix") -> "BlockMatrix":
         self._check_same_shape(other)
-        return BlockMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.ctx)
+        return BlockMatrix((self.array - other.array) % self.ctx.p, self.ctx)
 
     def scale(self, c: FieldElement, counter: Optional[MultCounter] = None) -> "BlockMatrix":
         """Scalar multiple; costs rows*cols field multiplications."""
         if counter is not None:
             counter.add(self.rows * self.cols)
-        return BlockMatrix([[c * e for e in row] for row in self.data], self.ctx)
+        ctx = self.ctx
+        coeffs = np.array(ctx.element(c).coeffs, dtype=self.array.dtype)
+        return BlockMatrix(_gauss.mul(self.array, coeffs, ctx), ctx)
 
     def matmul(self, other: "BlockMatrix", counter: Optional[MultCounter] = None) -> "BlockMatrix":
         """Matrix product; costs rows*inner*cols field multiplications."""
@@ -110,25 +124,7 @@ class BlockMatrix:
             raise ShapeMismatch("matrices over different fields")
         if counter is not None:
             counter.add(self.rows * self.cols * other.cols)
-        ctx = self.ctx
-        if ctx.r == 1:
-            p = ctx.p
-            b_cols = list(zip(*[[e.coeffs[0] for e in row] for row in other.data]))
-            out = []
-            for row in self.data:
-                a_row = [e.coeffs[0] for e in row]
-                out.append([sum(x * y for x, y in zip(a_row, col)) % p for col in b_cols])
-            return BlockMatrix(out, ctx)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                s = ctx.zero()
-                for t in range(self.cols):
-                    s = s + self.data[i][t] * other.data[t][j]
-                row.append(s)
-            out.append(row)
-        return BlockMatrix(out, ctx)
+        return BlockMatrix(_gauss.matmul(self.array, other.array, self.ctx), self.ctx)
 
     def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
         return self.matmul(other)
@@ -136,28 +132,23 @@ class BlockMatrix:
     # -- block helpers ------------------------------------------------------------
 
     def submatrix(self, row0: int, col0: int, rows: int, cols: int) -> "BlockMatrix":
-        return BlockMatrix(
-            [self.data[i][col0:col0 + cols] for i in range(row0, row0 + rows)], self.ctx)
+        return BlockMatrix(self.array[row0:row0 + rows, col0:col0 + cols], self.ctx)
 
     @classmethod
     def assemble(cls, blocks, ctx: FieldCtx) -> "BlockMatrix":
         """Stitch a 2-D grid of equally shaped blocks into one matrix."""
-        out_rows = []
-        for block_row in blocks:
-            height = block_row[0].rows
-            for i in range(height):
-                row = []
-                for blk in block_row:
-                    row.extend(blk.data[i])
-                out_rows.append(row)
-        return cls(out_rows, ctx)
+        return cls(np.concatenate(
+            [np.concatenate([blk.array for blk in row], axis=1) for row in blocks]), ctx)
 
     # -- serialization ------------------------------------------------------------
 
+    def _entry_strs(self) -> list[list[str]]:
+        # an entry is its comma-joined coefficients: a plain int when r = 1
+        return [[",".join(map(str, e)) for e in row] for row in self.array.tolist()]
+
     def to_text(self) -> str:
         lines = [f"{self.rows} {self.cols} {self.ctx.spec_string()}"]
-        for row in self.data:
-            lines.append(" ".join(_entry_str(e) for e in row))
+        lines.extend(" ".join(row) for row in self._entry_strs())
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -182,12 +173,6 @@ class BlockMatrix:
                 raise BadSpec(f"expected {cols} entries per row, got {len(entries)}")
             data.append([_parse_entry(tok, ctx) for tok in entries])
         return cls(data, ctx)
-
-
-def _entry_str(e: FieldElement) -> str:
-    if e.ctx.r == 1:
-        return str(e.coeffs[0])
-    return ",".join(str(c) for c in e.coeffs)
 
 
 def _parse_entry(tok: str, ctx: FieldCtx) -> FieldElement:
@@ -310,8 +295,7 @@ class MatPoly:
             "field": self.ctx.spec_string(),
             "rows": self.rows,
             "cols": self.cols,
-            "terms": {str(e): [[_entry_str(v) for v in row] for row in c.data]
-                      for e, c in self.terms.items()},
+            "terms": {str(e): c._entry_strs() for e, c in self.terms.items()},
         }
         return json.dumps(obj, indent=2, sort_keys=True)
 
@@ -328,11 +312,6 @@ class MatPoly:
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise BadSpec(f"cannot parse polynomial JSON: {exc}") from exc
         return cls(terms, shape, ctx)
-
-
-def support(poly: MatPoly) -> tuple[int, ...]:
-    """Sorted exponents carrying a nonzero coefficient."""
-    return poly.support()
 
 
 def mod_m_transform(h: MatPoly, zeta: FieldElement, M: int) -> MatPoly:
@@ -389,12 +368,10 @@ def interpolate(points: Iterable[FieldElement], values: Iterable[BlockMatrix],
     shape = vals[0].shape
     if any(v.shape != shape for v in vals):
         raise ShapeMismatch("evaluation blocks differ in shape")
-    vmat = [[x.pow_(e, counter) for e in exps] for x in pts]
-    rhs = [[v.data[i][j] for i in range(shape[0]) for j in range(shape[1])]
-           for v in vals]
+    vmat = np.array([[x.pow_(e, counter).coeffs for e in exps] for x in pts],
+                    dtype=_gauss.dtype(ctx))
+    rhs = np.stack([v.array.reshape(-1, ctx.r) for v in vals])
     sol = _gauss.solve(vmat, rhs, ctx, counter)
-    terms = {}
-    for row, e in zip(sol, exps):
-        data = [row[i * shape[1]:(i + 1) * shape[1]] for i in range(shape[0])]
-        terms[e] = BlockMatrix(data, ctx)
+    terms = {e: BlockMatrix(row.reshape(shape + (ctx.r,)), ctx)
+             for row, e in zip(sol, exps)}
     return MatPoly(terms, shape, ctx)

@@ -358,7 +358,8 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
 
     successes = 0
     for down in patterns:
-        survivors = {n: v for n, v in all_responses.items() if n not in set(down)}
+        down = set(down)
+        survivors = {n: v for n, v in all_responses.items() if n not in down}
         try:
             blocks = decode(survivors, plan)
         except (InsufficientResponses, SingularSystem):

@@ -110,6 +110,33 @@ def test_simulate_is_byte_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+_P31_RUN = ["--scheme", "mp:K=2,M=3,L=2,T=2", "--field", "2147483647", "--rows", "48",
+            "--inner", "48", "--cols", "48", "--hypernodes", "10", "--seed", "5"]
+_F961_RUN = ["--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "31^2", "--rows", "12",
+             "--inner", "12", "--cols", "12", "--hypernodes", "8", "--seed", "4"]
+_P31_HASH = "8042a3c734ba719f0d689c0053a659ed2b5593af0f797853cf5aecb549a07919"
+_F961_HASH = "c7d83c6d88a9063004e14dcfc5d7f00d562cc81b399c022de9ff470ab3868525"
+
+
+@pytest.mark.parametrize("argv, counts, digest", [
+    (_P31_RUN + ["--stragglers", "random:3"],
+     {"encode": 161520, "worker": 248832, "decode": 56072}, _P31_HASH),
+    (_P31_RUN + ["--stragglers", "0,3,6"],
+     {"encode": 161520, "worker": 248832, "decode": 408348}, _P31_HASH),
+    (_F961_RUN, {"encode": 7104, "worker": 3456, "decode": 3776}, _F961_HASH),
+    (_F961_RUN + ["--stragglers", "0,3"],
+     {"encode": 7104, "worker": 3168, "decode": 29796}, _F961_HASH),
+], ids=["p31-hypernode", "p31-full", "f961-hypernode", "f961-full"])
+def test_simulate_counts_and_product_hash_are_frozen(capsys, argv, counts, digest):
+    # seeded runs down both decode routes: the product and the exact cost
+    # model of every phase are fixed
+    rc, out, _ = run_cli(capsys, "simulate", *argv, "--json")
+    assert rc == 0
+    d = json.loads(out)
+    assert d["mult_counts"] == counts
+    assert d["decoded_product_hash"] == digest
+
+
 def test_simulate_timing_and_counts_flags(capsys):
     base = ["simulate", "--scheme", "mp:K=1,M=2,L=1,T=0", "--field", "13",
             "--json", "--seed", "1"]

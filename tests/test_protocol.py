@@ -10,6 +10,7 @@ import pytest
 
 from sdmm.errors import (
     BadSpec,
+    InconsistentResponses,
     InsufficientResponses,
     OutOfRange,
     PlanInvalid,
@@ -166,6 +167,26 @@ def test_decode_counter_path_agrees_with_uncounted_path():
     assert counted == plain
     assert counter.count > 0
     assert assemble_product(plain, plan.params, F31) == A.matmul(B)
+
+
+def test_decode_raises_on_a_corrupted_response():
+    # all 24 responses complete 8 hypernodes where 7 determine the product,
+    # so the spare equation exposes one corrupted entry
+    plan = _hyper_plan(T=1, n_hypernodes=8)
+    rng = random.Random("corrupt")
+    A = BlockMatrix.random(4, 3, F31, rng)
+    B = BlockMatrix.random(3, 4, F31, rng)
+    parts = partition(A, B, 2, 3, 2)
+    f = build_f(plan.params, parts, rng, F31)
+    g = build_g(plan.params, parts, rng, F31)
+    responses = {
+        n: f.eval_sparse_horner(x).matmul(g.eval_sparse_horner(x))
+        for n, x in enumerate(plan.worker_points)
+    }
+    assert assemble_product(decode(responses, plan), plan.params, F31) == A.matmul(B)
+    responses[4] = responses[4] + BlockMatrix([[1, 0], [0, 0]], F31)
+    with pytest.raises(InconsistentResponses):
+        decode(responses, plan)
 
 
 def test_assemble_product_block_layout():
