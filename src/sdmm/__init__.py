@@ -65,6 +65,7 @@ from .protocol import (
     SimReport,
     assemble_product,
     decode,
+    encode,
     mp_recovery_threshold_with_security,
     p_of_s_empirical,
     p_of_s_lower_bound,
@@ -123,6 +124,7 @@ __all__ = [
     "build_g",
     "decodability_check",
     "decode",
+    "encode",
     "find_evaluation_vector",
     "ggasp_plan",
     "gv_matrix",

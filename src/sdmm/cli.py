@@ -42,7 +42,9 @@ from .matpoly import (
     mod_m_transform_by_summation,
 )
 from .protocol import (
+    assemble_product,
     decode,
+    encode,
     mp_recovery_threshold_with_security,
     p_of_s_empirical,
     p_of_s_lower_bound,
@@ -476,8 +478,7 @@ def _check_robustness_t1_erasures():
     if (rep.N_prime, rep.P_prime) != (22, 7):
         return f"thresholds N'={rep.N_prime}, P'={rep.P_prime} != (22, 7)"
     for down in itertools.combinations(range(24), 2):
-        sim = run_protocol(A, B, plan, stragglers=list(down), seed=0,
-                           compute_counts=False)
+        sim = run_protocol(A, B, plan, stragglers=list(down), seed=0)
         if not sim.decode_success:
             return f"straggler pair {down} failed with 22 survivors"
     return None
@@ -490,12 +491,8 @@ def _check_robustness_hypernode_rule():
     rng = random.Random("sdmm-example-hyper")
     A = BlockMatrix.random(4, 3, ctx, rng)
     B = BlockMatrix.random(3, 4, ctx, rng)
-    parts = partition(A, B, 2, 3, 2)
-    noise = random.Random("sdmm-example-noise")
-    f = build_f(plan.params, parts, noise, ctx)
-    g = build_g(plan.params, parts, noise, ctx)
-    shares = {n: f.eval_sparse_horner(x).matmul(g.eval_sparse_horner(x))
-              for n, x in enumerate(plan.worker_points)}
+    shares = {n: fa.matmul(gb) for n, (fa, gb)
+              in enumerate(encode(A, B, plan, random.Random("sdmm-example-noise")))}
     expected = A.matmul(B)
     for keep in itertools.combinations(range(8), 7):
         resp = {n: shares[n] for p in keep for n in plan.hypernode_workers(p)}
@@ -503,9 +500,7 @@ def _check_robustness_hypernode_rule():
             blocks = decode(resp, plan)
         except SdmmError:
             return f"7 complete hypernodes {keep} failed to decode"
-        got = BlockMatrix.assemble(
-            [[blocks[(k, l)] for l in range(2)] for k in range(2)], ctx)
-        if got != expected:
+        if assemble_product(blocks, plan.params, ctx) != expected:
             return f"7 complete hypernodes {keep} decoded the wrong product"
     failures = 0
     for keep in itertools.combinations(range(8), 6):
@@ -715,8 +710,7 @@ def cmd_simulate(args) -> int:
     params = parse_scheme_spec(args.scheme)
     ctx = parse_field_spec(args.field)
     A, B, plan = _build_instance(args, params, ctx)
-    rep = run_protocol(A, B, plan, stragglers=args.stragglers, seed=args.seed,
-                       compute_counts=not args.no_counts)
+    rep = run_protocol(A, B, plan, stragglers=args.stragglers, seed=args.seed)
     if args.json:
         _emit(rep.to_json(include_timing=args.timing) + "\n", args.out)
     else:
@@ -831,8 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--timing", action="store_true",
                     help="include wall_time (breaks byte determinism)")
-    sp.add_argument("--no-counts", action="store_true",
-                    help="skip multiplication counting")
     _add_common(sp)
     sp.set_defaults(func=cmd_simulate)
 

@@ -24,7 +24,6 @@ from .errors import (
     NoSuchSubgroup,
     NotIrreducible,
     NotPrime,
-    NotPrimitiveRoot,
 )
 
 MAX_PRIME_BITS = 61
@@ -531,11 +530,6 @@ def is_primitive_root_of_unity(zeta: FieldElement, M: int) -> bool:
     if zeta.pow_(M) != zeta.ctx.one():
         return False
     return all(zeta.pow_(M // q) != zeta.ctx.one() for q in prime_factors(M)) if M > 1 else True
-
-
-def check_primitive_root(zeta: FieldElement, M: int) -> None:
-    if not is_primitive_root_of_unity(zeta, M):
-        raise NotPrimitiveRoot(f"{zeta!r} is not a primitive {M}-th root of unity")
 
 
 def subgroup_elements(ctx: FieldCtx, order: int) -> list[FieldElement]:

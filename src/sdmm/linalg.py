@@ -146,8 +146,7 @@ class MdsResult:
 
 
 def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
-           samples: int = 1000, rng: Optional[random.Random] = None,
-           chunk: int = 4096) -> MdsResult:
+           samples: int = 1000, rng: Optional[random.Random] = None) -> MdsResult:
     """Check that every square minor of full height is invertible.
 
     mat is P x N with P <= N; the P x P minors are the column subsets. In
@@ -176,7 +175,7 @@ def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
     else:
         raise BadSpec(f"unknown mode {mode!r}")
 
-    for checked, cols in singular_minors(mat, subsets, chunk):
+    for checked, cols in singular_minors(mat, subsets):
         return MdsResult(False, mode, checked, total, witness=cols)
     return MdsResult(True, mode, planned, total)
 
@@ -257,18 +256,17 @@ def security_matrices(plan: EvaluationPlan) -> tuple[BlockMatrix, BlockMatrix]:
     return sig_a, sig_b
 
 
-def security_check(plan: EvaluationPlan, mode: str = "exhaustive",
-                   budget: int = 10_000_000, samples: int = 1000,
-                   rng: Optional[random.Random] = None) -> SecurityResult:
+def security_check(plan: EvaluationPlan, budget: int = 10_000_000) -> SecurityResult:
     """Certify that any T workers observe their noise through invertible maps.
 
-    Checks every T x T minor of both noise observation matrices; when each
+    Checks every T x T minor of both noise observation matrices, raising
+    BudgetExceeded when either has more than budget minors; when each
     minor is invertible, the T colluding shares are one-time padded by the
     uniform noise blocks.
     """
     sig_a, sig_b = security_matrices(plan)
-    res_a = is_mds(sig_a, mode=mode, budget=budget, samples=samples, rng=rng)
-    res_b = is_mds(sig_b, mode=mode, budget=budget, samples=samples, rng=rng)
+    res_a = is_mds(sig_a, budget=budget)
+    res_b = is_mds(sig_b, budget=budget)
     return SecurityResult(res_a.ok and res_b.ok, res_a, res_b)
 
 

@@ -89,7 +89,23 @@ def resolve_stragglers(spec, n_workers: int, rng: random.Random) -> tuple[int, .
     return tuple(idx)
 
 
-# -- decoding ------------------------------------------------------------------------
+# -- encoding and decoding -----------------------------------------------------------
+
+
+def encode(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan, rng: random.Random,
+           counter: Optional[MultCounter] = None) -> list:
+    """The share pair (f(x_n), g(x_n)) of every worker, in worker order.
+
+    Splits A and B into the plan's block grid, builds the two encoding
+    polynomials with noise blocks drawn from rng (those of f first), and
+    evaluates both at each worker point by sparse Horner.
+    """
+    params = plan.params
+    parts = partition(A, B, params.K, params.M, params.L)
+    f = build_f(params, parts, rng, plan.ctx)
+    g = build_g(params, parts, rng, plan.ctx)
+    return [(f.eval_sparse_horner(x, counter), g.eval_sparse_horner(x, counter))
+            for x in plan.worker_points]
 
 
 def _read_blocks(poly: MatPoly, params: SchemeParams) -> dict:
@@ -97,80 +113,50 @@ def _read_blocks(poly: MatPoly, params: SchemeParams) -> dict:
     return {kl: poly.coeff(e) for kl, e in positions.items()}
 
 
-def decode_mp(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
-              counter: Optional[MultCounter] = None) -> dict:
-    """All product blocks from worker responses under the hypernode layout.
+def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
+           counter: Optional[MultCounter] = None) -> dict:
+    """All product blocks from worker responses.
 
-    Preferred route: every hypernode whose M workers all responded is
-    collapsed, by averaging against the root-of-unity powers, into a single
-    evaluation of the filtered polynomial, which is then interpolated on
-    its small support. When too few hypernodes are complete (or that system
-    is singular), falls back to interpolating the full polynomial on its
-    generic support, which any |supp(h)| responses permit. Raises
-    InsufficientResponses when neither route has enough data.
+    On a hypernode plan the preferred route collapses every hypernode whose
+    M workers all responded, by averaging against the root-of-unity
+    powers, into a single evaluation of the filtered polynomial, which is
+    then interpolated on its small support. When too few hypernodes are
+    complete (or that system is singular), and always on a flat plan, the
+    full polynomial is interpolated on its generic support, which any
+    |supp(h)| responses permit. Raises InsufficientResponses when no route
+    has enough data.
     """
     params = plan.params
-    M = params.M
     ctx = plan.ctx
-    class_supp = product_class_support(params)
     full_supp = symbolic_support(params)
-
-    complete = []
+    shortfall = f"{len(responses)} responses of {len(full_supp)} needed"
     if plan.base_points is not None:
+        class_supp = product_class_support(params)
         complete = [p for p in range(plan.n_hypernodes)
                     if all(n in responses for n in plan.hypernode_workers(p))]
-    if len(complete) >= len(class_supp):
-        inv_m = ctx.element(M).inv()
-        zpow = [plan.zeta.pow_(m) for m in range(M)]
-        pts, vals = [], []
-        for p in complete:
-            acc = None
-            for m, n in enumerate(plan.hypernode_workers(p)):
-                term = responses[n].scale(zpow[m], counter)
-                acc = term if acc is None else acc + term
-            pts.append(plan.base_points[p])
-            vals.append(acc.scale(inv_m, counter))
-        try:
-            hhat = interpolate(pts, vals, class_supp, ctx, counter)
-            return _read_blocks(hhat, params)
-        except SingularSystem:
-            pass  # fall through to the generic route
-    if len(responses) >= len(full_supp):
-        order = sorted(responses)
-        pts = [plan.worker_points[n] for n in order]
-        vals = [responses[n] for n in order]
-        h = interpolate(pts, vals, full_supp, ctx, counter)
-        return _read_blocks(h, params)
-    raise InsufficientResponses(
-        f"have {len(complete)} complete hypernodes of {len(class_supp)} needed "
-        f"and {len(responses)} responses of {len(full_supp)} needed")
-
-
-def decode_ggasp(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
-                 counter: Optional[MultCounter] = None) -> dict:
-    """All product blocks by interpolating h on its generic support.
-
-    Needs at least |supp(h)| responses; fewer make the block coefficients
-    information-theoretically undetermined.
-    """
-    params = plan.params
-    full_supp = symbolic_support(params)
+        if len(complete) >= len(class_supp):
+            inv_m = ctx.element(params.M).inv()
+            zpow = [plan.zeta.pow_(m) for m in range(params.M)]
+            vals = []
+            for p in complete:
+                acc = None
+                for m, n in enumerate(plan.hypernode_workers(p)):
+                    term = responses[n].scale(zpow[m], counter)
+                    acc = term if acc is None else acc + term
+                vals.append(acc.scale(inv_m, counter))
+            pts = [plan.base_points[p] for p in complete]
+            try:
+                return _read_blocks(interpolate(pts, vals, class_supp, ctx, counter), params)
+            except SingularSystem:
+                pass  # fall through to full interpolation
+        shortfall = (f"{len(complete)} complete hypernodes of {len(class_supp)} "
+                     f"needed and {shortfall}")
     if len(responses) < len(full_supp):
-        raise InsufficientResponses(
-            f"have {len(responses)} responses of {len(full_supp)} needed")
+        raise InsufficientResponses(f"have {shortfall}")
     order = sorted(responses)
     pts = [plan.worker_points[n] for n in order]
     vals = [responses[n] for n in order]
-    h = interpolate(pts, vals, full_supp, plan.ctx, counter)
-    return _read_blocks(h, params)
-
-
-def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
-           counter: Optional[MultCounter] = None) -> dict:
-    """Route to the hypernode or flat decoder based on the plan's layout."""
-    if plan.base_points is not None:
-        return decode_mp(responses, plan, counter)
-    return decode_ggasp(responses, plan, counter)
+    return _read_blocks(interpolate(pts, vals, full_supp, ctx, counter), params)
 
 
 def assemble_product(blocks: Mapping[tuple, BlockMatrix],
@@ -199,7 +185,7 @@ class SimReport:
     responses_used: int
     decode_success: bool
     decoded_product_hash: Optional[str]
-    mult_counts: Optional[dict]
+    mult_counts: dict
     plan_summary: dict
     wall_time: Optional[float] = None
 
@@ -224,70 +210,59 @@ class SimReport:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
 
 
-def _shares(plan: EvaluationPlan, f: MatPoly, g: MatPoly,
-            counter: Optional[MultCounter]) -> list:
-    return [(f.eval_sparse_horner(x, counter), g.eval_sparse_horner(x, counter))
-            for x in plan.worker_points]
+def _audited_product(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
+                     expected: BlockMatrix,
+                     counter: Optional[MultCounter] = None) -> Optional[BlockMatrix]:
+    """The decoded product, checked against expected; None when undecodable.
+
+    Too few responses or a singular system is an outcome, not an error. A
+    decode that returns a product other than expected raises DecodeFailed,
+    since that can only mean a defect, never bad luck.
+    """
+    try:
+        blocks = decode(responses, plan, counter)
+    except (InsufficientResponses, SingularSystem):
+        return None
+    product = assemble_product(blocks, plan.params, plan.ctx)
+    if product != expected:
+        raise DecodeFailed("decoded product disagrees with the direct product")
+    return product
 
 
 def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
-                 stragglers=None, seed: int = 0,
-                 compute_counts: bool = True) -> SimReport:
+                 stragglers=None, seed: int = 0) -> SimReport:
     """One full protocol run, audited against the direct product.
 
     The master encodes shares for every worker before knowing who will
     straggle, so the encode count covers all of them; only respondents
-    contribute worker multiplications. A decode that produces any result
-    is checked block-for-block against A @ B computed directly; a mismatch
-    raises DecodeFailed since it can only mean a defect, never bad luck.
+    contribute worker multiplications. The decoded product is checked
+    block-for-block against A @ B computed directly (see _audited_product).
     Too many stragglers is not an error: the report simply records the
     failure to decode.
     """
-    params = plan.params
-    ctx = plan.ctx
     start = time.perf_counter()
-
-    enc_counter = MultCounter() if compute_counts else None
-    work_counter = MultCounter() if compute_counts else None
-    dec_counter = MultCounter() if compute_counts else None
-
-    noise_rng = random.Random(f"sdmm-noise-{seed}")
-    parts = partition(A, B, params.K, params.M, params.L)
-    f = build_f(params, parts, noise_rng, ctx)
-    g = build_g(params, parts, noise_rng, ctx)
-    shares = _shares(plan, f, g, enc_counter)
+    counters = {phase: MultCounter() for phase in ("encode", "worker", "decode")}
+    shares = encode(A, B, plan, random.Random(f"sdmm-noise-{seed}"), counters["encode"])
 
     straggler_rng = random.Random(f"sdmm-straggler-{seed}")
     down = set(resolve_stragglers(stragglers, plan.n_workers, straggler_rng))
-    responses = {n: fa.matmul(gb, work_counter)
+    responses = {n: fa.matmul(gb, counters["worker"])
                  for n, (fa, gb) in enumerate(shares) if n not in down}
 
-    success = True
+    product = _audited_product(responses, plan, A.matmul(B), counters["decode"])
     product_hash = None
-    try:
-        blocks = decode(responses, plan, dec_counter)
-    except (InsufficientResponses, SingularSystem):
-        success = False
-    if success:
-        product = assemble_product(blocks, params, ctx)
-        if product != A.matmul(B):
-            raise DecodeFailed("decoded product disagrees with the direct product")
+    if product is not None:
         product_hash = hashlib.sha256(product.to_text().encode("ascii")).hexdigest()
-
-    counts = None
-    if compute_counts:
-        counts = {"encode": enc_counter.count, "worker": work_counter.count,
-                  "decode": dec_counter.count}
     return SimReport(
         seed=seed,
-        scheme=params.spec_string(),
-        field=ctx.spec_string(),
+        scheme=plan.params.spec_string(),
+        field=plan.ctx.spec_string(),
         n_workers=plan.n_workers,
         straggler_set=tuple(sorted(down)),
         responses_used=len(responses),
-        decode_success=success,
+        decode_success=product is not None,
         decoded_product_hash=product_hash,
-        mult_counts=counts,
+        mult_counts={phase: c.count for phase, c in counters.items()},
         plan_summary=plan.summary(),
         wall_time=time.perf_counter() - start,
     )
@@ -320,36 +295,34 @@ def p_of_s_lower_bound(K: int, M: int, L: int, P: int, S: int) -> Fraction:
     return Fraction(math.comb(P, K * L) * math.comb(N - KML, S), math.comb(N, S))
 
 
+# Patterns that mode "auto" of p_of_s_empirical still enumerates exhaustively.
+_MAX_EXHAUSTIVE_PATTERNS = 1_000_000
+
+
 def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
                      S: int, mode: str = "auto", seed: int = 0,
-                     max_exhaustive: int = 1_000_000,
                      samples: int = 1000) -> Fraction:
     """Fraction of size-S straggler patterns that actually decode.
 
     Encodes once, then for each pattern runs the real decoder on the
-    surviving responses and checks the assembled product against A @ B.
-    Exhausts all C(N, S) patterns when that count is at most
-    max_exhaustive (mode "auto") or always (mode "exhaustive"); otherwise
-    draws `samples` patterns uniformly (mode "mc").
+    surviving responses and audits the product as run_protocol does: a
+    wrong product raises DecodeFailed rather than counting as a failure
+    to decode. Exhausts all C(N, S) patterns when that count is at most
+    _MAX_EXHAUSTIVE_PATTERNS (mode "auto") or always (mode "exhaustive");
+    otherwise draws `samples` patterns uniformly (mode "mc").
     """
     if mode not in ("auto", "exhaustive", "mc"):
         raise BadSpec(f"unknown mode {mode!r}")
-    params = plan.params
-    ctx = plan.ctx
     N = plan.n_workers
     if not 0 <= S <= N:
         raise BadSpec(f"straggler count {S} outside [0, {N}]")
 
-    noise_rng = random.Random(f"sdmm-noise-{seed}")
-    parts = partition(A, B, params.K, params.M, params.L)
-    f = build_f(params, parts, noise_rng, ctx)
-    g = build_g(params, parts, noise_rng, ctx)
-    all_responses = {n: fa.matmul(gb)
-                     for n, (fa, gb) in enumerate(_shares(plan, f, g, None))}
+    shares = encode(A, B, plan, random.Random(f"sdmm-noise-{seed}"))
+    all_responses = {n: fa.matmul(gb) for n, (fa, gb) in enumerate(shares)}
     expected = A.matmul(B)
 
     total = math.comb(N, S)
-    if mode == "exhaustive" or (mode == "auto" and total <= max_exhaustive):
+    if mode == "exhaustive" or (mode == "auto" and total <= _MAX_EXHAUSTIVE_PATTERNS):
         patterns = itertools.combinations(range(N), S)
         attempts = total
     else:
@@ -361,11 +334,7 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     for down in patterns:
         down = set(down)
         survivors = {n: v for n, v in all_responses.items() if n not in down}
-        try:
-            blocks = decode(survivors, plan)
-        except (InsufficientResponses, SingularSystem):
-            continue
-        if assemble_product(blocks, params, ctx) == expected:
+        if _audited_product(survivors, plan, expected) is not None:
             successes += 1
     return Fraction(successes, attempts)
 

@@ -29,12 +29,13 @@ from sdmm.matpoly import BlockMatrix, MatPoly
 from sdmm.protocol import (
     assemble_product,
     decode,
+    encode,
     mp_recovery_threshold_with_security,
     p_of_s_empirical,
     p_of_s_lower_bound,
     run_protocol,
 )
-from sdmm.schemes import SchemeParams, build_f, build_g, partition
+from sdmm.schemes import SchemeParams
 from sdmm.thresholds import (
     admissible_ds,
     optimal_r,
@@ -50,13 +51,8 @@ F61 = make_field(61)
 
 def _encode_all(plan, A, B, seed):
     """Worker responses for every worker, with fresh noise draws."""
-    params = plan.params
-    rng = random.Random(f"sdmm-acceptance-enc-{seed}")
-    parts = partition(A, B, params.K, params.M, params.L)
-    f = build_f(params, parts, rng, plan.ctx)
-    g = build_g(params, parts, rng, plan.ctx)
-    return {n: f.eval_sparse_horner(x).matmul(g.eval_sparse_horner(x))
-            for n, x in enumerate(plan.worker_points)}
+    shares = encode(A, B, plan, random.Random(f"sdmm-acceptance-enc-{seed}"))
+    return {n: fa.matmul(gb) for n, (fa, gb) in enumerate(shares)}
 
 
 def test_criterion_01_closed_forms_match_support_oracle():
@@ -259,7 +255,8 @@ def test_criterion_08_five_hundred_protocol_runs():
         B = BlockMatrix.random(params.M, params.L, plan.ctx, rng)
         # run_protocol itself raises if a decoded product ever disagrees
         # with the direct blockwise multiplication
-        rep = run_protocol(A, B, plan, seed=run, compute_counts=False)
+        rep = run_protocol(A, B, plan, seed=run)
+        assert set(rep.mult_counts) == {"encode", "worker", "decode"}
         if not rep.decode_success:
             failures += 1
     assert failures == 0

@@ -140,11 +140,14 @@ def test_simulate_counts_and_product_hash_are_frozen(capsys, argv, counts, diges
 def test_simulate_timing_and_counts_flags(capsys):
     base = ["simulate", "--scheme", "mp:K=1,M=2,L=1,T=0", "--field", "13",
             "--json", "--seed", "1"]
-    rc, out, _ = run_cli(capsys, *base, "--timing", "--no-counts")
+    rc, out, _ = run_cli(capsys, *base, "--timing")
     assert rc == 0
     d = json.loads(out)
     assert isinstance(d["wall_time"], float)
-    assert d["mult_counts"] is None
+    assert set(d["mult_counts"]) == {"encode", "worker", "decode"}
+    with pytest.raises(SystemExit) as exc:  # counting is no longer optional
+        main([*base, "--no-counts"])
+    assert exc.value.code == 2
 
 
 def test_simulate_text_mode_omits_plan_dump(capsys):

@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+import sdmm.protocol
 from sdmm import _gauss
 from sdmm.errors import (
     BadSpec,
+    DecodeFailed,
     InconsistentResponses,
     InsufficientResponses,
     OutOfRange,
@@ -23,13 +25,14 @@ from sdmm.matpoly import BlockMatrix
 from sdmm.protocol import (
     assemble_product,
     decode,
+    encode,
     mp_recovery_threshold_with_security,
     p_of_s_empirical,
     p_of_s_lower_bound,
     resolve_stragglers,
     run_protocol,
 )
-from sdmm.schemes import SchemeParams, build_f, build_g, partition
+from sdmm.schemes import SchemeParams, build_f, partition
 from sdmm.thresholds import product_class_support, symbolic_support
 
 F13 = make_field(13)
@@ -51,6 +54,11 @@ def _inputs(plan, seed=7, scale=1):
     A = BlockMatrix.random(params.K * scale, params.M * scale, plan.ctx, rng)
     B = BlockMatrix.random(params.M * scale, params.L * scale, plan.ctx, rng)
     return A, B
+
+
+def _responses(plan, A, B, rng):
+    """Every worker's product of its two shares, with noise drawn from rng."""
+    return {n: fa.matmul(gb) for n, (fa, gb) in enumerate(encode(A, B, plan, rng))}
 
 
 # -- straggler specs -------------------------------------------------------------------
@@ -140,30 +148,29 @@ def test_decode_failure_is_reported_not_raised():
 def test_decode_raises_when_called_directly_with_too_few_responses():
     plan = _hyper_plan(T=1, n_hypernodes=8)
     A, B = _inputs(plan)
-    rng = random.Random("enc")
-    parts = partition(A, B, 2, 3, 2)
-    f = build_f(plan.params, parts, rng, F31)
-    g = build_g(plan.params, parts, rng, F31)
-    responses = {
-        n: f.eval_sparse_horner(x).matmul(g.eval_sparse_horner(x))
-        for n, x in enumerate(plan.worker_points)
-        if n not in {0, 3, 6}
-    }
+    responses = _responses(plan, A, B, random.Random("enc"))
+    for n in (0, 3, 6):
+        del responses[n]
     with pytest.raises(InsufficientResponses):
         decode(responses, plan)
+
+
+def test_flat_decode_reports_only_the_response_count():
+    params = SchemeParams.ggasp(2, 3, 2, 1)
+    plan = find_evaluation_vector(params, make_field(101), n_workers=22, seed=1)
+    A, B = _inputs(plan)
+    responses = _responses(plan, A, B, random.Random("flat"))
+    assert assemble_product(decode(responses, plan), params, plan.ctx) == A.matmul(B)
+    del responses[4]
+    with pytest.raises(InsufficientResponses) as exc:
+        decode(responses, plan)
+    assert str(exc.value) == "have 21 responses of 22 needed"
 
 
 def test_decode_counter_path_agrees_with_uncounted_path():
     plan = _hyper_plan(T=1, n_hypernodes=8)
     A, B = _inputs(plan, seed=11)
-    rng = random.Random("enc2")
-    parts = partition(A, B, 2, 3, 2)
-    f = build_f(plan.params, parts, rng, F31)
-    g = build_g(plan.params, parts, rng, F31)
-    responses = {
-        n: f.eval_sparse_horner(x).matmul(g.eval_sparse_horner(x))
-        for n, x in enumerate(plan.worker_points)
-    }
+    responses = _responses(plan, A, B, random.Random("enc2"))
     counter = MultCounter()
     counted = decode(responses, plan, counter)
     plain = decode(responses, plan)
@@ -179,17 +186,29 @@ def test_decode_raises_on_a_corrupted_response():
     rng = random.Random("corrupt")
     A = BlockMatrix.random(4, 3, F31, rng)
     B = BlockMatrix.random(3, 4, F31, rng)
-    parts = partition(A, B, 2, 3, 2)
-    f = build_f(plan.params, parts, rng, F31)
-    g = build_g(plan.params, parts, rng, F31)
-    responses = {
-        n: f.eval_sparse_horner(x).matmul(g.eval_sparse_horner(x))
-        for n, x in enumerate(plan.worker_points)
-    }
+    responses = _responses(plan, A, B, rng)
     assert assemble_product(decode(responses, plan), plan.params, F31) == A.matmul(B)
     responses[4] = responses[4] + BlockMatrix([[1, 0], [0, 0]], F31)
     with pytest.raises(InconsistentResponses):
         decode(responses, plan)
+
+
+def test_p_of_s_audits_every_decode(monkeypatch):
+    # a decoder that returns one wrong block must not pass as a pattern
+    # that merely failed to decode
+    plan = _hyper_plan(T=1, n_hypernodes=8)
+    A, B = _inputs(plan)
+    assert p_of_s_empirical(A, B, plan, 0) == 1
+    real = sdmm.protocol.decode
+
+    def wrong_decode(responses, plan, counter=None):
+        blocks = dict(real(responses, plan, counter))
+        blocks[(0, 0)] = blocks[(0, 0)] + BlockMatrix([[1]], F31)
+        return blocks
+
+    monkeypatch.setattr(sdmm.protocol, "decode", wrong_decode)
+    with pytest.raises(DecodeFailed):
+        p_of_s_empirical(A, B, plan, 0)
 
 
 def test_assemble_product_block_layout():
@@ -222,8 +241,8 @@ def test_random_stragglers_are_seed_deterministic():
 def test_report_serialization_hides_timing_unless_asked():
     plan = _hyper_plan(T=0, n_hypernodes=6)
     A, B = _inputs(plan)
-    rep = run_protocol(A, B, plan, seed=5, compute_counts=False)
-    assert rep.mult_counts is None
+    rep = run_protocol(A, B, plan, seed=5)
+    assert set(rep.mult_counts) == {"encode", "worker", "decode"}
     assert isinstance(rep.wall_time, float) and rep.wall_time >= 0.0
     bare = json.loads(rep.to_json())
     assert "wall_time" not in bare
@@ -414,14 +433,7 @@ def test_recovery_report_checks_the_hypernode_premise():
         (0, 1, 2, 4, 5, 6, 7, 9): 7}
 
     A, B = _inputs(plan)
-    rng = random.Random("premise")
-    parts = partition(A, B, 2, 3, 2)
-    f = build_f(params, parts, rng, F61)
-    g = build_g(params, parts, rng, F61)
-    responses = {
-        n: f.eval_sparse_horner(x).matmul(g.eval_sparse_horner(x))
-        for n, x in enumerate(plan.worker_points)
-    }
+    responses = _responses(plan, A, B, random.Random("premise"))
     full = gv_matrix(plan.worker_points, symbolic_support(params), F61)
     downs = list(itertools.product(plan.hypernode_workers(3),
                                    plan.hypernode_workers(8)))
