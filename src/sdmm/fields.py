@@ -92,7 +92,7 @@ class MultCounter:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over GF(p), used for modulus search and inversion.
+# Polynomial helpers over GF(p), used by the irreducibility test.
 # Polynomials are little-endian coefficient tuples with no trailing zeros.
 
 
@@ -101,34 +101,6 @@ def _ptrim(c: Sequence[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _pmulmod(a, b, f, p):
-    # a * b mod f, deg(f) = r, f monic
-    r = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for d in range(len(prod) - 1, r - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for j in range(r):
-                prod[d - r + j] = (prod[d - r + j] - c * f[j]) % p
-    return _ptrim(prod[:r] if len(prod) > r else prod)
-
-
-def _ppowmod(a, e, f, p):
-    result = (1,)
-    base = a
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
 
 
 def _pmod(a, b, p):
@@ -149,30 +121,6 @@ def _pgcd(a, b, p):
     while b:
         a, b = b, _pmod(a, b, p)
     return a
-
-
-def _frobenius_power(f, p, k):
-    # x^(p^k) mod f
-    t = (0, 1)
-    for _ in range(k):
-        t = _ppowmod(t, p, f, p)
-    return t
-
-
-def _poly_is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial f of degree r >= 1 over GF(p)."""
-    r = len(f) - 1
-    if r == 1:
-        return True
-    if _frobenius_power(f, p, r) != (0, 1):
-        return False
-    for q in prime_factors(r):
-        g = list(_frobenius_power(f, p, r // q))
-        g += [0] * (2 - len(g))
-        g[1] = (g[1] - 1) % p
-        if len(_pgcd(g, f, p)) != 1:
-            return False
-    return True
 
 
 class FieldCtx:
@@ -433,6 +381,32 @@ class FieldElement:
             else:
                 terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "+".join(terms) if terms else "0"
+
+
+def _poly_is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Irreducibility of a monic polynomial f of degree r >= 1 over GF(p).
+
+    Rabin's test, computed in GF(p)[x]/(f), whose arithmetic FieldCtx
+    provides for any monic modulus: f is irreducible iff x^(p^r) = x and
+    gcd(x^(p^(r/q)) - x, f) = 1 for every prime q dividing r.
+    """
+    r = len(f) - 1
+    if r == 1:
+        return True
+    x = FieldCtx(p, r, tuple(f)).element((0, 1) + (0,) * (r - 2))
+
+    def frobenius_power(k):  # x^(p^k)
+        t = x
+        for _ in range(k):
+            t = t.pow_(p)
+        return t
+
+    if frobenius_power(r) != x:
+        return False
+    for q in prime_factors(r):
+        if len(_pgcd((frobenius_power(r // q) - x).coeffs, f, p)) != 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

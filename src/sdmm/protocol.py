@@ -124,8 +124,10 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     complete (or that system is singular), and always on a flat plan, the
     full polynomial is interpolated on its generic support, which any
     |supp(h)| responses permit. Raises InsufficientResponses when no route
-    has enough data.
+    has enough data, and BadSpec when a response key names no worker.
     """
+    if responses and not (0 <= min(responses) and max(responses) < plan.n_workers):
+        raise BadSpec(f"response key outside [0, {plan.n_workers})")
     params = plan.params
     ctx = plan.ctx
     full_supp = symbolic_support(params)

@@ -327,34 +327,3 @@ def _sweep_row(scheme: str, K: int, M: int, L: int, T: int, d_or_r: int,
         "P": rep.P if rep.P is not None else "",
         "rate": str(rep.rate),
     }
-
-
-def mp_step_size_probe(K_max: int = 4, M_max: int = 6, L_max: int = 4,
-                       T_max: int = 8) -> dict:
-    """Survey how the modular threshold responds to the step size D.
-
-    Checks, without asserting, whether N is nondecreasing in D among the
-    admissible step sizes of each grid, and whether D = 1 is always a
-    minimizer. Returns counts plus explicit violation records.
-    """
-    cases = 0
-    non_monotone = []
-    d1_beaten = []
-    for K in range(1, K_max + 1):
-        for M in range(1, M_max + 1):
-            ds = admissible_ds(M)
-            for L in range(1, L_max + 1):
-                for T in range(1, T_max + 1):
-                    ns = [mp_threshold_closed_form(K, M, L, T, d).N for d in ds]
-                    cases += 1
-                    if any(b < a for a, b in zip(ns, ns[1:])):
-                        non_monotone.append(
-                            {"K": K, "M": M, "L": L, "T": T,
-                             "D": list(ds), "N": ns})
-                    if min(ns) < ns[0]:
-                        d1_beaten.append(
-                            {"K": K, "M": M, "L": L, "T": T,
-                             "D": list(ds), "N": ns})
-    return {"cases": cases,
-            "non_monotone": non_monotone,
-            "d1_beaten": d1_beaten}

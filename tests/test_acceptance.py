@@ -10,11 +10,10 @@ import itertools
 import math
 import os
 import random
-from fractions import Fraction
 
 import pytest
 
-from sdmm import _gauss
+from sdmm import _gauss, examples
 from sdmm.cli import main as cli_main
 from sdmm.errors import BudgetExhausted, InsufficientResponses, SingularSystem
 from sdmm.fields import MultCounter, make_field
@@ -30,15 +29,12 @@ from sdmm.protocol import (
     assemble_product,
     decode,
     encode,
-    mp_recovery_threshold_with_security,
     p_of_s_empirical,
-    p_of_s_lower_bound,
     run_protocol,
 )
 from sdmm.schemes import SchemeParams
 from sdmm.thresholds import (
     admissible_ds,
-    optimal_r,
     product_class_support,
     symbolic_support,
     threshold,
@@ -74,13 +70,11 @@ def test_criterion_01_closed_forms_match_support_oracle():
 
 
 def test_criterion_02_grid_2x3x2_t3_reference_instance():
-    params = SchemeParams.mp(2, 3, 2, 3, 1)
-    rep = threshold(params)
-    assert rep.P == 8
-    assert rep.N == 24
-    assert product_class_support(params) == (2, 5, 8, 11, 14, 17, 20, 26)
+    # 8 hypernodes, 24 workers, filtered support {2,5,8,11,14,17,20,26}
+    assert examples.check_grid_2322_thresholds() is None
 
     # 24 worker points exist over the 169-element extension field
+    params = SchemeParams.mp(2, 3, 2, 3, 1)
     plan = find_evaluation_vector(params, make_field(13, 2), seed=2)
     assert plan.n_workers == 24
 
@@ -93,11 +87,10 @@ def test_criterion_02_grid_2x3x2_t3_reference_instance():
 
 
 def test_criterion_03_grid_5x2x5_t4_best_run_length():
-    best = optimal_r(5, 2, 5, 4)
-    assert best.params.r == 2
-    assert best.N == 82
-    assert max(symbolic_support(SchemeParams.ggasp(5, 2, 5, 4, 2))) == 114
-    assert threshold(SchemeParams.mp(5, 2, 5, 4, 1)).N == 82
+    # run length r=2 is optimal with N=82 and product degree 114; the
+    # hypernode layout with D=1 also needs 82 workers
+    assert examples.check_ggasp_543() is None
+    assert examples.check_mp_matches_at_543() is None
 
 
 def test_criterion_04_noise_free_thresholds():
@@ -109,40 +102,25 @@ def test_criterion_04_noise_free_thresholds():
 
 
 def test_criterion_05_six_hypernode_straggler_probabilities():
-    params = SchemeParams.mp(2, 3, 2, 0)
-    base = [F31.element(pow(15, p, 31)) for p in range(6)]
-    plan = mp_plan(params, F31, base, zeta=F31.element(5))
-    rng = random.Random("sdmm-acceptance-5")
-    A = BlockMatrix.random(2, 3, F31, rng)
-    B = BlockMatrix.random(3, 2, F31, rng)
-
-    assert p_of_s_empirical(A, B, plan, 4, mode="exhaustive") == 1
-    p5 = p_of_s_empirical(A, B, plan, 5, mode="exhaustive")
-    p6 = p_of_s_empirical(A, B, plan, 6, mode="exhaustive")
-    assert p5 >= Fraction(90, 8568)
-    assert p6 >= Fraction(15, 18564)
-    assert round(float(p_of_s_lower_bound(2, 3, 2, 6, 5)), 4) == 0.0105
-    assert round(float(p_of_s_lower_bound(2, 3, 2, 6, 6)), 4) == 0.0008
+    # on the six-hypernode GF(31) deployment, exhaustively: p(4) = 1,
+    # p(5) = 90/8568 and p(6) = 15/18564 exactly, no lower than the counting
+    # bound, whose decimals are 0.0105 and 0.0008
+    assert examples.check_robustness_t0_numbers() is None
 
 
 def test_criterion_06_t1_deployment_robustness():
-    params = SchemeParams.mp(2, 3, 2, 1)
-    rep = threshold(params)
-    assert rep.N_prime == 22
-    # the filtered support has 7 members, so the averaged route needs 7
-    # complete hypernodes; the refutation loop at the bottom shows 6 bare
-    # hypernodes (18 responses) never suffice
-    assert rep.P_prime == 7
+    # N' = 22 and P' = 7, and every survivor set of size 22 decodes (all 276
+    # straggler pairs). The filtered support has 7 members, so the averaged
+    # route needs 7 complete hypernodes; the refutation loop at the bottom
+    # shows 6 bare hypernodes (18 responses) never suffice
+    assert examples.check_robustness_t1_erasures() is None
 
-    base = [F31.element(pow(15, p, 31)) for p in range(8)]
-    plan = mp_plan(params, F31, base, zeta=F31.element(5))
+    plan = examples.gf31_plan(1, 8)
+    params = plan.params
     assert plan.n_workers == 24
     rng = random.Random("sdmm-acceptance-6")
     A = BlockMatrix.random(2, 3, F31, rng)
     B = BlockMatrix.random(3, 2, F31, rng)
-
-    # every survivor set of size 22 decodes (all 276 straggler pairs)
-    assert p_of_s_empirical(A, B, plan, 2, mode="exhaustive") == 1
 
     # 10^3 sampled survivor sets containing >= 7 complete hypernodes decode
     responses = _encode_all(plan, A, B, seed=6)
@@ -175,10 +153,9 @@ def test_criterion_07_t2_deployment_mds_claim():
     is decoded too (about 20 s).
     """
     full = os.environ.get("SDMM_FULL_MINORS") == "1"
-    params = SchemeParams.mp(2, 3, 2, 2)
-    base = [F61.element(pow(8, e, 61)) for e in (0, 1, 2, 3, 4, 7, 8, 9, 12, 13)]
-    plan = mp_plan(params, F61, base, zeta=F61.element(47))
-    assert security_check(plan).ok
+    assert examples.check_security_t2_61() is None
+    plan = examples.gf61_plan()
+    params = plan.params
 
     supp = symbolic_support(params)
     assert len(supp) == 25
@@ -222,23 +199,15 @@ def test_criterion_07_t2_deployment_mds_claim():
     if full:
         assert p_of_s_empirical(A, B, plan, 3, mode="exhaustive") == 1
 
-    rep = mp_recovery_threshold_with_security(params, plan)
-    assert rep.threshold == rep.upper_bound == 28
-    assert rep.certified
-    assert not rep.witness.ok
+    # the exhaustive scan's recovery report: certified 28, not MDS
+    assert examples.check_robustness_t2_witness() is None
 
 
 def test_criterion_08_five_hundred_protocol_runs():
     plans = [
-        mp_plan(SchemeParams.mp(2, 3, 2, 0), F31,
-                [F31.element(pow(15, p, 31)) for p in range(6)],
-                zeta=F31.element(5)),
-        mp_plan(SchemeParams.mp(2, 3, 2, 1), F31,
-                [F31.element(pow(15, p, 31)) for p in range(8)],
-                zeta=F31.element(5)),
-        mp_plan(SchemeParams.mp(2, 3, 2, 2), F61,
-                [F61.element(pow(8, e, 61)) for e in (0, 1, 2, 3, 4, 7, 8, 9, 12, 13)],
-                zeta=F61.element(47)),
+        examples.gf31_plan(0, 6),
+        examples.gf31_plan(1, 8),
+        examples.gf61_plan(),
         mp_plan(SchemeParams.mp(1, 2, 1, 2), F13,
                 [F13.element(v) for v in (1, 2, 3, 4)]),
         find_evaluation_vector(SchemeParams.ggasp(2, 3, 2, 1), make_field(101),

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from sdmm.cli import main
+from sdmm.examples import EXAMPLES
 
 
 def run_cli(capsys, *argv):
@@ -246,8 +247,9 @@ def test_verify_examples_all_pass(capsys):
 def test_verify_examples_category_filter(capsys):
     rc, out, _ = run_cli(capsys, "verify-examples", "--only", "field")
     assert rc == 0
-    full = run_cli(capsys, "verify-examples")[1]
-    assert out.count("PASS") < full.count("PASS")
+    want = [f"PASS [field] {name}" for cat, name, _ in EXAMPLES if cat == "field"]
+    assert len(want) == 5
+    assert out.splitlines() == want + ["5/5 checks passed"]
 
 
 def test_verify_examples_rejects_unknown_category(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from sdmm.errors import (
 )
 from sdmm.fields import (
     FieldCtx,
+    _poly_is_irreducible,
     MultCounter,
     is_prime,
     largest_coprime_subgroup_order,
@@ -49,6 +51,31 @@ def test_make_field_rejects_reducible_modulus():
     # x^2 - 1 = (x-1)(x+1) over GF(7)
     with pytest.raises(NotIrreducible):
         make_field(7, 2, modulus=[6, 0, 1])
+
+
+def _mobius(n):
+    factors = prime_factors(n)
+    if any(n % (q * q) == 0 for q in factors):
+        return 0
+    return (-1) ** len(factors)
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3),
+                                 (3, 4), (5, 2), (5, 3), (7, 2), (13, 2)])
+def test_irreducible_count_matches_gauss_formula(p, r):
+    # monic irreducibles of degree r over GF(p): (1/r) sum_{d | r} mu(d) p^(r/d)
+    want = sum(_mobius(d) * p ** (r // d) for d in range(1, r + 1) if r % d == 0) // r
+    got = sum(_poly_is_irreducible(low + (1,), p)
+              for low in itertools.product(range(p), repeat=r))
+    assert got == want
+
+
+def test_seeded_moduli_are_frozen():
+    # every GF(p^r) plan, simulation and benchmark input is built on these
+    want = {(13, 2): (9, 2, 1), (31, 2): (29, 13, 1), (2, 5): (1, 0, 1, 0, 0, 1),
+            (3, 4): (2, 0, 2, 0, 1), (61, 3): (41, 31, 25, 1)}
+    for (p, r), modulus in want.items():
+        assert make_field(p, r).modulus_poly == modulus
 
 
 def test_field_spec_round_trip():

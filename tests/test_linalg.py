@@ -14,6 +14,7 @@ from sdmm.errors import (
     ShapeMismatch,
     ZeroEvaluationPoint,
 )
+from sdmm.examples import gf31_plan
 from sdmm.fields import make_field, primitive_root_of_unity
 from sdmm.linalg import (
     decodability_check,
@@ -88,8 +89,7 @@ def test_ggasp_plan_rejects_duplicates():
 
 
 def test_plan_summary_fields():
-    params = SchemeParams.mp(2, 3, 2, 1)
-    plan = mp_plan(params, F31, [F31.element(pow(15, p, 31)) for p in range(7)])
+    plan = gf31_plan(1, 7)
     s = plan.summary()
     assert s["n_workers"] == 21
     assert len(s["worker_points"]) == 21
@@ -109,8 +109,8 @@ def test_decodability_known_pairs():
 
 
 def test_decodability_accepts_plan():
-    params = SchemeParams.mp(2, 3, 2, 1)
-    plan = mp_plan(params, F31, [F31.element(pow(15, p, 31)) for p in range(8)])
+    plan = gf31_plan(1, 8)
+    params = plan.params
     assert decodability_check(plan, product_class_support(params))
     assert decodability_check(plan.worker_points, symbolic_support(params), F31)
 
@@ -195,8 +195,7 @@ def test_batch_invertibility_matches_generic(seed):
 
 
 def test_security_matrices_shape_and_entries():
-    params = SchemeParams.mp(2, 3, 2, 2)
-    plan = mp_plan(params, F31, [F31.element(pow(15, p, 31)) for p in range(8)])
+    plan = gf31_plan(2, 8)
     sa, sb = security_matrices(plan)
     assert sa.shape == (2, 24)
     assert sb.shape == (2, 24)
@@ -222,18 +221,14 @@ def test_security_shared_square_always_fails():
 
 
 def test_security_single_noise_term_passes():
-    params = SchemeParams.mp(2, 3, 2, 1)
-    plan = mp_plan(params, F31, [F31.element(pow(15, p, 31)) for p in range(8)])
-    assert security_check(plan).ok
+    assert security_check(gf31_plan(1, 8)).ok
 
 
 def test_security_refuses_noise_free_plans():
     # with no noise terms there is nothing to mix; the check refuses
     # rather than reporting a vacuous pass
-    params = SchemeParams.mp(2, 3, 2, 0)
-    plan = mp_plan(params, F31, [F31.element(pow(15, p, 31)) for p in range(4)])
     with pytest.raises(BadSpec):
-        security_check(plan)
+        security_check(gf31_plan(0, 4))
 
 
 # -- evaluation-vector search --------------------------------------------------------

@@ -19,6 +19,7 @@ from sdmm.errors import (
     OutOfRange,
     PlanInvalid,
 )
+from sdmm.examples import gf31_plan, gf61_plan
 from sdmm.fields import MultCounter, make_field
 from sdmm.linalg import find_evaluation_vector, gv_matrix, is_mds, mp_plan
 from sdmm.matpoly import BlockMatrix
@@ -38,14 +39,6 @@ from sdmm.thresholds import product_class_support, symbolic_support
 F13 = make_field(13)
 F31 = make_field(31)
 F61 = make_field(61)
-
-
-def _hyper_plan(T: int, n_hypernodes: int):
-    # powers of 15 have pairwise distinct cubes over GF(31); 5 generates
-    # the cube roots of unity
-    params = SchemeParams.mp(2, 3, 2, T)
-    base = [F31.element(pow(15, p, 31)) for p in range(n_hypernodes)]
-    return mp_plan(params, F31, base, zeta=F31.element(5))
 
 
 def _inputs(plan, seed=7, scale=1):
@@ -99,7 +92,7 @@ def test_resolve_stragglers_random_is_driven_by_rng():
 
 
 def test_run_protocol_full_response_set():
-    plan = _hyper_plan(T=1, n_hypernodes=8)
+    plan = gf31_plan(1, 8)
     A, B = _inputs(plan, scale=2)
     rep = run_protocol(A, B, plan, seed=0)
     assert rep.decode_success
@@ -117,7 +110,7 @@ def test_complete_hypernodes_decode_below_full_support_count():
     # generic interpolation needs 22 responses here; losing one whole
     # hypernode leaves 21 responses but 7 complete hypernodes, and the
     # averaged route still decodes
-    plan = _hyper_plan(T=1, n_hypernodes=8)
+    plan = gf31_plan(1, 8)
     A, B = _inputs(plan)
     rep = run_protocol(A, B, plan, stragglers=[0, 1, 2], seed=1)
     assert rep.responses_used == 21
@@ -128,7 +121,7 @@ def test_decode_falls_back_to_full_interpolation():
     # one worker lost in each of two hypernodes: only 6 complete hypernodes
     # of the 7 the averaged route needs, but all 22 responses interpolate
     # the unfiltered polynomial
-    plan = _hyper_plan(T=1, n_hypernodes=8)
+    plan = gf31_plan(1, 8)
     A, B = _inputs(plan)
     rep = run_protocol(A, B, plan, stragglers=[0, 3], seed=2)
     assert rep.responses_used == 22
@@ -137,7 +130,7 @@ def test_decode_falls_back_to_full_interpolation():
 
 def test_decode_failure_is_reported_not_raised():
     # three broken hypernodes and 21 responses starve both routes
-    plan = _hyper_plan(T=1, n_hypernodes=8)
+    plan = gf31_plan(1, 8)
     A, B = _inputs(plan)
     rep = run_protocol(A, B, plan, stragglers=[0, 3, 6], seed=3)
     assert not rep.decode_success
@@ -146,13 +139,26 @@ def test_decode_failure_is_reported_not_raised():
 
 
 def test_decode_raises_when_called_directly_with_too_few_responses():
-    plan = _hyper_plan(T=1, n_hypernodes=8)
+    plan = gf31_plan(1, 8)
     A, B = _inputs(plan)
     responses = _responses(plan, A, B, random.Random("enc"))
     for n in (0, 3, 6):
         del responses[n]
     with pytest.raises(InsufficientResponses):
         decode(responses, plan)
+
+
+@pytest.mark.parametrize("key", [24, -2])
+def test_decode_rejects_keys_that_name_no_worker(key):
+    # 21 responses plus one filed under a key outside the 24 workers, with
+    # only 6 complete hypernodes, so decode takes the full-interpolation route
+    plan = gf31_plan(1, 8)
+    A, B = _inputs(plan)
+    responses = _responses(plan, A, B, random.Random("keys"))
+    survivors = {n: responses[n] for n in range(1, 22)}
+    survivors[key] = responses[22]
+    with pytest.raises(BadSpec):
+        decode(survivors, plan)
 
 
 def test_flat_decode_reports_only_the_response_count():
@@ -168,7 +174,7 @@ def test_flat_decode_reports_only_the_response_count():
 
 
 def test_decode_counter_path_agrees_with_uncounted_path():
-    plan = _hyper_plan(T=1, n_hypernodes=8)
+    plan = gf31_plan(1, 8)
     A, B = _inputs(plan, seed=11)
     responses = _responses(plan, A, B, random.Random("enc2"))
     counter = MultCounter()
@@ -182,7 +188,7 @@ def test_decode_counter_path_agrees_with_uncounted_path():
 def test_decode_raises_on_a_corrupted_response():
     # all 24 responses complete 8 hypernodes where 7 determine the product,
     # so the spare equation exposes one corrupted entry
-    plan = _hyper_plan(T=1, n_hypernodes=8)
+    plan = gf31_plan(1, 8)
     rng = random.Random("corrupt")
     A = BlockMatrix.random(4, 3, F31, rng)
     B = BlockMatrix.random(3, 4, F31, rng)
@@ -196,7 +202,7 @@ def test_decode_raises_on_a_corrupted_response():
 def test_p_of_s_audits_every_decode(monkeypatch):
     # a decoder that returns one wrong block must not pass as a pattern
     # that merely failed to decode
-    plan = _hyper_plan(T=1, n_hypernodes=8)
+    plan = gf31_plan(1, 8)
     A, B = _inputs(plan)
     assert p_of_s_empirical(A, B, plan, 0) == 1
     real = sdmm.protocol.decode
@@ -220,7 +226,7 @@ def test_assemble_product_block_layout():
 
 
 def test_string_straggler_spec_reaches_the_run():
-    plan = _hyper_plan(T=1, n_hypernodes=8)
+    plan = gf31_plan(1, 8)
     A, B = _inputs(plan)
     rep = run_protocol(A, B, plan, stragglers="3,5", seed=4)
     assert rep.straggler_set == (3, 5)
@@ -229,7 +235,7 @@ def test_string_straggler_spec_reaches_the_run():
 
 
 def test_random_stragglers_are_seed_deterministic():
-    plan = _hyper_plan(T=1, n_hypernodes=8)
+    plan = gf31_plan(1, 8)
     A, B = _inputs(plan)
     rep1 = run_protocol(A, B, plan, stragglers="random:3", seed=9)
     rep2 = run_protocol(A, B, plan, stragglers="random:3", seed=9)
@@ -239,7 +245,7 @@ def test_random_stragglers_are_seed_deterministic():
 
 
 def test_report_serialization_hides_timing_unless_asked():
-    plan = _hyper_plan(T=0, n_hypernodes=6)
+    plan = gf31_plan(0, 6)
     A, B = _inputs(plan)
     rep = run_protocol(A, B, plan, seed=5)
     assert set(rep.mult_counts) == {"encode", "worker", "decode"}
@@ -295,8 +301,6 @@ def test_straggler_bound_reference_values():
     p6 = p_of_s_lower_bound(2, 3, 2, 6, 6)
     assert p5 == Fraction(90, 8568) == Fraction(5, 476)
     assert p6 == Fraction(15, 18564)
-    assert round(float(p5), 4) == 0.0105
-    assert round(float(p6), 4) == 0.0008
     with pytest.raises(OutOfRange):
         p_of_s_lower_bound(2, 3, 2, 6, 7)
     with pytest.raises(BadSpec):
@@ -327,15 +331,8 @@ def test_noise_free_bound_is_exact_in_the_tail_window(K, M, L, P, base, S):
     assert 0 < want < 1
 
 
-def test_exhaustive_decode_fraction_matches_bound_on_six_hypernodes():
-    plan = _hyper_plan(T=0, n_hypernodes=6)
-    A, B = _inputs(plan)
-    assert p_of_s_empirical(A, B, plan, 4, mode="exhaustive") == 1
-    assert p_of_s_empirical(A, B, plan, 5, mode="exhaustive") == Fraction(5, 476)
-
-
 def test_monte_carlo_decode_fraction_is_seeded():
-    plan = _hyper_plan(T=0, n_hypernodes=6)
+    plan = gf31_plan(0, 6)
     A, B = _inputs(plan)
     a = p_of_s_empirical(A, B, plan, 5, mode="mc", samples=300, seed=3)
     b = p_of_s_empirical(A, B, plan, 5, mode="mc", samples=300, seed=3)
@@ -377,7 +374,7 @@ def test_recovery_report_certifies_gapless_support_in_closed_form():
 
 
 def test_recovery_report_certifies_gapped_support_by_exhaustive_scan():
-    plan = _hyper_plan(T=1, n_hypernodes=8)
+    plan = gf31_plan(1, 8)
     rep = mp_recovery_threshold_with_security(None, plan, mode="exhaustive")
     assert not rep.gapless
     assert rep.mode == "exhaustive"
@@ -389,18 +386,11 @@ def test_recovery_report_certifies_gapped_support_by_exhaustive_scan():
     assert rep.witness.checked == rep.witness.total == math.comb(24, 22)
 
 
-def _t2_61_plan(exponents=(0, 1, 2, 3, 4, 7, 8, 9, 12, 13)):
-    # base points 8^e over GF(61); 47 generates the cube roots of unity
-    params = SchemeParams.mp(2, 3, 2, 2)
-    base = [F61.element(pow(8, e, 61)) for e in exponents]
-    return mp_plan(params, F61, base, zeta=F61.element(47))
-
-
 def test_recovery_report_falls_back_when_a_singular_minor_appears():
     # a deployment whose full evaluation code is not MDS: the scan finds a
     # singular column set and the certified answer drops to the per-worker
     # hypernode bound
-    plan = _t2_61_plan()
+    plan = gf61_plan()
     params = plan.params
     rep = mp_recovery_threshold_with_security(None, plan, mode="random",
                                               samples=4000, seed=0)
@@ -424,7 +414,7 @@ def test_recovery_report_checks_the_hypernode_premise():
     # system of rank 7. The nine 28-survivor sets that spoil hypernodes 3
     # and 8 keep exactly those complete, so they can decode only by full
     # interpolation. All nine do, so the hypernode bound of 28 holds.
-    plan = _t2_61_plan()
+    plan = gf61_plan()
     params = plan.params
     hyper = gv_matrix(plan.base_points, product_class_support(params), F61)
     ranks = {cols: _gauss.rank(hyper.array[:, list(cols)], F61)
@@ -453,7 +443,7 @@ def test_recovery_report_refuses_a_hypernode_bound_that_fails():
     # deploying only the rank-deficient hypernodes: all 24 responses keep 8
     # complete hypernodes whose filtered system is singular, and 24 are too
     # few to interpolate the 25-term product, so nothing decodes
-    plan = _t2_61_plan((0, 1, 2, 4, 7, 8, 9, 13))
+    plan = gf61_plan((0, 1, 2, 4, 7, 8, 9, 13))
     rep = mp_recovery_threshold_with_security(None, plan)
     assert rep.mode == "hypernode"
     assert rep.witness is None
@@ -486,14 +476,12 @@ def test_recovery_report_validates_its_inputs():
     with pytest.raises(PlanInvalid):
         mp_recovery_threshold_with_security(None, flat)
 
-    hyper = _hyper_plan(T=1, n_hypernodes=8)
+    hyper = gf31_plan(1, 8)
     with pytest.raises(BadSpec):
         mp_recovery_threshold_with_security(SchemeParams.mp(2, 3, 2, 2), hyper)
     with pytest.raises(BadSpec):
         mp_recovery_threshold_with_security(None, hyper, mode="sideways")
 
-    params_t2 = SchemeParams.mp(2, 3, 2, 2)
-    base7 = [F61.element(pow(8, e, 61)) for e in (0, 1, 2, 3, 4, 7, 8)]
-    starved = mp_plan(params_t2, F61, base7, zeta=F61.element(47))
+    starved = gf61_plan((0, 1, 2, 3, 4, 7, 8))
     with pytest.raises(PlanInvalid):
         mp_recovery_threshold_with_security(None, starved)

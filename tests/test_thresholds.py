@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from sdmm.schemes import SchemeParams
 from sdmm.thresholds import (
     admissible_ds,
     ggasp_threshold_closed_form,
-    mp_step_size_probe,
     mp_threshold_closed_form,
     optimal_r,
     product_class_support,
@@ -161,7 +161,8 @@ def test_fixed_budget_search_respects_budget():
 
 
 def test_step_size_probe_reports_d1_optimal():
-    probe = mp_step_size_probe(K_max=3, M_max=6, L_max=3, T_max=6)
-    assert probe["cases"] == 3 * 6 * 3 * 6
     # N is not always monotone in D, but D=1 is never strictly beaten
-    assert probe["d1_beaten"] == []
+    grids = itertools.product(range(1, 4), range(1, 7), range(1, 4), range(1, 7))
+    for K, M, L, T in grids:
+        ns = [mp_threshold_closed_form(K, M, L, T, d).N for d in admissible_ds(M)]
+        assert min(ns) == ns[0], (K, M, L, T, ns)
