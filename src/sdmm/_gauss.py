@@ -150,34 +150,48 @@ def rank(rows, ctx: FieldCtx) -> int:
     return sum(_pivots(M, M.shape[1], ctx))
 
 
-def is_invertible(rows, ctx: FieldCtx) -> bool:
-    """True iff the square matrix has a nonzero determinant."""
-    return rank(rows, ctx) == len(rows)
+def powers(points: np.ndarray, exponents, ctx: FieldCtx) -> np.ndarray:
+    """points[i]^exponents[j] for an (n, r) residue array; shape (n, k, r).
 
-
-def batch_is_invertible(mats: np.ndarray, p: int) -> np.ndarray:
-    """Vectorized invertibility test for a stack of square int64 matrices.
-
-    mats has shape (batch, n, n) with entries already reduced mod p; returns
-    a boolean array of length batch. Only valid for p < 2^31.
+    One right-to-left square-and-multiply ladder serves every exponent: the
+    base is squared once per bit, and each power whose bit is set takes it.
     """
+    exps = [int(e) for e in exponents]
+    out = np.zeros((len(points), len(exps), ctx.r), dtype=points.dtype)
+    out[..., 0] = 1
+    base = points
+    for bit in range(max(exps, default=0).bit_length()):
+        if bit:
+            base = mul(base, base, ctx)
+        have = [j for j, e in enumerate(exps) if e >> bit & 1]
+        out[:, have] = mul(out[:, have], base[:, None], ctx)
+    return out
+
+
+def batch_is_invertible(mats: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Invertibility of every matrix in a (batch, n, n, r) residue stack.
+
+    Returns a boolean array of length batch. Elimination runs on all
+    matrices at once and updates only the trailing block below and right
+    of each pivot. Each pivot is inverted by the Fermat ladder x^(q-2); a
+    matrix without a pivot is dead, and its zero pivot inverts to 0.
+    """
+    p = ctx.p
     M = mats % p
-    batch, n, _ = M.shape
+    batch, n = M.shape[:2]
     alive = np.ones(batch, dtype=bool)
     idx = np.arange(batch)
     for col in range(n):
-        nz = M[:, col:, col] != 0
+        nz = (M[:, col:, col] != 0).any(axis=-1)
         alive &= nz.any(axis=1)
         if not alive.any():
             return alive
         piv_row = col + nz.argmax(axis=1)
-        tmp = M[idx, piv_row].copy()
-        M[idx, piv_row] = M[idx, col]
-        M[idx, col] = tmp
-        # division-free update: row_i <- piv*row_i - lead_i*row_piv keeps
-        # invertibility and, with p < 2^31, all products below 2^62
-        piv = M[:, col, col]
-        below = M[:, col + 1:, col]
-        M[:, col + 1:] = (piv[:, None, None] * M[:, col + 1:]
-                          - below[:, :, None] * M[:, col][:, None, :]) % p
+        M[idx, col, col:], M[idx, piv_row, col:] = M[idx, piv_row, col:], M[idx, col, col:]
+        inv = powers(M[:, col, col], [ctx.order - 2], ctx)
+        lead = mul(M[:, col + 1:, col], inv, ctx)
+        block = M[:, col + 1:, col + 1:]
+        block -= mul(lead[:, :, None], M[:, col, None, col + 1:], ctx)
+        # entries now lie in (-p, p); a negative one shifts to -1, adding p
+        block += block >> p.bit_length() & p
     return alive

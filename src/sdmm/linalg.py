@@ -46,7 +46,8 @@ from .thresholds import threshold, product_class_support, symbolic_support
 def gv_matrix(points: Sequence[FieldElement], exponents: Sequence[int],
               ctx: FieldCtx) -> BlockMatrix:
     """Generalized Vandermonde matrix: entry (i, j) = points[j]^exponents[i]."""
-    return BlockMatrix([[x.pow_(e) for x in points] for e in exponents], ctx)
+    table = _gauss.powers(_gauss.as_array([points], ctx)[0], exponents, ctx)
+    return BlockMatrix(table.transpose(1, 0, 2), ctx)
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,9 @@ def ggasp_plan(params: SchemeParams, ctx: FieldCtx,
     return EvaluationPlan(params=params, ctx=ctx, worker_points=worker_points)
 
 
+_MINOR_BATCH = 4096  # column sets that singular_minors decides in one elimination
+
+
 @dataclass(frozen=True)
 class MdsResult:
     """Outcome of a minor-invertibility scan.
@@ -168,6 +172,8 @@ def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
         subsets = itertools.combinations(range(N), P)
         planned = total
     elif mode == "random":
+        if samples < 1:
+            raise BadSpec(f"random mode needs at least one sample, got {samples}")
         if rng is None:
             rng = random.Random(0)
         subsets = (tuple(sorted(rng.sample(range(N), P))) for _ in range(samples))
@@ -180,29 +186,21 @@ def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
     return MdsResult(True, mode, planned, total)
 
 
-def singular_minors(mat: BlockMatrix, subsets, chunk: int = 4096):
+def singular_minors(mat: BlockMatrix, subsets):
     """Yield (checked, cols) for each column set whose minor is singular.
 
     mat is P x N and every set in subsets has P columns. Sets are tested
-    in the order given: over GF(p) with p < 2^31 in batches of `chunk`, so
-    checked, the count of sets tested so far, runs to the end of the batch
-    holding cols; over other fields one set at a time.
+    in the order given, in batches of _MINOR_BATCH, so checked, the count
+    of sets tested so far, runs to the end of the batch holding cols.
     """
-    ctx = mat.ctx
     subsets = iter(subsets)
-    if ctx.r == 1 and ctx.p < (1 << 31):
-        base = mat.array[..., 0]
-        checked = 0
-        while buf := list(itertools.islice(subsets, chunk)):
-            checked += len(buf)
-            stack = np.transpose(base[:, np.array(buf, dtype=np.intp)], (1, 0, 2))
-            ok = _gauss.batch_is_invertible(stack, ctx.p)
-            for i in np.flatnonzero(~ok):
-                yield checked, tuple(buf[i])
-    else:
-        for checked, cols in enumerate(subsets, 1):
-            if not _gauss.is_invertible(mat.array[:, list(cols)], ctx):
-                yield checked, tuple(cols)
+    checked = 0
+    while buf := list(itertools.islice(subsets, _MINOR_BATCH)):
+        checked += len(buf)
+        stack = mat.array[:, np.array(buf, dtype=np.intp)].transpose(1, 0, 2, 3)
+        ok = _gauss.batch_is_invertible(stack, mat.ctx)
+        for i in np.flatnonzero(~ok):
+            yield checked, tuple(buf[i])
 
 
 def decodability_check(plan_or_points, exponents: Sequence[int],

@@ -241,7 +241,7 @@ class MatPoly:
             terms[e] = terms[e] + coeff if e in terms else coeff
         return MatPoly(terms, (self.rows, self.cols), self.ctx)
 
-    def mul(self, other: "MatPoly", counter: Optional[MultCounter] = None) -> "MatPoly":
+    def mul(self, other: "MatPoly") -> "MatPoly":
         """Exact convolution product; coefficients multiply as matrices."""
         if self.cols != other.rows:
             raise ShapeMismatch(f"inner dimensions {self.cols} and {other.rows} differ")
@@ -250,7 +250,7 @@ class MatPoly:
         acc: dict[int, BlockMatrix] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                prod = c1.matmul(c2, counter)
+                prod = c1.matmul(c2)
                 e = e1 + e2
                 acc[e] = acc[e] + prod if e in acc else prod
         return MatPoly(acc, (self.rows, other.cols), self.ctx)
@@ -368,8 +368,9 @@ def interpolate(points: Iterable[FieldElement], values: Iterable[BlockMatrix],
     shape = vals[0].shape
     if any(v.shape != shape for v in vals):
         raise ShapeMismatch("evaluation blocks differ in shape")
-    vmat = np.array([[x.pow_(e, counter).coeffs for e in exps] for x in pts],
-                    dtype=_gauss.dtype(ctx))
+    if counter is not None:  # what the ladder of x.pow_(e) spends per point
+        counter.add(len(pts) * sum(e.bit_length() + e.bit_count() - 2 for e in exps if e))
+    vmat = _gauss.powers(_gauss.as_array([pts], ctx)[0], exps, ctx)
     rhs = np.stack([v.array.reshape(-1, ctx.r) for v in vals])
     sol = _gauss.solve(vmat, rhs, ctx, counter)
     terms = {e: BlockMatrix(row.reshape(shape + (ctx.r,)), ctx)

@@ -328,6 +328,8 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
         patterns = itertools.combinations(range(N), S)
         attempts = total
     else:
+        if samples < 1:
+            raise BadSpec(f"sampling needs at least one pattern, got {samples}")
         rng = random.Random(f"sdmm-pofs-{seed}")
         patterns = (tuple(sorted(rng.sample(range(N), S))) for _ in range(samples))
         attempts = samples

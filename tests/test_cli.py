@@ -234,6 +234,16 @@ def test_p_of_s_decode_modes_need_a_field(capsys):
     assert "field" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_p_of_s_sampling_needs_a_positive_sample_count(capsys, samples):
+    rc, out, err = run_cli(capsys, "p-of-s", "--scheme", "mp:K=2,M=3,L=2,T=1",
+                           "--field", "31", "-S", "2", "--mode", "mc",
+                           "--samples", samples)
+    assert rc == 2
+    assert out == ""
+    assert "sampl" in err
+
+
 # -- verify-examples ---------------------------------------------------------------
 
 

@@ -2,7 +2,9 @@
 
 Every BlockMatrix operation, sparse Horner evaluation, interpolation and the
 counted Gauss-Jordan solve is compared, values and multiplication counts,
-with a plain implementation over FieldElement rows written here. The
+with a plain implementation over FieldElement rows written here; the power
+table against FieldElement.pow_ and the batched invertibility test against
+the rank. The
 fields cover both storage dtypes (int64 below 2^31, Python ints above),
 primes on either side of 2^31 and extension fields.
 """
@@ -10,6 +12,7 @@ primes on either side of 2^31 and extension fields.
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -233,6 +236,44 @@ def test_solve_rejects_inconsistent_spare_equations(ctx):
         _gauss.solve(rows, rhs, ctx)
     with pytest.raises(InconsistentResponses):
         ref_solve(rows, rhs, MultCounter())
+
+
+# -- the power table and the batched elimination ---------------------------------
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+def test_power_table_matches_pow(ctx):
+    rng = random.Random(11)
+    pts = [ctx.zero(), ctx.one()] + [ctx.random_element(rng) for _ in range(6)]
+    exps = [0, 1, ctx.order - 2, 2, 7, 40]
+    table = _gauss.powers(BlockMatrix([pts], ctx).array[0], exps, ctx)
+    assert table.shape == (len(pts), len(exps), ctx.r)
+    assert rows_of(table, ctx) == tuple(tuple(x.pow_(e) for e in exps) for x in pts)
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+def test_batch_invertibility_matches_rank(ctx):
+    rng = random.Random(12)
+    for n in (1, 2, 3, 5):
+        mats = []
+        for k in range(24):
+            m = rand_rows(n, n, ctx, rng)
+            j, src = rng.randrange(n), rng.randrange(n)
+            if k % 3 == 1:  # column j repeats column src, or is zero
+                for row in m:
+                    row[j] = row[src] if src != j else ctx.zero()
+            elif k % 3 == 2:  # a zero column
+                for row in m:
+                    row[j] = ctx.zero()
+            mats.append(m)
+        got = _gauss.batch_is_invertible(
+            np.stack([BlockMatrix(m, ctx).array for m in mats]), ctx)
+        assert list(got) == [_gauss.rank(m, ctx) == n for m in mats]
+        # every matrix of this batch dies at column 0
+        dead = [[[ctx.zero()] + row[1:] for row in m] for m in mats]
+        got = _gauss.batch_is_invertible(
+            np.stack([BlockMatrix(m, ctx).array for m in dead]), ctx)
+        assert not got.any()
 
 
 # -- a whole protocol run above 2^31 ------------------------------------------------

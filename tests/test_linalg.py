@@ -142,15 +142,11 @@ def test_is_mds_finds_shared_square_witness():
 @pytest.mark.parametrize("q, r", [(13, 1), (2**61 - 1, 1), (13, 2)])
 def test_singular_minors_lists_every_singular_column_set(q, r):
     # columns 1 = 2 * column 0 and 3 = 3 * column 2; no other pair is
-    # dependent. GF(13) scans in batches (here of 2), the others one set
-    # at a time, which changes only the running count of sets tested
+    # dependent. All 6 sets fall in one batch, so both report checked = 6
     ctx = make_field(q, r)
     mat = BlockMatrix([[1, 2, 1, 3], [1, 2, 2, 6]], ctx)
-    got = list(singular_minors(mat, itertools.combinations(range(4), 2), chunk=2))
-    if (q, r) == (13, 1):
-        assert got == [(2, (0, 1)), (6, (2, 3))]
-    else:
-        assert got == [(1, (0, 1)), (6, (2, 3))]
+    got = list(singular_minors(mat, itertools.combinations(range(4), 2)))
+    assert got == [(6, (0, 1)), (6, (2, 3))]
 
 
 def test_is_mds_budget_and_random_mode():
@@ -162,6 +158,14 @@ def test_is_mds_budget_and_random_mode():
     assert res.ok and res.checked == 200
     with pytest.raises(BadSpec):
         is_mds(mat, mode="bogus")
+
+
+@pytest.mark.parametrize("samples", [0, -4])
+def test_random_mode_needs_a_positive_sample_count(samples):
+    # a singular matrix must not pass as MDS on zero samples
+    mat = BlockMatrix([[1, 2], [1, 2]], F31)
+    with pytest.raises(BadSpec):
+        is_mds(mat, mode="random", samples=samples)
 
 
 def test_is_mds_generic_path_matches_numpy_path():
@@ -185,9 +189,9 @@ def test_batch_invertibility_matches_generic(seed):
     n = rng.randint(1, 4)
     mats = [[[rng.randrange(31) for _ in range(n)] for _ in range(n)]
             for _ in range(8)]
-    want = [_gauss.is_invertible([[F31.element(v) for v in row] for row in m], F31)
+    want = [_gauss.rank([[F31.element(v) for v in row] for row in m], F31) == n
             for m in mats]
-    got = _gauss.batch_is_invertible(np.array(mats, dtype=np.int64), 31)
+    got = _gauss.batch_is_invertible(np.array(mats, dtype=np.int64)[..., None], F31)
     assert list(got) == want
 
 
