@@ -3,10 +3,10 @@
 Every BlockMatrix operation, sparse Horner evaluation, interpolation and the
 counted Gauss-Jordan solve is compared, values and multiplication counts,
 with a plain implementation over FieldElement rows written here; the power
-table against FieldElement.pow_ and the batched invertibility test against
-the rank. The
-fields cover both storage dtypes (int64 below 2^31, Python ints above),
-primes on either side of 2^31 and extension fields.
+table is compared with FieldElement.pow_, and the batched invertibility
+test with the rank. The fields cover both storage dtypes (int64 below
+2^31, Python ints above), primes on either side of 2^31 and extension
+fields.
 """
 
 import hashlib
