@@ -120,6 +120,18 @@ def _sweep_csv(rows, seed: int, cfg_hash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sweep_schemes(args) -> tuple[str, ...]:
+    return tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+
+
+def _emit_sweep_rows(rows, args) -> int:
+    if args.json:
+        _emit(_json_text(rows), args.out)
+    else:
+        _emit(_sweep_csv(rows, args.seed, _config_hash(args)), args.out)
+    return 0
+
+
 def _element_coeffs(el) -> list[int]:
     return [int(c) for c in el.coeffs]
 
@@ -158,26 +170,14 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    rows = rate_sweep(args.K, args.M, args.L, args.t_max, schemes)
-    if args.json:
-        payload = [dict(r, rate=str(r["rate"])) for r in rows]
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_sweep_csv(rows, args.seed, _config_hash(args)), args.out)
-    return 0
+    rows = rate_sweep(args.K, args.M, args.L, args.t_max, _sweep_schemes(args))
+    return _emit_sweep_rows(rows, args)
 
 
 def cmd_fixed_n_search(args) -> int:
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    rows = rate_sweep_fixed_n(args.workers, args.t_max, K_min=args.k_min,
-                              L_min=args.l_min, M_min=args.m_min, schemes=schemes)
-    if args.json:
-        payload = [dict(r, rate=str(r["rate"])) for r in rows]
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_sweep_csv(rows, args.seed, _config_hash(args)), args.out)
-    return 0
+    rows = rate_sweep_fixed_n(args.workers, args.t_max, K_min=args.k_min, L_min=args.l_min,
+                              M_min=args.m_min, schemes=_sweep_schemes(args))
+    return _emit_sweep_rows(rows, args)
 
 
 def cmd_find_eval(args) -> int:
@@ -210,14 +210,14 @@ def cmd_find_eval(args) -> int:
 
 def _build_instance(args, params, ctx):
     """Deterministic inputs and plan for simulate / p-of-s."""
-    a0 = args.rows // params.K if args.rows else 2
-    s0 = args.inner // params.M if args.inner else 2
-    b0 = args.cols // params.L if args.cols else 2
-    if args.rows and args.rows % params.K:
+    a0 = args.rows // params.K if args.rows is not None else 2
+    s0 = args.inner // params.M if args.inner is not None else 2
+    b0 = args.cols // params.L if args.cols is not None else 2
+    if args.rows is not None and args.rows % params.K:
         raise SdmmError(f"--rows must be divisible by K={params.K}")
-    if args.inner and args.inner % params.M:
+    if args.inner is not None and args.inner % params.M:
         raise SdmmError(f"--inner must be divisible by M={params.M}")
-    if args.cols and args.cols % params.L:
+    if args.cols is not None and args.cols % params.L:
         raise SdmmError(f"--cols must be divisible by L={params.L}")
     if min(a0, s0, b0) < 1:
         raise SdmmError("matrix dimensions too small for the block grid")

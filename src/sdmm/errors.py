@@ -64,7 +64,10 @@ class BudgetExceeded(SdmmError):
 class BudgetExhausted(SdmmError):
     """A randomized search used up its budget without success.
 
-    Carries a diagnostics dict mapping failure reason to count.
+    Carries a diagnostics dict {"fields": [...], "attempts": n}: one entry
+    per field searched, with its attempts, its decode and security
+    failure counts and the gate that stopped it (or None), and the total
+    attempts over all fields.
     """
 
     def __init__(self, message, diagnostics=None):

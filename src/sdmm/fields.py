@@ -92,7 +92,8 @@ class MultCounter:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over GF(p), used by the irreducibility test.
+# Polynomial helpers over GF(p): the irreducibility test's gcd, and the
+# reductions x^(r+i) mod f that FieldCtx folds products with.
 # Polynomials are little-endian coefficient tuples with no trailing zeros.
 
 
@@ -134,21 +135,8 @@ class FieldCtx:
         self.modulus_poly = tuple(c % p for c in modulus_poly)
         self.order = p ** r
         # x^(r+i) mod f for i = 0..r-2, used to fold products back below degree r
-        xpow = []
-        if r > 1:
-            cur = tuple((-c) % p for c in self.modulus_poly[:r])
-            xpow.append(cur)
-            for _ in range(r - 2):
-                nxt = [0] * r
-                carry = cur[r - 1]
-                for j in range(r - 1):
-                    nxt[j + 1] = cur[j]
-                if carry:
-                    for j in range(r):
-                        nxt[j] = (nxt[j] + carry * xpow[0][j]) % p
-                cur = tuple(nxt)
-                xpow.append(cur)
-        self._xpow = tuple(xpow)
+        xpow = (_pmod((0,) * (r + i) + (1,), self.modulus_poly, p) for i in range(r - 1))
+        self._xpow = tuple(rem + (0,) * (r - len(rem)) for rem in xpow)
         self._zero = FieldElement((0,) * r, self)
         self._one = FieldElement((1,) + (0,) * (r - 1), self)
 
@@ -413,12 +401,11 @@ def _poly_is_irreducible(f: Sequence[int], p: int) -> bool:
 # Public constructors
 
 
-def make_field(p: int, r: int = 1, modulus: Optional[Sequence[int]] = None,
-               seed: int = 0) -> FieldCtx:
+def make_field(p: int, r: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldCtx:
     """Construct GF(p^r).
 
     For r > 1 a monic irreducible modulus of degree r is found by a seeded
-    random search, so the same (p, r, seed) always yields the same field. An
+    random search, so the same (p, r) always yields the same field. An
     explicit modulus (little-endian, monic, length r+1) overrides the search.
     """
     if r < 1:
@@ -436,7 +423,7 @@ def make_field(p: int, r: int = 1, modulus: Optional[Sequence[int]] = None,
         if not _poly_is_irreducible(mod, p):
             raise NotIrreducible("supplied modulus is reducible")
         return FieldCtx(p, r, mod)
-    rng = random.Random(f"sdmm-modulus-{p}-{r}-{seed}")
+    rng = random.Random(f"sdmm-modulus-{p}-{r}-0")
     while True:
         cand = tuple(rng.randrange(p) for _ in range(r)) + (1,)
         if _poly_is_irreducible(cand, p):

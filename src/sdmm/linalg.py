@@ -59,7 +59,6 @@ class EvaluationPlan:
     worker_points: tuple[FieldElement, ...]
     zeta: Optional[FieldElement] = None
     base_points: Optional[tuple[FieldElement, ...]] = None
-    hypernode_of: Optional[tuple[int, ...]] = None
 
     @property
     def n_workers(self) -> int:
@@ -107,16 +106,9 @@ def mp_plan(params: SchemeParams, ctx: FieldCtx,
     mth = [a.pow_(M) for a in base_points]
     if len(set(x.index() for x in mth)) != len(mth):
         raise PlanInvalid("base points must have pairwise distinct M-th powers")
-    points = []
-    hyper = []
-    for p, a in enumerate(base_points):
-        cur = a
-        for m in range(M):
-            points.append(cur if m == 0 else zeta.pow_(m) * a)
-            hyper.append(p)
-    return EvaluationPlan(params=params, ctx=ctx, worker_points=tuple(points),
-                          zeta=zeta, base_points=base_points,
-                          hypernode_of=tuple(hyper))
+    points = tuple(zeta.pow_(m) * a for a in base_points for m in range(M))
+    return EvaluationPlan(params=params, ctx=ctx, worker_points=points,
+                          zeta=zeta, base_points=base_points)
 
 
 def ggasp_plan(params: SchemeParams, ctx: FieldCtx,
@@ -305,7 +297,7 @@ def find_evaluation_vector(params: SchemeParams, ctx: FieldCtx,
     """
     modular = params.variant != GGASP
     rep = threshold(params)
-    diagnostics = {"fields": [], "attempts": 0, "failures": {}}
+    diagnostics = {"fields": [], "attempts": 0}
     rng = random.Random(seed)
 
     for escalation in range(max_escalations + 1):
@@ -335,20 +327,15 @@ def _search_one_field(params, ctx, rep, modular, n_hypernodes, n_workers,
     M = params.M
     if modular:
         count = n_hypernodes if n_hypernodes is not None else rep.P_prime
-        needed_points = M * count
         target_exps = product_class_support(params)
-        if len(target_exps) > count:
-            diag["gate"] = (f"{count} hypernodes cannot determine "
-                            f"{len(target_exps)} coefficients")
-            return None
     else:
         count = n_workers if n_workers is not None else rep.N
-        needed_points = count
         target_exps = symbolic_support(params)
-        if len(target_exps) > count:
-            diag["gate"] = (f"{count} workers cannot determine "
-                            f"{len(target_exps)} coefficients")
-            return None
+    if len(target_exps) > count:
+        diag["gate"] = (f"{count} {'hypernodes' if modular else 'workers'} cannot "
+                        f"determine {len(target_exps)} coefficients")
+        return None
+    needed_points = M * count if modular else count
     if ctx.order < needed_points + 1:
         diag["gate"] = (f"field of size {ctx.order} cannot host "
                         f"{needed_points} distinct nonzero points")
@@ -356,7 +343,6 @@ def _search_one_field(params, ctx, rep, modular, n_hypernodes, n_workers,
 
     zeta = primitive_root_of_unity(ctx, M) if modular else None  # may raise NoSuchRoot
 
-    generator = None
     order = ctx.order - 1
     if subgroup == "auto":
         order = largest_coprime_subgroup_order(ctx, M)
@@ -364,41 +350,29 @@ def _search_one_field(params, ctx, rep, modular, n_hypernodes, n_workers,
             diag["gate"] = (f"largest subgroup of order coprime to {M} has "
                             f"{order} elements, fewer than {count}")
             return None
-        generator = _element_of_order(ctx, order)
     elif subgroup != "off":
         order = int(subgroup)
         if (ctx.order - 1) % order or order < count:
             diag["gate"] = f"subgroup order {order} unusable"
             return None
-        generator = _element_of_order(ctx, order)
+    generator = _element_of_order(ctx, order) if subgroup != "off" else None
 
     for _ in range(attempts):
         diag["attempts"] += 1
         pts = _sample_distinct(ctx, count, rng, generator, order)
         try:
             if modular:
-                if len(set(a.pow_(M).index() for a in pts)) != count:
-                    diag["decode_failures"] += 1
-                    continue
                 plan = mp_plan(params, ctx, pts, zeta=zeta)
-                dec = is_mds(gv_matrix(plan.base_points, target_exps, ctx),
-                             budget=minor_budget)
             else:
                 plan = ggasp_plan(params, ctx, pts)
-                dec = is_mds(gv_matrix(plan.worker_points, target_exps, ctx),
-                             budget=minor_budget)
-            if not dec.ok:
-                diag["decode_failures"] += 1
-                continue
-            if params.T >= 1:
-                sec = security_check(plan, budget=minor_budget)
-                if not sec.ok:
-                    diag["security_failures"] += 1
-                    continue
-            return plan
-        except BudgetExceeded:
-            raise
         except PlanInvalid:
             diag["decode_failures"] += 1
             continue
+        if not is_mds(gv_matrix(pts, target_exps, ctx), budget=minor_budget).ok:
+            diag["decode_failures"] += 1
+            continue
+        if params.T >= 1 and not security_check(plan, budget=minor_budget).ok:
+            diag["security_failures"] += 1
+            continue
+        return plan
     return None

@@ -504,7 +504,7 @@ def _hypernode_bound_holds(plan: EvaluationPlan, full: BlockMatrix,
                 continue
             pool = [n for p in spoiled for n in plan.hypernode_workers(p)]
             for down in itertools.combinations(pool, spare):
-                if len({plan.hypernode_of[n] for n in down}) < k:
+                if len({n // plan.params.M for n in down}) < k:
                     continue  # spoils fewer hypernodes: a smaller k covers it
                 keep = [n for n in range(plan.n_workers) if n not in down]
                 if _gauss.rank(full.array[:, keep], ctx) < full.rows:

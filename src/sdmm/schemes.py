@@ -141,23 +141,34 @@ class SchemeParams:
         return f"explicit:{base},alpha={alpha},beta={beta}"
 
 
+_LAYOUT_FIELDS = {MP: ("D",), GGASP: ("r",), EXPLICIT: ("alpha", "beta")}  # beside K, M, L, T
+
+
 def parse_scheme_spec(spec: str) -> SchemeParams:
     """Parse "mp:K=2,M=3,L=2,T=3,D=1" / "ggasp:K=5,M=2,L=5,T=4,r=2".
 
     The explicit form lists exponents joined by '+':
-    "explicit:K=1,M=2,L=1,T=2,alpha=4+7,beta=4+9".
+    "explicit:K=1,M=2,L=1,T=2,alpha=4+7,beta=4+9". A field the variant
+    does not name, or one given twice, is rejected.
     """
     spec = spec.strip()
     if ":" not in spec:
         raise BadSpec(f"scheme spec {spec!r} must start with 'mp:', 'ggasp:' or 'explicit:'")
     variant, _, body = spec.partition(":")
     variant = variant.strip().lower()
+    if variant not in _LAYOUT_FIELDS:
+        raise BadSpec(f"unknown scheme variant {variant!r}")
     kv = {}
     for item in body.split(","):
         if "=" not in item:
             raise BadSpec(f"malformed scheme field {item!r}")
         key, _, val = item.partition("=")
-        kv[key.strip()] = val.strip()
+        key = key.strip()
+        if key in kv:
+            raise BadSpec(f"repeated scheme field {key}")
+        if key not in ("K", "M", "L", "T") + _LAYOUT_FIELDS[variant]:
+            raise BadSpec(f"unknown field {key!r} for scheme variant {variant!r}")
+        kv[key] = val.strip()
 
     def geti(key, default=None):
         if key not in kv:
@@ -174,29 +185,23 @@ def parse_scheme_spec(spec: str) -> SchemeParams:
         return SchemeParams.mp(K, M, L, T, D=geti("D", 1))
     if variant == GGASP:
         return SchemeParams.ggasp(K, M, L, T, r=geti("r", 1))
-    if variant == EXPLICIT:
-        def parse_exps(key):
-            if key not in kv:
-                raise BadSpec(f"scheme spec missing {key}")
-            if not kv[key]:
-                return ()
-            try:
-                return tuple(int(v) for v in kv[key].split("+"))
-            except ValueError as exc:
-                raise BadSpec(f"scheme field {key} must be '+'-joined integers") from exc
-        return SchemeParams.explicit(K, M, L, T, parse_exps("alpha"), parse_exps("beta"))
-    raise BadSpec(f"unknown scheme variant {variant!r}")
+
+    def parse_exps(key):
+        if key not in kv:
+            raise BadSpec(f"scheme spec missing {key}")
+        if not kv[key]:
+            return ()
+        try:
+            return tuple(int(v) for v in kv[key].split("+"))
+        except ValueError as exc:
+            raise BadSpec(f"scheme field {key} must be '+'-joined integers") from exc
+    return SchemeParams.explicit(K, M, L, T, parse_exps("alpha"), parse_exps("beta"))
 
 
 @dataclass(frozen=True)
 class PartitionedInput:
-    """A and B together with their block grids."""
+    """The block grids of A and B."""
 
-    A: BlockMatrix
-    B: BlockMatrix
-    K: int
-    M: int
-    L: int
     a_blocks: tuple = field(repr=False)
     b_blocks: tuple = field(repr=False)
 
@@ -225,7 +230,7 @@ def partition(A: BlockMatrix, B: BlockMatrix, K: int, M: int, L: int) -> Partiti
                      for k in range(K))
     b_blocks = tuple(tuple(B.submatrix(m * s, l * b, s, b) for l in range(L))
                      for m in range(M))
-    return PartitionedInput(A, B, K, M, L, a_blocks, b_blocks)
+    return PartitionedInput(a_blocks, b_blocks)
 
 
 def build_f(params: SchemeParams, parts: PartitionedInput,

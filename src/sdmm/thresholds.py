@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadD, BadR, BadSpec
+from .errors import BadSpec
 from .schemes import EXPLICIT, GGASP, MP, SchemeParams
 
 
@@ -236,11 +236,9 @@ def threshold_from_support(params: SchemeParams) -> ThresholdReport:
 def threshold(params: SchemeParams) -> ThresholdReport:
     """Dispatch to the closed form matching the layout."""
     if params.variant == MP:
-        return mp_threshold_closed_form(params.K, params.M, params.L, params.T,
-                                        params.D if params.T else 1)
+        return mp_threshold_closed_form(params.K, params.M, params.L, params.T, params.D)
     if params.variant == GGASP:
-        return ggasp_threshold_closed_form(params.K, params.M, params.L, params.T,
-                                           params.r if params.T else 1)
+        return ggasp_threshold_closed_form(params.K, params.M, params.L, params.T, params.r)
     if params.variant == EXPLICIT:
         return threshold_from_support(params)
     raise BadSpec(f"unknown variant {params.variant!r}")
@@ -268,19 +266,8 @@ def rate_sweep(K: int = None, M: int = None, L: int = None, T_max: int = 8,
     """
     if not (K and M and L):
         raise BadSpec("rate_sweep needs K, M, L")
-    rows = []
-    for T in range(T_max + 1):
-        for scheme in schemes:
-            if scheme == MP:
-                rep = mp_threshold_closed_form(K, M, L, T, 1)
-                d_or_r = rep.params.D if T else 0
-            elif scheme == GGASP:
-                rep = optimal_r(K, M, L, T)
-                d_or_r = rep.params.r if T else 0
-            else:
-                raise BadSpec(f"unknown scheme {scheme!r} in sweep")
-            rows.append(_sweep_row(scheme, K, M, L, T, d_or_r, rep))
-    return rows
+    return [_sweep_row(_sweep_report(scheme, K, M, L, T))
+            for T in range(T_max + 1) for scheme in schemes]
 
 
 def rate_sweep_fixed_n(N_budget: int, T_max: int = 8,
@@ -297,33 +284,35 @@ def rate_sweep_fixed_n(N_budget: int, T_max: int = 8,
     for T in range(T_max + 1):
         for scheme in schemes:
             best = None
-            best_key = None
             for K in range(K_min, N_budget + 1):
                 if K * M_min * L_min > N_budget:
                     break
                 for M in range(M_min, N_budget // (K * L_min) + 1):
                     for L in range(L_min, N_budget // (K * M) + 1):
-                        if scheme == MP:
-                            rep = mp_threshold_closed_form(K, M, L, T, 1)
-                        else:
-                            rep = optimal_r(K, M, L, T)
+                        rep = _sweep_report(scheme, K, M, L, T)
                         if rep.N > N_budget:
                             continue
                         if best is None or rep.rate > best.rate:
                             best = rep
-                            best_key = (K, M, L)
             if best is not None:
-                K, M, L = best_key
-                d_or_r = (best.params.D if scheme == MP else best.params.r) if T else 0
-                rows.append(_sweep_row(scheme, K, M, L, T, d_or_r, best))
+                rows.append(_sweep_row(best))
     return rows
 
 
-def _sweep_row(scheme: str, K: int, M: int, L: int, T: int, d_or_r: int,
-               rep: ThresholdReport) -> dict:
+def _sweep_report(scheme: str, K: int, M: int, L: int, T: int) -> ThresholdReport:
+    """Report of one swept scheme, the one dispatch both sweeps share."""
+    if scheme == MP:
+        return mp_threshold_closed_form(K, M, L, T, 1)
+    if scheme == GGASP:
+        return optimal_r(K, M, L, T)
+    raise BadSpec(f"unknown scheme {scheme!r} in sweep")
+
+
+def _sweep_row(rep: ThresholdReport) -> dict:
+    p = rep.params
     return {
-        "scheme": scheme, "K": K, "M": M, "L": L, "T": T,
-        "D_or_r": d_or_r, "N": rep.N,
+        "scheme": p.variant, "K": p.K, "M": p.M, "L": p.L, "T": p.T,
+        "D_or_r": p.D if p.variant == MP else p.r, "N": rep.N,
         "P": rep.P if rep.P is not None else "",
         "rate": str(rep.rate),
     }

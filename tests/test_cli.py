@@ -1,5 +1,6 @@
 """Command-line behavior: formats, determinism, config files, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -74,6 +75,17 @@ def test_sweep_json_keeps_exact_rates(capsys):
     gg_row = next(r for r in rows if r["scheme"] == "ggasp")
     assert gg_row["N"] == 14
     assert Fraction(gg_row["rate"]) == Fraction(12, 14)
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--K", "2", "--M", "3", "--L", "2"],
+    ["fixed-n-search", "--workers", "100", "--t-max", "1"],
+])
+def test_sweeps_reject_unknown_schemes(capsys, command):
+    rc, out, err = run_cli(capsys, *command, "--schemes", "mp,ggsap")
+    assert rc == 2
+    assert out == ""
+    assert "unknown scheme 'ggsap'" in err
 
 
 def test_fixed_n_search_respects_the_budget(capsys):
@@ -179,6 +191,17 @@ def test_simulate_validates_block_divisibility(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "p-of-s"])
+@pytest.mark.parametrize("flag", ["--rows", "--inner", "--cols"])
+def test_zero_matrix_dimensions_are_rejected(capsys, command, flag):
+    extra = ["-S", "1", "--mode", "exhaustive"] if command == "p-of-s" else []
+    rc, out, err = run_cli(capsys, command, "--scheme", "mp:K=2,M=3,L=2,T=1",
+                           "--field", "31", flag, "0", *extra)
+    assert rc == 2
+    assert out == ""
+    assert "matrix dimensions too small" in err
+
+
 # -- find-eval --------------------------------------------------------------------
 
 
@@ -201,6 +224,22 @@ def test_find_eval_size_gate_exits_three(capsys):
     assert rc == 3
     assert "error:" in err
     assert "cannot host 24" in err  # the field must hold all worker points
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--scheme", "mp:K=2,M=3,L=2,T=2", "--field", "61", "--hypernodes", "10",
+      "--subgroup", "auto", "--seed", "3"],
+     "f52ee9211062459e45cf24318c9cf1d2a60101a2054ca8a31ef1589cab45c5cc"),
+    (["--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "13", "--hypernodes", "8",
+      "--max-escalations", "1"],
+     "a000a9cec0085c5d3c750b5286db6d6c2c178d4c29edec0d32601b8d00c27f47"),
+], ids=["gf61-subgroup", "gf13-escalated"])
+def test_find_eval_output_is_frozen(capsys, argv, digest):
+    # seeded searches through the subgroup draw and through one escalation
+    # to GF(13^2) print the same plan, byte for byte
+    rc, out, _ = run_cli(capsys, "find-eval", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- p-of-s -----------------------------------------------------------------------

@@ -286,3 +286,15 @@ def test_found_plans_decode_and_mix():
             assert decodability_check(plan.worker_points,
                                       symbolic_support(params), ctx)
         assert security_check(plan).ok
+
+
+def test_find_exhaustion_diagnostics_are_frozen():
+    # GF(13) rejects every candidate for this explicit layout: the rejection
+    # counts per reason pin the search's checks and their order
+    params = SchemeParams.explicit(1, 2, 1, 2, alpha=(0, 2), beta=(0, 1))
+    with pytest.raises(BudgetExhausted) as info:
+        find_evaluation_vector(params, F13, attempts=15, seed=0)
+    diag = info.value.diagnostics
+    assert diag["fields"] == [{"field": "13", "attempts": 15, "decode_failures": 9,
+                               "security_failures": 6, "gate": None}]
+    assert diag["attempts"] == 15

@@ -96,7 +96,12 @@ def test_spec_string_round_trip(params):
 
 def test_parse_errors():
     for bad in ("mp", "mp:K=2,M=3", "mp:K=x,M=3,L=2,T=0", "foo:K=1,M=1,L=1,T=0",
-                "explicit:K=1,M=1,L=1,T=1,alpha=a,beta=0"):
+                "explicit:K=1,M=1,L=1,T=1,alpha=a,beta=0",
+                "mp:K=2,M=3,L=2,T=1,d=2",  # unknown field
+                "mp:K=2,M=3,L=2,T=1,r=2",  # the grouped layout's field
+                "ggasp:K=2,M=3,L=2,T=1,D=1",  # the modular layout's field
+                "explicit:K=1,M=2,L=1,T=1,alpha=0,beta=0,D=1",
+                "mp:K=2,M=3,L=2,T=1,T=3"):  # repeated field
         with pytest.raises(BadSpec):
             parse_scheme_spec(bad)
 

@@ -140,6 +140,13 @@ def test_rate_sweep_empty_range():
     assert rate_sweep(2, 3, 2, -1) == []
 
 
+def test_sweeps_reject_unknown_schemes():
+    with pytest.raises(BadSpec):
+        rate_sweep(2, 3, 2, 1, schemes=("mp", "ggsap"))
+    with pytest.raises(BadSpec):
+        rate_sweep_fixed_n(100, T_max=1, schemes=("mp", "ggsap"))
+
+
 def test_fixed_budget_search_respects_budget():
     rows = rate_sweep_fixed_n(100, T_max=3, K_min=2, L_min=2, M_min=2)
     assert rows
