@@ -249,7 +249,7 @@ def cmd_p_of_s(args) -> int:
     params = parse_scheme_spec(args.scheme)
     out = {"scheme": params.spec_string(), "S": args.S, "mode": args.mode}
     if args.mode == "bound":
-        P = args.hypernodes or threshold(params).P_prime
+        P = args.hypernodes if args.hypernodes is not None else threshold(params).P_prime
         frac = p_of_s_lower_bound(params.K, params.M, params.L, P, args.S)
         out["hypernodes"] = P
     else:

@@ -7,9 +7,9 @@ read. Results are bit-for-bit those of entry-wise field arithmetic, and a
 MultCounter still records the scalar multiplications each operation
 stands for. A MatPoly maps exponents to BlockMatrix coefficients, all of
 one shape, and is kept canonical: no zero coefficient is ever stored, so
-the term keys are exactly the support. Evaluation offers both a naive
-power-sum and a gap-aware Horner scheme whose multiplication count the
-caller can audit through a MultCounter.
+the term keys are exactly the support. evaluate and interpolate run on one
+power table of the points and count what sparse Horner and entry-wise
+elimination spend; evaluate_naive is the scalar power-sum reference.
 """
 
 from __future__ import annotations
@@ -108,10 +108,8 @@ class BlockMatrix:
         self._check_same_shape(other)
         return BlockMatrix((self.array - other.array) % self.ctx.p, self.ctx)
 
-    def scale(self, c: FieldElement, counter: Optional[MultCounter] = None) -> "BlockMatrix":
-        """Scalar multiple; costs rows*cols field multiplications."""
-        if counter is not None:
-            counter.add(self.rows * self.cols)
+    def scale(self, c: FieldElement) -> "BlockMatrix":
+        """Scalar multiple."""
         ctx = self.ctx
         coeffs = np.array(ctx.element(c).coeffs, dtype=self.array.dtype)
         return BlockMatrix(_gauss.mul(self.array, coeffs, ctx), ctx)
@@ -263,30 +261,17 @@ class MatPoly:
     def evaluate_naive(self, x: FieldElement,
                        counter: Optional[MultCounter] = None) -> BlockMatrix:
         """Sum of coeff * x^e with every power computed independently."""
+        if counter is not None:
+            counter.add(sum(_ladder(e) + self.rows * self.cols for e in self.terms))
         acc = BlockMatrix.zero(self.rows, self.cols, self.ctx)
         for e, coeff in self.terms.items():
-            acc = acc + coeff.scale(x.pow_(e, counter), counter)
+            acc = acc + coeff.scale(x.pow_(e))
         return acc
 
     def eval_sparse_horner(self, x: FieldElement,
                            counter: Optional[MultCounter] = None) -> BlockMatrix:
-        """Horner evaluation over the support gaps.
-
-        Writing the support as e_1 < ... < e_N, evaluates
-        ((C_N x^(e_N - e_(N-1)) + C_(N-1)) x^(e_(N-1) - e_(N-2)) + ...) x^(e_1),
-        so the work scales with the number of terms and the logs of the gaps
-        rather than with the degree.
-        """
-        if not self.terms:
-            return BlockMatrix.zero(self.rows, self.cols, self.ctx)
-        exps = list(self.terms)
-        acc = self.terms[exps[-1]]
-        for n in range(len(exps) - 2, -1, -1):
-            gap = exps[n + 1] - exps[n]
-            acc = acc.scale(x.pow_(gap, counter), counter) + self.terms[exps[n]]
-        if exps[0]:
-            acc = acc.scale(x.pow_(exps[0], counter), counter)
-        return acc
+        """The value at x, counted as sparse Horner spends it (see evaluate)."""
+        return evaluate(self, [x], counter)[0]
 
     # -- serialization -----------------------------------------------------------
 
@@ -347,14 +332,48 @@ def mod_m_transform_by_summation(h: MatPoly, zeta: FieldElement, M: int) -> MatP
     return MatPoly(out, (h.rows, h.cols), ctx)
 
 
+def _ladder(e: int) -> int:
+    """Multiplications FieldElement.pow_ spends on x^e."""
+    return e.bit_length() + e.bit_count() - 2 if e else 0
+
+
+def stack_blocks(blocks: list[BlockMatrix], ctx: FieldCtx) -> np.ndarray:
+    """Residue arrays of blocks of one shape over ctx, stacked on a new axis 0."""
+    if any(b.shape != blocks[0].shape for b in blocks):
+        raise ShapeMismatch("evaluation blocks differ in shape")
+    if any(b.ctx != ctx for b in blocks):
+        raise ShapeMismatch(f"evaluation blocks not over {ctx.spec_string()}")
+    return np.stack([b.array for b in blocks])
+
+
+def evaluate(poly: MatPoly, points: Iterable[FieldElement],
+             counter: Optional[MultCounter] = None) -> list[BlockMatrix]:
+    """poly at every point: one power table times the stacked coefficients.
+
+    Counts what sparse Horner spends at each point: for every gap between
+    consecutive support exponents, the lowest counted from 0, one pow_
+    ladder and one block scale.
+    """
+    pts = list(points)
+    ctx, exps = poly.ctx, poly.support()
+    size = poly.rows * poly.cols
+    if counter is not None:
+        gaps = [b - a for a, b in zip((0,) + exps, exps) if b > a]
+        counter.add(len(pts) * sum(_ladder(g) + size for g in gaps))
+    table = _gauss.powers(_gauss.as_array([pts], ctx)[0], exps, ctx)
+    coeffs = np.array([c.array for c in poly.terms.values()], dtype=_gauss.dtype(ctx))
+    values = _gauss.matmul(table, coeffs.reshape(len(exps), size, ctx.r), ctx)
+    return [BlockMatrix(v.reshape(poly.rows, poly.cols, ctx.r), ctx) for v in values]
+
+
 def interpolate(points: Iterable[FieldElement], values: Iterable[BlockMatrix],
                 exponents: Iterable[int], ctx: FieldCtx,
                 counter: Optional[MultCounter] = None) -> MatPoly:
     """Recover the coefficients of a polynomial with known support.
 
-    Solves sum_e C_e x_n^e = V_n entry-wise across the blocks. Needs at
-    least as many evaluations as exponents; raises SingularSystem when the
-    evaluation points do not determine the coefficients.
+    Solves sum_e C_e x_n^e = V_n entry-wise across blocks of one shape over
+    ctx. Needs at least as many evaluations as exponents; raises
+    SingularSystem when the points do not determine the coefficients.
     """
     pts = list(points)
     vals = list(values)
@@ -365,14 +384,12 @@ def interpolate(points: Iterable[FieldElement], values: Iterable[BlockMatrix],
         raise SingularSystem("fewer evaluations than unknown coefficients")
     if not vals:
         raise ShapeMismatch("no evaluations supplied")
-    shape = vals[0].shape
-    if any(v.shape != shape for v in vals):
-        raise ShapeMismatch("evaluation blocks differ in shape")
-    if counter is not None:  # what the ladder of x.pow_(e) spends per point
-        counter.add(len(pts) * sum(e.bit_length() + e.bit_count() - 2 for e in exps if e))
+    rhs = stack_blocks(vals, ctx)
+    shape = rhs.shape[1:3]
+    if counter is not None:
+        counter.add(len(pts) * sum(_ladder(e) for e in exps))
     vmat = _gauss.powers(_gauss.as_array([pts], ctx)[0], exps, ctx)
-    rhs = np.stack([v.array.reshape(-1, ctx.r) for v in vals])
-    sol = _gauss.solve(vmat, rhs, ctx, counter)
+    sol = _gauss.solve(vmat, rhs.reshape(len(vals), -1, ctx.r), ctx, counter)
     terms = {e: BlockMatrix(row.reshape(shape + (ctx.r,)), ctx)
              for row, e in zip(sol, exps)}
     return MatPoly(terms, shape, ctx)

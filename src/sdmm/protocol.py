@@ -19,7 +19,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from . import _gauss
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fields import FieldCtx, MultCounter
 from .linalg import EvaluationPlan, MdsResult, gv_matrix, is_mds, singular_minors
-from .matpoly import BlockMatrix, MatPoly, interpolate
+from .matpoly import BlockMatrix, MatPoly, evaluate, interpolate, stack_blocks
 from .schemes import (
     SchemeParams,
     build_f,
@@ -98,14 +98,14 @@ def encode(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan, rng: random.Ran
 
     Splits A and B into the plan's block grid, builds the two encoding
     polynomials with noise blocks drawn from rng (those of f first), and
-    evaluates both at each worker point by sparse Horner.
+    evaluates both at every worker point.
     """
     params = plan.params
     parts = partition(A, B, params.K, params.M, params.L)
     f = build_f(params, parts, rng, plan.ctx)
     g = build_g(params, parts, rng, plan.ctx)
-    return [(f.eval_sparse_horner(x, counter), g.eval_sparse_horner(x, counter))
-            for x in plan.worker_points]
+    pts = plan.worker_points
+    return list(zip(evaluate(f, pts, counter), evaluate(g, pts, counter)))
 
 
 def _read_blocks(poly: MatPoly, params: SchemeParams) -> dict:
@@ -137,15 +137,17 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
         complete = [p for p in range(plan.n_hypernodes)
                     if all(n in responses for n in plan.hypernode_workers(p))]
         if len(complete) >= len(class_supp):
-            inv_m = ctx.element(params.M).inv()
-            zpow = [plan.zeta.pow_(m) for m in range(params.M)]
-            vals = []
-            for p in complete:
-                acc = None
-                for m, n in enumerate(plan.hypernode_workers(p)):
-                    term = responses[n].scale(zpow[m], counter)
-                    acc = term if acc is None else acc + term
-                vals.append(acc.scale(inv_m, counter))
+            M = params.M
+            stack = stack_blocks([responses[n] for p in complete
+                                  for n in plan.hypernode_workers(p)], ctx)
+            rows, cols = stack.shape[1:3]
+            weights = _gauss.as_array([[plan.zeta.pow_(m) / M for m in range(M)]], ctx)[0]
+            # counted as the scalar average: M response scales, then one of the sum
+            if counter is not None:
+                counter.add(len(complete) * (M + 1) * rows * cols)
+            terms = _gauss.mul(stack.reshape(len(complete), M, rows, cols, ctx.r),
+                               weights[:, None, None], ctx)
+            vals = [BlockMatrix(v, ctx) for v in terms.sum(axis=1) % ctx.p]
             pts = [plan.base_points[p] for p in complete]
             try:
                 return _read_blocks(interpolate(pts, vals, class_supp, ctx, counter), params)

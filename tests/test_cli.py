@@ -255,6 +255,14 @@ def test_p_of_s_bound_mode(capsys):
     assert abs(d["decimal"] - 0.0105) < 5e-5
 
 
+def test_p_of_s_bound_mode_rejects_zero_hypernodes(capsys):
+    rc, out, err = run_cli(capsys, "p-of-s", "--scheme", "mp:K=2,M=3,L=2,T=0",
+                           "-S", "0", "--hypernodes", "0")
+    assert rc == 2
+    assert out == ""
+    assert "P >= 1" in err
+
+
 def test_p_of_s_exhaustive_mode(capsys):
     rc, out, _ = run_cli(capsys, "p-of-s", "--scheme", "mp:K=1,M=2,L=1,T=0",
                          "--field", "13", "-S", "2", "--mode", "exhaustive",

@@ -20,7 +20,7 @@ from sdmm import _gauss
 from sdmm.errors import InconsistentResponses, ShapeMismatch, SingularSystem
 from sdmm.fields import MultCounter, make_field
 from sdmm.linalg import find_evaluation_vector
-from sdmm.matpoly import BlockMatrix, MatPoly, interpolate
+from sdmm.matpoly import BlockMatrix, MatPoly, evaluate, interpolate
 from sdmm.protocol import run_protocol
 from sdmm.schemes import SchemeParams
 
@@ -170,6 +170,35 @@ def test_sparse_horner_matches_reference_values_and_counts(seed, fid):
     got = poly.eval_sparse_horner(x, got_count)
     assert got.data == tuple(map(tuple, ref_horner(terms, x, want_count)))
     assert got_count.count == want_count.count
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+def test_evaluate_matches_naive_values_and_horner_counts(ctx):
+    rng = random.Random(f"evaluate-{ctx!r}")
+    x = ctx.random_element(rng, nonzero=True)
+    points = [ctx.zero(), x, ctx.one(), x, ctx.random_element(rng)]
+    shape = (2, 3)
+    for exps in ([0], [1], [0, 1, 2], [5, 6, 40], [3, 17, 18, 63]):
+        terms = {e: rand_rows(*shape, ctx, rng) for e in exps}
+        poly = MatPoly({e: BlockMatrix(rows, ctx) for e, rows in terms.items()}, shape, ctx)
+        terms = {e: terms[e] for e in poly.support()}  # a zero block drops out
+        got_count, want_count = MultCounter(), MultCounter()
+        assert evaluate(poly, points, got_count) == [poly.evaluate_naive(x) for x in points]
+        ref_horner(terms, x, want_count)
+        assert got_count.count == len(points) * want_count.count
+        assert evaluate(poly, [], got_count) == []
+        assert got_count.count == len(points) * want_count.count
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+def test_evaluate_empty_polynomial_is_zero_everywhere(ctx):
+    poly = MatPoly({}, (2, 3), ctx)
+    points = [ctx.zero(), ctx.one(), ctx.one()]
+    counter = MultCounter()
+    got = evaluate(poly, points, counter)
+    assert got == [BlockMatrix.zero(2, 3, ctx)] * 3 == [poly.evaluate_naive(x) for x in points]
+    assert evaluate(poly, []) == []
+    assert counter.count == 0
 
 
 @given(st.integers(0, 2**32), field_ids, st.integers(0, 3))

@@ -233,6 +233,15 @@ def test_interpolate_singular_points():
         interpolate(pts, vals, [0, 2], F13)
 
 
+def test_interpolate_rejects_values_over_another_field():
+    p = MatPoly({0: BlockMatrix([[3]], F31), 2: BlockMatrix([[5]], F31)}, (1, 1), F31)
+    pts = [F31.element(i) for i in (1, 2, 3)]
+    vals = [p.evaluate_naive(x) for x in pts]
+    vals[1] = BlockMatrix([[7]], F13)
+    with pytest.raises(ShapeMismatch):
+        interpolate(pts, vals, [0, 2], F31)
+
+
 def test_interpolate_overdetermined_consistent():
     rng = random.Random(7)
     p = rand_poly((1, 2), F31, rng, max_exp=8, n_terms=3)

@@ -18,6 +18,7 @@ from sdmm.errors import (
     InsufficientResponses,
     OutOfRange,
     PlanInvalid,
+    ShapeMismatch,
 )
 from sdmm.examples import gf31_plan, gf61_plan
 from sdmm.fields import MultCounter, make_field
@@ -196,6 +197,29 @@ def test_decode_raises_on_a_corrupted_response():
     assert assemble_product(decode(responses, plan), plan.params, F31) == A.matmul(B)
     responses[4] = responses[4] + BlockMatrix([[1, 0], [0, 0]], F31)
     with pytest.raises(InconsistentResponses):
+        decode(responses, plan)
+
+
+@pytest.mark.parametrize("down", [(0, 3), ()], ids=["full", "hypernode"])
+def test_decode_rejects_a_response_over_another_field(down):
+    # with workers 0 and 3 down only 6 of the 7 needed hypernodes are
+    # complete, so decode interpolates all 22 responses; with nobody down
+    # it averages the 8 complete hypernodes
+    plan = gf31_plan(1, 8)
+    A, B = _inputs(plan)
+    responses = _responses(plan, A, B, random.Random("field"))
+    survivors = {n: v for n, v in responses.items() if n not in down}
+    survivors[5] = BlockMatrix(survivors[5].array % 13, F13)
+    with pytest.raises(ShapeMismatch):
+        decode(survivors, plan)
+
+
+def test_hypernode_route_rejects_a_response_of_another_shape():
+    plan = gf31_plan(1, 8)
+    A, B = _inputs(plan)
+    responses = _responses(plan, A, B, random.Random("shape"))
+    responses[5] = BlockMatrix.zero(2, 1, F31)
+    with pytest.raises(ShapeMismatch):
         decode(responses, plan)
 
 
