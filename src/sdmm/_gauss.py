@@ -65,6 +65,8 @@ def _convolve(a, b, ctx: FieldCtx, prod) -> np.ndarray:
 
 def mul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Entry-wise field product of two broadcastable residue arrays."""
+    if ctx.r == 1:
+        return a * b % ctx.p
     return _convolve(a, b, ctx, lambda x, y: x * y % ctx.p)
 
 
@@ -91,7 +93,8 @@ def _pivots(M: np.ndarray, ncols: int, ctx: FieldCtx, counter=None):
 
     Yields, column by column, whether the column received a pivot: the
     first nonzero row at or below the current pivot row. The pivot row is
-    normalised and then cleared from every other row. With a counter, each
+    normalised, and one rank-1 update over all rows, with the pivot row's
+    factor zeroed, clears the column everywhere else. With a counter, each
     normalisation and each eliminated nonzero row costs the row width in
     field multiplications.
     """
@@ -100,21 +103,21 @@ def _pivots(M: np.ndarray, ncols: int, ctx: FieldCtx, counter=None):
     for col in range(ncols):
         if row == n:
             return
-        hit = (M[:, col] != 0).any(axis=-1)
-        below = np.flatnonzero(hit[row:])
-        if below.size == 0:
+        hit = M[:, col].any(axis=-1)
+        piv = row + int(hit[row:].argmax())
+        if not hit[piv]:
             yield False
             continue
-        piv = row + int(below[0])
         if piv != row:
             M[[row, piv]] = M[[piv, row]]
-            hit[piv] = hit[row]
-        hit[row] = False
         inv = FieldElement(tuple(M[row, col].tolist()), ctx).inv()
         M[row] = mul(M[row], np.array(inv.coeffs, dtype=M.dtype), ctx)
         if counter is not None:
-            counter.add(width * (1 + int(hit.sum())))
-        M[hit] = (M[hit] - mul(M[hit, col][:, None], M[row], ctx)) % ctx.p
+            counter.add(width * int(hit.sum()))
+        factor = M[:, col, None].copy()
+        factor[row] = 0
+        M -= mul(factor, M[row], ctx)
+        M %= ctx.p
         row += 1
         yield True
 

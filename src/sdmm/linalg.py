@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,9 +51,20 @@ def gv_matrix(points: Sequence[FieldElement], exponents: Sequence[int],
     return BlockMatrix(table.transpose(1, 0, 2), ctx)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class EvaluationPlan:
-    """Where each worker evaluates, and how workers group into hypernodes."""
+    """Where each worker evaluates, and how workers group into hypernodes.
+
+    The supports of the product polynomial and the power tables the decoder
+    solves on are derived from the plan on first use and kept on it, so
+    every decode slices rows instead of recomputing them. They are not
+    fields: equality, hash and summary() see only the points and params.
+    """
 
     params: SchemeParams
     ctx: FieldCtx
@@ -72,6 +84,30 @@ class EvaluationPlan:
         """Worker indices of hypernode p, in subgroup power order."""
         M = self.params.M
         return tuple(range(p * M, (p + 1) * M))
+
+    @cached_property
+    def full_support(self) -> tuple[int, ...]:
+        """Generic support of the product polynomial h (symbolic_support)."""
+        return symbolic_support(self.params)
+
+    @cached_property
+    def class_support(self) -> tuple[int, ...]:
+        """Support of h that survives the hypernode average."""
+        return product_class_support(self.params)
+
+    @cached_property
+    def worker_table(self) -> np.ndarray:
+        """Read-only worker_points[n]^full_support[j], shape (N, |full|, r)."""
+        pts = _gauss.as_array([self.worker_points], self.ctx)[0]
+        return _read_only(_gauss.powers(pts, self.full_support, self.ctx))
+
+    @cached_property
+    def base_table(self) -> np.ndarray:
+        """Read-only base_points[p]^class_support[j], shape (P, |class|, r)."""
+        if self.base_points is None:
+            raise PlanInvalid("a flat plan has no base points")
+        pts = _gauss.as_array([self.base_points], self.ctx)[0]
+        return _read_only(_gauss.powers(pts, self.class_support, self.ctx))
 
     def summary(self) -> dict:
         out = {
@@ -293,9 +329,19 @@ def find_evaluation_vector(params: SchemeParams, ctx: FieldCtx,
     decodability plus security. A field too small to host the points fails
     immediately. When the attempt budget runs out, the search can escalate
     to GF(p^(r+1)) with doubled attempts, up to max_escalations times;
-    exhaustion raises BudgetExhausted carrying per-field diagnostics.
+    exhaustion raises BudgetExhausted carrying per-field diagnostics. Each
+    layout takes only its own count, n_hypernodes for the modular one and
+    n_workers for the grouped one; the other count, or a count below 1,
+    raises BadSpec.
     """
     modular = params.variant != GGASP
+    count, other = ("n_hypernodes", "n_workers") if modular else ("n_workers", "n_hypernodes")
+    given = {"n_hypernodes": n_hypernodes, "n_workers": n_workers}
+    if given[other] is not None:
+        raise BadSpec(f"{other} does not apply to the "
+                      f"{'hypernode' if modular else 'grouped'} layout; set {count}")
+    if given[count] is not None and given[count] < 1:
+        raise BadSpec(f"{count} must be at least 1, got {given[count]}")
     rep = threshold(params)
     diagnostics = {"fields": [], "attempts": 0}
     rng = random.Random(seed)

@@ -346,6 +346,13 @@ def stack_blocks(blocks: list[BlockMatrix], ctx: FieldCtx) -> np.ndarray:
     return np.stack([b.array for b in blocks])
 
 
+def _point_array(points: list, ctx: FieldCtx) -> np.ndarray:
+    """Residue array of shape (n, r) of points, all of which must lie in ctx."""
+    if any(isinstance(x, FieldElement) and x.ctx != ctx for x in points):
+        raise ShapeMismatch(f"evaluation points not over {ctx.spec_string()}")
+    return _gauss.as_array([points], ctx)[0]
+
+
 def evaluate(poly: MatPoly, points: Iterable[FieldElement],
              counter: Optional[MultCounter] = None) -> list[BlockMatrix]:
     """poly at every point: one power table times the stacked coefficients.
@@ -360,7 +367,7 @@ def evaluate(poly: MatPoly, points: Iterable[FieldElement],
     if counter is not None:
         gaps = [b - a for a, b in zip((0,) + exps, exps) if b > a]
         counter.add(len(pts) * sum(_ladder(g) + size for g in gaps))
-    table = _gauss.powers(_gauss.as_array([pts], ctx)[0], exps, ctx)
+    table = _gauss.powers(_point_array(pts, ctx), exps, ctx)
     coeffs = np.array([c.array for c in poly.terms.values()], dtype=_gauss.dtype(ctx))
     values = _gauss.matmul(table, coeffs.reshape(len(exps), size, ctx.r), ctx)
     return [BlockMatrix(v.reshape(poly.rows, poly.cols, ctx.r), ctx) for v in values]
@@ -368,12 +375,19 @@ def evaluate(poly: MatPoly, points: Iterable[FieldElement],
 
 def interpolate(points: Iterable[FieldElement], values: Iterable[BlockMatrix],
                 exponents: Iterable[int], ctx: FieldCtx,
-                counter: Optional[MultCounter] = None) -> MatPoly:
+                counter: Optional[MultCounter] = None, *,
+                table: Optional[np.ndarray] = None) -> MatPoly:
     """Recover the coefficients of a polynomial with known support.
 
     Solves sum_e C_e x_n^e = V_n entry-wise across blocks of one shape over
     ctx. Needs at least as many evaluations as exponents; raises
     SingularSystem when the points do not determine the coefficients.
+    table, when given, is the power table of the points on the sorted
+    distinct exponents, shape (points, exponents, r), as an EvaluationPlan
+    keeps it; it is used as is instead of being computed from the points,
+    and a table of another shape raises ShapeMismatch. The count is the
+    same either way: each point's pow_ ladder for every exponent, then
+    the solve.
     """
     pts = list(points)
     vals = list(values)
@@ -386,10 +400,14 @@ def interpolate(points: Iterable[FieldElement], values: Iterable[BlockMatrix],
         raise ShapeMismatch("no evaluations supplied")
     rhs = stack_blocks(vals, ctx)
     shape = rhs.shape[1:3]
+    if table is None:
+        table = _gauss.powers(_point_array(pts, ctx), exps, ctx)
+    elif table.shape != (len(pts), len(exps), ctx.r):
+        raise ShapeMismatch(f"power table of shape {table.shape} does not match "
+                            f"{len(pts)} points and {len(exps)} exponents")
     if counter is not None:
         counter.add(len(pts) * sum(_ladder(e) for e in exps))
-    vmat = _gauss.powers(_gauss.as_array([pts], ctx)[0], exps, ctx)
-    sol = _gauss.solve(vmat, rhs.reshape(len(vals), -1, ctx.r), ctx, counter)
+    sol = _gauss.solve(table, rhs.reshape(len(vals), -1, ctx.r), ctx, counter)
     terms = {e: BlockMatrix(row.reshape(shape + (ctx.r,)), ctx)
              for row, e in zip(sol, exps)}
     return MatPoly(terms, shape, ctx)

@@ -31,7 +31,7 @@ from .errors import (
     SingularSystem,
 )
 from .fields import FieldCtx, MultCounter
-from .linalg import EvaluationPlan, MdsResult, gv_matrix, is_mds, singular_minors
+from .linalg import EvaluationPlan, MdsResult, is_mds, singular_minors
 from .matpoly import BlockMatrix, MatPoly, evaluate, interpolate, stack_blocks
 from .schemes import (
     SchemeParams,
@@ -40,7 +40,7 @@ from .schemes import (
     partition,
     product_block_positions,
 )
-from .thresholds import product_class_support, symbolic_support, threshold
+from .thresholds import threshold
 
 
 # -- straggler selection -------------------------------------------------------------
@@ -123,21 +123,23 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     then interpolated on its small support. When too few hypernodes are
     complete (or that system is singular), and always on a flat plan, the
     full polynomial is interpolated on its generic support, which any
-    |supp(h)| responses permit. Raises InsufficientResponses when no route
+    |supp(h)| responses permit. Either route solves on rows sliced from the
+    plan's cached power tables. Raises InsufficientResponses when no route
     has enough data, and BadSpec when a response key names no worker.
     """
     if responses and not (0 <= min(responses) and max(responses) < plan.n_workers):
         raise BadSpec(f"response key outside [0, {plan.n_workers})")
     params = plan.params
     ctx = plan.ctx
-    full_supp = symbolic_support(params)
+    full_supp = plan.full_support
     shortfall = f"{len(responses)} responses of {len(full_supp)} needed"
     if plan.base_points is not None:
-        class_supp = product_class_support(params)
-        complete = [p for p in range(plan.n_hypernodes)
-                    if all(n in responses for n in plan.hypernode_workers(p))]
+        class_supp = plan.class_support
+        M = params.M
+        # worker n sits in hypernode n // M (see hypernode_workers)
+        spoiled = {n // M for n in set(range(plan.n_workers)).difference(responses)}
+        complete = [p for p in range(plan.n_hypernodes) if p not in spoiled]
         if len(complete) >= len(class_supp):
-            M = params.M
             stack = stack_blocks([responses[n] for p in complete
                                   for n in plan.hypernode_workers(p)], ctx)
             rows, cols = stack.shape[1:3]
@@ -150,7 +152,8 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
             vals = [BlockMatrix(v, ctx) for v in terms.sum(axis=1) % ctx.p]
             pts = [plan.base_points[p] for p in complete]
             try:
-                return _read_blocks(interpolate(pts, vals, class_supp, ctx, counter), params)
+                return _read_blocks(interpolate(pts, vals, class_supp, ctx, counter,
+                                                table=plan.base_table[complete]), params)
             except SingularSystem:
                 pass  # fall through to full interpolation
         shortfall = (f"{len(complete)} complete hypernodes of {len(class_supp)} "
@@ -160,7 +163,8 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     order = sorted(responses)
     pts = [plan.worker_points[n] for n in order]
     vals = [responses[n] for n in order]
-    return _read_blocks(interpolate(pts, vals, full_supp, ctx, counter), params)
+    return _read_blocks(interpolate(pts, vals, full_supp, ctx, counter,
+                                    table=plan.worker_table[order]), params)
 
 
 def assemble_product(blocks: Mapping[tuple, BlockMatrix],
@@ -440,7 +444,7 @@ def mp_recovery_threshold_with_security(params: Optional[SchemeParams],
         raise BadSpec(f"unknown mode {mode!r}")
 
     thr = threshold(params)
-    supp = symbolic_support(params)
+    supp = plan.full_support
     n_prime = len(supp)
     p_deployed = plan.n_hypernodes
     if p_deployed < thr.P_prime:
@@ -449,7 +453,7 @@ def mp_recovery_threshold_with_security(params: Optional[SchemeParams],
     upper = plan.n_workers - (p_deployed - thr.P_prime)
     gapless = supp[-1] == n_prime - 1
 
-    mat = gv_matrix(plan.worker_points, supp, plan.ctx)
+    mat = BlockMatrix(plan.worker_table.transpose(1, 0, 2), plan.ctx)
     scan = None
     use_mode = "closed-form" if gapless else "hypernode"
     if not gapless and n_prime <= plan.n_workers:
@@ -485,13 +489,12 @@ def _hypernode_bound_holds(plan: EvaluationPlan, full: BlockMatrix,
     survivor sets need a full-rank full-interpolation system.
     """
     ctx = plan.ctx
-    class_supp = product_class_support(plan.params)
-    n_class = len(class_supp)
+    n_class = len(plan.class_support)
     P = plan.n_hypernodes
     spare = P - n_class
     if math.comb(P, n_class) > budget:
         return False
-    hyper = gv_matrix(plan.base_points, class_supp, ctx)
+    hyper = BlockMatrix(plan.base_table.transpose(1, 0, 2), ctx)
     singular = {cols for _, cols in
                 singular_minors(hyper, itertools.combinations(range(P), n_class))}
     if not singular:

@@ -191,6 +191,20 @@ def test_simulate_validates_block_divisibility(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("scheme,count", [
+    ("mp:K=2,M=3,L=2,T=1", ["--workers", "5"]),
+    ("mp:K=2,M=3,L=2,T=1", ["--workers", "0"]),
+    ("mp:K=2,M=3,L=2,T=1", ["--hypernodes", "0"]),
+    ("ggasp:K=2,M=3,L=2,T=1", ["--hypernodes", "8"]),
+])
+def test_simulate_rejects_a_count_the_layout_does_not_take(capsys, scheme, count):
+    rc, out, err = run_cli(capsys, "simulate", "--scheme", scheme, "--field", "31",
+                           *count)
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "p-of-s"])
 @pytest.mark.parametrize("flag", ["--rows", "--inner", "--cols"])
 def test_zero_matrix_dimensions_are_rejected(capsys, command, flag):

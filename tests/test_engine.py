@@ -3,10 +3,10 @@
 Every BlockMatrix operation, sparse Horner evaluation, interpolation and the
 counted Gauss-Jordan solve is compared, values and multiplication counts,
 with a plain implementation over FieldElement rows written here; the power
-table is compared with FieldElement.pow_, and the batched invertibility
-test with the rank. The fields cover both storage dtypes (int64 below
-2^31, Python ints above), primes on either side of 2^31 and extension
-fields.
+table is compared with FieldElement.pow_, the rank with an entry-wise row
+reduction, and the batched invertibility test with the rank. The fields
+cover both storage dtypes (int64 below 2^31, Python ints above), primes on
+either side of 2^31 and extension fields.
 """
 
 import hashlib
@@ -85,6 +85,25 @@ def ref_solve(rows, rhs, counter):
     if any(not v.is_zero() for row in M[m:] for v in row):
         raise InconsistentResponses("spare equations disagree")
     return [row[m:] for row in M[:m]]
+
+
+def ref_rank(rows):
+    """Entry-wise row reduction; a column without a pivot is skipped."""
+    M = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(M[0])):
+        piv = next((i for i in range(rank, len(M)) if not M[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        inv = M[rank][col].inv()
+        M[rank] = [inv * v for v in M[rank]]
+        for i in range(len(M)):
+            if i != rank and not M[i][col].is_zero():
+                f = M[i][col]
+                M[i] = [vi - f * vr for vi, vr in zip(M[i], M[rank])]
+        rank += 1
+    return rank
 
 
 def rows_of(arr, ctx):
@@ -265,6 +284,34 @@ def test_solve_rejects_inconsistent_spare_equations(ctx):
         _gauss.solve(rows, rhs, ctx)
     with pytest.raises(InconsistentResponses):
         ref_solve(rows, rhs, MultCounter())
+
+
+@given(st.integers(0, 2**32), field_ids, st.sampled_from(["wide", "tall", "deficient"]))
+@settings(max_examples=60, deadline=None)
+def test_rank_matches_reference(seed, fid, shape):
+    ctx = FIELDS[fid]
+    rng = random.Random(seed)
+    short, extra = rng.randint(1, 3), rng.randint(1, 3)
+    n, m = {"wide": (short, short + extra), "tall": (short + extra, short),
+            "deficient": (short + extra, short + rng.randint(0, 3))}[shape]
+    if shape == "deficient":
+        # a product through an inner dimension below min(n, m)
+        k = rng.randrange(min(n, m))
+        rows = (ref_matmul(rand_rows(n, k, ctx, rng), rand_rows(k, m, ctx, rng), ctx)
+                if k else [[ctx.zero()] * m for _ in range(n)])
+    else:
+        rows = rand_rows(n, m, ctx, rng)
+    if rng.random() < 0.5:
+        # column j repeats column src, or is zero: a pivotless column that
+        # later columns may follow with pivots of their own
+        j, src = rng.randrange(m), rng.randrange(m)
+        for row in rows:
+            row[j] = row[src] if src != j else ctx.zero()
+    want = ref_rank(rows)
+    assert _gauss.rank(rows, ctx) == want
+    assert _gauss.rank(BlockMatrix(rows, ctx).array, ctx) == want
+    if shape == "deficient":
+        assert want < min(n, m)
 
 
 # -- the power table and the batched elimination ---------------------------------

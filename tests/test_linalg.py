@@ -259,6 +259,17 @@ def test_find_respects_deployment_size():
     assert gplan.base_points is None
 
 
+@pytest.mark.parametrize("params,counts", [
+    (SchemeParams.mp(2, 3, 2, 1), {"n_workers": 21}),
+    (SchemeParams.mp(2, 3, 2, 1), {"n_hypernodes": 0}),
+    (SchemeParams.ggasp(2, 3, 2, 1), {"n_hypernodes": 8}),
+    (SchemeParams.ggasp(2, 3, 2, 1), {"n_workers": -1}),
+])
+def test_find_rejects_a_count_the_layout_does_not_take(params, counts):
+    with pytest.raises(BadSpec):
+        find_evaluation_vector(params, make_field(101), seed=0, **counts)
+
+
 def test_find_size_gate_diagnostics():
     params = SchemeParams.mp(2, 3, 2, 3)  # needs 24 points, GF(13) has 12
     with pytest.raises(BudgetExhausted) as info:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from sdmm.fields import MultCounter, make_field, primitive_root_of_unity
 from sdmm.matpoly import (
     BlockMatrix,
     MatPoly,
+    evaluate,
     interpolate,
     mod_m_transform,
     mod_m_transform_by_summation,
@@ -240,6 +242,31 @@ def test_interpolate_rejects_values_over_another_field():
     vals[1] = BlockMatrix([[7]], F13)
     with pytest.raises(ShapeMismatch):
         interpolate(pts, vals, [0, 2], F31)
+
+
+def test_points_over_another_field_are_a_shape_mismatch():
+    p = MatPoly({0: BlockMatrix([[3]], F31), 2: BlockMatrix([[5]], F31)}, (1, 1), F31)
+    pts = [F31.element(i) for i in (1, 2, 3)]
+    vals = [p.evaluate_naive(x) for x in pts]
+    pts[1] = F13.element(2)
+    with pytest.raises(ShapeMismatch):
+        interpolate(pts, vals, [0, 2], F31)
+    with pytest.raises(ShapeMismatch):
+        evaluate(p, pts)
+
+
+def test_interpolate_uses_a_supplied_power_table_of_the_right_shape():
+    p = MatPoly({0: BlockMatrix([[3]], F31), 2: BlockMatrix([[5]], F31)}, (1, 1), F31)
+    pts = [F31.element(i) for i in (1, 2, 3)]
+    vals = [p.evaluate_naive(x) for x in pts]
+    table = np.array([[[x.pow_(e).coeffs[0]] for e in (0, 2)] for x in pts])
+    with_table, without = MultCounter(), MultCounter()
+    assert interpolate(pts, vals, [2, 0, 2], F31, with_table, table=table) == p
+    assert interpolate(pts, vals, [0, 2], F31, without) == p
+    assert with_table.count == without.count
+    for bad in (table[:2], table[:, :1], np.zeros((3, 2, 2), dtype=np.int64)):
+        with pytest.raises(ShapeMismatch):
+            interpolate(pts, vals, [0, 2], F31, table=bad)
 
 
 def test_interpolate_overdetermined_consistent():

@@ -1,5 +1,6 @@
 """End-to-end protocol runs, decoding routes, and straggler-robustness estimates."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -7,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import sdmm.protocol
@@ -221,6 +223,67 @@ def test_hypernode_route_rejects_a_response_of_another_shape():
     responses[5] = BlockMatrix.zero(2, 1, F31)
     with pytest.raises(ShapeMismatch):
         decode(responses, plan)
+
+
+def _f961_plan():
+    # the mp:K=2,M=3,L=2,T=1 deployment of gf31_plan(1, 8), over GF(31^2)
+    return find_evaluation_vector(SchemeParams.mp(2, 3, 2, 1), make_field(31, 2),
+                                  n_hypernodes=8, seed=0)
+
+
+@pytest.mark.parametrize("make_plan", [lambda: gf31_plan(1, 8), _f961_plan],
+                         ids=["p31", "f961"])
+@pytest.mark.parametrize("down,route", [((), "hypernode"), ((0, 3), "full")])
+def test_decode_on_the_plan_tables_matches_interpolation_from_points(
+        monkeypatch, make_plan, down, route):
+    # with nobody down all 8 hypernodes average; with workers 0 and 3 down
+    # only 6 of the 7 needed are complete, so all 22 responses interpolate
+    plan = make_plan()
+    A, B = _inputs(plan)
+    responses = _responses(plan, A, B, random.Random("tables"))
+    survivors = {n: v for n, v in responses.items() if n not in down}
+    cached = MultCounter()
+    blocks = decode(survivors, plan, cached)
+
+    interpolate = sdmm.protocol.interpolate
+    tables = []
+
+    def from_points(points, values, exponents, ctx, counter=None, *, table):
+        tables.append(table)
+        return interpolate(points, values, exponents, ctx, counter)
+
+    monkeypatch.setattr(sdmm.protocol, "interpolate", from_points)
+    recomputed = MultCounter()
+    assert decode(survivors, plan, recomputed) == blocks
+    assert recomputed.count == cached.count
+    assert assemble_product(blocks, plan.params, plan.ctx) == A.matmul(B)
+    want = (plan.base_table if route == "hypernode"
+            else plan.worker_table[[n for n in range(plan.n_workers) if n not in down]])
+    assert len(tables) == 1 and np.array_equal(tables[0], want)
+
+
+def test_plan_tables_are_read_only_powers_outside_equality():
+    plan = gf31_plan(1, 8)
+    fresh = dataclasses.replace(plan)
+    assert fresh.__dict__.keys().isdisjoint({"worker_table", "base_table"})
+    tables = {"worker_table": (plan.worker_points, plan.full_support),
+              "base_table": (plan.base_points, plan.class_support)}
+    for name, (points, exponents) in tables.items():
+        table = getattr(plan, name)
+        assert getattr(plan, name) is table  # computed once
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1
+        assert np.array_equal(table, gv_matrix(points, exponents, F31).array.transpose(1, 0, 2))
+    assert plan.full_support == symbolic_support(plan.params)
+    assert plan.class_support == product_class_support(plan.params)
+    assert plan == fresh and hash(plan) == hash(fresh)
+    assert plan.summary() == fresh.summary()
+    flat = find_evaluation_vector(SchemeParams.ggasp(2, 3, 2, 1), make_field(101),
+                                  n_workers=22, seed=1)
+    assert flat.worker_table.shape == (22, len(flat.full_support), 1)
+    with pytest.raises(PlanInvalid):
+        flat.base_table
 
 
 def test_p_of_s_audits_every_decode(monkeypatch):
