@@ -103,7 +103,10 @@ class EvaluationPlan:
 
     @cached_property
     def base_table(self) -> np.ndarray:
-        """Read-only base_points[p]^class_support[j], shape (P, |class|, r)."""
+        """Read-only base_points[p]^class_support[j], shape (P, |class|, r).
+
+        A flat plan has no base points and raises PlanInvalid.
+        """
         if self.base_points is None:
             raise PlanInvalid("a flat plan has no base points")
         pts = _gauss.as_array([self.base_points], self.ctx)[0]
