@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InconsistentResponses, ShapeMismatch, SingularSystem
+from .errors import BadSpec, InconsistentResponses, ShapeMismatch, SingularSystem
 from .fields import FieldCtx, FieldElement
 
 _CHUNK = 1 << 16
@@ -158,8 +158,11 @@ def powers(points: np.ndarray, exponents, ctx: FieldCtx) -> np.ndarray:
 
     One right-to-left square-and-multiply ladder serves every exponent: the
     base is squared once per bit, and each power whose bit is set takes it.
+    A negative exponent raises BadSpec.
     """
     exps = [int(e) for e in exponents]
+    if min(exps, default=0) < 0:
+        raise BadSpec(f"exponents must be nonnegative, got {min(exps)}")
     out = np.zeros((len(points), len(exps), ctx.r), dtype=points.dtype)
     out[..., 0] = 1
     base = points

@@ -31,7 +31,7 @@ from .fields import parse_field_spec
 from .linalg import find_evaluation_vector
 from .matpoly import BlockMatrix
 from .protocol import p_of_s_empirical, p_of_s_lower_bound, run_protocol
-from .schemes import parse_scheme_spec
+from .schemes import MP, parse_scheme_spec
 from .thresholds import rate_sweep, rate_sweep_fixed_n, threshold
 
 _SWEEP_COLUMNS = ("scheme", "K", "M", "L", "T", "D_or_r", "N", "P", "rate")
@@ -249,6 +249,9 @@ def cmd_p_of_s(args) -> int:
     params = parse_scheme_spec(args.scheme)
     out = {"scheme": params.spec_string(), "S": args.S, "mode": args.mode}
     if args.mode == "bound":
+        if params.variant != MP or params.T:
+            raise SdmmError("bound mode covers only noise-free mp: schemes; "
+                            "use --mode exhaustive or mc")
         P = args.hypernodes if args.hypernodes is not None else threshold(params).P_prime
         frac = p_of_s_lower_bound(params.K, params.M, params.L, P, args.S)
         out["hypernodes"] = P

@@ -303,14 +303,11 @@ def _sample_distinct(ctx: FieldCtx, count: int, rng: random.Random,
                      generator: Optional[FieldElement], order: int):
     """Distinct nonzero points, either free or inside a cyclic subgroup."""
     if generator is None:
-        seen = set()
-        out = []
+        out = {}  # index -> point, in order of first draw
         while len(out) < count:
             x = ctx.random_element(rng, nonzero=True)
-            if x.index() not in seen:
-                seen.add(x.index())
-                out.append(x)
-        return out
+            out.setdefault(x.index(), x)
+        return list(out.values())
     ks = rng.sample(range(order), count)
     return [generator.pow_(k) for k in ks]
 
@@ -325,103 +322,92 @@ def find_evaluation_vector(params: SchemeParams, ctx: FieldCtx,
                            max_escalations: int = 0) -> EvaluationPlan:
     """Search for evaluation points making the scheme decodable and secure.
 
-    The modular layout draws base points (optionally inside the largest
-    subgroup whose order is coprime to M, subgroup="auto") and requires the
-    hypernode interpolation matrix to be MDS plus the security check; the
-    grouped layout draws flat worker points and requires full-support
-    decodability plus security. A field too small to host the points fails
-    immediately. When the attempt budget runs out, the search can escalate
-    to GF(p^(r+1)) with doubled attempts, up to max_escalations times;
-    exhaustion raises BudgetExhausted carrying per-field diagnostics. Each
-    layout takes only its own count, n_hypernodes for the modular one and
-    n_workers for the grouped one; the other count, or a count below 1,
-    raises BadSpec.
+    The modular layout draws base points and requires the hypernode
+    interpolation matrix to be MDS plus the security check; the grouped
+    layout draws flat worker points and requires full-support decodability
+    plus security. subgroup is "off" (any nonzero points), "auto" (the
+    largest subgroup whose order is coprime to M) or a positive subgroup
+    order as a decimal string. A field too small to host the points, or
+    without the root of unity or the subgroup, fails immediately. When the
+    attempt budget runs out, the search can escalate to GF(p^(r+1)) with
+    doubled attempts, up to max_escalations times; exhaustion raises
+    BudgetExhausted carrying per-field diagnostics. Each layout takes only
+    its own count, n_hypernodes for the modular one and n_workers for the
+    grouped one; the other count, a count below 1 or another subgroup
+    value raises BadSpec.
     """
     modular = params.variant != GGASP
-    count, other = ("n_hypernodes", "n_workers") if modular else ("n_workers", "n_hypernodes")
+    name, other = ("n_hypernodes", "n_workers") if modular else ("n_workers", "n_hypernodes")
     given = {"n_hypernodes": n_hypernodes, "n_workers": n_workers}
     if given[other] is not None:
         raise BadSpec(f"{other} does not apply to the "
-                      f"{'hypernode' if modular else 'grouped'} layout; set {count}")
-    if given[count] is not None and given[count] < 1:
-        raise BadSpec(f"{count} must be at least 1, got {given[count]}")
+                      f"{'hypernode' if modular else 'grouped'} layout; set {name}")
+    if given[name] is not None and given[name] < 1:
+        raise BadSpec(f"{name} must be at least 1, got {given[name]}")
+    if subgroup not in ("off", "auto") and not (subgroup.isdecimal() and int(subgroup) >= 1):
+        raise BadSpec(f'subgroup must be "off", "auto" or a positive order, got {subgroup!r}')
+    M = params.M
     rep = threshold(params)
+    count = given[name] if given[name] is not None else (rep.P_prime if modular else rep.N)
+    n_coeffs = len(product_class_support(params) if modular else symbolic_support(params))
+    needed_points = M * count if modular else count
     diagnostics = {"fields": [], "attempts": 0}
     rng = random.Random(seed)
 
     for escalation in range(max_escalations + 1):
-        field_diag = {"field": ctx.spec_string(), "attempts": 0,
-                      "decode_failures": 0, "security_failures": 0, "gate": None}
-        diagnostics["fields"].append(field_diag)
-        try:
-            plan_or_none = _search_one_field(
-                params, ctx, rep, modular, n_hypernodes, n_workers, subgroup,
-                attempts, minor_budget, rng, field_diag)
-        except NoSuchRoot as exc:
-            field_diag["gate"] = str(exc)
-            plan_or_none = None
-        diagnostics["attempts"] += field_diag["attempts"]
-        if plan_or_none is not None:
-            return plan_or_none
-        if escalation < max_escalations:
+        if escalation:
             ctx = make_field(ctx.p, ctx.r + 1)
             attempts *= 2
+        diag = {"field": ctx.spec_string(), "attempts": 0,
+                "decode_failures": 0, "security_failures": 0, "gate": None}
+        diagnostics["fields"].append(diag)
+        if n_coeffs > count:
+            diag["gate"] = (f"{count} {'hypernodes' if modular else 'workers'} cannot "
+                            f"determine {n_coeffs} coefficients")
+            continue
+        if ctx.order < needed_points + 1:
+            diag["gate"] = (f"field of size {ctx.order} cannot host "
+                            f"{needed_points} distinct nonzero points")
+            continue
+        try:
+            zeta = primitive_root_of_unity(ctx, M) if modular else None
+        except NoSuchRoot as exc:
+            diag["gate"] = str(exc)
+            continue
+        order = ctx.order - 1
+        if subgroup == "auto":
+            order = largest_coprime_subgroup_order(ctx, M)
+            if order < count:
+                diag["gate"] = (f"largest subgroup of order coprime to {M} has "
+                                f"{order} elements, fewer than {count}")
+                continue
+        elif subgroup != "off":
+            order = int(subgroup)
+            if (ctx.order - 1) % order or order < count:
+                diag["gate"] = f"subgroup order {order} unusable"
+                continue
+        generator = _element_of_order(ctx, order) if subgroup != "off" else None
+
+        for _ in range(attempts):
+            diag["attempts"] += 1
+            diagnostics["attempts"] += 1
+            pts = _sample_distinct(ctx, count, rng, generator, order)
+            try:
+                plan = (mp_plan(params, ctx, pts, zeta=zeta) if modular
+                        else ggasp_plan(params, ctx, pts))
+            except PlanInvalid:
+                diag["decode_failures"] += 1
+                continue
+            # the plan's own table: entry (i, j) is pts[i]^support[j]
+            table = plan.base_table if modular else plan.worker_table
+            if not is_mds(BlockMatrix(table.transpose(1, 0, 2), ctx),
+                          budget=minor_budget).ok:
+                diag["decode_failures"] += 1
+                continue
+            if params.T >= 1 and not security_check(plan, budget=minor_budget).ok:
+                diag["security_failures"] += 1
+                continue
+            return plan
     raise BudgetExhausted(
         f"no evaluation vector found after {diagnostics['attempts']} attempts",
         diagnostics=diagnostics)
-
-
-def _search_one_field(params, ctx, rep, modular, n_hypernodes, n_workers,
-                      subgroup, attempts, minor_budget, rng, diag):
-    M = params.M
-    if modular:
-        count = n_hypernodes if n_hypernodes is not None else rep.P_prime
-        target_exps = product_class_support(params)
-    else:
-        count = n_workers if n_workers is not None else rep.N
-        target_exps = symbolic_support(params)
-    if len(target_exps) > count:
-        diag["gate"] = (f"{count} {'hypernodes' if modular else 'workers'} cannot "
-                        f"determine {len(target_exps)} coefficients")
-        return None
-    needed_points = M * count if modular else count
-    if ctx.order < needed_points + 1:
-        diag["gate"] = (f"field of size {ctx.order} cannot host "
-                        f"{needed_points} distinct nonzero points")
-        return None
-
-    zeta = primitive_root_of_unity(ctx, M) if modular else None  # may raise NoSuchRoot
-
-    order = ctx.order - 1
-    if subgroup == "auto":
-        order = largest_coprime_subgroup_order(ctx, M)
-        if order < count:
-            diag["gate"] = (f"largest subgroup of order coprime to {M} has "
-                            f"{order} elements, fewer than {count}")
-            return None
-    elif subgroup != "off":
-        order = int(subgroup)
-        if (ctx.order - 1) % order or order < count:
-            diag["gate"] = f"subgroup order {order} unusable"
-            return None
-    generator = _element_of_order(ctx, order) if subgroup != "off" else None
-
-    for _ in range(attempts):
-        diag["attempts"] += 1
-        pts = _sample_distinct(ctx, count, rng, generator, order)
-        try:
-            if modular:
-                plan = mp_plan(params, ctx, pts, zeta=zeta)
-            else:
-                plan = ggasp_plan(params, ctx, pts)
-        except PlanInvalid:
-            diag["decode_failures"] += 1
-            continue
-        if not is_mds(gv_matrix(pts, target_exps, ctx), budget=minor_budget).ok:
-            diag["decode_failures"] += 1
-            continue
-        if params.T >= 1 and not security_check(plan, budget=minor_budget).ok:
-            diag["security_failures"] += 1
-            continue
-        return plan
-    return None

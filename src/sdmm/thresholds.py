@@ -278,8 +278,11 @@ def rate_sweep_fixed_n(N_budget: int, T_max: int = 8,
     For each T and scheme, searches all partition grids with K >= K_min,
     L >= L_min, M >= M_min and K*M*L <= N_budget whose threshold fits the
     budget, and keeps the grid with the highest rate (ties to the first
-    found in (K, M, L) lexicographic order).
+    found in (K, M, L) lexicographic order). A minimum below 1 raises
+    BadSpec.
     """
+    if min(K_min, L_min, M_min) < 1:
+        raise BadSpec(f"K_min, L_min and M_min must be at least 1, got {K_min, L_min, M_min}")
     rows = []
     for T in range(T_max + 1):
         for scheme in schemes:

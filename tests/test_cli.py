@@ -98,6 +98,14 @@ def test_fixed_n_search_respects_the_budget(capsys):
     assert all(Fraction(r["rate"]) <= 1 for r in rows)
 
 
+def test_fixed_n_search_rejects_a_zero_minimum(capsys):
+    rc, out, err = run_cli(capsys, "fixed-n-search", "--workers", "30",
+                           "--t-max", "1", "--k-min", "0")
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err
+
+
 # -- simulate ---------------------------------------------------------------------
 
 
@@ -240,6 +248,14 @@ def test_find_eval_size_gate_exits_three(capsys):
     assert "cannot host 24" in err  # the field must hold all worker points
 
 
+def test_find_eval_rejects_a_malformed_subgroup(capsys):
+    rc, out, err = run_cli(capsys, "find-eval", "--scheme", "mp:K=2,M=3,L=2,T=0",
+                           "--field", "31", "--subgroup", "0")
+    assert rc == 2
+    assert out == ""
+    assert "subgroup" in err
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["--scheme", "mp:K=2,M=3,L=2,T=2", "--field", "61", "--hypernodes", "10",
       "--subgroup", "auto", "--seed", "3"],
@@ -275,6 +291,17 @@ def test_p_of_s_bound_mode_rejects_zero_hypernodes(capsys):
     assert rc == 2
     assert out == ""
     assert "P >= 1" in err
+
+
+@pytest.mark.parametrize("scheme", ["mp:K=2,M=3,L=2,T=1", "ggasp:K=2,M=3,L=2,T=0"])
+def test_p_of_s_bound_mode_is_for_noise_free_mp_only(capsys, scheme):
+    # the exhaustive decode of the T=1 deployment below over GF(31) gives
+    # 1/253, which the hypernode count would put at 1
+    rc, out, err = run_cli(capsys, "p-of-s", "--scheme", scheme,
+                           "-S", "3", "--hypernodes", "8")
+    assert rc == 2
+    assert out == ""
+    assert "bound" in err
 
 
 def test_p_of_s_exhaustive_mode(capsys):

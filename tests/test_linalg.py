@@ -44,6 +44,16 @@ def test_gv_matrix_entries():
     assert mat[2, 0] == F13.element(2).pow_(5)
 
 
+def test_negative_exponents_are_rejected():
+    # a power ladder over the bits of -1 would give 3^3 = 6 for 3^-1 = 5 in
+    # GF(7), and call the invertible system below singular
+    F7 = make_field(7)
+    with pytest.raises(BadSpec):
+        gv_matrix([F7.element(3)], [-1, 2], F7)
+    with pytest.raises(BadSpec):
+        decodability_check([3, 5], [-1, 1], F7)
+
+
 # -- plans ------------------------------------------------------------------------
 
 
@@ -285,6 +295,29 @@ def test_find_subgroup_mode():
     # points drawn from the order-10 subgroup of GF(31)
     for a in plan.base_points:
         assert a.pow_(10) == F31.one()
+
+
+def test_find_explicit_subgroup_order():
+    params = SchemeParams.mp(2, 3, 2, 0)
+    plan = find_evaluation_vector(params, F31, n_hypernodes=6, subgroup="10",
+                                  seed=0)
+    assert [a.index() for a in plan.base_points] == [4, 23, 1, 16, 8, 29]
+    assert all(a.pow_(10) == F31.one() for a in plan.base_points)
+
+
+def test_find_unusable_subgroup_order_gate():
+    # 7 does not divide the 30 units of GF(31)
+    params = SchemeParams.mp(2, 3, 2, 0)
+    with pytest.raises(BudgetExhausted) as info:
+        find_evaluation_vector(params, F31, n_hypernodes=6, subgroup="7", seed=0)
+    assert info.value.diagnostics["fields"][0]["gate"] == "subgroup order 7 unusable"
+
+
+@pytest.mark.parametrize("subgroup", ["0", "-3", "abc"])
+def test_find_rejects_a_malformed_subgroup(subgroup):
+    with pytest.raises(BadSpec):
+        find_evaluation_vector(SchemeParams.mp(2, 3, 2, 0), F31, n_hypernodes=6,
+                               subgroup=subgroup, seed=0)
 
 
 def test_found_plans_decode_and_mix():

@@ -147,6 +147,12 @@ def test_sweeps_reject_unknown_schemes():
         rate_sweep_fixed_n(100, T_max=1, schemes=("mp", "ggsap"))
 
 
+@pytest.mark.parametrize("minimum", ["K_min", "L_min", "M_min"])
+def test_fixed_budget_search_rejects_a_minimum_below_one(minimum):
+    with pytest.raises(BadSpec):
+        rate_sweep_fixed_n(30, T_max=1, **{minimum: 0})
+
+
 def test_fixed_budget_search_respects_budget():
     rows = rate_sweep_fixed_n(100, T_max=3, K_min=2, L_min=2, M_min=2)
     assert rows
