@@ -327,7 +327,7 @@ def find_evaluation_vector(params: SchemeParams, ctx: FieldCtx,
     layout draws flat worker points and requires full-support decodability
     plus security. subgroup is "off" (any nonzero points), "auto" (the
     largest subgroup whose order is coprime to M) or a positive subgroup
-    order as a decimal string. A field too small to host the points, or
+    order such as "10". A field too small to host the points, or
     without the root of unity or the subgroup, fails immediately. When the
     attempt budget runs out, the search can escalate to GF(p^(r+1)) with
     doubled attempts, up to max_escalations times; exhaustion raises
@@ -344,7 +344,8 @@ def find_evaluation_vector(params: SchemeParams, ctx: FieldCtx,
                       f"{'hypernode' if modular else 'grouped'} layout; set {name}")
     if given[name] is not None and given[name] < 1:
         raise BadSpec(f"{name} must be at least 1, got {given[name]}")
-    if subgroup not in ("off", "auto") and not (subgroup.isdecimal() and int(subgroup) >= 1):
+    if subgroup not in ("off", "auto") and not (str(subgroup).isdecimal()
+                                                 and int(subgroup) >= 1):
         raise BadSpec(f'subgroup must be "off", "auto" or a positive order, got {subgroup!r}')
     M = params.M
     rep = threshold(params)
@@ -398,7 +399,7 @@ def find_evaluation_vector(params: SchemeParams, ctx: FieldCtx,
             except PlanInvalid:
                 diag["decode_failures"] += 1
                 continue
-            # the plan's own table: entry (i, j) is pts[i]^support[j]
+            # scan the plan's cached (points, support) table, which its decodes reuse
             table = plan.base_table if modular else plan.worker_table
             if not is_mds(BlockMatrix(table.transpose(1, 0, 2), ctx),
                           budget=minor_budget).ok:

@@ -313,7 +313,7 @@ def test_find_unusable_subgroup_order_gate():
     assert info.value.diagnostics["fields"][0]["gate"] == "subgroup order 7 unusable"
 
 
-@pytest.mark.parametrize("subgroup", ["0", "-3", "abc"])
+@pytest.mark.parametrize("subgroup", ["0", "-3", "abc", 0])
 def test_find_rejects_a_malformed_subgroup(subgroup):
     with pytest.raises(BadSpec):
         find_evaluation_vector(SchemeParams.mp(2, 3, 2, 0), F31, n_hypernodes=6,
