@@ -10,6 +10,10 @@ so int64 arithmetic never overflows. Matrix products split the right
 operand into 16-bit limbs and the inner dimension into chunks of 2^16
 (the delayed-reduction idea of FFLAS-FFPACK), which keeps every int64 dot
 product below 2^63 before it is reduced.
+
+ranks, a batched forward elimination, answers every rank question; rank
+and batch_is_invertible call it. solve, the only Gauss-Jordan elimination,
+takes one counted system and inverts each pivot as a boxed FieldElement.
 """
 
 from __future__ import annotations
@@ -88,40 +92,6 @@ def matmul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     return _convolve(a, b, ctx, lambda x, y: _dot(x, y, ctx.p))
 
 
-def _pivots(M: np.ndarray, ncols: int, ctx: FieldCtx, counter=None):
-    """Gauss-Jordan elimination of M in place over its first ncols columns.
-
-    Yields, column by column, whether the column received a pivot: the
-    first nonzero row at or below the current pivot row. The pivot row is
-    normalised, and one rank-1 update over all rows, with the pivot row's
-    factor zeroed, clears the column everywhere else. With a counter, each
-    normalisation and each eliminated nonzero row costs the row width in
-    field multiplications.
-    """
-    n, width = M.shape[:2]
-    row = 0
-    for col in range(ncols):
-        if row == n:
-            return
-        hit = M[:, col].any(axis=-1)
-        piv = row + int(hit[row:].argmax())
-        if not hit[piv]:
-            yield False
-            continue
-        if piv != row:
-            M[[row, piv]] = M[[piv, row]]
-        inv = FieldElement(tuple(M[row, col].tolist()), ctx).inv()
-        M[row] = mul(M[row], np.array(inv.coeffs, dtype=M.dtype), ctx)
-        if counter is not None:
-            counter.add(width * int(hit.sum()))
-        factor = M[:, col, None].copy()
-        factor[row] = 0
-        M -= mul(factor, M[row], ctx)
-        M %= ctx.p
-        row += 1
-        yield True
-
-
 def solve(rows, rhs, ctx: FieldCtx, counter=None) -> np.ndarray:
     """Solve A X = B exactly; B has one or more columns.
 
@@ -130,17 +100,32 @@ def solve(rows, rhs, ctx: FieldCtx, counter=None) -> np.ndarray:
     column rank (else SingularSystem), and the equations beyond the
     pivots must then be consistent, else InconsistentResponses: genuine
     evaluations of one polynomial always are, so an inconsistency means
-    some right-hand side was corrupted.
+    some right-hand side was corrupted. Each pivot, the first nonzero row
+    at or below the diagonal, is normalised and clears its column in every
+    other row. With a counter, each normalisation and each eliminated
+    nonzero row costs the row width, up to the first pivotless column.
     """
     A, B = as_array(rows, ctx), as_array(rhs, ctx)
     n, m = A.shape[:2]
     if n < m:
         raise SingularSystem("fewer equations than unknowns")
     M = np.concatenate([A, B], axis=1)
-    # all() stops at the first column without a pivot, so a singular
-    # system is counted up to that column, as entry-wise elimination does
-    if not all(_pivots(M, m, ctx, counter)):
-        raise SingularSystem("coefficient matrix is rank deficient")
+    width = M.shape[1]
+    for col in range(m):
+        hit = M[:, col].any(axis=-1)
+        piv = col + int(hit[col:].argmax())
+        if not hit[piv]:
+            raise SingularSystem("coefficient matrix is rank deficient")
+        if piv != col:
+            M[[col, piv]] = M[[piv, col]]
+        inv = FieldElement(tuple(M[col, col].tolist()), ctx).inv()
+        M[col] = mul(M[col], np.array(inv.coeffs, dtype=M.dtype), ctx)
+        if counter is not None:
+            counter.add(width * int(hit.sum()))
+        factor = M[:, col, None].copy()
+        factor[col] = 0
+        M -= mul(factor, M[col], ctx)
+        M %= ctx.p
     if (M[m:] != 0).any():
         raise InconsistentResponses(
             f"{n - m} spare equations disagree with the {m} unknowns")
@@ -149,8 +134,7 @@ def solve(rows, rhs, ctx: FieldCtx, counter=None) -> np.ndarray:
 
 def rank(rows, ctx: FieldCtx) -> int:
     """Rank of an arbitrary (possibly non-square) matrix."""
-    M = np.array(as_array(rows, ctx))
-    return sum(_pivots(M, M.shape[1], ctx))
+    return int(ranks(as_array(rows, ctx)[None], ctx)[0])
 
 
 def powers(points: np.ndarray, exponents, ctx: FieldCtx) -> np.ndarray:
@@ -174,30 +158,41 @@ def powers(points: np.ndarray, exponents, ctx: FieldCtx) -> np.ndarray:
     return out
 
 
-def batch_is_invertible(mats: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Invertibility of every matrix in a (batch, n, n, r) residue stack.
+def ranks(stack: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Pivot counts of every matrix in a (batch, n, m, r) residue stack.
 
-    Returns a boolean array of length batch. Elimination runs on all
-    matrices at once and updates only the trailing block below and right
-    of each pivot. Each pivot is inverted by the Fermat ladder x^(q-2); a
-    matrix without a pivot is dead, and its zero pivot inverts to 0.
+    Forward elimination of all matrices at once, with pivots inverted by
+    the Fermat ladder x^(q-2). The pivot row moves down at a column where
+    some matrix has a pivot; a matrix without one there counts none and is
+    left alone. So the count is the rank of a single matrix, and in any
+    batch it equals m exactly when the matrix has full column rank.
     """
     p = ctx.p
-    M = mats % p
-    batch, n = M.shape[:2]
-    alive = np.ones(batch, dtype=bool)
+    M = stack % p
+    batch, n, m = M.shape[:3]
+    count = np.zeros(batch, dtype=np.intp)
     idx = np.arange(batch)
-    for col in range(n):
-        nz = (M[:, col:, col] != 0).any(axis=-1)
-        alive &= nz.any(axis=1)
-        if not alive.any():
-            return alive
-        piv_row = col + nz.argmax(axis=1)
-        M[idx, col, col:], M[idx, piv_row, col:] = M[idx, piv_row, col:], M[idx, col, col:]
-        inv = powers(M[:, col, col], [ctx.order - 2], ctx)
-        lead = mul(M[:, col + 1:, col], inv, ctx)
-        block = M[:, col + 1:, col + 1:]
-        block -= mul(lead[:, :, None], M[:, col, None, col + 1:], ctx)
+    row = 0
+    for col in range(m):
+        if row == n:
+            break
+        nz = (M[:, row:, col] != 0).any(axis=-1)
+        hit = nz.any(axis=1)
+        if not hit.any():
+            continue
+        count += hit
+        piv_row = row + nz.argmax(axis=1)
+        M[idx, row, col:], M[idx, piv_row, col:] = M[idx, piv_row, col:], M[idx, row, col:]
+        inv = powers(M[:, row, col], [ctx.order - 2], ctx)
+        lead = mul(M[:, row + 1:, col], inv, ctx)
+        block = M[:, row + 1:, col + 1:]
+        block -= mul(lead[:, :, None], M[:, row, None, col + 1:], ctx)
         # entries now lie in (-p, p); a negative one shifts to -1, adding p
         block += block >> p.bit_length() & p
-    return alive
+        row += 1
+    return count
+
+
+def batch_is_invertible(mats: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Invertibility of every matrix in a (batch, n, n, r) residue stack."""
+    return ranks(mats, ctx) == mats.shape[1]

@@ -39,15 +39,15 @@ from .fields import (
     make_field,
     primitive_root_of_unity,
 )
-from .matpoly import BlockMatrix
+from .matpoly import BlockMatrix, _point_array
 from .schemes import GGASP, SchemeParams
-from .thresholds import threshold, product_class_support, symbolic_support
+from .thresholds import product_class_support, symbolic_support
 
 
 def gv_matrix(points: Sequence[FieldElement], exponents: Sequence[int],
               ctx: FieldCtx) -> BlockMatrix:
     """Generalized Vandermonde matrix: entry (i, j) = points[j]^exponents[i]."""
-    table = _gauss.powers(_gauss.as_array([points], ctx)[0], exponents, ctx)
+    table = _gauss.powers(_point_array(points, ctx), exponents, ctx)
     return BlockMatrix(table.transpose(1, 0, 2), ctx)
 
 
@@ -131,12 +131,14 @@ def mp_plan(params: SchemeParams, ctx: FieldCtx,
     """Hypernode plan: worker p*M + m evaluates at zeta^m * a_p.
 
     Base points must be nonzero with pairwise distinct M-th powers, which
-    makes all M * P worker points distinct.
+    makes all M * P worker points distinct. Points or a zeta from another
+    field raise ShapeMismatch.
     """
     M = params.M
     base_points = tuple(base_points)
     if zeta is None:
         zeta = primitive_root_of_unity(ctx, M)
+    _point_array(base_points + (zeta,), ctx)
     if not is_primitive_root_of_unity(zeta, M):
         raise PlanInvalid(f"zeta={zeta!r} is not a primitive {M}-th root of unity")
     for a in base_points:
@@ -152,8 +154,12 @@ def mp_plan(params: SchemeParams, ctx: FieldCtx,
 
 def ggasp_plan(params: SchemeParams, ctx: FieldCtx,
                worker_points: Sequence[FieldElement]) -> EvaluationPlan:
-    """Flat plan: each worker has its own distinct nonzero evaluation point."""
+    """Flat plan: each worker has its own distinct nonzero evaluation point.
+
+    Points from another field raise ShapeMismatch.
+    """
     worker_points = tuple(worker_points)
+    _point_array(worker_points, ctx)
     for x in worker_points:
         if x.is_zero():
             raise ZeroEvaluationPoint("worker points must be nonzero")
@@ -243,21 +249,19 @@ def decodability_check(plan_or_points, exponents: Sequence[int],
     of evaluation points plus an explicit field context. True iff the
     generalized Vandermonde system has full column rank; with exactly as
     many points as exponents this is a determinant test, and a repeated
-    point always fails it.
+    point always fails it. Points from another field raise ShapeMismatch.
     """
     if isinstance(plan_or_points, EvaluationPlan):
         plan = plan_or_points
         ctx = plan.ctx
         points = plan.base_points if plan.base_points else plan.worker_points
+    elif ctx is None:
+        raise BadSpec("raw evaluation points need a field context")
     else:
-        if ctx is None:
-            raise BadSpec("raw evaluation points need a field context")
-        points = [x if isinstance(x, FieldElement) else ctx.element(x)
-                  for x in plan_or_points]
+        points = list(plan_or_points)
     exps = list(exponents)
-    if len(points) < len(exps):
-        return False
-    return _gauss.rank(gv_matrix(points, exps, ctx).array, ctx) == len(exps)
+    table = _gauss.powers(_point_array(points, ctx), exps, ctx)
+    return _gauss.rank(table, ctx) == len(exps)
 
 
 @dataclass(frozen=True)
@@ -333,8 +337,9 @@ def find_evaluation_vector(params: SchemeParams, ctx: FieldCtx,
     doubled attempts, up to max_escalations times; exhaustion raises
     BudgetExhausted carrying per-field diagnostics. Each layout takes only
     its own count, n_hypernodes for the modular one and n_workers for the
-    grouped one; the other count, a count below 1 or another subgroup
-    value raises BadSpec.
+    grouped one, which defaults to the number of coefficients to determine;
+    the other count, a count below that number (no field can help it) or
+    another subgroup value raises BadSpec.
     """
     modular = params.variant != GGASP
     name, other = ("n_hypernodes", "n_workers") if modular else ("n_workers", "n_hypernodes")
@@ -342,15 +347,15 @@ def find_evaluation_vector(params: SchemeParams, ctx: FieldCtx,
     if given[other] is not None:
         raise BadSpec(f"{other} does not apply to the "
                       f"{'hypernode' if modular else 'grouped'} layout; set {name}")
-    if given[name] is not None and given[name] < 1:
-        raise BadSpec(f"{name} must be at least 1, got {given[name]}")
+    M = params.M
+    n_coeffs = len(product_class_support(params) if modular else symbolic_support(params))
+    count = given[name] if given[name] is not None else n_coeffs
+    if count < n_coeffs:
+        raise BadSpec(f"{count} {'hypernodes' if modular else 'workers'} cannot "
+                      f"determine {n_coeffs} coefficients")
     if subgroup not in ("off", "auto") and not (str(subgroup).isdecimal()
                                                  and int(subgroup) >= 1):
         raise BadSpec(f'subgroup must be "off", "auto" or a positive order, got {subgroup!r}')
-    M = params.M
-    rep = threshold(params)
-    count = given[name] if given[name] is not None else (rep.P_prime if modular else rep.N)
-    n_coeffs = len(product_class_support(params) if modular else symbolic_support(params))
     needed_points = M * count if modular else count
     diagnostics = {"fields": [], "attempts": 0}
     rng = random.Random(seed)
@@ -362,10 +367,6 @@ def find_evaluation_vector(params: SchemeParams, ctx: FieldCtx,
         diag = {"field": ctx.spec_string(), "attempts": 0,
                 "decode_failures": 0, "security_failures": 0, "gate": None}
         diagnostics["fields"].append(diag)
-        if n_coeffs > count:
-            diag["gate"] = (f"{count} {'hypernodes' if modular else 'workers'} cannot "
-                            f"determine {n_coeffs} coefficients")
-            continue
         if ctx.order < needed_points + 1:
             diag["gate"] = (f"field of size {ctx.order} cannot host "
                             f"{needed_points} distinct nonzero points")

@@ -31,7 +31,7 @@ from .errors import (
     SingularSystem,
 )
 from .fields import FieldCtx, MultCounter
-from .linalg import EvaluationPlan, MdsResult, is_mds, singular_minors
+from .linalg import _MINOR_BATCH, EvaluationPlan, MdsResult, is_mds, singular_minors
 from .matpoly import BlockMatrix, MatPoly, evaluate, interpolate, stack_blocks
 from .schemes import (
     SchemeParams,
@@ -40,7 +40,6 @@ from .schemes import (
     partition,
     product_block_positions,
 )
-from .thresholds import threshold
 
 
 # -- straggler selection -------------------------------------------------------------
@@ -443,17 +442,16 @@ def mp_recovery_threshold_with_security(params: Optional[SchemeParams],
     if mode not in ("auto", "exhaustive", "random"):
         raise BadSpec(f"unknown mode {mode!r}")
 
-    thr = threshold(params)
+    p_prime = len(plan.class_support)
     supp = plan.full_support
     n_prime = len(supp)
     p_deployed = plan.n_hypernodes
-    if p_deployed < thr.P_prime:
+    if p_deployed < p_prime:
         raise PlanInvalid(
-            f"{p_deployed} hypernodes deployed but {thr.P_prime} are needed")
-    upper = plan.n_workers - (p_deployed - thr.P_prime)
+            f"{p_deployed} hypernodes deployed but {p_prime} are needed")
+    upper = plan.n_workers - (p_deployed - p_prime)
     gapless = supp[-1] == n_prime - 1
 
-    mat = BlockMatrix(plan.worker_table.transpose(1, 0, 2), plan.ctx)
     scan = None
     use_mode = "closed-form" if gapless else "hypernode"
     if not gapless and n_prime <= plan.n_workers:
@@ -462,45 +460,46 @@ def mp_recovery_threshold_with_security(params: Optional[SchemeParams],
         if mode == "auto":
             use_mode = "exhaustive" if total <= budget else "random"
         rng = random.Random(f"sdmm-recovery-{seed}")
+        mat = BlockMatrix(plan.worker_table.transpose(1, 0, 2), plan.ctx)
         scan = is_mds(mat, mode=use_mode, budget=budget, samples=samples, rng=rng)
     if n_prime <= upper and (gapless or scan.ok):
         thresh, certified = n_prime, use_mode != "random"
     else:
         thresh = upper
-        certified = _hypernode_bound_holds(plan, mat, budget)
+        certified = _hypernode_bound_holds(plan, budget)
     return RecoveryReport(
         n_workers=plan.n_workers, n_hypernodes=p_deployed,
-        p_prime=thr.P_prime, n_prime=n_prime, upper_bound=upper,
+        p_prime=p_prime, n_prime=n_prime, upper_bound=upper,
         gapless=gapless, threshold=thresh, certified=certified,
         mode=use_mode, witness=scan)
 
 
-def _hypernode_bound_holds(plan: EvaluationPlan, full: BlockMatrix,
-                           budget: int) -> bool:
+def _hypernode_bound_holds(plan: EvaluationPlan, budget: int) -> bool:
     """Whether every survivor set of the hypernode bound's size decodes.
 
     Such a set misses exactly P_deployed - P' workers. The decoder
     averages all of its complete hypernodes, and when that filtered system
-    is singular falls back to full interpolation (full is its matrix on
-    every worker). Sets are grouped by the hypernodes their stragglers
+    is singular falls back to full interpolation on the survivors' rows of
+    plan.worker_table. Sets are grouped by the hypernodes their stragglers
     spoil. Complete hypernodes are rank deficient only when each of their
     P'-subsets is a singular minor of the base points' matrix, so with no
     singular minor every group decodes; otherwise each deficient group's
-    survivor sets need a full-rank full-interpolation system.
+    survivor sets need full column rank on the full support, decided by
+    _gauss.ranks in chunks of _MINOR_BATCH sets.
     """
-    ctx = plan.ctx
     n_class = len(plan.class_support)
-    P = plan.n_hypernodes
+    P, M = plan.n_hypernodes, plan.params.M
     spare = P - n_class
     if math.comb(P, n_class) > budget:
         return False
-    hyper = BlockMatrix(plan.base_table.transpose(1, 0, 2), ctx)
+    hyper = BlockMatrix(plan.base_table.transpose(1, 0, 2), plan.ctx)
     singular = {cols for _, cols in
                 singular_minors(hyper, itertools.combinations(range(P), n_class))}
     if not singular:
         return True
     if sum(math.comb(P, k) for k in range(spare + 1)) > budget:
         return False
+    table = plan.worker_table
     for k in range(spare + 1):
         for spoiled in itertools.combinations(range(P), k):
             complete = [p for p in range(P) if p not in spoiled]
@@ -508,10 +507,12 @@ def _hypernode_bound_holds(plan: EvaluationPlan, full: BlockMatrix,
                        for cols in itertools.combinations(complete, n_class)):
                 continue
             pool = [n for p in spoiled for n in plan.hypernode_workers(p)]
-            for down in itertools.combinations(pool, spare):
-                if len({n // plan.params.M for n in down}) < k:
-                    continue  # spoils fewer hypernodes: a smaller k covers it
-                keep = [n for n in range(plan.n_workers) if n not in down]
-                if _gauss.rank(full.array[:, keep], ctx) < full.rows:
+            # a set spoiling fewer than k hypernodes falls in a smaller group
+            keeps = ([n for n in range(plan.n_workers) if n not in down]
+                     for down in itertools.combinations(pool, spare)
+                     if len({n // M for n in down}) == k)
+            while chunk := list(itertools.islice(keeps, _MINOR_BATCH)):
+                counts = _gauss.ranks(table[chunk], plan.ctx)
+                if (counts < table.shape[1]).any():
                     return False
     return True

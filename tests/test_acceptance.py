@@ -53,14 +53,17 @@ def _encode_all(plan, A, B, seed):
 
 def test_criterion_01_closed_forms_match_support_oracle():
     # grid partitions up to 4x4x4 with up to 8 noise terms, every
-    # admissible step size and run length: the closed-form worker counts
-    # must equal the counts read off the symbolic exponent supports
+    # admissible step size and run length: the closed-form worker and
+    # hypernode counts must equal the counts read off the symbolic exponent
+    # supports
     checked = 0
     for K, M, L in itertools.product(range(1, 5), repeat=3):
         for T in range(9):
             for D in (admissible_ds(M) if T else (1,)):
                 params = SchemeParams.mp(K, M, L, T, D)
-                assert threshold(params).N == M * len(product_class_support(params))
+                rep = threshold(params)
+                assert rep.N == M * len(product_class_support(params))
+                assert rep.P_prime == len(product_class_support(params))
                 checked += 1
             for r in (range(1, min(K * M, T) + 1) if T else (1,)):
                 params = SchemeParams.ggasp(K, M, L, T, r)

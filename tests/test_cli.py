@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+import sdmm.protocol
 from sdmm.cli import main
 from sdmm.examples import EXAMPLES
+from sdmm.matpoly import BlockMatrix
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +201,32 @@ def test_simulate_validates_block_divisibility(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--inner", "4"), ("--cols", "3")])
+def test_simulate_validates_inner_and_cols_divisibility(capsys, flag, value):
+    rc, out, err = run_cli(capsys, "simulate", "--scheme", "mp:K=2,M=3,L=2,T=1",
+                           "--field", "31", flag, value)
+    assert rc == 2
+    assert out == ""
+    assert f"{flag} must be divisible" in err
+
+
+def test_simulate_exits_one_when_a_decode_is_wrong(capsys, monkeypatch):
+    real = sdmm.protocol.decode
+
+    def wrong_decode(responses, plan, counter=None):
+        blocks = real(responses, plan, counter)
+        blk = blocks[(0, 0)]
+        ones = BlockMatrix([[1] * blk.cols for _ in range(blk.rows)], blk.ctx)
+        return {**blocks, (0, 0): blk + ones}
+
+    monkeypatch.setattr(sdmm.protocol, "decode", wrong_decode)
+    rc, out, err = run_cli(capsys, "simulate", "--scheme", "mp:K=2,M=3,L=2,T=1",
+                           "--field", "31", "--json")
+    assert rc == 1
+    assert out == ""
+    assert "decoded product disagrees" in err
+
+
 @pytest.mark.parametrize("scheme,count", [
     ("mp:K=2,M=3,L=2,T=1", ["--workers", "5"]),
     ("mp:K=2,M=3,L=2,T=1", ["--workers", "0"]),
@@ -246,6 +274,21 @@ def test_find_eval_size_gate_exits_three(capsys):
     assert rc == 3
     assert "error:" in err
     assert "cannot host 24" in err  # the field must hold all worker points
+
+
+@pytest.mark.parametrize("argv", [
+    ["find-eval", "--scheme", "mp:K=2,M=3,L=2,T=0", "--hypernodes", "3",
+     "--max-escalations", "2"],
+    ["simulate", "--scheme", "mp:K=2,M=3,L=2,T=0", "--hypernodes", "3"],
+    ["find-eval", "--scheme", "ggasp:K=2,M=2,L=2,T=1", "--workers", "4"],
+])
+def test_a_deployment_too_small_to_decode_exits_two(capsys, argv):
+    # fewer points than coefficients is a bad configuration, not a search
+    # that ran out of fields
+    rc, out, err = run_cli(capsys, *argv, "--field", "31")
+    assert rc == 2
+    assert out == ""
+    assert "cannot determine" in err
 
 
 def test_find_eval_rejects_a_malformed_subgroup(capsys):
@@ -348,6 +391,15 @@ def test_verify_examples_category_filter(capsys):
     want = [f"PASS [field] {name}" for cat, name, _ in EXAMPLES if cat == "field"]
     assert len(want) == 5
     assert out.splitlines() == want + ["5/5 checks passed"]
+
+
+def test_verify_examples_reports_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr("sdmm.cli.EXAMPLES", [("field", "holds", lambda: None),
+                                              ("field", "breaks", lambda: "got 3")])
+    rc, out, _ = run_cli(capsys, "verify-examples")
+    assert rc == 1
+    assert out.splitlines() == ["PASS [field] holds", "FAIL [field] breaks: got 3",
+                                "1/2 checks passed"]
 
 
 def test_verify_examples_rejects_unknown_category(capsys):

@@ -4,7 +4,7 @@ Every BlockMatrix operation, sparse Horner evaluation, interpolation and the
 counted Gauss-Jordan solve is compared, values and multiplication counts,
 with a plain implementation over FieldElement rows written here; the power
 table is compared with FieldElement.pow_, the rank with an entry-wise row
-reduction, and the batched invertibility test with the rank. The fields
+reduction, and the batched rank counts with the same reduction. The fields
 cover both storage dtypes (int64 below 2^31, Python ints above), primes on
 either side of 2^31 and extension fields.
 """
@@ -344,12 +344,47 @@ def test_batch_invertibility_matches_rank(ctx):
             mats.append(m)
         got = _gauss.batch_is_invertible(
             np.stack([BlockMatrix(m, ctx).array for m in mats]), ctx)
-        assert list(got) == [_gauss.rank(m, ctx) == n for m in mats]
+        assert list(got) == [ref_rank(m) == n for m in mats]
         # every matrix of this batch dies at column 0
         dead = [[[ctx.zero()] + row[1:] for row in m] for m in mats]
         got = _gauss.batch_is_invertible(
             np.stack([BlockMatrix(m, ctx).array for m in dead]), ctx)
         assert not got.any()
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+def test_ranks_decides_full_column_rank_in_a_mixed_batch(ctx):
+    rng = random.Random(13)
+    for n, m in ((3, 3), (5, 3), (4, 2), (2, 3)):
+        mats = [rand_rows(n, m, ctx, rng) for _ in range(6)]
+        # misses the pivot of column 0 while the others pivot there
+        for row in mats[1]:
+            row[0] = ctx.zero()
+        # a product through an inner dimension below m: rank deficient
+        mats[2] = ref_matmul(rand_rows(n, m - 1, ctx, rng),
+                             rand_rows(m - 1, m, ctx, rng), ctx)
+        # column 1 repeats column 0
+        for row in mats[3]:
+            row[1] = row[0]
+        # only the last row reaches column 0, so its pivot needs a swap
+        for row in mats[4][:-1]:
+            row[0] = ctx.zero()
+        mats[4][-1][0] = ctx.one()
+        want = [ref_rank(a) for a in mats]
+        got = _gauss.ranks(np.stack([BlockMatrix(a, ctx).array for a in mats]), ctx)
+        assert list(got == m) == [r == m for r in want]
+        assert all(g <= r for g, r in zip(got, want))
+        # a batch of one counts the exact rank
+        for a, r in zip(mats, want):
+            assert _gauss.ranks(BlockMatrix(a, ctx).array[None], ctx)[0] == r
+
+
+def test_solve_needs_as_many_equations_as_unknowns():
+    ctx = FIELDS[0]
+    counter = MultCounter()
+    with pytest.raises(SingularSystem, match="fewer equations"):
+        _gauss.solve([[ctx.one(), ctx.one()]], [[ctx.one()]], ctx, counter)
+    assert counter.count == 0
 
 
 # -- a whole protocol run above 2^31 ------------------------------------------------

@@ -30,6 +30,7 @@ from sdmm.linalg import (
 from sdmm.matpoly import BlockMatrix
 from sdmm.schemes import SchemeParams
 from sdmm.thresholds import product_class_support, symbolic_support
+from test_engine import ref_rank
 
 F13 = make_field(13)
 F31 = make_field(31)
@@ -96,6 +97,31 @@ def test_ggasp_plan_rejects_duplicates():
         ggasp_plan(params, F13, [F13.element(3), F13.element(3)])
     with pytest.raises(ZeroEvaluationPoint):
         ggasp_plan(params, F13, [F13.element(0), F13.element(3)])
+
+
+def test_ggasp_plan_rejects_points_from_another_field():
+    # a plan that reports field 31 must not hold GF(13) points
+    with pytest.raises(ShapeMismatch):
+        ggasp_plan(SchemeParams.ggasp(1, 2, 1, 0), F31,
+                   [F13.element(v) for v in (1, 2, 3, 4)])
+
+
+def test_mp_plan_rejects_points_or_zeta_from_another_field():
+    params = SchemeParams.mp(1, 2, 1, 0)
+    with pytest.raises(ShapeMismatch):
+        mp_plan(params, F31, [F13.element(v) for v in (1, 2)])
+    with pytest.raises(ShapeMismatch):
+        mp_plan(params, F31, [F31.element(v) for v in (1, 2)], zeta=F13.element(12))
+
+
+def test_gv_matrix_rejects_a_point_from_another_field():
+    with pytest.raises(ShapeMismatch):
+        gv_matrix([F31.element(2), F13.element(3)], [0, 1], F31)
+
+
+def test_decodability_rejects_a_point_from_another_field():
+    with pytest.raises(ShapeMismatch):
+        decodability_check([F31.element(2), F13.element(3)], [0, 1], F31)
 
 
 def test_plan_summary_fields():
@@ -199,8 +225,7 @@ def test_batch_invertibility_matches_generic(seed):
     n = rng.randint(1, 4)
     mats = [[[rng.randrange(31) for _ in range(n)] for _ in range(n)]
             for _ in range(8)]
-    want = [_gauss.rank([[F31.element(v) for v in row] for row in m], F31) == n
-            for m in mats]
+    want = [ref_rank([[F31.element(v) for v in row] for row in m]) == n for m in mats]
     got = _gauss.batch_is_invertible(np.array(mats, dtype=np.int64)[..., None], F31)
     assert list(got) == want
 
@@ -278,6 +303,20 @@ def test_find_respects_deployment_size():
 def test_find_rejects_a_count_the_layout_does_not_take(params, counts):
     with pytest.raises(BadSpec):
         find_evaluation_vector(params, make_field(101), seed=0, **counts)
+
+
+@pytest.mark.parametrize("params,counts", [
+    (SchemeParams.mp(2, 3, 2, 0), {"n_hypernodes": 3}),
+    (SchemeParams.ggasp(2, 2, 2, 1), {"n_workers": 4}),
+])
+def test_find_rejects_a_deployment_too_small_to_decode(monkeypatch, params, counts):
+    # no field can make fewer points than coefficients decode, so the
+    # search refuses before it builds any extension field
+    built = []
+    monkeypatch.setattr("sdmm.linalg.make_field", lambda *args: built.append(args))
+    with pytest.raises(BadSpec, match="cannot determine"):
+        find_evaluation_vector(params, F31, seed=0, max_escalations=2, **counts)
+    assert built == []
 
 
 def test_find_size_gate_diagnostics():
