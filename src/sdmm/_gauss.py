@@ -194,5 +194,5 @@ def ranks(stack: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 
 
 def batch_is_invertible(mats: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Invertibility of every matrix in a (batch, n, n, r) residue stack."""
-    return ranks(mats, ctx) == mats.shape[1]
+    """Full column rank (for square matrices, invertibility) of a (batch, n, m, r) stack."""
+    return ranks(mats, ctx) == mats.shape[2]

@@ -406,7 +406,8 @@ def make_field(p: int, r: int = 1, modulus: Optional[Sequence[int]] = None) -> F
 
     For r > 1 a monic irreducible modulus of degree r is found by a seeded
     random search, so the same (p, r) always yields the same field. An
-    explicit modulus (little-endian, monic, length r+1) overrides the search.
+    explicit modulus (little-endian, monic, length r+1, irreducible, else
+    NotIrreducible) overrides the search; at r = 1 it names GF(p) itself.
     """
     if r < 1:
         raise DegreeZero(f"extension degree must be >= 1, got {r}")
@@ -414,15 +415,15 @@ def make_field(p: int, r: int = 1, modulus: Optional[Sequence[int]] = None) -> F
         raise NotPrime(f"{p} is not prime")
     if p.bit_length() > MAX_PRIME_BITS:
         raise BadSpec(f"characteristic exceeds {MAX_PRIME_BITS} bits")
-    if r == 1:
-        return FieldCtx(p, 1, (0, 1))
     if modulus is not None:
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != r + 1 or mod[-1] != 1:
             raise NotIrreducible("modulus must be monic of degree r")
         if not _poly_is_irreducible(mod, p):
             raise NotIrreducible("supplied modulus is reducible")
-        return FieldCtx(p, r, mod)
+        return FieldCtx(p, r, mod if r > 1 else (0, 1))
+    if r == 1:
+        return FieldCtx(p, 1, (0, 1))
     rng = random.Random(f"sdmm-modulus-{p}-{r}-0")
     while True:
         cand = tuple(rng.randrange(p) for _ in range(r)) + (1,)

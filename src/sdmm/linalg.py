@@ -168,7 +168,7 @@ def ggasp_plan(params: SchemeParams, ctx: FieldCtx,
     return EvaluationPlan(params=params, ctx=ctx, worker_points=worker_points)
 
 
-_MINOR_BATCH = 4096  # column sets that singular_minors decides in one elimination
+_MINOR_BATCH = 4096  # row sets that singular_minors decides in one elimination
 
 
 @dataclass(frozen=True)
@@ -218,24 +218,25 @@ def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
     else:
         raise BadSpec(f"unknown mode {mode!r}")
 
-    for checked, cols in singular_minors(mat, subsets):
+    for checked, cols in singular_minors(mat.array.transpose(1, 0, 2), subsets, mat.ctx):
         return MdsResult(False, mode, checked, total, witness=cols)
     return MdsResult(True, mode, planned, total)
 
 
-def singular_minors(mat: BlockMatrix, subsets):
-    """Yield (checked, cols) for each column set whose minor is singular.
+def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
+    """Yield (checked, rows) for each row set of table without full column rank.
 
-    mat is P x N and every set in subsets has P columns. Sets are tested
-    in the order given, in batches of _MINOR_BATCH, so checked, the count
-    of sets tested so far, runs to the end of the batch holding cols.
+    table is point-major, (points, columns, r), like EvaluationPlan.worker_table;
+    the sets in subsets share one size, at least the column count, and a
+    square set fails when its minor is singular. Sets are tested in the
+    order given, in batches of _MINOR_BATCH, so checked, the count of sets
+    tested so far, runs to the end of the batch holding rows.
     """
     subsets = iter(subsets)
     checked = 0
     while buf := list(itertools.islice(subsets, _MINOR_BATCH)):
         checked += len(buf)
-        stack = mat.array[:, np.array(buf, dtype=np.intp)].transpose(1, 0, 2, 3)
-        ok = _gauss.batch_is_invertible(stack, mat.ctx)
+        ok = _gauss.batch_is_invertible(table[np.array(buf, dtype=np.intp)], ctx)
         for i in np.flatnonzero(~ok):
             yield checked, tuple(buf[i])
 
@@ -338,9 +339,13 @@ def find_evaluation_vector(params: SchemeParams, ctx: FieldCtx,
     BudgetExhausted carrying per-field diagnostics. Each layout takes only
     its own count, n_hypernodes for the modular one and n_workers for the
     grouped one, which defaults to the number of coefficients to determine;
-    the other count, a count below that number (no field can help it) or
-    another subgroup value raises BadSpec.
+    the other count, a count below that number (no field can help it),
+    another subgroup value, attempts below 1 or max_escalations below 0
+    raises BadSpec.
     """
+    if attempts < 1 or max_escalations < 0:
+        raise BadSpec(f"need attempts >= 1 and max_escalations >= 0, "
+                      f"got {attempts} and {max_escalations}")
     modular = params.variant != GGASP
     name, other = ("n_hypernodes", "n_workers") if modular else ("n_workers", "n_hypernodes")
     given = {"n_hypernodes": n_hypernodes, "n_workers": n_workers}

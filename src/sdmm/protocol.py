@@ -31,7 +31,7 @@ from .errors import (
     SingularSystem,
 )
 from .fields import FieldCtx, MultCounter
-from .linalg import _MINOR_BATCH, EvaluationPlan, MdsResult, is_mds, singular_minors
+from .linalg import EvaluationPlan, MdsResult, gv_matrix, is_mds, singular_minors
 from .matpoly import BlockMatrix, MatPoly, evaluate, interpolate, stack_blocks
 from .schemes import (
     SchemeParams,
@@ -424,14 +424,16 @@ def mp_recovery_threshold_with_security(params: Optional[SchemeParams],
     When that count is unavailable (a singular minor, or more than the
     hypernode bound) the threshold is the bound N - (P_deployed - P'):
     each missing worker spoils at most one hypernode, so P' stay complete.
-    The bound is certified only after its premise is checked. If every
-    P'-column minor of the base points' matrix on the filtered support is
-    invertible, as find_evaluation_vector certifies and mp_plan does not,
-    any P' complete hypernodes decode. Otherwise every survivor set of the
-    bound's size whose complete hypernodes give a rank-deficient filtered
-    system must give a full-rank full-interpolation system. If one does
-    not, or the check would exceed the budget, the bound is reported
-    uncertified.
+    The bound is certified only when every survivor set of its size
+    decodes. The check groups the sets by the k hypernodes they spoil and
+    scans k down from P_deployed - P': a group whose complete hypernodes
+    give a rank-deficient filtered system must give a full-rank
+    full-interpolation system, and the scan stops at the first k with no
+    such group. The first k is the P'-minors of the base points, so base
+    points that are MDS on the filtered support, as find_evaluation_vector
+    certifies and mp_plan does not, need that one scan. budget caps the
+    number of groups scanned; if a set fails, or the scan would pass the
+    budget, the bound is reported uncertified.
     """
     if params is None:
         params = plan.params
@@ -460,7 +462,7 @@ def mp_recovery_threshold_with_security(params: Optional[SchemeParams],
         if mode == "auto":
             use_mode = "exhaustive" if total <= budget else "random"
         rng = random.Random(f"sdmm-recovery-{seed}")
-        mat = BlockMatrix(plan.worker_table.transpose(1, 0, 2), plan.ctx)
+        mat = gv_matrix(plan.worker_points, supp, plan.ctx)
         scan = is_mds(mat, mode=use_mode, budget=budget, samples=samples, rng=rng)
     if n_prime <= upper and (gapless or scan.ok):
         thresh, certified = n_prime, use_mode != "random"
@@ -477,42 +479,30 @@ def mp_recovery_threshold_with_security(params: Optional[SchemeParams],
 def _hypernode_bound_holds(plan: EvaluationPlan, budget: int) -> bool:
     """Whether every survivor set of the hypernode bound's size decodes.
 
-    Such a set misses exactly P_deployed - P' workers. The decoder
-    averages all of its complete hypernodes, and when that filtered system
-    is singular falls back to full interpolation on the survivors' rows of
-    plan.worker_table. Sets are grouped by the hypernodes their stragglers
-    spoil. Complete hypernodes are rank deficient only when each of their
-    P'-subsets is a singular minor of the base points' matrix, so with no
-    singular minor every group decodes; otherwise each deficient group's
-    survivor sets need full column rank on the full support, decided by
-    _gauss.ranks in chunks of _MINOR_BATCH sets.
+    The spare = P_deployed - P' stragglers of such a set spoil k <= spare
+    hypernodes. Levels k run down as mp_recovery_threshold_with_security
+    describes: a group whose remaining rows of plan.base_table lack full
+    column rank needs full column rank on each survivor set's rows of
+    plan.worker_table. A lower k adds rows to every remainder, so a level
+    without such a group ends the scan.
     """
-    n_class = len(plan.class_support)
     P, M = plan.n_hypernodes, plan.params.M
-    spare = P - n_class
-    if math.comb(P, n_class) > budget:
-        return False
-    hyper = BlockMatrix(plan.base_table.transpose(1, 0, 2), plan.ctx)
-    singular = {cols for _, cols in
-                singular_minors(hyper, itertools.combinations(range(P), n_class))}
-    if not singular:
-        return True
-    if sum(math.comb(P, k) for k in range(spare + 1)) > budget:
-        return False
-    table = plan.worker_table
-    for k in range(spare + 1):
-        for spoiled in itertools.combinations(range(P), k):
-            complete = [p for p in range(P) if p not in spoiled]
-            if not all(cols in singular
-                       for cols in itertools.combinations(complete, n_class)):
-                continue
-            pool = [n for p in spoiled for n in plan.hypernode_workers(p)]
-            # a set spoiling fewer than k hypernodes falls in a smaller group
+    spare = P - len(plan.class_support)
+    scanned = 0
+    for k in range(spare, -1, -1):
+        scanned += math.comb(P, k)
+        if scanned > budget:
+            return False
+        rests = itertools.combinations(range(P), P - k)
+        deficient = [rest for _, rest in singular_minors(plan.base_table, rests, plan.ctx)]
+        if not deficient:
+            return True
+        for rest in deficient:
+            pool = [n for p in range(P) if p not in rest for n in plan.hypernode_workers(p)]
+            # a set spoiling fewer than k hypernodes falls in a later level
             keeps = ([n for n in range(plan.n_workers) if n not in down]
                      for down in itertools.combinations(pool, spare)
                      if len({n // M for n in down}) == k)
-            while chunk := list(itertools.islice(keeps, _MINOR_BATCH)):
-                counts = _gauss.ranks(table[chunk], plan.ctx)
-                if (counts < table.shape[1]).any():
-                    return False
+            for _ in singular_minors(plan.worker_table, keeps, plan.ctx):
+                return False
     return True

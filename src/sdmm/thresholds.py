@@ -256,7 +256,7 @@ def optimal_r(K: int, M: int, L: int, T: int) -> ThresholdReport:
     return best
 
 
-def rate_sweep(K: int = None, M: int = None, L: int = None, T_max: int = 8,
+def rate_sweep(K: int, M: int, L: int, T_max: int = 8,
                schemes: tuple[str, ...] = (MP, GGASP)) -> list[dict]:
     """Rate of each scheme for T = 0..T_max at a fixed partition grid.
 
@@ -264,8 +264,6 @@ def rate_sweep(K: int = None, M: int = None, L: int = None, T_max: int = 8,
     run length. Returns one row dict per (T, scheme) with the CSV fields
     scheme, K, M, L, T, D_or_r, N, P, rate.
     """
-    if not (K and M and L):
-        raise BadSpec("rate_sweep needs K, M, L")
     return [_sweep_row(_sweep_report(scheme, K, M, L, T))
             for T in range(T_max + 1) for scheme in schemes]
 

@@ -210,6 +210,14 @@ def test_simulate_validates_inner_and_cols_divisibility(capsys, flag, value):
     assert f"{flag} must be divisible" in err
 
 
+def test_simulate_rejects_a_prime_field_modulus_of_the_wrong_shape(capsys):
+    rc, out, err = run_cli(capsys, "simulate", "--scheme", "mp:K=2,M=3,L=2,T=1",
+                           "--field", "31/1,2,3")
+    assert rc == 2
+    assert out == ""
+    assert "modulus" in err
+
+
 def test_simulate_exits_one_when_a_decode_is_wrong(capsys, monkeypatch):
     real = sdmm.protocol.decode
 
@@ -297,6 +305,16 @@ def test_find_eval_rejects_a_malformed_subgroup(capsys):
     assert rc == 2
     assert out == ""
     assert "subgroup" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--attempts", "0"), ("--max-escalations", "-1")])
+def test_find_eval_rejects_malformed_search_options(capsys, flag, value):
+    rc, out, err = run_cli(capsys, "find-eval", "--scheme", "mp:K=2,M=3,L=2,T=1",
+                           "--field", "31", flag, value)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "attempts" in err
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -53,6 +53,18 @@ def test_make_field_rejects_reducible_modulus():
         make_field(7, 2, modulus=[6, 0, 1])
 
 
+@pytest.mark.parametrize("modulus", [[1, 2, 3], [5, 2], [1], [0, 0, 1]])
+def test_prime_field_modulus_must_be_monic_linear(modulus):
+    with pytest.raises(NotIrreducible):
+        make_field(31, 1, modulus=modulus)
+
+
+def test_monic_linear_modulus_names_the_prime_field():
+    ctx = parse_field_spec("31/5,1")
+    assert ctx == make_field(31)
+    assert ctx.spec_string() == "31"
+
+
 def _mobius(n):
     factors = prime_factors(n)
     if any(n % (q * q) == 0 for q in factors):

@@ -30,7 +30,7 @@ from sdmm.linalg import (
 from sdmm.matpoly import BlockMatrix
 from sdmm.schemes import SchemeParams
 from sdmm.thresholds import product_class_support, symbolic_support
-from test_engine import ref_rank
+from test_engine import FIELDS, rand_rows, ref_rank
 
 F13 = make_field(13)
 F31 = make_field(31)
@@ -181,8 +181,28 @@ def test_singular_minors_lists_every_singular_column_set(q, r):
     # dependent. All 6 sets fall in one batch, so both report checked = 6
     ctx = make_field(q, r)
     mat = BlockMatrix([[1, 2, 1, 3], [1, 2, 2, 6]], ctx)
-    got = list(singular_minors(mat, itertools.combinations(range(4), 2)))
+    got = list(singular_minors(mat.array.transpose(1, 0, 2),
+                               itertools.combinations(range(4), 2), ctx))
     assert got == [(6, (0, 1)), (6, (2, 3))]
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+def test_tall_row_sets_need_full_column_rank(ctx):
+    # 4-row sets of a 3-column table: rows 3 and 4 are multiples of row 0,
+    # row 5 is row 1 + row 3 and row 6 is zero, so some sets lack a pivot
+    rng = random.Random(14)
+    rows = rand_rows(3, 3, ctx, rng)
+    c, d = ctx.random_element(rng, nonzero=True), ctx.random_element(rng, nonzero=True)
+    rows += [[c * v for v in rows[0]], [d * v for v in rows[0]],
+             [u + c * v for u, v in zip(rows[1], rows[0])], [ctx.zero()] * 3]
+    table = BlockMatrix(rows, ctx).array
+    sets = list(itertools.combinations(range(7), 4))
+    full = [ref_rank([rows[i] for i in s]) == 3 for s in sets]
+    assert any(full) and not all(full)
+    got = _gauss.batch_is_invertible(table[np.array(sets)], ctx)
+    assert list(got) == full
+    assert list(singular_minors(table, sets, ctx)) == [
+        (len(sets), s) for s, ok in zip(sets, full) if not ok]
 
 
 def test_is_mds_budget_and_random_mode():
@@ -317,6 +337,14 @@ def test_find_rejects_a_deployment_too_small_to_decode(monkeypatch, params, coun
     with pytest.raises(BadSpec, match="cannot determine"):
         find_evaluation_vector(params, F31, seed=0, max_escalations=2, **counts)
     assert built == []
+
+
+@pytest.mark.parametrize("options", [
+    {"attempts": 0}, {"attempts": -2}, {"max_escalations": -1}])
+def test_find_rejects_malformed_search_options(options):
+    # a search that may not try anything has not run out of candidates
+    with pytest.raises(BadSpec):
+        find_evaluation_vector(SchemeParams.mp(2, 3, 2, 1), F31, seed=0, **options)
 
 
 def test_find_size_gate_diagnostics():

@@ -27,6 +27,7 @@ from sdmm.fields import MultCounter, make_field
 from sdmm.linalg import find_evaluation_vector, gv_matrix, is_mds, mp_plan
 from sdmm.matpoly import BlockMatrix
 from sdmm.protocol import (
+    _hypernode_bound_holds,
     assemble_product,
     decode,
     encode,
@@ -555,6 +556,17 @@ def test_recovery_report_certifies_a_minimal_searched_deployment():
     # the check needs one base-point minor; with no budget the bound stands
     # unchecked
     assert not mp_recovery_threshold_with_security(None, plan, budget=0).certified
+
+
+@pytest.mark.parametrize("plan", [
+    gf61_plan(), gf61_plan((0, 1, 2, 4, 7, 8, 9, 13)), gf31_plan(0, 6), gf31_plan(1, 8)],
+    ids=["gf61", "gf61-deficient", "gf31-t0", "gf31-t1"])
+def test_hypernode_bound_check_agrees_with_exhaustive_decoding(plan):
+    # the bound's survivor sets are those missing P_deployed - P' workers
+    spare = plan.n_hypernodes - len(plan.class_support)
+    A, B = _inputs(plan)
+    want = p_of_s_empirical(A, B, plan, spare, mode="exhaustive") == 1
+    assert _hypernode_bound_holds(plan, 10**7) == want
 
 
 def test_recovery_report_validates_its_inputs():
