@@ -36,7 +36,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for the supported integer range."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -311,8 +311,6 @@ class FieldElement:
         if e < 0:
             return self.inv().pow_(-e, counter)
         result = self.ctx.one()
-        if e == 0:
-            return result
         base = self
         started = False
         for bit in bin(e)[2:]:
@@ -451,20 +449,13 @@ def parse_field_spec(spec: str) -> FieldCtx:
 
 
 def _element_of_order(ctx: FieldCtx, m: int):
-    """Smallest-index generator of the unique order-m multiplicative subgroup."""
-    q1 = ctx.order - 1
-    cofactor = q1 // m
-    mfactors = prime_factors(m) if m > 1 else []
-    idx = 1
-    while True:
-        w = ctx.from_index(idx)
-        if not w.is_zero():
-            z = w.pow_(cofactor)
-            if not z.is_zero() and all(z.pow_(m // q) != ctx.one() for q in mfactors):
-                return z
-        idx += 1
-        if idx >= ctx.order:
-            raise NoSuchRoot(f"no element of order {m} found")
+    """The first w^((q-1)/m) of order exactly m, over w in canonical index
+    order: a generator of the order-m subgroup, for m dividing q - 1."""
+    for idx in range(1, ctx.order):
+        z = ctx.from_index(idx).pow_((ctx.order - 1) // m)
+        if is_primitive_root_of_unity(z, m):
+            return z
+    raise NoSuchRoot(f"no element of order {m} found")
 
 
 def primitive_root_of_unity(ctx: FieldCtx, M: int) -> FieldElement:
@@ -473,16 +464,9 @@ def primitive_root_of_unity(ctx: FieldCtx, M: int) -> FieldElement:
         raise NoSuchRoot("M must be positive")
     if (ctx.order - 1) % M != 0:
         raise NoSuchRoot(f"{M} does not divide {ctx.order - 1}")
-    if M == 1:
-        return ctx.one()
-    g = _element_of_order(ctx, M)
-    best = None
-    z = g
-    for j in range(1, M):
-        if math.gcd(j, M) == 1 and (best is None or z.index() < best.index()):
-            best = z
-        z = z * g
-    return best
+    # g^j generates the order-M subgroup exactly when gcd(j, M) = 1
+    return min((z for j, z in enumerate(subgroup_elements(ctx, M)) if math.gcd(j, M) == 1),
+               key=FieldElement.index)
 
 
 def is_primitive_root_of_unity(zeta: FieldElement, M: int) -> bool:
@@ -491,7 +475,7 @@ def is_primitive_root_of_unity(zeta: FieldElement, M: int) -> bool:
         return False
     if zeta.pow_(M) != zeta.ctx.one():
         return False
-    return all(zeta.pow_(M // q) != zeta.ctx.one() for q in prime_factors(M)) if M > 1 else True
+    return all(zeta.pow_(M // q) != zeta.ctx.one() for q in prime_factors(M))
 
 
 def subgroup_elements(ctx: FieldCtx, order: int) -> list[FieldElement]:
@@ -500,22 +484,17 @@ def subgroup_elements(ctx: FieldCtx, order: int) -> list[FieldElement]:
         raise NoSuchSubgroup("order must be positive")
     if (ctx.order - 1) % order != 0:
         raise NoSuchSubgroup(f"{order} does not divide {ctx.order - 1}")
-    if order == 1:
-        return [ctx.one()]
     g = _element_of_order(ctx, order)
     out = [ctx.one()]
-    cur = g
     for _ in range(order - 1):
-        out.append(cur)
-        cur = cur * g
+        out.append(out[-1] * g)
     return out
 
 
 def largest_coprime_subgroup_order(ctx: FieldCtx, M: int) -> int:
     """Largest divisor of the multiplicative group order that is coprime to M."""
     n = ctx.order - 1
-    if M > 1:
-        for q in prime_factors(M):
-            while n % q == 0:
-                n //= q
+    for q in prime_factors(M):
+        while n % q == 0:
+            n //= q
     return n

@@ -340,12 +340,12 @@ def find_evaluation_vector(params: SchemeParams, ctx: FieldCtx,
     its own count, n_hypernodes for the modular one and n_workers for the
     grouped one, which defaults to the number of coefficients to determine;
     the other count, a count below that number (no field can help it),
-    another subgroup value, attempts below 1 or max_escalations below 0
-    raises BadSpec.
+    another subgroup value, attempts or minor_budget below 1, or
+    max_escalations below 0 raises BadSpec.
     """
-    if attempts < 1 or max_escalations < 0:
-        raise BadSpec(f"need attempts >= 1 and max_escalations >= 0, "
-                      f"got {attempts} and {max_escalations}")
+    if attempts < 1 or minor_budget < 1 or max_escalations < 0:
+        raise BadSpec(f"need attempts >= 1, minor_budget >= 1 and max_escalations >= 0, "
+                      f"got {attempts}, {minor_budget} and {max_escalations}")
     modular = params.variant != GGASP
     name, other = ("n_hypernodes", "n_workers") if modular else ("n_workers", "n_hypernodes")
     given = {"n_hypernodes": n_hypernodes, "n_workers": n_workers}

@@ -302,23 +302,22 @@ def p_of_s_lower_bound(K: int, M: int, L: int, P: int, S: int) -> Fraction:
     return Fraction(math.comb(P, K * L) * math.comb(N - KML, S), math.comb(N, S))
 
 
-# Patterns that mode "auto" of p_of_s_empirical still enumerates exhaustively.
-_MAX_EXHAUSTIVE_PATTERNS = 1_000_000
-
 
 def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
-                     S: int, mode: str = "auto", seed: int = 0,
+                     S: int, mode: str = "exhaustive", seed: int = 0,
                      samples: int = 1000) -> Fraction:
     """Fraction of size-S straggler patterns that actually decode.
 
     Encodes once, then for each pattern runs the real decoder on the
     surviving responses and audits the product as run_protocol does: a
     wrong product raises DecodeFailed rather than counting as a failure
-    to decode. Exhausts all C(N, S) patterns when that count is at most
-    _MAX_EXHAUSTIVE_PATTERNS (mode "auto") or always (mode "exhaustive");
-    otherwise draws `samples` patterns uniformly (mode "mc").
+    to decode. Mode "exhaustive" (the default) tries all C(N, S) patterns
+    and returns the exact fraction, however many there are. Mode "mc"
+    draws `samples` patterns uniformly with a seeded generator and returns
+    a sampled estimate, which the caller labels as one. Any other mode
+    raises BadSpec.
     """
-    if mode not in ("auto", "exhaustive", "mc"):
+    if mode not in ("exhaustive", "mc"):
         raise BadSpec(f"unknown mode {mode!r}")
     N = plan.n_workers
     if not 0 <= S <= N:
@@ -328,10 +327,9 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     all_responses = {n: fa.matmul(gb) for n, (fa, gb) in enumerate(shares)}
     expected = A.matmul(B)
 
-    total = math.comb(N, S)
-    if mode == "exhaustive" or (mode == "auto" and total <= _MAX_EXHAUSTIVE_PATTERNS):
+    if mode == "exhaustive":
         patterns = itertools.combinations(range(N), S)
-        attempts = total
+        attempts = math.comb(N, S)
     else:
         if samples < 1:
             raise BadSpec(f"sampling needs at least one pattern, got {samples}")

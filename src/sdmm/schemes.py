@@ -108,8 +108,6 @@ class SchemeParams:
 
     def alpha(self) -> tuple[int, ...]:
         """Noise exponent offsets for f, relative to K*M*L."""
-        if self.T == 0:
-            return ()
         if self.variant == MP:
             return tuple(t * self.D for t in range(self.T))
         if self.variant == GGASP:
@@ -118,8 +116,6 @@ class SchemeParams:
 
     def beta(self) -> tuple[int, ...]:
         """Noise exponent offsets for g, relative to K*M*L."""
-        if self.T == 0:
-            return ()
         if self.variant == MP:
             return tuple(t * self.D for t in range(self.T))
         if self.variant == GGASP:

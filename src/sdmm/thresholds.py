@@ -262,8 +262,11 @@ def rate_sweep(K: int, M: int, L: int, T_max: int = 8,
 
     The modular layout is swept at D = 1 and the grouped layout at its best
     run length. Returns one row dict per (T, scheme) with the CSV fields
-    scheme, K, M, L, T, D_or_r, N, P, rate.
+    scheme, K, M, L, T, D_or_r, N, P, rate. A negative T_max raises
+    BadSpec.
     """
+    if T_max < 0:
+        raise BadSpec(f"T_max must be nonnegative, got {T_max}")
     return [_sweep_row(_sweep_report(scheme, K, M, L, T))
             for T in range(T_max + 1) for scheme in schemes]
 
@@ -276,11 +279,13 @@ def rate_sweep_fixed_n(N_budget: int, T_max: int = 8,
     For each T and scheme, searches all partition grids with K >= K_min,
     L >= L_min, M >= M_min and K*M*L <= N_budget whose threshold fits the
     budget, and keeps the grid with the highest rate (ties to the first
-    found in (K, M, L) lexicographic order). A minimum below 1 raises
-    BadSpec.
+    found in (K, M, L) lexicographic order). A budget or minimum below 1,
+    or a negative T_max, raises BadSpec; a budget below the smallest grid
+    gives no rows.
     """
-    if min(K_min, L_min, M_min) < 1:
-        raise BadSpec(f"K_min, L_min and M_min must be at least 1, got {K_min, L_min, M_min}")
+    if min(N_budget, K_min, L_min, M_min) < 1 or T_max < 0:
+        raise BadSpec(f"need N_budget, K_min, L_min, M_min >= 1 and T_max >= 0, "
+                      f"got {N_budget, K_min, L_min, M_min} and {T_max}")
     rows = []
     for T in range(T_max + 1):
         for scheme in schemes:

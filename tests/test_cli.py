@@ -100,6 +100,20 @@ def test_fixed_n_search_respects_the_budget(capsys):
     assert all(Fraction(r["rate"]) <= 1 for r in rows)
 
 
+@pytest.mark.parametrize("command", [
+    ["fixed-n-search", "--workers", "-5"],
+    ["fixed-n-search", "--workers", "0"],
+    ["fixed-n-search", "--t-max", "-1"],
+    ["sweep", "--K", "2", "--M", "3", "--L", "2", "--t-max", "-3"],
+])
+def test_sweeps_reject_a_malformed_range(capsys, command):
+    # a header-only table would read as "no grid fits"
+    rc, out, err = run_cli(capsys, *command)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_fixed_n_search_rejects_a_zero_minimum(capsys):
     rc, out, err = run_cli(capsys, "fixed-n-search", "--workers", "30",
                            "--t-max", "1", "--k-min", "0")
@@ -308,7 +322,7 @@ def test_find_eval_rejects_a_malformed_subgroup(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--attempts", "0"), ("--max-escalations", "-1")])
+    ("--attempts", "0"), ("--max-escalations", "-1"), ("--budget", "0"), ("--budget", "-5")])
 def test_find_eval_rejects_malformed_search_options(capsys, flag, value):
     rc, out, err = run_cli(capsys, "find-eval", "--scheme", "mp:K=2,M=3,L=2,T=1",
                            "--field", "31", flag, value)
@@ -329,6 +343,33 @@ def test_find_eval_output_is_frozen(capsys, argv, digest):
     # seeded searches through the subgroup draw and through one escalation
     # to GF(13^2) print the same plan, byte for byte
     rc, out, _ = run_cli(capsys, "find-eval", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- frozen seeded outputs -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["sweep", "--K", "2", "--M", "3", "--L", "2", "--t-max", "8"],
+     "0c773ba5cdb9ed3ce95044bfc35c160a09f222047cb58a6ef0898a2dd03b8956"),
+    (["fixed-n-search", "--workers", "100"],
+     "c8eb8241f12abc6bd22361f82b266686fd061758252fc1258ba43b4b05f3915e"),
+    (["threshold", "--json", "--scheme", "mp:K=2,M=3,L=2,T=3"],
+     "9f2d1e19e2ea85705fb8283980291535a6728d8945e0517d05bf8735e220eeb8"),
+    (["threshold", "--json", "--scheme", "ggasp:K=5,M=2,L=5,T=4,r=2"],
+     "cebb4abbca4afd269908156698fcab29192b1c57d9e185d3dedbafc4fdbfbfd8"),
+    (["threshold", "--json", "--scheme", "explicit:K=1,M=2,L=1,T=0,alpha=,beta="],
+     "578fc732b96ca19ac8ddfbee07833f59c34e62f9685b6b065fd5f19a3b766006"),
+    (["p-of-s", "--scheme", "mp:K=2,M=3,L=2,T=0", "-S", "5", "--hypernodes", "6"],
+     "1a3a081d391f940f77811a0711d64909f3186246730aaea5f5562bc96bd8341f"),
+    (["p-of-s", "--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "31", "-S", "3",
+      "--mode", "exhaustive"],
+     "1f5e5b6c43cee5de94d98c0c0a807e4391b6c68151f6cf7fbba0f98e01992062"),
+], ids=["sweep", "fixed-n-search", "threshold-mp", "threshold-ggasp", "threshold-explicit-t0",
+        "p-of-s-bound", "p-of-s-exhaustive"])
+def test_seeded_cli_output_is_frozen(capsys, argv, digest):
+    rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -401,6 +442,8 @@ def test_verify_examples_all_pass(capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert "checks passed" in out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "042331c9bef0420b24b5bd26a278f7dab83613822268d39d91180abb9b870733")
 
 
 def test_verify_examples_category_filter(capsys):

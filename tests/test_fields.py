@@ -14,6 +14,7 @@ from sdmm.errors import (
 )
 from sdmm.fields import (
     FieldCtx,
+    _element_of_order,
     _poly_is_irreducible,
     MultCounter,
     is_prime,
@@ -218,6 +219,126 @@ def test_largest_coprime_subgroup_order():
     assert largest_coprime_subgroup_order(make_field(31), 3) == 10
     # largest divisor of 60 coprime to 2 is 15
     assert largest_coprime_subgroup_order(make_field(61), 2) == 15
+
+
+
+# Frozen order questions over prime, extension and 31- and 61-bit fields:
+# (field spec, m) -> (primitive_root_of_unity, _element_of_order,
+# subgroup_elements) as canonical indices, for every m <= 12 dividing q - 1.
+_ORDER_TABLE = {
+    ("7", 1): (1, 1, (1,)),
+    ("7", 2): (6, 6, (1, 6)),
+    ("7", 3): (2, 4, (1, 4, 2)),
+    ("7", 6): (3, 3, (1, 3, 2, 6, 4, 5)),
+    ("13", 1): (1, 1, (1,)),
+    ("13", 2): (12, 12, (1, 12)),
+    ("13", 3): (3, 3, (1, 3, 9)),
+    ("13", 4): (5, 8, (1, 8, 12, 5)),
+    ("13", 6): (4, 4, (1, 4, 3, 12, 9, 10)),
+    ("13", 12): (2, 2, (1, 2, 4, 8, 3, 6, 12, 11, 9, 5, 10, 7)),
+    ("31", 1): (1, 1, (1,)),
+    ("31", 2): (30, 30, (1, 30)),
+    ("31", 3): (5, 25, (1, 25, 5)),
+    ("31", 5): (2, 2, (1, 2, 4, 8, 16)),
+    ("31", 6): (6, 26, (1, 26, 25, 30, 5, 6)),
+    ("31", 10): (15, 27, (1, 27, 16, 29, 8, 30, 4, 15, 2, 23)),
+    ("61", 1): (1, 1, (1,)),
+    ("61", 2): (60, 60, (1, 60)),
+    ("61", 3): (13, 47, (1, 47, 13)),
+    ("61", 4): (11, 11, (1, 11, 60, 50)),
+    ("61", 5): (9, 9, (1, 9, 20, 58, 34)),
+    ("61", 6): (14, 48, (1, 48, 47, 60, 13, 14)),
+    ("61", 10): (3, 3, (1, 3, 9, 27, 20, 60, 58, 52, 34, 41)),
+    ("61", 12): (21, 32, (1, 32, 48, 11, 47, 40, 60, 29, 13, 50, 14, 21)),
+    ("13^2", 1): (1, 1, (1,)),
+    ("13^2", 2): (12, 12, (1, 12)),
+    ("13^2", 3): (3, 9, (1, 9, 3)),
+    ("13^2", 4): (5, 5, (1, 5, 12, 8)),
+    ("13^2", 6): (4, 4, (1, 4, 3, 12, 9, 10)),
+    ("13^2", 7): (60, 109, (1, 109, 60, 103, 89, 117, 67)),
+    ("13^2", 8): (14, 168, (1, 168, 5, 112, 12, 14, 8, 70)),
+    ("13^2", 12): (2, 11, (1, 11, 4, 5, 3, 7, 12, 2, 9, 8, 10, 6)),
+    ("31^2", 1): (1, 1, (1,)),
+    ("31^2", 2): (30, 30, (1, 30)),
+    ("31^2", 3): (5, 5, (1, 5, 25)),
+    ("31^2", 4): (366, 626, (1, 626, 30, 366)),
+    ("31^2", 5): (2, 4, (1, 4, 16, 2, 8)),
+    ("31^2", 6): (6, 26, (1, 26, 25, 30, 5, 6)),
+    ("31^2", 8): (406, 586, (1, 586, 626, 578, 30, 406, 366, 414)),
+    ("31^2", 10): (15, 23, (1, 23, 2, 15, 4, 30, 8, 29, 16, 27)),
+    ("31^2", 12): (150, 150, (1, 150, 26, 366, 25, 247, 30, 842, 5, 626, 6, 745)),
+    ("7^3", 1): (1, 1, (1,)),
+    ("7^3", 2): (6, 6, (1, 6)),
+    ("7^3", 3): (2, 4, (1, 4, 2)),
+    ("7^3", 6): (3, 5, (1, 5, 4, 6, 2, 3)),
+    ("7^3", 9): (150, 280, (1, 280, 250, 4, 336, 300, 2, 168, 150)),
+    ("2147483647", 1): (1, 1, (1,)),
+    ("2147483647", 2): (2147483646, 2147483646, (1, 2147483646)),
+    ("2147483647", 3): (634005911, 1513477735, (1, 1513477735, 634005911)),
+    ("2147483647", 6): (634005912, 1513477736, (1, 1513477736, 1513477735, 2147483646,
+        634005911, 634005912)),
+    ("2147483647", 7): (894255406, 1752599774, (1, 1752599774, 1600955193, 1537170743,
+        894255406, 1599590586, 1205362885)),
+    ("2147483647", 9): (309107220, 765383222, (1, 765383222, 864490562, 1513477735,
+        1072993205, 809695498, 634005911, 309107220, 473297587)),
+    ("2147483647", 11): (100973744, 298192073, (1, 298192073, 2080850853, 280409897,
+        353622995, 100973744, 327571245, 219454379, 2139961118, 1969212174, 819686109)),
+    ("2305843009213693951", 1): (1, 1, (1,)),
+    ("2305843009213693951", 2): (2305843009213693950, 2305843009213693950, (1,
+        2305843009213693950)),
+    ("2305843009213693951", 3): (636260618972345635, 1669582390241348315, (1,
+        1669582390241348315, 636260618972345635)),
+    ("2305843009213693951", 5): (194643636704778390, 1781303817082419751, (1,
+        1781303817082419751, 725554454131936870, 1910184110508252890, 194643636704778390)),
+    ("2305843009213693951", 6): (636260618972345636, 636260618972345636, (1,
+        636260618972345636, 636260618972345635, 2305843009213693950, 1669582390241348315,
+        1669582390241348316)),
+    ("2305843009213693951", 7): (69203453413471971, 69203453413471971, (1,
+        69203453413471971, 1165310750493918737, 141315603963882618, 1100189617750211561,
+        402695036048525987, 1732971556757377027)),
+    ("2305843009213693951", 9): (569931187132395942, 1102844585000305877, (1,
+        1102844585000305877, 594418010121383343, 1669582390241348315, 569931187132395942,
+        1764280891523348030, 636260618972345635, 633067237080992132, 2252987116782656529)),
+    ("2305843009213693951", 10): (395658898705441061, 395658898705441061, (1,
+        395658898705441061, 1781303817082419751, 2111199372508915561, 725554454131936870,
+        2305843009213693950, 1910184110508252890, 524539192131274200, 194643636704778390,
+        1580288555081757081)),
+    ("2305843009213693951", 11): (25693150190086359, 54008984094220448, (1,
+        54008984094220448, 145163580560702442, 485879364249547495, 142745710241799902,
+        1798031321018017002, 1277361870895917617, 103702435012065296, 25693150190086359,
+        618244203389745147, 2266698407988980144)),
+}
+# field spec -> largest_coprime_subgroup_order for M = 1..6
+_COPRIME_TABLE = {
+    "7": (6, 3, 2, 3, 6, 1),
+    "13": (12, 3, 4, 3, 12, 1),
+    "31": (30, 15, 10, 15, 6, 5),
+    "61": (60, 15, 20, 15, 12, 5),
+    "13^2": (168, 21, 56, 21, 168, 7),
+    "31^2": (960, 15, 320, 15, 192, 5),
+    "7^3": (342, 171, 38, 171, 342, 19),
+    "2147483647": (2147483646, 1073741823, 238609294, 1073741823, 2147483646, 119304647),
+    "2305843009213693951": (2305843009213693950, 1152921504606846975, 256204778801521550,
+        1152921504606846975, 92233720368547758, 128102389400760775),
+}
+
+
+def test_roots_generators_and_subgroups_are_frozen():
+    for (spec, m), (root, gen, sub) in _ORDER_TABLE.items():
+        ctx = parse_field_spec(spec)
+        assert primitive_root_of_unity(ctx, m).index() == root, (spec, m)
+        assert _element_of_order(ctx, m).index() == gen, (spec, m)
+        assert tuple(z.index() for z in subgroup_elements(ctx, m)) == sub, (spec, m)
+    for spec, orders in _COPRIME_TABLE.items():
+        ctx = parse_field_spec(spec)
+        assert tuple(largest_coprime_subgroup_order(ctx, M) for M in range(1, 7)) == orders
+
+
+def test_zeroth_power_is_one_and_counts_nothing():
+    for ctx in (make_field(13), make_field(7, 3)):
+        c = MultCounter()
+        assert ctx.from_index(5).pow_(0, c) == ctx.one()
+        assert c.count == 0
 
 
 def test_mult_counter_counts_multiplications():

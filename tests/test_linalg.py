@@ -340,7 +340,8 @@ def test_find_rejects_a_deployment_too_small_to_decode(monkeypatch, params, coun
 
 
 @pytest.mark.parametrize("options", [
-    {"attempts": 0}, {"attempts": -2}, {"max_escalations": -1}])
+    {"attempts": 0}, {"attempts": -2}, {"max_escalations": -1},
+    {"minor_budget": 0}, {"minor_budget": -5}])
 def test_find_rejects_malformed_search_options(options):
     # a search that may not try anything has not run out of candidates
     with pytest.raises(BadSpec):

@@ -443,6 +443,15 @@ def test_empirical_mode_validation():
         p_of_s_empirical(A, B, plan, 5, mode="exhaustive")  # S > n_workers
 
 
+def test_decode_fraction_is_exhaustive_by_default():
+    # a sampled estimate is returned only when asked for by name
+    plan = _tiny_hyper_plan(1, 2, 1, 0, 2, (1, 2))
+    A, B = _inputs(plan)
+    assert p_of_s_empirical(A, B, plan, 2) == p_of_s_empirical(A, B, plan, 2, mode="exhaustive")
+    with pytest.raises(BadSpec):
+        p_of_s_empirical(A, B, plan, 2, mode="auto")
+
+
 # -- recovery threshold of deployed plans ----------------------------------------------
 
 

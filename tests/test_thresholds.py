@@ -137,7 +137,9 @@ def test_rate_sweep_rows():
 
 
 def test_rate_sweep_empty_range():
-    assert rate_sweep(2, 3, 2, -1) == []
+    # a negative T_max is a malformed range, not an empty table
+    with pytest.raises(BadSpec):
+        rate_sweep(2, 3, 2, -1)
 
 
 def test_sweeps_reject_unknown_schemes():
@@ -151,6 +153,18 @@ def test_sweeps_reject_unknown_schemes():
 def test_fixed_budget_search_rejects_a_minimum_below_one(minimum):
     with pytest.raises(BadSpec):
         rate_sweep_fixed_n(30, T_max=1, **{minimum: 0})
+
+
+@pytest.mark.parametrize("args", [
+    {"N_budget": 0}, {"N_budget": -5}, {"N_budget": 100, "T_max": -1}])
+def test_fixed_budget_search_rejects_a_malformed_range(args):
+    with pytest.raises(BadSpec):
+        rate_sweep_fixed_n(**args)
+
+
+def test_fixed_budget_search_below_the_smallest_grid_is_empty():
+    # K_min * M_min * L_min = 16 workers already exceed the budget
+    assert rate_sweep_fixed_n(15, T_max=2) == []
 
 
 def test_fixed_budget_search_respects_budget():
