@@ -60,10 +60,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class EvaluationPlan:
     """Where each worker evaluates, and how workers group into hypernodes.
 
-    The supports of the product polynomial and the power tables the decoder
-    solves on are derived from the plan on first use and kept on it, so
-    every decode slices rows instead of recomputing them. They are not
-    fields: equality, hash and summary() see only the points and params.
+    The supports of the product polynomial, the power tables the decoder
+    solves on and the hypernode averaging weights are derived from the plan
+    on first use and kept on it, so every decode slices rows instead of
+    recomputing them. They are not fields: equality, hash and summary() see
+    only the points and params.
     """
 
     params: SchemeParams
@@ -111,6 +112,18 @@ class EvaluationPlan:
             raise PlanInvalid("a flat plan has no base points")
         pts = _gauss.as_array([self.base_points], self.ctx)[0]
         return _read_only(_gauss.powers(pts, self.class_support, self.ctx))
+
+    @cached_property
+    def hypernode_weights(self) -> np.ndarray:
+        """Read-only zeta^m / M for m < M, shape (M, r): the hypernode average.
+
+        A flat plan has no subgroup and raises PlanInvalid.
+        """
+        if self.zeta is None:
+            raise PlanInvalid("a flat plan has no hypernodes")
+        M = self.params.M
+        return _read_only(_gauss.as_array([[self.zeta.pow_(m) / M for m in range(M)]],
+                                          self.ctx)[0])
 
     def summary(self) -> dict:
         out = {

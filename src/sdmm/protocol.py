@@ -142,12 +142,11 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
             stack = stack_blocks([responses[n] for p in complete
                                   for n in plan.hypernode_workers(p)], ctx)
             rows, cols = stack.shape[1:3]
-            weights = _gauss.as_array([[plan.zeta.pow_(m) / M for m in range(M)]], ctx)[0]
             # counted as the scalar average: M response scales, then one of the sum
             if counter is not None:
                 counter.add(len(complete) * (M + 1) * rows * cols)
             terms = _gauss.mul(stack.reshape(len(complete), M, rows, cols, ctx.r),
-                               weights[:, None, None], ctx)
+                               plan.hypernode_weights[:, None, None], ctx)
             vals = [BlockMatrix(v, ctx) for v in terms.sum(axis=1) % ctx.p]
             pts = [plan.base_points[p] for p in complete]
             try:

@@ -42,8 +42,7 @@ def ggasp_alpha(K: int, M: int, T: int, r: int) -> tuple[int, ...]:
     """
     if T == 0:
         return ()
-    if not 1 <= r <= min(K * M, T):
-        raise BadR(f"run length {r} outside [1, min(K*M={K*M}, T={T})]")
+    _check_run_length(K, M, T, r)
     out = []
     u = 0
     while len(out) < T:
@@ -51,6 +50,11 @@ def ggasp_alpha(K: int, M: int, T: int, r: int) -> tuple[int, ...]:
         out.extend(u * K * M + j for j in range(take))
         u += 1
     return tuple(out)
+
+
+def _check_run_length(K: int, M: int, T: int, r: int) -> None:
+    if not 1 <= r <= min(K * M, T):
+        raise BadR(f"run length {r} outside [1, min(K*M={K*M}, T={T})]")
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class SchemeParams:
     def ggasp(cls, K: int, M: int, L: int, T: int, r: int = 1) -> "SchemeParams":
         if T == 0:
             return cls(GGASP, K, M, L, 0, r=0)
-        ggasp_alpha(K, M, T, r)  # validates r
+        _check_run_length(K, M, T, r)
         return cls(GGASP, K, M, L, T, r=r)
 
     @classmethod

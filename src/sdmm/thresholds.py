@@ -119,6 +119,10 @@ def _merge(intervals):
     return [(lo, hi) for lo, hi in out]
 
 
+def _size(intervals) -> int:
+    return sum(hi - lo + 1 for lo, hi in intervals)
+
+
 def _count_product_class(lo: int, hi: int, M: int) -> int:
     # integers in [lo, hi] congruent to M-1 mod M
     return (hi + 1) // M - lo // M
@@ -146,7 +150,7 @@ def mp_threshold_closed_form(K: int, M: int, L: int, T: int, D: int = 1) -> Thre
     dots = sorted({2 * KML + t * D for t in range(2 * T - 1)})
     outside = [d for d in dots if not any(lo <= d <= hi for lo, hi in merged)]
 
-    n_prime = sum(hi - lo + 1 for lo, hi in merged) + len(outside)
+    n_prime = _size(merged) + len(outside)
     p = sum(_count_product_class(lo, hi, M) for lo, hi in merged)
     p += sum(1 for d in outside if (d + 1) % M == 0)
 
@@ -166,12 +170,13 @@ def mp_threshold_closed_form(K: int, M: int, L: int, T: int, D: int = 1) -> Thre
         rate=Fraction(KML, M * p), P=p, delta=delta, l0=l0, t0=t0, k0=k0)
 
 
-def _ggasp_windows(K: int, M: int, L: int, T: int, r: int) -> dict[int, int]:
-    """Width S_l of the noise window starting at K*M*L + l*K*M, per index l.
+def _ggasp_support(K: int, M: int, L: int, T: int, r: int) -> tuple[dict[int, int], list]:
+    """Window widths S_l and the merged support intervals, grouped layout, T >= 1.
 
     The f-noise runs of length r at multiples of K*M, multiplied against
     the data windows of g and against the consecutive g-noise block, tile
-    the region above the prefix into one window per index l in [0, L+U].
+    the region above the prefix into one window of width S_l starting at
+    K*M*L + l*K*M per index l in [0, L+U].
     """
     U, r0 = divmod(T, r)
     S = {}
@@ -181,7 +186,10 @@ def _ggasp_windows(K: int, M: int, L: int, T: int, r: int) -> dict[int, int]:
         S[l] = max(M, T) + r - 1
     S[L + U - 1] = (T + r - 1) if r0 == 0 else max(M + r0, T + r) - 1
     S[L + U] = 0 if r0 == 0 else T + r0 - 1
-    return S
+    KM, KML = K * M, K * M * L
+    intervals = [(0, KML + KM + T - 2)]
+    intervals += [(KML + l * KM, KML + l * KM + w - 1) for l, w in S.items() if w > 0]
+    return S, _merge(intervals)
 
 
 def ggasp_threshold_closed_form(K: int, M: int, L: int, T: int, r: int = 1) -> ThresholdReport:
@@ -200,12 +208,8 @@ def ggasp_threshold_closed_form(K: int, M: int, L: int, T: int, r: int = 1) -> T
             rate=Fraction(KML, n), U=0, r0=0, S_ell=(), V=0, l0=0)
 
     U, r0 = divmod(T, r)
-    S = _ggasp_windows(K, M, L, T, r)
-    intervals = [(0, KML + KM + T - 2)]
-    intervals += [(KML + l * KM, KML + l * KM + S[l] - 1)
-                  for l in range(L + U + 1) if S[l] > 0]
-    merged = _merge(intervals)
-    n = sum(hi - lo + 1 for lo, hi in merged)
+    S, merged = _ggasp_support(K, M, L, T, r)
+    n = _size(merged)
     p_prime = sum(_count_product_class(lo, hi, M) for lo, hi in merged)
 
     l0 = min(1 + (T - 2) // KM, L)
@@ -248,12 +252,9 @@ def optimal_r(K: int, M: int, L: int, T: int) -> ThresholdReport:
     """Best run length for the grouped layout: minimal N, ties to smaller r."""
     if T == 0:
         return ggasp_threshold_closed_form(K, M, L, 0)
-    best = None
-    for r in range(1, min(K * M, T) + 1):
-        rep = ggasp_threshold_closed_form(K, M, L, T, r)
-        if best is None or rep.N < best.N:
-            best = rep
-    return best
+    runs = range(1, min(K * M, T) + 1)
+    return ggasp_threshold_closed_form(
+        K, M, L, T, min(runs, key=lambda r: _size(_ggasp_support(K, M, L, T, r)[1])))
 
 
 def rate_sweep(K: int, M: int, L: int, T_max: int = 8,
@@ -262,11 +263,12 @@ def rate_sweep(K: int, M: int, L: int, T_max: int = 8,
 
     The modular layout is swept at D = 1 and the grouped layout at its best
     run length. Returns one row dict per (T, scheme) with the CSV fields
-    scheme, K, M, L, T, D_or_r, N, P, rate. A negative T_max raises
-    BadSpec.
+    scheme, K, M, L, T, D_or_r, N, P, rate. A negative T_max, or an empty
+    or unknown scheme, raises BadSpec.
     """
     if T_max < 0:
         raise BadSpec(f"T_max must be nonnegative, got {T_max}")
+    _check_schemes(schemes)
     return [_sweep_row(_sweep_report(scheme, K, M, L, T))
             for T in range(T_max + 1) for scheme in schemes]
 
@@ -276,42 +278,99 @@ def rate_sweep_fixed_n(N_budget: int, T_max: int = 8,
                        schemes: tuple[str, ...] = (MP, GGASP)) -> list[dict]:
     """Best achievable rate per T under a worker budget.
 
-    For each T and scheme, searches all partition grids with K >= K_min,
+    For each T and scheme, finds among all partition grids with K >= K_min,
     L >= L_min, M >= M_min and K*M*L <= N_budget whose threshold fits the
-    budget, and keeps the grid with the highest rate (ties to the first
-    found in (K, M, L) lexicographic order). A budget or minimum below 1,
-    or a negative T_max, raises BadSpec; a budget below the smallest grid
-    gives no rows.
+    budget the grid with the highest rate (ties to the first in (K, M, L)
+    lexicographic order). The search is exact: threshold_lower_bound prunes
+    it, so only grids whose rate ceiling can still reach the best rate are
+    evaluated. A budget or minimum below 1, a negative T_max, or an empty or
+    unknown scheme raises BadSpec; a budget below the smallest grid gives no
+    rows.
     """
     if min(N_budget, K_min, L_min, M_min) < 1 or T_max < 0:
         raise BadSpec(f"need N_budget, K_min, L_min, M_min >= 1 and T_max >= 0, "
                       f"got {N_budget, K_min, L_min, M_min} and {T_max}")
+    _check_schemes(schemes)
     rows = []
     for T in range(T_max + 1):
         for scheme in schemes:
-            best = None
-            for K in range(K_min, N_budget + 1):
-                if K * M_min * L_min > N_budget:
-                    break
-                for M in range(M_min, N_budget // (K * L_min) + 1):
-                    for L in range(L_min, N_budget // (K * M) + 1):
-                        rep = _sweep_report(scheme, K, M, L, T)
-                        if rep.N > N_budget:
-                            continue
-                        if best is None or rep.rate > best.rate:
-                            best = rep
+            best = _best_grid(scheme, T, N_budget, K_min, M_min, L_min)
             if best is not None:
                 rows.append(_sweep_row(best))
     return rows
+
+
+def threshold_lower_bound(scheme: str, K: int, M: int, L: int, T: int) -> int:
+    """An integer lb <= N for the swept scheme, from intervals its support holds.
+
+    At T = 0 it is N itself. Otherwise both layouts hold the prefix [0, E],
+    E = K*M*L + K*M + T - 2, and the M-wide window at K*M*L + l*K*M for each
+    l in 1..L-1. Windows l >= l1 = 1 + ceil((T-1)/(K*M)) lie wholly beyond
+    E, window l1 - 1 may reach past it, and the rest end inside it. The
+    grouped N (any run length) counts the prefix and each window's part
+    beyond E. The modular N is M times its members congruent to M-1 mod M:
+    (E + 1) // M in the prefix and one in each window wholly beyond E.
+    """
+    KM, KML = K * M, K * M * L
+    if T == 0:
+        return KML if scheme == MP else KML + M - 1
+    E = KML + KM + T - 2
+    l1 = 1 - (1 - T) // KM
+    beyond = max(0, L - l1)
+    if scheme == MP:
+        return M * ((E + 1) // M + beyond)
+    partial = max(0, (l1 - 2) * KM + M + 1 - T) if 2 <= l1 <= L else 0
+    return E + 1 + M * beyond + partial
+
+
+def _best_grid(scheme: str, T: int, N_budget: int, K_min: int, M_min: int,
+               L_min: int) -> Optional[ThresholdReport]:
+    """Best-first branch and bound over the grids of one (T, scheme) row.
+
+    Grids are evaluated from the highest rate ceiling K*M*L / lb down until
+    a ceiling falls strictly below the best rate found; a grid that could
+    still tie it is evaluated when it precedes the best in (K, M, L) order.
+    Distinct rates with terms at most N_budget differ by at least
+    1 / N_budget**2, so floor(rate * N_budget**2) orders them exactly.
+    """
+    scale = N_budget * N_budget
+    queue = []
+    for K in range(K_min, N_budget // (M_min * L_min) + 1):
+        for M in range(M_min, N_budget // (K * L_min) + 1):
+            for L in range(L_min, N_budget // (K * M) + 1):
+                lb = threshold_lower_bound(scheme, K, M, L, T)
+                if lb > N_budget:
+                    break  # the bound grows with L
+                queue.append((K * M * L * scale // lb, (K, M, L)))
+    queue.sort(key=lambda item: item[0], reverse=True)
+    best, best_key, best_grid = None, -1, None
+    for ceiling, grid in queue:
+        if ceiling < best_key:
+            break
+        if ceiling == best_key and grid > best_grid:
+            continue  # at best a tie, which the earlier grid keeps
+        rep = _sweep_report(scheme, *grid, T)
+        if rep.N > N_budget:
+            continue
+        key = rep.params.KML * scale // rep.N
+        if (key, best_grid) > (best_key, grid):
+            best, best_key, best_grid = rep, key, grid
+    return best
+
+
+def _check_schemes(schemes: tuple[str, ...]) -> None:
+    if not schemes:
+        raise BadSpec("no scheme to sweep")
+    for scheme in schemes:
+        if scheme not in (MP, GGASP):
+            raise BadSpec(f"unknown scheme {scheme!r} in sweep")
 
 
 def _sweep_report(scheme: str, K: int, M: int, L: int, T: int) -> ThresholdReport:
     """Report of one swept scheme, the one dispatch both sweeps share."""
     if scheme == MP:
         return mp_threshold_closed_form(K, M, L, T, 1)
-    if scheme == GGASP:
-        return optimal_r(K, M, L, T)
-    raise BadSpec(f"unknown scheme {scheme!r} in sweep")
+    return optimal_r(K, M, L, T)
 
 
 def _sweep_row(rep: ThresholdReport) -> dict:

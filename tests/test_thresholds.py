@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,9 @@ from sdmm.thresholds import (
     rate_sweep_fixed_n,
     symbolic_support,
     threshold,
+    threshold_lower_bound,
 )
+from sdmm import thresholds
 
 
 def test_admissible_ds():
@@ -149,6 +152,17 @@ def test_sweeps_reject_unknown_schemes():
         rate_sweep_fixed_n(100, T_max=1, schemes=("mp", "ggsap"))
 
 
+@pytest.mark.parametrize("schemes", [(), ("mp", "ggsap")])
+def test_sweeps_reject_an_empty_or_unknown_scheme_list_at_any_budget(schemes):
+    # no scheme is a malformed request, not a table in which nothing fits;
+    # 15 workers fit no default grid, so no row is ever evaluated
+    with pytest.raises(BadSpec):
+        rate_sweep(2, 3, 2, 1, schemes=schemes)
+    for budget in (100, 15):
+        with pytest.raises(BadSpec):
+            rate_sweep_fixed_n(budget, T_max=1, schemes=schemes)
+
+
 @pytest.mark.parametrize("minimum", ["K_min", "L_min", "M_min"])
 def test_fixed_budget_search_rejects_a_minimum_below_one(minimum):
     with pytest.raises(BadSpec):
@@ -193,3 +207,78 @@ def test_step_size_probe_reports_d1_optimal():
     for K, M, L, T in grids:
         ns = [mp_threshold_closed_form(K, M, L, T, d).N for d in admissible_ds(M)]
         assert min(ns) == ns[0], (K, M, L, T, ns)
+
+
+# -- the pruned fixed-budget search ---------------------------------------------------
+
+_report = lru_cache(maxsize=None)(thresholds._sweep_report)
+
+
+def _exhaustive_fixed_n(N_budget, T_max, K_min, L_min, M_min, schemes=("mp", "ggasp")):
+    """The search before pruning: every grid under the budget, in (K, M, L) order."""
+    rows = []
+    for T in range(T_max + 1):
+        for scheme in schemes:
+            best = None
+            for K in range(K_min, N_budget + 1):
+                if K * M_min * L_min > N_budget:
+                    break
+                for M in range(M_min, N_budget // (K * L_min) + 1):
+                    for L in range(L_min, N_budget // (K * M) + 1):
+                        rep = _report(scheme, K, M, L, T)
+                        if rep.N > N_budget:
+                            continue
+                        if best is None or rep.rate > best.rate:
+                            best = rep
+            if best is not None:
+                rows.append(thresholds._sweep_row(best))
+    return rows
+
+
+def _window_sum_bound(scheme, K, M, L, T):
+    """threshold_lower_bound written out as its sum over the M-wide windows."""
+    KM, KML = K * M, K * M * L
+    if T == 0:
+        return KML if scheme == "mp" else KML + M - 1
+    E = KML + KM + T - 2
+    starts = [KML + l * KM for l in range(1, L)]
+    if scheme == "mp":
+        return M * ((E + 1) // M + sum(1 for a in starts if a > E))
+    return E + 1 + sum(min(M, a + M - 1 - E) for a in starts if a + M - 1 > E)
+
+
+def test_threshold_lower_bound_never_exceeds_the_threshold():
+    for K in range(1, 201):
+        for M in range(1, 200 // K + 1):
+            for L in range(1, 200 // (K * M) + 1):
+                for T in range(9):
+                    for scheme in ("mp", "ggasp"):
+                        lb = threshold_lower_bound(scheme, K, M, L, T)
+                        assert lb == _window_sum_bound(scheme, K, M, L, T)
+                        N = _report(scheme, K, M, L, T).N
+                        assert lb <= N and (T > 0 or lb == N), (scheme, K, M, L, T)
+
+
+@pytest.mark.parametrize("K_min, L_min, M_min", [(1, 1, 1), (2, 2, 2), (1, 2, 4), (3, 1, 2)])
+def test_pruned_search_equals_the_exhaustive_scan(monkeypatch, K_min, L_min, M_min):
+    # both sides read the same cached reports, so the test checks which grids
+    # the search picks, not the closed forms again
+    monkeypatch.setattr(thresholds, "_sweep_report", _report)
+    for budget in range(1, 121):
+        assert rate_sweep_fixed_n(budget, 8, K_min, L_min, M_min) == \
+            _exhaustive_fixed_n(budget, 8, K_min, L_min, M_min), budget
+
+
+@pytest.mark.parametrize("scheme, T, budget, first, later", [
+    ("mp", 2, 16, (1, 4, 1), (1, 4, 2)),
+    ("ggasp", 1, 27, (3, 1, 6), (4, 1, 4)),
+])
+def test_pruned_search_keeps_the_first_of_tied_grids(scheme, T, budget, first, later):
+    # the later grid has the higher rate ceiling, so best-first meets it first
+    ceiling = {g: Fraction(math.prod(g), threshold_lower_bound(scheme, *g, T))
+               for g in (first, later)}
+    assert ceiling[later] > ceiling[first]
+    assert _report(scheme, *later, T).rate == _report(scheme, *first, T).rate
+    rows = rate_sweep_fixed_n(budget, T, K_min=1, L_min=1, M_min=1, schemes=(scheme,))
+    assert (rows[-1]["K"], rows[-1]["M"], rows[-1]["L"]) == first
+    assert rows[-1] == _exhaustive_fixed_n(budget, T, 1, 1, 1, (scheme,))[-1]
