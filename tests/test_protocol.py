@@ -287,6 +287,18 @@ def test_plan_tables_are_read_only_powers_outside_equality():
         flat.base_table
 
 
+def test_hypernode_weights_are_cached_subgroup_averages():
+    plan = gf31_plan(1, 8)
+    weights = plan.hypernode_weights
+    assert plan.hypernode_weights is weights and not weights.flags.writeable
+    M = plan.params.M
+    want = [plan.zeta.pow_(m) / M for m in range(M)]
+    assert np.array_equal(weights, _gauss.as_array([want], plan.ctx)[0])
+    flat = dataclasses.replace(plan, zeta=None, base_points=None)
+    with pytest.raises(PlanInvalid):
+        flat.hypernode_weights
+
+
 def test_p_of_s_audits_every_decode(monkeypatch):
     # a decoder that returns one wrong block must not pass as a pattern
     # that merely failed to decode
