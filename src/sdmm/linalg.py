@@ -205,7 +205,7 @@ def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
 
     mat is P x N with P <= N; the P x P minors are the column subsets. In
     exhaustive mode all comb(N, P) minors are visited unless that exceeds
-    the budget, in which case BudgetExceeded suggests random mode. Random
+    the minor budget, in which case it raises BudgetExceeded. Random
     mode samples `samples` subsets with the supplied (or a fresh seeded)
     generator.
     """
@@ -218,7 +218,7 @@ def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
     if mode == "exhaustive":
         if total > budget:
             raise BudgetExceeded(
-                f"{total} minors exceed budget {budget}; use mode='random'")
+                f"{total} minors exceed the minor budget of {budget}")
         subsets = itertools.combinations(range(N), P)
         planned = total
     elif mode == "random":

@@ -3,10 +3,11 @@
 Two independent routes to every count live here. symbolic_support builds
 the generic support of h = f*g directly from the exponent layout as a set
 union; it is the oracle. The closed-form calculators never enumerate
-exponents: they merge the handful of intervals and isolated points that the
-layout produces and count residues with floor arithmetic, so they run in
-O(L + T) integer operations. Tests hold the two routes equal across the
-whole parameter grid.
+exponents: each lists the handful of runs [lo, hi] that the layout produces,
+in ascending order of lo, and _run_union merges them in one pass and counts
+the union and its residues with floor arithmetic, so they run in O(L + T)
+integer operations. Tests hold the two routes equal across the whole
+parameter grid.
 
 The modular layout decodes through the order-M subgroup: a hypernode of M
 workers shares one base point and averages its responses, which strips all
@@ -109,32 +110,31 @@ class ThresholdReport:
         return out
 
 
-def _merge(intervals):
-    out = []
-    for lo, hi in sorted(intervals):
-        if out and lo <= out[-1][1] + 1:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [(lo, hi) for lo, hi in out]
+def _run_union(runs, M: int) -> tuple[int, int]:
+    """Size of the union of runs [lo, hi] and its members congruent to M-1 mod M.
 
-
-def _size(intervals) -> int:
-    return sum(hi - lo + 1 for lo, hi in intervals)
-
-
-def _count_product_class(lo: int, hi: int, M: int) -> int:
-    # integers in [lo, hi] congruent to M-1 mod M
-    return (hi + 1) // M - lo // M
+    The runs must come in ascending order of lo, so one pass merges them;
+    an empty run (hi < lo) adds nothing.
+    """
+    size = members = 0
+    run_lo, run_hi = 0, -1
+    for lo, hi in runs:
+        if lo > run_hi + 1:
+            size += run_hi + 1 - run_lo
+            members += (run_hi + 1) // M - run_lo // M
+            run_lo = lo
+        if hi > run_hi:
+            run_hi = hi
+    return size + run_hi + 1 - run_lo, members + (run_hi + 1) // M - run_lo // M
 
 
 def mp_threshold_closed_form(K: int, M: int, L: int, T: int, D: int = 1) -> ThresholdReport:
     """Thresholds for the modular layout alpha_t = beta_t = t*D.
 
-    Counts the support classes over the exact interval decomposition: one
-    long prefix from the data-by-data and data-by-g-noise products, one
-    window per l from the f-noise-by-data products, and up to 2T-1 isolated
-    points from the noise-by-noise products.
+    Counts the support classes over its runs: one long prefix from the
+    data-by-data and data-by-g-noise products, one window per l from the
+    f-noise-by-data products, and 2T-1 unit runs from the noise-by-noise
+    products. The unit runs start at 2*K*M*L, past every window's start.
     """
     params = SchemeParams.mp(K, M, L, T, D)
     KM, KML = K * M, K * M * L
@@ -144,34 +144,25 @@ def mp_threshold_closed_form(K: int, M: int, L: int, T: int, D: int = 1) -> Thre
             rate=Fraction(KML, KML), P=K * L, delta=0, l0=0, t0=0, k0=0)
 
     span = (T - 1) * D
-    intervals = [(0, KML + KM - 1 + span)]
-    intervals += [(KML + l * KM, KML + l * KM + M - 1 + span) for l in range(L)]
-    merged = _merge(intervals)
-    dots = sorted({2 * KML + t * D for t in range(2 * T - 1)})
-    outside = [d for d in dots if not any(lo <= d <= hi for lo, hi in merged)]
-
-    n_prime = _size(merged) + len(outside)
-    p = sum(_count_product_class(lo, hi, M) for lo, hi in merged)
-    p += sum(1 for d in outside if (d + 1) % M == 0)
+    runs = [(0, KML + KM - 1 + span)]
+    runs += [(KML + l * KM, KML + l * KM + M - 1 + span) for l in range(L)]
+    runs += [(2 * KML + t * D,) * 2 for t in range(2 * T - 1)]
+    n_prime, p = _run_union(runs, M)
 
     # scalars of the counting argument
     l0 = min(1 + ((T - 1) * D - 1) // KM, L - 1)
     t0 = max(0, -((KM - M) // D) + T - 1)
     k0 = min(M + (T - 1) * D, KM)
-    tail = range(t0, 2 * T - 1)
-    if len(tail) == 0:
-        delta = 0
-    else:
-        direct = sum(1 for t in tail if (2 * KML + t * D + 1) % M == 0)
-        delta = direct - ((2 * T - 2 - t0) * D + 1) // (D * M)
+    direct = sum(1 for t in range(t0, 2 * T - 1) if (2 * KML + t * D + 1) % M == 0)
+    delta = direct - ((2 * T - 2 - t0) * D + 1) // (D * M)
 
     return ThresholdReport(
         params=params, N=M * p, N_prime=n_prime, P_prime=p,
         rate=Fraction(KML, M * p), P=p, delta=delta, l0=l0, t0=t0, k0=k0)
 
 
-def _ggasp_support(K: int, M: int, L: int, T: int, r: int) -> tuple[dict[int, int], list]:
-    """Window widths S_l and the merged support intervals, grouped layout, T >= 1.
+def _ggasp_support(K: int, M: int, L: int, T: int, r: int) -> tuple[list[int], int, int]:
+    """Window widths S_l, support size and product-class count, grouped layout, T >= 1.
 
     The f-noise runs of length r at multiples of K*M, multiplied against
     the data windows of g and against the consecutive g-noise block, tile
@@ -179,49 +170,40 @@ def _ggasp_support(K: int, M: int, L: int, T: int, r: int) -> tuple[dict[int, in
     K*M*L + l*K*M per index l in [0, L+U].
     """
     U, r0 = divmod(T, r)
-    S = {}
-    for l in range(L):
-        S[l] = M + r - 1
-    for l in range(L, L + U - 1):
-        S[l] = max(M, T) + r - 1
-    S[L + U - 1] = (T + r - 1) if r0 == 0 else max(M + r0, T + r) - 1
-    S[L + U] = 0 if r0 == 0 else T + r0 - 1
+    S = [M + r - 1] * L + [max(M, T) + r - 1] * (U - 1)
+    S.append((T + r - 1) if r0 == 0 else max(M + r0, T + r) - 1)
+    S.append(0 if r0 == 0 else T + r0 - 1)
     KM, KML = K * M, K * M * L
-    intervals = [(0, KML + KM + T - 2)]
-    intervals += [(KML + l * KM, KML + l * KM + w - 1) for l, w in S.items() if w > 0]
-    return S, _merge(intervals)
+    runs = [(0, KML + KM + T - 2)]
+    runs += [(KML + l * KM, KML + l * KM + w - 1) for l, w in enumerate(S)]
+    return (S, *_run_union(runs, M))
 
 
 def ggasp_threshold_closed_form(K: int, M: int, L: int, T: int, r: int = 1) -> ThresholdReport:
     """Thresholds for the grouped layout with run length r.
 
-    The support is one prefix interval plus windows of width S_l at the
-    multiples of K*M; the threshold is the merged total size, since this
+    The support is one prefix run plus windows of width S_l at the
+    multiples of K*M; the threshold is the size of their union, since this
     layout decodes by interpolating the full support.
     """
     params = SchemeParams.ggasp(K, M, L, T, r)
-    KM, KML = K * M, K * M * L
     if T == 0:
-        n = KML + M - 1
+        n = params.KML + M - 1
         return ThresholdReport(
             params=params, N=n, N_prime=n, P_prime=K * L,
-            rate=Fraction(KML, n), U=0, r0=0, S_ell=(), V=0, l0=0)
+            rate=Fraction(params.KML, n), U=0, r0=0, S_ell=(), V=0, l0=0)
+    return _ggasp_report(params, *_ggasp_support(K, M, L, T, r))
 
-    U, r0 = divmod(T, r)
-    S, merged = _ggasp_support(K, M, L, T, r)
-    n = _size(merged)
-    p_prime = sum(_count_product_class(lo, hi, M) for lo, hi in merged)
 
-    l0 = min(1 + (T - 2) // KM, L)
-    if r0 == 0:
-        V = S[L + U - 1] + S[L + U]
-    else:
-        V = min(S[L + U - 1], KM) + S[L + U]
-
+def _ggasp_report(params: SchemeParams, S: list[int], n: int, p_prime: int) -> ThresholdReport:
+    """Report of the grouped layout from what _ggasp_support found for params.r."""
+    K, M, L, T = params.K, params.M, params.L, params.T
+    U, r0 = divmod(T, params.r)
+    l0 = min(1 + (T - 2) // (K * M), L)
+    V = (S[-2] if r0 == 0 else min(S[-2], K * M)) + S[-1]
     return ThresholdReport(
         params=params, N=n, N_prime=n, P_prime=p_prime,
-        rate=Fraction(KML, n), U=U, r0=r0,
-        S_ell=tuple(S[l] for l in range(L + U + 1)), V=V, l0=l0)
+        rate=Fraction(params.KML, n), U=U, r0=r0, S_ell=tuple(S), V=V, l0=l0)
 
 
 def threshold_from_support(params: SchemeParams) -> ThresholdReport:
@@ -250,11 +232,12 @@ def threshold(params: SchemeParams) -> ThresholdReport:
 
 def optimal_r(K: int, M: int, L: int, T: int) -> ThresholdReport:
     """Best run length for the grouped layout: minimal N, ties to smaller r."""
+    SchemeParams(GGASP, K, M, L, T)  # reject a bad grid before the range of r is empty
     if T == 0:
         return ggasp_threshold_closed_form(K, M, L, 0)
-    runs = range(1, min(K * M, T) + 1)
-    return ggasp_threshold_closed_form(
-        K, M, L, T, min(runs, key=lambda r: _size(_ggasp_support(K, M, L, T, r)[1])))
+    supports = {r: _ggasp_support(K, M, L, T, r) for r in range(1, min(K * M, T) + 1)}
+    r = min(supports, key=lambda r: supports[r][1])  # min keeps the first, smaller r
+    return _ggasp_report(SchemeParams.ggasp(K, M, L, T, r), *supports[r])
 
 
 def rate_sweep(K: int, M: int, L: int, T_max: int = 8,
@@ -301,26 +284,40 @@ def rate_sweep_fixed_n(N_budget: int, T_max: int = 8,
 
 
 def threshold_lower_bound(scheme: str, K: int, M: int, L: int, T: int) -> int:
-    """An integer lb <= N for the swept scheme, from intervals its support holds.
+    """An integer lb <= N for the swept scheme, from runs its support holds.
 
-    At T = 0 it is N itself. Otherwise both layouts hold the prefix [0, E],
-    E = K*M*L + K*M + T - 2, and the M-wide window at K*M*L + l*K*M for each
-    l in 1..L-1. Windows l >= l1 = 1 + ceil((T-1)/(K*M)) lie wholly beyond
-    E, window l1 - 1 may reach past it, and the rest end inside it. The
-    grouped N (any run length) counts the prefix and each window's part
-    beyond E. The modular N is M times its members congruent to M-1 mod M:
-    (E + 1) // M in the prefix and one in each window wholly beyond E.
+    At T = 0 it is N itself. Otherwise both swept layouts (modular at D = 1,
+    grouped at any run length) have alpha_0 = 0 and beta = (0, ..., T-1), so
+    with KML = K*M*L their support holds the prefix [0, E], E = KML + K*M +
+    T - 2 (data times data and g-noise), the M-wide window at a_l = KML +
+    l*K*M for each l in 1..L-1 (f-noise at alpha_0 times g's data window l),
+    and the noise-by-noise run [2*KML, 2*KML + J]: alpha_t + beta_u covers
+    0..2T-2 (modular, J = 2T - 2) and alpha_0 + beta_u covers 0..T-1
+    (grouped, J = T - 1). The grouped N, the support size, is at least the
+    size of the union of these runs; the modular N, M times the support's
+    members congruent to M-1 mod M, is at least M times the union's. Windows
+    l >= l1 = 1 + ceil((T-1)/(K*M)) start beyond E, window l1 - 1 may reach
+    `past` beyond it, and the rest end inside it. A window's one member
+    congruent to M-1 is its last, as a_l is a multiple of M, and every window
+    ends below 2*KML, so the noise run adds [max(E + 1, 2*KML), 2*KML + J].
     """
     KM, KML = K * M, K * M * L
     if T == 0:
         return KML if scheme == MP else KML + M - 1
     E = KML + KM + T - 2
     l1 = 1 - (1 - T) // KM
-    beyond = max(0, L - l1)
+    # conditionals, not max/min calls: this runs once per candidate grid
+    beyond = L - l1 if L > l1 else 0
+    past = (l1 - 2) * KM + M + 1 - T if 2 <= l1 <= L else 0
+    if past < 0:
+        past = 0
+    lo = E + 1 if E >= 2 * KML else 2 * KML
     if scheme == MP:
-        return M * ((E + 1) // M + beyond)
-    partial = max(0, (l1 - 2) * KM + M + 1 - T) if 2 <= l1 <= L else 0
-    return E + 1 + M * beyond + partial
+        hi = 2 * KML + 2 * T - 2
+        noise = (hi + 1) // M - lo // M if hi >= lo else 0
+        return M * ((E + 1) // M + beyond + (past > 0) + noise)
+    hi = 2 * KML + T - 1
+    return E + 1 + M * beyond + past + (hi + 1 - lo if hi >= lo else 0)
 
 
 def _best_grid(scheme: str, T: int, N_budget: int, K_min: int, M_min: int,

@@ -323,6 +323,15 @@ def test_find_eval_size_gate_exits_three(capsys):
     assert "cannot host 24" in err  # the field must hold all worker points
 
 
+def test_find_eval_over_the_minor_budget_exits_three(capsys):
+    # the refusal names the budget, not a sampled scan that certifies nothing
+    rc, out, err = run_cli(capsys, "find-eval", "--scheme", "mp:K=2,M=3,L=2,T=1",
+                           "--field", "31", "--budget", "1")
+    assert rc == 3
+    assert out == ""
+    assert "minor budget" in err and "mode=" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["find-eval", "--scheme", "mp:K=2,M=3,L=2,T=0", "--hypernodes", "3",
      "--max-escalations", "2"],
@@ -380,6 +389,8 @@ def test_find_eval_output_is_frozen(capsys, argv, digest):
      "0c773ba5cdb9ed3ce95044bfc35c160a09f222047cb58a6ef0898a2dd03b8956"),
     (["fixed-n-search", "--workers", "100"],
      "c8eb8241f12abc6bd22361f82b266686fd061758252fc1258ba43b4b05f3915e"),
+    (["fixed-n-search", "--workers", "300", "--k-min", "1", "--l-min", "1", "--m-min", "1"],
+     "48ecfe13ae9852d10b06c27251d0faae86f03da5851a9cc7a15cb11580243739"),
     (["threshold", "--json", "--scheme", "mp:K=2,M=3,L=2,T=3"],
      "9f2d1e19e2ea85705fb8283980291535a6728d8945e0517d05bf8735e220eeb8"),
     (["threshold", "--json", "--scheme", "ggasp:K=5,M=2,L=5,T=4,r=2"],
@@ -391,8 +402,8 @@ def test_find_eval_output_is_frozen(capsys, argv, digest):
     (["p-of-s", "--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "31", "-S", "3",
       "--mode", "exhaustive"],
      "1f5e5b6c43cee5de94d98c0c0a807e4391b6c68151f6cf7fbba0f98e01992062"),
-], ids=["sweep", "fixed-n-search", "threshold-mp", "threshold-ggasp", "threshold-explicit-t0",
-        "p-of-s-bound", "p-of-s-exhaustive"])
+], ids=["sweep", "fixed-n-search", "fixed-n-search-minima-1", "threshold-mp",
+        "threshold-ggasp", "threshold-explicit-t0", "p-of-s-bound", "p-of-s-exhaustive"])
 def test_seeded_cli_output_is_frozen(capsys, argv, digest):
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0

@@ -143,6 +143,10 @@ def test_rate_sweep_empty_range():
     # a negative T_max is a malformed range, not an empty table
     with pytest.raises(BadSpec):
         rate_sweep(2, 3, 2, -1)
+    # so is a grid that leaves no run length to try
+    for args in ((0, 3, 2, 1), (2, 3, 2, -1)):
+        with pytest.raises(BadSpec):
+            optimal_r(*args)
 
 
 def test_sweeps_reject_unknown_schemes():
@@ -235,8 +239,25 @@ def _exhaustive_fixed_n(N_budget, T_max, K_min, L_min, M_min, schemes=("mp", "gg
     return rows
 
 
+def _bound_runs(scheme, K, M, L, T):
+    """threshold_lower_bound recounted as the union of its runs.
+
+    These are the swept closed form's runs cut down: the prefix, the
+    windows l >= 1 trimmed to M wide, and one noise-by-noise run at
+    2*K*M*L (all 2T - 1 points for mp at D = 1, alpha_0 + beta for ggasp).
+    """
+    KM, KML = K * M, K * M * L
+    if T == 0:
+        return KML if scheme == "mp" else KML + M - 1
+    runs = [(0, KML + KM + T - 2)]
+    runs += [(KML + l * KM, KML + l * KM + M - 1) for l in range(1, L)]
+    runs.append((2 * KML, 2 * KML + (2 * T - 2 if scheme == "mp" else T - 1)))
+    size, members = thresholds._run_union(runs, M)
+    return M * members if scheme == "mp" else size
+
+
 def _window_sum_bound(scheme, K, M, L, T):
-    """threshold_lower_bound written out as its sum over the M-wide windows."""
+    """The bound before it counted the noise-by-noise run, as a floor."""
     KM, KML = K * M, K * M * L
     if T == 0:
         return KML if scheme == "mp" else KML + M - 1
@@ -254,7 +275,8 @@ def test_threshold_lower_bound_never_exceeds_the_threshold():
                 for T in range(9):
                     for scheme in ("mp", "ggasp"):
                         lb = threshold_lower_bound(scheme, K, M, L, T)
-                        assert lb == _window_sum_bound(scheme, K, M, L, T)
+                        assert lb == _bound_runs(scheme, K, M, L, T)
+                        assert lb >= _window_sum_bound(scheme, K, M, L, T)
                         N = _report(scheme, K, M, L, T).N
                         assert lb <= N and (T > 0 or lb == N), (scheme, K, M, L, T)
 
@@ -270,8 +292,8 @@ def test_pruned_search_equals_the_exhaustive_scan(monkeypatch, K_min, L_min, M_m
 
 
 @pytest.mark.parametrize("scheme, T, budget, first, later", [
-    ("mp", 2, 16, (1, 4, 1), (1, 4, 2)),
-    ("ggasp", 1, 27, (3, 1, 6), (4, 1, 4)),
+    ("mp", 2, 20, (1, 4, 1), (5, 1, 2)),
+    ("ggasp", 2, 11, (1, 1, 4), (2, 1, 2)),
 ])
 def test_pruned_search_keeps_the_first_of_tied_grids(scheme, T, budget, first, later):
     # the later grid has the higher rate ceiling, so best-first meets it first
