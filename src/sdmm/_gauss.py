@@ -12,8 +12,8 @@ operand into 16-bit limbs and the inner dimension into chunks of 2^16
 product below 2^63 before it is reduced.
 
 ranks, a batched forward elimination, answers every rank question; rank
-and batch_is_invertible call it. solve, the only Gauss-Jordan elimination,
-takes one counted system and inverts each pivot as a boxed FieldElement.
+and batch_is_invertible call it. _eliminate, the only Gauss-Jordan loop,
+serves solve and left_kernel and inverts each pivot as a boxed FieldElement.
 """
 
 from __future__ import annotations
@@ -92,24 +92,16 @@ def matmul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     return _convolve(a, b, ctx, lambda x, y: _dot(x, y, ctx.p))
 
 
-def solve(rows, rhs, ctx: FieldCtx, counter=None) -> np.ndarray:
-    """Solve A X = B exactly; B has one or more columns.
+def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, counter=None) -> None:
+    """Gauss-Jordan elimination of M in place over its first m columns.
 
-    A and B are matrices in any form as_array accepts; X is returned as a
-    residue array. A may have more rows than columns; it must have full
-    column rank (else SingularSystem), and the equations beyond the
-    pivots must then be consistent, else InconsistentResponses: genuine
-    evaluations of one polynomial always are, so an inconsistency means
-    some right-hand side was corrupted. Each pivot, the first nonzero row
-    at or below the diagonal, is normalised and clears its column in every
-    other row. With a counter, each normalisation and each eliminated
+    Each pivot, the first nonzero row at or below the diagonal, is normalised
+    and clears its column in every other row; a missing pivot raises
+    SingularSystem. With a counter, each normalisation and each eliminated
     nonzero row costs the row width, up to the first pivotless column.
     """
-    A, B = as_array(rows, ctx), as_array(rhs, ctx)
-    n, m = A.shape[:2]
-    if n < m:
+    if M.shape[0] < m:
         raise SingularSystem("fewer equations than unknowns")
-    M = np.concatenate([A, B], axis=1)
     width = M.shape[1]
     for col in range(m):
         hit = M[:, col].any(axis=-1)
@@ -126,10 +118,39 @@ def solve(rows, rhs, ctx: FieldCtx, counter=None) -> np.ndarray:
         factor[col] = 0
         M -= mul(factor, M[col], ctx)
         M %= ctx.p
+
+
+def solve(rows, rhs, ctx: FieldCtx, counter=None) -> np.ndarray:
+    """Solve A X = B exactly; B has one or more columns.
+
+    A and B are matrices in any form as_array accepts; X is returned as a
+    residue array. A may have more rows than columns; it must have full
+    column rank (else SingularSystem), and the equations beyond the
+    pivots must then be consistent, else InconsistentResponses: genuine
+    evaluations of one polynomial always are, so an inconsistency means
+    some right-hand side was corrupted. [A | B] is reduced by _eliminate.
+    """
+    A, B = as_array(rows, ctx), as_array(rhs, ctx)
+    n, m = A.shape[:2]
+    M = np.concatenate([A, B], axis=1)
+    _eliminate(M, m, ctx, counter)
     if (M[m:] != 0).any():
         raise InconsistentResponses(
             f"{n - m} spare equations disagree with the {m} unknowns")
     return M[:m, m:]
+
+
+def left_kernel(table: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Basis K^T, shape (n, n - m, r), of {y : y^T V = 0} for an (n, m, r) V.
+
+    Eliminating [V | I_n] leaves E V = [I_m; 0], so the last n - m rows of E
+    span it. A V without full column rank raises SingularSystem.
+    """
+    n, m = table.shape[:2]
+    eye = np.eye(n, dtype=dtype(ctx))[..., None] * (np.arange(ctx.r) == 0)
+    M = np.concatenate([as_array(table, ctx), eye], axis=1)
+    _eliminate(M, m, ctx)
+    return M[m:, m:].transpose(1, 0, 2)
 
 
 def rank(rows, ctx: FieldCtx) -> int:

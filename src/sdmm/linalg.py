@@ -11,6 +11,7 @@ observations mix through an invertible matrix.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -28,6 +29,7 @@ from .errors import (
     NoSuchRoot,
     PlanInvalid,
     ShapeMismatch,
+    SingularSystem,
     ZeroEvaluationPoint,
 )
 from .fields import (
@@ -207,7 +209,9 @@ def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
     exhaustive mode all comb(N, P) minors are visited unless that exceeds
     the minor budget, in which case it raises BudgetExceeded. Random
     mode samples `samples` subsets with the supplied (or a fresh seeded)
-    generator.
+    generator. A minor on columns S is singular iff the row space holds a
+    nonzero word vanishing on S, so when N - P < P it is decided as the
+    (N - P)-minor on the other columns of a basis of the dual (singular_minors).
     """
     P, N = mat.rows, mat.cols
     if P > N:
@@ -244,12 +248,27 @@ def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
     square set fails when its minor is singular. Sets are tested in the
     order given, in batches of _MINOR_BATCH, so checked, the count of sets
     tested so far, runs to the end of the batch holding rows.
+
+    A set S of s > n - m rows of an n x m table V of full column rank is
+    decided by its complement T: both fail exactly when col(V) = ker(K)
+    holds a nonzero vector inside T, for a basis K^T of V's left kernel
+    (_gauss.left_kernel), so S has full column rank iff K^T[T] has rank n - s.
     """
     subsets = iter(subsets)
-    checked = 0
+    n, m = table.shape[:2]
+    checked, kernel = 0, None
     while buf := list(itertools.islice(subsets, _MINOR_BATCH)):
+        sets = np.array(buf, dtype=np.intp)
+        if not checked and n - sets.shape[1] < m:
+            with contextlib.suppress(SingularSystem):
+                kernel = _gauss.left_kernel(table, ctx)
         checked += len(buf)
-        ok = _gauss.batch_is_invertible(table[np.array(buf, dtype=np.intp)], ctx)
+        if kernel is None:
+            stack = table[sets]
+        else:
+            outside = ~(sets[:, :, None] == np.arange(n)).any(axis=1)
+            stack = kernel[np.nonzero(outside)[1].reshape(len(buf), -1)].swapaxes(1, 2)
+        ok = _gauss.batch_is_invertible(stack, ctx)
         for i in np.flatnonzero(~ok):
             yield checked, tuple(buf[i])
 

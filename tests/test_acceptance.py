@@ -6,11 +6,13 @@ straggler-robustness numbers, security pass/fail boundaries, evaluation
 cost bounds, and byte-level determinism of the command-line tools.
 """
 
+import hashlib
 import itertools
 import math
 import os
 import random
 
+import numpy as np
 import pytest
 
 from sdmm import _gauss, examples
@@ -23,6 +25,7 @@ from sdmm.linalg import (
     is_mds,
     mp_plan,
     security_check,
+    singular_minors,
 )
 from sdmm.matpoly import BlockMatrix, MatPoly
 from sdmm.protocol import (
@@ -143,6 +146,34 @@ def test_criterion_06_t1_deployment_robustness():
             decode({n: responses[n] for n in keep}, plan)
 
 
+# the straggler sets of the GF(61) deployment's 24 rank-deficient 26-survivor sets
+GF61_DEFICIENT_26 = (
+    (11, 24, 25, 26), (10, 24, 25, 26), (10, 11, 25, 26), (10, 11, 24, 26),
+    (10, 11, 24, 25), (9, 24, 25, 26), (9, 11, 25, 26), (9, 11, 24, 26),
+    (9, 11, 24, 25), (9, 10, 25, 26), (9, 10, 24, 26), (9, 10, 24, 25),
+    (9, 10, 11, 26), (9, 10, 11, 25), (9, 10, 11, 24), (5, 8, 11, 22),
+    (4, 7, 10, 21), (3, 6, 9, 23), (2, 10, 23, 28), (2, 5, 21, 26),
+    (1, 9, 22, 27), (1, 4, 23, 25), (0, 11, 21, 29), (0, 3, 22, 24),
+)
+
+
+def test_criterion_07_deficient_26_survivor_sets():
+    """24 of the deployment's 27,405 26-survivor sets are rank deficient.
+
+    Any 4 stragglers among workers 9-11 and 24-26 (hypernodes 3 and 8)
+    make 15 of them; 9 more spread over other hypernodes. Each is confirmed
+    by a direct rank of its 26 x 25 system.
+    """
+    plan = examples.gf61_plan()
+    bad = list(singular_minors(plan.worker_table,
+                               itertools.combinations(range(30), 26), F61))
+    assert bad[-1][0] == math.comb(30, 26) == 27405
+    stragglers = [tuple(sorted(set(range(30)) - set(s))) for _, s in bad]
+    assert tuple(stragglers) == GF61_DEFICIENT_26
+    for _, s in bad:
+        assert _gauss.rank(plan.worker_table[list(s)], F61) == 24
+
+
 def test_criterion_07_t2_deployment_mds_claim():
     """The 30-worker GF(61) deployment is secure but not MDS on its support.
 
@@ -152,8 +183,10 @@ def test_criterion_07_t2_deployment_mds_claim():
     bound still succeeds for other failure patterns. By default the scan
     samples minors and every pair of stragglers is decoded. With
     SDMM_FULL_MINORS=1 the scan walks the 142506 minors in order up to the
-    first singular one, and every one of the 4060 three-straggler patterns
-    is decoded too (about 20 s).
+    first singular one, all 2430 singular minors are listed and pinned, and
+    every one of the 4060 three-straggler patterns is decoded too (about
+    6 s on a 2-core machine, nearly all of it in the decodes; listing the
+    singular minors takes about 0.6 s).
     """
     full = os.environ.get("SDMM_FULL_MINORS") == "1"
     assert examples.check_security_t2_61() is None
@@ -165,6 +198,15 @@ def test_criterion_07_t2_deployment_mds_claim():
     mat = gv_matrix(plan.worker_points, supp, F61)
     if full:
         scan = is_mds(mat, mode="exhaustive", budget=200_000)
+        # every singular 25-survivor set, each confirmed by a direct rank
+        bad = list(singular_minors(plan.worker_table,
+                                   itertools.combinations(range(30), 25), F61))
+        assert len(bad) == 2430 and bad[-1][0] == math.comb(30, 25) == 142506
+        assert bad[0] == (scan.checked, scan.witness)
+        rows = np.array([s for _, s in bad])
+        assert not _gauss.batch_is_invertible(plan.worker_table[rows], F61).any()
+        digest = hashlib.sha256(repr([s for _, s in bad]).encode()).hexdigest()
+        assert digest == "38db76f41c35ac0cda04602a53191c02804cc047ade1582ced3d8d8e1ada2f8c"
     else:
         scan = is_mds(mat, mode="random", samples=10_000,
                       rng=random.Random("sdmm-acceptance-7"))

@@ -387,6 +387,27 @@ def test_solve_needs_as_many_equations_as_unknowns():
     assert counter.count == 0
 
 
+@pytest.mark.parametrize("ctx", [FIELDS[0], FIELDS[1], FIELDS[3], FIELDS[4]], ids=repr)
+def test_left_kernel_annihilates_the_table(ctx):
+    rng = random.Random(15)
+    for n, m in ((5, 3), (6, 1), (7, 5), (4, 4)):
+        rows = rand_rows(n, m, ctx, rng)
+        kernel = _gauss.left_kernel(BlockMatrix(rows, ctx).array, ctx)
+        assert kernel.shape == (n, n - m, ctx.r)
+        if n > m:
+            kt = [list(col) for col in zip(*rows_of(kernel, ctx))]
+            assert all(v.is_zero() for row in ref_matmul(kt, rows, ctx) for v in row)
+            assert ref_rank(kt) == n - m
+        # a repeated or zero column leaves V without full column rank
+        j, src = rng.randrange(m), rng.randrange(m)
+        for row in rows:
+            row[j] = row[src] if src != j else ctx.zero()
+        with pytest.raises(SingularSystem):
+            _gauss.left_kernel(BlockMatrix(rows, ctx).array, ctx)
+    with pytest.raises(SingularSystem):
+        _gauss.left_kernel(BlockMatrix(rand_rows(2, 3, ctx, rng), ctx).array, ctx)
+
+
 # -- a whole protocol run above 2^31 ------------------------------------------------
 
 

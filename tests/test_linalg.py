@@ -1,11 +1,12 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdmm import _gauss
+from sdmm import _gauss, linalg
 from sdmm.errors import (
     BadSpec,
     BudgetExceeded,
@@ -203,6 +204,48 @@ def test_tall_row_sets_need_full_column_rank(ctx):
     assert list(got) == full
     assert list(singular_minors(table, sets, ctx)) == [
         (len(sets), s) for s, ok in zip(sets, full) if not ok]
+
+
+KERNEL_FIELDS = (make_field(13), make_field(2**31 - 1), make_field(2**61 - 1),
+                 make_field(13, 2))
+
+
+@given(st.integers(0, 2**32), st.sampled_from(range(len(KERNEL_FIELDS))),
+       st.integers(1, 4), st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from(["random", "planted", "deficient"]), st.integers(1, 9))
+@settings(max_examples=80, deadline=None)
+def test_kernel_side_matches_the_direct_scan(seed, fid, m, extra, short, kind, batch):
+    # s-row sets of an n x m table, with s from m (square) up to n; sets
+    # with n - s < m on a full-column-rank table go to the left kernel
+    ctx = KERNEL_FIELDS[fid]
+    rng = random.Random(seed)
+    n = m + extra
+    s = max(m, n - short)
+    # "planted": the rows outside `free` lie in a hyperplane, so exactly
+    # the sets missing every row of `free` fail; "deficient": all rows do
+    free = set(rng.sample(range(n), rng.randint(1, max(1, n - s))))
+    if kind == "deficient":
+        free = set()
+    basis = rand_rows(m - 1, m, ctx, rng)
+    rows = rand_rows(n, m, ctx, rng)
+    if kind != "random":
+        for i in set(range(n)) - free:
+            coef = [ctx.random_element(rng) for _ in basis]
+            rows[i] = [sum((c * b[j] for c, b in zip(coef, basis)), ctx.zero())
+                       for j in range(m)]
+    table = BlockMatrix(rows, ctx).array
+    sets = list(itertools.combinations(range(n), s))
+    direct = _gauss.batch_is_invertible(table[np.array(sets)], ctx)
+    want = [(min(len(sets), (i // batch + 1) * batch), sets[i])
+            for i in np.flatnonzero(~direct)]
+    with mock.patch.object(linalg, "_MINOR_BATCH", batch), \
+            mock.patch.object(_gauss, "left_kernel", wraps=_gauss.left_kernel) as spy:
+        assert list(singular_minors(table, iter(sets), ctx)) == want
+    assert spy.call_count == (n - s < m)
+    if kind == "planted" and len(free) <= n - s:
+        assert not direct.all()
+    if kind == "deficient":
+        assert not direct.any()
 
 
 def test_is_mds_budget_and_random_mode():
