@@ -11,9 +11,9 @@ operand into 16-bit limbs and the inner dimension into chunks of 2^16
 (the delayed-reduction idea of FFLAS-FFPACK), which keeps every int64 dot
 product below 2^63 before it is reduced.
 
-ranks, a batched forward elimination, answers every rank question; rank
-and batch_is_invertible call it. _eliminate, the only Gauss-Jordan loop,
-serves solve and left_kernel and inverts each pivot as a boxed FieldElement.
+ranks, a batched division-free forward elimination, answers every rank
+question. _eliminate, the only Gauss-Jordan loop, serves solve and
+left_kernel; its boxed pivot inverse is the only field inversion here.
 """
 
 from __future__ import annotations
@@ -182,11 +182,12 @@ def powers(points: np.ndarray, exponents, ctx: FieldCtx) -> np.ndarray:
 def ranks(stack: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Pivot counts of every matrix in a (batch, n, m, r) residue stack.
 
-    Forward elimination of all matrices at once, with pivots inverted by
-    the Fermat ladder x^(q-2). The pivot row moves down at a column where
-    some matrix has a pivot; a matrix without one there counts none and is
-    left alone. So the count is the rank of a single matrix, and in any
-    batch it equals m exactly when the matrix has full column rank.
+    Forward elimination of all matrices at once, division-free as in
+    Bareiss: each row below the pivot row becomes pivot * row - lead *
+    pivot_row. The pivot row moves down at a column where some matrix has
+    a pivot; a matrix without one counts none (its zero pivot clears its
+    rows below), and the others keep their rank. So the count is exact for
+    a single matrix and equals m in any batch exactly at full column rank.
     """
     p = ctx.p
     M = stack % p
@@ -204,10 +205,9 @@ def ranks(stack: np.ndarray, ctx: FieldCtx) -> np.ndarray:
         count += hit
         piv_row = row + nz.argmax(axis=1)
         M[idx, row, col:], M[idx, piv_row, col:] = M[idx, piv_row, col:], M[idx, row, col:]
-        inv = powers(M[:, row, col], [ctx.order - 2], ctx)
-        lead = mul(M[:, row + 1:, col], inv, ctx)
         block = M[:, row + 1:, col + 1:]
-        block -= mul(lead[:, :, None], M[:, row, None, col + 1:], ctx)
+        block[...] = (mul(M[:, row, None, None, col], block, ctx)
+                      - mul(M[:, row + 1:, col, None], M[:, row, None, col + 1:], ctx))
         # entries now lie in (-p, p); a negative one shifts to -1, adding p
         block += block >> p.bit_length() & p
         row += 1

@@ -216,8 +216,6 @@ def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
     P, N = mat.rows, mat.cols
     if P > N:
         raise ShapeMismatch(f"matrix is {P}x{N}; needs at least as many columns as rows")
-    if P == 0:
-        return MdsResult(True, mode, 0, 1)
     total = math.comb(N, P)
     if mode == "exhaustive":
         if total > budget:
@@ -234,6 +232,8 @@ def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
         planned = samples
     else:
         raise BadSpec(f"unknown mode {mode!r}")
+    if P == 0:
+        return MdsResult(True, mode, 0, total)
 
     for checked, cols in singular_minors(mat.array.transpose(1, 0, 2), subsets, mat.ctx):
         return MdsResult(False, mode, checked, total, witness=cols)
@@ -328,11 +328,11 @@ def security_check(plan: EvaluationPlan, budget: int = 10_000_000) -> SecurityRe
     Checks every T x T minor of both noise observation matrices, raising
     BudgetExceeded when either has more than budget minors; when each
     minor is invertible, the T colluding shares are one-time padded by the
-    uniform noise blocks.
+    uniform noise blocks. Equal matrices (every mp plan) share one scan.
     """
     sig_a, sig_b = security_matrices(plan)
     res_a = is_mds(sig_a, budget=budget)
-    res_b = is_mds(sig_b, budget=budget)
+    res_b = res_a if sig_b == sig_a else is_mds(sig_b, budget=budget)
     return SecurityResult(res_a.ok and res_b.ok, res_a, res_b)
 
 

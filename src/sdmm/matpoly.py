@@ -373,15 +373,15 @@ def evaluate(poly: MatPoly, points: Iterable[FieldElement],
     return [BlockMatrix(v.reshape(poly.rows, poly.cols, ctx.r), ctx) for v in values]
 
 
-def interpolate(points: Iterable[FieldElement], values: Iterable[BlockMatrix],
-                exponents: Iterable[int], ctx: FieldCtx,
-                counter: Optional[MultCounter] = None, *,
+def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int],
+                ctx: FieldCtx, counter: Optional[MultCounter] = None, *,
                 table: Optional[np.ndarray] = None) -> MatPoly:
     """Recover the coefficients of a polynomial with known support.
 
     Solves sum_e C_e x_n^e = V_n entry-wise across blocks of one shape over
-    ctx. Needs at least as many evaluations as exponents; raises
-    SingularSystem when the points do not determine the coefficients.
+    ctx, given as blocks or as their residue stack (n, rows, cols, r). Needs
+    at least as many evaluations as exponents; raises SingularSystem when
+    the points do not determine the coefficients.
     table, when given, is the power table of the points on the sorted
     distinct exponents, shape (points, exponents, r), as an EvaluationPlan
     keeps it; it is used as is instead of being computed from the points,
@@ -390,15 +390,15 @@ def interpolate(points: Iterable[FieldElement], values: Iterable[BlockMatrix],
     the solve.
     """
     pts = list(points)
-    vals = list(values)
+    vals = values if isinstance(values, np.ndarray) else list(values)
     exps = sorted(set(int(e) for e in exponents))
     if len(pts) != len(vals):
         raise ShapeMismatch("points and values differ in length")
     if len(pts) < len(exps):
         raise SingularSystem("fewer evaluations than unknown coefficients")
-    if not vals:
+    if not len(vals):
         raise ShapeMismatch("no evaluations supplied")
-    rhs = stack_blocks(vals, ctx)
+    rhs = vals if isinstance(vals, np.ndarray) else stack_blocks(vals, ctx)
     shape = rhs.shape[1:3]
     if table is None:
         table = _gauss.powers(_point_array(pts, ctx), exps, ctx)

@@ -31,7 +31,7 @@ from .errors import (
     SingularSystem,
 )
 from .fields import FieldCtx, MultCounter
-from .linalg import EvaluationPlan, MdsResult, gv_matrix, is_mds, singular_minors
+from .linalg import EvaluationPlan, MdsResult, is_mds, singular_minors
 from .matpoly import BlockMatrix, MatPoly, evaluate, interpolate, stack_blocks
 from .schemes import (
     SchemeParams,
@@ -147,7 +147,7 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
                 counter.add(len(complete) * (M + 1) * rows * cols)
             terms = _gauss.mul(stack.reshape(len(complete), M, rows, cols, ctx.r),
                                plan.hypernode_weights[:, None, None], ctx)
-            vals = [BlockMatrix(v, ctx) for v in terms.sum(axis=1) % ctx.p]
+            vals = terms.sum(axis=1) % ctx.p
             pts = [plan.base_points[p] for p in complete]
             try:
                 return _read_blocks(interpolate(pts, vals, class_supp, ctx, counter,
@@ -459,7 +459,7 @@ def mp_recovery_threshold_with_security(params: Optional[SchemeParams],
         if mode == "auto":
             use_mode = "exhaustive" if total <= budget else "random"
         rng = random.Random(f"sdmm-recovery-{seed}")
-        mat = gv_matrix(plan.worker_points, supp, plan.ctx)
+        mat = BlockMatrix(plan.worker_table.transpose(1, 0, 2), plan.ctx)
         scan = is_mds(mat, mode=use_mode, budget=budget, samples=samples, rng=rng)
     if n_prime <= upper and (gapless or scan.ok):
         thresh, certified = n_prime, use_mode != "random"

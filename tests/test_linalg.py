@@ -255,16 +255,19 @@ def test_is_mds_budget_and_random_mode():
         is_mds(mat, budget=1000)
     res = is_mds(mat, mode="random", samples=200, rng=random.Random(5))
     assert res.ok and res.checked == 200
-    with pytest.raises(BadSpec):
-        is_mds(mat, mode="bogus")
+    # a matrix with no rows has one empty minor, but a bad mode still raises
+    for m in (mat, BlockMatrix(np.zeros((0, 3, 1), np.int64), F13)):
+        with pytest.raises(BadSpec):
+            is_mds(m, mode="bogus")
 
 
 @pytest.mark.parametrize("samples", [0, -4])
 def test_random_mode_needs_a_positive_sample_count(samples):
     # a singular matrix must not pass as MDS on zero samples
-    mat = BlockMatrix([[1, 2], [1, 2]], F31)
-    with pytest.raises(BadSpec):
-        is_mds(mat, mode="random", samples=samples)
+    for mat in (BlockMatrix([[1, 2], [1, 2]], F31),
+                BlockMatrix(np.zeros((0, 3, 1), np.int64), F13)):
+        with pytest.raises(BadSpec):
+            is_mds(mat, mode="random", samples=samples)
 
 
 def test_is_mds_generic_path_matches_numpy_path():
@@ -320,6 +323,20 @@ def test_security_shared_square_always_fails():
         res = security_check(mp_plan(params, F13, [a]))
         assert not res.ok
         assert not res.sigma_a.ok and res.sigma_a.witness is not None
+
+
+@pytest.mark.parametrize("params, field, scans", [
+    (SchemeParams.mp(2, 3, 2, 2), F31, 1),  # alpha = beta: sigma_b is sigma_a
+    (SchemeParams.ggasp(2, 3, 2, 2, r=1), make_field(7681), 2),
+])
+def test_security_check_scans_each_distinct_matrix_once(params, field, scans):
+    plan = find_evaluation_vector(params, field, seed=0)
+    with mock.patch.object(linalg, "is_mds", wraps=linalg.is_mds) as spy:
+        res = security_check(plan)
+    assert spy.call_count == scans
+    assert (res.sigma_b is res.sigma_a) == (scans == 1)
+    sig_a, sig_b = security_matrices(plan)
+    assert res.sigma_a == is_mds(sig_a) and res.sigma_b == is_mds(sig_b)
 
 
 def test_security_single_noise_term_passes():

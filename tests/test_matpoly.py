@@ -269,6 +269,20 @@ def test_interpolate_uses_a_supplied_power_table_of_the_right_shape():
             interpolate(pts, vals, [0, 2], F31, table=bad)
 
 
+def test_interpolate_takes_the_residue_stack_of_the_values():
+    rng = random.Random(6)
+    p = rand_poly((2, 3), F31, rng, max_exp=6, n_terms=3)
+    pts = [F31.element(i) for i in range(1, 5)]
+    vals = [p.evaluate_naive(x) for x in pts]
+    from_blocks, from_stack = MultCounter(), MultCounter()
+    stack = np.stack([v.array for v in vals])
+    assert interpolate(pts, stack, p.support(), F31, from_stack) == p
+    assert interpolate(pts, vals, p.support(), F31, from_blocks) == p
+    assert from_stack.count == from_blocks.count
+    with pytest.raises(ShapeMismatch):
+        interpolate(pts, stack[:3], p.support(), F31)
+
+
 def test_interpolate_overdetermined_consistent():
     rng = random.Random(7)
     p = rand_poly((1, 2), F31, rng, max_exp=8, n_terms=3)
