@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 
 from . import _gauss
-from .errors import BudgetExhausted, SdmmError
+from .errors import BudgetExhausted, InsufficientResponses, SdmmError
 from .fields import make_field, primitive_root_of_unity, subgroup_elements
 from .linalg import (
     EvaluationPlan,
@@ -391,8 +391,10 @@ def check_robustness_hypernode_rule():
         resp = {n: shares[n] for p in keep for n in plan.hypernode_workers(p)}
         try:
             decode(resp, plan)
-        except SdmmError:
+        except InsufficientResponses:
             failures += 1
+        except SdmmError as exc:
+            return f"6 complete hypernodes {keep}: {type(exc).__name__}, not InsufficientResponses"
     if failures != 28:
         return f"only {failures}/28 bare 6-hypernode sets failed; 18 responses must not suffice"
     return None

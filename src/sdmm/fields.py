@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     BadSpec,
@@ -58,18 +58,38 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Sorted distinct prime factors of n, by trial division."""
+    """Sorted distinct prime factors of n.
+
+    Trial division by d < 1024 settles every n below 2^20; a larger
+    cofactor is split by Pollard's rho, with is_prime deciding primality.
+    """
     factors = []
     d = 2
-    while d * d <= n:
+    while d < 1024 and d * d <= n:
         if n % d == 0:
             factors.append(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append(n)
-    return factors
+    if n < d * d:  # n has no factor below d, so it is 1 or a prime
+        return factors + [n] if n > 1 else factors
+    pending, large = [n], set()
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            large.add(m)
+            continue
+        c, g = 0, m
+        while g == m:  # rho on x -> x^2 + c, Floyd's cycle finding
+            c += 1
+            x, y, g = 2, 2, 1
+            while g == 1:
+                x = (x * x + c) % m
+                y = (y * y + c) % m
+                y = (y * y + c) % m
+                g = math.gcd(x - y, m)
+        pending += [g, m // g]
+    return factors + sorted(large)
 
 
 class MultCounter:
@@ -188,11 +208,6 @@ class FieldCtx:
             coeffs.append(idx % self.p)
             idx //= self.p
         return FieldElement(tuple(coeffs), self)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        """All field elements in canonical index order (small fields only)."""
-        for idx in range(self.order):
-            yield self.from_index(idx)
 
     def random_element(self, rng: random.Random, nonzero: bool = False) -> "FieldElement":
         lo = 1 if nonzero else 0
@@ -330,17 +345,6 @@ class FieldElement:
 
     def __pow__(self, e: int):
         return self.pow_(e)
-
-    def multiplicative_order(self) -> int:
-        """Order of the element in the multiplicative group."""
-        if self.is_zero():
-            raise DivisionByZero("zero is not in the multiplicative group")
-        n = self.ctx.order - 1
-        order = n
-        for q in prime_factors(n):
-            while order % q == 0 and self.pow_(order // q) == self.ctx.one():
-                order //= q
-        return order
 
     # -- comparisons -----------------------------------------------------------
 

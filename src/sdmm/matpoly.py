@@ -14,7 +14,6 @@ elimination spend; evaluate_naive is the scalar power-sum reference.
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Iterable, Mapping, Optional
 
@@ -27,7 +26,6 @@ from .fields import (
     FieldElement,
     MultCounter,
     is_primitive_root_of_unity,
-    parse_field_spec,
 )
 
 
@@ -140,46 +138,10 @@ class BlockMatrix:
 
     # -- serialization ------------------------------------------------------------
 
-    def _entry_strs(self) -> list[list[str]]:
-        # an entry is its comma-joined coefficients: a plain int when r = 1
-        return [[",".join(map(str, e)) for e in row] for row in self.array.tolist()]
-
     def to_text(self) -> str:
-        lines = [f"{self.rows} {self.cols} {self.ctx.spec_string()}"]
-        lines.extend(" ".join(row) for row in self._entry_strs())
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "BlockMatrix":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            raise BadSpec("empty matrix text")
-        head = lines[0].split()
-        if len(head) != 3:
-            raise BadSpec("matrix header must be 'rows cols fieldspec'")
-        try:
-            rows, cols = int(head[0]), int(head[1])
-        except ValueError as exc:
-            raise BadSpec("matrix header must be 'rows cols fieldspec'") from exc
-        ctx = parse_field_spec(head[2])
-        if len(lines) != rows + 1:
-            raise BadSpec(f"expected {rows} matrix rows, got {len(lines) - 1}")
-        data = []
-        for ln in lines[1:]:
-            entries = ln.split()
-            if len(entries) != cols:
-                raise BadSpec(f"expected {cols} entries per row, got {len(entries)}")
-            data.append([_parse_entry(tok, ctx) for tok in entries])
-        return cls(data, ctx)
-
-
-def _parse_entry(tok: str, ctx: FieldCtx) -> FieldElement:
-    try:
-        if "," in tok:
-            return ctx.element([int(c) for c in tok.split(",")])
-        return ctx.element(int(tok))
-    except ValueError as exc:
-        raise BadSpec(f"cannot parse matrix entry {tok!r}") from exc
+        # an entry is its comma-joined coefficients: a plain int when r = 1
+        rows = (" ".join(",".join(map(str, e)) for e in row) for row in self.array.tolist())
+        return "\n".join([f"{self.rows} {self.cols} {self.ctx.spec_string()}", *rows]) + "\n"
 
 
 class MatPoly:
@@ -222,7 +184,8 @@ class MatPoly:
         return blk
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, MatPoly) and self.terms == other.terms
+        return (isinstance(other, MatPoly) and self.ctx == other.ctx
+                and self.terms == other.terms
                 and (self.rows, self.cols) == (other.rows, other.cols))
 
     def __repr__(self) -> str:
@@ -272,31 +235,6 @@ class MatPoly:
                            counter: Optional[MultCounter] = None) -> BlockMatrix:
         """The value at x, counted as sparse Horner spends it (see evaluate)."""
         return evaluate(self, [x], counter)[0]
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_json(self) -> str:
-        obj = {
-            "field": self.ctx.spec_string(),
-            "rows": self.rows,
-            "cols": self.cols,
-            "terms": {str(e): c._entry_strs() for e, c in self.terms.items()},
-        }
-        return json.dumps(obj, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MatPoly":
-        try:
-            obj = json.loads(text)
-            ctx = parse_field_spec(obj["field"])
-            shape = (int(obj["rows"]), int(obj["cols"]))
-            terms = {}
-            for e_str, rows in obj["terms"].items():
-                data = [[_parse_entry(str(v), ctx) for v in row] for row in rows]
-                terms[int(e_str)] = BlockMatrix(data, ctx)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise BadSpec(f"cannot parse polynomial JSON: {exc}") from exc
-        return cls(terms, shape, ctx)
 
 
 def mod_m_transform(h: MatPoly, zeta: FieldElement, M: int) -> MatPoly:

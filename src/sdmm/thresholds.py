@@ -18,18 +18,12 @@ interpolates the full support, so its threshold N equals the support size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import BadSpec
 from .schemes import EXPLICIT, GGASP, MP, SchemeParams
-
-
-def admissible_ds(M: int) -> tuple[int, ...]:
-    """Step sizes coprime to M, the valid choices for the modular layout."""
-    return tuple(d for d in range(1, M + 1) if math.gcd(d, M) == 1)
 
 
 def symbolic_support(params: SchemeParams) -> tuple[int, ...]:

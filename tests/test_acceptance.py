@@ -17,7 +17,12 @@ import pytest
 
 from sdmm import _gauss, examples
 from sdmm.cli import main as cli_main
-from sdmm.errors import BudgetExhausted, InsufficientResponses, SingularSystem
+from sdmm.errors import (
+    BudgetExhausted,
+    InconsistentResponses,
+    InsufficientResponses,
+    SingularSystem,
+)
 from sdmm.fields import MultCounter, make_field
 from sdmm.linalg import (
     find_evaluation_vector,
@@ -37,7 +42,6 @@ from sdmm.protocol import (
 )
 from sdmm.schemes import SchemeParams
 from sdmm.thresholds import (
-    admissible_ds,
     product_class_support,
     symbolic_support,
     threshold,
@@ -46,6 +50,11 @@ from sdmm.thresholds import (
 F13 = make_field(13)
 F31 = make_field(31)
 F61 = make_field(61)
+
+
+def admissible_ds(M):
+    """Step sizes coprime to M, the valid choices for the modular layout."""
+    return tuple(d for d in range(1, M + 1) if math.gcd(d, M) == 1)
 
 
 def _encode_all(plan, A, B, seed):
@@ -144,6 +153,20 @@ def test_criterion_06_t1_deployment_robustness():
         keep = [n for p in hypers for n in plan.hypernode_workers(p)]
         with pytest.raises(InsufficientResponses):
             decode({n: responses[n] for n in keep}, plan)
+
+
+def test_hypernode_rule_check_rejects_a_decode_that_fails_for_another_reason(monkeypatch):
+    # the 28 bare 6-hypernode sets must fail for too few responses; any other
+    # decode error on them is a fault the check has to report
+    real_decode = examples.decode
+
+    def inconsistent_on_bare_sets(responses, plan, *args, **kwargs):
+        if len(responses) == 18:
+            raise InconsistentResponses("injected")
+        return real_decode(responses, plan, *args, **kwargs)
+
+    monkeypatch.setattr(examples, "decode", inconsistent_on_bare_sets)
+    assert "InconsistentResponses" in examples.check_robustness_hypernode_rule()
 
 
 # the straggler sets of the GF(61) deployment's 24 rank-deficient 26-survivor sets

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,10 +36,46 @@ def test_is_prime_small():
     assert is_prime(2**31 - 1)
 
 
+def multiplicative_order(a):
+    """Order of a nonzero element in the multiplicative group."""
+    order = a.ctx.order - 1
+    for q in prime_factors(order):
+        while order % q == 0 and a.pow_(order // q) == a.ctx.one():
+            order //= q
+    return order
+
+
+def _trial_division(n):
+    factors, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return factors + [n] if n > 1 else factors
+
+
 def test_prime_factors():
     assert prime_factors(60) == [2, 3, 5]
     assert prime_factors(13) == [13]
     assert prime_factors(1024) == [2]
+    # every n below 2^14, then n that leave a composite cofactor above 2^20
+    # after trial division, which Pollard's rho has to split
+    for n in range(-2, 1 << 14):
+        assert prime_factors(n) == _trial_division(n)
+    for n in (1031 * 1033, 1031 ** 2, 2 * 1031 ** 3 * 1033, 999983 * 1000003,
+              2 ** 59 - 1):
+        assert prime_factors(n) == _trial_division(n)
+
+
+def test_prime_factors_of_a_61_bit_safe_prime_group_is_fast():
+    # 2305843009213691579 = 2 * 1152921504606845789 + 1; trial division up
+    # to the square root of the cofactor took minutes
+    start = time.perf_counter()
+    assert prime_factors(1152921504606845789) == [1152921504606845789]
+    assert prime_factors(2305843009213691578) == [2, 1152921504606845789]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_make_field_rejects_composites():
@@ -105,7 +142,7 @@ def test_field_spec_round_trip():
 def test_extension_field_size():
     ctx = make_field(13, 2)
     assert ctx.order == 169
-    seen = {e.index() for e in ctx.elements()}
+    seen = {ctx.from_index(i).index() for i in range(ctx.order)}
     assert len(seen) == 169
 
 
@@ -179,7 +216,7 @@ def test_multiplicative_order_divides_group_order(fe):
     ctx, (a,) = fe
     if a.is_zero():
         return
-    order = a.multiplicative_order()
+    order = multiplicative_order(a)
     assert (ctx.order - 1) % order == 0
     assert a.pow_(order) == ctx.one()
 
@@ -199,7 +236,7 @@ def test_primitive_root_order_is_exact():
     ctx = make_field(61)
     for m in (2, 3, 4, 5, 6, 10, 12, 20):
         z = primitive_root_of_unity(ctx, m)
-        assert z.multiplicative_order() == m
+        assert multiplicative_order(z) == m
 
 
 def test_subgroup_elements():

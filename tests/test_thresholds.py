@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from sdmm.errors import BadSpec
 from sdmm.schemes import SchemeParams
 from sdmm.thresholds import (
-    admissible_ds,
     ggasp_threshold_closed_form,
     mp_threshold_closed_form,
     optimal_r,
@@ -21,6 +20,11 @@ from sdmm.thresholds import (
     threshold_lower_bound,
 )
 from sdmm import thresholds
+
+
+def admissible_ds(M):
+    """Step sizes coprime to M, the valid choices for the modular layout."""
+    return tuple(d for d in range(1, M + 1) if math.gcd(d, M) == 1)
 
 
 def test_admissible_ds():
