@@ -48,7 +48,6 @@ from .linalg import (
     decodability_check,
     find_evaluation_vector,
     ggasp_plan,
-    gv_matrix,
     is_mds,
     mp_plan,
     security_check,
@@ -127,7 +126,6 @@ __all__ = [
     "encode",
     "find_evaluation_vector",
     "ggasp_plan",
-    "gv_matrix",
     "interpolate",
     "is_mds",
     "make_field",

@@ -35,9 +35,12 @@ def as_array(data, ctx: FieldCtx) -> np.ndarray:
 
     data is either a residue array of shape (rows, cols, r), returned as is
     when its dtype fits, or nested rows whose entries are ints,
-    FieldElements or coefficient sequences.
+    FieldElements or coefficient sequences. Another array shape or a foreign
+    entry raises ShapeMismatch; array residues must already lie in [0, p).
     """
     if isinstance(data, np.ndarray):
+        if data.ndim != 3 or data.shape[2] != ctx.r:
+            raise ShapeMismatch(f"residue array of shape {data.shape} is not (rows, cols, {ctx.r})")
         return np.asarray(data, dtype=dtype(ctx))
     rows = [list(row) for row in data]
     cols = len(rows[0]) if rows else 0
@@ -141,7 +144,7 @@ def solve(rows, rhs, ctx: FieldCtx, counter=None) -> np.ndarray:
 
 
 def left_kernel(table: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Basis K^T, shape (n, n - m, r), of {y : y^T V = 0} for an (n, m, r) V.
+    """Rows K, shape (n - m, n, r), spanning {y : y^T V = 0} for an (n, m, r) V.
 
     Eliminating [V | I_n] leaves E V = [I_m; 0], so the last n - m rows of E
     span it. A V without full column rank raises SingularSystem.
@@ -150,7 +153,7 @@ def left_kernel(table: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     eye = np.eye(n, dtype=dtype(ctx))[..., None] * (np.arange(ctx.r) == 0)
     M = np.concatenate([as_array(table, ctx), eye], axis=1)
     _eliminate(M, m, ctx)
-    return M[m:, m:].transpose(1, 0, 2)
+    return M[m:, m:]
 
 
 def rank(rows, ctx: FieldCtx) -> int:

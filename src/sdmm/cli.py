@@ -381,8 +381,11 @@ def main(argv=None) -> int:
     except (BudgetExceeded, BudgetExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for field_diag in getattr(exc, "diagnostics", {}).get("fields", []):
-            if field_diag.get("gate"):
-                print(f"  {field_diag['gate']}", file=sys.stderr)
+            reason = field_diag.get("gate") or (
+                f"field {field_diag['field']}: {field_diag['attempts']} attempts, "
+                f"{field_diag['decode_failures']} decode failures, "
+                f"{field_diag['security_failures']} security failures")
+            print(f"  {reason}", file=sys.stderr)
         return 3
     except DecodeFailed as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,6 @@ from .linalg import (
     EvaluationPlan,
     decodability_check,
     find_evaluation_vector,
-    gv_matrix,
     is_mds,
     mp_plan,
     security_check,
@@ -297,11 +296,9 @@ def check_security_t2_61():
 
 def check_find_noise_free_31():
     plan = gf31_plan(0, 6)
-    supp_hat = product_class_support(plan.params)
-    if not decodability_check(plan, supp_hat):
+    if not decodability_check(plan, plan.class_support):
         return "base points (powers of 15) cannot solve the filtered support"
-    mat = gv_matrix(plan.base_points, supp_hat, plan.ctx)
-    if not is_mds(mat).ok:
+    if not is_mds(plan.base_table, plan.ctx).ok:
         return "base-point evaluation matrix is not MDS on the filtered support"
     found = find_evaluation_vector(plan.params, plan.ctx, n_hypernodes=6, seed=0)
     if found.n_workers != 18:
@@ -402,14 +399,12 @@ def check_robustness_hypernode_rule():
 
 def check_robustness_t2_witness():
     plan = gf61_plan()
-    supp = symbolic_support(plan.params)
-    witness_points = [1, 2, 6, 7, 8, 9, 10, 13, 17, 19, 22, 24, 25, 26, 30,
-                      31, 33, 38, 39, 42, 43, 47, 54, 56, 57]
-    have = {x.index() for x in plan.worker_points}
-    if not set(witness_points) <= have:
+    witness_points = {1, 2, 6, 7, 8, 9, 10, 13, 17, 19, 22, 24, 25, 26, 30,
+                      31, 33, 38, 39, 42, 43, 47, 54, 56, 57}
+    rows = [n for n, x in enumerate(plan.worker_points) if x.index() in witness_points]
+    if len(rows) != len(witness_points):
         return "frozen witness points are not a subset of the deployment"
-    mat = gv_matrix([plan.ctx.element(v) for v in witness_points], supp, plan.ctx)
-    rank = _gauss.rank(mat.array, plan.ctx)
+    rank = _gauss.rank(plan.worker_table[rows], plan.ctx)
     if rank != 24:
         return f"frozen 25-point witness has rank {rank}, expected 24 (singular)"
     rec = mp_recovery_threshold_with_security(None, plan)

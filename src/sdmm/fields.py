@@ -24,6 +24,7 @@ from .errors import (
     NoSuchSubgroup,
     NotIrreducible,
     NotPrime,
+    ShapeMismatch,
 )
 
 MAX_PRIME_BITS = 61
@@ -182,17 +183,20 @@ class FieldCtx:
     # -- element factories ---------------------------------------------------
 
     def element(self, value) -> "FieldElement":
-        """Coerce an int (reduced mod p) or coefficient sequence to an element."""
+        """Coerce an int (reduced mod p) or coefficient sequence to an element.
+
+        A foreign element or a sequence of other than r coefficients raises ShapeMismatch.
+        """
         if isinstance(value, FieldElement):
             if value.ctx != self:
-                raise ValueError("element belongs to a different field")
+                raise ShapeMismatch("element belongs to a different field")
             return value
         if isinstance(value, int):
             coeffs = (value % self.p,) + (0,) * (self.r - 1)
             return FieldElement(coeffs, self)
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) != self.r:
-            raise ValueError(f"expected {self.r} coefficients, got {len(coeffs)}")
+            raise ShapeMismatch(f"expected {self.r} coefficients, got {len(coeffs)}")
         return FieldElement(coeffs, self)
 
     def zero(self) -> "FieldElement":
@@ -229,7 +233,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             if other.ctx is self.ctx or other.ctx == self.ctx:
                 return other
-            raise ValueError("field elements from different fields")
+            raise ShapeMismatch("field elements from different fields")
         if isinstance(other, int):
             return self.ctx.element(other)
         return NotImplemented

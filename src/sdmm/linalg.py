@@ -41,16 +41,8 @@ from .fields import (
     make_field,
     primitive_root_of_unity,
 )
-from .matpoly import BlockMatrix, _point_array
 from .schemes import GGASP, SchemeParams
 from .thresholds import product_class_support, symbolic_support
-
-
-def gv_matrix(points: Sequence[FieldElement], exponents: Sequence[int],
-              ctx: FieldCtx) -> BlockMatrix:
-    """Generalized Vandermonde matrix: entry (i, j) = points[j]^exponents[i]."""
-    table = _gauss.powers(_point_array(points, ctx), exponents, ctx)
-    return BlockMatrix(table.transpose(1, 0, 2), ctx)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -153,7 +145,7 @@ def mp_plan(params: SchemeParams, ctx: FieldCtx,
     base_points = tuple(base_points)
     if zeta is None:
         zeta = primitive_root_of_unity(ctx, M)
-    _point_array(base_points + (zeta,), ctx)
+    _gauss.as_array([base_points + (zeta,)], ctx)  # a foreign point raises ShapeMismatch
     if not is_primitive_root_of_unity(zeta, M):
         raise PlanInvalid(f"zeta={zeta!r} is not a primitive {M}-th root of unity")
     for a in base_points:
@@ -174,7 +166,7 @@ def ggasp_plan(params: SchemeParams, ctx: FieldCtx,
     Points from another field raise ShapeMismatch.
     """
     worker_points = tuple(worker_points)
-    _point_array(worker_points, ctx)
+    _gauss.as_array([worker_points], ctx)  # a foreign point raises ShapeMismatch
     for x in worker_points:
         if x.is_zero():
             raise ZeroEvaluationPoint("worker points must be nonzero")
@@ -201,21 +193,19 @@ class MdsResult:
     witness: Optional[tuple[int, ...]] = None
 
 
-def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
+def is_mds(table: np.ndarray, ctx: FieldCtx, mode: str = "exhaustive", budget: int = 10_000_000,
            samples: int = 1000, rng: Optional[random.Random] = None) -> MdsResult:
-    """Check that every square minor of full height is invertible.
+    """Check that every set of P points determines the P columns of table.
 
-    mat is P x N with P <= N; the P x P minors are the column subsets. In
-    exhaustive mode all comb(N, P) minors are visited unless that exceeds
-    the minor budget, in which case it raises BudgetExceeded. Random
-    mode samples `samples` subsets with the supplied (or a fresh seeded)
-    generator. A minor on columns S is singular iff the row space holds a
-    nonzero word vanishing on S, so when N - P < P it is decided as the
-    (N - P)-minor on the other columns of a basis of the dual (singular_minors).
+    table is point-major, (N, P, r) with P <= N, like EvaluationPlan.worker_table.
+    Exhaustive mode visits all comb(N, P) point sets unless that exceeds the
+    minor budget, in which case it raises BudgetExceeded; random mode samples
+    `samples` sets with the supplied (or a fresh seeded) generator. The
+    witness is the first singular set, as point indices (singular_minors).
     """
-    P, N = mat.rows, mat.cols
+    N, P = table.shape[:2]
     if P > N:
-        raise ShapeMismatch(f"matrix is {P}x{N}; needs at least as many columns as rows")
+        raise ShapeMismatch(f"table has {N} points for {P} columns; needs at least as many")
     total = math.comb(N, P)
     if mode == "exhaustive":
         if total > budget:
@@ -235,8 +225,8 @@ def is_mds(mat: BlockMatrix, mode: str = "exhaustive", budget: int = 10_000_000,
     if P == 0:
         return MdsResult(True, mode, 0, total)
 
-    for checked, cols in singular_minors(mat.array.transpose(1, 0, 2), subsets, mat.ctx):
-        return MdsResult(False, mode, checked, total, witness=cols)
+    for checked, rows in singular_minors(table, subsets, ctx):
+        return MdsResult(False, mode, checked, total, witness=rows)
     return MdsResult(True, mode, planned, total)
 
 
@@ -251,8 +241,9 @@ def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
 
     A set S of s > n - m rows of an n x m table V of full column rank is
     decided by its complement T: both fail exactly when col(V) = ker(K)
-    holds a nonzero vector inside T, for a basis K^T of V's left kernel
-    (_gauss.left_kernel), so S has full column rank iff K^T[T] has rank n - s.
+    holds a nonzero vector inside T, for a K whose rows span V's left
+    kernel (_gauss.left_kernel), so S has full column rank iff the n - s
+    columns T of K do.
     """
     subsets = iter(subsets)
     n, m = table.shape[:2]
@@ -267,7 +258,7 @@ def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
             stack = table[sets]
         else:
             outside = ~(sets[:, :, None] == np.arange(n)).any(axis=1)
-            stack = kernel[np.nonzero(outside)[1].reshape(len(buf), -1)].swapaxes(1, 2)
+            stack = kernel[:, np.nonzero(outside)[1].reshape(len(buf), -1)].swapaxes(0, 1)
         ok = _gauss.batch_is_invertible(stack, ctx)
         for i in np.flatnonzero(~ok):
             yield checked, tuple(buf[i])
@@ -293,7 +284,7 @@ def decodability_check(plan_or_points, exponents: Sequence[int],
     else:
         points = list(plan_or_points)
     exps = list(exponents)
-    table = _gauss.powers(_point_array(points, ctx), exps, ctx)
+    table = _gauss.powers(_gauss.as_array([points], ctx)[0], exps, ctx)
     return _gauss.rank(table, ctx) == len(exps)
 
 
@@ -304,10 +295,10 @@ class SecurityResult:
     sigma_b: MdsResult
 
 
-def security_matrices(plan: EvaluationPlan) -> tuple[BlockMatrix, BlockMatrix]:
-    """Noise observation maps: T x N matrices for the f and g noise blocks.
+def security_matrices(plan: EvaluationPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Noise observation tables: point-major (N, T, r) for the f and g noise blocks.
 
-    Row t, column n holds x_n^(K*M*L + alpha_t) (resp. beta_t): the factor
+    Row n, column t holds x_n^(K*M*L + alpha_t) (resp. beta_t): the factor
     by which noise block t reaches worker n.
     """
     params = plan.params
@@ -317,22 +308,23 @@ def security_matrices(plan: EvaluationPlan) -> tuple[BlockMatrix, BlockMatrix]:
         if x.is_zero():
             raise ZeroEvaluationPoint("zero evaluation point leaks its data share")
     base = params.KML
-    sig_a = gv_matrix(plan.worker_points, [base + a for a in params.alpha()], plan.ctx)
-    sig_b = gv_matrix(plan.worker_points, [base + b for b in params.beta()], plan.ctx)
+    pts = _gauss.as_array([plan.worker_points], plan.ctx)[0]
+    sig_a = _gauss.powers(pts, [base + a for a in params.alpha()], plan.ctx)
+    sig_b = _gauss.powers(pts, [base + b for b in params.beta()], plan.ctx)
     return sig_a, sig_b
 
 
 def security_check(plan: EvaluationPlan, budget: int = 10_000_000) -> SecurityResult:
     """Certify that any T workers observe their noise through invertible maps.
 
-    Checks every T x T minor of both noise observation matrices, raising
+    Checks every T-worker minor of both noise observation tables, raising
     BudgetExceeded when either has more than budget minors; when each
     minor is invertible, the T colluding shares are one-time padded by the
-    uniform noise blocks. Equal matrices (every mp plan) share one scan.
+    uniform noise blocks. Equal tables (every mp plan) share one scan.
     """
     sig_a, sig_b = security_matrices(plan)
-    res_a = is_mds(sig_a, budget=budget)
-    res_b = res_a if sig_b == sig_a else is_mds(sig_b, budget=budget)
+    res_a = is_mds(sig_a, plan.ctx, budget=budget)
+    res_b = res_a if np.array_equal(sig_b, sig_a) else is_mds(sig_b, plan.ctx, budget=budget)
     return SecurityResult(res_a.ok and res_b.ok, res_a, res_b)
 
 
@@ -439,8 +431,7 @@ def find_evaluation_vector(params: SchemeParams, ctx: FieldCtx,
                 continue
             # scan the plan's cached (points, support) table, which its decodes reuse
             table = plan.base_table if modular else plan.worker_table
-            if not is_mds(BlockMatrix(table.transpose(1, 0, 2), ctx),
-                          budget=minor_budget).ok:
+            if not is_mds(table, ctx, budget=minor_budget).ok:
                 diag["decode_failures"] += 1
                 continue
             if params.T >= 1 and not security_check(plan, budget=minor_budget).ok:

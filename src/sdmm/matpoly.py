@@ -284,13 +284,6 @@ def stack_blocks(blocks: list[BlockMatrix], ctx: FieldCtx) -> np.ndarray:
     return np.stack([b.array for b in blocks])
 
 
-def _point_array(points: list, ctx: FieldCtx) -> np.ndarray:
-    """Residue array of shape (n, r) of points, all of which must lie in ctx."""
-    if any(isinstance(x, FieldElement) and x.ctx != ctx for x in points):
-        raise ShapeMismatch(f"evaluation points not over {ctx.spec_string()}")
-    return _gauss.as_array([points], ctx)[0]
-
-
 def evaluate(poly: MatPoly, points: Iterable[FieldElement],
              counter: Optional[MultCounter] = None) -> list[BlockMatrix]:
     """poly at every point: one power table times the stacked coefficients.
@@ -305,7 +298,7 @@ def evaluate(poly: MatPoly, points: Iterable[FieldElement],
     if counter is not None:
         gaps = [b - a for a, b in zip((0,) + exps, exps) if b > a]
         counter.add(len(pts) * sum(_ladder(g) + size for g in gaps))
-    table = _gauss.powers(_point_array(pts, ctx), exps, ctx)
+    table = _gauss.powers(_gauss.as_array([pts], ctx)[0], exps, ctx)
     coeffs = np.array([c.array for c in poly.terms.values()], dtype=_gauss.dtype(ctx))
     values = _gauss.matmul(table, coeffs.reshape(len(exps), size, ctx.r), ctx)
     return [BlockMatrix(v.reshape(poly.rows, poly.cols, ctx.r), ctx) for v in values]
@@ -317,9 +310,10 @@ def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int]
     """Recover the coefficients of a polynomial with known support.
 
     Solves sum_e C_e x_n^e = V_n entry-wise across blocks of one shape over
-    ctx, given as blocks or as their residue stack (n, rows, cols, r). Needs
-    at least as many evaluations as exponents; raises SingularSystem when
-    the points do not determine the coefficients.
+    ctx, given as blocks or as their residue stack (n, rows, cols, r);
+    values of another shape or field raise ShapeMismatch. Needs at least as
+    many evaluations as exponents; raises SingularSystem when the points do
+    not determine the coefficients.
     table, when given, is the power table of the points on the sorted
     distinct exponents, shape (points, exponents, r), as an EvaluationPlan
     keeps it; it is used as is instead of being computed from the points,
@@ -337,9 +331,11 @@ def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int]
     if not len(vals):
         raise ShapeMismatch("no evaluations supplied")
     rhs = vals if isinstance(vals, np.ndarray) else stack_blocks(vals, ctx)
+    if rhs.ndim != 4 or rhs.shape[3] != ctx.r:
+        raise ShapeMismatch(f"value stack of shape {rhs.shape} is not (n, rows, cols, {ctx.r})")
     shape = rhs.shape[1:3]
     if table is None:
-        table = _gauss.powers(_point_array(pts, ctx), exps, ctx)
+        table = _gauss.powers(_gauss.as_array([pts], ctx)[0], exps, ctx)
     elif table.shape != (len(pts), len(exps), ctx.r):
         raise ShapeMismatch(f"power table of shape {table.shape} does not match "
                             f"{len(pts)} points and {len(exps)} exponents")

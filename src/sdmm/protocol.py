@@ -124,44 +124,49 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     full polynomial is interpolated on its generic support, which any
     |supp(h)| responses permit. Either route solves on rows sliced from the
     plan's cached power tables. Raises InsufficientResponses when no route
-    has enough data, and BadSpec when a response key names no worker.
+    has enough data, BadSpec when a response key names no worker, and
+    ShapeMismatch when any response differs in shape or field from the rest.
     """
     if responses and not (0 <= min(responses) and max(responses) < plan.n_workers):
         raise BadSpec(f"response key outside [0, {plan.n_workers})")
     params = plan.params
     ctx = plan.ctx
     full_supp = plan.full_support
+    short = len(responses) < len(full_supp)
     shortfall = f"{len(responses)} responses of {len(full_supp)} needed"
-    if plan.base_points is not None:
+    hyper = plan.base_points is not None
+    if hyper:
         class_supp = plan.class_support
         M = params.M
         # worker n sits in hypernode n // M (see hypernode_workers)
         spoiled = {n // M for n in set(range(plan.n_workers)).difference(responses)}
         complete = [p for p in range(plan.n_hypernodes) if p not in spoiled]
-        if len(complete) >= len(class_supp):
-            stack = stack_blocks([responses[n] for p in complete
-                                  for n in plan.hypernode_workers(p)], ctx)
-            rows, cols = stack.shape[1:3]
-            # counted as the scalar average: M response scales, then one of the sum
-            if counter is not None:
-                counter.add(len(complete) * (M + 1) * rows * cols)
-            terms = _gauss.mul(stack.reshape(len(complete), M, rows, cols, ctx.r),
-                               plan.hypernode_weights[:, None, None], ctx)
-            vals = terms.sum(axis=1) % ctx.p
-            pts = [plan.base_points[p] for p in complete]
-            try:
-                return _read_blocks(interpolate(pts, vals, class_supp, ctx, counter,
-                                                table=plan.base_table[complete]), params)
-            except SingularSystem:
-                pass  # fall through to full interpolation
+        hyper = len(complete) >= len(class_supp)
         shortfall = (f"{len(complete)} complete hypernodes of {len(class_supp)} "
                      f"needed and {shortfall}")
-    if len(responses) < len(full_supp):
+    if short and not hyper:
         raise InsufficientResponses(f"have {shortfall}")
     order = sorted(responses)
+    # every response is checked here, whichever route reads it
+    stack = stack_blocks([responses[n] for n in order], ctx)
+    if hyper:
+        rows, cols = stack.shape[1:3]
+        # counted as the scalar average: M response scales, then one of the sum
+        if counter is not None:
+            counter.add(len(complete) * (M + 1) * rows * cols)
+        members = stack[[i for i, n in enumerate(order) if n // M not in spoiled]]
+        terms = _gauss.mul(members.reshape(len(complete), M, rows, cols, ctx.r),
+                           plan.hypernode_weights[:, None, None], ctx)
+        vals = terms.sum(axis=1) % ctx.p
+        pts = [plan.base_points[p] for p in complete]
+        try:
+            return _read_blocks(interpolate(pts, vals, class_supp, ctx, counter,
+                                            table=plan.base_table[complete]), params)
+        except SingularSystem:
+            if short:  # and no full interpolation to fall through to
+                raise InsufficientResponses(f"have {shortfall}") from None
     pts = [plan.worker_points[n] for n in order]
-    vals = [responses[n] for n in order]
-    return _read_blocks(interpolate(pts, vals, full_supp, ctx, counter,
+    return _read_blocks(interpolate(pts, stack, full_supp, ctx, counter,
                                     table=plan.worker_table[order]), params)
 
 
@@ -459,8 +464,8 @@ def mp_recovery_threshold_with_security(params: Optional[SchemeParams],
         if mode == "auto":
             use_mode = "exhaustive" if total <= budget else "random"
         rng = random.Random(f"sdmm-recovery-{seed}")
-        mat = BlockMatrix(plan.worker_table.transpose(1, 0, 2), plan.ctx)
-        scan = is_mds(mat, mode=use_mode, budget=budget, samples=samples, rng=rng)
+        scan = is_mds(plan.worker_table, plan.ctx, mode=use_mode, budget=budget,
+                      samples=samples, rng=rng)
     if n_prime <= upper and (gapless or scan.ok):
         thresh, certified = n_prime, use_mode != "random"
     else:

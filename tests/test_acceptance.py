@@ -26,7 +26,6 @@ from sdmm.errors import (
 from sdmm.fields import MultCounter, make_field
 from sdmm.linalg import (
     find_evaluation_vector,
-    gv_matrix,
     is_mds,
     mp_plan,
     security_check,
@@ -218,9 +217,8 @@ def test_criterion_07_t2_deployment_mds_claim():
 
     supp = symbolic_support(params)
     assert len(supp) == 25
-    mat = gv_matrix(plan.worker_points, supp, F61)
     if full:
-        scan = is_mds(mat, mode="exhaustive", budget=200_000)
+        scan = is_mds(plan.worker_table, F61, mode="exhaustive", budget=200_000)
         # every singular 25-survivor set, each confirmed by a direct rank
         bad = list(singular_minors(plan.worker_table,
                                    itertools.combinations(range(30), 25), F61))
@@ -231,13 +229,13 @@ def test_criterion_07_t2_deployment_mds_claim():
         digest = hashlib.sha256(repr([s for _, s in bad]).encode()).hexdigest()
         assert digest == "38db76f41c35ac0cda04602a53191c02804cc047ade1582ced3d8d8e1ada2f8c"
     else:
-        scan = is_mds(mat, mode="random", samples=10_000,
+        scan = is_mds(plan.worker_table, F61, mode="random", samples=10_000,
                       rng=random.Random("sdmm-acceptance-7"))
         assert set(range(30)) - set(scan.witness) == {6, 12, 19, 24, 25}
     assert not scan.ok
     witness = scan.witness
     assert len(witness) == 25
-    assert _gauss.rank(mat.array[:, list(witness)], F61) == 24
+    assert _gauss.rank(plan.worker_table[list(witness)], F61) == 24
 
     rng = random.Random("sdmm-acceptance-7-inputs")
     A = BlockMatrix.random(2, 3, F61, rng)

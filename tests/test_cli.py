@@ -323,6 +323,16 @@ def test_find_eval_size_gate_exits_three(capsys):
     assert "cannot host 24" in err  # the field must hold all worker points
 
 
+def test_search_exhaustion_names_each_field_s_failures(capsys):
+    # no gate stops this search, so stderr gives the reasons it ran out
+    rc, out, err = run_cli(capsys, "simulate", "--scheme", "ggasp:K=2,M=2,L=2,T=2",
+                           "--field", "31", "--workers", "20")
+    assert rc == 3 and out == ""
+    assert err.splitlines() == [
+        "error: no evaluation vector found after 200 attempts",
+        "  field 31: 200 attempts, 200 decode failures, 0 security failures"]
+
+
 def test_find_eval_over_the_minor_budget_exits_three(capsys):
     # the refusal names the budget, not a sampled scan that certifies nothing
     rc, out, err = run_cli(capsys, "find-eval", "--scheme", "mp:K=2,M=3,L=2,T=1",

@@ -12,6 +12,7 @@ from sdmm.errors import (
     NoSuchSubgroup,
     NotIrreducible,
     NotPrime,
+    ShapeMismatch,
 )
 from sdmm.fields import (
     FieldCtx,
@@ -158,6 +159,16 @@ def test_element_coercion():
     assert ctx.element(-1) == ctx.element(6)
     ext = make_field(7, 2)
     assert ext.element([3, 0]) == ext.element(3)
+
+
+def test_foreign_elements_and_coefficient_counts_are_a_shape_mismatch():
+    f13, f31 = make_field(13), make_field(31)
+    with pytest.raises(ShapeMismatch):
+        f31.element(f13.element(1))
+    with pytest.raises(ShapeMismatch):
+        f31.element(1) + f13.element(1)
+    with pytest.raises(ShapeMismatch):
+        make_field(13, 2).element((1, 2, 3))
 
 
 def test_division_by_zero():

@@ -21,7 +21,6 @@ from sdmm.linalg import (
     decodability_check,
     find_evaluation_vector,
     ggasp_plan,
-    gv_matrix,
     is_mds,
     mp_plan,
     security_check,
@@ -37,13 +36,9 @@ F13 = make_field(13)
 F31 = make_field(31)
 
 
-def test_gv_matrix_entries():
-    pts = [F13.element(2), F13.element(3)]
-    mat = gv_matrix(pts, [0, 2, 5], F13)
-    assert mat.shape == (3, 2)
-    assert mat[0, 0] == F13.one()
-    assert mat[1, 1] == F13.element(9)
-    assert mat[2, 0] == F13.element(2).pow_(5)
+def powers(points, exponents, ctx):
+    """Point-major table points[i]^exponents[j], shape (n, k, r)."""
+    return _gauss.powers(_gauss.as_array([points], ctx)[0], exponents, ctx)
 
 
 def test_negative_exponents_are_rejected():
@@ -51,7 +46,7 @@ def test_negative_exponents_are_rejected():
     # GF(7), and call the invertible system below singular
     F7 = make_field(7)
     with pytest.raises(BadSpec):
-        gv_matrix([F7.element(3)], [-1, 2], F7)
+        powers([F7.element(3)], [-1, 2], F7)
     with pytest.raises(BadSpec):
         decodability_check([3, 5], [-1, 1], F7)
 
@@ -115,11 +110,6 @@ def test_mp_plan_rejects_points_or_zeta_from_another_field():
         mp_plan(params, F31, [F31.element(v) for v in (1, 2)], zeta=F13.element(12))
 
 
-def test_gv_matrix_rejects_a_point_from_another_field():
-    with pytest.raises(ShapeMismatch):
-        gv_matrix([F31.element(2), F13.element(3)], [0, 1], F31)
-
-
 def test_decodability_rejects_a_point_from_another_field():
     with pytest.raises(ShapeMismatch):
         decodability_check([F31.element(2), F13.element(3)], [0, 1], F31)
@@ -162,28 +152,25 @@ def test_decodability_raw_points_need_field():
 
 def test_is_mds_consecutive_exponents():
     pts = [F13.element(v) for v in (1, 2, 3, 4, 5)]
-    mat = gv_matrix(pts, [0, 1, 2], F13)
-    res = is_mds(mat)
+    res = is_mds(powers(pts, [0, 1, 2], F13), F13)
     assert res.ok and res.checked == res.total == 10
 
 
 def test_is_mds_finds_shared_square_witness():
-    # 1 and 12 share a square: columns equal at exponents {0, 2}
+    # 1 and 12 share a square: rows equal at exponents {0, 2}
     pts = [F13.element(v) for v in (1, 12, 2)]
-    mat = gv_matrix(pts, [0, 2], F13)
-    res = is_mds(mat)
+    res = is_mds(powers(pts, [0, 2], F13), F13)
     assert not res.ok
     assert res.witness == (0, 1)
 
 
 @pytest.mark.parametrize("q, r", [(13, 1), (2**61 - 1, 1), (13, 2)])
 def test_singular_minors_lists_every_singular_column_set(q, r):
-    # columns 1 = 2 * column 0 and 3 = 3 * column 2; no other pair is
+    # rows 1 = 2 * row 0 and 3 = 3 * row 2; no other pair is
     # dependent. All 6 sets fall in one batch, so both report checked = 6
     ctx = make_field(q, r)
-    mat = BlockMatrix([[1, 2, 1, 3], [1, 2, 2, 6]], ctx)
-    got = list(singular_minors(mat.array.transpose(1, 0, 2),
-                               itertools.combinations(range(4), 2), ctx))
+    table = BlockMatrix([[1, 1], [2, 2], [1, 2], [3, 6]], ctx).array
+    got = list(singular_minors(table, itertools.combinations(range(4), 2), ctx))
     assert got == [(6, (0, 1)), (6, (2, 3))]
 
 
@@ -250,24 +237,26 @@ def test_kernel_side_matches_the_direct_scan(seed, fid, m, extra, short, kind, b
 
 def test_is_mds_budget_and_random_mode():
     pts = [F31.element(v) for v in range(1, 25)]
-    mat = gv_matrix(pts, list(range(12)), F31)
+    table = powers(pts, list(range(12)), F31)
     with pytest.raises(BudgetExceeded):
-        is_mds(mat, budget=1000)
-    res = is_mds(mat, mode="random", samples=200, rng=random.Random(5))
+        is_mds(table, F31, budget=1000)
+    res = is_mds(table, F31, mode="random", samples=200, rng=random.Random(5))
     assert res.ok and res.checked == 200
-    # a matrix with no rows has one empty minor, but a bad mode still raises
-    for m in (mat, BlockMatrix(np.zeros((0, 3, 1), np.int64), F13)):
+    # a table with no columns has one empty minor, but a bad mode still raises
+    for t, ctx in ((table, F31), (np.zeros((3, 0, 1), np.int64), F13)):
         with pytest.raises(BadSpec):
-            is_mds(m, mode="bogus")
+            is_mds(t, ctx, mode="bogus")
+    with pytest.raises(ShapeMismatch):
+        is_mds(table[:11], F31)
 
 
 @pytest.mark.parametrize("samples", [0, -4])
 def test_random_mode_needs_a_positive_sample_count(samples):
-    # a singular matrix must not pass as MDS on zero samples
-    for mat in (BlockMatrix([[1, 2], [1, 2]], F31),
-                BlockMatrix(np.zeros((0, 3, 1), np.int64), F13)):
+    # a singular table must not pass as MDS on zero samples
+    for table, ctx in ((BlockMatrix([[1, 1], [2, 2]], F31).array, F31),
+                       (np.zeros((3, 0, 1), np.int64), F13)):
         with pytest.raises(BadSpec):
-            is_mds(mat, mode="random", samples=samples)
+            is_mds(table, ctx, mode="random", samples=samples)
 
 
 def test_is_mds_generic_path_matches_numpy_path():
@@ -278,8 +267,8 @@ def test_is_mds_generic_path_matches_numpy_path():
     pts13 = [F13.element(v) for v in (1, 2, 3, 4, 6, 12)]
     pts169 = [f169.element(v) for v in (1, 2, 3, 4, 6, 12)]
     exps = [0, 2, 4]
-    got13 = is_mds(gv_matrix(pts13, exps, F13))
-    got169 = is_mds(gv_matrix(pts169, exps, f169))
+    got13 = is_mds(powers(pts13, exps, F13), F13)
+    got169 = is_mds(powers(pts169, exps, f169), f169)
     assert got13.ok == got169.ok
     assert got13.witness == got169.witness
 
@@ -302,16 +291,15 @@ def test_batch_invertibility_matches_generic(seed):
 def test_security_matrices_shape_and_entries():
     plan = gf31_plan(2, 8)
     sa, sb = security_matrices(plan)
-    assert sa.shape == (2, 24)
-    assert sb.shape == (2, 24)
+    assert sa.shape == sb.shape == (24, 2, 1)
     x = plan.worker_points[5]
-    assert sa[1, 5] == x.pow_(12 + 1)  # second noise offset is D = 1
-    assert sb[0, 5] == x.pow_(12 + 0)
+    assert list(sa[5, 1]) == list(x.pow_(12 + 1).coeffs)  # second noise offset is D = 1
+    assert list(sb[5, 0]) == list(x.pow_(12 + 0).coeffs)
 
 
 def test_security_shared_square_always_fails():
     # offsets (0, 2) with M = 2: inside a hypernode x and -x have equal
-    # squares, so two columns of the mixing matrix coincide for any points
+    # squares, so two rows of the mixing table coincide for any points
     params = SchemeParams.explicit(1, 2, 1, 2, alpha=(0, 2), beta=(0, 1))
     rng = random.Random(3)
     squares_seen = set()
@@ -336,7 +324,7 @@ def test_security_check_scans_each_distinct_matrix_once(params, field, scans):
     assert spy.call_count == scans
     assert (res.sigma_b is res.sigma_a) == (scans == 1)
     sig_a, sig_b = security_matrices(plan)
-    assert res.sigma_a == is_mds(sig_a) and res.sigma_b == is_mds(sig_b)
+    assert res.sigma_a == is_mds(sig_a, plan.ctx) and res.sigma_b == is_mds(sig_b, plan.ctx)
 
 
 def test_security_single_noise_term_passes():

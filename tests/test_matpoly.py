@@ -39,6 +39,17 @@ def test_matrix_shape_validation():
         BlockMatrix([[1, 2], [3]], F13)
 
 
+@pytest.mark.parametrize("data, ctx", [
+    ([[F13.element(1)]], F31),  # an entry from another field
+    ([[(1, 2, 3)]], F169),  # three coefficients for a degree-2 field
+    (np.zeros((2, 2, 1), np.int64), F169),  # one residue plane for two
+    (np.zeros((2, 2), np.int64), F31),  # no residue axis
+])
+def test_matrix_rejects_entries_and_arrays_of_another_shape(data, ctx):
+    with pytest.raises(ShapeMismatch):
+        BlockMatrix(data, ctx)
+
+
 def test_matrix_arithmetic_reference():
     a = BlockMatrix([[1, 2], [3, 4]], F13)
     b = BlockMatrix([[5, 6], [7, 8]], F13)
@@ -276,6 +287,9 @@ def test_interpolate_takes_the_residue_stack_of_the_values():
     assert from_stack.count == from_blocks.count
     with pytest.raises(ShapeMismatch):
         interpolate(pts, stack[:3], p.support(), F31)
+    for bad in (stack[..., 0], np.concatenate([stack, stack], axis=-1)):
+        with pytest.raises(ShapeMismatch):
+            interpolate(pts, bad, p.support(), F31)
 
 
 def test_interpolate_overdetermined_consistent():

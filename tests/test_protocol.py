@@ -24,7 +24,7 @@ from sdmm.errors import (
 )
 from sdmm.examples import gf31_plan, gf61_plan
 from sdmm.fields import MultCounter, make_field
-from sdmm.linalg import find_evaluation_vector, gv_matrix, is_mds, mp_plan
+from sdmm.linalg import find_evaluation_vector, is_mds, mp_plan
 from sdmm.matpoly import BlockMatrix
 from sdmm.protocol import (
     _hypernode_bound_holds,
@@ -203,16 +203,18 @@ def test_decode_raises_on_a_corrupted_response():
         decode(responses, plan)
 
 
-@pytest.mark.parametrize("down", [(0, 3), ()], ids=["full", "hypernode"])
-def test_decode_rejects_a_response_over_another_field(down):
+@pytest.mark.parametrize("down, bad", [((0, 3), 5), ((), 5), ((1,), 0)],
+                         ids=["full", "hypernode", "spoiled"])
+def test_decode_rejects_a_response_over_another_field(down, bad):
     # with workers 0 and 3 down only 6 of the 7 needed hypernodes are
     # complete, so decode interpolates all 22 responses; with nobody down
-    # it averages the 8 complete hypernodes
+    # it averages the 8 complete hypernodes; with worker 1 down it averages
+    # hypernodes 1 to 7, and the bad response sits in spoiled hypernode 0
     plan = gf31_plan(1, 8)
     A, B = _inputs(plan)
     responses = _responses(plan, A, B, random.Random("field"))
     survivors = {n: v for n, v in responses.items() if n not in down}
-    survivors[5] = BlockMatrix(survivors[5].array % 13, F13)
+    survivors[bad] = BlockMatrix(survivors[bad].array % 13, F13)
     with pytest.raises(ShapeMismatch):
         decode(survivors, plan)
 
@@ -221,9 +223,12 @@ def test_hypernode_route_rejects_a_response_of_another_shape():
     plan = gf31_plan(1, 8)
     A, B = _inputs(plan)
     responses = _responses(plan, A, B, random.Random("shape"))
-    responses[5] = BlockMatrix.zero(2, 1, F31)
-    with pytest.raises(ShapeMismatch):
-        decode(responses, plan)
+    # worker 5 sits in a complete hypernode, worker 2 in one spoiled by worker 1
+    for bad, down in ((5, ()), (2, (1,))):
+        survivors = {n: v for n, v in responses.items() if n not in down}
+        survivors[bad] = BlockMatrix.zero(3, 3, F31)
+        with pytest.raises(ShapeMismatch):
+            decode(survivors, plan)
 
 
 def _f961_plan():
@@ -275,7 +280,7 @@ def test_plan_tables_are_read_only_powers_outside_equality():
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0, 0] = 1
-        assert np.array_equal(table, gv_matrix(points, exponents, F31).array.transpose(1, 0, 2))
+        assert np.array_equal(table, [[x.pow_(e).coeffs for e in exponents] for x in points])
     assert plan.full_support == symbolic_support(plan.params)
     assert plan.class_support == product_class_support(plan.params)
     assert plan == fresh and hash(plan) == hash(fresh)
@@ -497,10 +502,9 @@ def test_recovery_report_certifies_gapped_support_by_exhaustive_scan():
 
 def test_recovery_report_falls_back_when_a_singular_minor_appears():
     # a deployment whose full evaluation code is not MDS: the scan finds a
-    # singular column set and the certified answer drops to the per-worker
+    # singular survivor set and the certified answer drops to the per-worker
     # hypernode bound
     plan = gf61_plan()
-    params = plan.params
     rep = mp_recovery_threshold_with_security(None, plan, mode="random",
                                               samples=4000, seed=0)
     assert not rep.gapless
@@ -510,11 +514,9 @@ def test_recovery_report_falls_back_when_a_singular_minor_appears():
     assert rep.threshold == 28
     assert rep.certified
 
-    cols = rep.witness.witness
-    assert len(cols) == 25
-    supp = symbolic_support(params)
-    minor = gv_matrix([plan.worker_points[n] for n in cols], supp, F61)
-    assert not is_mds(minor, mode="exhaustive").ok
+    rows = rep.witness.witness
+    assert len(rows) == 25
+    assert not is_mds(plan.worker_table[list(rows)], F61).ok
 
 
 def test_recovery_report_checks_the_hypernode_premise():
@@ -525,21 +527,19 @@ def test_recovery_report_checks_the_hypernode_premise():
     # interpolation. All nine do, so the hypernode bound of 28 holds.
     plan = gf61_plan()
     params = plan.params
-    hyper = gv_matrix(plan.base_points, product_class_support(params), F61)
-    ranks = {cols: _gauss.rank(hyper.array[:, list(cols)], F61)
-             for cols in itertools.combinations(range(10), 8)}
-    assert {cols: r for cols, r in ranks.items() if r < 8} == {
+    ranks = {rows: _gauss.rank(plan.base_table[list(rows)], F61)
+             for rows in itertools.combinations(range(10), 8)}
+    assert {rows: r for rows, r in ranks.items() if r < 8} == {
         (0, 1, 2, 4, 5, 6, 7, 9): 7}
 
     A, B = _inputs(plan)
     responses = _responses(plan, A, B, random.Random("premise"))
-    full = gv_matrix(plan.worker_points, symbolic_support(params), F61)
     downs = list(itertools.product(plan.hypernode_workers(3),
                                    plan.hypernode_workers(8)))
     assert len(downs) == 9
     for down in downs:
         keep = [n for n in range(30) if n not in down]
-        assert _gauss.rank(full.array[:, keep], F61) == 25
+        assert _gauss.rank(plan.worker_table[keep], F61) == 25
         blocks = decode({n: responses[n] for n in keep}, plan)
         assert assemble_product(blocks, params, F61) == A.matmul(B)
 
