@@ -12,8 +12,10 @@ operand into 16-bit limbs and the inner dimension into chunks of 2^16
 product below 2^63 before it is reduced.
 
 ranks, a batched division-free forward elimination, answers every rank
-question. _eliminate, the only Gauss-Jordan loop, serves solve and
-left_kernel; its boxed pivot inverse is the only field inversion here.
+question. _eliminate, the only Gauss-Jordan loop, eliminates a batch of
+matrices at once and serves solve, decompose and the per-survivor-set
+systems of the decoder; its boxed pivot inverses are the only field
+inversions here.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) mod p for 2-D residue arrays, exact for either dtype."""
     if a.dtype == object:
         return a.dot(b) % p
+    if (p - 1) ** 2 * a.shape[1] < 1 << 63:  # no dot product can overflow
+        return a @ b % p
     lo, hi = b & 0xFFFF, b >> 16
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for s in range(0, a.shape[1], _CHUNK):
@@ -92,35 +96,59 @@ def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def matmul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Matrix product of residue arrays of shapes (n, s, r) and (s, m, r)."""
+    if ctx.r == 1:
+        return _dot(a[..., 0], b[..., 0], ctx.p)[..., None]
     return _convolve(a, b, ctx, lambda x, y: _dot(x, y, ctx.p))
 
 
-def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, counter=None) -> None:
-    """Gauss-Jordan elimination of M in place over its first m columns.
+def _inverses(pivots: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Inverses of a (batch, r) residue array, one entry at a time in Python; 0 maps to 0."""
+    if ctx.r == 1:
+        inv = [pow(v, -1, ctx.p) if v else 0 for v in pivots[:, 0].tolist()]
+        return np.array(inv, dtype=pivots.dtype)[:, None]
+    return np.array([FieldElement(c, ctx).inv().coeffs if any(c) else c
+                     for c in map(tuple, pivots.tolist())], dtype=pivots.dtype)
 
-    Each pivot, the first nonzero row at or below the diagonal, is normalised
-    and clears its column in every other row; a missing pivot raises
+
+def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, counter=None, row_cost=None) -> np.ndarray:
+    """Gauss-Jordan elimination in place of a (batch, rows, cols, r) stack over its first m columns.
+
+    In each matrix, each pivot, the first nonzero row at or below the
+    diagonal, is normalised and clears its column in every other row.
+    Returns which matrices have full column rank on those m columns; one
+    that misses a pivot is left partly reduced. Fewer rows than m raises
     SingularSystem. With a counter, each normalisation and each eliminated
-    nonzero row costs the row width, up to the first pivotless column.
+    nonzero row costs row_cost (the row width by default), up to a
+    matrix's first pivotless column. The pivot rows, and so the counts,
+    depend on the first m columns alone.
     """
-    if M.shape[0] < m:
+    batch, rows, width = M.shape[:3]
+    if rows < m:
         raise SingularSystem("fewer equations than unknowns")
-    width = M.shape[1]
+    cost = width if row_cost is None else row_cost
+    ok = np.ones(batch, dtype=bool)
+    idx = np.arange(batch)
     for col in range(m):
-        hit = M[:, col].any(axis=-1)
-        piv = col + int(hit[col:].argmax())
-        if not hit[piv]:
-            raise SingularSystem("coefficient matrix is rank deficient")
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-        inv = FieldElement(tuple(M[col, col].tolist()), ctx).inv()
-        M[col] = mul(M[col], np.array(inv.coeffs, dtype=M.dtype), ctx)
+        hit = M[:, :, col].any(axis=-1)
+        piv = col + hit[:, col:].argmax(axis=1)
+        ok &= hit[idx, piv]
+        if not ok.any():
+            break
         if counter is not None:
-            counter.add(width * int(hit.sum()))
-        factor = M[:, col, None].copy()
-        factor[col] = 0
-        M -= mul(factor, M[col], ctx)
+            counter.add(cost * int(hit[ok].sum()))
+        M[idx, col], M[idx, piv] = M[idx, piv], M[idx, col]
+        M[:, col] = mul(M[:, col], _inverses(M[:, col, col], ctx)[:, None], ctx)
+        factor = M[:, :, col, None].copy()
+        factor[:, col] = 0
+        M -= mul(factor, M[:, None, col], ctx)
         M %= ctx.p
+    return ok
+
+
+def _eliminate_one(M: np.ndarray, m: int, ctx: FieldCtx, counter=None, row_cost=None) -> None:
+    """_eliminate of one (rows, cols, r) matrix in place; SingularSystem without full column rank."""
+    if not _eliminate(M[None], m, ctx, counter, row_cost)[0]:
+        raise SingularSystem("coefficient matrix is rank deficient")
 
 
 def solve(rows, rhs, ctx: FieldCtx, counter=None) -> np.ndarray:
@@ -136,24 +164,30 @@ def solve(rows, rhs, ctx: FieldCtx, counter=None) -> np.ndarray:
     A, B = as_array(rows, ctx), as_array(rhs, ctx)
     n, m = A.shape[:2]
     M = np.concatenate([A, B], axis=1)
-    _eliminate(M, m, ctx, counter)
+    _eliminate_one(M, m, ctx, counter)
     if (M[m:] != 0).any():
         raise InconsistentResponses(
             f"{n - m} spare equations disagree with the {m} unknowns")
     return M[:m, m:]
 
 
-def left_kernel(table: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Rows K, shape (n - m, n, r), spanning {y : y^T V = 0} for an (n, m, r) V.
+def decompose(table: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """Rows G (m, n, r) of a left inverse and K (n - m, n, r) of the left kernel of V.
 
-    Eliminating [V | I_n] leaves E V = [I_m; 0], so the last n - m rows of E
-    span it. A V without full column rank raises SingularSystem.
+    Eliminating [V | I_n] for an (n, m, r) V leaves E V = [I_m; 0], so
+    G V = I, K V = 0, and the rows of K span {y : y^T V = 0}. A V without
+    full column rank raises SingularSystem.
     """
     n, m = table.shape[:2]
     eye = np.eye(n, dtype=dtype(ctx))[..., None] * (np.arange(ctx.r) == 0)
     M = np.concatenate([as_array(table, ctx), eye], axis=1)
-    _eliminate(M, m, ctx)
-    return M[m:, m:]
+    _eliminate_one(M, m, ctx)
+    return M[:m, m:], M[m:, m:]
+
+
+def left_kernel(table: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Rows K, shape (n - m, n, r), spanning {y : y^T V = 0} (see decompose)."""
+    return decompose(table, ctx)[1]
 
 
 def rank(rows, ctx: FieldCtx) -> int:

@@ -226,7 +226,7 @@ def _build_instance(args, params, ctx):
     B = BlockMatrix.random(params.M * s0, params.L * b0, ctx, rng)
     plan = find_evaluation_vector(
         params, ctx, n_hypernodes=args.hypernodes, n_workers=args.workers,
-        seed=args.seed)
+        minor_budget=args.budget, seed=args.seed)
     return A, B, plan
 
 
@@ -283,6 +283,11 @@ def _add_common(sp, *, seed=True):
         sp.add_argument("--seed", type=int, default=0, help="deterministic seed")
 
 
+def _add_budget(sp):
+    sp.add_argument("--budget", type=int, default=200_000,
+                    help="minor-scan budget per candidate")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sdmm",
@@ -332,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--subgroup", default="off",
                     help='"off", "auto", or an explicit subgroup order')
     sp.add_argument("--attempts", type=int, default=200)
-    sp.add_argument("--budget", type=int, default=200_000,
-                    help="minor-scan budget per candidate")
+    _add_budget(sp)
     sp.add_argument("--max-escalations", type=int, default=0,
                     help="extension-degree escalations allowed")
     _add_common(sp)
@@ -352,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--timing", action="store_true",
                     help="include wall_time (breaks byte determinism)")
+    _add_budget(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_simulate)
 
@@ -366,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rows", type=int)
     sp.add_argument("--inner", type=int)
     sp.add_argument("--cols", type=int)
+    _add_budget(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_p_of_s)
 
@@ -379,7 +385,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (BudgetExceeded, BudgetExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        hint = "; raise it with --budget" if isinstance(exc, BudgetExceeded) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         for field_diag in getattr(exc, "diagnostics", {}).get("fields", []):
             reason = field_diag.get("gate") or (
                 f"field {field_diag['field']}: {field_diag['attempts']} attempts, "

@@ -458,8 +458,14 @@ def parse_field_spec(spec: str) -> FieldCtx:
 
 def _element_of_order(ctx: FieldCtx, m: int):
     """The first w^((q-1)/m) of order exactly m, over w in canonical index
-    order: a generator of the order-m subgroup, for m dividing q - 1."""
-    for idx in range(1, ctx.order):
+    order: a generator of the order-m subgroup, for m dividing q - 1.
+
+    Indices below p are the prime subfield, where w^(p-1) = 1. When m > 1
+    and (p - 1) * m divides q - 1, each of them therefore gives 1, so the
+    walk starts at index p and returns the same element without them.
+    """
+    skip = m > 1 and (ctx.order - 1) % ((ctx.p - 1) * m) == 0
+    for idx in range(ctx.p if skip else 1, ctx.order):
         z = ctx.from_index(idx).pow_((ctx.order - 1) // m)
         if is_primitive_root_of_unity(z, m):
             return z

@@ -41,7 +41,7 @@ from .fields import (
     make_field,
     primitive_root_of_unity,
 )
-from .schemes import GGASP, SchemeParams
+from .schemes import GGASP, SchemeParams, product_block_positions
 from .thresholds import product_class_support, symbolic_support
 
 
@@ -57,8 +57,10 @@ class EvaluationPlan:
     The supports of the product polynomial, the power tables the decoder
     solves on and the hypernode averaging weights are derived from the plan
     on first use and kept on it, so every decode slices rows instead of
-    recomputing them. They are not fields: equality, hash and summary() see
-    only the points and params.
+    recomputing them. So are the decompositions of those tables that give
+    each survivor set its decode coefficients, and a memo of those
+    coefficients for one chunk of survivor sets. None of them is a field:
+    equality, hash and summary() see only the points and params.
     """
 
     params: SchemeParams
@@ -108,6 +110,26 @@ class EvaluationPlan:
         return _read_only(_gauss.powers(pts, self.class_support, self.ctx))
 
     @cached_property
+    def worker_split(self) -> Optional[np.ndarray]:
+        """[G_t; K] of worker_table, for full interpolation (see _split)."""
+        return _split(self.worker_table, self.full_support, self.params, self.ctx)
+
+    @cached_property
+    def base_split(self) -> Optional[np.ndarray]:
+        """[G_t; K] of base_table, for the hypernode route (see _split)."""
+        return _split(self.base_table, self.class_support, self.params, self.ctx)
+
+    @cached_property
+    def decode_memo(self) -> dict:
+        """Decode coefficients of survivor sets, keyed by route and missing rows.
+
+        protocol.p_of_s_empirical fills it one chunk of straggler patterns
+        at a time and empties it when done; protocol.decode reads it and,
+        on a miss, computes the entry it needs without storing it.
+        """
+        return {}
+
+    @cached_property
     def hypernode_weights(self) -> np.ndarray:
         """Read-only zeta^m / M for m < M, shape (M, r): the hypernode average.
 
@@ -130,6 +152,25 @@ class EvaluationPlan:
             out["zeta"] = self.zeta.index()
             out["base_points"] = [a.index() for a in self.base_points]
         return out
+
+
+def _split(table: np.ndarray, support: Sequence[int], params: SchemeParams,
+           ctx: FieldCtx) -> Optional[np.ndarray]:
+    """Read-only [G_t; K] of an (n, m, r) power table V; None without full column rank.
+
+    G_t holds the rows of a left inverse G of V (_gauss.decompose) at the
+    product block exponents, in product_block_positions order, and K the
+    n - m rows spanning V's left kernel. A survivor set missing the rows D
+    has full column rank iff K[:, D] has rank |D|, and its decode
+    coefficients follow from K[:, D] alone (see protocol._set_operators).
+    """
+    targets = [support.index(e)
+               for e in product_block_positions(params.K, params.M, params.L).values()]
+    try:
+        left, kernel = _gauss.decompose(table, ctx)
+    except SingularSystem:
+        return None
+    return _read_only(np.concatenate([left[targets], kernel]))
 
 
 def mp_plan(params: SchemeParams, ctx: FieldCtx,

@@ -277,11 +277,12 @@ def _ladder(e: int) -> int:
 
 def stack_blocks(blocks: list[BlockMatrix], ctx: FieldCtx) -> np.ndarray:
     """Residue arrays of blocks of one shape over ctx, stacked on a new axis 0."""
-    if any(b.shape != blocks[0].shape for b in blocks):
+    shape = blocks[0].shape
+    if any(b.shape != shape for b in blocks):
         raise ShapeMismatch("evaluation blocks differ in shape")
-    if any(b.ctx != ctx for b in blocks):
+    if any(b.ctx is not ctx and b.ctx != ctx for b in blocks):
         raise ShapeMismatch(f"evaluation blocks not over {ctx.spec_string()}")
-    return np.stack([b.array for b in blocks])
+    return np.array([b.array for b in blocks], dtype=blocks[0].array.dtype)
 
 
 def evaluate(poly: MatPoly, points: Iterable[FieldElement],
@@ -306,20 +307,27 @@ def evaluate(poly: MatPoly, points: Iterable[FieldElement],
 
 def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int],
                 ctx: FieldCtx, counter: Optional[MultCounter] = None, *,
-                table: Optional[np.ndarray] = None) -> MatPoly:
+                table: Optional[np.ndarray] = None, solver=None):
     """Recover the coefficients of a polynomial with known support.
 
     Solves sum_e C_e x_n^e = V_n entry-wise across blocks of one shape over
     ctx, given as blocks or as their residue stack (n, rows, cols, r);
     values of another shape or field raise ShapeMismatch. Needs at least as
     many evaluations as exponents; raises SingularSystem when the points do
-    not determine the coefficients.
+    not determine the coefficients, and InconsistentResponses when the
+    evaluations beyond the unknowns disagree with them.
     table, when given, is the power table of the points on the sorted
     distinct exponents, shape (points, exponents, r), as an EvaluationPlan
     keeps it; it is used as is instead of being computed from the points,
-    and a table of another shape raises ShapeMismatch. The count is the
-    same either way: each point's pow_ ladder for every exponent, then
-    the solve.
+    and a table of another shape raises ShapeMismatch.
+    Without a solver the system is eliminated by _gauss.solve and the whole
+    MatPoly is returned. A solver maps the (n, rows*cols, r) value stack to
+    the rows of the coefficients its caller wants, as the decoder's plan
+    operators do, raising as above; interpolate then returns those rows as
+    a (k, rows, cols, r) stack and reads the table only to count.
+    The count is the same on either path: each point's pow_ ladder for
+    every exponent, then the elimination of [table | values], whose work
+    depends on the table alone.
     """
     pts = list(points)
     vals = values if isinstance(values, np.ndarray) else list(values)
@@ -341,7 +349,14 @@ def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int]
                             f"{len(pts)} points and {len(exps)} exponents")
     if counter is not None:
         counter.add(len(pts) * sum(_ladder(e) for e in exps))
-    sol = _gauss.solve(table, rhs.reshape(len(vals), -1, ctx.r), ctx, counter)
-    terms = {e: BlockMatrix(row.reshape(shape + (ctx.r,)), ctx)
-             for row, e in zip(sol, exps)}
-    return MatPoly(terms, shape, ctx)
+    flat = rhs.reshape(len(vals), -1, ctx.r)
+    if solver is None:
+        sol = _gauss.solve(table, flat, ctx, counter)
+        terms = {e: BlockMatrix(row.reshape(shape + (ctx.r,)), ctx)
+                 for row, e in zip(sol, exps)}
+        return MatPoly(terms, shape, ctx)
+    if counter is not None:
+        _gauss._eliminate_one(table.copy(), len(exps), ctx, counter,
+                              row_cost=len(exps) + flat.shape[1])
+    sol = solver(flat)
+    return sol.reshape((len(sol),) + shape + (ctx.r,))

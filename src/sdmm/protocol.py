@@ -21,10 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
+import numpy as np
+
 from . import _gauss
 from .errors import (
     BadSpec,
     DecodeFailed,
+    InconsistentResponses,
     InsufficientResponses,
     OutOfRange,
     PlanInvalid,
@@ -32,7 +35,7 @@ from .errors import (
 )
 from .fields import FieldCtx, MultCounter
 from .linalg import EvaluationPlan, MdsResult, is_mds, singular_minors
-from .matpoly import BlockMatrix, MatPoly, evaluate, interpolate, stack_blocks
+from .matpoly import BlockMatrix, evaluate, interpolate, stack_blocks
 from .schemes import (
     SchemeParams,
     build_f,
@@ -107,9 +110,81 @@ def encode(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan, rng: random.Ran
     return list(zip(evaluate(f, pts, counter), evaluate(g, pts, counter)))
 
 
-def _read_blocks(poly: MatPoly, params: SchemeParams) -> dict:
-    positions = product_block_positions(params.K, params.M, params.L)
-    return {kl: poly.coeff(e) for kl, e in positions.items()}
+def _routes(plan: EvaluationPlan, s: int, spoiled) -> tuple:
+    """Decode's count rule for patterns of s missing workers.
+
+    spoiled is the number of hypernodes those workers spoil, as an int or
+    an array over patterns. Returns (hyper, short): whether the complete
+    hypernodes left reach the P' that the averaged route needs (never on a
+    flat plan), in spoiled's shape, and whether the N - s responses fall
+    short of the N' that full interpolation needs. A pattern that is short
+    and not hyper has no route: decode raises InsufficientResponses on it
+    before reading any response.
+    """
+    short = plan.n_workers - s < len(plan.full_support)
+    if plan.base_points is None:
+        return np.zeros(np.shape(spoiled), dtype=bool), short
+    return plan.n_hypernodes - np.asarray(spoiled) >= len(plan.class_support), short
+
+
+def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> list:
+    """Decode coefficients W of row sets of a route's table; None without full column rank.
+
+    route is "worker" (plan.worker_table, full interpolation) or "base"
+    (plan.base_table, the hypernode route), and missing is a (sets, d)
+    array of the rows each set lacks. Let [G_t; K] be the plan's split of
+    the n x m table and R the survivors' values with zero rows at the
+    missing rows D. The survivors have full column rank iff K[:, D] has
+    rank d; then eliminating [K[:, D] | I] to E, in one batch for all sets,
+    gives the target coefficients G_t R + C (K R) with C = -G_t[:, D] E[:d],
+    and the spare equations E[d:] (K R) = 0. W stacks C over E[d:], shape
+    (K*L + n - m - d, n - m, r): erasure decoding by syndromes.
+    """
+    split = getattr(plan, f"{route}_split")
+    n_targets = plan.params.K * plan.params.L
+    sets, d = missing.shape
+    if split is None or d > len(split) - n_targets:
+        return [None] * sets
+    ctx = plan.ctx
+    left, kernel = split[:n_targets], split[n_targets:]
+    k = len(kernel)
+    M = np.zeros((sets, k, d + k, ctx.r), dtype=split.dtype)
+    M[:, :, :d] = kernel[:, missing].swapaxes(0, 1)
+    M[:, :, d:, 0] = np.eye(k, dtype=split.dtype)
+    ok = _gauss._eliminate(M, d, ctx)
+    E = M[:, :, d:]
+    C = np.zeros((sets, n_targets, k, ctx.r), dtype=split.dtype)
+    for j in range(d):
+        C -= _gauss.mul(left[:, missing[:, j]].swapaxes(0, 1)[:, :, None], E[:, None, j], ctx)
+    W = np.concatenate([C % ctx.p, E[:, d:]], axis=1)
+    return [w if good else None for w, good in zip(W, ok)]
+
+
+def _apply(plan: EvaluationPlan, route: str, missing, rows, rhs: np.ndarray,
+           check_only: bool = False) -> Optional[np.ndarray]:
+    """Target coefficients of the survivor set `rows` of a route's table, from its values rhs.
+
+    The set's W (_set_operators) comes from plan.decode_memo, else from a
+    batch of one. Without full column rank this raises SingularSystem, or
+    returns None when check_only; a failed spare equation raises
+    InconsistentResponses.
+    """
+    key = (route, tuple(missing))
+    W = (plan.decode_memo[key] if key in plan.decode_memo else
+         _set_operators(plan, route, np.array([missing], dtype=np.intp).reshape(1, -1))[0])
+    if W is None:
+        if check_only:
+            return None
+        raise SingularSystem("coefficient matrix is rank deficient")
+    split, ctx = getattr(plan, f"{route}_split"), plan.ctx
+    n_targets = len(split) - W.shape[1]
+    Y = _gauss.matmul(split[:, rows], rhs, ctx)
+    Z = _gauss.matmul(W, Y[n_targets:], ctx)
+    if Z[n_targets:].any():
+        raise InconsistentResponses(
+            f"{len(Z) - n_targets} spare equations disagree with the "
+            f"{split.shape[1] - W.shape[1]} unknowns")
+    return (Y[:n_targets] + Z[:n_targets]) % ctx.p
 
 
 def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
@@ -122,34 +197,43 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     then interpolated on its small support. When too few hypernodes are
     complete (or that system is singular), and always on a flat plan, the
     full polynomial is interpolated on its generic support, which any
-    |supp(h)| responses permit. Either route solves on rows sliced from the
-    plan's cached power tables. Raises InsufficientResponses when no route
-    has enough data, BadSpec when a response key names no worker, and
-    ShapeMismatch when any response differs in shape or field from the rest.
+    |supp(h)| responses permit. Raises InsufficientResponses when no route
+    has enough data (_routes), BadSpec when a response key names no worker,
+    and ShapeMismatch when any response differs in shape or field from the
+    rest.
+
+    Either route hands interpolate the rows of the plan's cached power
+    table and a solver that yields only the K*L product blocks from the
+    survivor set's coefficients on the plan's left kernel (_apply). Every
+    spare equation of the route is checked. On the hypernode route, which
+    reads only complete hypernodes, so are the raw responses: when the
+    responding workers' rows of plan.worker_table have full column rank,
+    responses that are not evaluations of one polynomial on the full
+    support raise InconsistentResponses. Without full column rank that
+    check is skipped. The counter records what the scalar decoder spends,
+    as interpolate counts it; the raw check adds nothing to it.
     """
     if responses and not (0 <= min(responses) and max(responses) < plan.n_workers):
         raise BadSpec(f"response key outside [0, {plan.n_workers})")
     params = plan.params
     ctx = plan.ctx
-    full_supp = plan.full_support
-    short = len(responses) < len(full_supp)
-    shortfall = f"{len(responses)} responses of {len(full_supp)} needed"
-    hyper = plan.base_points is not None
-    if hyper:
-        class_supp = plan.class_support
-        M = params.M
-        # worker n sits in hypernode n // M (see hypernode_workers)
-        spoiled = {n // M for n in set(range(plan.n_workers)).difference(responses)}
-        complete = [p for p in range(plan.n_hypernodes) if p not in spoiled]
-        hyper = len(complete) >= len(class_supp)
-        shortfall = (f"{len(complete)} complete hypernodes of {len(class_supp)} "
-                     f"needed and {shortfall}")
+    M = params.M
+    missing = sorted(set(range(plan.n_workers)).difference(responses))
+    # worker n sits in hypernode n // M (see hypernode_workers)
+    spoiled = sorted({n // M for n in missing})
+    hyper, short = _routes(plan, len(missing), len(spoiled))
+    shortfall = f"{len(responses)} responses of {len(plan.full_support)} needed"
+    if plan.base_points is not None:
+        shortfall = (f"{plan.n_hypernodes - len(spoiled)} complete hypernodes of "
+                     f"{len(plan.class_support)} needed and {shortfall}")
     if short and not hyper:
         raise InsufficientResponses(f"have {shortfall}")
     order = sorted(responses)
     # every response is checked here, whichever route reads it
     stack = stack_blocks([responses[n] for n in order], ctx)
+    coeffs = None
     if hyper:
+        complete = [p for p in range(plan.n_hypernodes) if p not in spoiled]
         rows, cols = stack.shape[1:3]
         # counted as the scalar average: M response scales, then one of the sum
         if counter is not None:
@@ -160,14 +244,22 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
         vals = terms.sum(axis=1) % ctx.p
         pts = [plan.base_points[p] for p in complete]
         try:
-            return _read_blocks(interpolate(pts, vals, class_supp, ctx, counter,
-                                            table=plan.base_table[complete]), params)
+            coeffs = interpolate(pts, vals, plan.class_support, ctx, counter,
+                                 table=plan.base_table[complete],
+                                 solver=lambda rhs: _apply(plan, "base", spoiled, complete, rhs))
         except SingularSystem:
             if short:  # and no full interpolation to fall through to
                 raise InsufficientResponses(f"have {shortfall}") from None
-    pts = [plan.worker_points[n] for n in order]
-    return _read_blocks(interpolate(pts, stack, full_supp, ctx, counter,
-                                    table=plan.worker_table[order]), params)
+        else:
+            _apply(plan, "worker", missing, order, stack.reshape(len(order), -1, ctx.r),
+                   check_only=True)
+    if coeffs is None:
+        pts = [plan.worker_points[n] for n in order]
+        coeffs = interpolate(pts, stack, plan.full_support, ctx, counter,
+                             table=plan.worker_table[order],
+                             solver=lambda rhs: _apply(plan, "worker", missing, order, rhs))
+    positions = product_block_positions(params.K, params.M, params.L)
+    return {kl: BlockMatrix(c, ctx) for kl, c in zip(positions, coeffs)}
 
 
 def assemble_product(blocks: Mapping[tuple, BlockMatrix],
@@ -307,19 +399,29 @@ def p_of_s_lower_bound(K: int, M: int, L: int, P: int, S: int) -> Fraction:
 
 
 
+_CHUNK = 4096  # straggler patterns whose decode coefficients are computed together
+
+
 def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
                      S: int, mode: str = "exhaustive", seed: int = 0,
                      samples: int = 1000) -> Fraction:
     """Fraction of size-S straggler patterns that actually decode.
 
-    Encodes once, then for each pattern runs the real decoder on the
-    surviving responses and audits the product as run_protocol does: a
-    wrong product raises DecodeFailed rather than counting as a failure
-    to decode. Mode "exhaustive" (the default) tries all C(N, S) patterns
-    and returns the exact fraction, however many there are. Mode "mc"
-    draws `samples` patterns uniformly with a seeded generator and returns
-    a sampled estimate, which the caller labels as one. Any other mode
+    Encodes once, then runs the real decoder on the surviving responses of
+    each pattern and audits the product as run_protocol does: a wrong
+    product raises DecodeFailed rather than counting as a failure to
+    decode. Mode "exhaustive" (the default) tries all C(N, S) patterns and
+    returns the exact fraction, however many there are. Mode "mc" draws
+    `samples` patterns uniformly with a seeded generator and returns a
+    sampled estimate, which the caller labels as one. Any other mode
     raises BadSpec.
+
+    Patterns are taken in chunks of _CHUNK. Decode's count rule (_routes)
+    runs on a whole chunk at once, and a pattern it rejects counts as a
+    failure without a decode call. The decode coefficients of every other
+    pattern of the chunk are computed in one batched elimination per route
+    and missing-row count and put in plan.decode_memo, where decode finds
+    them; each such pattern is then decoded and audited on its own.
     """
     if mode not in ("exhaustive", "mc"):
         raise BadSpec(f"unknown mode {mode!r}")
@@ -342,12 +444,58 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
         attempts = samples
 
     successes = 0
-    for down in patterns:
-        down = set(down)
-        survivors = {n: v for n, v in all_responses.items() if n not in down}
-        if _audited_product(survivors, plan, expected) is not None:
-            successes += 1
+    try:
+        for down in _chunks(patterns, S):
+            for row in down[_prepare(plan, down)].tolist():
+                gone = set(row)
+                survivors = {n: v for n, v in all_responses.items() if n not in gone}
+                if _audited_product(survivors, plan, expected) is not None:
+                    successes += 1
+    finally:
+        plan.decode_memo.clear()
     return Fraction(successes, attempts)
+
+
+def _chunks(patterns, S: int):
+    """The straggler patterns as (count, S) arrays of at most _CHUNK rows."""
+    while True:
+        if S:
+            down = np.fromiter(itertools.islice(patterns, _CHUNK), dtype=np.dtype((np.intp, S)))
+        else:
+            down = np.zeros((sum(1 for _ in itertools.islice(patterns, _CHUNK)), 0), np.intp)
+        if not len(down):
+            return
+        yield down
+
+
+def _prepare(plan: EvaluationPlan, down: np.ndarray) -> np.ndarray:
+    """Which of a (patterns, s) array of straggler patterns have a route (_routes).
+
+    Also replaces plan.decode_memo by the coefficients that decode needs
+    on them: on the worker table for every pattern when s workers leave at
+    least N' responses (to interpolate, or to check raw spare equations),
+    and on the base table for the spoiled hypernodes of every hyper
+    pattern, one batch per spoiled count.
+    """
+    spoiled = down // plan.params.M
+    spoiled.sort(axis=1)
+    first = np.ones(down.shape, dtype=bool)
+    first[:, 1:] = spoiled[:, 1:] != spoiled[:, :-1]
+    counts = first.sum(axis=1)
+    hyper, short = _routes(plan, down.shape[1], counts)
+    memo = plan.decode_memo
+    memo.clear()
+    if not short:
+        for row, W in zip(down.tolist(), _set_operators(plan, "worker", down)):
+            memo["worker", tuple(row)] = W
+    for k in sorted(set(counts[hyper].tolist())):
+        group = hyper & (counts == k)
+        sets = sorted(set(map(tuple, spoiled[group][first[group]]
+                              .reshape(int(group.sum()), k).tolist())))
+        missing = np.array(sets, dtype=np.intp).reshape(len(sets), k)
+        for key, W in zip(sets, _set_operators(plan, "base", missing)):
+            memo["base", key] = W
+    return hyper | (not short)
 
 
 # -- recovery threshold of a secure deployment ---------------------------------------

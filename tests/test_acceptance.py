@@ -11,10 +11,12 @@ import itertools
 import math
 import os
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import sdmm.protocol
 from sdmm import _gauss, examples
 from sdmm.cli import main as cli_main
 from sdmm.errors import (
@@ -205,10 +207,10 @@ def test_criterion_07_t2_deployment_mds_claim():
     bound still succeeds for other failure patterns. By default the scan
     samples minors and every pair of stragglers is decoded. With
     SDMM_FULL_MINORS=1 the scan walks the 142506 minors in order up to the
-    first singular one, all 2430 singular minors are listed and pinned, and
-    every one of the 4060 three-straggler patterns is decoded too (about
-    6 s on a 2-core machine, nearly all of it in the decodes; listing the
-    singular minors takes about 0.6 s).
+    first singular one, all 2430 singular minors are listed and pinned,
+    every one of the 4060 three-straggler patterns is decoded too, and
+    p(4) = 9127/9135 is pinned from all 27405 four-straggler patterns,
+    whose 24 failures are the rank-deficient 26-survivor sets.
     """
     full = os.environ.get("SDMM_FULL_MINORS") == "1"
     assert examples.check_security_t2_61() is None
@@ -264,6 +266,20 @@ def test_criterion_07_t2_deployment_mds_claim():
     assert p_of_s_empirical(A, B, plan, 2, mode="exhaustive") == 1
     if full:
         assert p_of_s_empirical(A, B, plan, 3, mode="exhaustive") == 1
+        # exactly the 24 rank-deficient 26-survivor sets fail to decode
+        failed = []
+
+        def recording_decode(responses, plan, counter=None):
+            try:
+                return decode(responses, plan, counter)
+            except SingularSystem:
+                failed.append(tuple(sorted(set(range(30)) - set(responses))))
+                raise
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sdmm.protocol, "decode", recording_decode)
+            assert p_of_s_empirical(A, B, plan, 4) == Fraction(9127, 9135)
+        assert sorted(failed) == sorted(GF61_DEFICIENT_26)
 
     # the exhaustive scan's recovery report: certified 28, not MDS
     assert examples.check_robustness_t2_witness() is None

@@ -342,6 +342,17 @@ def test_find_eval_over_the_minor_budget_exits_three(capsys):
     assert "minor budget" in err and "mode=" not in err
 
 
+@pytest.mark.parametrize("command", ["find-eval", "simulate", "p-of-s"])
+def test_a_refused_minor_scan_names_the_budget_option(capsys, command):
+    extra = ["-S", "1", "--mode", "exhaustive"] if command == "p-of-s" else []
+    argv = [command, "--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "31", *extra]
+    rc, out, err = run_cli(capsys, *argv, "--budget", "1")
+    assert rc == 3 and out == ""
+    assert "minor budget of 1" in err and "--budget" in err
+    # the default is the budget the search used before the option existed
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--budget", "200000")
+
+
 @pytest.mark.parametrize("argv", [
     ["find-eval", "--scheme", "mp:K=2,M=3,L=2,T=0", "--hypernodes", "3",
      "--max-escalations", "2"],

@@ -379,6 +379,38 @@ def test_ranks_decides_full_column_rank_in_a_mixed_batch(ctx):
             assert _gauss.ranks(BlockMatrix(a, ctx).array[None], ctx)[0] == r
 
 
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+def test_batched_elimination_reduces_each_matrix_as_alone(ctx):
+    # matrices of one batch pivot on different rows, some miss a pivot, and
+    # each full-rank one ends exactly as its own elimination leaves it
+    rng = random.Random(21)
+    mats = []
+    for i in range(12):
+        rows = rand_rows(5, 6, ctx, rng)
+        if i % 3 == 0:  # a zero first entry forces a row swap
+            rows[0][0] = ctx.zero()
+        if i % 4 == 1:  # a repeated column leaves the rank short
+            for row in rows:
+                row[2] = row[1]
+        mats.append(BlockMatrix(rows, ctx).array)
+    stack = np.array(mats)
+    counter = MultCounter()
+    ok = _gauss._eliminate(stack, 4, ctx, counter)
+    total = 0
+    for got, good, mat in zip(stack, ok, mats):
+        assert good == (_gauss.rank(mat[:, :4], ctx) == 4)
+        alone, count = mat.copy(), MultCounter()
+        if good:
+            _gauss._eliminate_one(alone, 4, ctx, count)
+            assert np.array_equal(got, alone)
+        else:
+            with pytest.raises(SingularSystem):
+                _gauss._eliminate_one(alone, 4, ctx, count)
+        total += count.count
+    assert not ok.all() and ok.any()
+    assert counter.count == total
+
+
 def test_solve_needs_as_many_equations_as_unknowns():
     ctx = FIELDS[0]
     counter = MultCounter()

@@ -18,6 +18,7 @@ from sdmm.fields import (
     FieldCtx,
     _element_of_order,
     _poly_is_irreducible,
+    is_primitive_root_of_unity,
     MultCounter,
     is_prime,
     largest_coprime_subgroup_order,
@@ -380,6 +381,44 @@ def test_roots_generators_and_subgroups_are_frozen():
     for spec, orders in _COPRIME_TABLE.items():
         ctx = parse_field_spec(spec)
         assert tuple(largest_coprime_subgroup_order(ctx, M) for M in range(1, 7)) == orders
+
+
+def _element_of_order_by_full_walk(ctx, m):
+    """_element_of_order as it walked before skipping the prime subfield.
+
+    Indices below p are the subfield elements w, so w^((q-1)/m) is read
+    off with an integer power mod p; every index from p on is walked with
+    field elements.
+    """
+    e = (ctx.order - 1) // m
+    for w in range(1, ctx.p):
+        z = pow(w, e, ctx.p)
+        if pow(z, m, ctx.p) == 1 and all(pow(z, m // f, ctx.p) != 1
+                                         for f in prime_factors(m)):
+            return ctx.from_index(z)
+    for idx in range(ctx.p, ctx.order):
+        z = ctx.from_index(idx).pow_(e)
+        if is_primitive_root_of_unity(z, m):
+            return z
+
+
+@pytest.mark.parametrize("spec, orders", [
+    ("13^2", (2, 3, 4, 6, 7, 8, 12, 14, 24, 168)),
+    ("31^2", (2, 3, 4, 5, 8, 16, 32, 60, 64, 960)),
+    ("10007^2", (2, 3, 4, 8, 9, 139, 10008)),
+])
+def test_element_of_order_skips_the_prime_subfield_without_changing_it(spec, orders):
+    ctx = parse_field_spec(spec)
+    for m in orders:
+        assert (ctx.order - 1) % m == 0
+        assert _element_of_order(ctx, m) == _element_of_order_by_full_walk(ctx, m), m
+
+
+def test_square_root_of_unity_over_a_31_bit_extension_is_fast():
+    ctx = parse_field_spec("2147483647^2")
+    start = time.perf_counter()
+    assert primitive_root_of_unity(ctx, 2) == ctx.element(-1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_zeroth_power_is_one_and_counts_nothing():

@@ -1,5 +1,6 @@
 """End-to-end protocol runs, decoding routes, and straggler-robustness estimates."""
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -21,6 +22,7 @@ from sdmm.errors import (
     OutOfRange,
     PlanInvalid,
     ShapeMismatch,
+    SingularSystem,
 )
 from sdmm.examples import gf31_plan, gf61_plan
 from sdmm.fields import MultCounter, make_field
@@ -37,7 +39,7 @@ from sdmm.protocol import (
     resolve_stragglers,
     run_protocol,
 )
-from sdmm.schemes import SchemeParams, build_f, partition
+from sdmm.schemes import SchemeParams, build_f, partition, product_block_positions
 from sdmm.thresholds import product_class_support, symbolic_support
 
 F13 = make_field(13)
@@ -203,6 +205,29 @@ def test_decode_raises_on_a_corrupted_response():
         decode(responses, plan)
 
 
+def test_hypernode_route_checks_the_raw_spare_equations():
+    # worker 0 down leaves exactly the 7 complete hypernodes the average
+    # needs, a square system, but 23 responses for 22 unknowns: the one raw
+    # spare equation exposes a corrupted response the average would use
+    plan = gf31_plan(1, 8)
+    rng = random.Random("raw-spare")
+    for _ in range(5):
+        A = BlockMatrix.random(4, 3, F31, rng)
+        B = BlockMatrix.random(3, 4, F31, rng)
+        responses = _responses(plan, A, B, rng)
+        survivors = {n: v for n, v in responses.items() if n != 0}
+        checked, bare = MultCounter(), MultCounter()
+        got = assemble_product(decode(survivors, plan, checked), plan.params, F31)
+        assert got == A.matmul(B)
+        # with hypernode 0 gone whole, 21 responses leave no raw spare
+        # equation; the same average and interpolation count the same
+        decode({n: v for n, v in survivors.items() if n > 2}, plan, bare)
+        assert checked.count == bare.count > 0
+        survivors[3] = survivors[3] + BlockMatrix.random(2, 2, F31, rng)
+        with pytest.raises(InconsistentResponses):
+            decode(survivors, plan)
+
+
 @pytest.mark.parametrize("down, bad", [((0, 3), 5), ((), 5), ((1,), 0)],
                          ids=["full", "hypernode", "spoiled"])
 def test_decode_rejects_a_response_over_another_field(down, bad):
@@ -248,15 +273,20 @@ def test_decode_on_the_plan_tables_matches_interpolation_from_points(
     A, B = _inputs(plan)
     responses = _responses(plan, A, B, random.Random("tables"))
     survivors = {n: v for n, v in responses.items() if n not in down}
+    decode(survivors, plan)  # computes the plan's tables and their splits
+    powers = _gauss.powers
+    calls = []
+    monkeypatch.setattr(_gauss, "powers", lambda *a: calls.append(1) or powers(*a))
     cached = MultCounter()
     blocks = decode(survivors, plan, cached)
+    assert not calls  # decode never recomputes powers
 
     interpolate = sdmm.protocol.interpolate
     tables = []
 
-    def from_points(points, values, exponents, ctx, counter=None, *, table):
+    def from_points(points, values, exponents, ctx, counter=None, *, table, solver):
         tables.append(table)
-        return interpolate(points, values, exponents, ctx, counter)
+        return interpolate(points, values, exponents, ctx, counter, solver=solver)
 
     monkeypatch.setattr(sdmm.protocol, "interpolate", from_points)
     recomputed = MultCounter()
@@ -266,6 +296,88 @@ def test_decode_on_the_plan_tables_matches_interpolation_from_points(
     want = (plan.base_table if route == "hypernode"
             else plan.worker_table[[n for n in range(plan.n_workers) if n not in down]])
     assert len(tables) == 1 and np.array_equal(tables[0], want)
+    assert calls  # and here interpolate did, from the points
+
+
+_SCALAR_PLANS = {
+    "31": lambda: gf31_plan(1, 8),
+    # with the frozen singular 25-survivor witness and a deficient 26-set
+    "61": lambda: (gf61_plan(), [(6, 12, 19, 24, 25), (0, 3, 22, 24)]),
+    "2^31-1": lambda: find_evaluation_vector(SchemeParams.mp(2, 2, 1, 1),
+                                             make_field((1 << 31) - 1), n_hypernodes=5, seed=0),
+    "2^61-1": lambda: find_evaluation_vector(SchemeParams.mp(2, 2, 1, 1),
+                                             make_field((1 << 61) - 1), n_hypernodes=5, seed=0),
+    "13^2": lambda: find_evaluation_vector(SchemeParams.mp(2, 3, 2, 1), make_field(13, 2),
+                                           n_hypernodes=8, seed=0),
+    "flat-101": lambda: find_evaluation_vector(SchemeParams.ggasp(2, 3, 2, 1), make_field(101),
+                                               n_workers=24, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCALAR_PLANS))
+def test_decode_matches_interpolation_from_points_on_random_survivor_sets(monkeypatch, name):
+    # decode on the plan operators against decode on the plain _gauss.solve
+    # path: the same blocks, exception class and count on honest and on
+    # corrupted responses; and, whenever the survivors' worker rows have full
+    # column rank, InconsistentResponses exactly when their raw system is
+    # inconsistent, else the true product
+    plan = _SCALAR_PLANS[name]()
+    plan, fixed = plan if isinstance(plan, tuple) else (plan, [])
+    params, ctx = plan.params, plan.ctx
+    rng = random.Random(f"scalar-{name}")
+    A, B = _inputs(plan)
+    responses = _responses(plan, A, B, rng)
+    shape = responses[0].shape
+    positions = product_block_positions(params.K, params.M, params.L).values()
+    interpolate = sdmm.protocol.interpolate
+
+    def from_points(points, values, exponents, ctx, counter=None, *, table, solver):
+        poly = interpolate(points, values, exponents, ctx, counter)
+        return np.array([poly.coeff(e).array for e in positions])
+
+    def outcome(survivors, scalar):
+        counter = MultCounter()
+        with monkeypatch.context() as patch:
+            if scalar:
+                patch.setattr(sdmm.protocol, "interpolate", from_points)
+            try:
+                result = decode(survivors, plan, counter)
+            except (InsufficientResponses, SingularSystem, InconsistentResponses) as exc:
+                result = type(exc)
+        return result, counter.count
+
+    N, m = plan.n_workers, len(plan.full_support)
+    downs = fixed + [rng.sample(range(N), rng.randint(0, min(N, N - m + 2)))
+                     for _ in range(30)]
+    seen = set()
+    for trial, down in enumerate(downs):
+        for corrupt in (False, True):
+            survivors = {n: v for n, v in responses.items() if n not in down}
+            if corrupt:
+                bad = rng.choice(sorted(survivors))
+                spot = (rng.randrange(shape[0]), rng.randrange(shape[1]))
+                bump = [[int((i, j) == spot) for j in range(shape[1])] for i in range(shape[0])]
+                survivors[bad] = survivors[bad] + BlockMatrix(bump, ctx)
+            got, count = outcome(survivors, scalar=False)
+            assert (got, count) == outcome(survivors, scalar=True), (down, corrupt)
+            kind = got if isinstance(got, type) else dict
+            seen.add((corrupt, kind))
+            order = sorted(survivors)
+            V = plan.worker_table[order]
+            if _gauss.rank(V, ctx) == m:
+                stack = np.array([survivors[n].array for n in order]).reshape(len(order), -1, ctx.r)
+                with pytest.raises(InconsistentResponses) if got is InconsistentResponses \
+                        else contextlib.nullcontext():
+                    _gauss.solve(V, stack, ctx)
+            if kind is dict and not corrupt:
+                assert assemble_product(got, params, ctx) == A.matmul(B), down
+            if kind is dict and corrupt:
+                # a wrong product only when the corrupted response was undetectable
+                rest = [n for n in order if n != bad]
+                assert _gauss.rank(plan.worker_table[rest], ctx) < m, down
+    assert (False, dict) in seen and (True, InconsistentResponses) in seen
+    assert (False, InconsistentResponses) not in seen
+    assert not fixed or (False, SingularSystem) in seen
 
 
 def test_plan_tables_are_read_only_powers_outside_equality():
@@ -281,6 +393,9 @@ def test_plan_tables_are_read_only_powers_outside_equality():
         with pytest.raises(ValueError):
             table[0, 0, 0] = 1
         assert np.array_equal(table, [[x.pow_(e).coeffs for e in exponents] for x in points])
+    # the table decompositions and the decode memo are caches, not fields
+    assert plan.worker_split is not None and plan.base_split is not None
+    plan.decode_memo["worker", ()] = None
     assert plan.full_support == symbolic_support(plan.params)
     assert plan.class_support == product_class_support(plan.params)
     assert plan == fresh and hash(plan) == hash(fresh)
@@ -302,6 +417,34 @@ def test_hypernode_weights_are_cached_subgroup_averages():
     flat = dataclasses.replace(plan, zeta=None, base_points=None)
     with pytest.raises(PlanInvalid):
         flat.hypernode_weights
+
+
+@pytest.mark.parametrize("T, hypernodes, S, routed, want", [
+    (0, 6, 5, 90, Fraction(90, 8568)),  # only the 90 patterns keeping 4 hypernodes
+    (1, 8, 2, 276, Fraction(1)),        # every pattern leaves the 22 responses needed
+])
+def test_p_of_s_decodes_each_routed_pattern_from_a_chunk_memo(monkeypatch, T, hypernodes,
+                                                              S, routed, want):
+    # patterns that decode's count rule rejects never reach decode; the
+    # others do, one call each, while the plan's memo holds one chunk
+    plan = gf31_plan(T, hypernodes)
+    A, B = _inputs(plan)
+    real = sdmm.protocol.decode
+    sizes = []
+
+    def counting_decode(responses, plan, counter=None):
+        sizes.append(len(plan.decode_memo))
+        return real(responses, plan, counter)
+
+    monkeypatch.setattr(sdmm.protocol, "_CHUNK", 40)
+    monkeypatch.setattr(sdmm.protocol, "decode", counting_decode)
+    assert p_of_s_empirical(A, B, plan, S) == want
+    assert len(sizes) == routed
+    assert 0 < max(sizes) <= 2 * 40 and not plan.decode_memo
+    # decode computes what the memo would have held
+    responses = _responses(plan, A, B, random.Random(1))
+    survivors = {n: v for n, v in responses.items() if n >= S}
+    assert assemble_product(real(survivors, plan), plan.params, F31) == A.matmul(B)
 
 
 def test_p_of_s_audits_every_decode(monkeypatch):
