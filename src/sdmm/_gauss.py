@@ -127,16 +127,20 @@ def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, counter=None, row_cost=None
         raise SingularSystem("fewer equations than unknowns")
     cost = width if row_cost is None else row_cost
     ok = np.ones(batch, dtype=bool)
-    idx = np.arange(batch)
     for col in range(m):
         hit = M[:, :, col].any(axis=-1)
-        piv = col + hit[:, col:].argmax(axis=1)
-        ok &= hit[idx, piv]
-        if not ok.any():
-            break
+        below = hit[:, col:]
+        piv = col + below.argmax(axis=1)
+        has = below.any(axis=1)
+        if not has.all():
+            ok &= has
+            if not ok.any():
+                break
         if counter is not None:
             counter.add(cost * int(hit[ok].sum()))
-        M[idx, col], M[idx, piv] = M[idx, piv], M[idx, col]
+        if (piv != col).any():
+            swap = np.flatnonzero(piv != col)
+            M[swap, col], M[swap, piv[swap]] = M[swap, piv[swap]], M[swap, col]
         M[:, col] = mul(M[:, col], _inverses(M[:, col, col], ctx)[:, None], ctx)
         factor = M[:, :, col, None].copy()
         factor[:, col] = 0
