@@ -13,9 +13,10 @@ product below 2^63 before it is reduced.
 
 ranks, a batched division-free forward elimination, answers every rank
 question. _eliminate, the only Gauss-Jordan loop, eliminates a batch of
-matrices at once and serves solve, decompose and the per-survivor-set
-systems of the decoder; its boxed pivot inverses are the only field
-inversions here.
+matrices at once and serves solve, decompose, the decoder's
+per-survivor-set systems and, through the pivot hits it returns, the cost
+model in matpoly (nothing here counts); its boxed pivot inverses are the
+only field inversions here.
 """
 
 from __future__ import annotations
@@ -110,23 +111,22 @@ def _inverses(pivots: np.ndarray, ctx: FieldCtx) -> np.ndarray:
                      for c in map(tuple, pivots.tolist())], dtype=pivots.dtype)
 
 
-def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, counter=None, row_cost=None) -> np.ndarray:
+def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jordan elimination in place of a (batch, rows, cols, r) stack over its first m columns.
 
     In each matrix, each pivot, the first nonzero row at or below the
     diagonal, is normalised and clears its column in every other row.
-    Returns which matrices have full column rank on those m columns; one
-    that misses a pivot is left partly reduced. Fewer rows than m raises
-    SingularSystem. With a counter, each normalisation and each eliminated
-    nonzero row costs row_cost (the row width by default), up to a
-    matrix's first pivotless column. The pivot rows, and so the counts,
-    depend on the first m columns alone.
+    Returns which matrices have full column rank on those m columns (one
+    that misses a pivot is left partly reduced) and each one's pivot hits:
+    the nonzero rows of every column it reduced before its first pivotless
+    one. The pivot rows, and so the hits, depend on the first m columns
+    alone. Fewer rows than m raises SingularSystem.
     """
-    batch, rows, width = M.shape[:3]
+    batch, rows = M.shape[:2]
     if rows < m:
         raise SingularSystem("fewer equations than unknowns")
-    cost = width if row_cost is None else row_cost
     ok = np.ones(batch, dtype=bool)
+    hits = np.zeros(batch, dtype=np.intp)
     for col in range(m):
         hit = M[:, :, col].any(axis=-1)
         below = hit[:, col:]
@@ -136,8 +136,7 @@ def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, counter=None, row_cost=None
             ok &= has
             if not ok.any():
                 break
-        if counter is not None:
-            counter.add(cost * int(hit[ok].sum()))
+        hits += hit.sum(axis=1) * ok
         if (piv != col).any():
             swap = np.flatnonzero(piv != col)
             M[swap, col], M[swap, piv[swap]] = M[swap, piv[swap]], M[swap, col]
@@ -146,16 +145,16 @@ def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, counter=None, row_cost=None
         factor[:, col] = 0
         M -= mul(factor, M[:, None, col], ctx)
         M %= ctx.p
-    return ok
+    return ok, hits
 
 
-def _eliminate_one(M: np.ndarray, m: int, ctx: FieldCtx, counter=None, row_cost=None) -> None:
+def _eliminate_one(M: np.ndarray, m: int, ctx: FieldCtx) -> None:
     """_eliminate of one (rows, cols, r) matrix in place; SingularSystem without full column rank."""
-    if not _eliminate(M[None], m, ctx, counter, row_cost)[0]:
+    if not _eliminate(M[None], m, ctx)[0][0]:
         raise SingularSystem("coefficient matrix is rank deficient")
 
 
-def solve(rows, rhs, ctx: FieldCtx, counter=None) -> np.ndarray:
+def solve(rows, rhs, ctx: FieldCtx) -> np.ndarray:
     """Solve A X = B exactly; B has one or more columns.
 
     A and B are matrices in any form as_array accepts; X is returned as a
@@ -168,7 +167,7 @@ def solve(rows, rhs, ctx: FieldCtx, counter=None) -> np.ndarray:
     A, B = as_array(rows, ctx), as_array(rhs, ctx)
     n, m = A.shape[:2]
     M = np.concatenate([A, B], axis=1)
-    _eliminate_one(M, m, ctx, counter)
+    _eliminate_one(M, m, ctx)
     if (M[m:] != 0).any():
         raise InconsistentResponses(
             f"{n - m} spare equations disagree with the {m} unknowns")

@@ -96,8 +96,8 @@ def prime_factors(n: int) -> list[int]:
 class MultCounter:
     """Opt-in counter for scalar field multiplications.
 
-    Threaded by hand through the operations that advertise counting; plain
-    arithmetic never touches it.
+    pow_ counts its own products; the other counting functions add what the
+    cost model in matpoly prices. The array engine never touches it.
     """
 
     __slots__ = ("count",)

@@ -3,13 +3,12 @@
 A BlockMatrix is an immutable dense matrix stored as one read-only array of
 canonical residues, so its arithmetic runs on whole arrays through the
 exact engine in _gauss; FieldElements appear only when single entries are
-read. Results are bit-for-bit those of entry-wise field arithmetic, and a
-MultCounter still records the scalar multiplications each operation
-stands for. A MatPoly maps exponents to BlockMatrix coefficients, all of
-one shape, and is kept canonical: no zero coefficient is ever stored, so
-the term keys are exactly the support. evaluate and interpolate run on one
-power table of the points and count what sparse Horner and entry-wise
-elimination spend; evaluate_naive is the scalar power-sum reference.
+read. Results are bit-for-bit those of entry-wise field arithmetic. A
+MatPoly maps exponents to BlockMatrix coefficients, all of one shape, and
+is kept canonical: no zero coefficient is ever stored, so the term keys
+are exactly the support. evaluate and interpolate run on one power table
+of the points; evaluate_naive is the scalar power-sum reference. The
+arrays count nothing; the cost model at the end prices the scalar work.
 """
 
 from __future__ import annotations
@@ -112,14 +111,12 @@ class BlockMatrix:
         coeffs = np.array(ctx.element(c).coeffs, dtype=self.array.dtype)
         return BlockMatrix(_gauss.mul(self.array, coeffs, ctx), ctx)
 
-    def matmul(self, other: "BlockMatrix", counter: Optional[MultCounter] = None) -> "BlockMatrix":
-        """Matrix product; costs rows*inner*cols field multiplications."""
+    def matmul(self, other: "BlockMatrix") -> "BlockMatrix":
+        """Matrix product, standing for rows*inner*cols field multiplications."""
         if self.cols != other.rows:
             raise ShapeMismatch(f"inner dimensions {self.cols} and {other.rows} differ")
         if self.ctx != other.ctx:
             raise ShapeMismatch("matrices over different fields")
-        if counter is not None:
-            counter.add(self.rows * self.cols * other.cols)
         return BlockMatrix(_gauss.matmul(self.array, other.array, self.ctx), self.ctx)
 
     def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
@@ -233,8 +230,10 @@ class MatPoly:
 
     def eval_sparse_horner(self, x: FieldElement,
                            counter: Optional[MultCounter] = None) -> BlockMatrix:
-        """The value at x, counted as sparse Horner spends it (see evaluate)."""
-        return evaluate(self, [x], counter)[0]
+        """The value at x, counted as sparse Horner spends it (horner_cost)."""
+        if counter is not None:
+            counter.add(horner_cost(self))
+        return evaluate(self, [x])[0]
 
 
 def mod_m_transform(h: MatPoly, zeta: FieldElement, M: int) -> MatPoly:
@@ -270,11 +269,6 @@ def mod_m_transform_by_summation(h: MatPoly, zeta: FieldElement, M: int) -> MatP
     return MatPoly(out, (h.rows, h.cols), ctx)
 
 
-def _ladder(e: int) -> int:
-    """Multiplications FieldElement.pow_ spends on x^e."""
-    return e.bit_length() + e.bit_count() - 2 if e else 0
-
-
 def stack_blocks(blocks: list[BlockMatrix], ctx: FieldCtx) -> np.ndarray:
     """Residue arrays of blocks of one shape over ctx, stacked on a new axis 0."""
     shape = blocks[0].shape
@@ -285,23 +279,13 @@ def stack_blocks(blocks: list[BlockMatrix], ctx: FieldCtx) -> np.ndarray:
     return np.array([b.array for b in blocks], dtype=blocks[0].array.dtype)
 
 
-def evaluate(poly: MatPoly, points: Iterable[FieldElement],
-             counter: Optional[MultCounter] = None) -> list[BlockMatrix]:
-    """poly at every point: one power table times the stacked coefficients.
-
-    Counts what sparse Horner spends at each point: for every gap between
-    consecutive support exponents, the lowest counted from 0, one pow_
-    ladder and one block scale.
-    """
+def evaluate(poly: MatPoly, points: Iterable[FieldElement]) -> list[BlockMatrix]:
+    """poly at every point: one power table times the stacked coefficients."""
     pts = list(points)
     ctx, exps = poly.ctx, poly.support()
-    size = poly.rows * poly.cols
-    if counter is not None:
-        gaps = [b - a for a, b in zip((0,) + exps, exps) if b > a]
-        counter.add(len(pts) * sum(_ladder(g) + size for g in gaps))
     table = _gauss.powers(_gauss.as_array([pts], ctx)[0], exps, ctx)
     coeffs = np.array([c.array for c in poly.terms.values()], dtype=_gauss.dtype(ctx))
-    values = _gauss.matmul(table, coeffs.reshape(len(exps), size, ctx.r), ctx)
+    values = _gauss.matmul(table, coeffs.reshape(len(exps), poly.rows * poly.cols, ctx.r), ctx)
     return [BlockMatrix(v.reshape(poly.rows, poly.cols, ctx.r), ctx) for v in values]
 
 
@@ -324,10 +308,9 @@ def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int]
     MatPoly is returned. A solver maps the (n, rows*cols, r) value stack to
     the rows of the coefficients its caller wants, as the decoder's plan
     operators do, raising as above; interpolate then returns those rows as
-    a (k, rows, cols, r) stack and reads the table only to count.
-    The count is the same on either path: each point's pow_ ladder for
-    every exponent, then the elimination of [table | values], whose work
-    depends on the table alone.
+    a (k, rows, cols, r) stack. Either path counts, before solving, each
+    point's pow_ ladder for every exponent and gauss_jordan_cost of
+    [table | values], for which it reads the table.
     """
     pts = list(points)
     vals = values if isinstance(values, np.ndarray) else list(values)
@@ -347,16 +330,32 @@ def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int]
     elif table.shape != (len(pts), len(exps), ctx.r):
         raise ShapeMismatch(f"power table of shape {table.shape} does not match "
                             f"{len(pts)} points and {len(exps)} exponents")
-    if counter is not None:
-        counter.add(len(pts) * sum(_ladder(e) for e in exps))
     flat = rhs.reshape(len(vals), -1, ctx.r)
-    if solver is None:
-        sol = _gauss.solve(table, flat, ctx, counter)
-        terms = {e: BlockMatrix(row.reshape(shape + (ctx.r,)), ctx)
-                 for row, e in zip(sol, exps)}
-        return MatPoly(terms, shape, ctx)
     if counter is not None:
-        _gauss._eliminate_one(table.copy(), len(exps), ctx, counter,
-                              row_cost=len(exps) + flat.shape[1])
-    sol = solver(flat)
-    return sol.reshape((len(sol),) + shape + (ctx.r,))
+        counter.add(len(pts) * sum(_ladder(e) for e in exps)
+                    + gauss_jordan_cost(table, len(exps) + flat.shape[1], ctx))
+    if solver is not None:
+        sol = solver(flat)
+        return sol.reshape((len(sol),) + shape + (ctx.r,))
+    sol = _gauss.solve(table, flat, ctx)
+    terms = {e: BlockMatrix(row.reshape(shape + (ctx.r,)), ctx) for row, e in zip(sol, exps)}
+    return MatPoly(terms, shape, ctx)
+
+
+# -- the cost model ------------------------------------------------------------------
+
+
+def _ladder(e: int) -> int:
+    """Multiplications FieldElement.pow_ spends on x^e."""
+    return e.bit_length() + e.bit_count() - 2 if e else 0
+
+
+def horner_cost(poly: MatPoly) -> int:
+    """Multiplications sparse Horner spends on poly at one point: a ladder and a scale per gap."""
+    exps = poly.support()
+    return sum(_ladder(b - a) + poly.rows * poly.cols for a, b in zip((0,) + exps, exps) if b > a)
+
+
+def gauss_jordan_cost(table: np.ndarray, width: int, ctx: FieldCtx) -> int:
+    """Multiplications Gauss-Jordan spends on [table | values]: width per pivot hit of the table."""
+    return width * int(_gauss._eliminate(table[None].copy(), table.shape[1], ctx)[1][0])

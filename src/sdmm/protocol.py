@@ -11,6 +11,7 @@ counts of each phase.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .fields import FieldCtx, MultCounter
 from .linalg import EvaluationPlan, MdsResult, is_mds, singular_minors
-from .matpoly import BlockMatrix, evaluate, interpolate, stack_blocks
+from .matpoly import BlockMatrix, evaluate, horner_cost, interpolate, stack_blocks
 from .schemes import (
     SchemeParams,
     build_f,
@@ -107,7 +108,9 @@ def encode(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan, rng: random.Ran
     f = build_f(params, parts, rng, plan.ctx)
     g = build_g(params, parts, rng, plan.ctx)
     pts = plan.worker_points
-    return list(zip(evaluate(f, pts, counter), evaluate(g, pts, counter)))
+    if counter is not None:
+        counter.add(len(pts) * (horner_cost(f) + horner_cost(g)))
+    return list(zip(evaluate(f, pts), evaluate(g, pts)))
 
 
 def _routes(plan: EvaluationPlan, s: int, spoiled) -> tuple:
@@ -151,7 +154,7 @@ def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> lis
     M = np.zeros((sets, k, d + k, ctx.r), dtype=split.dtype)
     M[:, :, :d] = kernel[:, missing].swapaxes(0, 1)
     M[:, :, d:, 0] = np.eye(k, dtype=split.dtype)
-    ok = _gauss._eliminate(M, d, ctx)
+    ok = _gauss._eliminate(M, d, ctx)[0]
     E = M[:, :, d:]
     C = np.zeros((sets, n_targets, k, ctx.r), dtype=split.dtype)
     for j in range(d):
@@ -160,21 +163,17 @@ def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> lis
     return [w if good else None for w, good in zip(W, ok)]
 
 
-def _apply(plan: EvaluationPlan, route: str, missing, rows, rhs: np.ndarray,
-           check_only: bool = False) -> Optional[np.ndarray]:
+def _apply(plan: EvaluationPlan, route: str, missing, rows, rhs: np.ndarray) -> np.ndarray:
     """Target coefficients of the survivor set `rows` of a route's table, from its values rhs.
 
     The set's W (_set_operators) comes from plan.decode_memo, else from a
-    batch of one. Without full column rank this raises SingularSystem, or
-    returns None when check_only; a failed spare equation raises
-    InconsistentResponses.
+    batch of one. Without full column rank this raises SingularSystem; a
+    failed spare equation raises InconsistentResponses.
     """
     key = (route, tuple(missing))
     W = (plan.decode_memo[key] if key in plan.decode_memo else
          _set_operators(plan, route, np.array([missing], dtype=np.intp).reshape(1, -1))[0])
     if W is None:
-        if check_only:
-            return None
         raise SingularSystem("coefficient matrix is rank deficient")
     split, ctx = getattr(plan, f"{route}_split"), plan.ctx
     n_targets = len(split) - W.shape[1]
@@ -251,8 +250,8 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
             if short:  # and no full interpolation to fall through to
                 raise InsufficientResponses(f"have {shortfall}") from None
         else:
-            _apply(plan, "worker", missing, order, stack.reshape(len(order), -1, ctx.r),
-                   check_only=True)
+            with contextlib.suppress(SingularSystem):
+                _apply(plan, "worker", missing, order, stack.reshape(len(order), -1, ctx.r))
     if coeffs is None:
         pts = [plan.worker_points[n] for n in order]
         coeffs = interpolate(pts, stack, plan.full_support, ctx, counter,
@@ -338,8 +337,9 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
 
     The master encodes shares for every worker before knowing who will
     straggle, so the encode count covers all of them; only respondents
-    contribute worker multiplications. The decoded product is checked
-    block-for-block against A @ B computed directly (see _audited_product).
+    contribute worker multiplications, a*s*b for a x s and s x b shares.
+    The decoded product is checked block-for-block against A @ B computed
+    directly (see _audited_product).
     Too many stragglers is not an error: the report simply records the
     failure to decode.
     """
@@ -349,8 +349,9 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
 
     straggler_rng = random.Random(f"sdmm-straggler-{seed}")
     down = set(resolve_stragglers(stragglers, plan.n_workers, straggler_rng))
-    responses = {n: fa.matmul(gb, counters["worker"])
-                 for n, (fa, gb) in enumerate(shares) if n not in down}
+    responses = {n: fa.matmul(gb) for n, (fa, gb) in enumerate(shares) if n not in down}
+    fa, gb = shares[0]
+    counters["worker"].add(len(responses) * fa.rows * fa.cols * gb.cols)
 
     product = _audited_product(responses, plan, A.matmul(B), counters["decode"])
     product_hash = None

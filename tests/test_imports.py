@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Static checks of the package source.
 
-The package __init__ is exempt: it imports names to re-export them.
+Every module uses each name it imports; the package __init__ is exempt,
+since it imports names to re-export them. And the array engine counts
+nothing: multiplication counts come from the cost model in matpoly.
 """
 
 import ast
@@ -27,3 +29,28 @@ def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text())
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+def _functions(node):
+    return [n for n in node.body if isinstance(n, ast.FunctionDef)]
+
+
+def _params(fn):
+    args = fn.args
+    return {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+
+
+def test_the_array_engine_takes_no_counter():
+    src = Path(sdmm.__file__).parent
+    gauss = ast.parse((src / "_gauss.py").read_text())
+    matpoly = ast.parse((src / "matpoly.py").read_text())
+    protocol = ast.parse((src / "protocol.py").read_text())
+    block = next(n for n in matpoly.body
+                 if isinstance(n, ast.ClassDef) and n.name == "BlockMatrix")
+    evaluate = [f for f in _functions(matpoly) if f.name == "evaluate"]
+    engine = [f for f in ast.walk(gauss) if isinstance(f, ast.FunctionDef)]
+    engine += _functions(block) + evaluate
+    assert len(evaluate) == 1
+    assert [f.name for f in engine if _params(f) & {"counter", "row_cost"}] == []
+    (apply,) = [f for f in _functions(protocol) if f.name == "_apply"]
+    assert "check_only" not in _params(apply)

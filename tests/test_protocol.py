@@ -144,6 +144,23 @@ def test_decode_failure_is_reported_not_raised():
     assert rep.responses_used == 21
 
 
+@pytest.mark.parametrize("down, success, counts", [
+    ((9, 24), True, {"encode": 1080, "worker": 112, "decode": 23092}),
+    ((9, 10, 11, 24, 25, 26), False, {"encode": 1080, "worker": 96, "decode": 1064}),
+], ids=["partial-then-full", "partial-then-fail"])
+def test_a_singular_hypernode_system_keeps_its_partial_count(down, success, counts):
+    # hypernodes 0-2 and 4-7 and 9 stay complete, but their filtered system
+    # has rank 7: decode counts the elimination up to its pivotless column,
+    # then interpolates all responses, or with 24 of them fails
+    plan = gf61_plan()
+    rng = random.Random("pin")
+    A = BlockMatrix.random(4, 3, F61, rng)
+    B = BlockMatrix.random(3, 4, F61, rng)
+    rep = run_protocol(A, B, plan, stragglers=down, seed=1)
+    assert rep.decode_success == success
+    assert rep.mult_counts == counts
+
+
 def test_decode_raises_when_called_directly_with_too_few_responses():
     plan = gf31_plan(1, 8)
     A, B = _inputs(plan)
