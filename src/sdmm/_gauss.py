@@ -11,12 +11,14 @@ operand into 16-bit limbs and the inner dimension into chunks of 2^16
 (the delayed-reduction idea of FFLAS-FFPACK), which keeps every int64 dot
 product below 2^63 before it is reduced.
 
-ranks, a batched division-free forward elimination, answers every rank
-question. _eliminate, the only Gauss-Jordan loop, eliminates a batch of
-matrices at once and serves solve, decompose, the decoder's
-per-survivor-set systems and, through the pivot hits it returns, the cost
-model in matpoly (nothing here counts); its boxed pivot inverses are the
-only field inversions here.
+_eliminate, the one elimination loop, is division-free and batched: a
+column step scales the rows it clears by the pivot instead of dividing by
+it. ranks (and rank and batch_is_invertible over it) clears below each
+pivot only; _reduce clears every other row, then normalises the pivot
+rows with one batched _inverses call, the only field inversions here, for
+solve, decompose and the decoder's per-survivor-set systems. The cost
+model in matpoly prices Gauss-Jordan from the pivot hits of a full
+elimination it never normalises; nothing here counts.
 """
 
 from __future__ import annotations
@@ -111,46 +113,81 @@ def _inverses(pivots: np.ndarray, ctx: FieldCtx) -> np.ndarray:
                      for c in map(tuple, pivots.tolist())], dtype=pivots.dtype)
 
 
-def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan elimination in place of a (batch, rows, cols, r) stack over its first m columns.
+def _step(pivot, rows, lead, pivot_row, ctx: FieldCtx) -> np.ndarray:
+    """pivot * rows - lead * pivot_row mod p, the division-free column step.
 
-    In each matrix, each pivot, the first nonzero row at or below the
-    diagonal, is normalised and clears its column in every other row.
-    Returns which matrices have full column rank on those m columns (one
-    that misses a pivot is left partly reduced) and each one's pivot hits:
-    the nonzero rows of every column it reduced before its first pivotless
-    one. The pivot rows, and so the hits, depend on the first m columns
-    alone. Fewer rows than m raises SingularSystem.
+    Over a prime field both products of int64 residues stay below
+    (p - 1)^2 < 2^62, so one reduction of their difference is exact.
     """
-    batch, rows = M.shape[:2]
-    if rows < m:
-        raise SingularSystem("fewer equations than unknowns")
-    ok = np.ones(batch, dtype=bool)
-    hits = np.zeros(batch, dtype=np.intp)
+    if ctx.r == 1:
+        return (pivot * rows - lead * pivot_row) % ctx.p
+    return (mul(pivot, rows, ctx) - mul(lead, pivot_row, ctx)) % ctx.p
+
+
+def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, full: bool = True,
+               tally: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Division-free elimination in place of a (batch, rows, cols, r) stack on its first m columns.
+
+    At each column where some matrix has a pivot, the first nonzero row at
+    or below the pivot row (swapped up where needed), each row it clears
+    becomes pivot * row - lead * pivot_row (_step), as in Bareiss: the rows
+    below, from that column on, for a rank question (full False); else
+    every other row across all columns, so each row of a matrix of full
+    column rank ends as a nonzero multiple of its Gauss-Jordan row. A matrix
+    without a pivot where another has one counts none, its zero pivot
+    clearing its rows below. Returns the pivot counts, exact for a batch of
+    one and m exactly at full column rank, and with tally (full only) the
+    pivot hits: the nonzero rows of each column reduced before the first
+    pivotless one. They depend on zero patterns alone, so equal Gauss-Jordan's.
+    """
+    batch, n = M.shape[:2]
+    count = np.zeros(batch, dtype=np.intp)
+    hits = np.zeros(batch, dtype=np.intp) if tally else None
+    row = 0
     for col in range(m):
-        hit = M[:, :, col].any(axis=-1)
-        below = hit[:, col:]
-        piv = col + below.argmax(axis=1)
-        has = below.any(axis=1)
-        if not has.all():
-            ok &= has
-            if not ok.any():
-                break
-        hits += hit.sum(axis=1) * ok
-        if (piv != col).any():
-            swap = np.flatnonzero(piv != col)
-            M[swap, col], M[swap, piv[swap]] = M[swap, piv[swap]], M[swap, col]
-        M[:, col] = mul(M[:, col], _inverses(M[:, col, col], ctx)[:, None], ctx)
-        factor = M[:, :, col, None].copy()
-        factor[:, col] = 0
-        M -= mul(factor, M[:, None, col], ctx)
-        M %= ctx.p
-    return ok, hits
+        if row == n:
+            break
+        nz = M[:, row:, col].any(axis=-1)
+        has = nz.any(axis=1)
+        if not has.any():
+            continue
+        count += has
+        if tally:
+            hits += M[:, :, col].any(axis=-1).sum(axis=1) * (count == col + 1)
+        piv = row + nz.argmax(axis=1)
+        if (piv != row).any():
+            swap = np.flatnonzero(piv != row)
+            M[swap, row], M[swap, piv[swap]] = M[swap, piv[swap]], M[swap, row]
+        top, left = (0, 0) if full else (row + 1, col)
+        pivot_row = M[:, row, None, left:].copy()
+        block = M[:, top:, left:]
+        block[...] = _step(pivot_row[:, :, col - left, None], block,
+                           block[:, :, col - left, None], pivot_row, ctx)
+        if full:
+            M[:, row] = pivot_row[:, 0]
+        row += 1
+    return count, hits
+
+
+def _reduce(M: np.ndarray, m: int, ctx: FieldCtx) -> np.ndarray:
+    """Gauss-Jordan form in place of a (batch, rows, cols, r) stack on its first m columns.
+
+    _eliminate clears every column, then one batched _inverses call
+    normalises the m pivot rows. Returns which matrices have full column
+    rank on those columns; the others are left garbled.
+    """
+    ok = _eliminate(M, m, ctx)[0] == m
+    diag = M[:, np.arange(m), np.arange(m)]
+    inv = _inverses(diag.reshape(-1, ctx.r), ctx).reshape(diag.shape)
+    M[:, :m] = mul(M[:, :m], inv[:, :, None], ctx)
+    return ok
 
 
 def _eliminate_one(M: np.ndarray, m: int, ctx: FieldCtx) -> None:
-    """_eliminate of one (rows, cols, r) matrix in place; SingularSystem without full column rank."""
-    if not _eliminate(M[None], m, ctx)[0][0]:
+    """_reduce of one (rows, cols, r) matrix in place; SingularSystem without full column rank."""
+    if len(M) < m:
+        raise SingularSystem("fewer equations than unknowns")
+    if not _reduce(M[None], m, ctx)[0]:
         raise SingularSystem("coefficient matrix is rank deficient")
 
 
@@ -162,7 +199,7 @@ def solve(rows, rhs, ctx: FieldCtx) -> np.ndarray:
     column rank (else SingularSystem), and the equations beyond the
     pivots must then be consistent, else InconsistentResponses: genuine
     evaluations of one polynomial always are, so an inconsistency means
-    some right-hand side was corrupted. [A | B] is reduced by _eliminate.
+    some right-hand side was corrupted. [A | B] is reduced by _reduce.
     """
     A, B = as_array(rows, ctx), as_array(rhs, ctx)
     n, m = A.shape[:2]
@@ -177,9 +214,11 @@ def solve(rows, rhs, ctx: FieldCtx) -> np.ndarray:
 def decompose(table: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     """Rows G (m, n, r) of a left inverse and K (n - m, n, r) of the left kernel of V.
 
-    Eliminating [V | I_n] for an (n, m, r) V leaves E V = [I_m; 0], so
-    G V = I, K V = 0, and the rows of K span {y : y^T V = 0}. A V without
-    full column rank raises SingularSystem.
+    Reducing [V | I_n] for an (n, m, r) V (_reduce) leaves E V = [I_m; 0],
+    so G V = I, K V = 0, and the rows of K span {y : y^T V = 0}. G is the
+    Gauss-Jordan left inverse; K is left unnormalised, each row a nonzero
+    multiple of its Gauss-Jordan row, so another basis of the same kernel.
+    A V without full column rank raises SingularSystem.
     """
     n, m = table.shape[:2]
     eye = np.eye(n, dtype=dtype(ctx))[..., None] * (np.arange(ctx.r) == 0)
@@ -220,38 +259,8 @@ def powers(points: np.ndarray, exponents, ctx: FieldCtx) -> np.ndarray:
 
 
 def ranks(stack: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Pivot counts of every matrix in a (batch, n, m, r) residue stack.
-
-    Forward elimination of all matrices at once, division-free as in
-    Bareiss: each row below the pivot row becomes pivot * row - lead *
-    pivot_row. The pivot row moves down at a column where some matrix has
-    a pivot; a matrix without one counts none (its zero pivot clears its
-    rows below), and the others keep their rank. So the count is exact for
-    a single matrix and equals m in any batch exactly at full column rank.
-    """
-    p = ctx.p
-    M = stack % p
-    batch, n, m = M.shape[:3]
-    count = np.zeros(batch, dtype=np.intp)
-    idx = np.arange(batch)
-    row = 0
-    for col in range(m):
-        if row == n:
-            break
-        nz = (M[:, row:, col] != 0).any(axis=-1)
-        hit = nz.any(axis=1)
-        if not hit.any():
-            continue
-        count += hit
-        piv_row = row + nz.argmax(axis=1)
-        M[idx, row, col:], M[idx, piv_row, col:] = M[idx, piv_row, col:], M[idx, row, col:]
-        block = M[:, row + 1:, col + 1:]
-        block[...] = (mul(M[:, row, None, None, col], block, ctx)
-                      - mul(M[:, row + 1:, col, None], M[:, row, None, col + 1:], ctx))
-        # entries now lie in (-p, p); a negative one shifts to -1, adding p
-        block += block >> p.bit_length() & p
-        row += 1
-    return count
+    """Pivot counts of every matrix in a (batch, n, m, r) residue stack (see _eliminate)."""
+    return _eliminate(stack % ctx.p, stack.shape[2], ctx, full=False)[0]
 
 
 def batch_is_invertible(mats: np.ndarray, ctx: FieldCtx) -> np.ndarray:

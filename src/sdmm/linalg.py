@@ -216,7 +216,24 @@ def ggasp_plan(params: SchemeParams, ctx: FieldCtx,
     return EvaluationPlan(params=params, ctx=ctx, worker_points=worker_points)
 
 
-_MINOR_BATCH = 4096  # row sets that singular_minors decides in one elimination
+_BATCH = 4096  # row sets or straggler patterns decided in one batched elimination
+
+
+def _batches(sets):
+    """The sets, sequences of one length s, as (count, s) intp arrays of at most _BATCH rows."""
+    sets = iter(sets)
+    first = next(sets, None)
+    if first is None:
+        return
+    size, sets = len(first), itertools.chain([first], sets)
+    while True:
+        if size:
+            batch = np.fromiter(itertools.islice(sets, _BATCH), dtype=np.dtype((np.intp, size)))
+        else:
+            batch = np.zeros((sum(1 for _ in itertools.islice(sets, _BATCH)), 0), np.intp)
+        if not len(batch):
+            return
+        yield batch
 
 
 @dataclass(frozen=True)
@@ -277,7 +294,7 @@ def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
     table is point-major, (points, columns, r), like EvaluationPlan.worker_table;
     the sets in subsets share one size, at least the column count, and a
     square set fails when its minor is singular. Sets are tested in the
-    order given, in batches of _MINOR_BATCH, so checked, the count of sets
+    order given, in batches of _BATCH (_batches), so checked, the count of sets
     tested so far, runs to the end of the batch holding rows.
 
     A set S of s > n - m rows of an n x m table V of full column rank is
@@ -286,23 +303,21 @@ def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
     kernel (_gauss.left_kernel), so S has full column rank iff the n - s
     columns T of K do.
     """
-    subsets = iter(subsets)
     n, m = table.shape[:2]
     checked, kernel = 0, None
-    while buf := list(itertools.islice(subsets, _MINOR_BATCH)):
-        sets = np.array(buf, dtype=np.intp)
+    for sets in _batches(subsets):
         if not checked and n - sets.shape[1] < m:
             with contextlib.suppress(SingularSystem):
                 kernel = _gauss.left_kernel(table, ctx)
-        checked += len(buf)
+        checked += len(sets)
         if kernel is None:
             stack = table[sets]
         else:
             outside = ~(sets[:, :, None] == np.arange(n)).any(axis=1)
-            stack = kernel[:, np.nonzero(outside)[1].reshape(len(buf), -1)].swapaxes(0, 1)
+            stack = kernel[:, np.nonzero(outside)[1].reshape(len(sets), -1)].swapaxes(0, 1)
         ok = _gauss.batch_is_invertible(stack, ctx)
         for i in np.flatnonzero(~ok):
-            yield checked, tuple(buf[i])
+            yield checked, tuple(sets[i].tolist())
 
 
 def decodability_check(plan_or_points, exponents: Sequence[int],

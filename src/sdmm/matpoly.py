@@ -191,14 +191,6 @@ class MatPoly:
 
     # -- ring operations -----------------------------------------------------------
 
-    def __add__(self, other: "MatPoly") -> "MatPoly":
-        if (self.rows, self.cols) != (other.rows, other.cols) or self.ctx != other.ctx:
-            raise ShapeMismatch("polynomial shapes differ")
-        terms = dict(self.terms)
-        for e, coeff in other.terms.items():
-            terms[e] = terms[e] + coeff if e in terms else coeff
-        return MatPoly(terms, (self.rows, self.cols), self.ctx)
-
     def mul(self, other: "MatPoly") -> "MatPoly":
         """Exact convolution product; coefficients multiply as matrices."""
         if self.cols != other.rows:
@@ -212,9 +204,6 @@ class MatPoly:
                 e = e1 + e2
                 acc[e] = acc[e] + prod if e in acc else prod
         return MatPoly(acc, (self.rows, other.cols), self.ctx)
-
-    def __mul__(self, other: "MatPoly") -> "MatPoly":
-        return self.mul(other)
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -358,4 +347,5 @@ def horner_cost(poly: MatPoly) -> int:
 
 def gauss_jordan_cost(table: np.ndarray, width: int, ctx: FieldCtx) -> int:
     """Multiplications Gauss-Jordan spends on [table | values]: width per pivot hit of the table."""
-    return width * int(_gauss._eliminate(table[None].copy(), table.shape[1], ctx)[1][0])
+    hits = _gauss._eliminate(table[None].copy(), table.shape[1], ctx, tally=True)[1]
+    return width * int(hits[0])

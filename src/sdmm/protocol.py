@@ -35,7 +35,7 @@ from .errors import (
     SingularSystem,
 )
 from .fields import FieldCtx, MultCounter
-from .linalg import EvaluationPlan, MdsResult, is_mds, singular_minors
+from .linalg import EvaluationPlan, MdsResult, _batches, is_mds, singular_minors
 from .matpoly import BlockMatrix, evaluate, horner_cost, interpolate, stack_blocks
 from .schemes import (
     SchemeParams,
@@ -138,7 +138,7 @@ def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> lis
     array of the rows each set lacks. Let [G_t; K] be the plan's split of
     the n x m table and R the survivors' values with zero rows at the
     missing rows D. The survivors have full column rank iff K[:, D] has
-    rank d; then eliminating [K[:, D] | I] to E, in one batch for all sets,
+    rank d; then reducing [K[:, D] | I] to E, in one batch for all sets,
     gives the target coefficients G_t R + C (K R) with C = -G_t[:, D] E[:d],
     and the spare equations E[d:] (K R) = 0. W stacks C over E[d:], shape
     (K*L + n - m - d, n - m, r): erasure decoding by syndromes.
@@ -154,7 +154,7 @@ def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> lis
     M = np.zeros((sets, k, d + k, ctx.r), dtype=split.dtype)
     M[:, :, :d] = kernel[:, missing].swapaxes(0, 1)
     M[:, :, d:, 0] = np.eye(k, dtype=split.dtype)
-    ok = _gauss._eliminate(M, d, ctx)[0]
+    ok = _gauss._reduce(M, d, ctx)
     E = M[:, :, d:]
     C = np.zeros((sets, n_targets, k, ctx.r), dtype=split.dtype)
     for j in range(d):
@@ -399,10 +399,6 @@ def p_of_s_lower_bound(K: int, M: int, L: int, P: int, S: int) -> Fraction:
     return Fraction(math.comb(P, K * L) * math.comb(N - KML, S), math.comb(N, S))
 
 
-
-_CHUNK = 4096  # straggler patterns whose decode coefficients are computed together
-
-
 def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
                      S: int, mode: str = "exhaustive", seed: int = 0,
                      samples: int = 1000) -> Fraction:
@@ -417,10 +413,10 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     sampled estimate, which the caller labels as one. Any other mode
     raises BadSpec.
 
-    Patterns are taken in chunks of _CHUNK. Decode's count rule (_routes)
-    runs on a whole chunk at once, and a pattern it rejects counts as a
-    failure without a decode call. The decode coefficients of every other
-    pattern of the chunk are computed in one batched elimination per route
+    Patterns are taken in batches (linalg._batches). Decode's count rule
+    (_routes) runs on a whole batch at once, and a pattern it rejects
+    counts as a failure without a decode call. The decode coefficients of
+    every other pattern of the batch are computed in one batched elimination per route
     and missing-row count and put in plan.decode_memo, where decode finds
     them; each such pattern is then decoded and audited on its own.
     """
@@ -446,7 +442,7 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
 
     successes = 0
     try:
-        for down in _chunks(patterns, S):
+        for down in _batches(patterns):
             for row in down[_prepare(plan, down)].tolist():
                 gone = set(row)
                 survivors = {n: v for n, v in all_responses.items() if n not in gone}
@@ -455,18 +451,6 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     finally:
         plan.decode_memo.clear()
     return Fraction(successes, attempts)
-
-
-def _chunks(patterns, S: int):
-    """The straggler patterns as (count, S) arrays of at most _CHUNK rows."""
-    while True:
-        if S:
-            down = np.fromiter(itertools.islice(patterns, _CHUNK), dtype=np.dtype((np.intp, S)))
-        else:
-            down = np.zeros((sum(1 for _ in itertools.islice(patterns, _CHUNK)), 0), np.intp)
-        if not len(down):
-            return
-        yield down
 
 
 def _prepare(plan: EvaluationPlan, down: np.ndarray) -> np.ndarray:

@@ -11,13 +11,15 @@ ints above), primes on either side of 2^31 and extension fields.
 
 import hashlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdmm import _gauss
 from sdmm.errors import InconsistentResponses, ShapeMismatch, SingularSystem
+from sdmm.examples import gf31_plan
 from sdmm.fields import MultCounter, make_field
 from sdmm.linalg import find_evaluation_vector
 from sdmm.matpoly import (
@@ -28,7 +30,7 @@ from sdmm.matpoly import (
     horner_cost,
     interpolate,
 )
-from sdmm.protocol import run_protocol
+from sdmm.protocol import _set_operators, run_protocol
 from sdmm.schemes import SchemeParams
 
 FIELDS = (
@@ -115,6 +117,11 @@ def ref_rank(rows):
 
 def rows_of(arr, ctx):
     return BlockMatrix(arr, ctx).data
+
+
+def maxed(rows, cols, ctx):
+    """Every coefficient p - 1: the largest products an int64 column step meets."""
+    return [[ctx.element((ctx.p - 1,) * ctx.r)] * cols for _ in range(rows)]
 
 
 # -- BlockMatrix arithmetic -------------------------------------------------------
@@ -248,15 +255,22 @@ def test_interpolate_matches_reference_values_and_counts(seed, fid, spare):
     assert got_count.count == want_count.count
 
 
-@given(st.integers(0, 2**32), field_ids, st.integers(0, 2), st.booleans())
+@given(st.integers(0, 2**32), field_ids, st.integers(0, 2),
+       st.sampled_from(["random", "singular", "maxed"]))
 @settings(max_examples=60, deadline=None)
-def test_counted_solve_matches_reference(seed, fid, spare, singular):
+@example(0, 0, 1, "maxed")
+@example(0, 1, 1, "maxed")
+@example(0, 2, 1, "maxed")
+@example(0, 3, 1, "maxed")
+@example(0, 4, 1, "maxed")
+@example(0, 5, 1, "maxed")
+def test_counted_solve_matches_reference(seed, fid, spare, kind):
     ctx = FIELDS[fid]
     rng = random.Random(seed)
     m, k = rng.randint(1, 4), rng.randint(1, 3)
     X = rand_rows(m, k, ctx, rng)
-    rows = rand_rows(m + spare, m, ctx, rng)
-    if singular:
+    rows = rand_rows(m + spare, m, ctx, rng) if kind != "maxed" else maxed(m + spare, m, ctx)
+    if kind == "singular":
         # a zero column, or one repeating another, leaves the rank short
         j = rng.randrange(m)
         src = rng.randrange(m)
@@ -345,6 +359,7 @@ def test_batch_invertibility_matches_rank(ctx):
                 for row in m:
                     row[j] = ctx.zero()
             mats.append(m)
+        mats.append(maxed(n, n, ctx))
         got = _gauss.batch_is_invertible(
             np.stack([BlockMatrix(m, ctx).array for m in mats]), ctx)
         assert list(got) == [ref_rank(m) == n for m in mats]
@@ -396,18 +411,46 @@ def test_batched_elimination_reduces_each_matrix_as_alone(ctx):
             for row in rows:
                 row[2] = row[1]
         mats.append(BlockMatrix(rows, ctx).array)
+    mats.append(BlockMatrix(maxed(5, 6, ctx), ctx).array)
     stack = np.array(mats)
-    ok, hits = _gauss._eliminate(stack, 4, ctx)
+    count, hits = _gauss._eliminate(stack, 4, ctx, tally=True)
+    ok = count == 4
     for got, good, hit, mat in zip(stack, ok, hits, mats):
         assert good == (_gauss.rank(mat[:, :4], ctx) == 4)
         alone = mat.copy()
-        assert _gauss._eliminate(alone[None], 4, ctx)[1][0] == hit
+        assert _gauss._eliminate(alone[None], 4, ctx, tally=True)[1][0] == hit
         if good:
             assert np.array_equal(got, alone)
         else:
             with pytest.raises(SingularSystem):
                 _gauss._eliminate_one(mat.copy(), 4, ctx)
     assert not ok.all() and ok.any()
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+def test_only_normalisation_inverts(ctx):
+    # rank questions and the cost model read zero patterns and invert
+    # nothing; each reduction to Gauss-Jordan rows inverts its pivots in
+    # one batch, however many columns it clears
+    rng = random.Random(23)
+    rows = rand_rows(6, 4, ctx, rng)
+    table = BlockMatrix(rows, ctx).array
+    rhs = ref_matmul(rows, rand_rows(4, 2, ctx, rng), ctx)
+    plan = gf31_plan(1, 8)
+    assert plan.worker_split is not None
+    missing = np.array([[0, 1], [2, 3], [4, 9]])
+    with mock.patch.object(_gauss, "_inverses", wraps=_gauss._inverses) as spy:
+        gauss_jordan_cost(table, 6, ctx)
+        _gauss.ranks(np.stack([table, table]), ctx)
+        _gauss.rank(rows, ctx)
+        _gauss.batch_is_invertible(table[None, :4], ctx)
+        assert spy.call_count == 0
+        _gauss.solve(rows, rhs, ctx)
+        assert spy.call_count == 1
+        _gauss.decompose(table, ctx)
+        assert spy.call_count == 2
+        _set_operators(plan, "worker", missing)
+        assert spy.call_count == 3
 
 
 def test_solve_needs_as_many_equations_as_unknowns():

@@ -453,7 +453,7 @@ def test_p_of_s_decodes_each_routed_pattern_from_a_chunk_memo(monkeypatch, T, hy
         sizes.append(len(plan.decode_memo))
         return real(responses, plan, counter)
 
-    monkeypatch.setattr(sdmm.protocol, "_CHUNK", 40)
+    monkeypatch.setattr(sdmm.linalg, "_BATCH", 40)
     monkeypatch.setattr(sdmm.protocol, "decode", counting_decode)
     assert p_of_s_empirical(A, B, plan, S) == want
     assert len(sizes) == routed
