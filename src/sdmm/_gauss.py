@@ -13,12 +13,12 @@ product below 2^63 before it is reduced.
 
 _eliminate, the one elimination loop, is division-free and batched: a
 column step scales the rows it clears by the pivot instead of dividing by
-it. ranks (and rank and batch_is_invertible over it) clears below each
-pivot only; _reduce clears every other row, then normalises the pivot
-rows with one batched _inverses call, the only field inversions here, for
-solve, decompose and the decoder's per-survivor-set systems. The cost
-model in matpoly prices Gauss-Jordan from the pivot hits of a full
-elimination it never normalises; nothing here counts.
+it. ranks (and rank and batch_is_invertible) clears below each pivot, for
+rank questions; decompose reduces [V | I] for a stack of tables and
+normalises the pivot rows with one batched _inverses call, the only field
+inversions here, into the left inverses and kernels everything else reads.
+The cost model in matpoly prices Gauss-Jordan from the pivot hits of a
+full elimination it never normalises; nothing here counts.
 """
 
 from __future__ import annotations
@@ -83,22 +83,20 @@ def mul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for 2-D residue arrays, exact for either dtype."""
-    if a.dtype == object:
-        return a.dot(b) % p
-    if (p - 1) ** 2 * a.shape[1] < 1 << 63:  # no dot product can overflow
+    """(a @ b) mod p over any leading batch axes; exact on Python ints, and on int64 by limbs."""
+    if a.dtype == object or (p - 1) ** 2 * a.shape[-1] < 1 << 63:
         return a @ b % p
     lo, hi = b & 0xFFFF, b >> 16
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], _CHUNK):
-        a_s = a[:, s:s + _CHUNK]
-        out = (out + a_s @ lo[s:s + _CHUNK] % p
-               + (a_s @ hi[s:s + _CHUNK] % p << 16)) % p
+    out = 0
+    for s in range(0, a.shape[-1], _CHUNK):
+        a_s = a[..., s:s + _CHUNK]
+        out = (out + a_s @ lo[..., s:s + _CHUNK, :] % p
+               + (a_s @ hi[..., s:s + _CHUNK, :] % p << 16)) % p
     return out
 
 
 def matmul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Matrix product of residue arrays of shapes (n, s, r) and (s, m, r)."""
+    """Matrix product of residue arrays of shapes (..., n, s, r) and (..., s, m, r)."""
     if ctx.r == 1:
         return _dot(a[..., 0], b[..., 0], ctx.p)[..., None]
     return _convolve(a, b, ctx, lambda x, y: _dot(x, y, ctx.p))
@@ -169,28 +167,6 @@ def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, full: bool = True,
     return count, hits
 
 
-def _reduce(M: np.ndarray, m: int, ctx: FieldCtx) -> np.ndarray:
-    """Gauss-Jordan form in place of a (batch, rows, cols, r) stack on its first m columns.
-
-    _eliminate clears every column, then one batched _inverses call
-    normalises the m pivot rows. Returns which matrices have full column
-    rank on those columns; the others are left garbled.
-    """
-    ok = _eliminate(M, m, ctx)[0] == m
-    diag = M[:, np.arange(m), np.arange(m)]
-    inv = _inverses(diag.reshape(-1, ctx.r), ctx).reshape(diag.shape)
-    M[:, :m] = mul(M[:, :m], inv[:, :, None], ctx)
-    return ok
-
-
-def _eliminate_one(M: np.ndarray, m: int, ctx: FieldCtx) -> None:
-    """_reduce of one (rows, cols, r) matrix in place; SingularSystem without full column rank."""
-    if len(M) < m:
-        raise SingularSystem("fewer equations than unknowns")
-    if not _reduce(M[None], m, ctx)[0]:
-        raise SingularSystem("coefficient matrix is rank deficient")
-
-
 def solve(rows, rhs, ctx: FieldCtx) -> np.ndarray:
     """Solve A X = B exactly; B has one or more columns.
 
@@ -199,37 +175,38 @@ def solve(rows, rhs, ctx: FieldCtx) -> np.ndarray:
     column rank (else SingularSystem), and the equations beyond the
     pivots must then be consistent, else InconsistentResponses: genuine
     evaluations of one polynomial always are, so an inconsistency means
-    some right-hand side was corrupted. [A | B] is reduced by _reduce.
+    some right-hand side was corrupted. With A's G and K (decompose), the
+    spare equations are K B = 0 and X = G B.
     """
     A, B = as_array(rows, ctx), as_array(rhs, ctx)
     n, m = A.shape[:2]
-    M = np.concatenate([A, B], axis=1)
-    _eliminate_one(M, m, ctx)
-    if (M[m:] != 0).any():
+    (G,), (K,), (ok,) = decompose(A[None], ctx)
+    if not ok:
+        raise SingularSystem("fewer equations than unknowns" if n < m
+                             else "coefficient matrix is rank deficient")
+    if matmul(K, B, ctx).any():
         raise InconsistentResponses(
             f"{n - m} spare equations disagree with the {m} unknowns")
-    return M[:m, m:]
+    return matmul(G, B, ctx)
 
 
-def decompose(table: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
-    """Rows G (m, n, r) of a left inverse and K (n - m, n, r) of the left kernel of V.
+def decompose(tables: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left inverses G, left kernels K and full-rank flags ok of a (batch, n, m, r) stack V.
 
-    Reducing [V | I_n] for an (n, m, r) V (_reduce) leaves E V = [I_m; 0],
-    so G V = I, K V = 0, and the rows of K span {y : y^T V = 0}. G is the
-    Gauss-Jordan left inverse; K is left unnormalised, each row a nonzero
-    multiple of its Gauss-Jordan row, so another basis of the same kernel.
-    A V without full column rank raises SingularSystem.
+    _eliminate reduces each [V | I_n] to [P; 0 | E] with P diagonal, and one
+    batched _inverses call normalises the pivot rows. G = P^-1 E[:m] is the
+    Gauss-Jordan left inverse (G V = I); K = E[m:] stays unnormalised (K V
+    = 0, its n - m rows spanning {y : y^T V = 0}). Where ok is False, G and
+    K are garbage; nothing raises.
     """
-    n, m = table.shape[:2]
-    eye = np.eye(n, dtype=dtype(ctx))[..., None] * (np.arange(ctx.r) == 0)
-    M = np.concatenate([as_array(table, ctx), eye], axis=1)
-    _eliminate_one(M, m, ctx)
-    return M[:m, m:], M[m:, m:]
-
-
-def left_kernel(table: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Rows K, shape (n - m, n, r), spanning {y : y^T V = 0} (see decompose)."""
-    return decompose(table, ctx)[1]
+    batch, n, m = tables.shape[:3]
+    M = np.zeros((batch, n, m + n, ctx.r), dtype=dtype(ctx))
+    M[:, :, :m] = tables
+    M[:, :, m:, 0] = np.eye(n, dtype=M.dtype)
+    ok = _eliminate(M, m, ctx)[0] == m
+    i = np.arange(min(n, m))
+    inv = _inverses(M[:, i, i].reshape(-1, ctx.r), ctx).reshape(batch, len(i), 1, ctx.r)
+    return mul(M[:, :m, m:], inv, ctx), M[:, m:, m:], ok
 
 
 def rank(rows, ctx: FieldCtx) -> int:

@@ -11,7 +11,6 @@ observations mix through an invertible matrix.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import random
@@ -29,7 +28,6 @@ from .errors import (
     NoSuchRoot,
     PlanInvalid,
     ShapeMismatch,
-    SingularSystem,
     ZeroEvaluationPoint,
 )
 from .fields import (
@@ -158,19 +156,16 @@ def _split(table: np.ndarray, support: Sequence[int], params: SchemeParams,
            ctx: FieldCtx) -> Optional[np.ndarray]:
     """Read-only [G_t; K] of an (n, m, r) power table V; None without full column rank.
 
-    G_t holds the rows of a left inverse G of V (_gauss.decompose) at the
-    product block exponents, in product_block_positions order, and K the
-    n - m rows spanning V's left kernel. A survivor set missing the rows D
-    has full column rank iff K[:, D] has rank |D|, and its decode
-    coefficients follow from K[:, D] alone (see protocol._set_operators).
+    G_t holds the rows of V's left inverse G (_gauss.decompose, whose flag
+    is the rank test) at the product block exponents, in
+    product_block_positions order, and K V's n - m left kernel rows. A set
+    missing the rows D has full column rank iff K[:, D] has rank |D|, and
+    its decode coefficients follow from K[:, D] (protocol._set_operators).
     """
     targets = [support.index(e)
                for e in product_block_positions(params.K, params.M, params.L).values()]
-    try:
-        left, kernel = _gauss.decompose(table, ctx)
-    except SingularSystem:
-        return None
-    return _read_only(np.concatenate([left[targets], kernel]))
+    (left,), (kernel,), (ok,) = _gauss.decompose(table[None], ctx)
+    return _read_only(np.concatenate([left[targets], kernel])) if ok else None
 
 
 def mp_plan(params: SchemeParams, ctx: FieldCtx,
@@ -300,15 +295,16 @@ def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
     A set S of s > n - m rows of an n x m table V of full column rank is
     decided by its complement T: both fail exactly when col(V) = ker(K)
     holds a nonzero vector inside T, for a K whose rows span V's left
-    kernel (_gauss.left_kernel), so S has full column rank iff the n - s
-    columns T of K do.
+    kernel, so S has full column rank iff the n - s columns T of K do. K
+    is _gauss.decompose's; when its flag says V lacks full column rank,
+    every set is tested directly.
     """
     n, m = table.shape[:2]
     checked, kernel = 0, None
     for sets in _batches(subsets):
         if not checked and n - sets.shape[1] < m:
-            with contextlib.suppress(SingularSystem):
-                kernel = _gauss.left_kernel(table, ctx)
+            _, (K,), (ok,) = _gauss.decompose(table[None], ctx)
+            kernel = K if ok else None
         checked += len(sets)
         if kernel is None:
             stack = table[sets]

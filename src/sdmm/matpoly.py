@@ -259,7 +259,9 @@ def mod_m_transform_by_summation(h: MatPoly, zeta: FieldElement, M: int) -> MatP
 
 
 def stack_blocks(blocks: list[BlockMatrix], ctx: FieldCtx) -> np.ndarray:
-    """Residue arrays of blocks of one shape over ctx, stacked on a new axis 0."""
+    """Residue arrays of BlockMatrix blocks of one shape over ctx, stacked on a new axis 0."""
+    if not all(isinstance(b, BlockMatrix) for b in blocks):
+        raise ShapeMismatch("evaluations must be BlockMatrix values")
     shape = blocks[0].shape
     if any(b.shape != shape for b in blocks):
         raise ShapeMismatch("evaluation blocks differ in shape")

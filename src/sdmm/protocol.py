@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -55,7 +56,8 @@ def resolve_stragglers(spec, n_workers: int, rng: random.Random) -> tuple[int, .
     Accepts None, "" or "none" (nobody straggles), an iterable of worker
     indices, a comma-separated index list, "random:S" (S distinct workers
     chosen uniformly), or "prob:f" (each worker independently straggles
-    with probability f). Out-of-range indices are rejected.
+    with probability f). An index that is not an integer (numpy integers
+    are) or lies out of range is rejected with BadSpec.
     """
     if spec is None:
         return ()
@@ -83,13 +85,18 @@ def resolve_stragglers(spec, n_workers: int, rng: random.Random) -> tuple[int, .
             spec = [int(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
             raise BadSpec(f"unrecognized straggler spec {spec!r}")
+    return tuple(_worker_indices(spec, n_workers, "straggler index"))
+
+
+def _worker_indices(keys, n_workers: int, what: str) -> list[int]:
+    """Sorted distinct worker indices; BadSpec for one not integral or outside [0, n_workers)."""
     try:
-        idx = sorted(set(int(n) for n in spec))
-    except (TypeError, ValueError):
-        raise BadSpec(f"unrecognized straggler spec {spec!r}")
+        idx = sorted(set(map(operator.index, keys)))
+    except TypeError:
+        raise BadSpec(f"unrecognized {what} in {keys!r}") from None
     if idx and not (0 <= idx[0] and idx[-1] < n_workers):
-        raise BadSpec(f"straggler index outside [0, {n_workers})")
-    return tuple(idx)
+        raise BadSpec(f"{what} outside [0, {n_workers})")
+    return idx
 
 
 # -- encoding and decoding -----------------------------------------------------------
@@ -138,28 +145,20 @@ def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> lis
     array of the rows each set lacks. Let [G_t; K] be the plan's split of
     the n x m table and R the survivors' values with zero rows at the
     missing rows D. The survivors have full column rank iff K[:, D] has
-    rank d; then reducing [K[:, D] | I] to E, in one batch for all sets,
-    gives the target coefficients G_t R + C (K R) with C = -G_t[:, D] E[:d],
-    and the spare equations E[d:] (K R) = 0. W stacks C over E[d:], shape
-    (K*L + n - m - d, n - m, r): erasure decoding by syndromes.
+    rank d; then with K[:, D]'s G_D and K_D from one batched decompose the
+    target coefficients are G_t R + C (K R), C = -G_t[:, D] G_D (one batched
+    matmul), and the spare equations K_D (K R) = 0. W stacks C over K_D,
+    shape (K*L + n - m - d, n - m, r): erasure decoding by syndromes.
     """
     split = getattr(plan, f"{route}_split")
     n_targets = plan.params.K * plan.params.L
     sets, d = missing.shape
     if split is None or d > len(split) - n_targets:
         return [None] * sets
-    ctx = plan.ctx
     left, kernel = split[:n_targets], split[n_targets:]
-    k = len(kernel)
-    M = np.zeros((sets, k, d + k, ctx.r), dtype=split.dtype)
-    M[:, :, :d] = kernel[:, missing].swapaxes(0, 1)
-    M[:, :, d:, 0] = np.eye(k, dtype=split.dtype)
-    ok = _gauss._reduce(M, d, ctx)
-    E = M[:, :, d:]
-    C = np.zeros((sets, n_targets, k, ctx.r), dtype=split.dtype)
-    for j in range(d):
-        C -= _gauss.mul(left[:, missing[:, j]].swapaxes(0, 1)[:, :, None], E[:, None, j], ctx)
-    W = np.concatenate([C % ctx.p, E[:, d:]], axis=1)
+    G, K, ok = _gauss.decompose(kernel[:, missing].swapaxes(0, 1), plan.ctx)
+    C = _gauss.matmul(left[:, missing].swapaxes(0, 1), G, plan.ctx)
+    W = np.concatenate([-C % plan.ctx.p, K], axis=1)
     return [w if good else None for w, good in zip(W, ok)]
 
 
@@ -197,9 +196,9 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     complete (or that system is singular), and always on a flat plan, the
     full polynomial is interpolated on its generic support, which any
     |supp(h)| responses permit. Raises InsufficientResponses when no route
-    has enough data (_routes), BadSpec when a response key names no worker,
-    and ShapeMismatch when any response differs in shape or field from the
-    rest.
+    has enough data (_routes), BadSpec when a response key is not an
+    integer worker index, and ShapeMismatch when any response is not a
+    BlockMatrix or differs in shape or field from the rest.
 
     Either route hands interpolate the rows of the plan's cached power
     table and a solver that yields only the K*L product blocks from the
@@ -212,12 +211,11 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     check is skipped. The counter records what the scalar decoder spends,
     as interpolate counts it; the raw check adds nothing to it.
     """
-    if responses and not (0 <= min(responses) and max(responses) < plan.n_workers):
-        raise BadSpec(f"response key outside [0, {plan.n_workers})")
+    order = _worker_indices(responses, plan.n_workers, "response key")
     params = plan.params
     ctx = plan.ctx
     M = params.M
-    missing = sorted(set(range(plan.n_workers)).difference(responses))
+    missing = sorted(set(range(plan.n_workers)).difference(order))
     # worker n sits in hypernode n // M (see hypernode_workers)
     spoiled = sorted({n // M for n in missing})
     hyper, short = _routes(plan, len(missing), len(spoiled))
@@ -227,7 +225,6 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
                      f"{len(plan.class_support)} needed and {shortfall}")
     if short and not hyper:
         raise InsufficientResponses(f"have {shortfall}")
-    order = sorted(responses)
     # every response is checked here, whichever route reads it
     stack = stack_blocks([responses[n] for n in order], ctx)
     coeffs = None

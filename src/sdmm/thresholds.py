@@ -240,8 +240,8 @@ def rate_sweep(K: int, M: int, L: int, T_max: int = 8,
 
     The modular layout is swept at D = 1 and the grouped layout at its best
     run length. Returns one row dict per (T, scheme) with the CSV fields
-    scheme, K, M, L, T, D_or_r, N, P, rate. A negative T_max, or an empty
-    or unknown scheme, raises BadSpec.
+    scheme, K, M, L, T, D_or_r, N, P, rate. A negative T_max, an empty
+    scheme list, or an unknown or repeated scheme raises BadSpec.
     """
     if T_max < 0:
         raise BadSpec(f"T_max must be nonnegative, got {T_max}")
@@ -260,9 +260,9 @@ def rate_sweep_fixed_n(N_budget: int, T_max: int = 8,
     budget the grid with the highest rate (ties to the first in (K, M, L)
     lexicographic order). The search is exact: threshold_lower_bound prunes
     it, so only grids whose rate ceiling can still reach the best rate are
-    evaluated. A budget or minimum below 1, a negative T_max, or an empty or
-    unknown scheme raises BadSpec; a budget below the smallest grid gives no
-    rows.
+    evaluated. A budget or minimum below 1, a negative T_max, an empty
+    scheme list, or an unknown or repeated scheme raises BadSpec; a budget
+    below the smallest grid gives no rows.
     """
     if min(N_budget, K_min, L_min, M_min) < 1 or T_max < 0:
         raise BadSpec(f"need N_budget, K_min, L_min, M_min >= 1 and T_max >= 0, "
@@ -355,6 +355,8 @@ def _check_schemes(schemes: tuple[str, ...]) -> None:
     for scheme in schemes:
         if scheme not in (MP, GGASP):
             raise BadSpec(f"unknown scheme {scheme!r} in sweep")
+    if len(set(schemes)) < len(schemes):
+        raise BadSpec(f"repeated scheme in sweep {schemes!r}")
 
 
 def _sweep_report(scheme: str, K: int, M: int, L: int, T: int) -> ThresholdReport:

@@ -102,6 +102,18 @@ def test_sweeps_reject_an_empty_scheme_list(capsys, command):
     assert "no scheme to sweep" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--K", "1", "--M", "2", "--L", "1", "--t-max", "0", "--schemes", "ggasp,ggasp"],
+    ["fixed-n-search", "--workers", "40", "--t-max", "1", "--schemes", "mp,mp"],
+])
+def test_sweeps_reject_a_repeated_scheme(capsys, command):
+    # each row would be printed twice
+    rc, out, err = run_cli(capsys, *command)
+    assert rc == 2
+    assert out == ""
+    assert "repeated scheme" in err
+
+
 @pytest.mark.parametrize("workers, digest", [
     ("200", "4abc1d180fde478a15ed500b4ae91b5de8e33464e829947c9fccb7017330c3ed"),
     ("500", "6714d9a726fd6ab570772a531257649573a245e293e417a0fda2e40caace42ea"),

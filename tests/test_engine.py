@@ -400,7 +400,7 @@ def test_ranks_decides_full_column_rank_in_a_mixed_batch(ctx):
 @pytest.mark.parametrize("ctx", FIELDS, ids=repr)
 def test_batched_elimination_reduces_each_matrix_as_alone(ctx):
     # matrices of one batch pivot on different rows, some miss a pivot, and
-    # each full-rank one ends exactly as its own elimination leaves it
+    # each full-rank one decomposes exactly as it does alone
     rng = random.Random(21)
     mats = []
     for i in range(12):
@@ -413,25 +413,71 @@ def test_batched_elimination_reduces_each_matrix_as_alone(ctx):
         mats.append(BlockMatrix(rows, ctx).array)
     mats.append(BlockMatrix(maxed(5, 6, ctx), ctx).array)
     stack = np.array(mats)
-    count, hits = _gauss._eliminate(stack, 4, ctx, tally=True)
-    ok = count == 4
-    for got, good, hit, mat in zip(stack, ok, hits, mats):
+    G, K, ok = _gauss.decompose(stack[:, :, :4], ctx)
+    hits = _gauss._eliminate(stack.copy(), 4, ctx, tally=True)[1]
+    for g, k, good, hit, mat in zip(G, K, ok, hits, mats):
         assert good == (_gauss.rank(mat[:, :4], ctx) == 4)
-        alone = mat.copy()
-        assert _gauss._eliminate(alone[None], 4, ctx, tally=True)[1][0] == hit
+        assert _gauss._eliminate(mat[None].copy(), 4, ctx, tally=True)[1][0] == hit
+        (g1,), (k1,), (good1,) = _gauss.decompose(mat[None, :, :4], ctx)
+        assert good1 == good
         if good:
-            assert np.array_equal(got, alone)
+            assert np.array_equal(g, g1) and np.array_equal(k, k1)
         else:
             with pytest.raises(SingularSystem):
-                _gauss._eliminate_one(mat.copy(), 4, ctx)
+                _gauss.solve(mat[:, :4], mat[:, 4:], ctx)
     assert not ok.all() and ok.any()
+
+
+@given(st.integers(0, 2**32), field_ids)
+@settings(max_examples=30, deadline=None)
+def test_decompose_treats_each_matrix_of_a_mixed_stack_as_alone(seed, fid):
+    # one batch per shape n x m, n < m, n = m or n > m, mixing random tables
+    # (of full rank but for bad luck), repeated columns and all p - 1
+    ctx = FIELDS[fid]
+    rng = random.Random(seed)
+    m = rng.randint(2, 4)
+    eye = [[ctx.one() if i == j else ctx.zero() for j in range(m)] for i in range(m)]
+    for n in (m - 1, m, m + 1, m + 3):
+        mats = [rand_rows(n, m, ctx, rng) for _ in range(6)]
+        for rows in mats[::3]:
+            for row in rows:
+                row[1] = row[0]
+        mats.append(maxed(n, m, ctx))
+        G, K, ok = _gauss.decompose(np.stack([BlockMatrix(a, ctx).array for a in mats]), ctx)
+        for rows, g, k, good in zip(mats, G, K, ok):
+            assert good == (ref_rank(rows) == m)
+            (g1,), (k1,), (good1,) = _gauss.decompose(BlockMatrix(rows, ctx).array[None], ctx)
+            assert good1 == good
+            if not good:
+                continue
+            assert np.array_equal(g, g1) and np.array_equal(k, k1)
+            assert ref_matmul(rows_of(g, ctx), rows, ctx) == eye
+            if n > m:
+                assert all(v.is_zero() for row in ref_matmul(rows_of(k, ctx), rows, ctx)
+                           for v in row)
+
+
+@pytest.mark.parametrize("ctx", [FIELDS[0], FIELDS[1], FIELDS[3], FIELDS[4]], ids=repr)
+def test_batched_matmul_equals_each_product(ctx):
+    # int64 dot products (13), 16-bit limbs (2^31 - 1 at inner dimension 5),
+    # Python ints (2^61 - 1) and convolved planes (13^2)
+    rng = random.Random(25)
+    a = [rand_rows(3, 5, ctx, rng) for _ in range(3)] + [maxed(3, 5, ctx)]
+    b = [rand_rows(5, 2, ctx, rng) for _ in range(3)] + [maxed(5, 2, ctx)]
+    arrays = [[BlockMatrix(x, ctx).array for x in side] for side in (a, b)]
+    got = _gauss.matmul(np.stack(arrays[0]), np.stack(arrays[1]), ctx)
+    for g, x, y, ax, by in zip(got, a, b, *arrays):
+        assert np.array_equal(g, _gauss.matmul(ax, by, ctx))
+        assert rows_of(g, ctx) == tuple(map(tuple, ref_matmul(x, y, ctx)))
+    if ctx.p == (1 << 31) - 1:
+        assert (ctx.p - 1) ** 2 * 5 >= 1 << 63
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=repr)
 def test_only_normalisation_inverts(ctx):
     # rank questions and the cost model read zero patterns and invert
-    # nothing; each reduction to Gauss-Jordan rows inverts its pivots in
-    # one batch, however many columns it clears
+    # nothing; each decompose inverts its pivots in one batch, however many
+    # columns and matrices it clears
     rng = random.Random(23)
     rows = rand_rows(6, 4, ctx, rng)
     table = BlockMatrix(rows, ctx).array
@@ -447,7 +493,7 @@ def test_only_normalisation_inverts(ctx):
         assert spy.call_count == 0
         _gauss.solve(rows, rhs, ctx)
         assert spy.call_count == 1
-        _gauss.decompose(table, ctx)
+        _gauss.decompose(np.stack([table, table]), ctx)
         assert spy.call_count == 2
         _set_operators(plan, "worker", missing)
         assert spy.call_count == 3
@@ -461,11 +507,15 @@ def test_solve_needs_as_many_equations_as_unknowns():
 
 @pytest.mark.parametrize("ctx", [FIELDS[0], FIELDS[1], FIELDS[3], FIELDS[4]], ids=repr)
 def test_left_kernel_annihilates_the_table(ctx):
+    def decompose(rows):
+        _, (kernel,), (ok,) = _gauss.decompose(BlockMatrix(rows, ctx).array[None], ctx)
+        return kernel, ok
+
     rng = random.Random(15)
     for n, m in ((5, 3), (6, 1), (7, 5), (4, 4)):
         rows = rand_rows(n, m, ctx, rng)
-        kernel = _gauss.left_kernel(BlockMatrix(rows, ctx).array, ctx)
-        assert kernel.shape == (n - m, n, ctx.r)
+        kernel, ok = decompose(rows)
+        assert ok and kernel.shape == (n - m, n, ctx.r)
         if n > m:
             k = rows_of(kernel, ctx)
             assert all(v.is_zero() for row in ref_matmul(k, rows, ctx) for v in row)
@@ -474,10 +524,8 @@ def test_left_kernel_annihilates_the_table(ctx):
         j, src = rng.randrange(m), rng.randrange(m)
         for row in rows:
             row[j] = row[src] if src != j else ctx.zero()
-        with pytest.raises(SingularSystem):
-            _gauss.left_kernel(BlockMatrix(rows, ctx).array, ctx)
-    with pytest.raises(SingularSystem):
-        _gauss.left_kernel(BlockMatrix(rand_rows(2, 3, ctx, rng), ctx).array, ctx)
+        assert not decompose(rows)[1]
+    assert not decompose(rand_rows(2, 3, ctx, rng))[1]
 
 
 # -- a whole protocol run above 2^31 ------------------------------------------------

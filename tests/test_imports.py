@@ -1,8 +1,10 @@
 """Static checks of the package source.
 
 Every module uses each name it imports; the package __init__ is exempt,
-since it imports names to re-export them. And the array engine counts
-nothing: multiplication counts come from the cost model in matpoly.
+since it imports names to re-export them. The array engine counts
+nothing: multiplication counts come from the cost model in matpoly. And
+its one elimination loop has two entry points, ranks and decompose, plus
+the cost model; no other module reaches into _gauss's private names.
 """
 
 import ast
@@ -54,3 +56,32 @@ def test_the_array_engine_takes_no_counter():
     assert [f.name for f in engine if _params(f) & {"counter", "row_cost"}] == []
     (apply,) = [f for f in _functions(protocol) if f.name == "_apply"]
     assert "check_only" not in _params(apply)
+
+
+def _scoped(node, scope=None):
+    """(innermost enclosing function name, node) for every node below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, ast.FunctionDef) else scope
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+def test_only_ranks_decompose_and_the_cost_model_eliminate():
+    callers, private = set(), set()
+    for path in MODULES:
+        for fn, node in _scoped(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "_gauss":
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Name) and path.stem == "_gauss":
+                names = [node.id]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_gauss":
+                names = [node.attr]
+            else:
+                continue
+            for name in names:
+                if name == "_eliminate":
+                    callers.add(f"{path.stem}.{fn}")
+                elif name.startswith("_") and path.stem != "_gauss":
+                    private.add(f"{path.stem}: _gauss.{name}")
+    assert callers == {"_gauss.ranks", "_gauss.decompose", "matpoly.gauss_jordan_cost"}
+    assert private == set()

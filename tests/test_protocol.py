@@ -27,7 +27,7 @@ from sdmm.errors import (
 from sdmm.examples import gf31_plan, gf61_plan
 from sdmm.fields import MultCounter, make_field
 from sdmm.linalg import find_evaluation_vector, is_mds, mp_plan
-from sdmm.matpoly import BlockMatrix
+from sdmm.matpoly import BlockMatrix, interpolate
 from sdmm.protocol import (
     _hypernode_bound_holds,
     assemble_product,
@@ -71,6 +71,7 @@ def test_resolve_stragglers_accepts_many_forms():
     assert resolve_stragglers("NONE", 10, rng) == ()
     assert resolve_stragglers([3, 1, 3], 10, rng) == (1, 3)
     assert resolve_stragglers("4,2", 10, rng) == (2, 4)
+    assert resolve_stragglers([np.int64(3), np.int32(1)], 10, rng) == (1, 3)
     assert resolve_stragglers("prob:0", 10, rng) == ()
     assert resolve_stragglers("prob:1", 10, rng) == tuple(range(10))
 
@@ -82,6 +83,7 @@ def test_resolve_stragglers_accepts_many_forms():
 
 @pytest.mark.parametrize("spec", [
     "random:11", "random:x", "prob:1.5", "prob:x", "wat", [12], [-1], ["x"],
+    [1.5], [np.float64(2.0)],  # int() would truncate 1.5 to worker 1
 ])
 def test_resolve_stragglers_rejects_bad_specs(spec):
     with pytest.raises(BadSpec):
@@ -171,7 +173,7 @@ def test_decode_raises_when_called_directly_with_too_few_responses():
         decode(responses, plan)
 
 
-@pytest.mark.parametrize("key", [24, -2])
+@pytest.mark.parametrize("key", [24, -2, "a", 0.5])
 def test_decode_rejects_keys_that_name_no_worker(key):
     # 21 responses plus one filed under a key outside the 24 workers, with
     # only 6 complete hypernodes, so decode takes the full-interpolation route
@@ -182,6 +184,25 @@ def test_decode_rejects_keys_that_name_no_worker(key):
     survivors[key] = responses[22]
     with pytest.raises(BadSpec):
         decode(survivors, plan)
+
+
+def test_decode_takes_numpy_keys_and_rejects_values_that_are_not_blocks():
+    plan = gf31_plan(1, 8)
+    A, B = _inputs(plan)
+    responses = _responses(plan, A, B, random.Random("malformed"))
+    product = assemble_product(decode({np.int64(n): v for n, v in responses.items()}, plan),
+                               plan.params, plan.ctx)
+    assert product == A.matmul(B)
+    # worker 5 sits in a complete hypernode; with workers 0 and 3 down the
+    # full route reads it
+    for down in ((), (0, 3)):
+        for bad in (responses[5].array, None):
+            survivors = {n: v for n, v in responses.items() if n not in down}
+            survivors[5] = bad
+            with pytest.raises(ShapeMismatch):
+                decode(survivors, plan)
+    with pytest.raises(ShapeMismatch):
+        interpolate([F31.element(2), F31.element(3)], [responses[0], "x"], [0, 1], F31)
 
 
 def test_flat_decode_reports_only_the_response_count():

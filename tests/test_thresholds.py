@@ -160,10 +160,11 @@ def test_sweeps_reject_unknown_schemes():
         rate_sweep_fixed_n(100, T_max=1, schemes=("mp", "ggsap"))
 
 
-@pytest.mark.parametrize("schemes", [(), ("mp", "ggsap")])
+@pytest.mark.parametrize("schemes", [(), ("mp", "ggsap"), ("ggasp", "mp", "ggasp")])
 def test_sweeps_reject_an_empty_or_unknown_scheme_list_at_any_budget(schemes):
-    # no scheme is a malformed request, not a table in which nothing fits;
-    # 15 workers fit no default grid, so no row is ever evaluated
+    # no scheme is a malformed request, not a table in which nothing fits,
+    # and a repeated one would print each of its rows twice; 15 workers fit
+    # no default grid, so no row is ever evaluated
     with pytest.raises(BadSpec):
         rate_sweep(2, 3, 2, 1, schemes=schemes)
     for budget in (100, 15):
