@@ -70,6 +70,7 @@ from .protocol import (
     p_of_s_lower_bound,
     resolve_stragglers,
     run_protocol,
+    worker_products,
 )
 from .schemes import (
     SchemeParams,
@@ -150,5 +151,6 @@ __all__ = [
     "subgroup_elements",
     "symbolic_support",
     "threshold",
+    "worker_products",
     "__version__",
 ]

@@ -44,6 +44,7 @@ from .protocol import (
     mp_recovery_threshold_with_security,
     p_of_s_empirical,
     p_of_s_lower_bound,
+    worker_products,
 )
 from .schemes import (
     SchemeParams,
@@ -372,8 +373,8 @@ def check_robustness_hypernode_rule():
     rng = random.Random("sdmm-example-hyper")
     A = BlockMatrix.random(4, 3, ctx, rng)
     B = BlockMatrix.random(3, 4, ctx, rng)
-    shares = {n: fa.matmul(gb) for n, (fa, gb)
-              in enumerate(encode(A, B, plan, random.Random("sdmm-example-noise")))}
+    shares = worker_products(encode(A, B, plan, random.Random("sdmm-example-noise")),
+                             range(plan.n_workers), ctx)
     expected = A.matmul(B)
     for keep in itertools.combinations(range(8), 7):
         resp = {n: shares[n] for p in keep for n in plan.hypernode_workers(p)}

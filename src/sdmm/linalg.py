@@ -52,13 +52,18 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class EvaluationPlan:
     """Where each worker evaluates, and how workers group into hypernodes.
 
-    The supports of the product polynomial, the power tables the decoder
-    solves on and the hypernode averaging weights are derived from the plan
-    on first use and kept on it, so every decode slices rows instead of
-    recomputing them. So are the decompositions of those tables that give
-    each survivor set its decode coefficients, and a memo of those
-    coefficients for one chunk of survivor sets. None of them is a field:
-    equality, hash and summary() see only the points and params.
+    Derived from the plan on first use and kept on it, so that every
+    encode and decode slices arrays instead of recomputing them:
+    - full_support and class_support, the supports of the product
+      polynomial;
+    - share_table, the worker points' powers that encode reads;
+    - worker_table and base_table, the power tables the decoder solves on;
+    - worker_split and base_split, the decompositions of those tables that
+      give each survivor set its decode coefficients;
+    - decode_memo, those coefficients for one chunk of survivor sets;
+    - hypernode_weights, the hypernode averaging weights.
+    None of them is a field: equality, hash and summary() see only the
+    points and params.
     """
 
     params: SchemeParams
@@ -89,6 +94,18 @@ class EvaluationPlan:
     def class_support(self) -> tuple[int, ...]:
         """Support of h that survives the hypernode average."""
         return product_class_support(self.params)
+
+    @cached_property
+    def share_table(self) -> np.ndarray:
+        """Read-only worker_points[n]^e for e = 0 .. KML + max(alpha + beta), shape (N, E, r).
+
+        Every exponent that f or g can carry has its column, so encode
+        evaluates each polynomial on the columns at its support.
+        """
+        params = self.params
+        top = params.KML + max(params.alpha() + params.beta(), default=0)
+        pts = _gauss.as_array([self.worker_points], self.ctx)[0]
+        return _read_only(_gauss.powers(pts, range(top + 1), self.ctx))
 
     @cached_property
     def worker_table(self) -> np.ndarray:

@@ -7,7 +7,8 @@ read. Results are bit-for-bit those of entry-wise field arithmetic. A
 MatPoly maps exponents to BlockMatrix coefficients, all of one shape, and
 is kept canonical: no zero coefficient is ever stored, so the term keys
 are exactly the support. evaluate and interpolate run on one power table
-of the points; evaluate_naive is the scalar power-sum reference. The
+of the points, which evaluate_on and interpolate also take ready-made, as
+a plan caches it; evaluate_naive is the scalar power-sum reference. The
 arrays count nothing; the cost model at the end prices the scalar work.
 """
 
@@ -137,7 +138,10 @@ class BlockMatrix:
 
     def to_text(self) -> str:
         # an entry is its comma-joined coefficients: a plain int when r = 1
-        rows = (" ".join(",".join(map(str, e)) for e in row) for row in self.array.tolist())
+        if self.ctx.r == 1:
+            rows = (" ".join(map(str, row)) for row in self.array[..., 0].tolist())
+        else:
+            rows = (" ".join(",".join(map(str, e)) for e in row) for row in self.array.tolist())
         return "\n".join([f"{self.rows} {self.cols} {self.ctx.spec_string()}", *rows]) + "\n"
 
 
@@ -260,24 +264,37 @@ def mod_m_transform_by_summation(h: MatPoly, zeta: FieldElement, M: int) -> MatP
 
 def stack_blocks(blocks: list[BlockMatrix], ctx: FieldCtx) -> np.ndarray:
     """Residue arrays of BlockMatrix blocks of one shape over ctx, stacked on a new axis 0."""
-    if not all(isinstance(b, BlockMatrix) for b in blocks):
-        raise ShapeMismatch("evaluations must be BlockMatrix values")
-    shape = blocks[0].shape
-    if any(b.shape != shape for b in blocks):
-        raise ShapeMismatch("evaluation blocks differ in shape")
-    if any(b.ctx is not ctx and b.ctx != ctx for b in blocks):
-        raise ShapeMismatch(f"evaluation blocks not over {ctx.spec_string()}")
+    shape = getattr(blocks[0], "shape", None)
+    # one pass decides the common case; the checks below name what is wrong,
+    # and a context equal to ctx but not ctx itself passes them
+    if not all(isinstance(b, BlockMatrix) and b.ctx is ctx and b.shape == shape
+               for b in blocks):
+        if not all(isinstance(b, BlockMatrix) for b in blocks):
+            raise ShapeMismatch("evaluations must be BlockMatrix values")
+        if any(b.shape != shape for b in blocks):
+            raise ShapeMismatch("evaluation blocks differ in shape")
+        if any(b.ctx is not ctx and b.ctx != ctx for b in blocks):
+            raise ShapeMismatch(f"evaluation blocks not over {ctx.spec_string()}")
     return np.array([b.array for b in blocks], dtype=blocks[0].array.dtype)
 
 
 def evaluate(poly: MatPoly, points: Iterable[FieldElement]) -> list[BlockMatrix]:
-    """poly at every point: one power table times the stacked coefficients."""
-    pts = list(points)
-    ctx, exps = poly.ctx, poly.support()
-    table = _gauss.powers(_gauss.as_array([pts], ctx)[0], exps, ctx)
+    """poly at every point: the points' power table on its support, through evaluate_on."""
+    ctx = poly.ctx
+    table = _gauss.powers(_gauss.as_array([list(points)], ctx)[0], poly.support(), ctx)
+    return [BlockMatrix(v, ctx) for v in evaluate_on(poly, table)]
+
+
+def evaluate_on(poly: MatPoly, table: np.ndarray) -> np.ndarray:
+    """poly at the points of a (points, |support|, r) power table on its support.
+
+    One product of the table and the stacked coefficients gives the values
+    as a (points, rows, cols, r) residue stack.
+    """
+    ctx, n = poly.ctx, len(poly.terms)
     coeffs = np.array([c.array for c in poly.terms.values()], dtype=_gauss.dtype(ctx))
-    values = _gauss.matmul(table, coeffs.reshape(len(exps), poly.rows * poly.cols, ctx.r), ctx)
-    return [BlockMatrix(v.reshape(poly.rows, poly.cols, ctx.r), ctx) for v in values]
+    values = _gauss.matmul(table, coeffs.reshape(n, poly.rows * poly.cols, ctx.r), ctx)
+    return values.reshape(len(table), poly.rows, poly.cols, ctx.r)
 
 
 def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int],

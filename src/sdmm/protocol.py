@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fields import FieldCtx, MultCounter
 from .linalg import EvaluationPlan, MdsResult, _batches, is_mds, singular_minors
-from .matpoly import BlockMatrix, evaluate, horner_cost, interpolate, stack_blocks
+from .matpoly import BlockMatrix, evaluate_on, horner_cost, interpolate, stack_blocks
 from .schemes import (
     SchemeParams,
     build_f,
@@ -103,21 +103,39 @@ def _worker_indices(keys, n_workers: int, what: str) -> list[int]:
 
 
 def encode(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan, rng: random.Random,
-           counter: Optional[MultCounter] = None) -> list:
-    """The share pair (f(x_n), g(x_n)) of every worker, in worker order.
+           counter: Optional[MultCounter] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The shares of every worker: the stacks of f(x_n) and of g(x_n), in worker order.
 
     Splits A and B into the plan's block grid, builds the two encoding
     polynomials with noise blocks drawn from rng (those of f first), and
-    evaluates both at every worker point.
+    evaluates both at every worker point on the columns of plan.share_table
+    at their supports. Returns residue stacks of shapes (N, a, s, r) and
+    (N, s, b, r) for a x s blocks of A and s x b blocks of B; the counter
+    records sparse Horner at every point.
     """
     params = plan.params
     parts = partition(A, B, params.K, params.M, params.L)
     f = build_f(params, parts, rng, plan.ctx)
     g = build_g(params, parts, rng, plan.ctx)
-    pts = plan.worker_points
+    table = plan.share_table
     if counter is not None:
-        counter.add(len(pts) * (horner_cost(f) + horner_cost(g)))
-    return list(zip(evaluate(f, pts), evaluate(g, pts)))
+        counter.add(len(table) * (horner_cost(f) + horner_cost(g)))
+    return (evaluate_on(f, table[:, list(f.support())]),
+            evaluate_on(g, table[:, list(g.support())]))
+
+
+def worker_products(shares: tuple[np.ndarray, np.ndarray], workers,
+                    ctx: FieldCtx) -> dict[int, BlockMatrix]:
+    """The response f(x_n) g(x_n) of every listed worker, keyed by worker index.
+
+    shares are encode's two stacks; one batched product serves all the
+    workers, and each response is a read-only view of its row.
+    """
+    idx = list(workers)
+    F, G = shares
+    products = _gauss.matmul(F[idx], G[idx], ctx)
+    products.flags.writeable = False
+    return {n: BlockMatrix(v, ctx) for n, v in zip(idx, products)}
 
 
 def _routes(plan: EvaluationPlan, s: int, spoiled) -> tuple:
@@ -219,12 +237,8 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     # worker n sits in hypernode n // M (see hypernode_workers)
     spoiled = sorted({n // M for n in missing})
     hyper, short = _routes(plan, len(missing), len(spoiled))
-    shortfall = f"{len(responses)} responses of {len(plan.full_support)} needed"
-    if plan.base_points is not None:
-        shortfall = (f"{plan.n_hypernodes - len(spoiled)} complete hypernodes of "
-                     f"{len(plan.class_support)} needed and {shortfall}")
     if short and not hyper:
-        raise InsufficientResponses(f"have {shortfall}")
+        raise _shortfall(plan, len(order), len(spoiled))
     # every response is checked here, whichever route reads it
     stack = stack_blocks([responses[n] for n in order], ctx)
     coeffs = None
@@ -245,7 +259,7 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
                                  solver=lambda rhs: _apply(plan, "base", spoiled, complete, rhs))
         except SingularSystem:
             if short:  # and no full interpolation to fall through to
-                raise InsufficientResponses(f"have {shortfall}") from None
+                raise _shortfall(plan, len(order), len(spoiled)) from None
         else:
             with contextlib.suppress(SingularSystem):
                 _apply(plan, "worker", missing, order, stack.reshape(len(order), -1, ctx.r))
@@ -256,6 +270,15 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
                              solver=lambda rhs: _apply(plan, "worker", missing, order, rhs))
     positions = product_block_positions(params.K, params.M, params.L)
     return {kl: BlockMatrix(c, ctx) for kl, c in zip(positions, coeffs)}
+
+
+def _shortfall(plan: EvaluationPlan, responses: int, spoiled: int) -> InsufficientResponses:
+    """decode's error when no route has enough data, naming what each route needs."""
+    text = f"{responses} responses of {len(plan.full_support)} needed"
+    if plan.base_points is not None:
+        text = (f"{plan.n_hypernodes - spoiled} complete hypernodes of "
+                f"{len(plan.class_support)} needed and {text}")
+    return InsufficientResponses(f"have {text}")
 
 
 def assemble_product(blocks: Mapping[tuple, BlockMatrix],
@@ -346,9 +369,10 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
 
     straggler_rng = random.Random(f"sdmm-straggler-{seed}")
     down = set(resolve_stragglers(stragglers, plan.n_workers, straggler_rng))
-    responses = {n: fa.matmul(gb) for n, (fa, gb) in enumerate(shares) if n not in down}
-    fa, gb = shares[0]
-    counters["worker"].add(len(responses) * fa.rows * fa.cols * gb.cols)
+    responses = worker_products(
+        shares, [n for n in range(plan.n_workers) if n not in down], plan.ctx)
+    a, s, b = *shares[0].shape[1:3], shares[1].shape[2]
+    counters["worker"].add(len(responses) * a * s * b)
 
     product = _audited_product(responses, plan, A.matmul(B), counters["decode"])
     product_hash = None
@@ -424,7 +448,7 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
         raise BadSpec(f"straggler count {S} outside [0, {N}]")
 
     shares = encode(A, B, plan, random.Random(f"sdmm-noise-{seed}"))
-    all_responses = {n: fa.matmul(gb) for n, (fa, gb) in enumerate(shares)}
+    all_responses = worker_products(shares, range(N), plan.ctx)
     expected = A.matmul(B)
 
     if mode == "exhaustive":

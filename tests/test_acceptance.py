@@ -40,6 +40,7 @@ from sdmm.protocol import (
     encode,
     p_of_s_empirical,
     run_protocol,
+    worker_products,
 )
 from sdmm.schemes import SchemeParams
 from sdmm.thresholds import (
@@ -61,7 +62,7 @@ def admissible_ds(M):
 def _encode_all(plan, A, B, seed):
     """Worker responses for every worker, with fresh noise draws."""
     shares = encode(A, B, plan, random.Random(f"sdmm-acceptance-enc-{seed}"))
-    return {n: fa.matmul(gb) for n, (fa, gb) in enumerate(shares)}
+    return worker_products(shares, range(plan.n_workers), plan.ctx)
 
 
 def test_criterion_01_closed_forms_match_support_oracle():

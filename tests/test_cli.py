@@ -435,8 +435,12 @@ def test_find_eval_output_is_frozen(capsys, argv, digest):
     (["p-of-s", "--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "31", "-S", "3",
       "--mode", "exhaustive"],
      "1f5e5b6c43cee5de94d98c0c0a807e4391b6c68151f6cf7fbba0f98e01992062"),
+    (["simulate", "--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "31^2", "--hypernodes", "8",
+      "--stragglers", "random:2", "--seed", "1", "--json"],
+     "e3cff36adfa8325e43ce6efa75b5cd03b0ec82eeba3f1ff71287795bfcf9bfa9"),
 ], ids=["sweep", "fixed-n-search", "fixed-n-search-minima-1", "threshold-mp",
-        "threshold-ggasp", "threshold-explicit-t0", "p-of-s-bound", "p-of-s-exhaustive"])
+        "threshold-ggasp", "threshold-explicit-t0", "p-of-s-bound", "p-of-s-exhaustive",
+        "simulate-31sq"])
 def test_seeded_cli_output_is_frozen(capsys, argv, digest):
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0

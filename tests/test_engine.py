@@ -21,7 +21,7 @@ from sdmm import _gauss
 from sdmm.errors import InconsistentResponses, ShapeMismatch, SingularSystem
 from sdmm.examples import gf31_plan
 from sdmm.fields import MultCounter, make_field
-from sdmm.linalg import find_evaluation_vector
+from sdmm.linalg import find_evaluation_vector, ggasp_plan
 from sdmm.matpoly import (
     BlockMatrix,
     MatPoly,
@@ -30,8 +30,8 @@ from sdmm.matpoly import (
     horner_cost,
     interpolate,
 )
-from sdmm.protocol import _set_operators, run_protocol
-from sdmm.schemes import SchemeParams
+from sdmm.protocol import _set_operators, encode, run_protocol, worker_products
+from sdmm.schemes import SchemeParams, build_f, build_g, partition
 
 FIELDS = (
     make_field(13),
@@ -228,6 +228,45 @@ def test_evaluate_empty_polynomial_is_zero_everywhere(ctx):
     assert got == [BlockMatrix.zero(2, 3, ctx)] * 3 == [poly.evaluate_naive(x) for x in points]
     assert evaluate(poly, []) == []
     assert horner_cost(poly) == 0
+
+
+@given(st.integers(0, 2**32), field_ids, st.sampled_from(["mp", "ggasp"]),
+       st.integers(0, 2), st.booleans())
+@settings(max_examples=40, deadline=None)
+@example(0, 0, "mp", 0, True)
+@example(0, 3, "ggasp", 0, True)
+@example(0, 4, "mp", 2, True)
+def test_shares_and_worker_products_match_the_scalar_paths(seed, fid, variant, T, zero_block):
+    # encode's share stacks are f and g at every worker point, and the one
+    # batched worker step gives each worker the product of its own shares
+    ctx = FIELDS[fid]
+    rng = random.Random(seed)
+    K, M, L = rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 2)
+    params = (SchemeParams.mp(K, M, L, T) if variant == "mp"
+              else SchemeParams.ggasp(K, M, L, T, r=min(T, 1)))
+    n = rng.randint(1, 6)
+    plan = ggasp_plan(params, ctx, [ctx.from_index(i) for i in rng.sample(range(1, ctx.order), n)])
+    a, s, b = (rng.randint(1, 3) for _ in range(3))
+    rows = rand_rows(K * a, M * s, ctx, rng)
+    if zero_block:  # A's block (0, 0) is zero, so f drops exponent 0
+        rows = [[ctx.zero() if i < a and j < s else v for j, v in enumerate(row)]
+                for i, row in enumerate(rows)]
+    A, B = BlockMatrix(rows, ctx), BlockMatrix(rand_rows(M * s, L * b, ctx, rng), ctx)
+    F, G = encode(A, B, plan, random.Random(f"noise-{seed}"))
+    assert F.shape == (n, a, s, ctx.r) and G.shape == (n, s, b, ctx.r)
+    noise = random.Random(f"noise-{seed}")  # encode draws f's noise, then g's
+    parts = partition(A, B, K, M, L)
+    f, g = build_f(params, parts, noise, ctx), build_g(params, parts, noise, ctx)
+    assert (0 in f.support()) != zero_block
+    for x, fx, gx in zip(plan.worker_points, F, G):
+        assert BlockMatrix(fx, ctx) == f.evaluate_naive(x)
+        assert BlockMatrix(gx, ctx) == g.evaluate_naive(x)
+    workers = sorted(rng.sample(range(n), rng.randint(0, n)))
+    got = worker_products((F, G), workers, ctx)
+    assert list(got) == workers
+    for w, product in got.items():
+        assert product == BlockMatrix(F[w], ctx).matmul(BlockMatrix(G[w], ctx))
+        assert not product.array.flags.writeable
 
 
 @given(st.integers(0, 2**32), field_ids, st.integers(0, 3))

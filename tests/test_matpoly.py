@@ -14,6 +14,7 @@ from sdmm.matpoly import (
     interpolate,
     mod_m_transform,
     mod_m_transform_by_summation,
+    stack_blocks,
 )
 
 F13 = make_field(13)
@@ -79,6 +80,12 @@ def test_matrix_text_layout():
     m = BlockMatrix([[F169.element([3, 0]), F169.element([0, 1])],
                      [F169.element([12, 5]), F169.zero()]], F169)
     assert m.to_text() == "2 2 13^2/9,2,1\n3,0 0,1\n12,5 0,0\n"
+    # a 61-bit prime stores Python ints (the object dtype), printed in full
+    f61 = make_field((1 << 61) - 1)
+    big = BlockMatrix([[(1 << 61) - 2, 0], [7, 1 << 40]], f61)
+    assert big.array.dtype == object
+    assert big.to_text() == (f"2 2 {(1 << 61) - 1}\n{(1 << 61) - 2} 0\n"
+                             f"7 {1 << 40}\n")
 
 
 # -- MatPoly basics ---------------------------------------------------------------
@@ -250,6 +257,23 @@ def test_points_over_another_field_are_a_shape_mismatch():
         interpolate(pts, vals, [0, 2], F31)
     with pytest.raises(ShapeMismatch):
         evaluate(p, pts)
+
+
+def test_stack_blocks_names_the_first_check_a_block_fails():
+    blocks = [BlockMatrix([[1, 2]], F13), BlockMatrix([[3, 4]], make_field(13))]
+    # a field equal to F13 but not the same object is still F13
+    assert stack_blocks(blocks, F13).tolist() == [[[[1], [2]]], [[[3], [4]]]]
+    cases = [
+        ([blocks[0], blocks[0].array], "evaluations must be BlockMatrix values"),
+        ([blocks[0], BlockMatrix([[1]], F13)], "evaluation blocks differ in shape"),
+        ([blocks[0], BlockMatrix([[1, 2]], F31)], "evaluation blocks not over 13"),
+        ([BlockMatrix([[1]], F13), "x", BlockMatrix([[1, 2]], F31)],
+         "evaluations must be BlockMatrix values"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ShapeMismatch) as exc:
+            stack_blocks(bad, F13)
+        assert str(exc.value) == message
 
 
 def test_interpolate_uses_a_supplied_power_table_of_the_right_shape():

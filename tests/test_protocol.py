@@ -38,6 +38,7 @@ from sdmm.protocol import (
     p_of_s_lower_bound,
     resolve_stragglers,
     run_protocol,
+    worker_products,
 )
 from sdmm.schemes import SchemeParams, build_f, partition, product_block_positions
 from sdmm.thresholds import product_class_support, symbolic_support
@@ -57,7 +58,7 @@ def _inputs(plan, seed=7, scale=1):
 
 def _responses(plan, A, B, rng):
     """Every worker's product of its two shares, with noise drawn from rng."""
-    return {n: fa.matmul(gb) for n, (fa, gb) in enumerate(encode(A, B, plan, rng))}
+    return worker_products(encode(A, B, plan, rng), range(plan.n_workers), plan.ctx)
 
 
 # -- straggler specs -------------------------------------------------------------------
@@ -169,8 +170,10 @@ def test_decode_raises_when_called_directly_with_too_few_responses():
     responses = _responses(plan, A, B, random.Random("enc"))
     for n in (0, 3, 6):
         del responses[n]
-    with pytest.raises(InsufficientResponses):
+    with pytest.raises(InsufficientResponses) as exc:
         decode(responses, plan)
+    assert str(exc.value) == ("have 5 complete hypernodes of 7 needed "
+                              "and 21 responses of 22 needed")
 
 
 @pytest.mark.parametrize("key", [24, -2, "a", 0.5])
@@ -421,9 +424,11 @@ def test_decode_matches_interpolation_from_points_on_random_survivor_sets(monkey
 def test_plan_tables_are_read_only_powers_outside_equality():
     plan = gf31_plan(1, 8)
     fresh = dataclasses.replace(plan)
-    assert fresh.__dict__.keys().isdisjoint({"worker_table", "base_table"})
+    assert fresh.__dict__.keys().isdisjoint({"worker_table", "base_table", "share_table"})
+    # f and g carry exponents up to KML + max(alpha + beta) = 12 + 0 at T = 1
     tables = {"worker_table": (plan.worker_points, plan.full_support),
-              "base_table": (plan.base_points, plan.class_support)}
+              "base_table": (plan.base_points, plan.class_support),
+              "share_table": (plan.worker_points, range(13))}
     for name, (points, exponents) in tables.items():
         table = getattr(plan, name)
         assert getattr(plan, name) is table  # computed once
@@ -443,6 +448,22 @@ def test_plan_tables_are_read_only_powers_outside_equality():
     assert flat.worker_table.shape == (22, len(flat.full_support), 1)
     with pytest.raises(PlanInvalid):
         flat.base_table
+
+
+@pytest.mark.parametrize("make_plan", [lambda: gf31_plan(1, 8), _f961_plan],
+                         ids=["p31", "f961"])
+def test_a_second_run_on_a_plan_runs_no_power_ladder(monkeypatch, make_plan):
+    # encode reads the plan's share_table and decode its worker and base
+    # tables, so only the first run on a plan computes powers
+    plan = make_plan()
+    A, B = _inputs(plan, scale=2)
+    first = run_protocol(A, B, plan, stragglers="random:2", seed=1)
+    powers = _gauss.powers
+    calls = []
+    monkeypatch.setattr(_gauss, "powers", lambda *a: calls.append(1) or powers(*a))
+    again = run_protocol(A, B, plan, stragglers="random:2", seed=1)
+    assert again.to_dict() == first.to_dict() and first.decode_success
+    assert calls == []
 
 
 def test_hypernode_weights_are_cached_subgroup_averages():
