@@ -43,7 +43,7 @@ class BlockMatrix:
 
     def __init__(self, data, ctx: FieldCtx):
         self.array = _gauss.as_array(data, ctx)
-        self.array.flags.writeable = False
+        self.array.setflags(write=False)
         self.rows, self.cols = self.array.shape[:2]
         self.ctx = ctx
 
@@ -55,11 +55,26 @@ class BlockMatrix:
 
     @classmethod
     def random(cls, rows: int, cols: int, ctx: FieldCtx, rng: random.Random) -> "BlockMatrix":
-        """Uniform entries, drawn as ctx.random_element draws them."""
-        idx = np.array([rng.randrange(ctx.order) for _ in range(rows * cols)], dtype=object)
-        place = np.array([ctx.p ** k for k in range(ctx.r)], dtype=object)
-        digits = idx[:, None] // place % ctx.p
-        return cls(digits.astype(_gauss.dtype(ctx)).reshape(rows, cols, ctx.r), ctx)
+        """Uniform entries: the base-p digits of rng.randrange(ctx.order), value for value.
+
+        randrange(n) redraws getrandbits(k), k = n.bit_length(), until it is
+        below n; getrandbits(k) reads ceil(k / 32) = w 32-bit words, the last
+        shifted right by 32w - k. Each round reads every draw still needed in
+        one getrandbits(32 w need) and keeps those below n, in order.
+        """
+        n, k = ctx.order, ctx.order.bit_length()
+        w, kind = -(-k // 32), object if k > 63 else np.uint64
+        idx = np.zeros(0, kind)
+        while len(idx) < rows * cols:
+            need = rows * cols - len(idx)
+            raw = rng.getrandbits(32 * w * need).to_bytes(4 * w * need, "little")
+            words = np.frombuffer(raw, dtype="<u4").reshape(need, w).astype(kind)
+            words[:, -1] >>= 32 * w - k
+            vals = sum(words[:, i] << 32 * i for i in range(w))
+            idx = np.concatenate([idx, vals[vals < n]])
+        if ctx.r > 1:
+            idx = idx[:, None] // np.array([ctx.p ** j for j in range(ctx.r)], kind) % ctx.p
+        return cls(idx.astype(_gauss.dtype(ctx)).reshape(rows, cols, ctx.r), ctx)
 
     # -- shape and identity ---------------------------------------------------
 
@@ -265,16 +280,12 @@ def mod_m_transform_by_summation(h: MatPoly, zeta: FieldElement, M: int) -> MatP
 def stack_blocks(blocks: list[BlockMatrix], ctx: FieldCtx) -> np.ndarray:
     """Residue arrays of BlockMatrix blocks of one shape over ctx, stacked on a new axis 0."""
     shape = getattr(blocks[0], "shape", None)
-    # one pass decides the common case; the checks below name what is wrong,
-    # and a context equal to ctx but not ctx itself passes them
-    if not all(isinstance(b, BlockMatrix) and b.ctx is ctx and b.shape == shape
-               for b in blocks):
-        if not all(isinstance(b, BlockMatrix) for b in blocks):
-            raise ShapeMismatch("evaluations must be BlockMatrix values")
-        if any(b.shape != shape for b in blocks):
-            raise ShapeMismatch("evaluation blocks differ in shape")
-        if any(b.ctx is not ctx and b.ctx != ctx for b in blocks):
-            raise ShapeMismatch(f"evaluation blocks not over {ctx.spec_string()}")
+    if not all(isinstance(b, BlockMatrix) for b in blocks):
+        raise ShapeMismatch("evaluations must be BlockMatrix values")
+    if any(b.shape != shape for b in blocks):
+        raise ShapeMismatch("evaluation blocks differ in shape")
+    if any(b.ctx != ctx for b in blocks):
+        raise ShapeMismatch(f"evaluation blocks not over {ctx.spec_string()}")
     return np.array([b.array for b in blocks], dtype=blocks[0].array.dtype)
 
 
@@ -322,7 +333,7 @@ def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int]
     """
     pts = list(points)
     vals = values if isinstance(values, np.ndarray) else list(values)
-    exps = sorted(set(int(e) for e in exponents))
+    exps = sorted(set(map(int, exponents)))
     if len(pts) != len(vals):
         raise ShapeMismatch("points and values differ in length")
     if len(pts) < len(exps):

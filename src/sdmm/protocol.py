@@ -124,18 +124,45 @@ def encode(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan, rng: random.Ran
             evaluate_on(g, table[:, list(g.support())]))
 
 
-def worker_products(shares: tuple[np.ndarray, np.ndarray], workers,
-                    ctx: FieldCtx) -> dict[int, BlockMatrix]:
-    """The response f(x_n) g(x_n) of every listed worker, keyed by worker index.
+class Responses(Mapping):
+    """Read-only BlockMatrix views of a product stack's rows, keyed by worker index.
 
-    shares are encode's two stacks; one batched product serves all the
-    workers, and each response is a read-only view of its row.
+    workers: the sorted responding workers, of n_workers; stack: their residues, row for row.
     """
-    idx = list(workers)
+
+    __slots__ = ("workers", "stack", "ctx", "n_workers")
+
+    def __init__(self, workers: np.ndarray, stack: np.ndarray, ctx: FieldCtx, n_workers: int):
+        workers.setflags(write=False)
+        stack.setflags(write=False)
+        self.workers, self.stack, self.ctx, self.n_workers = workers, stack, ctx, n_workers
+
+    def __getitem__(self, n) -> BlockMatrix:
+        i = self.workers.searchsorted(n) if isinstance(n, (int, np.integer)) else len(self)
+        if i == len(self) or self.workers[i] != n:
+            raise KeyError(n)
+        return BlockMatrix(self.stack[i], self.ctx)
+
+    def __iter__(self):
+        return iter(self.workers.tolist())
+
+    def __len__(self) -> int:
+        return len(self.workers)
+
+    def without(self, down) -> "Responses":
+        """All but the listed workers' responses; BadSpec for an index outside the deployment."""
+        keep = np.ones(self.n_workers, dtype=bool)
+        keep[_worker_indices(down, self.n_workers, "straggler index")] = False
+        rows = keep[self.workers].nonzero()[0]
+        return Responses(self.workers[rows], self.stack[rows], self.ctx, self.n_workers)
+
+
+def worker_products(shares: tuple[np.ndarray, np.ndarray], workers,
+                    ctx: FieldCtx) -> Responses:
+    """The responses f(x_n) g(x_n) of the listed workers: one batched product of encode's stacks."""
     F, G = shares
-    products = _gauss.matmul(F[idx], G[idx], ctx)
-    products.flags.writeable = False
-    return {n: BlockMatrix(v, ctx) for n, v in zip(idx, products)}
+    idx = np.array(_worker_indices(workers, len(F), "worker index"), dtype=np.intp)
+    return Responses(idx, _gauss.matmul(F[idx], G[idx], ctx), ctx, len(F))
 
 
 def _routes(plan: EvaluationPlan, s: int, spoiled) -> tuple:
@@ -152,11 +179,11 @@ def _routes(plan: EvaluationPlan, s: int, spoiled) -> tuple:
     short = plan.n_workers - s < len(plan.full_support)
     if plan.base_points is None:
         return np.zeros(np.shape(spoiled), dtype=bool), short
-    return plan.n_hypernodes - np.asarray(spoiled) >= len(plan.class_support), short
+    return plan.n_hypernodes - spoiled >= len(plan.class_support), short
 
 
 def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> list:
-    """Decode coefficients W of row sets of a route's table; None without full column rank.
+    """Decode operators T of row sets of a route's table; None without full column rank.
 
     route is "worker" (plan.worker_table, full interpolation) or "base"
     (plan.base_table, the hypernode route), and missing is a (sets, d)
@@ -165,47 +192,54 @@ def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> lis
     missing rows D. The survivors have full column rank iff K[:, D] has
     rank d; then with K[:, D]'s G_D and K_D from one batched decompose the
     target coefficients are G_t R + C (K R), C = -G_t[:, D] G_D (one batched
-    matmul), and the spare equations K_D (K R) = 0. W stacks C over K_D,
-    shape (K*L + n - m - d, n - m, r): erasure decoding by syndromes.
+    matmul), and the spare equations K_D (K R) = 0: erasure decoding by
+    syndromes. T = [I, C; 0, K_D] [G_t; K] on the survivors' columns
+    applies both: shape (K*L + n - m - d, n - d, r).
     """
     split = getattr(plan, f"{route}_split")
     n_targets = plan.params.K * plan.params.L
     sets, d = missing.shape
     if split is None or d > len(split) - n_targets:
         return [None] * sets
+    ctx, n = plan.ctx, split.shape[1]
     left, kernel = split[:n_targets], split[n_targets:]
-    G, K, ok = _gauss.decompose(kernel[:, missing].swapaxes(0, 1), plan.ctx)
-    C = _gauss.matmul(left[:, missing].swapaxes(0, 1), G, plan.ctx)
-    W = np.concatenate([-C % plan.ctx.p, K], axis=1)
-    return [w if good else None for w, good in zip(W, ok)]
+    G, K, ok = _gauss.decompose(kernel[:, missing].swapaxes(0, 1), ctx)
+    C = _gauss.matmul(left[:, missing].swapaxes(0, 1), G, ctx)
+    W = np.concatenate([-C % ctx.p, K], axis=1)
+    rows = (~np.eye(n, dtype=bool)[missing].any(axis=1)).nonzero()[1].reshape(sets, n - d)
+    T = []
+    for lo in range(0, sets, 32):  # bounds the temporaries of n - d columns
+        kept = split[:, rows[lo:lo + 32]].swapaxes(0, 1)
+        chunk = _gauss.matmul(W[lo:lo + 32], kept[:, n_targets:], ctx)
+        chunk[:, :n_targets] += kept[:, :n_targets]
+        T.extend(chunk % ctx.p)
+    return [t if good else None for t, good in zip(T, ok)]
 
 
-def _apply(plan: EvaluationPlan, route: str, missing, rows, rhs: np.ndarray) -> np.ndarray:
-    """Target coefficients of the survivor set `rows` of a route's table, from its values rhs.
+def _apply(plan: EvaluationPlan, route: str, missing: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Target coefficients of the table rows other than `missing`, from their values rhs.
 
-    The set's W (_set_operators) comes from plan.decode_memo, else from a
+    The set's T (_set_operators) comes from plan.decode_memo, else from a
     batch of one. Without full column rank this raises SingularSystem; a
     failed spare equation raises InconsistentResponses.
     """
-    key = (route, tuple(missing))
-    W = (plan.decode_memo[key] if key in plan.decode_memo else
-         _set_operators(plan, route, np.array([missing], dtype=np.intp).reshape(1, -1))[0])
-    if W is None:
+    key = (route, tuple(missing.tolist()))
+    T = (plan.decode_memo[key] if key in plan.decode_memo else
+         _set_operators(plan, route, missing[None])[0])
+    if T is None:
         raise SingularSystem("coefficient matrix is rank deficient")
-    split, ctx = getattr(plan, f"{route}_split"), plan.ctx
-    n_targets = len(split) - W.shape[1]
-    Y = _gauss.matmul(split[:, rows], rhs, ctx)
-    Z = _gauss.matmul(W, Y[n_targets:], ctx)
-    if Z[n_targets:].any():
+    n_targets = plan.params.K * plan.params.L
+    out = _gauss.matmul(T, rhs, plan.ctx)
+    if out[n_targets:].any():
+        spare = len(T) - n_targets
         raise InconsistentResponses(
-            f"{len(Z) - n_targets} spare equations disagree with the "
-            f"{split.shape[1] - W.shape[1]} unknowns")
-    return (Y[:n_targets] + Z[:n_targets]) % ctx.p
+            f"{spare} spare equations disagree with the {T.shape[1] - spare} unknowns")
+    return out[:n_targets]
 
 
 def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
            counter: Optional[MultCounter] = None) -> dict:
-    """All product blocks from worker responses.
+    """All product blocks from worker responses, as worker_products or a dict gives them (_stacked).
 
     On a hypernode plan the preferred route collapses every hypernode whose
     M workers all responded, by averaging against the root-of-unity
@@ -219,57 +253,69 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     BlockMatrix or differs in shape or field from the rest.
 
     Either route hands interpolate the rows of the plan's cached power
-    table and a solver that yields only the K*L product blocks from the
-    survivor set's coefficients on the plan's left kernel (_apply). Every
-    spare equation of the route is checked. On the hypernode route, which
-    reads only complete hypernodes, so are the raw responses: when the
-    responding workers' rows of plan.worker_table have full column rank,
-    responses that are not evaluations of one polynomial on the full
-    support raise InconsistentResponses. Without full column rank that
-    check is skipped. The counter records what the scalar decoder spends,
-    as interpolate counts it; the raw check adds nothing to it.
+    table and a solver that yields only the K*L product blocks, checking
+    every spare equation of the route (_apply). On the hypernode route,
+    which reads only complete hypernodes, so are the raw responses: when
+    the responding workers' rows of plan.worker_table have full column
+    rank, responses that are not evaluations of one polynomial on the full
+    support raise InconsistentResponses. The counter records what the
+    scalar decoder spends, as interpolate counts it; the raw check adds
+    nothing to it.
     """
-    order = _worker_indices(responses, plan.n_workers, "response key")
-    params = plan.params
-    ctx = plan.ctx
-    M = params.M
-    missing = sorted(set(range(plan.n_workers)).difference(order))
+    order, stack = _stacked(responses, plan)
+    params, ctx, M = plan.params, plan.ctx, plan.params.M
+    gone = np.ones(plan.n_workers, dtype=bool)
+    gone[order] = False
+    missing = gone.nonzero()[0]
     # worker n sits in hypernode n // M (see hypernode_workers)
-    spoiled = sorted({n // M for n in missing})
+    whole = ~gone[:plan.n_hypernodes * M].reshape(-1, M).any(axis=1)
+    complete, spoiled = whole.nonzero()[0], (~whole).nonzero()[0]
     hyper, short = _routes(plan, len(missing), len(spoiled))
     if short and not hyper:
         raise _shortfall(plan, len(order), len(spoiled))
-    # every response is checked here, whichever route reads it
-    stack = stack_blocks([responses[n] for n in order], ctx)
     coeffs = None
     if hyper:
-        complete = [p for p in range(plan.n_hypernodes) if p not in spoiled]
         rows, cols = stack.shape[1:3]
         # counted as the scalar average: M response scales, then one of the sum
         if counter is not None:
             counter.add(len(complete) * (M + 1) * rows * cols)
-        members = stack[[i for i, n in enumerate(order) if n // M not in spoiled]]
+        members = stack[whole[order // M]]
         terms = _gauss.mul(members.reshape(len(complete), M, rows, cols, ctx.r),
                            plan.hypernode_weights[:, None, None], ctx)
         vals = terms.sum(axis=1) % ctx.p
-        pts = [plan.base_points[p] for p in complete]
+        pts = [plan.base_points[p] for p in complete.tolist()]
         try:
             coeffs = interpolate(pts, vals, plan.class_support, ctx, counter,
                                  table=plan.base_table[complete],
-                                 solver=lambda rhs: _apply(plan, "base", spoiled, complete, rhs))
+                                 solver=lambda rhs: _apply(plan, "base", spoiled, rhs))
         except SingularSystem:
             if short:  # and no full interpolation to fall through to
                 raise _shortfall(plan, len(order), len(spoiled)) from None
         else:
             with contextlib.suppress(SingularSystem):
-                _apply(plan, "worker", missing, order, stack.reshape(len(order), -1, ctx.r))
+                _apply(plan, "worker", missing, stack.reshape(len(order), -1, ctx.r))
     if coeffs is None:
-        pts = [plan.worker_points[n] for n in order]
+        pts = [plan.worker_points[n] for n in order.tolist()]
         coeffs = interpolate(pts, stack, plan.full_support, ctx, counter,
                              table=plan.worker_table[order],
-                             solver=lambda rhs: _apply(plan, "worker", missing, order, rhs))
+                             solver=lambda rhs: _apply(plan, "worker", missing, rhs))
     positions = product_block_positions(params.K, params.M, params.L)
     return {kl: BlockMatrix(c, ctx) for kl, c in zip(positions, coeffs)}
+
+
+def _stacked(responses: Mapping[int, BlockMatrix],
+             plan: EvaluationPlan) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """decode's one way in: the sorted responding workers and their stack (None if none).
+
+    Responses of the plan's deployment are read as they stand; any other
+    mapping's keys and blocks are checked (_worker_indices, stack_blocks).
+    """
+    if isinstance(responses, Responses) and (responses.ctx, responses.n_workers) == (
+            plan.ctx, plan.n_workers):
+        return responses.workers, responses.stack
+    order = _worker_indices(responses, plan.n_workers, "response key")
+    stack = stack_blocks([responses[n] for n in order], plan.ctx) if order else None
+    return np.array(order, dtype=np.intp), stack
 
 
 def _shortfall(plan: EvaluationPlan, responses: int, spoiled: int) -> InsufficientResponses:
@@ -332,23 +378,28 @@ class SimReport:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
 
 
-def _audited_product(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
-                     expected: BlockMatrix,
-                     counter: Optional[MultCounter] = None) -> Optional[BlockMatrix]:
-    """The decoded product, checked against expected; None when undecodable.
+def _product_blocks(product: BlockMatrix, params: SchemeParams) -> np.ndarray:
+    """The K x L blocks of a product as one residue stack, in product_block_positions order."""
+    a, b = product.rows // params.K, product.cols // params.L
+    return np.array([product.array[k * a:(k + 1) * a, l * b:(l + 1) * b]
+                     for k, l in product_block_positions(params.K, params.M, params.L)])
 
-    Too few responses or a singular system is an outcome, not an error. A
-    decode that returns a product other than expected raises DecodeFailed,
-    since that can only mean a defect, never bad luck.
+
+def _audited(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan, expected: np.ndarray,
+             counter: Optional[MultCounter] = None) -> Optional[dict]:
+    """The decoded blocks, their arrays checked against expected (_product_blocks).
+
+    Too few responses or a singular system is an outcome, not an error: None.
+    A wrong product raises DecodeFailed, since that can only mean a defect.
     """
     try:
         blocks = decode(responses, plan, counter)
     except (InsufficientResponses, SingularSystem):
         return None
-    product = assemble_product(blocks, plan.params, plan.ctx)
-    if product != expected:
+    K, M, L = plan.params.K, plan.params.M, plan.params.L
+    if not np.array_equal([blocks[kl].array for kl in product_block_positions(K, M, L)], expected):
         raise DecodeFailed("decoded product disagrees with the direct product")
-    return product
+    return blocks
 
 
 def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
@@ -359,7 +410,7 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     straggle, so the encode count covers all of them; only respondents
     contribute worker multiplications, a*s*b for a x s and s x b shares.
     The decoded product is checked block-for-block against A @ B computed
-    directly (see _audited_product).
+    directly (see _audited).
     Too many stragglers is not an error: the report simply records the
     failure to decode.
     """
@@ -374,9 +425,11 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     a, s, b = *shares[0].shape[1:3], shares[1].shape[2]
     counters["worker"].add(len(responses) * a * s * b)
 
-    product = _audited_product(responses, plan, A.matmul(B), counters["decode"])
+    blocks = _audited(responses, plan, _product_blocks(A.matmul(B), plan.params),
+                      counters["decode"])
     product_hash = None
-    if product is not None:
+    if blocks is not None:
+        product = assemble_product(blocks, plan.params, plan.ctx)
         product_hash = hashlib.sha256(product.to_text().encode("ascii")).hexdigest()
     return SimReport(
         seed=seed,
@@ -385,7 +438,7 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
         n_workers=plan.n_workers,
         straggler_set=tuple(sorted(down)),
         responses_used=len(responses),
-        decode_success=product is not None,
+        decode_success=blocks is not None,
         decoded_product_hash=product_hash,
         mult_counts={phase: c.count for phase, c in counters.items()},
         plan_summary=plan.summary(),
@@ -434,12 +487,11 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     sampled estimate, which the caller labels as one. Any other mode
     raises BadSpec.
 
-    Patterns are taken in batches (linalg._batches). Decode's count rule
-    (_routes) runs on a whole batch at once, and a pattern it rejects
-    counts as a failure without a decode call. The decode coefficients of
-    every other pattern of the batch are computed in one batched elimination per route
-    and missing-row count and put in plan.decode_memo, where decode finds
-    them; each such pattern is then decoded and audited on its own.
+    Patterns are taken in batches (linalg._batches), which _prepare sorts
+    by decode's count rule: a pattern without a route counts as a failure
+    without a decode call, and the operators of the rest go to
+    plan.decode_memo. Each of those decodes the shared response stack
+    without its stragglers, audited as arrays (_audited).
     """
     if mode not in ("exhaustive", "mc"):
         raise BadSpec(f"unknown mode {mode!r}")
@@ -449,7 +501,7 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
 
     shares = encode(A, B, plan, random.Random(f"sdmm-noise-{seed}"))
     all_responses = worker_products(shares, range(N), plan.ctx)
-    expected = A.matmul(B)
+    expected = _product_blocks(A.matmul(B), plan.params)
 
     if mode == "exhaustive":
         patterns = itertools.combinations(range(N), S)
@@ -465,9 +517,7 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     try:
         for down in _batches(patterns):
             for row in down[_prepare(plan, down)].tolist():
-                gone = set(row)
-                survivors = {n: v for n, v in all_responses.items() if n not in gone}
-                if _audited_product(survivors, plan, expected) is not None:
+                if _audited(all_responses.without(row), plan, expected) is not None:
                     successes += 1
     finally:
         plan.decode_memo.clear()
@@ -477,7 +527,7 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
 def _prepare(plan: EvaluationPlan, down: np.ndarray) -> np.ndarray:
     """Which of a (patterns, s) array of straggler patterns have a route (_routes).
 
-    Also replaces plan.decode_memo by the coefficients that decode needs
+    Also replaces plan.decode_memo by the operators that decode needs
     on them: on the worker table for every pattern when s workers leave at
     least N' responses (to interpolate, or to check raw spare equations),
     and on the base table for the spoiled hypernodes of every hyper

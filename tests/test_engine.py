@@ -331,6 +331,38 @@ def test_counted_solve_matches_reference(seed, fid, spare, kind):
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+@pytest.mark.parametrize("n, m, w", [(4, 4, 1), (7, 4, 1), (4, 4, 9), (7, 4, 9)],
+                         ids=["square-1", "tall-1", "square-wide", "tall-wide"])
+@pytest.mark.parametrize("kind", ["honest", "singular", "inconsistent"])
+def test_solve_reduces_a_b_as_the_reference_does(ctx, n, m, w, kind):
+    # solve eliminates [A | B] with B's columns carried along: the solution,
+    # or the error, of the entry-wise Gauss-Jordan reference
+    rng = random.Random(f"{n}-{m}-{w}-{kind}")
+    rows = rand_rows(n, m, ctx, rng)
+    if kind == "singular":
+        for row in rows:
+            row[2] = row[0] + row[1]
+    rhs = ref_matmul(rows, rand_rows(m, w, ctx, rng), ctx)
+    if kind == "inconsistent":
+        rhs[-1][-1] = rhs[-1][-1] + ctx.one()
+
+    def outcome(solver):
+        try:
+            return tuple(map(tuple, solver()))
+        except (SingularSystem, InconsistentResponses) as exc:
+            return type(exc)
+
+    want = outcome(lambda: ref_solve(rows, rhs, MultCounter()))
+    with mock.patch.object(_gauss, "_eliminate", wraps=_gauss._eliminate) as spy:
+        assert outcome(lambda: rows_of(_gauss.solve(rows, rhs, ctx), ctx)) == want
+    (stack, pivots, _), _ = spy.call_args
+    assert spy.call_count == 1 and stack.shape == (1, n, m + w, ctx.r) and pivots == m
+    assert want == {"honest": want, "singular": SingularSystem,
+                    "inconsistent": InconsistentResponses if n > m else want}[kind]
+    assert isinstance(want, tuple) == (kind == "honest" or kind == "inconsistent" and n == m)
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
 def test_solve_rejects_inconsistent_spare_equations(ctx):
     rng = random.Random(5)
     rows = [[ctx.from_index(i + 1).pow_(e) for e in range(3)] for i in range(5)]

@@ -88,6 +88,26 @@ def test_matrix_text_layout():
                              f"7 {1 << 40}\n")
 
 
+@pytest.mark.parametrize("p, r", [
+    (31, 1), ((1 << 31) - 1, 1), (13, 2),       # one 32-bit word per draw
+    (17, 1), (257, 1), (65537, 1), (2, 5),      # 2^k + 1 and 2^k: about half the words rejected
+    ((1 << 61) - 1, 1), (4294967311, 1),        # two words; 2^32 + 15 rejects about half
+    (31, 13), ((1 << 61) - 1, 2),               # above 2^64: three and four words
+], ids=repr)
+def test_random_blocks_draw_randrange_value_for_value(p, r):
+    # the entries of BlockMatrix.random are the base-p digits of one
+    # rng.randrange(order) per entry, in row-major order, and the generator
+    # is left where the randrange loop leaves it
+    ctx = make_field(p, r)
+    for seed, (rows, cols) in enumerate([(0, 3), (1, 1), (2, 5), (17, 19)]):
+        drawn, looped = random.Random(seed), random.Random(seed)
+        got = BlockMatrix.random(rows, cols, ctx, drawn)
+        want = [ctx.from_index(looped.randrange(ctx.order)).coeffs for _ in range(rows * cols)]
+        assert got.shape == (rows, cols)
+        assert got.array.reshape(-1, r).tolist() == [list(c) for c in want]
+        assert drawn.random() == looped.random()
+
+
 # -- MatPoly basics ---------------------------------------------------------------
 
 

@@ -57,8 +57,12 @@ def _inputs(plan, seed=7, scale=1):
 
 
 def _responses(plan, A, B, rng):
-    """Every worker's product of its two shares, with noise drawn from rng."""
-    return worker_products(encode(A, B, plan, rng), range(plan.n_workers), plan.ctx)
+    """Every worker's product of its two shares, with noise drawn from rng, as a plain dict.
+
+    worker_products returns a read-only mapping; tests that delete or
+    replace a response edit this copy.
+    """
+    return dict(worker_products(encode(A, B, plan, rng), range(plan.n_workers), plan.ctx))
 
 
 # -- straggler specs -------------------------------------------------------------------
@@ -419,6 +423,67 @@ def test_decode_matches_interpolation_from_points_on_random_survivor_sets(monkey
     assert (False, dict) in seen and (True, InconsistentResponses) in seen
     assert (False, InconsistentResponses) not in seen
     assert not fixed or (False, SingularSystem) in seen
+
+
+@pytest.mark.parametrize("name", ["31", "61", "2^61-1", "31^2", "flat-101"])
+def test_stack_backed_responses_decode_as_their_dict(name):
+    # decode reads a worker_products mapping by row index and a plain dict
+    # through its key and block checks: the same blocks, count and error on
+    # random survivor sets, short and singular ones included, from honest
+    # products and with one worker's share corrupted
+    plan = _f961_plan() if name == "31^2" else _SCALAR_PLANS[name]()
+    plan, fixed = plan if isinstance(plan, tuple) else (plan, [])
+    ctx, N = plan.ctx, plan.n_workers
+    rng = random.Random(f"stack-{name}")
+    A, B = _inputs(plan)
+    F, G = encode(A, B, plan, rng)
+    bad = rng.randrange(N)
+    F2 = F.copy()
+    F2[bad, 0, 0, 0] = (F2[bad, 0, 0, 0] + 1) % ctx.p
+    honest, corrupted = (worker_products((f, G), range(N), ctx) for f in (F, F2))
+
+    def outcome(responses):
+        counter = MultCounter()
+        try:
+            return decode(responses, plan, counter), counter.count
+        except (InsufficientResponses, SingularSystem, InconsistentResponses) as exc:
+            return type(exc), counter.count
+
+    downs = fixed + [[]] + [rng.sample(range(N), rng.randint(0, N - len(plan.full_support) + 3))
+                            for _ in range(25)]
+    seen = set()
+    for down in downs:
+        for responses in (honest, corrupted):
+            view = responses.without(down)
+            assert list(view) == [n for n in range(N) if n not in down]
+            got = outcome(view)
+            assert got == outcome(dict(view)), down
+            seen.add(got[0] if isinstance(got[0], type) else dict)
+    assert {dict, InsufficientResponses, InconsistentResponses} <= seen
+    assert not fixed or SingularSystem in seen
+
+    # read-only: no item assignment, and no writeable array behind a view
+    view = honest.without([bad])
+    n = next(iter(view))
+    assert view == dict(view) and bad not in view and len(view) == N - 1
+    with pytest.raises(TypeError):
+        view[bad] = honest[bad]
+    assert not (view.stack.flags.writeable or view.workers.flags.writeable
+                or view[n].array.flags.writeable)
+    with pytest.raises(BadSpec):
+        honest.without([N])
+    # a plain dict, or a view of another deployment, still has every check
+    other = make_field(13, ctx.r)
+    for key, value, error in [(n, BlockMatrix(view[n].array % 13, other), ShapeMismatch),
+                              (n, BlockMatrix.zero(3, 3, ctx), ShapeMismatch),
+                              (n, view[n].array, ShapeMismatch), ("a", view[n], BadSpec),
+                              (0.5, view[n], BadSpec)]:
+        survivors = dict(view)
+        survivors[key] = value
+        with pytest.raises(error):
+            decode(survivors, plan)
+    with pytest.raises(BadSpec):
+        decode(honest, dataclasses.replace(plan, worker_points=plan.worker_points[:-1]))
 
 
 def test_plan_tables_are_read_only_powers_outside_equality():
