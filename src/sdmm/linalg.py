@@ -16,7 +16,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -53,11 +54,12 @@ class EvaluationPlan:
     """Where each worker evaluates, and how workers group into hypernodes.
 
     Derived from the plan on first use and kept on it, so that every
-    encode and decode slices arrays instead of recomputing them:
+    encode, decode and certificate slices arrays instead of recomputing them:
     - full_support and class_support, the supports of the product
-      polynomial;
-    - share_table, the worker points' powers that encode reads;
-    - worker_table and base_table, the power tables the decoder solves on;
+      polynomial, and block_positions, the exponent of each product block;
+    - power_table, the worker points' powers: the plan's one power ladder;
+    - worker_table and base_table, the slices of it the decoder solves on
+      (security_matrices reads two more);
     - worker_split and base_split, the decompositions of those tables that
       give each survivor set its decode coefficients;
     - decode_memo, those coefficients for one chunk of survivor sets;
@@ -96,43 +98,50 @@ class EvaluationPlan:
         return product_class_support(self.params)
 
     @cached_property
-    def share_table(self) -> np.ndarray:
-        """Read-only worker_points[n]^e for e = 0 .. KML + max(alpha + beta), shape (N, E, r).
+    def block_positions(self) -> Mapping[tuple[int, int], int]:
+        """Read-only product_block_positions of the plan's grid: (k, l) -> exponent of h."""
+        return MappingProxyType(product_block_positions(self.params.K, self.params.M,
+                                                        self.params.L))
 
-        Every exponent that f or g can carry has its column, so encode
-        evaluates each polynomial on the columns at its support.
+    @cached_property
+    def power_table(self) -> np.ndarray:
+        """Read-only worker_points[n]^e for e = 0 .. max(full_support), shape (N, E, r).
+
+        Every exponent of f, g and h = f*g has its column, so encode reads
+        f and g on the columns at their supports, and the decode and
+        security tables are slices of this one ladder.
         """
-        params = self.params
-        top = params.KML + max(params.alpha() + params.beta(), default=0)
         pts = _gauss.as_array([self.worker_points], self.ctx)[0]
-        return _read_only(_gauss.powers(pts, range(top + 1), self.ctx))
+        return _read_only(_gauss.powers(pts, range(self.full_support[-1] + 1), self.ctx))
 
     @cached_property
     def worker_table(self) -> np.ndarray:
-        """Read-only worker_points[n]^full_support[j], shape (N, |full|, r)."""
-        pts = _gauss.as_array([self.worker_points], self.ctx)[0]
-        return _read_only(_gauss.powers(pts, self.full_support, self.ctx))
+        """Read-only worker_points[n]^full_support[j], shape (N, |full|, r): power_table columns."""
+        return _read_only(self.power_table[:, self.full_support])
 
     @cached_property
     def base_table(self) -> np.ndarray:
         """Read-only base_points[p]^class_support[j], shape (P, |class|, r).
 
-        A flat plan has no base points and raises PlanInvalid.
+        Worker p*M + m evaluates at zeta^m * a_p (mp_plan), so worker p*M
+        evaluates at a_p: the table is rows 0, M, 2M, ... of power_table at
+        the class support. A flat plan has no base points and raises
+        PlanInvalid.
         """
         if self.base_points is None:
             raise PlanInvalid("a flat plan has no base points")
-        pts = _gauss.as_array([self.base_points], self.ctx)[0]
-        return _read_only(_gauss.powers(pts, self.class_support, self.ctx))
+        rows = self.power_table[::self.params.M][:self.n_hypernodes]
+        return _read_only(rows[:, self.class_support])
 
     @cached_property
     def worker_split(self) -> Optional[np.ndarray]:
         """[G_t; K] of worker_table, for full interpolation (see _split)."""
-        return _split(self.worker_table, self.full_support, self.params, self.ctx)
+        return _split(self, self.worker_table, self.full_support)
 
     @cached_property
     def base_split(self) -> Optional[np.ndarray]:
         """[G_t; K] of base_table, for the hypernode route (see _split)."""
-        return _split(self.base_table, self.class_support, self.params, self.ctx)
+        return _split(self, self.base_table, self.class_support)
 
     @cached_property
     def decode_memo(self) -> dict:
@@ -169,19 +178,18 @@ class EvaluationPlan:
         return out
 
 
-def _split(table: np.ndarray, support: Sequence[int], params: SchemeParams,
-           ctx: FieldCtx) -> Optional[np.ndarray]:
+def _split(plan: EvaluationPlan, table: np.ndarray,
+           support: Sequence[int]) -> Optional[np.ndarray]:
     """Read-only [G_t; K] of an (n, m, r) power table V; None without full column rank.
 
     G_t holds the rows of V's left inverse G (_gauss.decompose, whose flag
     is the rank test) at the product block exponents, in
-    product_block_positions order, and K V's n - m left kernel rows. A set
+    plan.block_positions order, and K V's n - m left kernel rows. A set
     missing the rows D has full column rank iff K[:, D] has rank |D|, and
     its decode coefficients follow from K[:, D] (protocol._set_operators).
     """
-    targets = [support.index(e)
-               for e in product_block_positions(params.K, params.M, params.L).values()]
-    (left,), (kernel,), (ok,) = _gauss.decompose(table[None], ctx)
+    targets = [support.index(e) for e in plan.block_positions.values()]
+    (left,), (kernel,), (ok,) = _gauss.decompose(table[None], plan.ctx)
     return _read_only(np.concatenate([left[targets], kernel])) if ok else None
 
 
@@ -368,7 +376,8 @@ def security_matrices(plan: EvaluationPlan) -> tuple[np.ndarray, np.ndarray]:
     """Noise observation tables: point-major (N, T, r) for the f and g noise blocks.
 
     Row n, column t holds x_n^(K*M*L + alpha_t) (resp. beta_t): the factor
-    by which noise block t reaches worker n.
+    by which noise block t reaches worker n, read from the columns of
+    plan.power_table that encode multiplies that block by. Both are read-only.
     """
     params = plan.params
     if params.T < 1:
@@ -376,11 +385,8 @@ def security_matrices(plan: EvaluationPlan) -> tuple[np.ndarray, np.ndarray]:
     for x in plan.worker_points:
         if x.is_zero():
             raise ZeroEvaluationPoint("zero evaluation point leaks its data share")
-    base = params.KML
-    pts = _gauss.as_array([plan.worker_points], plan.ctx)[0]
-    sig_a = _gauss.powers(pts, [base + a for a in params.alpha()], plan.ctx)
-    sig_b = _gauss.powers(pts, [base + b for b in params.beta()], plan.ctx)
-    return sig_a, sig_b
+    return tuple(_read_only(plan.power_table[:, [params.KML + e for e in offsets]])
+                 for offsets in (params.alpha(), params.beta()))
 
 
 def security_check(plan: EvaluationPlan, budget: int = 10_000_000) -> SecurityResult:

@@ -38,13 +38,7 @@ from .errors import (
 from .fields import FieldCtx, MultCounter
 from .linalg import EvaluationPlan, MdsResult, _batches, is_mds, singular_minors
 from .matpoly import BlockMatrix, evaluate_on, horner_cost, interpolate, stack_blocks
-from .schemes import (
-    SchemeParams,
-    build_f,
-    build_g,
-    partition,
-    product_block_positions,
-)
+from .schemes import SchemeParams, build_f, build_g, partition
 
 
 # -- straggler selection -------------------------------------------------------------
@@ -108,7 +102,7 @@ def encode(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan, rng: random.Ran
 
     Splits A and B into the plan's block grid, builds the two encoding
     polynomials with noise blocks drawn from rng (those of f first), and
-    evaluates both at every worker point on the columns of plan.share_table
+    evaluates both at every worker point on the columns of plan.power_table
     at their supports. Returns residue stacks of shapes (N, a, s, r) and
     (N, s, b, r) for a x s blocks of A and s x b blocks of B; the counter
     records sparse Horner at every point.
@@ -117,7 +111,7 @@ def encode(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan, rng: random.Ran
     parts = partition(A, B, params.K, params.M, params.L)
     f = build_f(params, parts, rng, plan.ctx)
     g = build_g(params, parts, rng, plan.ctx)
-    table = plan.share_table
+    table = plan.power_table
     if counter is not None:
         counter.add(len(table) * (horner_cost(f) + horner_cost(g)))
     return (evaluate_on(f, table[:, list(f.support())]),
@@ -263,7 +257,7 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     nothing to it.
     """
     order, stack = _stacked(responses, plan)
-    params, ctx, M = plan.params, plan.ctx, plan.params.M
+    ctx, M = plan.ctx, plan.params.M
     gone = np.ones(plan.n_workers, dtype=bool)
     gone[order] = False
     missing = gone.nonzero()[0]
@@ -299,8 +293,7 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
         coeffs = interpolate(pts, stack, plan.full_support, ctx, counter,
                              table=plan.worker_table[order],
                              solver=lambda rhs: _apply(plan, "worker", missing, rhs))
-    positions = product_block_positions(params.K, params.M, params.L)
-    return {kl: BlockMatrix(c, ctx) for kl, c in zip(positions, coeffs)}
+    return {kl: BlockMatrix(c, ctx) for kl, c in zip(plan.block_positions, coeffs)}
 
 
 def _stacked(responses: Mapping[int, BlockMatrix],
@@ -378,11 +371,11 @@ class SimReport:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
 
 
-def _product_blocks(product: BlockMatrix, params: SchemeParams) -> np.ndarray:
-    """The K x L blocks of a product as one residue stack, in product_block_positions order."""
-    a, b = product.rows // params.K, product.cols // params.L
+def _product_blocks(product: BlockMatrix, plan: EvaluationPlan) -> np.ndarray:
+    """The K x L blocks of a product as one residue stack, in plan.block_positions order."""
+    a, b = product.rows // plan.params.K, product.cols // plan.params.L
     return np.array([product.array[k * a:(k + 1) * a, l * b:(l + 1) * b]
-                     for k, l in product_block_positions(params.K, params.M, params.L)])
+                     for k, l in plan.block_positions])
 
 
 def _audited(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan, expected: np.ndarray,
@@ -396,8 +389,7 @@ def _audited(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan, expecte
         blocks = decode(responses, plan, counter)
     except (InsufficientResponses, SingularSystem):
         return None
-    K, M, L = plan.params.K, plan.params.M, plan.params.L
-    if not np.array_equal([blocks[kl].array for kl in product_block_positions(K, M, L)], expected):
+    if not np.array_equal([blocks[kl].array for kl in plan.block_positions], expected):
         raise DecodeFailed("decoded product disagrees with the direct product")
     return blocks
 
@@ -425,7 +417,7 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     a, s, b = *shares[0].shape[1:3], shares[1].shape[2]
     counters["worker"].add(len(responses) * a * s * b)
 
-    blocks = _audited(responses, plan, _product_blocks(A.matmul(B), plan.params),
+    blocks = _audited(responses, plan, _product_blocks(A.matmul(B), plan),
                       counters["decode"])
     product_hash = None
     if blocks is not None:
@@ -501,7 +493,7 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
 
     shares = encode(A, B, plan, random.Random(f"sdmm-noise-{seed}"))
     all_responses = worker_products(shares, range(N), plan.ctx)
-    expected = _product_blocks(A.matmul(B), plan.params)
+    expected = _product_blocks(A.matmul(B), plan)
 
     if mode == "exhaustive":
         patterns = itertools.combinations(range(N), S)

@@ -438,9 +438,12 @@ def test_find_eval_output_is_frozen(capsys, argv, digest):
     (["simulate", "--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "31^2", "--hypernodes", "8",
       "--stragglers", "random:2", "--seed", "1", "--json"],
      "e3cff36adfa8325e43ce6efa75b5cd03b0ec82eeba3f1ff71287795bfcf9bfa9"),
+    (["simulate", "--scheme", "ggasp:K=2,M=2,L=2,T=2,r=2", "--field", "7681", "--workers", "20",
+      "--stragglers", "random:2", "--seed", "1", "--json"],
+     "f09319bd99975edf248fbd4cd0f5afad023ac85f6c9127b18f3bdc6a327bab02"),
 ], ids=["sweep", "fixed-n-search", "fixed-n-search-minima-1", "threshold-mp",
         "threshold-ggasp", "threshold-explicit-t0", "p-of-s-bound", "p-of-s-exhaustive",
-        "simulate-31sq"])
+        "simulate-31sq", "simulate-flat"])
 def test_seeded_cli_output_is_frozen(capsys, argv, digest):
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0

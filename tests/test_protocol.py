@@ -26,7 +26,14 @@ from sdmm.errors import (
 )
 from sdmm.examples import gf31_plan, gf61_plan
 from sdmm.fields import MultCounter, make_field
-from sdmm.linalg import find_evaluation_vector, is_mds, mp_plan
+from sdmm.linalg import (
+    EvaluationPlan,
+    find_evaluation_vector,
+    is_mds,
+    mp_plan,
+    security_check,
+    security_matrices,
+)
 from sdmm.matpoly import BlockMatrix, interpolate
 from sdmm.protocol import (
     _hypernode_bound_holds,
@@ -489,18 +496,32 @@ def test_stack_backed_responses_decode_as_their_dict(name):
 def test_plan_tables_are_read_only_powers_outside_equality():
     plan = gf31_plan(1, 8)
     fresh = dataclasses.replace(plan)
-    assert fresh.__dict__.keys().isdisjoint({"worker_table", "base_table", "share_table"})
-    # f and g carry exponents up to KML + max(alpha + beta) = 12 + 0 at T = 1
-    tables = {"worker_table": (plan.worker_points, plan.full_support),
-              "base_table": (plan.base_points, plan.class_support),
-              "share_table": (plan.worker_points, range(13))}
-    for name, (points, exponents) in tables.items():
-        table = getattr(plan, name)
-        assert getattr(plan, name) is table  # computed once
+    cached = {"power_table", "worker_table", "base_table", "block_positions"}
+    assert fresh.__dict__.keys().isdisjoint(cached)
+    # one ladder spans every exponent of h = f*g: 0 .. 2*KML + 0 + 0 = 24 at T = 1
+    power = plan.power_table
+    assert plan.full_support[-1] == 24
+    assert np.array_equal(power, [[x.pow_(e).coeffs for e in range(25)]
+                                  for x in plan.worker_points])
+    # every other table is a slice of it; worker p*M evaluates at base point a_p
+    KML, M = plan.params.KML, plan.params.M
+    sig_a, sig_b = security_matrices(plan)
+    slices = [(plan.worker_table, power[:, plan.full_support]),
+              (plan.base_table, power[::M, plan.class_support]),
+              (sig_a, power[:, [KML + a for a in plan.params.alpha()]]),
+              (sig_b, power[:, [KML + b for b in plan.params.beta()]])]
+    for table, want in [(power, power)] + slices:
+        assert np.array_equal(table, want)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0, 0] = 1
-        assert np.array_equal(table, [[x.pow_(e).coeffs for e in exponents] for x in points])
+    assert np.array_equal(plan.base_table, [[a.pow_(e).coeffs for e in plan.class_support]
+                                            for a in plan.base_points])
+    for name in cached:
+        assert getattr(plan, name) is getattr(plan, name)  # computed once
+    assert plan.block_positions == product_block_positions(2, 3, 2)
+    with pytest.raises(TypeError):
+        plan.block_positions[0, 0] = 0
     # the table decompositions and the decode memo are caches, not fields
     assert plan.worker_split is not None and plan.base_split is not None
     plan.decode_memo["worker", ()] = None
@@ -510,25 +531,83 @@ def test_plan_tables_are_read_only_powers_outside_equality():
     assert plan.summary() == fresh.summary()
     flat = find_evaluation_vector(SchemeParams.ggasp(2, 3, 2, 1), make_field(101),
                                   n_workers=22, seed=1)
-    assert flat.worker_table.shape == (22, len(flat.full_support), 1)
+    assert flat.power_table.shape == (22, flat.full_support[-1] + 1, 1)
+    assert np.array_equal(flat.worker_table, flat.power_table[:, flat.full_support])
     with pytest.raises(PlanInvalid):
         flat.base_table
 
 
-@pytest.mark.parametrize("make_plan", [lambda: gf31_plan(1, 8), _f961_plan],
-                         ids=["p31", "f961"])
+def _flat_7681_plan():
+    # the ggasp deployment that the frozen flat simulate run searches for
+    return find_evaluation_vector(SchemeParams.ggasp(2, 2, 2, 2, 2), make_field(7681),
+                                  n_workers=20, seed=1)
+
+
+@pytest.mark.parametrize("make_plan", [lambda: gf31_plan(1, 8), _f961_plan, _flat_7681_plan],
+                         ids=["p31", "f961", "flat-7681"])
 def test_a_second_run_on_a_plan_runs_no_power_ladder(monkeypatch, make_plan):
-    # encode reads the plan's share_table and decode its worker and base
-    # tables, so only the first run on a plan computes powers
+    # the plan's power_table is its one ladder: building it (a search builds
+    # a plan per candidate), a first run on either decode route, the
+    # security check and the recovery report run powers once per plan
+    # built, and a second run on the plan none at all
+    init, powers = EvaluationPlan.__init__, _gauss.powers
+    built, calls = [], []
+    monkeypatch.setattr(EvaluationPlan, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    monkeypatch.setattr(_gauss, "powers", lambda *a: calls.append(1) or powers(*a))
     plan = make_plan()
     A, B = _inputs(plan, scale=2)
-    first = run_protocol(A, B, plan, stragglers="random:2", seed=1)
-    powers = _gauss.powers
-    calls = []
-    monkeypatch.setattr(_gauss, "powers", lambda *a: calls.append(1) or powers(*a))
-    again = run_protocol(A, B, plan, stragglers="random:2", seed=1)
-    assert again.to_dict() == first.to_dict() and first.decode_success
+    # with nobody down an mp plan averages all 8 hypernodes; with workers 0
+    # and 3 down it keeps 6 of the 7 needed and interpolates all 22 responses
+    first = run_protocol(A, B, plan, seed=1)
+    full = run_protocol(A, B, plan, stragglers=[0, 3], seed=1)
+    assert first.decode_success and full.decode_success
+    assert security_check(plan).ok
+    if plan.base_points is not None:
+        assert mp_recovery_threshold_with_security(None, plan).certified
+    assert built and len(calls) == len(built)
+    calls.clear()
+    again = run_protocol(A, B, plan, stragglers=[0, 3], seed=1)
+    assert again.to_dict() == full.to_dict()
     assert calls == []
+
+
+_NOISE_PLANS = {
+    "61": gf61_plan,
+    "31": lambda: gf31_plan(1, 8),
+    "flat-7681": _flat_7681_plan,
+    "31^2": _f961_plan,
+    "2^61-1": lambda: find_evaluation_vector(SchemeParams.mp(2, 2, 1, 1),
+                                             make_field((1 << 61) - 1), n_hypernodes=5, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", list(_NOISE_PLANS))
+def test_encoded_noise_reaches_workers_through_the_security_tables(name):
+    # each share less its data part, taken on the scalar path, is the
+    # security_matrices row times the noise blocks redrawn in order from the
+    # run's seeded stream: security_check certifies what encode hands out
+    plan = _NOISE_PLANS[name]()
+    params, ctx, seed = plan.params, plan.ctx, 5
+    K, M, L = params.K, params.M, params.L
+    A, B = _inputs(plan, scale=2)
+    F, G = encode(A, B, plan, random.Random(f"sdmm-noise-{seed}"))
+    parts = partition(A, B, K, M, L)
+    rng = random.Random(f"sdmm-noise-{seed}")
+    R = [BlockMatrix.random(*parts.block_shape_a, ctx, rng) for _ in params.alpha()]
+    S = [BlockMatrix.random(*parts.block_shape_b, ctx, rng) for _ in params.beta()]
+    data_f = {m + k * M: parts.a_blocks[k][m] for k in range(K) for m in range(M)}
+    data_g = {M - 1 - m + l * K * M: parts.b_blocks[m][l] for m in range(M) for l in range(L)}
+    sig_a, sig_b = security_matrices(plan)
+    for shares, data, sigma, noise in ((F, data_f, sig_a, R), (G, data_g, sig_b, S)):
+        for n, x in enumerate(plan.worker_points):
+            rest = BlockMatrix(shares[n], ctx)
+            for e, block in data.items():
+                rest = rest - block.scale(x.pow_(e))
+            masked = BlockMatrix.zero(*rest.shape, ctx)
+            for c, block in zip(sigma[n].tolist(), noise):
+                masked = masked + block.scale(ctx.element(c))
+            assert rest == masked, (n, shares is F)
 
 
 def test_hypernode_weights_are_cached_subgroup_averages():
