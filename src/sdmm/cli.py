@@ -132,6 +132,15 @@ def _emit_sweep_rows(rows, args) -> int:
     return 0
 
 
+def _emit_report(report: dict, args, hide=()) -> int:
+    """A report's dict as JSON under --json, else as key: value lines in dict order, less hide."""
+    if args.json:
+        _emit(_json_text(report), args.out)
+    else:
+        _emit("".join(f"{k}: {v}\n" for k, v in report.items() if k not in hide), args.out)
+    return 0
+
+
 def _element_coeffs(el) -> list[int]:
     return [int(c) for c in el.coeffs]
 
@@ -160,13 +169,7 @@ def cmd_verify_examples(args) -> int:
 
 def cmd_threshold(args) -> int:
     params = parse_scheme_spec(args.scheme)
-    rep = threshold(params)
-    if args.json:
-        _emit(_json_text(rep.to_dict()), args.out)
-    else:
-        lines = [f"{k}: {v}" for k, v in rep.to_dict().items()]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return _emit_report(threshold(params).to_dict(), args)
 
 
 def cmd_sweep(args) -> int:
@@ -235,14 +238,7 @@ def cmd_simulate(args) -> int:
     ctx = parse_field_spec(args.field)
     A, B, plan = _build_instance(args, params, ctx)
     rep = run_protocol(A, B, plan, stragglers=args.stragglers, seed=args.seed)
-    if args.json:
-        _emit(rep.to_json(include_timing=args.timing) + "\n", args.out)
-    else:
-        d = rep.to_dict(include_timing=args.timing)
-        d.pop("plan")
-        lines = [f"{k}: {v}" for k, v in d.items()]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return _emit_report(rep.to_dict(include_timing=args.timing), args, hide=("plan",))
 
 
 def cmd_p_of_s(args) -> int:

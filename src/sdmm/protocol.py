@@ -39,6 +39,7 @@ from .fields import FieldCtx, MultCounter
 from .linalg import EvaluationPlan, MdsResult, _batches, is_mds, singular_minors
 from .matpoly import BlockMatrix, evaluate_on, horner_cost, interpolate, stack_blocks
 from .schemes import SchemeParams, build_f, build_g, partition
+from .thresholds import _report_dict
 
 
 # -- straggler selection -------------------------------------------------------------
@@ -351,20 +352,9 @@ class SimReport:
     wall_time: Optional[float] = None
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "seed": self.seed,
-            "scheme": self.scheme,
-            "field": self.field,
-            "n_workers": self.n_workers,
-            "straggler_set": list(self.straggler_set),
-            "responses_used": self.responses_used,
-            "decode_success": self.decode_success,
-            "decoded_product_hash": self.decoded_product_hash,
-            "mult_counts": self.mult_counts,
-            "plan": self.plan_summary,
-        }
-        if include_timing:
-            out["wall_time"] = self.wall_time
+        out = _report_dict(self, plan_summary="plan")
+        if not include_timing:
+            del out["wall_time"]
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
@@ -582,25 +572,9 @@ class RecoveryReport:
     witness: Optional[MdsResult] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "n_workers": self.n_workers,
-            "n_hypernodes": self.n_hypernodes,
-            "p_prime": self.p_prime,
-            "n_prime": self.n_prime,
-            "upper_bound": self.upper_bound,
-            "gapless": self.gapless,
-            "threshold": self.threshold,
-            "certified": self.certified,
-            "mode": self.mode,
-        }
-        if self.witness is not None:
-            out["minor_scan"] = {
-                "ok": self.witness.ok,
-                "mode": self.witness.mode,
-                "checked": self.witness.checked,
-                "total": self.witness.total,
-                "witness": list(self.witness.witness) if self.witness.witness else None,
-            }
+        out = _report_dict(self, witness="minor_scan")
+        if self.witness is None:
+            del out["minor_scan"]
         return out
 
 

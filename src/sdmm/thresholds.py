@@ -18,7 +18,7 @@ interpolates the full support, so its threshold N equals the support size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -88,20 +88,21 @@ class ThresholdReport:
     V: Optional[int] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "scheme": self.params.spec_string(),
-            "N": self.N,
-            "N_prime": self.N_prime,
-            "P_prime": self.P_prime,
-            "rate": str(self.rate),
-        }
-        for key in ("P", "delta", "l0", "t0", "k0", "U", "r0", "V"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        if self.S_ell is not None:
-            out["S_ell"] = list(self.S_ell)
-        return out
+        out = _report_dict(self, params="scheme")
+        out["scheme"] = self.params.spec_string()
+        out["rate"] = str(self.rate)
+        out["S_ell"] = out.pop("S_ell")  # after V
+        return {key: val for key, val in out.items() if val is not None}
+
+
+def _report_dict(report, **keys) -> dict:
+    """A report's dataclass fields as a dict, in field order, renamed by keys (field=key).
+
+    Nested dataclasses become such dicts too, and tuples become lists.
+    """
+    out = asdict(report, dict_factory=lambda items: {
+        key: list(val) if isinstance(val, tuple) else val for key, val in items})
+    return {keys.get(name, name): val for name, val in out.items()}
 
 
 def _run_union(runs, M: int) -> tuple[int, int]:

@@ -441,9 +441,19 @@ def test_find_eval_output_is_frozen(capsys, argv, digest):
     (["simulate", "--scheme", "ggasp:K=2,M=2,L=2,T=2,r=2", "--field", "7681", "--workers", "20",
       "--stragglers", "random:2", "--seed", "1", "--json"],
      "f09319bd99975edf248fbd4cd0f5afad023ac85f6c9127b18f3bdc6a327bab02"),
+    # text forms: one key: value line per key, in the report's field order,
+    # with V before S_ell, None fields and simulate's plan left out
+    (["threshold", "--scheme", "ggasp:K=5,M=2,L=5,T=4,r=2"],
+     "d15014c538d3209c7cb7db0874fe95bef8d27f83d545d26baa22d5fae5d3f8b1"),
+    (["threshold", "--scheme", "mp:K=2,M=3,L=2,T=3"],
+     "a34d09c31ff0c7c799d3ebdc6871f63256b2cedc24a3f1f5ab5a6b8f9bcebd9b"),
+    (["simulate", "--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "31^2", "--hypernodes", "8",
+      "--stragglers", "random:2", "--seed", "1"],
+     "43118620108a8f69244428a88bc2b16c17255d4cef9514c321eafc0de85a587c"),
 ], ids=["sweep", "fixed-n-search", "fixed-n-search-minima-1", "threshold-mp",
         "threshold-ggasp", "threshold-explicit-t0", "p-of-s-bound", "p-of-s-exhaustive",
-        "simulate-31sq", "simulate-flat"])
+        "simulate-31sq", "simulate-flat", "threshold-ggasp-text", "threshold-mp-text",
+        "simulate-31sq-text"])
 def test_seeded_cli_output_is_frozen(capsys, argv, digest):
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0

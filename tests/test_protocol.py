@@ -610,6 +610,35 @@ def test_encoded_noise_reaches_workers_through_the_security_tables(name):
             assert rest == masked, (n, shares is F)
 
 
+def test_an_insecure_sigma_b_leaks_b_through_the_shares():
+    # g's noise sits at x^2 and x^4, which agree at x = 1 and x = -1, so
+    # workers 0 and 1 see the same noise in g: G[0] - G[1] is fixed by B
+    # whatever the noise, and differs between two B's. f's noise, at x^2 and
+    # x^3, still masks F[0] - F[1]. The certificate must say so: sigma_b
+    # fails on exactly that pair, sigma_a passes
+    params = SchemeParams.explicit(1, 2, 1, 2, alpha=(0, 1), beta=(0, 2))
+    plan = mp_plan(params, F13, [F13.element(1), F13.element(2)])
+    assert [x.index() for x in plan.worker_points] == [1, 12, 2, 11]
+    res = security_check(plan)
+    assert not res.ok
+    assert res.sigma_a.ok
+    assert not res.sigma_b.ok and res.sigma_b.witness == (0, 1)
+
+    rng = random.Random(1)
+    A = BlockMatrix.random(1, 2, F13, rng)
+    seen_g, seen_f = [], set()
+    for B in (BlockMatrix.random(2, 1, F13, rng), BlockMatrix.random(2, 1, F13, rng)):
+        diffs = set()
+        for seed in range(6):
+            F, G = encode(A, B, plan, random.Random(seed))
+            diffs.add(BlockMatrix(G[0], F13) - BlockMatrix(G[1], F13))
+            seen_f.add(BlockMatrix(F[0], F13) - BlockMatrix(F[1], F13))
+        assert len(diffs) == 1
+        seen_g += diffs
+    assert seen_g[0] != seen_g[1]
+    assert len(seen_f) > 1
+
+
 def test_hypernode_weights_are_cached_subgroup_averages():
     plan = gf31_plan(1, 8)
     weights = plan.hypernode_weights
@@ -706,6 +735,11 @@ def test_report_serialization_hides_timing_unless_asked():
     timed = json.loads(rep.to_json(include_timing=True))
     assert isinstance(timed["wall_time"], float)
     assert bare == {k: v for k, v in timed.items() if k != "wall_time"}
+    # to_dict holds lists, not tuples, and puts wall_time last when asked
+    for timing in (False, True):
+        d = rep.to_dict(include_timing=timing)
+        assert d == json.loads(json.dumps(d))
+    assert list(rep.to_dict(include_timing=True))[-1] == "wall_time"
 
 
 def test_flat_layout_protocol_round_trip():
@@ -906,6 +940,21 @@ def test_recovery_report_refuses_a_hypernode_bound_that_fails():
     assert not rep.certified
     A, B = _inputs(plan)
     assert p_of_s_empirical(A, B, plan, 0) == 0
+
+
+@pytest.mark.parametrize("make_plan, digest", [
+    (gf61_plan, "d4a8f48cd989c4ca65ad72f116f0caea9e2db7b15ccbf831281eb8194949d6f6"),
+    (lambda: gf61_plan((0, 1, 2, 4, 7, 8, 9, 13)),
+     "643671e106ca9e63f9f43e8bda9d70c817a482b97f64b4d83ec434216e8a0e0a"),
+], ids=["gf61-minor-scan", "gf61-deficient-hypernode"])
+def test_recovery_report_dict_is_frozen(make_plan, digest):
+    # the deployment's report carries its minor scan as minor_scan; the
+    # deficient one (mode hypernode) scans nothing and has no such key.
+    # to_dict holds lists, not tuples, so it equals its own JSON round trip
+    d = mp_recovery_threshold_with_security(None, make_plan()).to_dict()
+    text = json.dumps(d, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert d == json.loads(text)
 
 
 def test_recovery_report_certifies_a_minimal_searched_deployment():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -76,6 +77,24 @@ def test_rate_is_exact_fraction():
     rep = threshold(SchemeParams.ggasp(5, 2, 5, 4, 2))
     assert rep.rate == Fraction(50, 82)
     assert isinstance(rep.rate, Fraction)
+
+
+@pytest.mark.parametrize("params, keys", [
+    (SchemeParams.ggasp(5, 2, 5, 4, 2),
+     ["scheme", "N", "N_prime", "P_prime", "rate", "l0", "U", "r0", "V", "S_ell"]),
+    (SchemeParams.mp(2, 3, 2, 3),
+     ["scheme", "N", "N_prime", "P_prime", "rate", "P", "delta", "l0", "t0", "k0"]),
+    (SchemeParams.explicit(1, 2, 1, 2, alpha=(0, 1), beta=(0, 2)),
+     ["scheme", "N", "N_prime", "P_prime", "rate"]),
+], ids=["ggasp", "mp", "explicit"])
+def test_threshold_report_dict_follows_the_fields(params, keys):
+    # the spec string first as scheme, then the fields in order less the
+    # None ones, S_ell after V; lists, not tuples, so it equals its own JSON
+    # round trip
+    d = threshold(params).to_dict()
+    assert list(d) == keys
+    assert d["scheme"] == params.spec_string() and d["rate"] == str(threshold(params).rate)
+    assert d == json.loads(json.dumps(d))
 
 
 @st.composite
