@@ -3,13 +3,13 @@
 A matrix over GF(p^r) is an ndarray of canonical residues with shape
 (rows, cols, r): the trailing axis holds the little-endian coefficients of
 each entry. The dtype is int64 for p < 2^31, where every product of two
-residues stays below 2^62, and object (Python ints) for wider primes. A
-product of two entries convolves their 2r-1 coefficient planes and folds
-the high planes back with FieldCtx._xpow, reducing mod p after each step,
-so int64 arithmetic never overflows. Matrix products split the right
-operand into 16-bit limbs and the inner dimension into chunks of 2^16
-(the delayed-reduction idea of FFLAS-FFPACK), which keeps every int64 dot
-product below 2^63 before it is reduced.
+residues stays below 2^62, and object (Python ints) for wider primes.
+_dot, the one matrix product, splits the right operand into 16-bit limbs
+and the inner dimension into chunks of 2^16 where a dot product could
+reach 2^63 (the delayed-reduction idea of FFLAS-FFPACK). Over GF(p^r), a
+product forms its r^2 plane products a_i * b_j mod p and reduces them
+with one _dot against FieldCtx._fold, whose row i * r + j is x^(i+j) mod
+the modulus.
 
 _eliminate, the one elimination loop, is division-free and batched: a
 column step scales the rows it clears by the pivot instead of dividing by
@@ -33,7 +33,7 @@ _CHUNK = 1 << 16
 
 
 def dtype(ctx: FieldCtx):
-    return np.int64 if ctx.p < (1 << 31) else object
+    return ctx._fold.dtype
 
 
 def as_array(data, ctx: FieldCtx) -> np.ndarray:
@@ -56,31 +56,17 @@ def as_array(data, ctx: FieldCtx) -> np.ndarray:
     return np.array(flat, dtype=dtype(ctx)).reshape(len(rows), cols, ctx.r)
 
 
-def _convolve(a, b, ctx: FieldCtx, prod) -> np.ndarray:
-    """Field product from coefficient planes; prod multiplies two planes mod p.
-
-    Plane d of the product sums the plane products a_i * b_(d-i); the
-    planes from r up are then folded back below degree r.
-    """
-    p, r = ctx.p, ctx.r
-    planes = []
-    for d in range(2 * r - 1):
-        lo, hi = max(0, d - r + 1), min(d, r - 1)
-        plane = prod(a[..., lo], b[..., d - lo])
-        for i in range(lo + 1, hi + 1):
-            plane = (plane + prod(a[..., i], b[..., d - i])) % p
-        planes.append(plane)
-    out = np.concatenate([plane[..., None] for plane in planes[:r]], axis=-1)
-    for high, xpow in zip(planes[r:], ctx._xpow):
-        out = (out + high[..., None] * np.array(xpow, dtype=out.dtype)) % p
-    return out
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The r^2 coefficient-plane products a_i * b_j of broadcastable arrays, at i * r + j."""
+    prod = a[..., :, None] * b[..., None, :]
+    return prod.reshape(prod.shape[:-2] + (prod.shape[-1] ** 2,))
 
 
 def mul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Entry-wise field product of two broadcastable residue arrays."""
     if ctx.r == 1:
         return a * b % ctx.p
-    return _convolve(a, b, ctx, lambda x, y: x * y % ctx.p)
+    return _dot(_outer(a, b) % ctx.p, ctx._fold, ctx.p)
 
 
 def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -100,7 +86,8 @@ def matmul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Matrix product of residue arrays of shapes (..., n, s, r) and (..., s, m, r)."""
     if ctx.r == 1:
         return _dot(a[..., 0], b[..., 0], ctx.p)[..., None]
-    return _convolve(a, b, ctx, lambda x, y: _dot(x, y, ctx.p))
+    planes = [_dot(a[..., i], b[..., j], ctx.p) for i, j in np.ndindex(ctx.r, ctx.r)]
+    return _dot(np.stack(planes, axis=-1), ctx._fold, ctx.p)
 
 
 def _inverses(pivots: np.ndarray, ctx: FieldCtx) -> np.ndarray:
@@ -115,12 +102,12 @@ def _inverses(pivots: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 def _step(pivot, rows, lead, pivot_row, ctx: FieldCtx) -> np.ndarray:
     """pivot * rows - lead * pivot_row mod p, the division-free column step.
 
-    Over a prime field both products of int64 residues stay below
-    (p - 1)^2 < 2^62, so one reduction of their difference is exact.
+    Both products of int64 residues, or of their coefficient planes, stay
+    below (p - 1)^2 < 2^62, so one reduction of their difference is exact.
     """
     if ctx.r == 1:
         return (pivot * rows - lead * pivot_row) % ctx.p
-    return (mul(pivot, rows, ctx) - mul(lead, pivot_row, ctx)) % ctx.p
+    return _dot((_outer(pivot, rows) - _outer(lead, pivot_row)) % ctx.p, ctx._fold, ctx.p)
 
 
 def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, full: bool = True,

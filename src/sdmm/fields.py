@@ -16,6 +16,8 @@ import math
 import random
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     BadSpec,
     DegreeZero,
@@ -113,8 +115,8 @@ class MultCounter:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over GF(p): the irreducibility test's gcd, and the
-# reductions x^(r+i) mod f that FieldCtx folds products with.
+# Polynomial helpers over GF(p): the irreducibility test's gcd, the
+# remainder of every extension-field product, and FieldCtx's fold table.
 # Polynomials are little-endian coefficient tuples with no trailing zeros.
 
 
@@ -148,16 +150,18 @@ def _pgcd(a, b, p):
 class FieldCtx:
     """Immutable description of GF(p^r) together with element factories."""
 
-    __slots__ = ("p", "r", "modulus_poly", "order", "_xpow", "_zero", "_one")
+    __slots__ = ("p", "r", "modulus_poly", "order", "_fold", "_zero", "_one")
 
     def __init__(self, p: int, r: int, modulus_poly: tuple[int, ...]):
         self.p = p
         self.r = r
         self.modulus_poly = tuple(c % p for c in modulus_poly)
         self.order = p ** r
-        # x^(r+i) mod f for i = 0..r-2, used to fold products back below degree r
-        xpow = (_pmod((0,) * (r + i) + (1,), self.modulus_poly, p) for i in range(r - 1))
-        self._xpow = tuple(rem + (0,) * (r - len(rem)) for rem in xpow)
+        # row i * r + j holds x^(i+j) mod f: the array engine reduces the r^2 plane
+        # products a_i * b_j of a product with one dot against it, in its dtype
+        xpow = [_pmod((0,) * k + (1,), self.modulus_poly, p) + (0,) * r for k in range(2 * r - 1)]
+        self._fold = np.array([xpow[i + j][:r] for i, j in np.ndindex(r, r)],
+                              dtype=np.int64 if p < 1 << 31 else object)
         self._zero = FieldElement((0,) * r, self)
         self._one = FieldElement((1,) + (0,) * (r - 1), self)
 
@@ -285,21 +289,14 @@ class FieldElement:
         r = ctx.r
         if r == 1:
             return FieldElement(((self.coeffs[0] * other.coeffs[0]) % p,), ctx)
-        a, b = self.coeffs, other.coeffs
         prod = [0] * (2 * r - 1)
-        for i in range(r):
-            ai = a[i]
+        for i, ai in enumerate(self.coeffs):
             if ai:
-                for j in range(r):
-                    prod[i + j] += ai * b[j]
-        out = [c % p for c in prod[:r]]
-        for d in range(r, 2 * r - 1):
-            c = prod[d] % p
-            if c:
-                fold = ctx._xpow[d - r]
-                for j in range(r):
-                    out[j] = (out[j] + c * fold[j]) % p
-        return FieldElement(tuple(out), ctx)
+                for j, bj in enumerate(other.coeffs):
+                    prod[i + j] += ai * bj
+        # _pmod leaves a coefficient unreduced below a zero leading one
+        rem = _pmod([c % p for c in prod], ctx.modulus_poly, p)
+        return FieldElement(rem + (0,) * (r - len(rem)), ctx)
 
     __rmul__ = __mul__
 
@@ -460,11 +457,12 @@ def _element_of_order(ctx: FieldCtx, m: int):
     """The first w^((q-1)/m) of order exactly m, over w in canonical index
     order: a generator of the order-m subgroup, for m dividing q - 1.
 
-    Indices below p are the prime subfield, where w^(p-1) = 1. When m > 1
-    and (p - 1) * m divides q - 1, each of them therefore gives 1, so the
-    walk starts at index p and returns the same element without them.
+    Indices below p are the prime subfield, whose powers w^((q-1)/m) make
+    up the subgroup of order (p - 1) / gcd(p - 1, (q - 1) / m). When m does
+    not divide that order, none of them has order m, so the walk starts at
+    index p and returns the same element without them.
     """
-    skip = m > 1 and (ctx.order - 1) % ((ctx.p - 1) * m) == 0
+    skip = (ctx.p - 1) // math.gcd(ctx.p - 1, (ctx.order - 1) // m) % m != 0
     for idx in range(ctx.p if skip else 1, ctx.order):
         z = ctx.from_index(idx).pow_((ctx.order - 1) // m)
         if is_primitive_root_of_unity(z, m):

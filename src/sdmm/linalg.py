@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -412,7 +413,11 @@ def _sample_distinct(ctx: FieldCtx, count: int, rng: random.Random,
             x = ctx.random_element(rng, nonzero=True)
             out.setdefault(x.index(), x)
         return list(out.values())
-    ks = rng.sample(range(order), count)
+    if order <= sys.maxsize:
+        return [generator.pow_(k) for k in rng.sample(range(order), count)]
+    ks = {}  # distinct exponents: sample takes no range longer than sys.maxsize
+    while len(ks) < count:
+        ks[rng.randrange(order)] = None
     return [generator.pow_(k) for k in ks]
 
 

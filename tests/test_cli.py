@@ -450,10 +450,17 @@ def test_find_eval_output_is_frozen(capsys, argv, digest):
     (["simulate", "--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "31^2", "--hypernodes", "8",
       "--stragglers", "random:2", "--seed", "1"],
      "43118620108a8f69244428a88bc2b16c17255d4cef9514c321eafc0de85a587c"),
+    # a degree-3 extension, and the sampled p-of-s (p = 73/75)
+    (["simulate", "--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "7^3", "--hypernodes", "8",
+      "--stragglers", "random:2", "--seed", "1", "--json"],
+     "eb3cfc9b47589913bb5f92d2977e836eea343e94988ea90532d200f3234b6827"),
+    (["p-of-s", "--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "31", "--hypernodes", "9",
+      "-S", "5", "--mode", "mc", "--samples", "300", "--seed", "1"],
+     "15ea792541f8f6ef22834e1a15f2ae99b747f2a2b842110cebcdc7bb7620ba1b"),
 ], ids=["sweep", "fixed-n-search", "fixed-n-search-minima-1", "threshold-mp",
         "threshold-ggasp", "threshold-explicit-t0", "p-of-s-bound", "p-of-s-exhaustive",
         "simulate-31sq", "simulate-flat", "threshold-ggasp-text", "threshold-mp-text",
-        "simulate-31sq-text"])
+        "simulate-31sq-text", "simulate-7cube", "p-of-s-mc"])
 def test_seeded_cli_output_is_frozen(capsys, argv, digest):
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
@@ -583,6 +590,23 @@ def test_config_file_rejects_garbage_lines(capsys, tmp_path):
                          "--config", str(cfg))
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("missing-config", "cannot read config file"),
+    ("empty-key", "empty key"),
+    ("out-is-a-directory", "cannot write"),
+])
+def test_unreadable_config_and_unwritable_output_exit_2(capsys, tmp_path, case, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("=5\n")
+    extra = {"missing-config": ["--config", str(tmp_path / "absent.cfg")],
+             "empty-key": ["--config", str(cfg)],
+             "out-is-a-directory": ["--out", str(tmp_path)]}[case]
+    rc, out, err = run_cli(capsys, "threshold", "--scheme", "mp:K=2,M=3,L=2,T=3", *extra)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
 
 
 # -- output files and entry point ---------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,12 @@ from sdmm.errors import (
     ZeroEvaluationPoint,
 )
 from sdmm.examples import gf31_plan
-from sdmm.fields import make_field, primitive_root_of_unity
+from sdmm.fields import (
+    FieldCtx,
+    largest_coprime_subgroup_order,
+    make_field,
+    primitive_root_of_unity,
+)
 from sdmm.linalg import (
     decodability_check,
     find_evaluation_vector,
@@ -419,6 +425,30 @@ def test_find_explicit_subgroup_order():
                                   seed=0)
     assert [a.index() for a in plan.base_points] == [4, 23, 1, 16, 8, 29]
     assert all(a.pow_(10) == F31.one() for a in plan.base_points)
+
+
+def test_find_subgroup_mode_over_a_61_bit_square(monkeypatch):
+    # The auto subgroup of GF((2^61-1)^2) has a 119-bit order m that does
+    # not divide p - 1, so no element of the prime subfield (indices 1 ..
+    # p - 1) generates it: the generator search must not walk them, and the
+    # points are drawn from an exponent range longer than sys.maxsize.
+    ctx = make_field((1 << 61) - 1, 2)
+    m = largest_coprime_subgroup_order(ctx, 3)
+    assert (ctx.p - 1) % m and m > sys.maxsize
+    from_index, calls = FieldCtx.from_index, []
+
+    def counted(self, idx):
+        calls.append(idx)
+        assert len(calls) <= 1000, "the generator search walks the prime subfield"
+        return from_index(self, idx)
+
+    monkeypatch.setattr(FieldCtx, "from_index", counted)
+    params = SchemeParams.mp(1, 3, 1, 1)
+    plan = find_evaluation_vector(params, ctx, subgroup="auto", seed=0)
+    assert len(set(plan.worker_points)) == plan.n_workers == 6
+    assert all(a.pow_(m) == ctx.one() for a in plan.base_points)
+    assert decodability_check(plan, product_class_support(params))
+    assert security_check(plan).ok
 
 
 def test_find_unusable_subgroup_order_gate():
