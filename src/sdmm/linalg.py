@@ -240,6 +240,16 @@ def ggasp_plan(params: SchemeParams, ctx: FieldCtx,
 _BATCH = 4096  # row sets or straggler patterns decided in one batched elimination
 
 
+def _subsets(n: int, k: int, samples: Optional[int] = None, rng: Optional[random.Random] = None):
+    """(sets, count) of k-subsets of range(n) as sorted tuples: all of them in lexicographic
+    order, or `samples` >= 1 sorted rng.sample draws. Minor scans and straggler walks read it."""
+    if samples is None:
+        return itertools.combinations(range(n), k), math.comb(n, k)
+    if samples < 1:
+        raise BadSpec(f"sampling needs at least one sample, got {samples}")
+    return (tuple(sorted(rng.sample(range(n), k))) for _ in range(samples)), samples
+
+
 def _batches(sets):
     """The sets, sequences of one length s, as (count, s) intp arrays of at most _BATCH rows."""
     sets = iter(sets)
@@ -277,30 +287,21 @@ def is_mds(table: np.ndarray, ctx: FieldCtx, mode: str = "exhaustive", budget: i
     """Check that every set of P points determines the P columns of table.
 
     table is point-major, (N, P, r) with P <= N, like EvaluationPlan.worker_table.
-    Exhaustive mode visits all comb(N, P) point sets unless that exceeds the
-    minor budget, in which case it raises BudgetExceeded; random mode samples
-    `samples` sets with the supplied (or a fresh seeded) generator. The
-    witness is the first singular set, as point indices (singular_minors).
+    Exhaustive mode walks all comb(N, P) point sets unless that exceeds the
+    minor budget, in which case it raises BudgetExceeded; random mode draws
+    `samples` sets with the supplied (or a fresh seeded) generator, both
+    through _subsets. The witness is the first singular set, as point indices.
     """
     N, P = table.shape[:2]
     if P > N:
         raise ShapeMismatch(f"table has {N} points for {P} columns; needs at least as many")
-    total = math.comb(N, P)
-    if mode == "exhaustive":
-        if total > budget:
-            raise BudgetExceeded(
-                f"{total} minors exceed the minor budget of {budget}")
-        subsets = itertools.combinations(range(N), P)
-        planned = total
-    elif mode == "random":
-        if samples < 1:
-            raise BadSpec(f"random mode needs at least one sample, got {samples}")
-        if rng is None:
-            rng = random.Random(0)
-        subsets = (tuple(sorted(rng.sample(range(N), P))) for _ in range(samples))
-        planned = samples
-    else:
+    if mode not in ("exhaustive", "random"):
         raise BadSpec(f"unknown mode {mode!r}")
+    total = math.comb(N, P)
+    if mode == "exhaustive" and total > budget:
+        raise BudgetExceeded(f"{total} minors exceed the minor budget of {budget}")
+    subsets, planned = _subsets(N, P, None if mode == "exhaustive" else samples,
+                                random.Random(0) if rng is None else rng)
     if P == 0:
         return MdsResult(True, mode, 0, total)
 

@@ -36,7 +36,7 @@ from .errors import (
     SingularSystem,
 )
 from .fields import FieldCtx, MultCounter
-from .linalg import EvaluationPlan, MdsResult, _batches, is_mds, singular_minors
+from .linalg import EvaluationPlan, MdsResult, _batches, _subsets, is_mds, singular_minors
 from .matpoly import BlockMatrix, evaluate_on, horner_cost, interpolate, stack_blocks
 from .schemes import SchemeParams, build_f, build_g, partition
 from .thresholds import _report_dict
@@ -67,7 +67,7 @@ def resolve_stragglers(spec, n_workers: int, rng: random.Random) -> tuple[int, .
                 raise BadSpec(f"bad straggler count in {spec!r}")
             if not 0 <= count <= n_workers:
                 raise BadSpec(f"straggler count {count} outside [0, {n_workers}]")
-            return tuple(sorted(rng.sample(range(n_workers), count)))
+            return next(_subsets(n_workers, count, 1, rng)[0])
         if text.startswith("prob:"):
             try:
                 prob = float(text.split(":", 1)[1])
@@ -463,11 +463,11 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     Encodes once, then runs the real decoder on the surviving responses of
     each pattern and audits the product as run_protocol does: a wrong
     product raises DecodeFailed rather than counting as a failure to
-    decode. Mode "exhaustive" (the default) tries all C(N, S) patterns and
-    returns the exact fraction, however many there are. Mode "mc" draws
-    `samples` patterns uniformly with a seeded generator and returns a
-    sampled estimate, which the caller labels as one. Any other mode
-    raises BadSpec.
+    decode. Mode "exhaustive" (the default) walks all C(N, S) patterns
+    (linalg._subsets) and returns the exact fraction, however many there
+    are. Mode "mc" draws `samples` patterns through _subsets with a seeded
+    generator and returns a sampled estimate, which the caller labels as
+    one. Any other mode raises BadSpec.
 
     Patterns are taken in batches (linalg._batches), which _prepare sorts
     by decode's count rule: a pattern without a route counts as a failure
@@ -485,15 +485,8 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     all_responses = worker_products(shares, range(N), plan.ctx)
     expected = _product_blocks(A.matmul(B), plan)
 
-    if mode == "exhaustive":
-        patterns = itertools.combinations(range(N), S)
-        attempts = math.comb(N, S)
-    else:
-        if samples < 1:
-            raise BadSpec(f"sampling needs at least one pattern, got {samples}")
-        rng = random.Random(f"sdmm-pofs-{seed}")
-        patterns = (tuple(sorted(rng.sample(range(N), S))) for _ in range(samples))
-        attempts = samples
+    patterns, attempts = _subsets(N, S, None if mode == "exhaustive" else samples,
+                                  random.Random(f"sdmm-pofs-{seed}"))
 
     successes = 0
     try:
@@ -662,10 +655,10 @@ def _hypernode_bound_holds(plan: EvaluationPlan, budget: int) -> bool:
     spare = P - len(plan.class_support)
     scanned = 0
     for k in range(spare, -1, -1):
-        scanned += math.comb(P, k)
+        rests, count = _subsets(P, P - k)
+        scanned += count
         if scanned > budget:
             return False
-        rests = itertools.combinations(range(P), P - k)
         deficient = [rest for _, rest in singular_minors(plan.base_table, rests, plan.ctx)]
         if not deficient:
             return True

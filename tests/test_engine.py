@@ -253,6 +253,7 @@ def test_evaluate_empty_polynomial_is_zero_everywhere(ctx):
 @example(0, 0, "mp", 0, True)
 @example(0, 3, "ggasp", 0, True)
 @example(0, 4, "mp", 2, True)
+@example(8274998, 0, "mp", 0, False)  # rand_rows draws A's block (0, 0) as zero
 def test_shares_and_worker_products_match_the_scalar_paths(seed, fid, variant, T, zero_block):
     # encode's share stacks are f and g at every worker point, and the one
     # batched worker step gives each worker the product of its own shares
@@ -268,6 +269,8 @@ def test_shares_and_worker_products_match_the_scalar_paths(seed, fid, variant, T
     if zero_block:  # A's block (0, 0) is zero, so f drops exponent 0
         rows = [[ctx.zero() if i < a and j < s else v for j, v in enumerate(row)]
                 for i, row in enumerate(rows)]
+    elif all(rows[i][j].is_zero() for i in range(a) for j in range(s)):
+        rows[0][0] = ctx.one()  # otherwise block (0, 0) keeps f's exponent 0
     A, B = BlockMatrix(rows, ctx), BlockMatrix(rand_rows(M * s, L * b, ctx, rng), ctx)
     F, G = encode(A, B, plan, random.Random(f"noise-{seed}"))
     assert F.shape == (n, a, s, ctx.r) and G.shape == (n, s, b, ctx.r)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from unittest import mock
@@ -24,6 +25,7 @@ from sdmm.fields import (
     primitive_root_of_unity,
 )
 from sdmm.linalg import (
+    _subsets,
     decodability_check,
     find_evaluation_vector,
     ggasp_plan,
@@ -254,6 +256,26 @@ def test_is_mds_budget_and_random_mode():
             is_mds(t, ctx, mode="bogus")
     with pytest.raises(ShapeMismatch):
         is_mds(table[:11], F31)
+
+
+def test_subsets_walk_all_k_subsets_or_draw_sorted_samples():
+    # the one source of worker sets: a walk reports exactly as many sets as
+    # it visits, every k-subset of range(n) once in lexicographic order; a
+    # draw is the seeded stream of sorted rng.sample draws, one per sample
+    for n, k in ((0, 0), (5, 0), (5, 2), (6, 6), (7, 3)):
+        sets, count = _subsets(n, k)
+        sets = list(sets)
+        assert count == len(sets) == math.comb(n, k)
+        assert sets == sorted(set(sets))
+        assert all(list(s) == sorted(set(s) & set(range(n))) and len(s) == k for s in sets)
+    drawn, looped = random.Random(4), random.Random(4)
+    sets, count = _subsets(9, 4, 50, drawn)
+    assert count == 50
+    assert list(sets) == [tuple(sorted(looped.sample(range(9), 4))) for _ in range(50)]
+    assert drawn.random() == looped.random()
+    for samples in (0, -1):
+        with pytest.raises(BadSpec, match="sampl"):
+            _subsets(5, 2, samples, random.Random(0))
 
 
 @pytest.mark.parametrize("samples", [0, -4])

@@ -29,6 +29,7 @@ from sdmm.fields import MultCounter, make_field
 from sdmm.linalg import (
     EvaluationPlan,
     find_evaluation_vector,
+    ggasp_plan,
     is_mds,
     mp_plan,
     security_check,
@@ -47,7 +48,14 @@ from sdmm.protocol import (
     run_protocol,
     worker_products,
 )
-from sdmm.schemes import SchemeParams, build_f, partition, product_block_positions
+from sdmm.schemes import (
+    GGASP,
+    SchemeParams,
+    build_f,
+    parse_scheme_spec,
+    partition,
+    product_block_positions,
+)
 from sdmm.thresholds import product_class_support, symbolic_support
 
 F13 = make_field(13)
@@ -637,6 +645,68 @@ def test_an_insecure_sigma_b_leaks_b_through_the_shares():
         seen_g += diffs
     assert seen_g[0] != seen_g[1]
     assert len(seen_f) > 1
+
+
+class _ScriptedNoise:
+    """Hands BlockMatrix.random the prescribed residues, one 1x1 block per 32-bit word.
+
+    A 1x1 draw over a field of order q reads getrandbits(32) and keeps its
+    top k = q.bit_length() bits, so the word x << (32 - k) draws residue x.
+    """
+
+    def __init__(self, residues, order):
+        self.residues, self.shift = iter(residues), 32 - order.bit_length()
+
+    def getrandbits(self, bits):
+        assert bits == 32
+        return next(self.residues) << self.shift
+
+
+def _leaking_sets(plan, side):
+    # side 0 watches f's shares over every A, side 1 g's over every B. For
+    # each input, every noise vector of that polynomial goes through the
+    # real encode; a T-set leaks when the sets of share tuples it can see
+    # differ between inputs
+    ctx, params = plan.ctx, plan.params
+    K, M, L, T, q = params.K, params.M, params.L, params.T, ctx.order
+    shape, fixed = ((K, M), (M, L)) if side == 0 else ((M, L), (K, M))
+    views = []
+    for data in itertools.product(range(q), repeat=shape[0] * shape[1]):
+        X = BlockMatrix(np.array(data).reshape(*shape, 1), ctx)
+        A, B = ((X, BlockMatrix.zero(*fixed, ctx)) if side == 0
+                else (BlockMatrix.zero(*fixed, ctx), X))
+        draws = ([*z, *[0] * T] if side == 0 else [*[0] * T, *z]
+                 for z in itertools.product(range(q), repeat=T))
+        views.append(np.array([encode(A, B, plan, _ScriptedNoise(d, q))[side][:, 0, 0, 0]
+                               for d in draws]))
+    return [S for S in itertools.combinations(range(plan.n_workers), T)
+            if len({frozenset(map(tuple, v[:, S].tolist())) for v in views}) > 1]
+
+
+F5 = make_field(5)
+
+
+@pytest.mark.parametrize("spec, points, secure", [
+    ("mp:K=1,M=2,L=1,T=1", [1, 2], (True, True)),
+    ("mp:K=2,M=1,L=1,T=2", [1, 2, 3], (True, True)),
+    ("ggasp:K=1,M=2,L=1,T=2,r=2", [1, 4, 2], (True, True)),
+    ("explicit:K=1,M=2,L=1,T=2,alpha=0+2,beta=0+1", [1, 2], (False, True)),
+    ("explicit:K=1,M=2,L=1,T=2,alpha=0+1,beta=0+2", [1, 2], (True, False)),
+    ("ggasp:K=1,M=2,L=1,T=2,r=1", [1, 4, 2], (False, True)),
+], ids=["mp-t1", "mp-t2", "ggasp-r2", "explicit-leaks-a", "explicit-leaks-b", "ggasp-r1"])
+def test_share_distributions_leak_exactly_where_security_check_fails(spec, points, secure):
+    # the leakage oracle reads the definition: over GF(5) with 1x1 blocks, a
+    # T-set learns nothing when its shares are distributed alike for every
+    # input. On these plans the certificate's verdict, and its witness,
+    # are what the oracle observes
+    params = parse_scheme_spec(spec)
+    make = ggasp_plan if params.variant == GGASP else mp_plan
+    plan = make(params, F5, [F5.element(v) for v in points])
+    res = security_check(plan)
+    for side, scan in enumerate((res.sigma_a, res.sigma_b)):
+        leaks = _leaking_sets(plan, side)
+        assert scan.ok == secure[side]
+        assert leaks[:1] == ([] if scan.ok else [scan.witness])
 
 
 def test_hypernode_weights_are_cached_subgroup_averages():
