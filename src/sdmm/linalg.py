@@ -297,11 +297,11 @@ def is_mds(table: np.ndarray, ctx: FieldCtx, mode: str = "exhaustive", budget: i
         raise ShapeMismatch(f"table has {N} points for {P} columns; needs at least as many")
     if mode not in ("exhaustive", "random"):
         raise BadSpec(f"unknown mode {mode!r}")
-    total = math.comb(N, P)
-    if mode == "exhaustive" and total > budget:
-        raise BudgetExceeded(f"{total} minors exceed the minor budget of {budget}")
-    subsets, planned = _subsets(N, P, None if mode == "exhaustive" else samples,
-                                random.Random(0) if rng is None else rng)
+    subsets, planned = (_subsets(N, P) if mode == "exhaustive" else
+                        _subsets(N, P, samples, random.Random(0) if rng is None else rng))
+    if mode == "exhaustive" and planned > budget:
+        raise BudgetExceeded(f"{planned} minors exceed the minor budget of {budget}")
+    total = planned if mode == "exhaustive" else math.comb(N, P)
     if P == 0:
         return MdsResult(True, mode, 0, total)
 

@@ -485,8 +485,8 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     all_responses = worker_products(shares, range(N), plan.ctx)
     expected = _product_blocks(A.matmul(B), plan)
 
-    patterns, attempts = _subsets(N, S, None if mode == "exhaustive" else samples,
-                                  random.Random(f"sdmm-pofs-{seed}"))
+    patterns, attempts = (_subsets(N, S) if mode == "exhaustive" else
+                          _subsets(N, S, samples, random.Random(f"sdmm-pofs-{seed}")))
 
     successes = 0
     try:

@@ -7,10 +7,7 @@ a temporary directory and runs every named test on the unmutated copy,
 where they must pass. It then applies each mutant alone and runs its tests
 with -x. It exits 1 when a mutant survives, when an old text is missing or
 repeated (a refactor must update this list), or when the unmutated tests
-fail. pytest does not collect this file.
-
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # only these
+fail. pytest does not collect this file. Run it as python tests/mutants.py.
 """
 
 from __future__ import annotations
@@ -124,29 +121,25 @@ def _pytest(tmp: Path, tests, *flags: str) -> int:
                           stderr=subprocess.DEVNULL).returncode
 
 
-def main(names) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    if names and len(chosen) != len(set(names)):
-        print(f"unknown mutant in {names}; known: {[m.name for m in MUTANTS]}")
-        return 2
+def main() -> int:
     failed = []
     with tempfile.TemporaryDirectory(prefix="sdmm-mutants-") as tmp:
         tmp = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tmp / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        for m in chosen:
+        for m in MUTANTS:
             hits = (tmp / "src" / "sdmm" / m.file).read_text().count(m.old)
             if hits != 1:
                 failed.append(m.name)
                 print(f"STALE    {m.name}: old text occurs {hits} times in {m.file}")
         if failed:
             return 1
-        tests = sorted({t for m in chosen for t in m.tests})
+        tests = sorted({t for m in MUTANTS for t in m.tests})
         if _pytest(tmp, tests) != 0:
             print("the named tests fail on the unmutated copy")
             return 1
-        for m in chosen:
+        for m in MUTANTS:
             path = tmp / "src" / "sdmm" / m.file
             original = path.read_text()
             path.write_text(original.replace(m.old, m.new))
@@ -157,9 +150,9 @@ def main(names) -> int:
             print(f"{verdict:8} {m.name} ({time.perf_counter() - start:.1f} s): {m.guarantee}")
             if code != 1:
                 failed.append(m.name)
-    print(f"{len(chosen) - len(failed)} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -15,5 +15,5 @@ def test_every_mutant_old_text_occurs_exactly_once():
 def test_a_stale_old_text_fails_the_gate(monkeypatch, capsys):
     stale = mutants.MUTANTS[0]._replace(old="a text the file does not hold")
     monkeypatch.setattr(mutants, "MUTANTS", [stale])
-    assert mutants.main([]) == 1
+    assert mutants.main() == 1
     assert "STALE" in capsys.readouterr().out
