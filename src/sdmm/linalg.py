@@ -148,9 +148,9 @@ class EvaluationPlan:
     def decode_memo(self) -> dict:
         """Decode coefficients of survivor sets, keyed by route and missing rows.
 
-        protocol.p_of_s_empirical fills it one chunk of straggler patterns
-        at a time and empties it when done; protocol.decode reads it and,
-        on a miss, computes the entry it needs without storing it.
+        protocol.p_of_s_empirical fills it for each batch of the straggler
+        patterns it walks, and empties it when done; protocol.decode reads
+        it and, on a miss, computes the entry it needs without storing it.
         """
         return {}
 

@@ -50,6 +50,13 @@ class BlockMatrix:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
+    def _view(cls, array: np.ndarray, ctx: FieldCtx) -> "BlockMatrix":
+        """A BlockMatrix over a read-only (rows, cols, r) array of canonical residues, unchecked."""
+        out = cls.__new__(cls)
+        out.array, out.ctx, (out.rows, out.cols) = array, ctx, array.shape[:2]
+        return out
+
+    @classmethod
     def zero(cls, rows: int, cols: int, ctx: FieldCtx) -> "BlockMatrix":
         return cls(np.zeros((rows, cols, ctx.r), dtype=_gauss.dtype(ctx)), ctx)
 

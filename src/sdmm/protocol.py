@@ -136,7 +136,7 @@ class Responses(Mapping):
         i = self.workers.searchsorted(n) if isinstance(n, (int, np.integer)) else len(self)
         if i == len(self) or self.workers[i] != n:
             raise KeyError(n)
-        return BlockMatrix(self.stack[i], self.ctx)
+        return BlockMatrix._view(self.stack[i], self.ctx)
 
     def __iter__(self):
         return iter(self.workers.tolist())
@@ -294,7 +294,8 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
         coeffs = interpolate(pts, stack, plan.full_support, ctx, counter,
                              table=plan.worker_table[order],
                              solver=lambda rhs: _apply(plan, "worker", missing, rhs))
-    return {kl: BlockMatrix(c, ctx) for kl, c in zip(plan.block_positions, coeffs)}
+    coeffs.setflags(write=False)
+    return {kl: BlockMatrix._view(c, ctx) for kl, c in zip(plan.block_positions, coeffs)}
 
 
 def _stacked(responses: Mapping[int, BlockMatrix],
@@ -463,17 +464,18 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     Encodes once, then runs the real decoder on the surviving responses of
     each pattern and audits the product as run_protocol does: a wrong
     product raises DecodeFailed rather than counting as a failure to
-    decode. Mode "exhaustive" (the default) walks all C(N, S) patterns
-    (linalg._subsets) and returns the exact fraction, however many there
-    are. Mode "mc" draws `samples` patterns through _subsets with a seeded
-    generator and returns a sampled estimate, which the caller labels as
-    one. Any other mode raises BadSpec.
+    decode. Mode "exhaustive" (the default) returns the exact fraction of
+    all C(N, S) patterns and walks those with a route (_routes): all of them
+    (linalg._subsets) when N - S responses reach N', else those spoiling at
+    most P - P' hypernodes (_spoiling). Mode "mc" draws `samples` patterns
+    through _subsets with a seeded generator and returns a sampled
+    estimate, which the caller labels as one. Any other mode raises BadSpec.
 
     Patterns are taken in batches (linalg._batches), which _prepare sorts
-    by decode's count rule: a pattern without a route counts as a failure
-    without a decode call, and the operators of the rest go to
-    plan.decode_memo. Each of those decodes the shared response stack
-    without its stragglers, audited as arrays (_audited).
+    by decode's count rule: a drawn pattern without a route counts as a
+    failure without a decode call, and the operators of the rest go to
+    plan.decode_memo. Each of those decodes the shared response stack at
+    its survivors, one keep mask per batch, audited as arrays (_audited).
     """
     if mode not in ("exhaustive", "mc"):
         raise BadSpec(f"unknown mode {mode!r}")
@@ -482,31 +484,48 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
         raise BadSpec(f"straggler count {S} outside [0, {N}]")
 
     shares = encode(A, B, plan, random.Random(f"sdmm-noise-{seed}"))
-    all_responses = worker_products(shares, range(N), plan.ctx)
+    stack = worker_products(shares, range(N), plan.ctx).stack
     expected = _product_blocks(A.matmul(B), plan)
 
     patterns, attempts = (_subsets(N, S) if mode == "exhaustive" else
                           _subsets(N, S, samples, random.Random(f"sdmm-pofs-{seed}")))
+    if mode == "exhaustive" and _routes(plan, S, 0)[1]:
+        spare = plan.n_hypernodes - len(plan.class_support)  # below 0 on a flat plan
+        patterns = _spoiling(plan, S, (group for k in range(spare + 1)
+                                       for group in _subsets(plan.n_hypernodes, k)[0]))
 
     successes = 0
     try:
         for down in _batches(patterns):
-            for row in down[_prepare(plan, down)].tolist():
-                if _audited(all_responses.without(row), plan, expected) is not None:
+            down = down[_prepare(plan, down)]
+            keep = np.ones((len(down), N), dtype=bool)
+            np.put_along_axis(keep, down, False, axis=1)
+            for rows in keep.nonzero()[1].reshape(len(down), N - S):
+                if _audited(Responses(rows, stack[rows], plan.ctx, N), plan, expected) is not None:
                     successes += 1
     finally:
         plan.decode_memo.clear()
     return Fraction(successes, attempts)
 
 
+def _spoiling(plan: EvaluationPlan, s: int, groups):
+    """The sorted s-subsets of workers that spoil exactly each group, a sorted hypernode tuple."""
+    M = plan.params.M
+    for group in groups:
+        pool = [n for p in group for n in plan.hypernode_workers(p)]
+        for down in itertools.combinations(pool, s):
+            if len({n // M for n in down}) == len(group):
+                yield down
+
+
 def _prepare(plan: EvaluationPlan, down: np.ndarray) -> np.ndarray:
     """Which of a (patterns, s) array of straggler patterns have a route (_routes).
 
-    Also replaces plan.decode_memo by the operators that decode needs
-    on them: on the worker table for every pattern when s workers leave at
-    least N' responses (to interpolate, or to check raw spare equations),
-    and on the base table for the spoiled hypernodes of every hyper
-    pattern, one batch per spoiled count.
+    Only drawn patterns can lack one. Also replaces plan.decode_memo by the
+    operators that decode needs on them: on the worker table for every
+    pattern when s workers leave at least N' responses (to interpolate, or
+    to check raw spare equations), and on the base table for the spoiled
+    hypernodes of every hyper pattern, one batch per spoiled count.
     """
     spoiled = down // plan.params.M
     spoiled.sort(axis=1)
@@ -647,11 +666,11 @@ def _hypernode_bound_holds(plan: EvaluationPlan, budget: int) -> bool:
     The spare = P_deployed - P' stragglers of such a set spoil k <= spare
     hypernodes. Levels k run down as mp_recovery_threshold_with_security
     describes: a group whose remaining rows of plan.base_table lack full
-    column rank needs full column rank on each survivor set's rows of
-    plan.worker_table. A lower k adds rows to every remainder, so a level
-    without such a group ends the scan.
+    column rank needs full column rank on the plan.worker_table rows of
+    each survivor set that spoils exactly it (_spoiling). A lower k adds
+    rows to every remainder, so a level without such a group ends the scan.
     """
-    P, M = plan.n_hypernodes, plan.params.M
+    P = plan.n_hypernodes
     spare = P - len(plan.class_support)
     scanned = 0
     for k in range(spare, -1, -1):
@@ -662,12 +681,10 @@ def _hypernode_bound_holds(plan: EvaluationPlan, budget: int) -> bool:
         deficient = [rest for _, rest in singular_minors(plan.base_table, rests, plan.ctx)]
         if not deficient:
             return True
-        for rest in deficient:
-            pool = [n for p in range(P) if p not in rest for n in plan.hypernode_workers(p)]
-            # a set spoiling fewer than k hypernodes falls in a later level
-            keeps = ([n for n in range(plan.n_workers) if n not in down]
-                     for down in itertools.combinations(pool, spare)
-                     if len({n // M for n in down}) == k)
-            for _ in singular_minors(plan.worker_table, keeps, plan.ctx):
-                return False
+        # a set spoiling fewer than k hypernodes falls in a later level
+        groups = (tuple(p for p in range(P) if p not in rest) for rest in deficient)
+        keeps = ([n for n in range(plan.n_workers) if n not in down]
+                 for down in _spoiling(plan, spare, groups))
+        for _ in singular_minors(plan.worker_table, keeps, plan.ctx):
+            return False
     return True

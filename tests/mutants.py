@@ -110,6 +110,28 @@ MUTANTS = [
            "an exhaustive walk counts exactly the sets it visits, so p(S) is exact",
            ("tests/test_linalg.py::test_subsets_walk_all_k_subsets_or_draw_sorted_samples",
             "tests/test_cli.py::test_p_of_s_exhaustive_mode")),
+    Mutant("budget-inclusive", "linalg.py",
+           'if mode == "exhaustive" and planned > budget:',
+           'if mode == "exhaustive" and planned >= budget:',
+           "an exhaustive scan of exactly budget minors runs",
+           ("tests/test_linalg.py::"
+            "test_is_mds_scans_exactly_its_budget_and_refuses_one_minor_more",)),
+    Mutant("random-total-sampled", "linalg.py",
+           'total = planned if mode == "exhaustive" else math.comb(N, P)',
+           "total = planned",
+           "a sampled scan reports C(N, P) minors in total, not its sample count",
+           ("tests/test_linalg.py::test_random_mode_total_counts_every_minor_not_the_samples",)),
+    Mutant("explicit-repeat", "schemes.py",
+           "if any(b <= a for a, b in zip(exps, exps[1:])):",
+           "if any(b < a for a, b in zip(exps, exps[1:])):",
+           "an explicit exponent list never repeats an exponent",
+           ("tests/test_schemes.py::test_explicit_rejects_a_repeated_exponent",)),
+    Mutant("routed-walk-short", "protocol.py",
+           "patterns = _spoiling(plan, S, (group for k in range(spare + 1)",
+           "patterns = _spoiling(plan, S, (group for k in range(spare)",
+           "the exhaustive walk visits every pattern that keeps P' complete hypernodes",
+           ("tests/test_protocol.py::"
+            "test_exhaustive_walk_yields_exactly_the_patterns_with_a_route[0-6]",)),
 ]
 
 

@@ -258,6 +258,23 @@ def test_is_mds_budget_and_random_mode():
         is_mds(table[:11], F31)
 
 
+def test_is_mds_scans_exactly_its_budget_and_refuses_one_minor_more():
+    pts = [F31.element(v) for v in range(1, 9)]
+    table = powers(pts, list(range(3)), F31)
+    minors = math.comb(8, 3)
+    res = is_mds(table, F31, budget=minors)
+    assert res.ok and res.checked == res.total == minors
+    with pytest.raises(BudgetExceeded):
+        is_mds(table, F31, budget=minors - 1)
+
+
+def test_random_mode_total_counts_every_minor_not_the_samples():
+    pts = [F31.element(v) for v in range(1, 9)]
+    res = is_mds(powers(pts, list(range(3)), F31), F31, mode="random", samples=20,
+                 rng=random.Random(2))
+    assert (res.ok, res.checked, res.total) == (True, 20, math.comb(8, 3))
+
+
 def test_subsets_walk_all_k_subsets_or_draw_sorted_samples():
     # the one source of worker sets: a walk reports exactly as many sets as
     # it visits, every k-subset of range(n) once in lexicographic order; a

@@ -38,6 +38,7 @@ from sdmm.linalg import (
 from sdmm.matpoly import BlockMatrix, interpolate
 from sdmm.protocol import (
     _hypernode_bound_holds,
+    _routes,
     assemble_product,
     decode,
     encode,
@@ -891,8 +892,8 @@ def test_monte_carlo_decode_fraction_is_seeded():
     A, B = _inputs(plan)
     a = p_of_s_empirical(A, B, plan, 5, mode="mc", samples=300, seed=3)
     b = p_of_s_empirical(A, B, plan, 5, mode="mc", samples=300, seed=3)
-    assert a == b
-    assert 0 <= a <= 1
+    # 8 of the 300 seeded draws keep 4 complete hypernodes
+    assert a == b == Fraction(2, 75)
 
 
 def test_decode_fraction_is_zero_past_the_information_limit():
@@ -917,6 +918,97 @@ def test_decode_fraction_is_exhaustive_by_default():
     assert p_of_s_empirical(A, B, plan, 2) == p_of_s_empirical(A, B, plan, 2, mode="exhaustive")
     with pytest.raises(BadSpec):
         p_of_s_empirical(A, B, plan, 2, mode="auto")
+
+
+def _routed_masks(plan):
+    """Every straggler pattern with a route, by brute force: the N-bit masks _routes accepts.
+
+    The pattern counts and spoiled hypernodes of all 2^N masks are built one
+    hypernode (M bits) at a time, so mask j << (q * M) | i extends mask i.
+    """
+    M = plan.params.M
+    sub = np.arange(1 << M)
+    sub_size = np.array([bin(j).count("1") for j in sub], dtype=np.int8)
+    size = spoiled = np.zeros(1, dtype=np.int8)
+    for _ in range(plan.n_hypernodes):
+        size = np.add.outer(sub_size, size).ravel()
+        spoiled = np.add.outer((sub > 0).astype(np.int8), spoiled).ravel()
+    hyper, short = _routes(plan, size, spoiled)
+    return np.flatnonzero(hyper | ~short).tolist()
+
+
+@pytest.mark.parametrize("T, hypernodes", [(0, 6), (1, 8)])
+def test_exhaustive_walk_yields_exactly_the_patterns_with_a_route(monkeypatch, T, hypernodes):
+    # at every S the patterns p_of_s_empirical hands to _prepare are, as a
+    # multiset, those of all C(N, S) that decode's count rule accepts; so
+    # none of them is refused and decode never sees a pattern without a route
+    plan = gf31_plan(T, hypernodes)
+    A, B = _inputs(plan)
+    real, walked = sdmm.protocol._prepare, []
+
+    def recording_prepare(plan, down):
+        keep = real(plan, down)
+        assert keep.all()
+        walked.extend(sum(1 << n for n in row) for row in down.tolist())
+        return keep
+
+    monkeypatch.setattr(sdmm.protocol, "_prepare", recording_prepare)
+    for S in range(plan.n_workers + 1):
+        p_of_s_empirical(A, B, plan, S)
+    assert sorted(walked) == _routed_masks(plan)
+
+
+def _random_mp_plan(params, hypernodes, seed):
+    """mp_plan on random base points of GF(13) with distinct M-th powers (not searched)."""
+    rng = random.Random(f"random-plan-{seed}")
+    classes = {}
+    for v in rng.sample(range(1, 13), 12):
+        classes.setdefault(pow(v, params.M, 13), v)
+    return mp_plan(params, F13, [F13.element(v) for v in list(classes.values())[:hypernodes]])
+
+
+@pytest.mark.parametrize("make_plan", [
+    lambda: _random_mp_plan(SchemeParams.mp(2, 3, 1, 0), 4, 1),
+    lambda: _random_mp_plan(SchemeParams.mp(1, 3, 1, 2, 2), 4, 0),
+    lambda: ggasp_plan(SchemeParams.ggasp(1, 2, 1, 1), F13,
+                       [F13.element(v) for v in (1, 3, 4, 6, 7, 9, 10, 12)]),
+], ids=["mp-t0", "mp-t2", "flat"])
+def test_exhaustive_fraction_equals_decoding_every_pattern(make_plan):
+    # the oracle calls decode on all C(N, S) patterns, routed or not, and
+    # audits each product; p_of_s_empirical must count the same successes.
+    # (p(5) = 1/22 and p(6) = 1/154 on the T = 0 plan, by the hypernode
+    # route alone; on the T = 2 plan 6 of the 66 two-straggler patterns are
+    # singular, and p(3) = 1/55)
+    plan = make_plan()
+    N = plan.n_workers
+    A, B = _inputs(plan)
+    responses = worker_products(encode(A, B, plan, random.Random("oracle")), range(N), plan.ctx)
+    for S in range(N + 1):
+        decoded = 0
+        for down in itertools.combinations(range(N), S):
+            try:
+                blocks = decode(responses.without(down), plan)
+            except (InsufficientResponses, SingularSystem):
+                continue
+            assert assemble_product(blocks, plan.params, plan.ctx) == A.matmul(B)
+            decoded += 1
+        assert p_of_s_empirical(A, B, plan, S) == Fraction(decoded, math.comb(N, S)), S
+
+
+def test_gf61_deployment_decodes_44_of_593775_six_straggler_patterns(monkeypatch):
+    # only the 45 patterns spoiling two whole hypernodes keep the P' = 8
+    # complete hypernodes that 24 responses need; one of them is singular
+    plan = gf61_plan()
+    A, B = _inputs(plan)
+    real, calls = sdmm.protocol.decode, []
+
+    def counting_decode(responses, plan, counter=None):
+        calls.append(len(responses))
+        return real(responses, plan, counter)
+
+    monkeypatch.setattr(sdmm.protocol, "decode", counting_decode)
+    assert p_of_s_empirical(A, B, plan, 6) == Fraction(44, 593775)
+    assert calls == [24] * 45
 
 
 # -- recovery threshold of deployed plans ----------------------------------------------

@@ -70,6 +70,13 @@ def test_explicit_validation():
     assert p.beta() == (0, 1)
 
 
+def test_explicit_rejects_a_repeated_exponent():
+    with pytest.raises(BadSpec, match="strictly increasing"):
+        parse_scheme_spec("explicit:K=1,M=2,L=1,T=2,alpha=0+0,beta=0+1")
+    with pytest.raises(BadSpec, match="strictly increasing"):
+        SchemeParams.explicit(1, 2, 1, 2, alpha=(0, 2), beta=(1, 1))
+
+
 @st.composite
 def scheme_params(draw):
     K = draw(st.integers(1, 4))
