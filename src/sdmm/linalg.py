@@ -63,7 +63,6 @@ class EvaluationPlan:
       (security_matrices reads two more);
     - worker_split and base_split, the decompositions of those tables that
       give each survivor set its decode coefficients;
-    - decode_memo, those coefficients for one chunk of survivor sets;
     - hypernode_weights, the hypernode averaging weights.
     None of them is a field: equality, hash and summary() see only the
     points and params.
@@ -143,16 +142,6 @@ class EvaluationPlan:
     def base_split(self) -> Optional[np.ndarray]:
         """[G_t; K] of base_table, for the hypernode route (see _split)."""
         return _split(self, self.base_table, self.class_support)
-
-    @cached_property
-    def decode_memo(self) -> dict:
-        """Decode coefficients of survivor sets, keyed by route and missing rows.
-
-        protocol.p_of_s_empirical fills it for each batch of the straggler
-        patterns it walks, and empties it when done; protocol.decode reads
-        it and, on a miss, computes the entry it needs without storing it.
-        """
-        return {}
 
     @cached_property
     def hypernode_weights(self) -> np.ndarray:

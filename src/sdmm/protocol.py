@@ -123,14 +123,17 @@ class Responses(Mapping):
     """Read-only BlockMatrix views of a product stack's rows, keyed by worker index.
 
     workers: the sorted responding workers, of n_workers; stack: their residues, row for row.
+    _prepared: None, or a plan and _prepare's operators on it; decode reads them on that plan only.
     """
 
-    __slots__ = ("workers", "stack", "ctx", "n_workers")
+    __slots__ = ("workers", "stack", "ctx", "n_workers", "_prepared")
 
-    def __init__(self, workers: np.ndarray, stack: np.ndarray, ctx: FieldCtx, n_workers: int):
+    def __init__(self, workers: np.ndarray, stack: np.ndarray, ctx: FieldCtx, n_workers: int,
+                 _prepared: Optional[tuple[EvaluationPlan, dict]] = None):
         workers.setflags(write=False)
         stack.setflags(write=False)
         self.workers, self.stack, self.ctx, self.n_workers = workers, stack, ctx, n_workers
+        self._prepared = _prepared
 
     def __getitem__(self, n) -> BlockMatrix:
         i = self.workers.searchsorted(n) if isinstance(n, (int, np.integer)) else len(self)
@@ -143,13 +146,6 @@ class Responses(Mapping):
 
     def __len__(self) -> int:
         return len(self.workers)
-
-    def without(self, down) -> "Responses":
-        """All but the listed workers' responses; BadSpec for an index outside the deployment."""
-        keep = np.ones(self.n_workers, dtype=bool)
-        keep[_worker_indices(down, self.n_workers, "straggler index")] = False
-        rows = keep[self.workers].nonzero()[0]
-        return Responses(self.workers[rows], self.stack[rows], self.ctx, self.n_workers)
 
 
 def worker_products(shares: tuple[np.ndarray, np.ndarray], workers,
@@ -211,16 +207,14 @@ def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> lis
     return [t if good else None for t, good in zip(T, ok)]
 
 
-def _apply(plan: EvaluationPlan, route: str, missing: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Target coefficients of the table rows other than `missing`, from their values rhs.
+def _apply(plan: EvaluationPlan, operators: dict, key: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Target coefficients of a route table's surviving rows, from their values rhs.
 
-    The set's T (_set_operators) comes from plan.decode_memo, else from a
-    batch of one. Without full column rank this raises SingularSystem; a
-    failed spare equation raises InconsistentResponses.
+    key is (route, missing rows), under which _prepare keeps the set's T
+    (_set_operators). A set without one lacks full column rank and raises
+    SingularSystem; a failed spare equation raises InconsistentResponses.
     """
-    key = (route, tuple(missing.tolist()))
-    T = (plan.decode_memo[key] if key in plan.decode_memo else
-         _set_operators(plan, route, missing[None])[0])
+    T = operators.get(key)
     if T is None:
         raise SingularSystem("coefficient matrix is rank deficient")
     n_targets = plan.params.K * plan.params.L
@@ -249,27 +243,31 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
 
     Either route hands interpolate the rows of the plan's cached power
     table and a solver that yields only the K*L product blocks, checking
-    every spare equation of the route (_apply). On the hypernode route,
-    which reads only complete hypernodes, so are the raw responses: when
-    the responding workers' rows of plan.worker_table have full column
-    rank, responses that are not evaluations of one polynomial on the full
+    every spare equation of the route (_apply) with the operators that
+    p_of_s_empirical prepared with the responses on this very plan, else
+    with _prepare's for this one pattern. On the hypernode route, which
+    reads only complete hypernodes, so are the raw responses: when the
+    responding workers' rows of plan.worker_table have full column rank,
+    responses that are not evaluations of one polynomial on the full
     support raise InconsistentResponses. The counter records what the
     scalar decoder spends, as interpolate counts it; the raw check adds
     nothing to it.
     """
-    order, stack = _stacked(responses, plan)
+    order, stack, operators = _stacked(responses, plan)
     ctx, M = plan.ctx, plan.params.M
     gone = np.ones(plan.n_workers, dtype=bool)
     gone[order] = False
-    missing = gone.nonzero()[0]
-    # worker n sits in hypernode n // M (see hypernode_workers)
-    whole = ~gone[:plan.n_hypernodes * M].reshape(-1, M).any(axis=1)
+    whole = ~_spoiled(plan, gone[None])[0]
     complete, spoiled = whole.nonzero()[0], (~whole).nonzero()[0]
+    missing = gone.nonzero()[0]
     hyper, short = _routes(plan, len(missing), len(spoiled))
     if short and not hyper:
         raise _shortfall(plan, len(order), len(spoiled))
+    operators = _prepare(plan, gone[None])[1] if operators is None else operators
+    worker = ("worker", tuple(missing.tolist()))
     coeffs = None
     if hyper:
+        base = ("base", tuple(spoiled.tolist()))
         rows, cols = stack.shape[1:3]
         # counted as the scalar average: M response scales, then one of the sum
         if counter is not None:
@@ -282,35 +280,35 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
         try:
             coeffs = interpolate(pts, vals, plan.class_support, ctx, counter,
                                  table=plan.base_table[complete],
-                                 solver=lambda rhs: _apply(plan, "base", spoiled, rhs))
+                                 solver=lambda rhs: _apply(plan, operators, base, rhs))
         except SingularSystem:
             if short:  # and no full interpolation to fall through to
                 raise _shortfall(plan, len(order), len(spoiled)) from None
         else:
             with contextlib.suppress(SingularSystem):
-                _apply(plan, "worker", missing, stack.reshape(len(order), -1, ctx.r))
+                _apply(plan, operators, worker, stack.reshape(len(order), -1, ctx.r))
     if coeffs is None:
         pts = [plan.worker_points[n] for n in order.tolist()]
         coeffs = interpolate(pts, stack, plan.full_support, ctx, counter,
                              table=plan.worker_table[order],
-                             solver=lambda rhs: _apply(plan, "worker", missing, rhs))
+                             solver=lambda rhs: _apply(plan, operators, worker, rhs))
     coeffs.setflags(write=False)
     return {kl: BlockMatrix._view(c, ctx) for kl, c in zip(plan.block_positions, coeffs)}
 
 
-def _stacked(responses: Mapping[int, BlockMatrix],
-             plan: EvaluationPlan) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """decode's one way in: the sorted responding workers and their stack (None if none).
+def _stacked(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan) -> tuple:
+    """decode's one way in: sorted workers, stack (None if none), operators built on plan or None.
 
     Responses of the plan's deployment are read as they stand; any other
     mapping's keys and blocks are checked (_worker_indices, stack_blocks).
     """
     if isinstance(responses, Responses) and (responses.ctx, responses.n_workers) == (
             plan.ctx, plan.n_workers):
-        return responses.workers, responses.stack
+        owner, operators = responses._prepared or (None, None)
+        return responses.workers, responses.stack, operators if owner is plan else None
     order = _worker_indices(responses, plan.n_workers, "response key")
     stack = stack_blocks([responses[n] for n in order], plan.ctx) if order else None
-    return np.array(order, dtype=np.intp), stack
+    return np.array(order, dtype=np.intp), stack, None
 
 
 def _shortfall(plan: EvaluationPlan, responses: int, spoiled: int) -> InsufficientResponses:
@@ -471,11 +469,12 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     through _subsets with a seeded generator and returns a sampled
     estimate, which the caller labels as one. Any other mode raises BadSpec.
 
-    Patterns are taken in batches (linalg._batches), which _prepare sorts
-    by decode's count rule: a drawn pattern without a route counts as a
-    failure without a decode call, and the operators of the rest go to
-    plan.decode_memo. Each of those decodes the shared response stack at
-    its survivors, one keep mask per batch, audited as arrays (_audited).
+    Patterns are taken in batches (linalg._batches), each as one mask of
+    missing workers, which _prepare sorts by decode's count rule: a drawn
+    pattern without a route counts as a failure without a decode call.
+    Each of the rest decodes the shared response stack at its survivors,
+    a Responses that carries the plan and the batch's operators from
+    _prepare, audited as arrays (_audited).
     """
     if mode not in ("exhaustive", "mc"):
         raise BadSpec(f"unknown mode {mode!r}")
@@ -495,16 +494,13 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
                                        for group in _subsets(plan.n_hypernodes, k)[0]))
 
     successes = 0
-    try:
-        for down in _batches(patterns):
-            down = down[_prepare(plan, down)]
-            keep = np.ones((len(down), N), dtype=bool)
-            np.put_along_axis(keep, down, False, axis=1)
-            for rows in keep.nonzero()[1].reshape(len(down), N - S):
-                if _audited(Responses(rows, stack[rows], plan.ctx, N), plan, expected) is not None:
-                    successes += 1
-    finally:
-        plan.decode_memo.clear()
+    for down in _batches(patterns):
+        gone = np.zeros((len(down), N), dtype=bool)
+        np.put_along_axis(gone, down, True, axis=1)
+        routed, operators = _prepare(plan, gone)
+        for rows in (~gone[routed]).nonzero()[1].reshape(int(routed.sum()), N - S):
+            responses = Responses(rows, stack[rows], plan.ctx, N, (plan, operators))
+            successes += _audited(responses, plan, expected) is not None
     return Fraction(successes, attempts)
 
 
@@ -518,34 +514,34 @@ def _spoiling(plan: EvaluationPlan, s: int, groups):
                 yield down
 
 
-def _prepare(plan: EvaluationPlan, down: np.ndarray) -> np.ndarray:
-    """Which of a (patterns, s) array of straggler patterns have a route (_routes).
+def _spoiled(plan: EvaluationPlan, gone: np.ndarray) -> np.ndarray:
+    """(patterns, P): the hypernodes (worker n is in n // M) that a (patterns, N) mask spoils."""
+    P, M = plan.n_hypernodes, plan.params.M
+    return gone[:, :P * M].reshape(len(gone), P, M).any(axis=2)
 
-    Only drawn patterns can lack one. Also replaces plan.decode_memo by the
-    operators that decode needs on them: on the worker table for every
-    pattern when s workers leave at least N' responses (to interpolate, or
-    to check raw spare equations), and on the base table for the spoiled
-    hypernodes of every hyper pattern, one batch per spoiled count.
+
+def _prepare(plan: EvaluationPlan, gone: np.ndarray) -> tuple[np.ndarray, dict]:
+    """(routed, operators) for a (patterns, N) mask of the s workers each pattern misses.
+
+    routed says which patterns have a route (_routes); only drawn ones can
+    lack one. operators holds every T (_set_operators) decode needs on
+    them, keyed (route, missing rows), None without full column rank: on
+    the worker table for every pattern when N - s responses reach N' (to
+    interpolate, or to check raw spare equations), and on the base table
+    for the spoiled hypernodes of every hyper pattern, one batch per count.
     """
-    spoiled = down // plan.params.M
-    spoiled.sort(axis=1)
-    first = np.ones(down.shape, dtype=bool)
-    first[:, 1:] = spoiled[:, 1:] != spoiled[:, :-1]
-    counts = first.sum(axis=1)
-    hyper, short = _routes(plan, down.shape[1], counts)
-    memo = plan.decode_memo
-    memo.clear()
-    if not short:
-        for row, W in zip(down.tolist(), _set_operators(plan, "worker", down)):
-            memo["worker", tuple(row)] = W
+    missing = gone.nonzero()[1].reshape(len(gone), -1)
+    spoiled = _spoiled(plan, gone)
+    counts = spoiled.sum(axis=1)
+    hyper, short = _routes(plan, missing.shape[1], counts)
+    tables = [] if short else [("worker", missing)]
     for k in sorted(set(counts[hyper].tolist())):
-        group = hyper & (counts == k)
-        sets = sorted(set(map(tuple, spoiled[group][first[group]]
-                              .reshape(int(group.sum()), k).tolist())))
-        missing = np.array(sets, dtype=np.intp).reshape(len(sets), k)
-        for key, W in zip(sets, _set_operators(plan, "base", missing)):
-            memo["base", key] = W
-    return hyper | (not short)
+        group = spoiled[hyper & (counts == k)]
+        sets = sorted(set(map(tuple, group.nonzero()[1].reshape(len(group), k).tolist())))
+        tables.append(("base", np.array(sets, dtype=np.intp).reshape(len(sets), k)))
+    operators = {(route, tuple(row)): T for route, rows in tables
+                 for row, T in zip(rows.tolist(), _set_operators(plan, route, rows))}
+    return hyper | (not short), operators
 
 
 # -- recovery threshold of a secure deployment ---------------------------------------

@@ -100,7 +100,7 @@ MUTANTS = [
            ("tests/test_protocol.py::test_an_insecure_sigma_b_leaks_b_through_the_shares",
             f"{ORACLE}[explicit-leaks-b]")),
     Mutant("raw-spare-check-skipped", "protocol.py",
-           '_apply(plan, "worker", missing, stack.reshape(len(order), -1, ctx.r))',
+           "_apply(plan, operators, worker, stack.reshape(len(order), -1, ctx.r))",
            "pass",
            "the hypernode route raises on responses that are not one polynomial's values",
            ("tests/test_protocol.py::test_hypernode_route_checks_the_raw_spare_equations",)),
@@ -132,6 +132,18 @@ MUTANTS = [
            "the exhaustive walk visits every pattern that keeps P' complete hypernodes",
            ("tests/test_protocol.py::"
             "test_exhaustive_walk_yields_exactly_the_patterns_with_a_route[0-6]",)),
+    Mutant("operators-of-any-plan", "protocol.py",
+           "operators if owner is plan else None",
+           "operators",
+           "decode reads a walk's operators only on the plan they were built on",
+           ("tests/test_protocol.py::"
+            "test_walk_operators_serve_only_the_plan_they_were_built_on",)),
+    Mutant("base-key-by-workers", "protocol.py",
+           'base = ("base", tuple(spoiled.tolist()))',
+           'base = ("base", tuple(missing.tolist()))',
+           "a hypernode-route operator is found under the spoiled hypernodes _prepare keys it by",
+           ("tests/test_protocol.py::test_p_of_s_decodes_each_routed_pattern_with_its_batch_"
+            "operators[0-6-5-90-want0]",)),
 ]
 
 

@@ -5,6 +5,7 @@ since it imports names to re-export them. The array engine counts
 nothing: multiplication counts come from the cost model in matpoly. And
 its one elimination loop has two entry points, ranks and decompose, plus
 the cost model; no other module reaches into _gauss's private names.
+Decode operators are built in one place, protocol._prepare.
 """
 
 import ast
@@ -85,3 +86,12 @@ def test_only_ranks_decompose_and_the_cost_model_eliminate():
                     private.add(f"{path.stem}: _gauss.{name}")
     assert callers == {"_gauss.ranks", "_gauss.decompose", "matpoly.gauss_jordan_cost"}
     assert private == set()
+
+
+def test_only_prepare_builds_decode_operators():
+    # decode and p_of_s_empirical read the operators _prepare returns; no
+    # other function builds one, so none can go stale on a plan
+    users = {f"{path.stem}.{fn}" for path in MODULES
+             for fn, node in _scoped(ast.parse(path.read_text()))
+             if isinstance(node, ast.Name) and node.id == "_set_operators"}
+    assert users == {"protocol._prepare"}

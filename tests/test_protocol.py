@@ -2,11 +2,13 @@
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -456,7 +458,7 @@ def test_stack_backed_responses_decode_as_their_dict(name):
     bad = rng.randrange(N)
     F2 = F.copy()
     F2[bad, 0, 0, 0] = (F2[bad, 0, 0, 0] + 1) % ctx.p
-    honest, corrupted = (worker_products((f, G), range(N), ctx) for f in (F, F2))
+    honest = worker_products((F, G), range(N), ctx)
 
     def outcome(responses):
         counter = MultCounter()
@@ -469,8 +471,8 @@ def test_stack_backed_responses_decode_as_their_dict(name):
                             for _ in range(25)]
     seen = set()
     for down in downs:
-        for responses in (honest, corrupted):
-            view = responses.without(down)
+        for f in (F, F2):
+            view = worker_products((f, G), [n for n in range(N) if n not in down], ctx)
             assert list(view) == [n for n in range(N) if n not in down]
             got = outcome(view)
             assert got == outcome(dict(view)), down
@@ -479,7 +481,7 @@ def test_stack_backed_responses_decode_as_their_dict(name):
     assert not fixed or SingularSystem in seen
 
     # read-only: no item assignment, and no writeable array behind a view
-    view = honest.without([bad])
+    view = worker_products((F, G), [n for n in range(N) if n != bad], ctx)
     n = next(iter(view))
     assert view == dict(view) and bad not in view and len(view) == N - 1
     with pytest.raises(TypeError):
@@ -487,7 +489,7 @@ def test_stack_backed_responses_decode_as_their_dict(name):
     assert not (view.stack.flags.writeable or view.workers.flags.writeable
                 or view[n].array.flags.writeable)
     with pytest.raises(BadSpec):
-        honest.without([N])
+        worker_products((F, G), [N], ctx)
     # a plain dict, or a view of another deployment, still has every check
     other = make_field(13, ctx.r)
     for key, value, error in [(n, BlockMatrix(view[n].array % 13, other), ShapeMismatch),
@@ -531,9 +533,8 @@ def test_plan_tables_are_read_only_powers_outside_equality():
     assert plan.block_positions == product_block_positions(2, 3, 2)
     with pytest.raises(TypeError):
         plan.block_positions[0, 0] = 0
-    # the table decompositions and the decode memo are caches, not fields
+    # the table decompositions are caches, not fields
     assert plan.worker_split is not None and plan.base_split is not None
-    plan.decode_memo["worker", ()] = None
     assert plan.full_support == symbolic_support(plan.params)
     assert plan.class_support == product_class_support(plan.params)
     assert plan == fresh and hash(plan) == hash(fresh)
@@ -545,6 +546,24 @@ def test_plan_tables_are_read_only_powers_outside_equality():
     with pytest.raises(PlanInvalid):
         flat.base_table
 
+
+
+def test_every_cached_plan_property_is_immutable():
+    # a plan is a frozen value: after a walk and a recovery report every
+    # property it caches is a read-only array, a tuple, a mapping proxy or
+    # None, and nothing else has been stored on it
+    plan = gf31_plan(1, 8)
+    A, B = _inputs(plan)
+    p_of_s_empirical(A, B, plan, 2)
+    mp_recovery_threshold_with_security(None, plan)
+    cached = [name for name, attr in vars(EvaluationPlan).items()
+              if isinstance(attr, functools.cached_property)]
+    assert {"power_table", "block_positions", "worker_split", "hypernode_weights"} <= set(cached)
+    for name in cached:
+        value = getattr(plan, name)
+        assert (value is None or isinstance(value, (tuple, types.MappingProxyType))
+                or isinstance(value, np.ndarray) and not value.flags.writeable), name
+    assert set(vars(plan)) <= set(cached) | {f.name for f in dataclasses.fields(plan)}
 
 def _flat_7681_plan():
     # the ggasp deployment that the frozen flat simulate run searches for
@@ -726,29 +745,89 @@ def test_hypernode_weights_are_cached_subgroup_averages():
     (0, 6, 5, 90, Fraction(90, 8568)),  # only the 90 patterns keeping 4 hypernodes
     (1, 8, 2, 276, Fraction(1)),        # every pattern leaves the 22 responses needed
 ])
-def test_p_of_s_decodes_each_routed_pattern_from_a_chunk_memo(monkeypatch, T, hypernodes,
-                                                              S, routed, want):
+def test_p_of_s_decodes_each_routed_pattern_with_its_batch_operators(monkeypatch, T, hypernodes,
+                                                                     S, routed, want):
     # patterns that decode's count rule rejects never reach decode; the
-    # others do, one call each, while the plan's memo holds one chunk
+    # others do, one call each, with the plan and one batch's operators
     plan = gf31_plan(T, hypernodes)
     A, B = _inputs(plan)
     real = sdmm.protocol.decode
     sizes = []
 
     def counting_decode(responses, plan, counter=None):
-        sizes.append(len(plan.decode_memo))
+        owner, operators = responses._prepared
+        assert owner is plan
+        sizes.append(len(operators))
         return real(responses, plan, counter)
 
     monkeypatch.setattr(sdmm.linalg, "_BATCH", 40)
     monkeypatch.setattr(sdmm.protocol, "decode", counting_decode)
     assert p_of_s_empirical(A, B, plan, S) == want
     assert len(sizes) == routed
-    assert 0 < max(sizes) <= 2 * 40 and not plan.decode_memo
-    # decode computes what the memo would have held
+    assert 0 < max(sizes) <= 2 * 40
+    # decode on a plain dict prepares the operators of its one pattern
     responses = _responses(plan, A, B, random.Random(1))
     survivors = {n: v for n, v in responses.items() if n >= S}
     assert assemble_product(real(survivors, plan), plan.params, F31) == A.matmul(B)
 
+
+
+def test_a_walk_run_inside_a_walk_leaves_the_outer_operators_alone(monkeypatch):
+    # the operators of a batch travel with its responses: a p(3) walk run
+    # from inside a p(2) walk on the same plan takes none of them away, so
+    # the outer walk builds no operator one set at a time afterwards
+    plan = gf31_plan(0, 6)
+    A, B = _inputs(plan)
+    want2, want3 = p_of_s_empirical(A, B, plan, 2), p_of_s_empirical(A, B, plan, 3)
+    real_decode, real_operators = sdmm.protocol.decode, sdmm.protocol._set_operators
+    started, inner, single = [], [], []
+
+    def nesting_decode(responses, plan, counter=None):
+        if not started:
+            started.append(True)
+            inner.append(p_of_s_empirical(A, B, plan, 3))
+        return real_decode(responses, plan, counter)
+
+    def counting_operators(plan, route, missing):
+        if inner and len(missing) == 1:
+            single.append(route)
+        return real_operators(plan, route, missing)
+
+    monkeypatch.setattr(sdmm.protocol, "decode", nesting_decode)
+    monkeypatch.setattr(sdmm.protocol, "_set_operators", counting_operators)
+    assert p_of_s_empirical(A, B, plan, 2) == want2
+    assert inner == [want3] and single == []
+
+
+def test_walk_operators_serve_only_the_plan_they_were_built_on(monkeypatch):
+    # responses the walk built on one plan, decoded with another plan of
+    # the same field and N (the hypernodes in reverse order), decode as the
+    # plain dict of their blocks does: with the other plan's own operators
+    plan = gf31_plan(0, 6)
+    other = mp_plan(plan.params, plan.ctx, plan.base_points[::-1], plan.zeta)
+    A, B = _inputs(plan)
+    real, walked = sdmm.protocol.decode, []
+
+    def recording_decode(responses, plan, counter=None):
+        walked.append(responses)
+        return real(responses, plan, counter)
+
+    monkeypatch.setattr(sdmm.protocol, "decode", recording_decode)
+    p_of_s_empirical(A, B, plan, 3)
+    assert len(walked) == 816 and all(r._prepared[0] is plan for r in walked)
+
+    def outcome(responses):
+        try:
+            return real(responses, other)
+        except (InsufficientResponses, SingularSystem, InconsistentResponses) as exc:
+            return type(exc)
+
+    kinds = set()
+    for responses in walked[::8]:
+        got = outcome(responses)
+        assert got == outcome(dict(responses)), list(responses)
+        kinds.add(got if isinstance(got, type) else dict)
+    assert kinds == {dict, InconsistentResponses}
 
 def test_p_of_s_audits_every_decode(monkeypatch):
     # a decoder that returns one wrong block must not pass as a pattern
@@ -946,11 +1025,11 @@ def test_exhaustive_walk_yields_exactly_the_patterns_with_a_route(monkeypatch, T
     A, B = _inputs(plan)
     real, walked = sdmm.protocol._prepare, []
 
-    def recording_prepare(plan, down):
-        keep = real(plan, down)
-        assert keep.all()
-        walked.extend(sum(1 << n for n in row) for row in down.tolist())
-        return keep
+    def recording_prepare(plan, gone):
+        routed, operators = real(plan, gone)
+        assert routed.all()
+        walked.extend((gone @ (1 << np.arange(plan.n_workers))).tolist())
+        return routed, operators
 
     monkeypatch.setattr(sdmm.protocol, "_prepare", recording_prepare)
     for S in range(plan.n_workers + 1):
@@ -982,12 +1061,12 @@ def test_exhaustive_fraction_equals_decoding_every_pattern(make_plan):
     plan = make_plan()
     N = plan.n_workers
     A, B = _inputs(plan)
-    responses = worker_products(encode(A, B, plan, random.Random("oracle")), range(N), plan.ctx)
+    shares = encode(A, B, plan, random.Random("oracle"))
     for S in range(N + 1):
         decoded = 0
         for down in itertools.combinations(range(N), S):
             try:
-                blocks = decode(responses.without(down), plan)
+                blocks = decode(worker_products(shares, set(range(N)) - set(down), plan.ctx), plan)
             except (InsufficientResponses, SingularSystem):
                 continue
             assert assemble_product(blocks, plan.params, plan.ctx) == A.matmul(B)
