@@ -229,30 +229,62 @@ def ggasp_plan(params: SchemeParams, ctx: FieldCtx,
 _BATCH = 4096  # row sets or straggler patterns decided in one batched elimination
 
 
+@dataclass(frozen=True)
+class _Lex:
+    """Every k-subset of range(n), iterated as sorted tuples in lexicographic order."""
+
+    n: int
+    k: int
+
+    def __iter__(self):
+        return itertools.combinations(range(self.n), self.k)
+
+
 def _subsets(n: int, k: int, samples: Optional[int] = None, rng: Optional[random.Random] = None):
-    """(sets, count) of k-subsets of range(n) as sorted tuples: all of them in lexicographic
-    order, or `samples` >= 1 sorted rng.sample draws. Minor scans and straggler walks read it."""
+    """(sets, count) of k-subsets of range(n) as sorted tuples: a _Lex walk of all of them,
+    or `samples` >= 1 sorted rng.sample draws. Minor scans and straggler walks read it."""
     if samples is None:
-        return itertools.combinations(range(n), k), math.comb(n, k)
+        return _Lex(n, k), math.comb(n, k)
     if samples < 1:
         raise BadSpec(f"sampling needs at least one sample, got {samples}")
     return (tuple(sorted(rng.sample(range(n), k))) for _ in range(samples)), samples
 
 
-def _batches(sets):
-    """The sets, sequences of one length s, as (count, s) intp arrays of at most _BATCH rows."""
-    sets = iter(sets)
-    first = next(sets, None)
-    if first is None:
+def _sized(sets):
+    """(s, sets): the size the sets share (None when there are none), and the same sets."""
+    if isinstance(sets, _Lex):
+        return sets.k, sets
+    first = next(sets := iter(sets), None)
+    return (None, sets) if first is None else (len(first), itertools.chain([first], sets))
+
+
+def _batches(sets, n: Optional[int] = None):
+    """The sets, sorted sequences of one size s, as (count, s) intp arrays of at most _BATCH
+    rows, or given n their complements in range(n), as (count, n - s) arrays.
+
+    A _Lex walk of C < 2^63 k-subsets a of range(N) is unranked (Knuth, TAOCP 7.2.1.3) from
+    rank(a) = C - 1 - sum_i C(N - 1 - a_i, k - i), binomials clipped at C; the r-th set's
+    complement is the (C - 1 - r)-th. Other sets are read as tuples, complemented by a scatter.
+    """
+    if isinstance(sets, _Lex) and math.comb(sets.n, sets.k) < 1 << 63:
+        N, C, k = sets.n, math.comb(sets.n, sets.k), sets.k if n is None else sets.n - sets.k
+        columns = [np.array([min(math.comb(b, k - i), C) for b in range(N)]) for i in range(k)]
+        for lo in range(0, C, _BATCH):
+            r = np.arange(lo, min(lo + _BATCH, C))
+            left, out = C - 1 - (r if n is None else C - 1 - r), np.empty((len(r), k), np.intp)
+            for i, column in enumerate(columns):
+                b = column.searchsorted(left, side="right") - 1
+                left, out[:, i] = left - column[b], N - 1 - b
+            yield out
         return
-    size, sets = len(first), itertools.chain([first], sets)
-    while True:
-        if size:
-            batch = np.fromiter(itertools.islice(sets, _BATCH), dtype=np.dtype((np.intp, size)))
-        else:
-            batch = np.zeros((sum(1 for _ in itertools.islice(sets, _BATCH)), 0), np.intp)
-        if not len(batch):
-            return
+    sets = iter(sets)
+    while chunk := list(itertools.islice(sets, _BATCH)):
+        batch = np.fromiter(itertools.chain.from_iterable(chunk), np.intp,
+                            len(chunk) * len(chunk[0])).reshape(len(chunk), -1)
+        if n is not None:
+            keep = np.ones((len(batch), n), bool)
+            keep[np.arange(len(batch))[:, None], batch] = False
+            batch = keep.nonzero()[1].reshape(len(batch), -1)
         yield batch
 
 
@@ -303,8 +335,8 @@ def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
     """Yield (checked, rows) for each row set of table without full column rank.
 
     table is point-major, (points, columns, r), like EvaluationPlan.worker_table;
-    the sets in subsets share one size, at least the column count, and a
-    square set fails when its minor is singular. Sets are tested in the
+    the sets in subsets are sorted, share one size, at least the column count,
+    and a square set fails when its minor is singular. Sets are tested in the
     order given, in batches of _BATCH (_batches), so checked, the count of sets
     tested so far, runs to the end of the batch holding rows.
 
@@ -312,24 +344,22 @@ def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
     decided by its complement T: both fail exactly when col(V) = ker(K)
     holds a nonzero vector inside T, for a K whose rows span V's left
     kernel, so S has full column rank iff the n - s columns T of K do. K
-    is _gauss.decompose's; when its flag says V lacks full column rank,
-    every set is tested directly.
+    is _gauss.decompose's, taken before the first batch; that side reads
+    only complements (_batches), unless K's flag says V lacks full column
+    rank and every set is tested directly.
     """
     n, m = table.shape[:2]
-    checked, kernel = 0, None
-    for sets in _batches(subsets):
-        if not checked and n - sets.shape[1] < m:
-            _, (K,), (ok,) = _gauss.decompose(table[None], ctx)
-            kernel = K if ok else None
+    (size, subsets), checked, kernel = _sized(subsets), 0, None
+    if size is not None and n - size < m:
+        _, (K,), (ok,) = _gauss.decompose(table[None], ctx)
+        kernel = K if ok else None
+    for sets in _batches(subsets, None if kernel is None else n):
         checked += len(sets)
-        if kernel is None:
-            stack = table[sets]
-        else:
-            outside = ~(sets[:, :, None] == np.arange(n)).any(axis=1)
-            stack = kernel[:, np.nonzero(outside)[1].reshape(len(sets), -1)].swapaxes(0, 1)
+        stack = table[sets] if kernel is None else kernel[:, sets].swapaxes(0, 1)
         ok = _gauss.batch_is_invertible(stack, ctx)
         for i in np.flatnonzero(~ok):
-            yield checked, tuple(sets[i].tolist())
+            rows = sets[i] if kernel is None else np.setdiff1d(np.arange(n), sets[i])
+            yield checked, tuple(rows.tolist())
 
 
 def decodability_check(plan_or_points, exponents: Sequence[int],

@@ -69,10 +69,15 @@ MUTANTS = [
            "noise blocks are uniform: randrange(order), value for value",
            ("tests/test_matpoly.py::test_random_blocks_draw_randrange_value_for_value[31-1]",)),
     Mutant("kernel-side-by-the-set", "linalg.py",
-           "outside = ~(sets[:, :, None] == np.arange(n)).any(axis=1)",
-           "outside = (sets[:, :, None] == np.arange(n)).any(axis=1)",
+           "keep[np.arange(len(batch))[:, None], batch] = False",
+           "keep[np.arange(len(batch))[:, None], batch] = True",
            "a large row set is decided on the left kernel by its complement",
-           ("tests/test_acceptance.py::test_criterion_02_grid_2x3x2_t3_reference_instance",)),
+           ("tests/test_linalg.py::test_is_mds_witnesses_are_pinned_on_both_sides[kernel]",)),
+    Mutant("complement-rank", "linalg.py",
+           "(r if n is None else C - 1 - r)",
+           "(r if n is None else r)",
+           "the complement of a lex walk's r-th set is unranked at rank C - 1 - r",
+           ("tests/test_linalg.py::test_batches_of_a_walk_are_the_tuple_walk[7]",)),
     Mutant("element-of-any-order", "fields.py",
            "if is_primitive_root_of_unity(z, m):",
            "if z.pow_(m) == ctx.one():",
@@ -105,8 +110,8 @@ MUTANTS = [
            "the hypernode route raises on responses that are not one polynomial's values",
            ("tests/test_protocol.py::test_hypernode_route_checks_the_raw_spare_equations",)),
     Mutant("subset-count", "linalg.py",
-           "return itertools.combinations(range(n), k), math.comb(n, k)",
-           "return itertools.combinations(range(n), k), math.comb(n, k) + 1",
+           "return _Lex(n, k), math.comb(n, k)",
+           "return _Lex(n, k), math.comb(n, k) + 1",
            "an exhaustive walk counts exactly the sets it visits, so p(S) is exact",
            ("tests/test_linalg.py::test_subsets_walk_all_k_subsets_or_draw_sorted_samples",
             "tests/test_cli.py::test_p_of_s_exhaustive_mode")),

@@ -233,10 +233,13 @@ def test_kernel_side_matches_the_direct_scan(seed, fid, m, extra, short, kind, b
     direct = _gauss.batch_is_invertible(table[np.array(sets)], ctx)
     want = [(min(len(sets), (i // batch + 1) * batch), sets[i])
             for i in np.flatnonzero(~direct)]
+    # the lex walk is unranked (its complements on the kernel side); a plain
+    # iterator is read as tuples and complemented by a scatter
     with mock.patch.object(linalg, "_BATCH", batch), \
             mock.patch.object(_gauss, "decompose", wraps=_gauss.decompose) as spy:
+        assert list(singular_minors(table, _subsets(n, s)[0], ctx)) == want
         assert list(singular_minors(table, iter(sets), ctx)) == want
-    assert spy.call_count == (n - s < m)
+    assert spy.call_count == 2 * (n - s < m)
     if kind == "planted" and len(free) <= n - s:
         assert not direct.all()
     if kind == "deficient":
@@ -293,6 +296,55 @@ def test_subsets_walk_all_k_subsets_or_draw_sorted_samples():
     for samples in (0, -1):
         with pytest.raises(BadSpec, match="sampl"):
             _subsets(5, 2, samples, random.Random(0))
+
+
+@pytest.mark.parametrize("batch", [1, 7, 4096])
+def test_batches_of_a_walk_are_the_tuple_walk(batch):
+    # a lex walk comes out unranked, as full batches but the last, in the
+    # order and with the complements of itertools.combinations; a walk of
+    # 2^63 sets or more is read as tuples, in the same order
+    def read(batches, limit):
+        got = list(itertools.islice(batches, limit))
+        assert all(len(b) == batch for b in got[:-1]) and 0 < len(got[-1]) <= batch
+        return [tuple(row) for b in got for row in b.tolist()]
+
+    with mock.patch.object(linalg, "_BATCH", batch):
+        for n, k in ((0, 0), (5, 0), (6, 6), (7, 3), (30, 25)):
+            limit = 3000  # batches read: the whole walk, or a prefix of (30, 25) at small batches
+            want = list(itertools.islice(itertools.combinations(range(n), k), limit * batch))
+            walk = _subsets(n, k)[0]
+            assert read(linalg._batches(walk), limit) == want
+            assert read(linalg._batches(walk, n), limit) == [
+                tuple(sorted(set(range(n)) - set(s))) for s in want]
+        assert math.comb(70, 35) >= 1 << 63
+        want = list(itertools.islice(itertools.combinations(range(70), 35), 2 * batch))
+        assert read(linalg._batches(_subsets(70, 35)[0]), 2) == want
+
+
+@pytest.mark.parametrize("m, flat, want", [
+    # kernel side: only the 8-sets inside the nine flat rows fail
+    (8, set(range(12)) - {0, 5, 9},
+     [(16, (1, 2, 3, 4, 6, 7, 10, 11)), (352, (1, 2, 3, 4, 6, 7, 8, 10))]),
+    # direct side: only the 4-sets inside the five flat rows fail
+    (4, {1, 4, 6, 7, 10}, [(144, (1, 6, 7, 10)), (240, (1, 4, 6, 7))]),
+], ids=["kernel", "direct"])
+def test_is_mds_witnesses_are_pinned_on_both_sides(m, flat, want):
+    # the rows in `flat` lie in a hyperplane of GF(2^31 - 1)^m; checked and
+    # the witness of a random and an exhaustive scan, in batches of 16, are
+    # those the scans gave when every batch was read as tuples
+    F = make_field(2**31 - 1)
+    rng = random.Random(21)
+    basis = rand_rows(m - 1, m, F, rng)
+    rows = rand_rows(12, m, F, rng)
+    for i in flat:
+        coef = [F.random_element(rng) for _ in basis]
+        rows[i] = [sum((c * b[j] for c, b in zip(coef, basis)), F.zero()) for j in range(m)]
+    table = BlockMatrix(rows, F).array
+    with mock.patch.object(linalg, "_BATCH", 16):
+        got = [is_mds(table, F, mode="random", samples=300, rng=random.Random(7)),
+               is_mds(table, F)]
+    assert [(r.ok, r.total) for r in got] == [(False, 495)] * 2
+    assert [(r.checked, r.witness) for r in got] == want
 
 
 @pytest.mark.parametrize("samples", [0, -4])
