@@ -16,8 +16,8 @@ column step scales the rows it clears by the pivot instead of dividing by
 it. ranks (and rank and batch_is_invertible) clears below each pivot, for
 rank questions; decompose reduces [V | I] for a stack of tables and
 normalises the pivot rows with one batched _inverses call, the only field
-inversions here, into the left inverses and kernels everything else reads;
-solve has it reduce [A | B] instead.
+inversions here, into the left inverses and kernels everything else reads.
+apply, the one spare-equation check, takes solve's [G; K] and decode's operators.
 The cost model in matpoly prices Gauss-Jordan from the pivot hits of a
 full elimination it never normalises; nothing here counts.
 """
@@ -163,37 +163,38 @@ def solve(rows, rhs, ctx: FieldCtx) -> np.ndarray:
     column rank (else SingularSystem), and the equations beyond the
     pivots must then be consistent, else InconsistentResponses: genuine
     evaluations of one polynomial always are, so an inconsistency means
-    some right-hand side was corrupted. decompose reduces [A | B], which
-    gives the solution G B and the spare equations' residuals K B.
+    some right-hand side was corrupted. X is G B, from apply([G; K], B, m).
     """
     A, B = as_array(rows, ctx), as_array(rhs, ctx)
     n, m = A.shape[:2]
-    (X,), (spare,), (ok,) = decompose(A[None], ctx, B[None])
+    (G,), (K,), (ok,) = decompose(A[None], ctx)
     if not ok:
         raise SingularSystem("fewer equations than unknowns" if n < m
                              else "coefficient matrix is rank deficient")
-    if spare.any():
-        raise InconsistentResponses(
-            f"{n - m} spare equations disagree with the {m} unknowns")
-    return X
+    return apply(np.concatenate([G, K]), B, m, ctx)
 
 
-def decompose(tables: np.ndarray, ctx: FieldCtx,
-              rhs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def apply(T: np.ndarray, rhs: np.ndarray, targets: int, ctx: FieldCtx) -> np.ndarray:
+    """T rhs's first targets rows; any nonzero spare row past them raises InconsistentResponses."""
+    out = matmul(T, rhs, ctx)
+    if out[targets:].any():
+        raise InconsistentResponses(f"{len(T) - targets} spare equations disagree with the "
+                                    f"{T.shape[1] - len(T) + targets} unknowns")
+    return out[:targets]
+
+
+def decompose(tables: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left inverses G, left kernels K and full-rank flags ok of a (batch, n, m, r) stack V.
 
     _eliminate reduces each [V | I_n] to [P; 0 | E] with P diagonal, and one
     batched _inverses call normalises the pivot rows. G = P^-1 E[:m] is the
     Gauss-Jordan left inverse (G V = I); K = E[m:] stays unnormalised (K V
-    = 0, its n - m rows spanning {y : y^T V = 0}). A (batch, n, w, r) stack
-    rhs in place of I_n gives G rhs and K rhs instead. Where ok is False, G
-    and K are garbage; nothing raises.
+    = 0, its n - m rows spanning {y : y^T V = 0}). Where ok is False, G and
+    K are garbage; nothing raises.
     """
     batch, n, m = tables.shape[:3]
-    if rhs is None:
-        rhs = np.zeros((batch, n, n, ctx.r), dtype=dtype(ctx))
-        rhs[:, :, :, 0] = np.eye(n, dtype=rhs.dtype)
-    M = np.concatenate([tables, rhs], axis=2)
+    M = np.concatenate([tables, np.zeros((batch, n, n, ctx.r), dtype=dtype(ctx))], axis=2)
+    M[:, :, m:, 0] = np.eye(n, dtype=M.dtype)
     ok = _eliminate(M, m, ctx)[0] == m
     i = np.arange(min(n, m))
     inv = _inverses(M[:, i, i].reshape(-1, ctx.r), ctx).reshape(batch, len(i), 1, ctx.r)

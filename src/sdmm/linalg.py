@@ -358,7 +358,8 @@ def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
         stack = table[sets] if kernel is None else kernel[:, sets].swapaxes(0, 1)
         ok = _gauss.batch_is_invertible(stack, ctx)
         for i in np.flatnonzero(~ok):
-            rows = sets[i] if kernel is None else np.setdiff1d(np.arange(n), sets[i])
+            rows = (sets[i] if kernel is None  # else the complement of the complement tested
+                    else np.flatnonzero(np.bincount(sets[i], minlength=n) == 0))
             yield checked, tuple(rows.tolist())
 
 

@@ -330,13 +330,13 @@ def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int]
     distinct exponents, shape (points, exponents, r), as an EvaluationPlan
     keeps it; it is used as is instead of being computed from the points,
     and a table of another shape raises ShapeMismatch.
-    Without a solver the system is eliminated by _gauss.solve and the whole
+    Without a solver, _gauss.solve finds every coefficient and the whole
     MatPoly is returned. A solver maps the (n, rows*cols, r) value stack to
-    the rows of the coefficients its caller wants, as the decoder's plan
-    operators do, raising as above; interpolate then returns those rows as
-    a (k, rows, cols, r) stack. Either path counts, before solving, each
-    point's pow_ ladder for every exponent and gauss_jordan_cost of
-    [table | values], for which it reads the table.
+    the rows of the coefficients its caller wants, as decode's operators
+    do, through the same spare-equation check (_gauss.apply), raising as
+    above; interpolate returns those rows as a (k, rows, cols, r) stack.
+    Either path counts, before solving, each point's pow_ ladder for every
+    exponent and gauss_jordan_cost of [table | values], reading the table.
     """
     pts = list(points)
     vals = values if isinstance(values, np.ndarray) else list(values)

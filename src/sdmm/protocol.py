@@ -29,7 +29,6 @@ from . import _gauss
 from .errors import (
     BadSpec,
     DecodeFailed,
-    InconsistentResponses,
     InsufficientResponses,
     OutOfRange,
     PlanInvalid,
@@ -212,18 +211,12 @@ def _apply(plan: EvaluationPlan, operators: dict, key: tuple, rhs: np.ndarray) -
 
     key is (route, missing rows), under which _prepare keeps the set's T
     (_set_operators). A set without one lacks full column rank and raises
-    SingularSystem; a failed spare equation raises InconsistentResponses.
+    SingularSystem; else _gauss.apply returns T rhs's K*L product blocks, checking the rest.
     """
     T = operators.get(key)
     if T is None:
         raise SingularSystem("coefficient matrix is rank deficient")
-    n_targets = plan.params.K * plan.params.L
-    out = _gauss.matmul(T, rhs, plan.ctx)
-    if out[n_targets:].any():
-        spare = len(T) - n_targets
-        raise InconsistentResponses(
-            f"{spare} spare equations disagree with the {T.shape[1] - spare} unknowns")
-    return out[:n_targets]
+    return _gauss.apply(T, rhs, plan.params.K * plan.params.L, plan.ctx)
 
 
 def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,

@@ -109,6 +109,12 @@ MUTANTS = [
            "pass",
            "the hypernode route raises on responses that are not one polynomial's values",
            ("tests/test_protocol.py::test_hypernode_route_checks_the_raw_spare_equations",)),
+    Mutant("first-spare-row-unchecked", "_gauss.py",
+           "if out[targets:].any():",
+           "if out[targets + 1:].any():",
+           "solve and decode check every spare equation, the first one included",
+           ("tests/test_engine.py::"
+            "test_one_spare_equation_is_checked_alike_by_solve_and_decode[corrupted]",)),
     Mutant("subset-count", "linalg.py",
            "return _Lex(n, k), math.comb(n, k)",
            "return _Lex(n, k), math.comb(n, k) + 1",

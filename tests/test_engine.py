@@ -34,7 +34,7 @@ from sdmm.matpoly import (
     horner_cost,
     interpolate,
 )
-from sdmm.protocol import _set_operators, encode, run_protocol, worker_products
+from sdmm.protocol import _set_operators, decode, encode, run_protocol, worker_products
 from sdmm.schemes import SchemeParams, build_f, build_g, partition
 
 FIELDS = (
@@ -357,9 +357,10 @@ def test_counted_solve_matches_reference(seed, fid, spare, kind):
 @pytest.mark.parametrize("n, m, w", [(4, 4, 1), (7, 4, 1), (4, 4, 9), (7, 4, 9)],
                          ids=["square-1", "tall-1", "square-wide", "tall-wide"])
 @pytest.mark.parametrize("kind", ["honest", "singular", "inconsistent"])
-def test_solve_reduces_a_b_as_the_reference_does(ctx, n, m, w, kind):
-    # solve eliminates [A | B] with B's columns carried along: the solution,
-    # or the error, of the entry-wise Gauss-Jordan reference
+def test_solve_applies_the_g_k_of_a_as_the_reference_does(ctx, n, m, w, kind):
+    # solve eliminates [A | I] once, inverts its pivots in one batch, and
+    # applies [G; K] to B: the solution, or the error, of the entry-wise
+    # Gauss-Jordan reference
     rng = random.Random(f"{n}-{m}-{w}-{kind}")
     rows = rand_rows(n, m, ctx, rng)
     if kind == "singular":
@@ -376,10 +377,12 @@ def test_solve_reduces_a_b_as_the_reference_does(ctx, n, m, w, kind):
             return type(exc)
 
     want = outcome(lambda: ref_solve(rows, rhs, MultCounter()))
-    with mock.patch.object(_gauss, "_eliminate", wraps=_gauss._eliminate) as spy:
+    with mock.patch.object(_gauss, "_eliminate", wraps=_gauss._eliminate) as spy, \
+            mock.patch.object(_gauss, "_inverses", wraps=_gauss._inverses) as inverses:
         assert outcome(lambda: rows_of(_gauss.solve(rows, rhs, ctx), ctx)) == want
     (stack, pivots, _), _ = spy.call_args
-    assert spy.call_count == 1 and stack.shape == (1, n, m + w, ctx.r) and pivots == m
+    assert spy.call_count == 1 and stack.shape == (1, n, m + n, ctx.r) and pivots == m
+    assert inverses.call_count == 1
     assert want == {"honest": want, "singular": SingularSystem,
                     "inconsistent": InconsistentResponses if n > m else want}[kind]
     assert isinstance(want, tuple) == (kind == "honest" or kind == "inconsistent" and n == m)
@@ -395,6 +398,40 @@ def test_solve_rejects_inconsistent_spare_equations(ctx):
         _gauss.solve(rows, rhs, ctx)
     with pytest.raises(InconsistentResponses):
         ref_solve(rows, rhs, MultCounter())
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["honest", "corrupted"])
+def test_one_spare_equation_is_checked_alike_by_solve_and_decode(corrupt):
+    # N' + 1 responses of a flat plan leave one spare equation on the full
+    # route; one corrupted value fails it in solve and in decode with the
+    # same text, and honest values give the reference's coefficients
+    ctx = make_field(101)
+    plan = find_evaluation_vector(SchemeParams.ggasp(2, 3, 2, 1), ctx, n_workers=23, seed=1)
+    m = len(plan.full_support)
+    assert plan.n_workers == m + 1
+    rng = random.Random("one-spare")
+    A, B = BlockMatrix.random(2, 3, ctx, rng), BlockMatrix.random(3, 2, ctx, rng)
+    responses = dict(worker_products(encode(A, B, plan, rng), range(m + 1), ctx))
+    if corrupt:
+        responses[5] = responses[5] + BlockMatrix([[1]], ctx)
+    values = np.stack([responses[n].array for n in range(m + 1)]).reshape(m + 1, -1, ctx.r)
+    try:
+        want = ref_solve(rows_of(plan.worker_table, ctx), rows_of(values, ctx), MultCounter())
+    except InconsistentResponses:
+        want = None
+    assert (want is None) == corrupt
+    if corrupt:
+        text = f"1 spare equations disagree with the {m} unknowns"
+        with pytest.raises(InconsistentResponses) as engine:
+            _gauss.solve(plan.worker_table, values, ctx)
+        with pytest.raises(InconsistentResponses) as decoder:
+            decode(responses, plan)
+        assert str(engine.value) == str(decoder.value) == text
+        return
+    assert rows_of(_gauss.solve(plan.worker_table, values, ctx), ctx) == tuple(map(tuple, want))
+    blocks = decode(responses, plan)
+    for kl, e in plan.block_positions.items():
+        assert blocks[kl].data == (tuple(want[plan.full_support.index(e)]),)
 
 
 @given(st.integers(0, 2**32), field_ids, st.sampled_from(["wide", "tall", "deficient"]))

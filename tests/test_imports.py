@@ -5,7 +5,8 @@ since it imports names to re-export them. The array engine counts
 nothing: multiplication counts come from the cost model in matpoly. And
 its one elimination loop has two entry points, ranks and decompose, plus
 the cost model; no other module reaches into _gauss's private names.
-Decode operators are built in one place, protocol._prepare.
+Decode operators are built in one place, protocol._prepare, and every
+spare equation is checked in one, _gauss.apply.
 """
 
 import ast
@@ -95,3 +96,18 @@ def test_only_prepare_builds_decode_operators():
              for fn, node in _scoped(ast.parse(path.read_text()))
              if isinstance(node, ast.Name) and node.id == "_set_operators"}
     assert users == {"protocol._prepare"}
+
+
+def test_one_function_checks_spare_equations_and_decompose_takes_no_rhs():
+    # _gauss.apply alone raises on a failed spare equation, for solve and
+    # decode's _apply alike; decompose reduces [V | I] and nothing else
+    calls = [(f"{path.stem}.{fn}", getattr(node.func, "id", getattr(node.func, "attr", None)))
+             for path in MODULES for fn, node in _scoped(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    assert {fn for fn, name in calls if name == "InconsistentResponses"} == {"_gauss.apply"}
+    assert {fn for fn, name in calls if name == "apply"} == {"_gauss.solve", "protocol._apply"}
+    gauss = ast.parse((Path(sdmm.__file__).parent / "_gauss.py").read_text())
+    (decompose,) = [f for f in _functions(gauss) if f.name == "decompose"]
+    args = decompose.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["tables", "ctx"]
+    assert args.vararg is None and args.kwarg is None

@@ -1,7 +1,11 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -345,6 +349,20 @@ def test_is_mds_witnesses_are_pinned_on_both_sides(m, flat, want):
                is_mds(table, F)]
     assert [(r.ok, r.total) for r in got] == [(False, 495)] * 2
     assert [(r.checked, r.witness) for r in got] == want
+
+
+def test_a_kernel_side_witness_is_rebuilt_without_numpy_ma():
+    # the witness of a kernel-side scan is the complement of the complement
+    # it tested, taken by a keep mask; np.setdiff1d reaches np.unique, whose
+    # first call in a process imports numpy.ma
+    code = ("import json, sys; from sdmm.examples import gf61_plan; "
+            "from sdmm.linalg import is_mds; plan = gf61_plan(); "
+            "r = is_mds(plan.worker_table, plan.ctx); "
+            "print(json.dumps([r.checked, r.witness, 'numpy.ma' in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(linalg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == [4096, list(range(22)) + [25, 26, 28], False]
 
 
 @pytest.mark.parametrize("samples", [0, -4])
