@@ -160,15 +160,12 @@ def _routes(plan: EvaluationPlan, s: int, spoiled) -> tuple:
 
     spoiled is the number of hypernodes those workers spoil, as an int or
     an array over patterns. Returns (hyper, short): whether the complete
-    hypernodes left reach the P' that the averaged route needs (never on a
-    flat plan), in spoiled's shape, and whether the N - s responses fall
-    short of the N' that full interpolation needs. A pattern that is short
-    and not hyper has no route: decode raises InsufficientResponses on it
-    before reading any response.
+    hypernodes left reach the P' that the averaged route needs (a flat
+    plan has 0), in spoiled's shape, and whether the N - s responses fall
+    short of the N' that full interpolation needs. _prepare builds no
+    operator for a pattern that is short and not hyper.
     """
     short = plan.n_workers - s < len(plan.full_support)
-    if plan.base_points is None:
-        return np.zeros(np.shape(spoiled), dtype=bool), short
     return plan.n_hypernodes - spoiled >= len(plan.class_support), short
 
 
@@ -229,10 +226,10 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     then interpolated on its small support. When too few hypernodes are
     complete (or that system is singular), and always on a flat plan, the
     full polynomial is interpolated on its generic support, which any
-    |supp(h)| responses permit. Raises InsufficientResponses when no route
-    has enough data (_routes), BadSpec when a response key is not an
-    integer worker index, and ShapeMismatch when any response is not a
-    BlockMatrix or differs in shape or field from the rest.
+    |supp(h)| responses permit. Raises InsufficientResponses when _prepare
+    built no operator for a route with enough data, BadSpec when a response
+    key is not an integer worker index, and ShapeMismatch when any response
+    is not a BlockMatrix or differs in shape or field from the rest.
 
     Either route hands interpolate the rows of the plan's cached power
     table and a solver that yields only the K*L product blocks, checking
@@ -252,15 +249,11 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     gone[order] = False
     whole = ~_spoiled(plan, gone[None])[0]
     complete, spoiled = whole.nonzero()[0], (~whole).nonzero()[0]
-    missing = gone.nonzero()[0]
-    hyper, short = _routes(plan, len(missing), len(spoiled))
-    if short and not hyper:
-        raise _shortfall(plan, len(order), len(spoiled))
     operators = _prepare(plan, gone[None])[1] if operators is None else operators
-    worker = ("worker", tuple(missing.tolist()))
+    worker = ("worker", tuple(gone.nonzero()[0].tolist()))
+    base = ("base", tuple(spoiled.tolist()))
     coeffs = None
-    if hyper:
-        base = ("base", tuple(spoiled.tolist()))
+    if base in operators:
         rows, cols = stack.shape[1:3]
         # counted as the scalar average: M response scales, then one of the sum
         if counter is not None:
@@ -270,17 +263,16 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
                            plan.hypernode_weights[:, None, None], ctx)
         vals = terms.sum(axis=1) % ctx.p
         pts = [plan.base_points[p] for p in complete.tolist()]
-        try:
+        # a singular base set falls through to full interpolation; a worker
+        # set without an operator (singular or short) skips the raw check
+        with contextlib.suppress(SingularSystem):
             coeffs = interpolate(pts, vals, plan.class_support, ctx, counter,
                                  table=plan.base_table[complete],
                                  solver=lambda rhs: _apply(plan, operators, base, rhs))
-        except SingularSystem:
-            if short:  # and no full interpolation to fall through to
-                raise _shortfall(plan, len(order), len(spoiled)) from None
-        else:
-            with contextlib.suppress(SingularSystem):
-                _apply(plan, operators, worker, stack.reshape(len(order), -1, ctx.r))
+            _apply(plan, operators, worker, stack.reshape(len(order), -1, ctx.r))
     if coeffs is None:
+        if worker not in operators:
+            raise _shortfall(plan, len(order), len(spoiled))
         pts = [plan.worker_points[n] for n in order.tolist()]
         coeffs = interpolate(pts, stack, plan.full_support, ctx, counter,
                              table=plan.worker_table[order],
@@ -518,10 +510,11 @@ def _prepare(plan: EvaluationPlan, gone: np.ndarray) -> tuple[np.ndarray, dict]:
 
     routed says which patterns have a route (_routes); only drawn ones can
     lack one. operators holds every T (_set_operators) decode needs on
-    them, keyed (route, missing rows), None without full column rank: on
-    the worker table for every pattern when N - s responses reach N' (to
-    interpolate, or to check raw spare equations), and on the base table
-    for the spoiled hypernodes of every hyper pattern, one batch per count.
+    them, keyed (route, missing rows): on the worker table for every
+    pattern when N - s responses reach N' (to interpolate, or to check raw
+    spare equations), and on the base table for the spoiled hypernodes of
+    every hyper pattern, one batch per count. So a key is there iff the
+    count rule gives its pattern that route; None means a singular set.
     """
     missing = gone.nonzero()[1].reshape(len(gone), -1)
     spoiled = _spoiled(plan, gone)

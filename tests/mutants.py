@@ -151,10 +151,17 @@ MUTANTS = [
             "test_walk_operators_serve_only_the_plan_they_were_built_on",)),
     Mutant("base-key-by-workers", "protocol.py",
            'base = ("base", tuple(spoiled.tolist()))',
-           'base = ("base", tuple(missing.tolist()))',
+           'base = ("base", tuple(complete.tolist()))',
            "a hypernode-route operator is found under the spoiled hypernodes _prepare keys it by",
            ("tests/test_protocol.py::test_p_of_s_decodes_each_routed_pattern_with_its_batch_"
             "operators[0-6-5-90-want0]",)),
+    Mutant("no-route-raises", "protocol.py",
+           "if worker not in operators:",
+           "if False:",
+           "decode raises InsufficientResponses when neither route has an operator",
+           ("tests/test_protocol.py::test_decode_raises_when_called_directly_with_too_few_responses",
+            "tests/test_protocol.py::"
+            "test_decode_raises_when_the_hypernode_route_is_singular_and_responses_are_short")),
 ]
 
 

@@ -6,7 +6,10 @@ nothing: multiplication counts come from the cost model in matpoly. And
 its one elimination loop has two entry points, ranks and decompose, plus
 the cost model; no other module reaches into _gauss's private names.
 Decode operators are built in one place, protocol._prepare, and every
-spare equation is checked in one, _gauss.apply.
+spare equation is checked in one, _gauss.apply. Decode's count rule,
+protocol._routes, is applied only where operators are built and where
+exact p(S) picks its walk; decode reads its route off the operators and
+raises its one shortfall error from one place.
 """
 
 import ast
@@ -111,3 +114,14 @@ def test_one_function_checks_spare_equations_and_decompose_takes_no_rhs():
     args = decompose.args
     assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["tables", "ctx"]
     assert args.vararg is None and args.kwarg is None
+
+
+def test_decode_reads_its_route_off_the_operators():
+    # the count rule (_routes) picks which operators _prepare builds and
+    # which patterns exact p(S) walks; decode only looks the keys up, so it
+    # has one "no route left" raise
+    protocol = ast.parse((Path(sdmm.__file__).parent / "protocol.py").read_text())
+    calls = [(fn, getattr(node.func, "id", None)) for fn, node in _scoped(protocol)
+             if isinstance(node, ast.Call)]
+    assert {fn for fn, name in calls if name == "_routes"} == {"_prepare", "p_of_s_empirical"}
+    assert [fn for fn, name in calls if name == "_shortfall"] == ["decode"]

@@ -198,6 +198,22 @@ def test_decode_raises_when_called_directly_with_too_few_responses():
                               "and 21 responses of 22 needed")
 
 
+def test_decode_raises_when_the_hypernode_route_is_singular_and_responses_are_short():
+    # hypernodes 3 and 8 gone leave the 8 complete ones the average needs,
+    # but their base-table rows are singular, and the 24 responses fall
+    # short of full interpolation's 25: no route yields the product
+    plan = gf61_plan()
+    A, B = _inputs(plan)
+    down = (9, 10, 11, 24, 25, 26)
+    view = worker_products(encode(A, B, plan, random.Random("short")),
+                           [n for n in range(plan.n_workers) if n not in down], plan.ctx)
+    for responses in (view, dict(view)):
+        with pytest.raises(InsufficientResponses) as exc:
+            decode(responses, plan)
+        assert str(exc.value) == ("have 8 complete hypernodes of 8 needed "
+                                  "and 24 responses of 25 needed")
+
+
 @pytest.mark.parametrize("key", [24, -2, "a", 0.5])
 def test_decode_rejects_keys_that_name_no_worker(key):
     # 21 responses plus one filed under a key outside the 24 workers, with
