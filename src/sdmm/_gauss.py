@@ -13,10 +13,10 @@ the modulus.
 
 _eliminate, the one elimination loop, is division-free and batched: a
 column step scales the rows it clears by the pivot instead of dividing by
-it. ranks (and rank and batch_is_invertible) clears below each pivot, for
-rank questions; decompose reduces [V | I] for a stack of tables and
-normalises the pivot rows with one batched _inverses call, the only field
-inversions here, into the left inverses and kernels everything else reads.
+it. rank and batch_is_invertible, exact for the rank or the full-rank flags
+they return, clear below each pivot; decompose reduces [V | I] for a stack
+of tables and normalises the pivot rows with one batched _inverses call,
+the only field inversions here, into the left inverses and kernels.
 apply, the one spare-equation check, takes solve's [G; K] and decode's operators.
 The cost model in matpoly prices Gauss-Jordan from the pivot hits of a
 full elimination it never normalises; nothing here counts.
@@ -41,12 +41,16 @@ def as_array(data, ctx: FieldCtx) -> np.ndarray:
 
     data is either a residue array of shape (rows, cols, r), returned as is
     when its dtype fits, or nested rows whose entries are ints,
-    FieldElements or coefficient sequences. Another array shape or a foreign
-    entry raises ShapeMismatch; array residues must already lie in [0, p).
+    FieldElements or coefficient sequences. Another array shape, a foreign
+    entry, or an array entry that is no integer in [0, p) raises ShapeMismatch.
     """
     if isinstance(data, np.ndarray):
         if data.ndim != 3 or data.shape[2] != ctx.r:
             raise ShapeMismatch(f"residue array of shape {data.shape} is not (rows, cols, {ctx.r})")
+        ints = data.dtype.kind in "iu" or data.dtype == object and all(
+            isinstance(v, (int, np.integer)) for v in data.flat)
+        if not ints or data.size and not 0 <= data.min() <= data.max() < ctx.p:
+            raise ShapeMismatch(f"residue array entries must be integers in [0, {ctx.p})")
         return np.asarray(data, dtype=dtype(ctx))
     rows = [list(row) for row in data]
     cols = len(rows[0]) if rows else 0
@@ -202,8 +206,9 @@ def decompose(tables: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray
 
 
 def rank(rows, ctx: FieldCtx) -> int:
-    """Rank of an arbitrary (possibly non-square) matrix."""
-    return int(ranks(as_array(rows, ctx)[None], ctx)[0])
+    """Rank of an arbitrary (possibly non-square) matrix: _eliminate's count for a batch of one."""
+    A = as_array(rows, ctx)[None] % ctx.p
+    return int(_eliminate(A, A.shape[2], ctx, full=False)[0][0])
 
 
 def powers(points: np.ndarray, exponents, ctx: FieldCtx) -> np.ndarray:
@@ -227,11 +232,6 @@ def powers(points: np.ndarray, exponents, ctx: FieldCtx) -> np.ndarray:
     return out
 
 
-def ranks(stack: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Pivot counts of every matrix in a (batch, n, m, r) residue stack (see _eliminate)."""
-    return _eliminate(stack % ctx.p, stack.shape[2], ctx, full=False)[0]
-
-
 def batch_is_invertible(mats: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Full column rank (for square matrices, invertibility) of a (batch, n, m, r) stack."""
-    return ranks(mats, ctx) == mats.shape[2]
+    return _eliminate(mats % ctx.p, mats.shape[2], ctx, full=False)[0] == mats.shape[2]

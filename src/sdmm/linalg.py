@@ -323,9 +323,6 @@ def is_mds(table: np.ndarray, ctx: FieldCtx, mode: str = "exhaustive", budget: i
     if mode == "exhaustive" and planned > budget:
         raise BudgetExceeded(f"{planned} minors exceed the minor budget of {budget}")
     total = planned if mode == "exhaustive" else math.comb(N, P)
-    if P == 0:
-        return MdsResult(True, mode, 0, total)
-
     for checked, rows in singular_minors(table, subsets, ctx):
         return MdsResult(False, mode, checked, total, witness=rows)
     return MdsResult(True, mode, planned, total)

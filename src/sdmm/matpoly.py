@@ -35,8 +35,8 @@ class BlockMatrix:
     The entries live in one read-only residue array of shape
     (rows, cols, r), the layout described in _gauss; FieldElements are made
     only when a caller reads entries through [i, j] or .data. data is
-    nested rows of entries, or a residue array, which is adopted without a
-    copy and made read-only.
+    nested rows of entries, or a residue array of integers in [0, p), adopted
+    without a copy and made read-only; library results skip the check (_view).
     """
 
     __slots__ = ("rows", "cols", "ctx", "array")
@@ -51,14 +51,16 @@ class BlockMatrix:
 
     @classmethod
     def _view(cls, array: np.ndarray, ctx: FieldCtx) -> "BlockMatrix":
-        """A BlockMatrix over a read-only (rows, cols, r) array of canonical residues, unchecked."""
+        """A read-only BlockMatrix over a (rows, cols, r) array of canonical residues, unchecked."""
+        if array.flags.writeable:  # a view of a read-only array already is
+            array.setflags(write=False)
         out = cls.__new__(cls)
         out.array, out.ctx, (out.rows, out.cols) = array, ctx, array.shape[:2]
         return out
 
     @classmethod
     def zero(cls, rows: int, cols: int, ctx: FieldCtx) -> "BlockMatrix":
-        return cls(np.zeros((rows, cols, ctx.r), dtype=_gauss.dtype(ctx)), ctx)
+        return cls._view(np.zeros((rows, cols, ctx.r), dtype=_gauss.dtype(ctx)), ctx)
 
     @classmethod
     def random(cls, rows: int, cols: int, ctx: FieldCtx, rng: random.Random) -> "BlockMatrix":
@@ -81,7 +83,7 @@ class BlockMatrix:
             idx = np.concatenate([idx, vals[vals < n]])
         if ctx.r > 1:
             idx = idx[:, None] // np.array([ctx.p ** j for j in range(ctx.r)], kind) % ctx.p
-        return cls(idx.astype(_gauss.dtype(ctx)).reshape(rows, cols, ctx.r), ctx)
+        return cls._view(idx.astype(_gauss.dtype(ctx)).reshape(rows, cols, ctx.r), ctx)
 
     # -- shape and identity ---------------------------------------------------
 
@@ -122,17 +124,17 @@ class BlockMatrix:
 
     def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
         self._check_same_shape(other)
-        return BlockMatrix((self.array + other.array) % self.ctx.p, self.ctx)
+        return BlockMatrix._view((self.array + other.array) % self.ctx.p, self.ctx)
 
     def __sub__(self, other: "BlockMatrix") -> "BlockMatrix":
         self._check_same_shape(other)
-        return BlockMatrix((self.array - other.array) % self.ctx.p, self.ctx)
+        return BlockMatrix._view((self.array - other.array) % self.ctx.p, self.ctx)
 
     def scale(self, c: FieldElement) -> "BlockMatrix":
         """Scalar multiple."""
         ctx = self.ctx
         coeffs = np.array(ctx.element(c).coeffs, dtype=self.array.dtype)
-        return BlockMatrix(_gauss.mul(self.array, coeffs, ctx), ctx)
+        return BlockMatrix._view(_gauss.mul(self.array, coeffs, ctx), ctx)
 
     def matmul(self, other: "BlockMatrix") -> "BlockMatrix":
         """Matrix product, standing for rows*inner*cols field multiplications."""
@@ -140,7 +142,7 @@ class BlockMatrix:
             raise ShapeMismatch(f"inner dimensions {self.cols} and {other.rows} differ")
         if self.ctx != other.ctx:
             raise ShapeMismatch("matrices over different fields")
-        return BlockMatrix(_gauss.matmul(self.array, other.array, self.ctx), self.ctx)
+        return BlockMatrix._view(_gauss.matmul(self.array, other.array, self.ctx), self.ctx)
 
     def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
         return self.matmul(other)
@@ -148,12 +150,12 @@ class BlockMatrix:
     # -- block helpers ------------------------------------------------------------
 
     def submatrix(self, row0: int, col0: int, rows: int, cols: int) -> "BlockMatrix":
-        return BlockMatrix(self.array[row0:row0 + rows, col0:col0 + cols], self.ctx)
+        return BlockMatrix._view(self.array[row0:row0 + rows, col0:col0 + cols], self.ctx)
 
     @classmethod
     def assemble(cls, blocks, ctx: FieldCtx) -> "BlockMatrix":
         """Stitch a 2-D grid of equally shaped blocks into one matrix."""
-        return cls(np.concatenate(
+        return cls._view(np.concatenate(
             [np.concatenate([blk.array for blk in row], axis=1) for row in blocks]), ctx)
 
     # -- serialization ------------------------------------------------------------
@@ -300,7 +302,7 @@ def evaluate(poly: MatPoly, points: Iterable[FieldElement]) -> list[BlockMatrix]
     """poly at every point: the points' power table on its support, through evaluate_on."""
     ctx = poly.ctx
     table = _gauss.powers(_gauss.as_array([list(points)], ctx)[0], poly.support(), ctx)
-    return [BlockMatrix(v, ctx) for v in evaluate_on(poly, table)]
+    return [BlockMatrix._view(v, ctx) for v in evaluate_on(poly, table)]
 
 
 def evaluate_on(poly: MatPoly, table: np.ndarray) -> np.ndarray:
@@ -364,7 +366,7 @@ def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int]
         sol = solver(flat)
         return sol.reshape((len(sol),) + shape + (ctx.r,))
     sol = _gauss.solve(table, flat, ctx)
-    terms = {e: BlockMatrix(row.reshape(shape + (ctx.r,)), ctx) for row, e in zip(sol, exps)}
+    terms = {e: BlockMatrix._view(row.reshape(shape + (ctx.r,)), ctx) for row, e in zip(sol, exps)}
     return MatPoly(terms, shape, ctx)
 
 

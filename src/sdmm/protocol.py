@@ -186,7 +186,7 @@ def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> lis
     split = getattr(plan, f"{route}_split")
     n_targets = plan.params.K * plan.params.L
     sets, d = missing.shape
-    if split is None or d > len(split) - n_targets:
+    if split is None:
         return [None] * sets
     ctx, n = plan.ctx, split.shape[1]
     left, kernel = split[:n_targets], split[n_targets:]
@@ -448,10 +448,10 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     each pattern and audits the product as run_protocol does: a wrong
     product raises DecodeFailed rather than counting as a failure to
     decode. Mode "exhaustive" (the default) returns the exact fraction of
-    all C(N, S) patterns and walks those with a route (_routes): all of them
-    (linalg._subsets) when N - S responses reach N', else those spoiling at
-    most P - P' hypernodes (_spoiling). Mode "mc" draws `samples` patterns
-    through _subsets with a seeded generator and returns a sampled
+    all C(N, S) patterns and walks those with a route (one _routes call):
+    all (linalg._subsets) when N - S responses reach N', else those that
+    spoil a hyper count of hypernodes (_spoiling). Mode "mc" draws `samples`
+    patterns through _subsets with a seeded generator and returns a sampled
     estimate, which the caller labels as one. Any other mode raises BadSpec.
 
     Patterns are taken in batches (linalg._batches), each as one mask of
@@ -473,9 +473,9 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
 
     patterns, attempts = (_subsets(N, S) if mode == "exhaustive" else
                           _subsets(N, S, samples, random.Random(f"sdmm-pofs-{seed}")))
-    if mode == "exhaustive" and _routes(plan, S, 0)[1]:
-        spare = plan.n_hypernodes - len(plan.class_support)  # below 0 on a flat plan
-        patterns = _spoiling(plan, S, (group for k in range(spare + 1)
+    hyper, short = _routes(plan, S, np.arange(plan.n_hypernodes + 1))
+    if mode == "exhaustive" and short:
+        patterns = _spoiling(plan, S, (group for k in np.flatnonzero(hyper).tolist()
                                        for group in _subsets(plan.n_hypernodes, k)[0]))
 
     successes = 0

@@ -47,6 +47,18 @@ MUTANTS = [
            "plan.n_hypernodes - spoiled > len(plan.class_support), short",
            "exactly P' complete hypernodes suffice for the hypernode route",
            ("tests/test_acceptance.py::test_criterion_05_six_hypernode_straggler_probabilities",)),
+    Mutant("zero-pivot-counted", "_gauss.py",
+           "count += has",
+           "count += 1",
+           "a matrix without a pivot where another of its batch has one is not counted full rank",
+           ("tests/test_engine.py::"
+            "test_rank_and_full_rank_flags_are_exact_in_a_mixed_batch[GF(13)]",)),
+    Mutant("residue-bound-inclusive", "_gauss.py",
+           "data.max() < ctx.p",
+           "data.max() <= ctx.p",
+           "a residue array is adopted only with every entry in [0, p)",
+           ("tests/test_matpoly.py::"
+            "test_matrix_rejects_residue_arrays_outside_zero_to_p[GF(31)]",)),
     Mutant("chunk-past-int64", "_gauss.py",
            "_CHUNK = 1 << 16",
            "_CHUNK = 1 << 40",
@@ -138,8 +150,8 @@ MUTANTS = [
            "an explicit exponent list never repeats an exponent",
            ("tests/test_schemes.py::test_explicit_rejects_a_repeated_exponent",)),
     Mutant("routed-walk-short", "protocol.py",
-           "patterns = _spoiling(plan, S, (group for k in range(spare + 1)",
-           "patterns = _spoiling(plan, S, (group for k in range(spare)",
+           "group for k in np.flatnonzero(hyper).tolist()",
+           "group for k in np.flatnonzero(hyper)[:-1].tolist()",
            "the exhaustive walk visits every pattern that keeps P' complete hypernodes",
            ("tests/test_protocol.py::"
             "test_exhaustive_walk_yields_exactly_the_patterns_with_a_route[0-6]",)),

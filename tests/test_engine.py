@@ -4,8 +4,8 @@ Every BlockMatrix operation, sparse Horner evaluation, interpolation and the
 Gauss-Jordan solve is compared with a plain implementation over FieldElement
 rows written here: values, and multiplication counts through the cost model
 in matpoly. The power table is compared with FieldElement.pow_, the rank
-with an entry-wise row reduction, and the batched rank counts with the same
-reduction. The fields cover both storage dtypes (int64 below 2^31, Python
+with an entry-wise row reduction, and the batched full-rank flags with the
+same reduction. The fields cover both storage dtypes (int64 below 2^31, Python
 ints above), primes on either side of 2^31 and extension fields: GF(p^2)
 over both dtypes, GF((2^31-1)^2) folding its plane products through 16-bit
 limbs, and degrees 3 and 5. FieldElement reduces a product by polynomial
@@ -194,6 +194,10 @@ def test_constructor_coerces_every_entry_form():
     with pytest.raises(ValueError):
         m.array[0, 0, 0] = 1
     assert not m.submatrix(0, 0, 1, 2).array.flags.writeable
+    # the library's own results, which skip the residue check, are read-only too
+    for out in (m + m, m - m, m.scale(e), m @ m, BlockMatrix.zero(1, 1, ctx),
+                BlockMatrix.random(1, 1, ctx, random.Random(0)), BlockMatrix.assemble([[m]], ctx)):
+        assert not out.array.flags.writeable
 
 
 # -- encoding, interpolation and the Gauss-Jordan cost ----------------------------
@@ -502,7 +506,9 @@ def test_batch_invertibility_matches_rank(ctx):
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=repr)
-def test_ranks_decides_full_column_rank_in_a_mixed_batch(ctx):
+def test_rank_and_full_rank_flags_are_exact_in_a_mixed_batch(ctx):
+    # batch_is_invertible's flags and rank's counts, each exact, where the
+    # matrices of one batch pivot on different rows or miss a pivot
     rng = random.Random(13)
     for n, m in ((3, 3), (5, 3), (4, 2), (2, 3)):
         mats = [rand_rows(n, m, ctx, rng) for _ in range(6)]
@@ -520,12 +526,9 @@ def test_ranks_decides_full_column_rank_in_a_mixed_batch(ctx):
             row[0] = ctx.zero()
         mats[4][-1][0] = ctx.one()
         want = [ref_rank(a) for a in mats]
-        got = _gauss.ranks(np.stack([BlockMatrix(a, ctx).array for a in mats]), ctx)
-        assert list(got == m) == [r == m for r in want]
-        assert all(g <= r for g, r in zip(got, want))
-        # a batch of one counts the exact rank
-        for a, r in zip(mats, want):
-            assert _gauss.ranks(BlockMatrix(a, ctx).array[None], ctx)[0] == r
+        got = _gauss.batch_is_invertible(np.stack([BlockMatrix(a, ctx).array for a in mats]), ctx)
+        assert list(got) == [r == m for r in want]
+        assert [_gauss.rank(a, ctx) for a in mats] == want
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=repr)
@@ -618,7 +621,6 @@ def test_only_normalisation_inverts(ctx):
     missing = np.array([[0, 1], [2, 3], [4, 9]])
     with mock.patch.object(_gauss, "_inverses", wraps=_gauss._inverses) as spy:
         gauss_jordan_cost(table, 6, ctx)
-        _gauss.ranks(np.stack([table, table]), ctx)
         _gauss.rank(rows, ctx)
         _gauss.batch_is_invertible(table[None, :4], ctx)
         assert spy.call_count == 0

@@ -180,6 +180,24 @@ def test_division_by_zero():
         ctx.zero().inv()
 
 
+def test_reflected_unary_and_negative_power_operators():
+    ctx = make_field(7)
+    x = ctx.element(3)
+    assert 3 - x == ctx.zero()
+    assert -x == ctx.element(4)
+    assert 2 / x == ctx.element(3)
+    assert x ** -1 == ctx.element(5)
+    assert x.pow_(-2) == ctx.element(4)
+    assert x == 10
+    assert not is_primitive_root_of_unity(x, 2)
+
+
+def test_extension_elements_print_as_polynomials_in_x():
+    ctx = make_field(7, 3)
+    got = [repr(ctx.element(c)) for c in ((1, 2, 0), (0, 0, 1), (0, 0, 0), (3, 1, 5))]
+    assert got == ["1+2*x", "x^2", "0", "3+x+5*x^2"]
+
+
 _FIELDS = [make_field(2), make_field(13), make_field(31), make_field(61),
            make_field(13, 2), make_field(2, 4), make_field(3, 3)]
 

@@ -3,13 +3,14 @@
 Every module uses each name it imports; the package __init__ is exempt,
 since it imports names to re-export them. The array engine counts
 nothing: multiplication counts come from the cost model in matpoly. And
-its one elimination loop has two entry points, ranks and decompose, plus
-the cost model; no other module reaches into _gauss's private names.
-Decode operators are built in one place, protocol._prepare, and every
-spare equation is checked in one, _gauss.apply. Decode's count rule,
-protocol._routes, is applied only where operators are built and where
-exact p(S) picks its walk; decode reads its route off the operators and
-raises its one shortfall error from one place.
+its one elimination loop has three entry points, the rank questions rank
+and batch_is_invertible and decompose, plus the cost model; no other
+module reaches into _gauss's private names. Decode operators are built in
+one place, protocol._prepare, and every spare equation is checked in one,
+_gauss.apply. Decode's count rule, protocol._routes, is applied only where
+operators are built and where exact p(S) picks its walk, and no other
+decode code compares counts with P' or N'; decode reads its route off the
+operators and raises its one shortfall error from one place.
 """
 
 import ast
@@ -71,7 +72,7 @@ def _scoped(node, scope=None):
         yield from _scoped(child, inner)
 
 
-def test_only_ranks_decompose_and_the_cost_model_eliminate():
+def test_only_rank_questions_decompose_and_the_cost_model_eliminate():
     callers, private = set(), set()
     for path in MODULES:
         for fn, node in _scoped(ast.parse(path.read_text())):
@@ -88,7 +89,8 @@ def test_only_ranks_decompose_and_the_cost_model_eliminate():
                     callers.add(f"{path.stem}.{fn}")
                 elif name.startswith("_") and path.stem != "_gauss":
                     private.add(f"{path.stem}: _gauss.{name}")
-    assert callers == {"_gauss.ranks", "_gauss.decompose", "matpoly.gauss_jordan_cost"}
+    assert callers == {"_gauss.rank", "_gauss.batch_is_invertible", "_gauss.decompose",
+                       "matpoly.gauss_jordan_cost"}
     assert private == set()
 
 
@@ -125,3 +127,17 @@ def test_decode_reads_its_route_off_the_operators():
              if isinstance(node, ast.Call)]
     assert {fn for fn, name in calls if name == "_routes"} == {"_prepare", "p_of_s_empirical"}
     assert [fn for fn, name in calls if name == "_shortfall"] == ["decode"]
+
+
+def test_only_the_count_rule_and_the_recovery_bound_count_supports():
+    # P' = len(plan.class_support) and N' = len(plan.full_support) are read
+    # by _routes, its error text and the recovery threshold; no other code
+    # restates the count rule by arithmetic
+    protocol = ast.parse((Path(sdmm.__file__).parent / "protocol.py").read_text())
+    readers = {fn for fn, node in _scoped(protocol)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
+               and isinstance(arg := node.args[0], ast.Attribute)
+               and arg.attr in ("class_support", "full_support")
+               and getattr(arg.value, "id", None) == "plan"}
+    assert readers == {"_routes", "_shortfall", "mp_recovery_threshold_with_security",
+                       "_hypernode_bound_holds"}

@@ -282,6 +282,15 @@ def test_random_mode_total_counts_every_minor_not_the_samples():
     assert (res.ok, res.checked, res.total) == (True, 20, math.comb(8, 3))
 
 
+def test_a_zero_column_table_is_scanned_like_any_other():
+    # one empty minor per point set: an exhaustive scan checks all 1 of them,
+    # a sampled one its samples, and neither finds a singular one
+    F7 = make_field(7)
+    table = np.zeros((4, 0, 1), dtype=np.int64)
+    assert is_mds(table, F7) == linalg.MdsResult(True, "exhaustive", 1, 1)
+    assert is_mds(table, F7, mode="random", samples=5) == linalg.MdsResult(True, "random", 5, 1)
+
+
 def test_subsets_walk_all_k_subsets_or_draw_sorted_samples():
     # the one source of worker sets: a walk reports exactly as many sets as
     # it visits, every k-subset of range(n) once in lexicographic order; a

@@ -51,6 +51,33 @@ def test_matrix_rejects_entries_and_arrays_of_another_shape(data, ctx):
         BlockMatrix(data, ctx)
 
 
+@pytest.mark.parametrize("ctx", [F31, make_field((1 << 31) - 1), make_field((1 << 61) - 1), F169],
+                         ids=repr)
+def test_matrix_rejects_residue_arrays_outside_zero_to_p(ctx):
+    # p, -1 and 2p would be read as other residues (and overflow int64
+    # products), a float would be truncated; integers in [0, p) of any
+    # integer dtype are adopted
+    shape = (1, 2, ctx.r)
+    for bad in (np.full(shape, ctx.p), np.full(shape, -1), np.full(shape, 2 * ctx.p),
+                np.full(shape, 1.0), np.full(shape, 1.5, dtype=object)):
+        with pytest.raises(ShapeMismatch, match="integers in"):
+            BlockMatrix(bad, ctx)
+    top = np.full(shape, ctx.p - 1)
+    want = BlockMatrix([[(ctx.p - 1,) * ctx.r] * 2], ctx)
+    for good in (top, top.astype(np.uint64), top.astype(object)):
+        assert BlockMatrix(good, ctx) == want
+    assert BlockMatrix(np.zeros((0, 2, ctx.r), np.int64), ctx).shape == (0, 2)
+
+
+def test_reduced_residues_multiply_where_unreduced_ones_would_overflow():
+    ctx = make_field((1 << 31) - 1)
+    with pytest.raises(ShapeMismatch):
+        BlockMatrix(np.full((1, 4, 1), 1 << 40), ctx)
+    a = BlockMatrix(np.full((1, 4, 1), (1 << 40) % ctx.p), ctx)
+    b = BlockMatrix(np.full((4, 1, 1), (1 << 40) % ctx.p), ctx)
+    assert a @ b == a.matmul(b) == BlockMatrix([[1048576]], ctx)
+
+
 def test_matrix_arithmetic_reference():
     a = BlockMatrix([[1, 2], [3, 4]], F13)
     b = BlockMatrix([[5, 6], [7, 8]], F13)
@@ -158,6 +185,7 @@ def test_sparse_horner_matches_naive(seed):
 def test_eval_zero_polynomial():
     p = MatPoly({}, (2, 2), F13)
     assert p.eval_sparse_horner(F13.element(5)) == BlockMatrix.zero(2, 2, F13)
+    assert repr(MatPoly({}, (1, 1), F13)) == "MatPoly(0 terms, blocks 1x1, degree -1)"
 
 
 def test_sparse_horner_count_beats_naive_on_clusters():
