@@ -2,14 +2,15 @@
 
 A matrix over GF(p^r) is an ndarray of canonical residues with shape
 (rows, cols, r): the trailing axis holds the little-endian coefficients of
-each entry. The dtype is int64 for p < 2^31, where every product of two
-residues stays below 2^62, and object (Python ints) for wider primes.
+each entry. Its dtype, which dtype() alone picks, is int64 for p < 2^31,
+where every product of two residues stays below 2^62, and object (Python
+ints) for wider primes.
 _dot, the one matrix product, splits the right operand into 16-bit limbs
 and the inner dimension into chunks of 2^16 where a dot product could
 reach 2^63 (the delayed-reduction idea of FFLAS-FFPACK). Over GF(p^r), a
 product forms its r^2 plane products a_i * b_j mod p and reduces them
-with one _dot against FieldCtx._fold, whose row i * r + j is x^(i+j) mod
-the modulus.
+with one _dot against FieldCtx._fold, an int64 table whose row i * r + j
+is x^(i+j) mod the modulus; an object operand takes it as Python ints.
 
 _eliminate, the one elimination loop, is division-free and batched: a
 column step scales the rows it clears by the pivot instead of dividing by
@@ -33,7 +34,7 @@ _CHUNK = 1 << 16
 
 
 def dtype(ctx: FieldCtx):
-    return ctx._fold.dtype
+    return np.int64 if ctx.p < 1 << 31 else object
 
 
 def as_array(data, ctx: FieldCtx) -> np.ndarray:

@@ -157,11 +157,10 @@ class FieldCtx:
         self.r = r
         self.modulus_poly = tuple(c % p for c in modulus_poly)
         self.order = p ** r
-        # row i * r + j holds x^(i+j) mod f: the array engine reduces the r^2 plane
-        # products a_i * b_j of a product with one dot against it, in its dtype
+        # row i * r + j holds x^(i+j) mod f, residues below p < 2^62: the array engine
+        # reduces the r^2 plane products a_i * b_j of a product with one dot against it
         xpow = [_pmod((0,) * k + (1,), self.modulus_poly, p) + (0,) * r for k in range(2 * r - 1)]
-        self._fold = np.array([xpow[i + j][:r] for i, j in np.ndindex(r, r)],
-                              dtype=np.int64 if p < 1 << 31 else object)
+        self._fold = np.array([xpow[i + j][:r] for i, j in np.ndindex(r, r)], dtype=np.int64)
         self._zero = FieldElement((0,) * r, self)
         self._one = FieldElement((1,) + (0,) * (r - 1), self)
 
@@ -222,6 +221,22 @@ class FieldCtx:
         return self.from_index(rng.randrange(lo, self.order))
 
 
+def _operand(op):
+    """op(self, other) with other an element of self's field: the one operand rule of
+    FieldElement's binary operators. An int becomes ctx.element(int), an element of
+    another field raises ShapeMismatch, and any other type returns NotImplemented.
+    """
+    def method(self, other):
+        if not isinstance(other, FieldElement):
+            if not isinstance(other, int):
+                return NotImplemented
+            other = self.ctx.element(other)
+        elif other.ctx is not self.ctx and other.ctx != self.ctx:
+            raise ShapeMismatch("field elements from different fields")
+        return op(self, other)
+    return method
+
+
 class FieldElement:
     """Element of GF(p^r); a value type carrying its field context."""
 
@@ -232,15 +247,6 @@ class FieldElement:
         self.ctx = ctx
 
     # -- helpers -------------------------------------------------------------
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.ctx is self.ctx or other.ctx == self.ctx:
-                return other
-            raise ShapeMismatch("field elements from different fields")
-        if isinstance(other, int):
-            return self.ctx.element(other)
-        return NotImplemented
 
     def index(self) -> int:
         """Canonical integer encoding: sum of coeffs[i] * p^i."""
@@ -254,36 +260,25 @@ class FieldElement:
 
     # -- arithmetic ------------------------------------------------------------
 
+    @_operand
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         p = self.ctx.p
         return FieldElement(tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)), self.ctx)
 
     __radd__ = __add__
 
+    @_operand
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         p = self.ctx.p
         return FieldElement(tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)), self.ctx)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+    __rsub__ = _operand(lambda self, other: other - self)
 
     def __neg__(self):
         p = self.ctx.p
         return FieldElement(tuple((-a) % p for a in self.coeffs), self.ctx)
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _mul(self, other: "FieldElement") -> "FieldElement":
         ctx = self.ctx
         p = ctx.p
         r = ctx.r
@@ -298,7 +293,7 @@ class FieldElement:
         rem = _pmod([c % p for c in prod], ctx.modulus_poly, p)
         return FieldElement(rem + (0,) * (r - len(rem)), ctx)
 
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = _operand(_mul)
 
     def inv(self) -> "FieldElement":
         """Multiplicative inverse; raises DivisionByZero on the zero element."""
@@ -310,38 +305,22 @@ class FieldElement:
         # a^(q-2) = a^(-1) in the multiplicative group of order q-1
         return self.pow_(ctx.order - 2)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inv()
+    __truediv__ = _operand(lambda self, other: self._mul(other.inv()))
+    __rtruediv__ = _operand(lambda self, other: other._mul(self.inv()))
 
     def pow_(self, e: int, counter: Optional[MultCounter] = None) -> "FieldElement":
-        """Square-and-multiply power, recording multiplications in counter."""
+        """Square-and-multiply from self at the leading bit down, counting products in counter."""
         if e < 0:
             return self.inv().pow_(-e, counter)
-        result = self.ctx.one()
-        base = self
-        started = False
-        for bit in bin(e)[2:]:
-            if started:
-                result = result * result
-                if counter is not None:
-                    counter.add()
+        if e == 0:
+            return self.ctx.one()
+        result = self
+        for bit in bin(e)[3:]:
+            result = result._mul(result)
             if bit == "1":
-                if started:
-                    result = result * base
-                    if counter is not None:
-                        counter.add()
-                else:
-                    result = base
-                    started = True
+                result = result._mul(self)
+            if counter is not None:
+                counter.add(2 if bit == "1" else 1)
         return result
 
     def __pow__(self, e: int):

@@ -258,10 +258,9 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
         # counted as the scalar average: M response scales, then one of the sum
         if counter is not None:
             counter.add(len(complete) * (M + 1) * rows * cols)
-        members = stack[whole[order // M]]
-        terms = _gauss.mul(members.reshape(len(complete), M, rows, cols, ctx.r),
-                           plan.hypernode_weights[:, None, None], ctx)
-        vals = terms.sum(axis=1) % ctx.p
+        members = stack[whole[order // M]].reshape(len(complete), M, rows * cols, ctx.r)
+        vals = _gauss.matmul(plan.hypernode_weights[None], members, ctx).reshape(
+            len(complete), rows, cols, ctx.r)
         pts = [plan.base_points[p] for p in complete.tolist()]
         # a singular base set falls through to full interpolation; a worker
         # set without an operator (singular or short) skips the raw check
@@ -651,6 +650,9 @@ def _hypernode_bound_holds(plan: EvaluationPlan, budget: int) -> bool:
     column rank needs full column rank on the plan.worker_table rows of
     each survivor set that spoils exactly it (_spoiling). A lower k adds
     rows to every remainder, so a level without such a group ends the scan.
+    No scan runs out of levels: were all of base_table deficient, so would
+    every worker set be (worker p*M + m's class-support entries are zeta^-m
+    times base_table's row p), and the first level would have failed.
     """
     P = plan.n_hypernodes
     spare = P - len(plan.class_support)
@@ -662,7 +664,7 @@ def _hypernode_bound_holds(plan: EvaluationPlan, budget: int) -> bool:
             return False
         deficient = [rest for _, rest in singular_minors(plan.base_table, rests, plan.ctx)]
         if not deficient:
-            return True
+            break
         # a set spoiling fewer than k hypernodes falls in a later level
         groups = (tuple(p for p in range(P) if p not in rest) for rest in deficient)
         keeps = ([n for n in range(plan.n_workers) if n not in down]

@@ -5,9 +5,12 @@ there exactly once, the new text that breaks one guarantee, that guarantee,
 and the tier-1 tests expected to fail. The runner copies src/ and tests/ to
 a temporary directory and runs every named test on the unmutated copy,
 where they must pass. It then applies each mutant alone and runs its tests
-with -x. It exits 1 when a mutant survives, when an old text is missing or
-repeated (a refactor must update this list), or when the unmutated tests
-fail. pytest does not collect this file. Run it as python tests/mutants.py.
+with -x. A run still going after HANG_S seconds is stopped and the mutant
+counted killed as hung: a wrong pow_ sends make_field's seeded modulus
+search, which test modules run at import, into an endless loop. It exits 1
+when a mutant survives, when an old text is missing or repeated (a refactor
+must update this list), or when the unmutated tests fail. pytest does not
+collect this file. Run it as python tests/mutants.py.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 NOISE_TABLES = ("tests/test_protocol.py::"
                 "test_encoded_noise_reaches_workers_through_the_security_tables[61]")
 ORACLE = "tests/test_protocol.py::test_share_distributions_leak_exactly_where_security_check_fails"
+HANG_S = 30  # every mutant's tests finish in a few seconds unless it hangs them
 
 
 class Mutant(NamedTuple):
@@ -95,6 +99,17 @@ MUTANTS = [
            "if z.pow_(m) == ctx.one():",
            "subgroup points come from an element of order exactly m",
            ("tests/test_acceptance.py::test_criterion_02_grid_2x3x2_t3_reference_instance",)),
+    Mutant("coerce-foreign-field", "fields.py",
+           "elif other.ctx is not self.ctx and other.ctx != self.ctx:",
+           "elif False:",
+           "an operator refuses an element of another field",
+           ("tests/test_fields.py::"
+            "test_foreign_elements_and_coefficient_counts_are_a_shape_mismatch",)),
+    Mutant("pow-ladder-leading-bit", "fields.py",
+           'for bit in bin(e)[3:]:',
+           'for bit in bin(e)[2:]:',
+           "pow_'s ladder starts at the base for the leading bit and squares once per later bit",
+           ("tests/test_fields.py::test_pow_matches_repeated_multiplication",)),
     Mutant("baseline-leak", "schemes.py",
            "        terms[base + off] = BlockMatrix.random(a, s, ctx, rng)\n"
            "    return MatPoly(terms, (a, s), ctx)",
@@ -177,12 +192,16 @@ MUTANTS = [
 ]
 
 
-def _pytest(tmp: Path, tests, *flags: str) -> int:
+def _pytest(tmp: Path, tests, *flags: str, timeout: Optional[float] = None) -> Optional[int]:
+    """pytest's exit code, or None for a run stopped after timeout seconds."""
     env = dict(os.environ, PYTHONPATH=str(tmp / "src"))
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
            "-W", "error::RuntimeWarning", *flags, *tests]
-    return subprocess.run(cmd, cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(cmd, cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> int:
@@ -208,11 +227,11 @@ def main() -> int:
             original = path.read_text()
             path.write_text(original.replace(m.old, m.new))
             start = time.perf_counter()
-            code = _pytest(tmp, m.tests, "-x")
+            code = _pytest(tmp, m.tests, "-x", timeout=HANG_S)
             path.write_text(original)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+            verdict = {0: "SURVIVED", 1: "killed", None: "hung"}.get(code, f"ERROR {code}")
             print(f"{verdict:8} {m.name} ({time.perf_counter() - start:.1f} s): {m.guarantee}")
-            if code != 1:
+            if code not in (1, None):
                 failed.append(m.name)
     print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0

@@ -592,6 +592,31 @@ def test_config_file_rejects_garbage_lines(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_config_file_blank_and_comment_lines_give_the_typed_flags_bytes(capsys, tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("# a small sweep\n\nK=2\n   \nM=3\nL=2\n# t-max=9\nt-max=2\n")
+    rc_file, from_file, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+    rc_typed, typed, _ = run_cli(capsys, "sweep", "--K", "2", "--M", "3", "--L", "2",
+                                 "--t-max", "2")
+    assert rc_file == rc_typed == 0
+    assert from_file == typed and "# config=sha256:" in typed
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--config"], "argument --config: expected one argument"),
+    (["--config", "CFG"], "argument command: invalid choice"),
+], ids=["no-path", "no-subcommand"])
+def test_config_without_a_path_or_a_subcommand_is_an_argparse_error(capsys, tmp_path,
+                                                                     argv, message):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("K=2\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main([str(cfg) if a == "CFG" else a for a in argv])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("case, message", [
     ("missing-config", "cannot read config file"),
     ("empty-key", "empty key"),

@@ -183,6 +183,16 @@ def test_int64_matmul_is_exact_past_the_chunk_length():
     assert got == BlockMatrix(want, ctx)
 
 
+@pytest.mark.parametrize("ctx, wide", [
+    (FIELDS[0], False), (FIELDS[1], False), (FIELDS[2], True), (FIELDS[7], True)])
+def test_fold_is_int64_and_gauss_alone_picks_object_from_2_31(ctx, wide):
+    # the fold holds residues below p < 2^62 in any field; only the residue
+    # arrays, whose products must not overflow, widen to Python ints
+    assert ctx._fold.dtype == np.int64
+    assert (_gauss.dtype(ctx) == object) == wide == (ctx.p >= 1 << 31)
+    assert _gauss.as_array([[ctx.one()]], ctx).dtype == _gauss.dtype(ctx)
+
+
 def test_constructor_coerces_every_entry_form():
     ctx = FIELDS[4]
     e = ctx.element([3, 5])

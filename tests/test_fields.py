@@ -192,6 +192,36 @@ def test_reflected_unary_and_negative_power_operators():
     assert not is_primitive_root_of_unity(x, 2)
 
 
+@pytest.mark.parametrize("op", [
+    lambda x: x + "x", lambda x: "x" * x, lambda x: x / None, lambda x: 1.5 - x,
+], ids=["add-str", "str-mul", "div-none", "float-sub"])
+def test_operands_other_than_ints_and_elements_are_a_type_error(op):
+    with pytest.raises(TypeError):
+        op(make_field(13).element(5))
+
+
+def test_int_operands_work_in_either_order():
+    ctx = make_field(13)
+    x = ctx.element(5)
+    assert x + 9 == 9 + x == ctx.element(1)
+    assert (x - 9, 9 - x) == (ctx.element(9), ctx.element(4))
+    assert x * 3 == 3 * x == ctx.element(2)
+    assert (x / 2, 2 / x) == (ctx.element(9), ctx.element(3))
+    ext = make_field(7, 2)
+    y = ext.element((3, 1))
+    assert 2 * y == y * 2 == y + y
+    assert 1 - y == -(y - 1)
+    assert (1 / y) * y == 1
+
+
+def test_zero_is_no_root_of_unity_and_counters_print_their_count():
+    assert not is_primitive_root_of_unity(make_field(13).zero(), 3)
+    c = MultCounter()
+    assert repr(c) == "MultCounter(0)"
+    c.add(3)
+    assert repr(c) == "MultCounter(3)"
+
+
 def test_extension_elements_print_as_polynomials_in_x():
     ctx = make_field(7, 3)
     got = [repr(ctx.element(c)) for c in ((1, 2, 0), (0, 0, 1), (0, 0, 0), (3, 1, 5))]

@@ -1242,6 +1242,44 @@ def test_hypernode_bound_check_agrees_with_exhaustive_decoding(plan):
     assert _hypernode_bound_holds(plan, 10**7) == want
 
 
+def test_class_columns_of_worker_table_are_zeta_scaled_base_rows():
+    # worker p*M + m evaluates at zeta^m * a_p, so at an exponent e = M - 1
+    # mod M its entry is zeta^(m e) a_p^e = zeta^-m a_p^e: worker_table's
+    # class-support columns are base_table's rows, scaled. A kernel vector of
+    # all of base_table is then one of worker_table, so every survivor set
+    # fails the hypernode bound's first level, and the report is uncertified.
+    # The last spec's class support (1, 5, 9, 13) is deficient on every base
+    # of GF(13), where a_p^12 = 1 makes its first and last columns equal
+    rng = random.Random("class-columns")
+    specs = ("mp:K=1,M=2,L=1,T=1", "mp:K=2,M=3,L=2,T=2",
+             "explicit:K=1,M=2,L=1,T=1,alpha=3,beta=5",
+             "explicit:K=1,M=2,L=1,T=1,alpha=7,beta=2")
+    deficient = 0
+    for spec, ctx in itertools.product(specs, (F13, F31, make_field(31, 2))):
+        params = parse_scheme_spec(spec)
+        M, P = params.M, len(product_class_support(params))
+        pool = {}  # one base point per M-th power, as mp_plan requires
+        for idx in range(1, ctx.order):
+            pool.setdefault(ctx.from_index(idx).pow_(M), ctx.from_index(idx))
+        for _ in range(8):
+            size = min(P + rng.randrange(2), len(pool))
+            if size < P:
+                continue
+            plan = mp_plan(params, ctx, rng.sample(list(pool.values()), size))
+            cols = [e for e in plan.full_support if e % M == M - 1]
+            assert plan.class_support == tuple(cols)
+            scale = _gauss.as_array([[plan.zeta.pow_(-m) for m in range(M)]], ctx)[0]
+            want = _gauss.mul(scale[:, None], plan.base_table[:, None], ctx)
+            got = plan.worker_table[:, [plan.full_support.index(e) for e in cols]]
+            assert np.array_equal(got, want.reshape(got.shape))
+            if _gauss.rank(plan.base_table, ctx) < P:
+                deficient += 1
+                assert _gauss.rank(plan.worker_table, ctx) < len(plan.full_support)
+                rep = mp_recovery_threshold_with_security(None, plan)
+                assert rep.threshold == rep.upper_bound and not rep.certified
+    assert deficient  # the seeded draws reach the deficient case
+
+
 def test_recovery_report_validates_its_inputs():
     params = SchemeParams.ggasp(2, 3, 2, 1)
     flat = find_evaluation_vector(params, make_field(101), n_workers=22, seed=1)
