@@ -19,8 +19,8 @@ they return, clear below each pivot; decompose reduces [V | I] for a stack
 of tables and normalises the pivot rows with one batched _inverses call,
 the only field inversions here, into the left inverses and kernels.
 apply, the one spare-equation check, takes solve's [G; K] and decode's operators.
-The cost model in matpoly prices Gauss-Jordan from the pivot hits of a
-full elimination it never normalises; nothing here counts.
+Nothing here counts: the cost model in matpoly prices Gauss-Jordan from
+the shape of the system alone.
 """
 
 from __future__ import annotations
@@ -115,8 +115,7 @@ def _step(pivot, rows, lead, pivot_row, ctx: FieldCtx) -> np.ndarray:
     return _dot((_outer(pivot, rows) - _outer(lead, pivot_row)) % ctx.p, ctx._fold, ctx.p)
 
 
-def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, full: bool = True,
-               tally: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, full: bool = True) -> np.ndarray:
     """Division-free elimination in place of a (batch, rows, cols, r) stack on its first m columns.
 
     At each column where some matrix has a pivot, the first nonzero row at
@@ -127,13 +126,10 @@ def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, full: bool = True,
     column rank ends as a nonzero multiple of its Gauss-Jordan row. A matrix
     without a pivot where another has one counts none, its zero pivot
     clearing its rows below. Returns the pivot counts, exact for a batch of
-    one and m exactly at full column rank, and with tally (full only) the
-    pivot hits: the nonzero rows of each column reduced before the first
-    pivotless one. They depend on zero patterns alone, so equal Gauss-Jordan's.
+    one and m exactly at full column rank.
     """
     batch, n = M.shape[:2]
     count = np.zeros(batch, dtype=np.intp)
-    hits = np.zeros(batch, dtype=np.intp) if tally else None
     row = 0
     for col in range(m):
         if row == n:
@@ -143,8 +139,6 @@ def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, full: bool = True,
         if not has.any():
             continue
         count += has
-        if tally:
-            hits += M[:, :, col].any(axis=-1).sum(axis=1) * (count == col + 1)
         piv = row + nz.argmax(axis=1)
         if (piv != row).any():
             swap = np.flatnonzero(piv != row)
@@ -157,7 +151,7 @@ def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, full: bool = True,
         if full:
             M[:, row] = pivot_row[:, 0]
         row += 1
-    return count, hits
+    return count
 
 
 def solve(rows, rhs, ctx: FieldCtx) -> np.ndarray:
@@ -200,7 +194,7 @@ def decompose(tables: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray
     batch, n, m = tables.shape[:3]
     M = np.concatenate([tables, np.zeros((batch, n, n, ctx.r), dtype=dtype(ctx))], axis=2)
     M[:, :, m:, 0] = np.eye(n, dtype=M.dtype)
-    ok = _eliminate(M, m, ctx)[0] == m
+    ok = _eliminate(M, m, ctx) == m
     i = np.arange(min(n, m))
     inv = _inverses(M[:, i, i].reshape(-1, ctx.r), ctx).reshape(batch, len(i), 1, ctx.r)
     return mul(M[:, :m, m:], inv, ctx), M[:, m:, m:], ok
@@ -209,7 +203,7 @@ def decompose(tables: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray
 def rank(rows, ctx: FieldCtx) -> int:
     """Rank of an arbitrary (possibly non-square) matrix: _eliminate's count for a batch of one."""
     A = as_array(rows, ctx)[None] % ctx.p
-    return int(_eliminate(A, A.shape[2], ctx, full=False)[0][0])
+    return int(_eliminate(A, A.shape[2], ctx, full=False)[0])
 
 
 def powers(points: np.ndarray, exponents, ctx: FieldCtx) -> np.ndarray:
@@ -235,4 +229,4 @@ def powers(points: np.ndarray, exponents, ctx: FieldCtx) -> np.ndarray:
 
 def batch_is_invertible(mats: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Full column rank (for square matrices, invertibility) of a (batch, n, m, r) stack."""
-    return _eliminate(mats % ctx.p, mats.shape[2], ctx, full=False)[0] == mats.shape[2]
+    return _eliminate(mats % ctx.p, mats.shape[2], ctx, full=False) == mats.shape[2]

@@ -67,18 +67,17 @@ def _read_config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _inject_config(argv: list[str]) -> list[str]:
-    """Splice config-file tokens in ahead of explicit flags, which then win."""
+def _inject_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Splice config-file tokens in after the subcommand, which must come first, ahead of flags."""
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
     if at + 1 >= len(argv):
         return argv  # argparse will report the missing value
-    tokens = _read_config_tokens(argv[at + 1])
-    for j, tok in enumerate(argv):
-        if j != at + 1 and not tok.startswith("-"):
-            return argv[:j + 1] + tokens + argv[j + 1:]
-    return argv + tokens
+    command = next((j for j, tok in enumerate(argv[:at]) if not tok.startswith("-")), None)
+    if command is None:
+        parser.error("a subcommand must come before --config")
+    return argv[:command + 1] + _read_config_tokens(argv[at + 1]) + argv[command + 1:]
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -377,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _inject_config(argv)
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(_inject_config(argv, parser))
         return args.func(args)
     except (BudgetExceeded, BudgetExhausted) as exc:
         hint = "; raise it with --budget" if isinstance(exc, BudgetExceeded) else ""

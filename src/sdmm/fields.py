@@ -387,9 +387,11 @@ def make_field(p: int, r: int = 1, modulus: Optional[Sequence[int]] = None) -> F
     """Construct GF(p^r).
 
     For r > 1 a monic irreducible modulus of degree r is found by a seeded
-    random search, so the same (p, r) always yields the same field. An
-    explicit modulus (little-endian, monic, length r+1, irreducible, else
-    NotIrreducible) overrides the search; at r = 1 it names GF(p) itself.
+    random search, so the same (p, r) always yields the same field. At least
+    p^r / (2r) monic candidates are irreducible, so its 64 r draws all miss,
+    raising NotIrreducible, with chance below e^-32 < 2^-40. An explicit modulus
+    (monic, length r+1, little-endian, irreducible, else NotIrreducible)
+    overrides the search; at r = 1 it names GF(p) itself.
     """
     if r < 1:
         raise DegreeZero(f"extension degree must be >= 1, got {r}")
@@ -407,10 +409,11 @@ def make_field(p: int, r: int = 1, modulus: Optional[Sequence[int]] = None) -> F
     if r == 1:
         return FieldCtx(p, 1, (0, 1))
     rng = random.Random(f"sdmm-modulus-{p}-{r}-0")
-    while True:
+    for _ in range(64 * r):
         cand = tuple(rng.randrange(p) for _ in range(r)) + (1,)
         if _poly_is_irreducible(cand, p):
             return FieldCtx(p, r, cand)
+    raise NotIrreducible(f"no irreducible modulus of GF({p}^{r}) in {64 * r} seeded draws")
 
 
 def parse_field_spec(spec: str) -> FieldCtx:

@@ -66,23 +66,25 @@ class BlockMatrix:
     def random(cls, rows: int, cols: int, ctx: FieldCtx, rng: random.Random) -> "BlockMatrix":
         """Uniform entries: the base-p digits of rng.randrange(ctx.order), value for value.
 
-        randrange(n) redraws getrandbits(k), k = n.bit_length(), until it is
-        below n; getrandbits(k) reads ceil(k / 32) = w 32-bit words, the last
-        shifted right by 32w - k. Each round reads every draw still needed in
-        one getrandbits(32 w need) and keeps those below n, in order.
+        Above 2^63 each entry is one randrange call. Below, randrange(n) redraws
+        getrandbits(k), k = n.bit_length(), until it is below n; getrandbits(k) reads
+        ceil(k / 32) = w 32-bit words, the last shifted right by 32w - k. Each round reads
+        every draw still needed in one getrandbits(32 w need) and keeps those below n, in order.
         """
         n, k = ctx.order, ctx.order.bit_length()
-        w, kind = -(-k // 32), object if k > 63 else np.uint64
-        idx = np.zeros(0, kind)
-        while len(idx) < rows * cols:
-            need = rows * cols - len(idx)
-            raw = rng.getrandbits(32 * w * need).to_bytes(4 * w * need, "little")
-            words = np.frombuffer(raw, dtype="<u4").reshape(need, w).astype(kind)
-            words[:, -1] >>= 32 * w - k
-            vals = sum(words[:, i] << 32 * i for i in range(w))
-            idx = np.concatenate([idx, vals[vals < n]])
+        if k > 63:
+            idx = np.array([rng.randrange(n) for _ in range(rows * cols)], dtype=object)
+        else:
+            w, idx = -(-k // 32), np.zeros(0, np.uint64)
+            while len(idx) < rows * cols:
+                need = rows * cols - len(idx)
+                raw = rng.getrandbits(32 * w * need).to_bytes(4 * w * need, "little")
+                words = np.frombuffer(raw, dtype="<u4").reshape(need, w).astype(np.uint64)
+                words[:, -1] >>= 32 * w - k
+                vals = sum(words[:, i] << 32 * i for i in range(w))
+                idx = np.concatenate([idx, vals[vals < n]])
         if ctx.r > 1:
-            idx = idx[:, None] // np.array([ctx.p ** j for j in range(ctx.r)], kind) % ctx.p
+            idx = idx[:, None] // np.array([ctx.p ** j for j in range(ctx.r)], idx.dtype) % ctx.p
         return cls._view(idx.astype(_gauss.dtype(ctx)).reshape(rows, cols, ctx.r), ctx)
 
     # -- shape and identity ---------------------------------------------------
@@ -338,7 +340,8 @@ def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int]
     do, through the same spare-equation check (_gauss.apply), raising as
     above; interpolate returns those rows as a (k, rows, cols, r) stack.
     Either path counts, before solving, each point's pow_ ladder for every
-    exponent and gauss_jordan_cost of [table | values], reading the table.
+    exponent and gauss_jordan_cost of the shape of [table | values], so a
+    singular system is charged in full.
     """
     pts = list(points)
     vals = values if isinstance(values, np.ndarray) else list(values)
@@ -361,7 +364,7 @@ def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int]
     flat = rhs.reshape(len(vals), -1, ctx.r)
     if counter is not None:
         counter.add(len(pts) * sum(_ladder(e) for e in exps)
-                    + gauss_jordan_cost(table, len(exps) + flat.shape[1], ctx))
+                    + gauss_jordan_cost(len(pts), len(exps), len(exps) + flat.shape[1]))
     if solver is not None:
         sol = solver(flat)
         return sol.reshape((len(sol),) + shape + (ctx.r,))
@@ -384,7 +387,6 @@ def horner_cost(poly: MatPoly) -> int:
     return sum(_ladder(b - a) + poly.rows * poly.cols for a, b in zip((0,) + exps, exps) if b > a)
 
 
-def gauss_jordan_cost(table: np.ndarray, width: int, ctx: FieldCtx) -> int:
-    """Multiplications Gauss-Jordan spends on [table | values]: width per pivot hit of the table."""
-    hits = _gauss._eliminate(table[None].copy(), table.shape[1], ctx, tally=True)[1]
-    return width * int(hits[0])
+def gauss_jordan_cost(rows: int, unknowns: int, width: int) -> int:
+    """Multiplications dense Gauss-Jordan spends on [table | values]: width per row per unknown."""
+    return rows * unknowns * width

@@ -240,8 +240,9 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     responding workers' rows of plan.worker_table have full column rank,
     responses that are not evaluations of one polynomial on the full
     support raise InconsistentResponses. The counter records what the
-    scalar decoder spends, as interpolate counts it; the raw check adds
-    nothing to it.
+    scalar decoder spends, as interpolate prices it from each route's
+    shape, so a singular hypernode system is charged in full before the
+    full route adds its own; the raw check adds nothing to it.
     """
     order, stack, operators = _stacked(responses, plan)
     ctx, M = plan.ctx, plan.params.M

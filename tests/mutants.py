@@ -6,8 +6,8 @@ and the tier-1 tests expected to fail. The runner copies src/ and tests/ to
 a temporary directory and runs every named test on the unmutated copy,
 where they must pass. It then applies each mutant alone and runs its tests
 with -x. A run still going after HANG_S seconds is stopped and the mutant
-counted killed as hung: a wrong pow_ sends make_field's seeded modulus
-search, which test modules run at import, into an endless loop. It exits 1
+counted killed as hung, so a mutant that sends some loop on forever still
+ends the gate. It exits 1
 when a mutant survives, when an old text is missing or repeated (a refactor
 must update this list), or when the unmutated tests fail. pytest does not
 collect this file. Run it as python tests/mutants.py.
@@ -75,10 +75,10 @@ MUTANTS = [
            ("tests/test_engine.py::test_evaluate_matches_naive_values_and_horner_counts"
             "[GF(2147483647)]",)),
     Mutant("gauss-jordan-cost", "matpoly.py",
-           "return width * int(hits[0])",
-           "return width * (int(hits[0]) + 1)",
-           "decode's multiplication count equals the scalar Gauss-Jordan reference",
-           ("tests/test_cli.py::test_simulate_counts_and_product_hash_are_frozen[p31-hypernode]",)),
+           "return rows * unknowns * width",
+           "return unknowns * unknowns * width",
+           "decode's count is dense Gauss-Jordan's on every row, the spare equations included",
+           ("tests/test_engine.py::test_counted_solve_matches_reference",)),
     Mutant("random-below-order", "matpoly.py",
            "n, k = ctx.order, ctx.order.bit_length()",
            "n, k = ctx.order - 1, ctx.order.bit_length()",

@@ -81,7 +81,8 @@ def ref_horner(terms, x, counter):
 
 
 def ref_solve(rows, rhs, counter):
-    """Entry-wise Gauss-Jordan over all rows; pivot is the first nonzero row."""
+    """Entry-wise dense Gauss-Jordan: each column scales its pivot row, the
+    first nonzero one, and clears every other row, zero leads included."""
     n, m = len(rows), len(rows[0])
     M = [list(rows[i]) + list(rhs[i]) for i in range(n)]
     width = len(M[0])
@@ -94,7 +95,7 @@ def ref_solve(rows, rhs, counter):
         M[col] = [inv * v for v in M[col]]
         counter.add(width)
         for i in range(n):
-            if i != col and not M[i][col].is_zero():
+            if i != col:
                 f = M[i][col]
                 M[i] = [vi - f * vc for vi, vc in zip(M[i], M[col])]
                 counter.add(width)
@@ -360,11 +361,14 @@ def test_counted_solve_matches_reference(seed, fid, spare, kind):
         with pytest.raises(SingularSystem):
             _gauss.solve(rows, rhs, ctx)
         assert _gauss.rank(rows, ctx) < m
+        # a singular system is charged as the full-rank [I; 0] of its shape
+        eye = [[ctx.element(int(i == j)) for j in range(m)] for i in range(m + spare)]
+        want_count = MultCounter()
+        ref_solve(eye, ref_matmul(eye, X, ctx), want_count)
     else:
         assert rows_of(_gauss.solve(rows, rhs, ctx), ctx) == tuple(map(tuple, want))
         assert _gauss.rank(BlockMatrix(rows, ctx).array, ctx) == m
-    # a singular system keeps the count up to its first pivotless column
-    assert gauss_jordan_cost(BlockMatrix(rows, ctx).array, m + k, ctx) == want_count.count
+    assert gauss_jordan_cost(m + spare, m, m + k) == want_count.count
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=repr)
@@ -558,10 +562,8 @@ def test_batched_elimination_reduces_each_matrix_as_alone(ctx):
     mats.append(BlockMatrix(maxed(5, 6, ctx), ctx).array)
     stack = np.array(mats)
     G, K, ok = _gauss.decompose(stack[:, :, :4], ctx)
-    hits = _gauss._eliminate(stack.copy(), 4, ctx, tally=True)[1]
-    for g, k, good, hit, mat in zip(G, K, ok, hits, mats):
+    for g, k, good, mat in zip(G, K, ok, mats):
         assert good == (_gauss.rank(mat[:, :4], ctx) == 4)
-        assert _gauss._eliminate(mat[None].copy(), 4, ctx, tally=True)[1][0] == hit
         (g1,), (k1,), (good1,) = _gauss.decompose(mat[None, :, :4], ctx)
         assert good1 == good
         if good:
@@ -619,9 +621,9 @@ def test_batched_matmul_equals_each_product(ctx):
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=repr)
 def test_only_normalisation_inverts(ctx):
-    # rank questions and the cost model read zero patterns and invert
-    # nothing; each decompose inverts its pivots in one batch, however many
-    # columns and matrices it clears
+    # rank questions read zero patterns and invert nothing; each decompose
+    # inverts its pivots in one batch, however many columns and matrices it
+    # clears
     rng = random.Random(23)
     rows = rand_rows(6, 4, ctx, rng)
     table = BlockMatrix(rows, ctx).array
@@ -630,7 +632,6 @@ def test_only_normalisation_inverts(ctx):
     assert plan.worker_split is not None
     missing = np.array([[0, 1], [2, 3], [4, 9]])
     with mock.patch.object(_gauss, "_inverses", wraps=_gauss._inverses) as spy:
-        gauss_jordan_cost(table, 6, ctx)
         _gauss.rank(rows, ctx)
         _gauss.batch_is_invertible(table[None, :4], ctx)
         assert spy.call_count == 0

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -5,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdmm import fields
 from sdmm.errors import (
     BadSpec,
     DivisionByZero,
@@ -120,6 +122,16 @@ def test_irreducible_count_matches_gauss_formula(p, r):
     got = sum(_poly_is_irreducible(low + (1,), p)
               for low in itertools.product(range(p), repeat=r))
     assert got == want
+    # the bound make_field's capped modulus search rests on
+    assert 2 * r * got >= p ** r
+
+
+def test_modulus_search_stops_after_64_r_draws(monkeypatch):
+    tried = []
+    monkeypatch.setattr(fields, "_poly_is_irreducible", lambda f, p: tried.append(f) and False)
+    with pytest.raises(NotIrreducible, match=r"GF\(7\^3\) in 192 seeded draws"):
+        make_field(7, 3)
+    assert len(tried) == 64 * 3
 
 
 def test_seeded_moduli_are_frozen():
@@ -228,13 +240,15 @@ def test_extension_elements_print_as_polynomials_in_x():
     assert got == ["1+2*x", "x^2", "0", "3+x+5*x^2"]
 
 
-_FIELDS = [make_field(2), make_field(13), make_field(31), make_field(61),
-           make_field(13, 2), make_field(2, 4), make_field(3, 3)]
+# built when first drawn, so a fault in make_field fails the tests that draw
+# a field instead of this module's collection
+_FIELDS = [(2, 1), (13, 1), (31, 1), (61, 1), (13, 2), (2, 4), (3, 3)]
+_field = functools.cache(make_field)
 
 
 @st.composite
 def field_and_elems(draw, n):
-    ctx = draw(st.sampled_from(_FIELDS))
+    ctx = _field(*draw(st.sampled_from(_FIELDS)))
     idxs = draw(st.lists(st.integers(0, ctx.order - 1), min_size=n, max_size=n))
     return ctx, [ctx.from_index(i) for i in idxs]
 

@@ -119,7 +119,7 @@ def test_matrix_text_layout():
     (31, 1), ((1 << 31) - 1, 1), (13, 2),       # one 32-bit word per draw
     (17, 1), (257, 1), (65537, 1), (2, 5),      # 2^k + 1 and 2^k: about half the words rejected
     ((1 << 61) - 1, 1), (4294967311, 1),        # two words; 2^32 + 15 rejects about half
-    (31, 13), ((1 << 61) - 1, 2),               # above 2^64: three and four words
+    (31, 13), ((1 << 61) - 1, 2),               # above 2^63: one randrange per entry
 ], ids=repr)
 def test_random_blocks_draw_randrange_value_for_value(p, r):
     # the entries of BlockMatrix.random are the base-p digits of one

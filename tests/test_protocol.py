@@ -170,13 +170,13 @@ def test_decode_failure_is_reported_not_raised():
 
 
 @pytest.mark.parametrize("down, success, counts", [
-    ((9, 24), True, {"encode": 1080, "worker": 112, "decode": 23092}),
-    ((9, 10, 11, 24, 25, 26), False, {"encode": 1080, "worker": 96, "decode": 1064}),
-], ids=["partial-then-full", "partial-then-fail"])
-def test_a_singular_hypernode_system_keeps_its_partial_count(down, success, counts):
+    ((9, 24), True, {"encode": 1080, "worker": 112, "decode": 24232}),
+    ((9, 10, 11, 24, 25, 26), False, {"encode": 1080, "worker": 96, "decode": 1160}),
+], ids=["singular-then-full", "singular-then-fail"])
+def test_a_singular_hypernode_system_is_charged_in_full(down, success, counts):
     # hypernodes 0-2 and 4-7 and 9 stay complete, but their filtered system
-    # has rank 7: decode counts the elimination up to its pivotless column,
-    # then interpolates all responses, or with 24 of them fails
+    # has rank 7: decode charges its whole dense elimination, then
+    # interpolates all responses, or with 24 of them fails
     plan = gf61_plan()
     rng = random.Random("pin")
     A = BlockMatrix.random(4, 3, F61, rng)
@@ -184,6 +184,62 @@ def test_a_singular_hypernode_system_keeps_its_partial_count(down, success, coun
     rep = run_protocol(A, B, plan, stragglers=down, seed=1)
     assert rep.decode_success == success
     assert rep.mult_counts == counts
+
+
+def _f961_plan():
+    # the mp:K=2,M=3,L=2,T=1 deployment of gf31_plan(1, 8), over GF(31^2)
+    return find_evaluation_vector(SchemeParams.mp(2, 3, 2, 1), make_field(31, 2),
+                                  n_hypernodes=8, seed=0)
+
+
+def _ladders(ctx, exponents):
+    """Multiplications pow_ spends on x^e, summed over the exponents, as its counter tallies."""
+    counter = MultCounter()
+    for e in exponents:
+        ctx.one().pow_(e, counter)
+    return counter.count
+
+
+@pytest.mark.parametrize("make_plan, down, routes, success", [
+    (lambda: gf31_plan(1, 8), (), ["hypernode"], True),
+    (lambda: gf31_plan(1, 8), (0, 3), ["full"], True),
+    (_f961_plan, (), ["hypernode"], True),
+    (_f961_plan, (0, 3), ["full"], True),
+    (gf61_plan, (9, 24), ["hypernode", "full"], True),
+    (gf61_plan, (9, 10, 11, 24, 25, 26), ["hypernode"], False),
+], ids=["p31-hypernode", "p31-full", "f961-hypernode", "f961-full",
+        "f61-singular-then-full", "f61-singular-then-short"])
+def test_decode_count_is_the_closed_form_of_its_routes(monkeypatch, make_plan, down, routes,
+                                                       success):
+    # per route, with rc = rows * cols of a product block: the hypernode
+    # route averages |C| complete hypernodes (M + 1 scales of rc entries
+    # each), then solves |C| x P' by dense Gauss-Jordan; the full route
+    # solves N_r x N'. Each point pays a pow_ ladder per exponent, and a
+    # system of n rows and m unknowns n * m * (m + rc). A singular hypernode
+    # system is charged in full before the full route is tried.
+    plan = make_plan()
+    taken = []
+    real = sdmm.protocol.interpolate
+
+    def spy(points, values, exponents, *args, **kwargs):
+        taken.append("hypernode" if exponents is plan.class_support else "full")
+        return real(points, values, exponents, *args, **kwargs)
+
+    monkeypatch.setattr(sdmm.protocol, "interpolate", spy)
+    A, B = _inputs(plan, scale=2)
+    rep = run_protocol(A, B, plan, stragglers=down, seed=1)
+    assert taken == routes and rep.decode_success == success
+    K, M, L = plan.params.K, plan.params.M, plan.params.L
+    rc = A.rows // K * (B.cols // L)
+    complete = plan.n_hypernodes - len({n // M for n in down})
+    responding = plan.n_workers - len(down)
+    P, N = len(plan.class_support), len(plan.full_support)
+    want = {
+        "hypernode": complete * (M + 1) * rc + complete * _ladders(plan.ctx, plan.class_support)
+        + complete * P * (P + rc),
+        "full": responding * _ladders(plan.ctx, plan.full_support) + responding * N * (N + rc),
+    }
+    assert rep.mult_counts["decode"] == sum(want[route] for route in routes)
 
 
 def test_decode_raises_when_called_directly_with_too_few_responses():
@@ -333,12 +389,6 @@ def test_hypernode_route_rejects_a_response_of_another_shape():
         survivors[bad] = BlockMatrix.zero(3, 3, F31)
         with pytest.raises(ShapeMismatch):
             decode(survivors, plan)
-
-
-def _f961_plan():
-    # the mp:K=2,M=3,L=2,T=1 deployment of gf31_plan(1, 8), over GF(31^2)
-    return find_evaluation_vector(SchemeParams.mp(2, 3, 2, 1), make_field(31, 2),
-                                  n_hypernodes=8, seed=0)
 
 
 @pytest.mark.parametrize("make_plan", [lambda: gf31_plan(1, 8), _f961_plan],
