@@ -99,7 +99,8 @@ class MultCounter:
     """Opt-in counter for scalar field multiplications.
 
     pow_ counts its own products; the other counting functions add what the
-    cost model in matpoly prices. The array engine never touches it.
+    cost model in matpoly prices, and run_protocol adds the encode price of
+    the scheme's exponent layout. The array engine never touches it.
     """
 
     __slots__ = ("count",)

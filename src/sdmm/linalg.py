@@ -404,8 +404,8 @@ def security_matrices(plan: EvaluationPlan) -> tuple[np.ndarray, np.ndarray]:
     for x in plan.worker_points:
         if x.is_zero():
             raise ZeroEvaluationPoint("zero evaluation point leaks its data share")
-    return tuple(_read_only(plan.power_table[:, [params.KML + e for e in offsets]])
-                 for offsets in (params.alpha(), params.beta()))
+    return tuple(_read_only(plan.power_table[:, list(exps[-params.T:])])
+                 for exps in params.exponents())
 
 
 def security_check(plan: EvaluationPlan, budget: int = 10_000_000) -> SecurityResult:

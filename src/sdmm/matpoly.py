@@ -251,7 +251,7 @@ class MatPoly:
                            counter: Optional[MultCounter] = None) -> BlockMatrix:
         """The value at x, counted as sparse Horner spends it (horner_cost)."""
         if counter is not None:
-            counter.add(horner_cost(self))
+            counter.add(horner_cost(self.support(), self.rows * self.cols))
         return evaluate(self, [x])[0]
 
 
@@ -381,10 +381,10 @@ def _ladder(e: int) -> int:
     return e.bit_length() + e.bit_count() - 2 if e else 0
 
 
-def horner_cost(poly: MatPoly) -> int:
-    """Multiplications sparse Horner spends on poly at one point: a ladder and a scale per gap."""
-    exps = poly.support()
-    return sum(_ladder(b - a) + poly.rows * poly.cols for a, b in zip((0,) + exps, exps) if b > a)
+def horner_cost(exponents: Iterable[int], size: int) -> int:
+    """Multiplications sparse Horner spends at one point: a ladder and size scalings per gap."""
+    exps = sorted(exponents)
+    return sum(_ladder(b - a) + size for a, b in zip([0] + exps, exps) if b > a)
 
 
 def gauss_jordan_cost(rows: int, unknowns: int, width: int) -> int:

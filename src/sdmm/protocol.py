@@ -96,24 +96,22 @@ def _worker_indices(keys, n_workers: int, what: str) -> list[int]:
 # -- encoding and decoding -----------------------------------------------------------
 
 
-def encode(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan, rng: random.Random,
-           counter: Optional[MultCounter] = None) -> tuple[np.ndarray, np.ndarray]:
+def encode(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
+           rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
     """The shares of every worker: the stacks of f(x_n) and of g(x_n), in worker order.
 
     Splits A and B into the plan's block grid, builds the two encoding
     polynomials with noise blocks drawn from rng (those of f first), and
     evaluates both at every worker point on the columns of plan.power_table
     at their supports. Returns residue stacks of shapes (N, a, s, r) and
-    (N, s, b, r) for a x s blocks of A and s x b blocks of B; the counter
-    records sparse Horner at every point.
+    (N, s, b, r) for a x s blocks of A and s x b blocks of B. It counts
+    nothing: run_protocol prices encoding from the scheme's exponent layout.
     """
     params = plan.params
     parts = partition(A, B, params.K, params.M, params.L)
     f = build_f(params, parts, rng, plan.ctx)
     g = build_g(params, parts, rng, plan.ctx)
     table = plan.power_table
-    if counter is not None:
-        counter.add(len(table) * (horner_cost(f) + horner_cost(g)))
     return (evaluate_on(f, table[:, list(f.support())]),
             evaluate_on(g, table[:, list(g.support())]))
 
@@ -382,13 +380,15 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     """
     start = time.perf_counter()
     counters = {phase: MultCounter() for phase in ("encode", "worker", "decode")}
-    shares = encode(A, B, plan, random.Random(f"sdmm-noise-{seed}"), counters["encode"])
+    shares = encode(A, B, plan, random.Random(f"sdmm-noise-{seed}"))
 
     straggler_rng = random.Random(f"sdmm-straggler-{seed}")
     down = set(resolve_stragglers(stragglers, plan.n_workers, straggler_rng))
     responses = worker_products(
         shares, [n for n in range(plan.n_workers) if n not in down], plan.ctx)
     a, s, b = *shares[0].shape[1:3], shares[1].shape[2]
+    f, g = plan.params.exponents()
+    counters["encode"].add(plan.n_workers * (horner_cost(f, a * s) + horner_cost(g, s * b)))
     counters["worker"].add(len(responses) * a * s * b)
 
     blocks = _audited(responses, plan, _product_blocks(A.matmul(B), plan),

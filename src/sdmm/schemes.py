@@ -57,9 +57,12 @@ def _check_run_length(K: int, M: int, T: int, r: int) -> None:
         raise BadR(f"run length {r} outside [1, min(K*M={K*M}, T={T})]")
 
 
+_LAYOUT_FIELDS = {MP: ("D",), GGASP: ("r",), EXPLICIT: ("alpha", "beta")}  # beside K, M, L, T
+
+
 @dataclass(frozen=True)
 class SchemeParams:
-    """Partition grid, security level, and noise exponent layout."""
+    """Partition grid, security level, and noise exponent layout, checked however it is built."""
 
     variant: str
     K: int
@@ -76,37 +79,40 @@ class SchemeParams:
             raise BadSpec("K, M, L must be positive")
         if self.T < 0:
             raise BadSpec("T must be nonnegative")
+        if self.variant not in _LAYOUT_FIELDS:
+            raise BadSpec(f"unknown scheme variant {self.variant!r}")
+        own = _LAYOUT_FIELDS[self.variant] if self.T or self.variant == EXPLICIT else ()
+        if ((self.D and "D" not in own) or (self.r and "r" not in own) or (
+                self.variant != EXPLICIT and (self.alpha_raw, self.beta_raw) != (None, None))):
+            raise BadSpec(f"{self.variant} scheme at T={self.T} takes no layout field beyond {own}")
+        if "D" in own and (not 1 <= self.D <= self.M or math.gcd(self.D, self.M) != 1):
+            raise BadD(f"D={self.D} must lie in [1, M={self.M}] and be coprime to M")
+        if "r" in own:
+            _check_run_length(self.K, self.M, self.T, self.r)
+        if self.variant == EXPLICIT:
+            for name, exps in (("alpha", self.alpha_raw), ("beta", self.beta_raw)):
+                if not isinstance(exps, tuple) or len(exps) != self.T:
+                    raise BadSpec(f"{name} must be a tuple of exactly T={self.T} exponents")
+                if any(not isinstance(e, int) or e < 0 for e in exps):
+                    raise BadSpec(f"{name} exponents must be nonnegative integers")
+                if any(b <= a for a, b in zip(exps, exps[1:])):
+                    raise BadSpec(f"{name} exponents must be strictly increasing")
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def mp(cls, K: int, M: int, L: int, T: int, D: int = 1) -> "SchemeParams":
-        if T == 0:
-            return cls(MP, K, M, L, 0, D=0)
-        if not 1 <= D <= M or math.gcd(D, M) != 1:
-            raise BadD(f"D={D} must lie in [1, M={M}] and be coprime to M")
-        return cls(MP, K, M, L, T, D=D)
+        return cls(MP, K, M, L, T, D=D if T else 0)
 
     @classmethod
     def ggasp(cls, K: int, M: int, L: int, T: int, r: int = 1) -> "SchemeParams":
-        if T == 0:
-            return cls(GGASP, K, M, L, 0, r=0)
-        _check_run_length(K, M, T, r)
-        return cls(GGASP, K, M, L, T, r=r)
+        return cls(GGASP, K, M, L, T, r=r if T else 0)
 
     @classmethod
     def explicit(cls, K: int, M: int, L: int, T: int,
                  alpha: tuple[int, ...], beta: tuple[int, ...]) -> "SchemeParams":
-        alpha = tuple(int(a) for a in alpha)
-        beta = tuple(int(b) for b in beta)
-        for name, exps in (("alpha", alpha), ("beta", beta)):
-            if len(exps) != T:
-                raise BadSpec(f"{name} must list exactly T={T} exponents")
-            if any(e < 0 for e in exps):
-                raise BadSpec(f"{name} exponents must be nonnegative")
-            if any(b <= a for a, b in zip(exps, exps[1:])):
-                raise BadSpec(f"{name} exponents must be strictly increasing")
-        return cls(EXPLICIT, K, M, L, T, alpha_raw=alpha, beta_raw=beta)
+        return cls(EXPLICIT, K, M, L, T, alpha_raw=tuple(int(a) for a in alpha),
+                   beta_raw=tuple(int(b) for b in beta))
 
     # -- exponent layout ------------------------------------------------------
 
@@ -126,6 +132,17 @@ class SchemeParams:
             return tuple(range(self.T))
         return self.beta_raw
 
+    def exponents(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Exponents of f's and of g's blocks, in the order build_f and build_g fill them.
+
+        f: A_{k,m} at m + k*M in row-major (k, m), then noise t at K*M*L + alpha_t;
+        g: B_{m,l} at M-1-m + l*K*M in row-major (m, l), then noise t at K*M*L + beta_t.
+        """
+        K, M, L, KML = self.K, self.M, self.L, self.KML
+        f = tuple(m + k * M for k in range(K) for m in range(M))
+        g = tuple(M - 1 - m + l * K * M for m in range(M) for l in range(L))
+        return f + tuple(KML + a for a in self.alpha()), g + tuple(KML + b for b in self.beta())
+
     @property
     def KML(self) -> int:
         return self.K * self.M * self.L
@@ -139,9 +156,6 @@ class SchemeParams:
         alpha = "+".join(str(a) for a in self.alpha())
         beta = "+".join(str(b) for b in self.beta())
         return f"explicit:{base},alpha={alpha},beta={beta}"
-
-
-_LAYOUT_FIELDS = {MP: ("D",), GGASP: ("r",), EXPLICIT: ("alpha", "beta")}  # beside K, M, L, T
 
 
 def parse_scheme_spec(spec: str) -> SchemeParams:
@@ -235,32 +249,18 @@ def partition(A: BlockMatrix, B: BlockMatrix, K: int, M: int, L: int) -> Partiti
 
 def build_f(params: SchemeParams, parts: PartitionedInput,
             rng: random.Random, ctx: FieldCtx) -> MatPoly:
-    """Encoding polynomial for A, including the noise terms."""
-    K, M = params.K, params.M
-    terms = {}
-    for k in range(K):
-        for m in range(M):
-            terms[m + k * M] = parts.a_blocks[k][m]
-    a, s = parts.block_shape_a
-    base = params.KML
-    for off in params.alpha():
-        terms[base + off] = BlockMatrix.random(a, s, ctx, rng)
-    return MatPoly(terms, (a, s), ctx)
+    """Encoding polynomial for A: its blocks row-major, then T noise blocks, at exponents()[0]."""
+    blocks = [blk for row in parts.a_blocks for blk in row]
+    blocks += [BlockMatrix.random(*parts.block_shape_a, ctx, rng) for _ in range(params.T)]
+    return MatPoly(dict(zip(params.exponents()[0], blocks, strict=True)), parts.block_shape_a, ctx)
 
 
 def build_g(params: SchemeParams, parts: PartitionedInput,
             rng: random.Random, ctx: FieldCtx) -> MatPoly:
-    """Encoding polynomial for B; the m index runs reversed inside each window."""
-    K, M, L = params.K, params.M, params.L
-    terms = {}
-    for m in range(M):
-        for l in range(L):
-            terms[(M - 1 - m) + l * K * M] = parts.b_blocks[m][l]
-    s, b = parts.block_shape_b
-    base = params.KML
-    for off in params.beta():
-        terms[base + off] = BlockMatrix.random(s, b, ctx, rng)
-    return MatPoly(terms, (s, b), ctx)
+    """Encoding polynomial for B: its blocks row-major, then T noise blocks, at exponents()[1]."""
+    blocks = [blk for row in parts.b_blocks for blk in row]
+    blocks += [BlockMatrix.random(*parts.block_shape_b, ctx, rng) for _ in range(params.T)]
+    return MatPoly(dict(zip(params.exponents()[1], blocks, strict=True)), parts.block_shape_b, ctx)
 
 
 def product_block_positions(K: int, M: int, L: int) -> dict[tuple[int, int], int]:

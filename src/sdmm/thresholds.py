@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BadSpec
-from .schemes import EXPLICIT, GGASP, MP, SchemeParams
+from .schemes import GGASP, MP, SchemeParams
 
 
 def symbolic_support(params: SchemeParams) -> tuple[int, ...]:
@@ -220,14 +220,12 @@ def threshold(params: SchemeParams) -> ThresholdReport:
         return mp_threshold_closed_form(params.K, params.M, params.L, params.T, params.D)
     if params.variant == GGASP:
         return ggasp_threshold_closed_form(params.K, params.M, params.L, params.T, params.r)
-    if params.variant == EXPLICIT:
-        return threshold_from_support(params)
-    raise BadSpec(f"unknown variant {params.variant!r}")
+    return threshold_from_support(params)
 
 
 def optimal_r(K: int, M: int, L: int, T: int) -> ThresholdReport:
     """Best run length for the grouped layout: minimal N, ties to smaller r."""
-    SchemeParams(GGASP, K, M, L, T)  # reject a bad grid before the range of r is empty
+    SchemeParams.ggasp(K, M, L, T)  # reject a bad grid before the range of r is empty
     if T == 0:
         return ggasp_threshold_closed_form(K, M, L, 0)
     supports = {r: _ggasp_support(K, M, L, T, r) for r in range(1, min(K * M, T) + 1)}

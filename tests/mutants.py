@@ -111,19 +111,24 @@ MUTANTS = [
            "pow_'s ladder starts at the base for the leading bit and squares once per later bit",
            ("tests/test_fields.py::test_pow_matches_repeated_multiplication",)),
     Mutant("baseline-leak", "schemes.py",
-           "        terms[base + off] = BlockMatrix.random(a, s, ctx, rng)\n"
-           "    return MatPoly(terms, (a, s), ctx)",
-           "        terms[base + off] = BlockMatrix.random(a, s, ctx, rng)\n"
-           "    if params.alpha():  # the stream is drawn as usual, then A leaks\n"
-           "        terms[base + params.alpha()[0]] = parts.a_blocks[0][0]\n"
-           "    return MatPoly(terms, (a, s), ctx)",
+           "    blocks += [BlockMatrix.random(*parts.block_shape_a, ctx, rng)"
+           " for _ in range(params.T)]\n",
+           "    blocks += [BlockMatrix.random(*parts.block_shape_a, ctx, rng)"
+           " for _ in range(params.T)]\n"
+           "    if params.T:  # the stream is drawn as usual, then A leaks\n"
+           "        blocks[-params.T] = blocks[0]\n",
            "f's shares are padded by uniform noise: no T workers learn anything about A",
            (NOISE_TABLES, f"{ORACLE}[mp-t1]")),
     Mutant("noise-exponent-shift", "schemes.py",
-           "terms[base + off] = BlockMatrix.random(a, s, ctx, rng)",
-           "terms[base + off + 1] = BlockMatrix.random(a, s, ctx, rng)",
+           "dict(zip(params.exponents()[0], blocks, strict=True))",
+           "dict(zip([e + (e >= params.KML) for e in params.exponents()[0]], blocks, strict=True))",
            "f carries its noise at the exponents whose table security_check certifies",
            (NOISE_TABLES,)),
+    Mutant("g-window-order", "schemes.py",
+           "g = tuple(M - 1 - m + l * K * M for m in range(M) for l in range(L))",
+           "g = tuple(m + l * K * M for m in range(M) for l in range(L))",
+           "g's m index runs reversed in each window, so A_{k,m} meets B_{m,l} at block (k, l)",
+           ("tests/test_schemes.py::test_exponents_align_each_product_block[2-3-2-2]",)),
     Mutant("sigma-b-unscanned", "linalg.py",
            "res_b = res_a if np.array_equal(sig_b, sig_a) else "
            "is_mds(sig_b, plan.ctx, budget=budget)",

@@ -247,7 +247,7 @@ def test_evaluate_matches_naive_values_and_horner_counts(ctx):
         want_count = MultCounter()
         assert evaluate(poly, points) == [poly.evaluate_naive(x) for x in points]
         ref_horner(terms, x, want_count)
-        assert horner_cost(poly) == want_count.count
+        assert horner_cost(poly.support(), poly.rows * poly.cols) == want_count.count
         assert evaluate(poly, []) == []
 
 
@@ -258,7 +258,7 @@ def test_evaluate_empty_polynomial_is_zero_everywhere(ctx):
     got = evaluate(poly, points)
     assert got == [BlockMatrix.zero(2, 3, ctx)] * 3 == [poly.evaluate_naive(x) for x in points]
     assert evaluate(poly, []) == []
-    assert horner_cost(poly) == 0
+    assert horner_cost(poly.support(), poly.rows * poly.cols) == 0
 
 
 # the first six fields: rng.sample below takes no range longer than sys.maxsize

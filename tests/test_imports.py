@@ -65,6 +65,16 @@ def test_the_array_engine_takes_no_counter():
     assert "check_only" not in _params(apply)
 
 
+def test_encode_takes_no_counter():
+    # run_protocol prices encoding from the scheme's exponent layout; the
+    # counter reaches only pow_, the two scalar evaluations, interpolate,
+    # decode and the audit around it
+    takers = {fn.name for path in MODULES for fn in ast.walk(ast.parse(path.read_text()))
+              if isinstance(fn, ast.FunctionDef) and "counter" in _params(fn)}
+    assert takers == {"pow_", "evaluate_naive", "eval_sparse_horner", "interpolate", "decode",
+                      "_audited"}
+
+
 def _scoped(node, scope=None):
     """(innermost enclosing function name, node) for every node below node."""
     for child in ast.iter_child_nodes(node):

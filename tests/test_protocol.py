@@ -242,6 +242,33 @@ def test_decode_count_is_the_closed_form_of_its_routes(monkeypatch, make_plan, d
     assert rep.mult_counts["decode"] == sum(want[route] for route in routes)
 
 
+@pytest.mark.parametrize("make_plan", [lambda: gf31_plan(1, 8), _f961_plan, gf61_plan],
+                         ids=["p31", "f961", "f61"])
+def test_encode_is_priced_on_the_layout_zero_blocks_included(make_plan):
+    # every worker's two shares cost sparse Horner over the scheme's exponent
+    # layout: per gap between consecutive exponents, and from the lowest down
+    # to 0, a pow_ ladder and one scale of an a x s (or s x b) block. A zero
+    # block of A drops out of f, but the price is the layout's, so zeroing
+    # A_{0,1} changes nothing
+    plan = make_plan()
+    params, ctx = plan.params, plan.ctx
+    A, B = _inputs(plan, scale=2)
+    a, s, b = A.rows // params.K, A.cols // params.M, B.cols // params.L
+    holed = A.array.copy()
+    holed[:a, s:2 * s] = 0
+    reports = [run_protocol(X, B, plan, seed=1) for X in (A, BlockMatrix(holed, ctx))]
+    assert all(rep.decode_success for rep in reports)
+
+    def horner(exponents, size):
+        exps = sorted(exponents)
+        gaps = [hi - lo for lo, hi in zip([0] + exps, exps) if hi > lo]
+        return _ladders(ctx, gaps) + len(gaps) * size
+
+    f, g = params.exponents()
+    want = plan.n_workers * (horner(f, a * s) + horner(g, s * b))
+    assert [rep.mult_counts["encode"] for rep in reports] == [want, want]
+
+
 def test_decode_raises_when_called_directly_with_too_few_responses():
     plan = gf31_plan(1, 8)
     A, B = _inputs(plan)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,6 +9,9 @@ from sdmm.errors import BadD, BadR, BadSpec, ShapeMismatch
 from sdmm.fields import make_field
 from sdmm.matpoly import BlockMatrix
 from sdmm.schemes import (
+    EXPLICIT,
+    GGASP,
+    MP,
     SchemeParams,
     build_f,
     build_g,
@@ -16,6 +20,7 @@ from sdmm.schemes import (
     partition,
     product_block_positions,
 )
+from sdmm.thresholds import symbolic_support
 
 F31 = make_field(31)
 
@@ -75,6 +80,82 @@ def test_explicit_rejects_a_repeated_exponent():
         parse_scheme_spec("explicit:K=1,M=2,L=1,T=2,alpha=0+0,beta=0+1")
     with pytest.raises(BadSpec, match="strictly increasing"):
         SchemeParams.explicit(1, 2, 1, 2, alpha=(0, 2), beta=(1, 1))
+
+
+@pytest.mark.parametrize("args, error", [
+    (("mp", 2, 3, 2, 2), BadD),  # D left at 0
+    (("ggasp", 2, 2, 2, 2), BadR),  # r left at 0
+    (("explicit", 1, 2, 1, 2), BadSpec),  # no alpha, no beta
+    (("nope", 1, 1, 1, 0), BadSpec),
+], ids=["mp-no-D", "ggasp-no-r", "explicit-no-exponents", "unknown-variant"])
+def test_a_directly_built_scheme_is_checked_like_the_classmethods(args, error):
+    with pytest.raises(error):
+        SchemeParams(*args)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(variant=MP, T=0, D=1),
+    dict(variant=GGASP, T=0, r=1),
+    dict(variant=MP, T=1, D=1, r=1),
+    dict(variant=GGASP, T=1, r=1, D=1),
+    dict(variant=MP, T=1, D=1, alpha_raw=(0,)),
+    dict(variant=GGASP, T=0, beta_raw=()),
+    dict(variant=EXPLICIT, T=1, D=1, alpha_raw=(0,), beta_raw=(0,)),
+], ids=["mp-D-at-T0", "ggasp-r-at-T0", "mp-r", "ggasp-D", "mp-alpha", "ggasp-beta-at-T0",
+        "explicit-D"])
+def test_a_layout_field_no_classmethod_sets_is_refused(kwargs):
+    # the classmethods set D only on mp and r only on ggasp, neither at T = 0,
+    # and alpha and beta only on explicit
+    with pytest.raises(BadSpec, match="takes no"):
+        SchemeParams(K=1, M=2, L=1, **kwargs)
+
+
+@pytest.mark.parametrize("alpha", [[0], (0.5,), (-1,)], ids=["list", "float", "negative"])
+def test_direct_explicit_exponents_are_a_tuple_of_nonnegative_integers(alpha):
+    # explicit() hands over int tuples; a direct call gets no conversion, so
+    # an exponent that is not one would reach the layout and the spec string
+    with pytest.raises(BadSpec):
+        SchemeParams(EXPLICIT, 1, 2, 1, 1, alpha_raw=alpha, beta_raw=(0,))
+
+
+def _every_layout():
+    """Every mp (each D) and ggasp (each r) layout with K, L <= 4, M <= 5, T <= 5, and 400
+    random explicit ones with offsets below K*M*L + K*M + T."""
+    rng = random.Random("layouts")
+    for K, M, L, T in itertools.product(range(1, 5), range(1, 6), range(1, 5), range(6)):
+        for D in (d for d in range(1, M + 1) if math.gcd(d, M) == 1) if T else [1]:
+            yield SchemeParams.mp(K, M, L, T, D=D)
+        for r in range(1, min(K * M, T) + 1) if T else [1]:
+            yield SchemeParams.ggasp(K, M, L, T, r=r)
+    for _ in range(400):
+        K, M, L, T = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4), rng.randint(0, 5)
+        alpha, beta = (sorted(rng.sample(range(K * M * L + K * M + T), T)) for _ in range(2))
+        yield SchemeParams.explicit(K, M, L, T, alpha, beta)
+
+
+def test_the_exponent_layout_sums_to_the_symbolic_support():
+    # the support of h = f*g is the sumset of f's and g's exponents; the
+    # oracle enumerates it separately, from the offsets alone
+    seen = 0
+    for params in _every_layout():
+        f, g = params.exponents()
+        assert len(set(f)) == len(f) and len(set(g)) == len(g), params
+        assert len(f) == params.K * params.M + params.T and len(g) == params.M * params.L + params.T
+        assert tuple(sorted({a + b for a in f for b in g})) == symbolic_support(params), params
+        seen += 1
+    assert seen > 2000
+
+
+@pytest.mark.parametrize("K, M, L, T", [(1, 2, 1, 1), (2, 3, 2, 2), (3, 2, 2, 3), (2, 4, 3, 1)])
+def test_exponents_align_each_product_block(K, M, L, T):
+    # the pairs of f and g blocks whose exponents sum to product block
+    # (k, l)'s are exactly A_{k,m} and B_{m,l} for each m: no other data
+    # pair and no noise block lands there
+    for params in (SchemeParams.mp(K, M, L, T), SchemeParams.ggasp(K, M, L, T)):
+        f, g = params.exponents()
+        for (k, l), e in product_block_positions(K, M, L).items():
+            pairs = {(i, j) for i, a in enumerate(f) for j, b in enumerate(g) if a + b == e}
+            assert pairs == {(k * M + m, m * L + l) for m in range(M)}, (params, k, l)
 
 
 @st.composite
