@@ -7,8 +7,8 @@ read. Results are bit-for-bit those of entry-wise field arithmetic. A
 MatPoly maps exponents to BlockMatrix coefficients, all of one shape, and
 is kept canonical: no zero coefficient is ever stored, so the term keys
 are exactly the support. evaluate and interpolate run on one power table
-of the points, which evaluate_on and interpolate also take ready-made, as
-a plan caches it; evaluate_naive is the scalar power-sum reference. The
+of the points, and take either the points or that table ready-made, as a
+plan caches it; evaluate_naive is the scalar power-sum reference. The
 arrays count nothing; the cost model at the end prices the scalar work.
 """
 
@@ -252,7 +252,7 @@ class MatPoly:
         """The value at x, counted as sparse Horner spends it (horner_cost)."""
         if counter is not None:
             counter.add(horner_cost(self.support(), self.rows * self.cols))
-        return evaluate(self, [x])[0]
+        return BlockMatrix._view(evaluate(self, [x])[0], self.ctx)
 
 
 def mod_m_transform(h: MatPoly, zeta: FieldElement, M: int) -> MatPoly:
@@ -300,40 +300,40 @@ def stack_blocks(blocks: list[BlockMatrix], ctx: FieldCtx) -> np.ndarray:
     return np.array([b.array for b in blocks], dtype=blocks[0].array.dtype)
 
 
-def evaluate(poly: MatPoly, points: Iterable[FieldElement]) -> list[BlockMatrix]:
-    """poly at every point: the points' power table on its support, through evaluate_on."""
-    ctx = poly.ctx
-    table = _gauss.powers(_gauss.as_array([list(points)], ctx)[0], poly.support(), ctx)
-    return [BlockMatrix._view(v, ctx) for v in evaluate_on(poly, table)]
+def _power_table(points, exponents, ctx: FieldCtx) -> np.ndarray:
+    """The (points, |exponents|, r) power table of FieldElements, or a ready one, shape-checked."""
+    if not isinstance(points, np.ndarray):
+        return _gauss.powers(_gauss.as_array([list(points)], ctx)[0], exponents, ctx)
+    if points.ndim != 3 or points.shape[1:] != (len(exponents), ctx.r):
+        raise ShapeMismatch(f"table {points.shape} is not (points, {len(exponents)}, {ctx.r})")
+    return points
 
 
-def evaluate_on(poly: MatPoly, table: np.ndarray) -> np.ndarray:
-    """poly at the points of a (points, |support|, r) power table on its support.
+def evaluate(poly: MatPoly, points) -> np.ndarray:
+    """poly at every point, as a (points, rows, cols, r) residue stack.
 
-    One product of the table and the stacked coefficients gives the values
-    as a (points, rows, cols, r) residue stack.
+    points are FieldElements or their power table on poly.support(), as
+    encode slices plan.power_table; the table times the coefficients gives it.
     """
     ctx, n = poly.ctx, len(poly.terms)
+    table = _power_table(points, poly.support(), ctx)
     coeffs = np.array([c.array for c in poly.terms.values()], dtype=_gauss.dtype(ctx))
     values = _gauss.matmul(table, coeffs.reshape(n, poly.rows * poly.cols, ctx.r), ctx)
     return values.reshape(len(table), poly.rows, poly.cols, ctx.r)
 
 
-def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int],
-                ctx: FieldCtx, counter: Optional[MultCounter] = None, *,
-                table: Optional[np.ndarray] = None, solver=None):
+def interpolate(points, values, exponents: Iterable[int], ctx: FieldCtx,
+                counter: Optional[MultCounter] = None, *, solver=None):
     """Recover the coefficients of a polynomial with known support.
 
     Solves sum_e C_e x_n^e = V_n entry-wise across blocks of one shape over
     ctx, given as blocks or as their residue stack (n, rows, cols, r);
-    values of another shape or field raise ShapeMismatch. Needs at least as
-    many evaluations as exponents; raises SingularSystem when the points do
-    not determine the coefficients, and InconsistentResponses when the
+    values of another shape or field raise ShapeMismatch. points are
+    FieldElements or their power table on the sorted distinct exponents
+    (_power_table), as decode passes a plan's rows. Needs at least as many
+    evaluations as exponents; raises SingularSystem when the points do not
+    determine the coefficients, and InconsistentResponses when the
     evaluations beyond the unknowns disagree with them.
-    table, when given, is the power table of the points on the sorted
-    distinct exponents, shape (points, exponents, r), as an EvaluationPlan
-    keeps it; it is used as is instead of being computed from the points,
-    and a table of another shape raises ShapeMismatch.
     Without a solver, _gauss.solve finds every coefficient and the whole
     MatPoly is returned. A solver maps the (n, rows*cols, r) value stack to
     the rows of the coefficients its caller wants, as decode's operators
@@ -343,34 +343,27 @@ def interpolate(points: Iterable[FieldElement], values, exponents: Iterable[int]
     exponent and gauss_jordan_cost of the shape of [table | values], so a
     singular system is charged in full.
     """
-    pts = list(points)
-    vals = values if isinstance(values, np.ndarray) else list(values)
     exps = sorted(set(map(int, exponents)))
-    if len(pts) != len(vals):
+    table = _power_table(points, exps, ctx)
+    vals = values if isinstance(values, np.ndarray) else list(values)
+    if len(table) != len(vals):
         raise ShapeMismatch("points and values differ in length")
-    if len(pts) < len(exps):
+    if len(table) < len(exps):
         raise SingularSystem("fewer evaluations than unknown coefficients")
     if not len(vals):
         raise ShapeMismatch("no evaluations supplied")
     rhs = vals if isinstance(vals, np.ndarray) else stack_blocks(vals, ctx)
     if rhs.ndim != 4 or rhs.shape[3] != ctx.r:
         raise ShapeMismatch(f"value stack of shape {rhs.shape} is not (n, rows, cols, {ctx.r})")
-    shape = rhs.shape[1:3]
-    if table is None:
-        table = _gauss.powers(_gauss.as_array([pts], ctx)[0], exps, ctx)
-    elif table.shape != (len(pts), len(exps), ctx.r):
-        raise ShapeMismatch(f"power table of shape {table.shape} does not match "
-                            f"{len(pts)} points and {len(exps)} exponents")
     flat = rhs.reshape(len(vals), -1, ctx.r)
     if counter is not None:
-        counter.add(len(pts) * sum(_ladder(e) for e in exps)
-                    + gauss_jordan_cost(len(pts), len(exps), len(exps) + flat.shape[1]))
+        counter.add(len(table) * sum(_ladder(e) for e in exps)
+                    + gauss_jordan_cost(len(table), len(exps), len(exps) + flat.shape[1]))
     if solver is not None:
         sol = solver(flat)
-        return sol.reshape((len(sol),) + shape + (ctx.r,))
-    sol = _gauss.solve(table, flat, ctx)
-    terms = {e: BlockMatrix._view(row.reshape(shape + (ctx.r,)), ctx) for row, e in zip(sol, exps)}
-    return MatPoly(terms, shape, ctx)
+        return sol.reshape((len(sol),) + rhs.shape[1:])
+    sol = _gauss.solve(table, flat, ctx).reshape((len(exps),) + rhs.shape[1:])
+    return MatPoly({e: BlockMatrix._view(c, ctx) for e, c in zip(exps, sol)}, rhs.shape[1:3], ctx)
 
 
 # -- the cost model ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fields import FieldCtx, MultCounter
 from .linalg import EvaluationPlan, MdsResult, _batches, _subsets, is_mds, singular_minors
-from .matpoly import BlockMatrix, evaluate_on, horner_cost, interpolate, stack_blocks
+from .matpoly import BlockMatrix, evaluate, horner_cost, interpolate, stack_blocks
 from .schemes import SchemeParams, build_f, build_g, partition
 from .thresholds import _report_dict
 
@@ -112,8 +112,7 @@ def encode(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     f = build_f(params, parts, rng, plan.ctx)
     g = build_g(params, parts, rng, plan.ctx)
     table = plan.power_table
-    return (evaluate_on(f, table[:, list(f.support())]),
-            evaluate_on(g, table[:, list(g.support())]))
+    return evaluate(f, table[:, list(f.support())]), evaluate(g, table[:, list(g.support())])
 
 
 class Responses(Mapping):
@@ -229,18 +228,19 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     key is not an integer worker index, and ShapeMismatch when any response
     is not a BlockMatrix or differs in shape or field from the rest.
 
-    Either route hands interpolate the rows of the plan's cached power
-    table and a solver that yields only the K*L product blocks, checking
-    every spare equation of the route (_apply) with the operators that
-    p_of_s_empirical prepared with the responses on this very plan, else
-    with _prepare's for this one pattern. On the hypernode route, which
-    reads only complete hypernodes, so are the raw responses: when the
-    responding workers' rows of plan.worker_table have full column rank,
-    responses that are not evaluations of one polynomial on the full
-    support raise InconsistentResponses. The counter records what the
-    scalar decoder spends, as interpolate prices it from each route's
-    shape, so a singular hypernode system is charged in full before the
-    full route adds its own; the raw check adds nothing to it.
+    Either route hands interpolate, as its points, its rows of the plan's
+    cached power tables (base_table at the complete hypernodes, worker_table
+    at the responding workers), and a solver that yields only the K*L
+    product blocks, checking every spare equation of the route (_apply)
+    with the operators that p_of_s_empirical prepared with the responses on
+    this very plan, else with _prepare's for this one pattern. On the
+    hypernode route, which reads only complete hypernodes, so are the raw
+    responses: when the responding workers' rows of plan.worker_table have
+    full column rank, responses that are not evaluations of one polynomial
+    on the full support raise InconsistentResponses. The counter records
+    what the scalar decoder spends, as interpolate prices it from each
+    route's shape, so a singular hypernode system is charged in full before
+    the full route adds its own; the raw check adds nothing to it.
     """
     order, stack, operators = _stacked(responses, plan)
     ctx, M = plan.ctx, plan.params.M
@@ -260,20 +260,16 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
         members = stack[whole[order // M]].reshape(len(complete), M, rows * cols, ctx.r)
         vals = _gauss.matmul(plan.hypernode_weights[None], members, ctx).reshape(
             len(complete), rows, cols, ctx.r)
-        pts = [plan.base_points[p] for p in complete.tolist()]
         # a singular base set falls through to full interpolation; a worker
         # set without an operator (singular or short) skips the raw check
         with contextlib.suppress(SingularSystem):
-            coeffs = interpolate(pts, vals, plan.class_support, ctx, counter,
-                                 table=plan.base_table[complete],
+            coeffs = interpolate(plan.base_table[complete], vals, plan.class_support, ctx, counter,
                                  solver=lambda rhs: _apply(plan, operators, base, rhs))
             _apply(plan, operators, worker, stack.reshape(len(order), -1, ctx.r))
     if coeffs is None:
         if worker not in operators:
             raise _shortfall(plan, len(order), len(spoiled))
-        pts = [plan.worker_points[n] for n in order.tolist()]
-        coeffs = interpolate(pts, stack, plan.full_support, ctx, counter,
-                             table=plan.worker_table[order],
+        coeffs = interpolate(plan.worker_table[order], stack, plan.full_support, ctx, counter,
                              solver=lambda rhs: _apply(plan, operators, worker, rhs))
     coeffs.setflags(write=False)
     return {kl: BlockMatrix._view(c, ctx) for kl, c in zip(plan.block_positions, coeffs)}

@@ -21,6 +21,7 @@ increasing exponent tuples are accepted as an escape hatch.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,6 +58,14 @@ def _check_run_length(K: int, M: int, T: int, r: int) -> None:
         raise BadR(f"run length {r} outside [1, min(K*M={K*M}, T={T})]")
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as ints through operator.index, as numpy integers convert; BadSpec for 2.0 or "3"."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise BadSpec(f"{what} must be integers") from None
+
+
 _LAYOUT_FIELDS = {MP: ("D",), GGASP: ("r",), EXPLICIT: ("alpha", "beta")}  # beside K, M, L, T
 
 
@@ -75,6 +84,7 @@ class SchemeParams:
     beta_raw: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
+        _integers((self.K, self.M, self.L, self.T, self.D, self.r), "K, M, L, T, D and r")
         if self.K < 1 or self.M < 1 or self.L < 1:
             raise BadSpec("K, M, L must be positive")
         if self.T < 0:
@@ -93,7 +103,8 @@ class SchemeParams:
             for name, exps in (("alpha", self.alpha_raw), ("beta", self.beta_raw)):
                 if not isinstance(exps, tuple) or len(exps) != self.T:
                     raise BadSpec(f"{name} must be a tuple of exactly T={self.T} exponents")
-                if any(not isinstance(e, int) or e < 0 for e in exps):
+                object.__setattr__(self, f"{name}_raw", _integers(exps, f"{name} exponents"))
+                if any(e < 0 for e in exps):
                     raise BadSpec(f"{name} exponents must be nonnegative integers")
                 if any(b <= a for a, b in zip(exps, exps[1:])):
                     raise BadSpec(f"{name} exponents must be strictly increasing")
@@ -111,8 +122,7 @@ class SchemeParams:
     @classmethod
     def explicit(cls, K: int, M: int, L: int, T: int,
                  alpha: tuple[int, ...], beta: tuple[int, ...]) -> "SchemeParams":
-        return cls(EXPLICIT, K, M, L, T, alpha_raw=tuple(int(a) for a in alpha),
-                   beta_raw=tuple(int(b) for b in beta))
+        return cls(EXPLICIT, K, M, L, T, alpha_raw=tuple(alpha), beta_raw=tuple(beta))
 
     # -- exponent layout ------------------------------------------------------
 

@@ -194,6 +194,17 @@ MUTANTS = [
            ("tests/test_protocol.py::test_decode_raises_when_called_directly_with_too_few_responses",
             "tests/test_protocol.py::"
             "test_decode_raises_when_the_hypernode_route_is_singular_and_responses_are_short")),
+    Mutant("table-last-axis-only", "matpoly.py",
+           "if points.ndim != 3 or points.shape[1:] != (len(exponents), ctx.r):",
+           "if points.shape[-1] != ctx.r:",
+           "evaluate and interpolate refuse a power table that does not fit the exponents",
+           ("tests/test_matpoly.py::"
+            "test_a_power_table_one_column_short_is_a_shape_mismatch[GF(31)]",)),
+    Mutant("fields-not-integers", "schemes.py",
+           "return tuple(map(operator.index, values))",
+           "return tuple(values)",
+           "a scheme's grid, layout fields and exponents are integers, however it is built",
+           ("tests/test_schemes.py::test_a_scheme_refuses_fields_that_are_not_integers[K-float]",)),
 ]
 
 

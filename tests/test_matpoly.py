@@ -330,12 +330,29 @@ def test_interpolate_uses_a_supplied_power_table_of_the_right_shape():
     vals = [p.evaluate_naive(x) for x in pts]
     table = np.array([[[x.pow_(e).coeffs[0]] for e in (0, 2)] for x in pts])
     with_table, without = MultCounter(), MultCounter()
-    assert interpolate(pts, vals, [2, 0, 2], F31, with_table, table=table) == p
+    assert interpolate(table, vals, [2, 0, 2], F31, with_table) == p
     assert interpolate(pts, vals, [0, 2], F31, without) == p
     assert with_table.count == without.count
     for bad in (table[:2], table[:, :1], np.zeros((3, 2, 2), dtype=np.int64)):
         with pytest.raises(ShapeMismatch):
-            interpolate(pts, vals, [0, 2], F31, table=bad)
+            interpolate(bad, vals, [0, 2], F31)
+
+
+@pytest.mark.parametrize("ctx", [F31, F169], ids=repr)
+def test_a_power_table_one_column_short_is_a_shape_mismatch(ctx):
+    # evaluate and interpolate check a table through one helper; without it
+    # evaluate raises numpy's ValueError and interpolate calls honest values
+    # inconsistent
+    rng = random.Random(9)
+    p = rand_poly((2, 2), ctx, rng, max_exp=6, n_terms=3)
+    pts = [ctx.from_index(i) for i in range(1, 5)]
+    table = np.array([[x.pow_(e).coeffs for e in p.support()] for x in pts])
+    assert np.array_equal(evaluate(p, table), evaluate(p, pts))
+    assert interpolate(table, evaluate(p, pts), p.support(), ctx) == p
+    with pytest.raises(ShapeMismatch):
+        evaluate(p, table[:, :-1])
+    with pytest.raises(ShapeMismatch):
+        interpolate(table[:, :-1], evaluate(p, pts), p.support(), ctx)
 
 
 def test_interpolate_takes_the_residue_stack_of_the_values():

@@ -418,6 +418,17 @@ def test_hypernode_route_rejects_a_response_of_another_shape():
             decode(survivors, plan)
 
 
+def _points_of(plan, table, exponents):
+    """The FieldElements whose powers on exponents are the rows of a table decode passes.
+
+    Those rows come from plan.power_table, and worker p*M evaluates at base
+    point p, so the worker points hold the points of either route.
+    """
+    at = {row.tobytes(): x for row, x in zip(plan.power_table[:, list(exponents)],
+                                             plan.worker_points)}
+    return [at[row.tobytes()] for row in table]
+
+
 @pytest.mark.parametrize("make_plan", [lambda: gf31_plan(1, 8), _f961_plan],
                          ids=["p31", "f961"])
 @pytest.mark.parametrize("down,route", [((), "hypernode"), ((0, 3), "full")])
@@ -440,9 +451,10 @@ def test_decode_on_the_plan_tables_matches_interpolation_from_points(
     interpolate = sdmm.protocol.interpolate
     tables = []
 
-    def from_points(points, values, exponents, ctx, counter=None, *, table, solver):
-        tables.append(table)
-        return interpolate(points, values, exponents, ctx, counter, solver=solver)
+    def from_points(points, values, exponents, ctx, counter=None, *, solver):
+        tables.append(points)
+        return interpolate(_points_of(plan, points, exponents), values, exponents, ctx, counter,
+                           solver=solver)
 
     monkeypatch.setattr(sdmm.protocol, "interpolate", from_points)
     recomputed = MultCounter()
@@ -487,8 +499,8 @@ def test_decode_matches_interpolation_from_points_on_random_survivor_sets(monkey
     positions = product_block_positions(params.K, params.M, params.L).values()
     interpolate = sdmm.protocol.interpolate
 
-    def from_points(points, values, exponents, ctx, counter=None, *, table, solver):
-        poly = interpolate(points, values, exponents, ctx, counter)
+    def from_points(points, values, exponents, ctx, counter=None, *, solver):
+        poly = interpolate(_points_of(plan, points, exponents), values, exponents, ctx, counter)
         return np.array([poly.coeff(e).array for e in positions])
 
     def outcome(survivors, scalar):

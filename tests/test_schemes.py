@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from sdmm.schemes import (
     partition,
     product_block_positions,
 )
-from sdmm.thresholds import symbolic_support
+from sdmm.thresholds import symbolic_support, threshold
 
 F31 = make_field(31)
 
@@ -116,6 +117,28 @@ def test_direct_explicit_exponents_are_a_tuple_of_nonnegative_integers(alpha):
     # an exponent that is not one would reach the layout and the spec string
     with pytest.raises(BadSpec):
         SchemeParams(EXPLICIT, 1, 2, 1, 1, alpha_raw=alpha, beta_raw=(0,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SchemeParams.mp(2.0, 3, 2, 1),
+    lambda: SchemeParams.ggasp(2, 3, 2, 2, r=1.0),
+    lambda: SchemeParams.mp(2, 3, 2, 2, D=1.0),
+    lambda: SchemeParams.explicit(1, 2, 1, 1, alpha=(2.7,), beta=(0,)),
+    lambda: SchemeParams.explicit(1, 2, 1, 1, alpha=("3",), beta=(0,)),
+], ids=["K-float", "r-float", "D-float", "alpha-float", "alpha-str"])
+def test_a_scheme_refuses_fields_that_are_not_integers(build):
+    # else K=2.0 prints a spec that parse_scheme_spec refuses and fails in
+    # threshold, r=1.0 and D=1.0 end in TypeError, and 2.7 or "3" pass as ints
+    with pytest.raises(BadSpec, match="must be integers"):
+        build()
+
+
+def test_numpy_integer_fields_build_the_same_scheme():
+    assert threshold(SchemeParams.mp(np.int64(2), 3, 2, 1)).N == 21
+    assert SchemeParams.mp(np.int64(2), 3, 2, 1).spec_string() == "mp:K=2,M=3,L=2,T=1,D=1"
+    got = SchemeParams.explicit(1, 2, 1, 1, alpha=(np.int64(2),), beta=(np.int8(0),))
+    assert got == SchemeParams.explicit(1, 2, 1, 1, alpha=(2,), beta=(0,))
+    assert type(got.alpha()[0]) is int
 
 
 def _every_layout():

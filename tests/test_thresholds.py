@@ -242,22 +242,42 @@ def test_step_size_probe_reports_d1_optimal():
 _report = lru_cache(maxsize=None)(thresholds._sweep_report)
 
 
+_GRID_BUDGET = 120  # the largest budget the tests below ask for
+
+
+@lru_cache(maxsize=None)
+def _grids(scheme, T, K_min, L_min, M_min):
+    """The reports of the grids with K*M*L <= _GRID_BUDGET that a budget can pick, best first.
+
+    Every grid's report, sorted by rate, keeps grids of equal rate in
+    (K, M, L) order, so a budget picks the first it fits; a grid that needs
+    no fewer workers than one before it is never that first, and is dropped.
+    """
+    reports = sorted((_report(scheme, K, M, L, T)
+                      for K in range(K_min, _GRID_BUDGET // (M_min * L_min) + 1)
+                      for M in range(M_min, _GRID_BUDGET // (K * L_min) + 1)
+                      for L in range(L_min, _GRID_BUDGET // (K * M) + 1)),
+                     key=lambda rep: rep.rate, reverse=True)
+    picks = []
+    for rep in reports:
+        if not picks or _need(rep) < _need(picks[-1]):
+            picks.append(rep)
+    return picks
+
+
+def _need(rep):
+    """The smallest budget a grid fits: its K*M*L blocks and its N workers."""
+    return max(rep.params.KML, rep.N)
+
+
 def _exhaustive_fixed_n(N_budget, T_max, K_min, L_min, M_min, schemes=("mp", "ggasp")):
-    """The search before pruning: every grid under the budget, in (K, M, L) order."""
+    """The search before pruning: of every grid under the budget, the first of highest rate."""
+    assert N_budget <= _GRID_BUDGET
     rows = []
     for T in range(T_max + 1):
         for scheme in schemes:
-            best = None
-            for K in range(K_min, N_budget + 1):
-                if K * M_min * L_min > N_budget:
-                    break
-                for M in range(M_min, N_budget // (K * L_min) + 1):
-                    for L in range(L_min, N_budget // (K * M) + 1):
-                        rep = _report(scheme, K, M, L, T)
-                        if rep.N > N_budget:
-                            continue
-                        if best is None or rep.rate > best.rate:
-                            best = rep
+            best = next((rep for rep in _grids(scheme, T, K_min, L_min, M_min)
+                         if _need(rep) <= N_budget), None)
             if best is not None:
                 rows.append(thresholds._sweep_row(best))
     return rows
