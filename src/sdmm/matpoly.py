@@ -322,8 +322,7 @@ def evaluate(poly: MatPoly, points) -> np.ndarray:
     return values.reshape(len(table), poly.rows, poly.cols, ctx.r)
 
 
-def interpolate(points, values, exponents: Iterable[int], ctx: FieldCtx,
-                counter: Optional[MultCounter] = None, *, solver=None):
+def interpolate(points, values, exponents: Iterable[int], ctx: FieldCtx, *, solver=None):
     """Recover the coefficients of a polynomial with known support.
 
     Solves sum_e C_e x_n^e = V_n entry-wise across blocks of one shape over
@@ -339,9 +338,7 @@ def interpolate(points, values, exponents: Iterable[int], ctx: FieldCtx,
     the rows of the coefficients its caller wants, as decode's operators
     do, through the same spare-equation check (_gauss.apply), raising as
     above; interpolate returns those rows as a (k, rows, cols, r) stack.
-    Either path counts, before solving, each point's pow_ ladder for every
-    exponent and gauss_jordan_cost of the shape of [table | values], so a
-    singular system is charged in full.
+    It counts nothing: interpolate_cost prices it per point.
     """
     exps = sorted(set(map(int, exponents)))
     table = _power_table(points, exps, ctx)
@@ -356,9 +353,6 @@ def interpolate(points, values, exponents: Iterable[int], ctx: FieldCtx,
     if rhs.ndim != 4 or rhs.shape[3] != ctx.r:
         raise ShapeMismatch(f"value stack of shape {rhs.shape} is not (n, rows, cols, {ctx.r})")
     flat = rhs.reshape(len(vals), -1, ctx.r)
-    if counter is not None:
-        counter.add(len(table) * sum(_ladder(e) for e in exps)
-                    + gauss_jordan_cost(len(table), len(exps), len(exps) + flat.shape[1]))
     if solver is not None:
         sol = solver(flat)
         return sol.reshape((len(sol),) + rhs.shape[1:])
@@ -383,3 +377,9 @@ def horner_cost(exponents: Iterable[int], size: int) -> int:
 def gauss_jordan_cost(rows: int, unknowns: int, width: int) -> int:
     """Multiplications dense Gauss-Jordan spends on [table | values]: width per row per unknown."""
     return rows * unknowns * width
+
+
+def interpolate_cost(exponents: Iterable[int], size: int) -> int:
+    """Multiplications interpolation spends per point: pow_ ladders, a row of gauss_jordan_cost."""
+    exps = list(exponents)
+    return sum(map(_ladder, exps)) + gauss_jordan_cost(1, len(exps), len(exps) + size)

@@ -11,7 +11,6 @@ counts of each phase.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 import json
@@ -36,7 +35,8 @@ from .errors import (
 )
 from .fields import FieldCtx, MultCounter
 from .linalg import EvaluationPlan, MdsResult, _batches, _subsets, is_mds, singular_minors
-from .matpoly import BlockMatrix, evaluate, horner_cost, interpolate, stack_blocks
+from .matpoly import (BlockMatrix, evaluate, horner_cost, interpolate, interpolate_cost,
+                      stack_blocks)
 from .schemes import SchemeParams, build_f, build_g, partition
 from .thresholds import _report_dict
 
@@ -200,19 +200,6 @@ def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> lis
     return [t if good else None for t, good in zip(T, ok)]
 
 
-def _apply(plan: EvaluationPlan, operators: dict, key: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Target coefficients of a route table's surviving rows, from their values rhs.
-
-    key is (route, missing rows), under which _prepare keeps the set's T
-    (_set_operators). A set without one lacks full column rank and raises
-    SingularSystem; else _gauss.apply returns T rhs's K*L product blocks, checking the rest.
-    """
-    T = operators.get(key)
-    if T is None:
-        raise SingularSystem("coefficient matrix is rank deficient")
-    return _gauss.apply(T, rhs, plan.params.K * plan.params.L, plan.ctx)
-
-
 def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
            counter: Optional[MultCounter] = None) -> dict:
     """All product blocks from worker responses, as worker_products or a dict gives them (_stacked).
@@ -223,27 +210,28 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     then interpolated on its small support. When too few hypernodes are
     complete (or that system is singular), and always on a flat plan, the
     full polynomial is interpolated on its generic support, which any
-    |supp(h)| responses permit. Raises InsufficientResponses when _prepare
-    built no operator for a route with enough data, BadSpec when a response
-    key is not an integer worker index, and ShapeMismatch when any response
-    is not a BlockMatrix or differs in shape or field from the rest.
+    |supp(h)| responses permit. The route is read off two lookups in the
+    operators p_of_s_empirical prepared with the responses on this very
+    plan, else in _prepare's for this one pattern: a missing key means too
+    few responses for that route, and None a singular system. With neither
+    route, InsufficientResponses is raised without a worker key, else
+    SingularSystem. BadSpec means a response key that is not an integer
+    worker index, ShapeMismatch a response that is not a BlockMatrix or
+    differs in shape or field from the rest.
 
-    Either route hands interpolate, as its points, its rows of the plan's
-    cached power tables (base_table at the complete hypernodes, worker_table
-    at the responding workers), and a solver that yields only the K*L
-    product blocks, checking every spare equation of the route (_apply)
-    with the operators that p_of_s_empirical prepared with the responses on
-    this very plan, else with _prepare's for this one pattern. On the
-    hypernode route, which reads only complete hypernodes, so are the raw
-    responses: when the responding workers' rows of plan.worker_table have
-    full column rank, responses that are not evaluations of one polynomial
-    on the full support raise InconsistentResponses. The counter records
-    what the scalar decoder spends, as interpolate prices it from each
-    route's shape, so a singular hypernode system is charged in full before
-    the full route adds its own; the raw check adds nothing to it.
+    A route hands interpolate, as its points, its rows of the plan's cached
+    power tables (base_table at the complete hypernodes, worker_table at the
+    responding workers), and a solver, _gauss.apply with its operator, that
+    yields the K*L product blocks and checks every spare equation of the
+    route. The hypernode route checks the raw responses too, when the
+    worker key's operator exists: responses that are not evaluations of one
+    polynomial on the full support raise InconsistentResponses. Before any
+    solve the counter records what the scalar decoder spends on every route
+    it tries (interpolate_cost), so a singular hypernode system is charged
+    in full; the raw check adds nothing.
     """
     order, stack, operators = _stacked(responses, plan)
-    ctx, M = plan.ctx, plan.params.M
+    ctx, M, KL = plan.ctx, plan.params.M, plan.params.K * plan.params.L
     gone = np.ones(plan.n_workers, dtype=bool)
     gone[order] = False
     whole = ~_spoiled(plan, gone[None])[0]
@@ -251,26 +239,29 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     operators = _prepare(plan, gone[None])[1] if operators is None else operators
     worker = ("worker", tuple(gone.nonzero()[0].tolist()))
     base = ("base", tuple(spoiled.tolist()))
-    coeffs = None
-    if base in operators:
-        rows, cols = stack.shape[1:3]
-        # counted as the scalar average: M response scales, then one of the sum
-        if counter is not None:
-            counter.add(len(complete) * (M + 1) * rows * cols)
-        members = stack[whole[order // M]].reshape(len(complete), M, rows * cols, ctx.r)
+    T_base, T_worker = operators.get(base), operators.get(worker)
+    hyper, full = base in operators, T_base is None and worker in operators
+    if counter is not None and (hyper or full):
+        rc = stack[0, ..., 0].size
+        # the scalar average scales M responses and their sum per complete hypernode
+        counter.add(hyper * len(complete) * (
+            (M + 1) * rc + interpolate_cost(plan.class_support, rc))
+            + full * len(order) * interpolate_cost(plan.full_support, rc))
+    if T_base is not None:
+        members = stack[whole[order // M]].reshape(len(complete), M, -1, ctx.r)
         vals = _gauss.matmul(plan.hypernode_weights[None], members, ctx).reshape(
-            len(complete), rows, cols, ctx.r)
-        # a singular base set falls through to full interpolation; a worker
-        # set without an operator (singular or short) skips the raw check
-        with contextlib.suppress(SingularSystem):
-            coeffs = interpolate(plan.base_table[complete], vals, plan.class_support, ctx, counter,
-                                 solver=lambda rhs: _apply(plan, operators, base, rhs))
-            _apply(plan, operators, worker, stack.reshape(len(order), -1, ctx.r))
-    if coeffs is None:
-        if worker not in operators:
-            raise _shortfall(plan, len(order), len(spoiled))
-        coeffs = interpolate(plan.worker_table[order], stack, plan.full_support, ctx, counter,
-                             solver=lambda rhs: _apply(plan, operators, worker, rhs))
+            (len(complete),) + stack.shape[1:])
+        coeffs = interpolate(plan.base_table[complete], vals, plan.class_support, ctx,
+                             solver=lambda rhs: _gauss.apply(T_base, rhs, KL, ctx))
+        if T_worker is not None:  # the raw responses' spare equations
+            _gauss.apply(T_worker, stack.reshape(len(order), -1, ctx.r), KL, ctx)
+    elif worker not in operators:
+        raise _shortfall(plan, len(order), len(spoiled))
+    elif T_worker is None:
+        raise SingularSystem("coefficient matrix is rank deficient")
+    else:
+        coeffs = interpolate(plan.worker_table[order], stack, plan.full_support, ctx,
+                             solver=lambda rhs: _gauss.apply(T_worker, rhs, KL, ctx))
     coeffs.setflags(write=False)
     return {kl: BlockMatrix._view(c, ctx) for kl, c in zip(plan.block_positions, coeffs)}
 

@@ -137,7 +137,7 @@ MUTANTS = [
            ("tests/test_protocol.py::test_an_insecure_sigma_b_leaks_b_through_the_shares",
             f"{ORACLE}[explicit-leaks-b]")),
     Mutant("raw-spare-check-skipped", "protocol.py",
-           "_apply(plan, operators, worker, stack.reshape(len(order), -1, ctx.r))",
+           "_gauss.apply(T_worker, stack.reshape(len(order), -1, ctx.r), KL, ctx)",
            "pass",
            "the hypernode route raises on responses that are not one polynomial's values",
            ("tests/test_protocol.py::test_hypernode_route_checks_the_raw_spare_equations",)),
@@ -188,12 +188,20 @@ MUTANTS = [
            ("tests/test_protocol.py::test_p_of_s_decodes_each_routed_pattern_with_its_batch_"
             "operators[0-6-5-90-want0]",)),
     Mutant("no-route-raises", "protocol.py",
-           "if worker not in operators:",
-           "if False:",
+           "elif worker not in operators:",
+           "elif False:",
            "decode raises InsufficientResponses when neither route has an operator",
            ("tests/test_protocol.py::test_decode_raises_when_called_directly_with_too_few_responses",
             "tests/test_protocol.py::"
             "test_decode_raises_when_the_hypernode_route_is_singular_and_responses_are_short")),
+    Mutant("full-route-priced-on-any-singular-base", "protocol.py",
+           "full = base in operators, T_base is None and worker in operators",
+           "full = base in operators, T_base is None or (base not in operators"
+           " and worker in operators)",
+           "a singular hypernode system with too few responses for the full route is charged"
+           " only itself",
+           ("tests/test_protocol.py::"
+            "test_a_singular_hypernode_system_is_charged_in_full[singular-then-fail]",)),
     Mutant("table-last-axis-only", "matpoly.py",
            "if points.ndim != 3 or points.shape[1:] != (len(exponents), ctx.r):",
            "if points.shape[-1] != ctx.r:",

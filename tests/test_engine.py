@@ -33,6 +33,7 @@ from sdmm.matpoly import (
     gauss_jordan_cost,
     horner_cost,
     interpolate,
+    interpolate_cost,
 )
 from sdmm.protocol import _set_operators, decode, encode, run_protocol, worker_products
 from sdmm.schemes import SchemeParams, build_f, build_g, partition
@@ -322,12 +323,12 @@ def test_interpolate_matches_reference_values_and_counts(seed, fid, spare):
             seen.add(x.index())
             pts.append(x)
     vals = [poly.evaluate_naive(x) for x in pts]
-    got_count, want_count = MultCounter(), MultCounter()
-    assert interpolate(pts, vals, exps, ctx, got_count) == poly
+    want_count = MultCounter()
+    assert interpolate(pts, vals, exps, ctx) == poly
     vmat = [[x.pow_(e, want_count) for e in exps] for x in pts]
     rhs = [[v for row in val.data for v in row] for val in vals]
     ref_solve(vmat, rhs, want_count)
-    assert got_count.count == want_count.count
+    assert len(pts) * interpolate_cost(exps, shape[0] * shape[1]) == want_count.count
 
 
 @given(st.integers(0, 2**32), field_ids, st.integers(0, 2),

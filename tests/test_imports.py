@@ -53,7 +53,6 @@ def test_the_array_engine_takes_no_counter():
     src = Path(sdmm.__file__).parent
     gauss = ast.parse((src / "_gauss.py").read_text())
     matpoly = ast.parse((src / "matpoly.py").read_text())
-    protocol = ast.parse((src / "protocol.py").read_text())
     block = next(n for n in matpoly.body
                  if isinstance(n, ast.ClassDef) and n.name == "BlockMatrix")
     evaluate = [f for f in _functions(matpoly) if f.name == "evaluate"]
@@ -61,18 +60,29 @@ def test_the_array_engine_takes_no_counter():
     engine += _functions(block) + evaluate
     assert len(evaluate) == 1
     assert [f.name for f in engine if _params(f) & {"counter", "row_cost"}] == []
-    (apply,) = [f for f in _functions(protocol) if f.name == "_apply"]
-    assert "check_only" not in _params(apply)
 
 
 def test_encode_takes_no_counter():
-    # run_protocol prices encoding from the scheme's exponent layout; the
-    # counter reaches only pow_, the two scalar evaluations, interpolate,
-    # decode and the audit around it
+    # run_protocol prices encoding from the scheme's exponent layout, and
+    # decode prices interpolation; the counter reaches only pow_, the two
+    # scalar evaluations, decode and the audit around it
     takers = {fn.name for path in MODULES for fn in ast.walk(ast.parse(path.read_text()))
               if isinstance(fn, ast.FunctionDef) and "counter" in _params(fn)}
-    assert takers == {"pow_", "evaluate_naive", "eval_sparse_horner", "interpolate", "decode",
-                      "_audited"}
+    assert takers == {"pow_", "evaluate_naive", "eval_sparse_horner", "decode", "_audited"}
+
+
+def test_decode_catches_nothing_and_interpolate_counts_nothing():
+    # decode reads its route off the operator lookups, so it neither catches
+    # nor suppresses SingularSystem, and prices every route itself
+    src = Path(sdmm.__file__).parent
+    protocol = ast.parse((src / "protocol.py").read_text())
+    matpoly = ast.parse((src / "matpoly.py").read_text())
+    (decode,) = [f for f in _functions(protocol) if f.name == "decode"]
+    (interpolate,) = [f for f in _functions(matpoly) if f.name == "interpolate"]
+    assert not [n for n in ast.walk(decode) if isinstance(n, ast.Try)
+                or getattr(n, "attr", getattr(n, "id", None)) == "suppress"]
+    assert "contextlib" not in set(imported_names(protocol))
+    assert "counter" not in _params(interpolate)
 
 
 def _scoped(node, scope=None):
@@ -85,9 +95,10 @@ def _scoped(node, scope=None):
 
 def test_only_rank_questions_and_decompose_eliminate():
     callers, private, costing = set(), set(), set()
+    model = {"_ladder", "horner_cost", "gauss_jordan_cost", "interpolate_cost"}
     for path in MODULES:
         for fn, node in _scoped(ast.parse(path.read_text())):
-            if fn in {"_ladder", "horner_cost", "gauss_jordan_cost"} and "_gauss" in {
+            if fn in model and "_gauss" in {
                     getattr(node, "id", None), getattr(node, "module", None)}:
                 costing.add(f"{path.stem}.{fn}")
             if isinstance(node, ast.ImportFrom) and node.module == "_gauss":
@@ -118,12 +129,12 @@ def test_only_prepare_builds_decode_operators():
 
 def test_one_function_checks_spare_equations_and_decompose_takes_no_rhs():
     # _gauss.apply alone raises on a failed spare equation, for solve and
-    # decode's _apply alike; decompose reduces [V | I] and nothing else
+    # decode alike; decompose reduces [V | I] and nothing else
     calls = [(f"{path.stem}.{fn}", getattr(node.func, "id", getattr(node.func, "attr", None)))
              for path in MODULES for fn, node in _scoped(ast.parse(path.read_text()))
              if isinstance(node, ast.Call)]
     assert {fn for fn, name in calls if name == "InconsistentResponses"} == {"_gauss.apply"}
-    assert {fn for fn, name in calls if name == "apply"} == {"_gauss.solve", "protocol._apply"}
+    assert {fn for fn, name in calls if name == "apply"} == {"_gauss.solve", "protocol.decode"}
     gauss = ast.parse((Path(sdmm.__file__).parent / "_gauss.py").read_text())
     (decompose,) = [f for f in _functions(gauss) if f.name == "decompose"]
     args = decompose.args

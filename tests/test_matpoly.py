@@ -12,6 +12,7 @@ from sdmm.matpoly import (
     MatPoly,
     evaluate,
     interpolate,
+    interpolate_cost,
     mod_m_transform,
     mod_m_transform_by_summation,
     stack_blocks,
@@ -329,10 +330,8 @@ def test_interpolate_uses_a_supplied_power_table_of_the_right_shape():
     pts = [F31.element(i) for i in (1, 2, 3)]
     vals = [p.evaluate_naive(x) for x in pts]
     table = np.array([[[x.pow_(e).coeffs[0]] for e in (0, 2)] for x in pts])
-    with_table, without = MultCounter(), MultCounter()
-    assert interpolate(table, vals, [2, 0, 2], F31, with_table) == p
-    assert interpolate(pts, vals, [0, 2], F31, without) == p
-    assert with_table.count == without.count
+    assert interpolate(table, vals, [2, 0, 2], F31) == p
+    assert interpolate(pts, vals, [0, 2], F31) == p
     for bad in (table[:2], table[:, :1], np.zeros((3, 2, 2), dtype=np.int64)):
         with pytest.raises(ShapeMismatch):
             interpolate(bad, vals, [0, 2], F31)
@@ -360,11 +359,9 @@ def test_interpolate_takes_the_residue_stack_of_the_values():
     p = rand_poly((2, 3), F31, rng, max_exp=6, n_terms=3)
     pts = [F31.element(i) for i in range(1, 5)]
     vals = [p.evaluate_naive(x) for x in pts]
-    from_blocks, from_stack = MultCounter(), MultCounter()
     stack = np.stack([v.array for v in vals])
-    assert interpolate(pts, stack, p.support(), F31, from_stack) == p
-    assert interpolate(pts, vals, p.support(), F31, from_blocks) == p
-    assert from_stack.count == from_blocks.count
+    assert interpolate(pts, stack, p.support(), F31) == p
+    assert interpolate(pts, vals, p.support(), F31) == p
     with pytest.raises(ShapeMismatch):
         interpolate(pts, stack[:3], p.support(), F31)
     for bad in (stack[..., 0], np.concatenate([stack, stack], axis=-1)):
@@ -380,11 +377,11 @@ def test_interpolate_overdetermined_consistent():
     assert interpolate(pts, vals, p.support(), F31) == p
 
 
-def test_interpolate_counter_counts_work():
+def test_interpolate_cost_counts_work():
+    # interpolate counts nothing; interpolate_cost prices each point
     rng = random.Random(8)
     p = rand_poly((1, 1), F31, rng, max_exp=6, n_terms=3)
     pts = [F31.element(i) for i in (1, 2, 3)]
     vals = [p.evaluate_naive(x) for x in pts]
-    c = MultCounter()
-    interpolate(pts, vals, p.support(), F31, c)
-    assert c.count > 0
+    assert interpolate(pts, vals, p.support(), F31) == p
+    assert interpolate_cost(p.support(), 1) > 0

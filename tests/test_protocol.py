@@ -200,23 +200,24 @@ def _ladders(ctx, exponents):
     return counter.count
 
 
-@pytest.mark.parametrize("make_plan, down, routes, success", [
-    (lambda: gf31_plan(1, 8), (), ["hypernode"], True),
-    (lambda: gf31_plan(1, 8), (0, 3), ["full"], True),
-    (_f961_plan, (), ["hypernode"], True),
-    (_f961_plan, (0, 3), ["full"], True),
-    (gf61_plan, (9, 24), ["hypernode", "full"], True),
-    (gf61_plan, (9, 10, 11, 24, 25, 26), ["hypernode"], False),
+@pytest.mark.parametrize("make_plan, down, routes, solved, success", [
+    (lambda: gf31_plan(1, 8), (), ["hypernode"], ["hypernode"], True),
+    (lambda: gf31_plan(1, 8), (0, 3), ["full"], ["full"], True),
+    (_f961_plan, (), ["hypernode"], ["hypernode"], True),
+    (_f961_plan, (0, 3), ["full"], ["full"], True),
+    (gf61_plan, (9, 24), ["hypernode", "full"], ["full"], True),
+    (gf61_plan, (9, 10, 11, 24, 25, 26), ["hypernode"], [], False),
 ], ids=["p31-hypernode", "p31-full", "f961-hypernode", "f961-full",
         "f61-singular-then-full", "f61-singular-then-short"])
 def test_decode_count_is_the_closed_form_of_its_routes(monkeypatch, make_plan, down, routes,
-                                                       success):
+                                                       solved, success):
     # per route, with rc = rows * cols of a product block: the hypernode
     # route averages |C| complete hypernodes (M + 1 scales of rc entries
     # each), then solves |C| x P' by dense Gauss-Jordan; the full route
     # solves N_r x N'. Each point pays a pow_ ladder per exponent, and a
     # system of n rows and m unknowns n * m * (m + rc). A singular hypernode
-    # system is charged in full before the full route is tried.
+    # system is charged in full before the full route is tried, though
+    # interpolate never sees it: the routes priced are not all solved.
     plan = make_plan()
     taken = []
     real = sdmm.protocol.interpolate
@@ -228,7 +229,7 @@ def test_decode_count_is_the_closed_form_of_its_routes(monkeypatch, make_plan, d
     monkeypatch.setattr(sdmm.protocol, "interpolate", spy)
     A, B = _inputs(plan, scale=2)
     rep = run_protocol(A, B, plan, stragglers=down, seed=1)
-    assert taken == routes and rep.decode_success == success
+    assert taken == solved and rep.decode_success == success
     K, M, L = plan.params.K, plan.params.M, plan.params.L
     rc = A.rows // K * (B.cols // L)
     complete = plan.n_hypernodes - len({n // M for n in down})
@@ -451,9 +452,9 @@ def test_decode_on_the_plan_tables_matches_interpolation_from_points(
     interpolate = sdmm.protocol.interpolate
     tables = []
 
-    def from_points(points, values, exponents, ctx, counter=None, *, solver):
+    def from_points(points, values, exponents, ctx, *, solver):
         tables.append(points)
-        return interpolate(_points_of(plan, points, exponents), values, exponents, ctx, counter,
+        return interpolate(_points_of(plan, points, exponents), values, exponents, ctx,
                            solver=solver)
 
     monkeypatch.setattr(sdmm.protocol, "interpolate", from_points)
@@ -469,8 +470,9 @@ def test_decode_on_the_plan_tables_matches_interpolation_from_points(
 
 _SCALAR_PLANS = {
     "31": lambda: gf31_plan(1, 8),
-    # with the frozen singular 25-survivor witness and a deficient 26-set
-    "61": lambda: (gf61_plan(), [(6, 12, 19, 24, 25), (0, 3, 22, 24)]),
+    # with the frozen singular 25-survivor witness, a deficient 26-set, and
+    # 28 survivors whose 8 complete hypernodes have a singular base system
+    "61": lambda: (gf61_plan(), [(6, 12, 19, 24, 25), (0, 3, 22, 24), (9, 24)]),
     "2^31-1": lambda: find_evaluation_vector(SchemeParams.mp(2, 2, 1, 1),
                                              make_field((1 << 31) - 1), n_hypernodes=5, seed=0),
     "2^61-1": lambda: find_evaluation_vector(SchemeParams.mp(2, 2, 1, 1),
@@ -488,7 +490,9 @@ def test_decode_matches_interpolation_from_points_on_random_survivor_sets(monkey
     # path: the same blocks, exception class and count on honest and on
     # corrupted responses; and, whenever the survivors' worker rows have full
     # column rank, InconsistentResponses exactly when their raw system is
-    # inconsistent, else the true product
+    # inconsistent, else the true product. decode solves no system that
+    # _prepare marked singular (a None operator), so each mark is checked
+    # against the rank of its table's surviving rows
     plan = _SCALAR_PLANS[name]()
     plan, fixed = plan if isinstance(plan, tuple) else (plan, [])
     params, ctx = plan.params, plan.ctx
@@ -499,8 +503,8 @@ def test_decode_matches_interpolation_from_points_on_random_survivor_sets(monkey
     positions = product_block_positions(params.K, params.M, params.L).values()
     interpolate = sdmm.protocol.interpolate
 
-    def from_points(points, values, exponents, ctx, counter=None, *, solver):
-        poly = interpolate(_points_of(plan, points, exponents), values, exponents, ctx, counter)
+    def from_points(points, values, exponents, ctx, *, solver):
+        poly = interpolate(_points_of(plan, points, exponents), values, exponents, ctx)
         return np.array([poly.coeff(e).array for e in positions])
 
     def outcome(survivors, scalar):
@@ -517,8 +521,18 @@ def test_decode_matches_interpolation_from_points_on_random_survivor_sets(monkey
     N, m = plan.n_workers, len(plan.full_support)
     downs = fixed + [rng.sample(range(N), rng.randint(0, min(N, N - m + 2)))
                      for _ in range(30)]
-    seen = set()
+    seen, marks = set(), set()
     for trial, down in enumerate(downs):
+        gone = np.isin(np.arange(N), down)
+        operators = sdmm.protocol._prepare(plan, gone[None])[1]
+        whole = ~sdmm.protocol._spoiled(plan, gone[None])[0]
+        for route, kept in (("base", whole), ("worker", ~gone)):
+            key = (route, tuple((~kept).nonzero()[0].tolist()))
+            if key in operators:
+                table = getattr(plan, f"{route}_table")
+                singular = _gauss.rank(table[kept], ctx) < table.shape[1]
+                assert (operators[key] is None) == singular, (key, down)
+                marks.add((route, singular))
         for corrupt in (False, True):
             survivors = {n: v for n, v in responses.items() if n not in down}
             if corrupt:
@@ -546,6 +560,7 @@ def test_decode_matches_interpolation_from_points_on_random_survivor_sets(monkey
     assert (False, dict) in seen and (True, InconsistentResponses) in seen
     assert (False, InconsistentResponses) not in seen
     assert not fixed or (False, SingularSystem) in seen
+    assert not fixed or {("base", True), ("worker", True)} <= marks
 
 
 @pytest.mark.parametrize("name", ["31", "61", "2^61-1", "31^2", "flat-101"])
