@@ -5,12 +5,16 @@ A matrix over GF(p^r) is an ndarray of canonical residues with shape
 each entry. Its dtype, which dtype() alone picks, is int64 for p < 2^31,
 where every product of two residues stays below 2^62, and object (Python
 ints) for wider primes.
-_dot, the one matrix product, splits the right operand into 16-bit limbs
-and the inner dimension into chunks of 2^16 where a dot product could
-reach 2^63 (the delayed-reduction idea of FFLAS-FFPACK). Over GF(p^r), a
-product forms its r^2 plane products a_i * b_j mod p and reduces them
-with one _dot against FieldCtx._fold, an int64 table whose row i * r + j
-is x^(i+j) mod the modulus; an object operand takes it as Python ints.
+_dot, the one matrix product, multiplies directly where no dot product
+can reach 2^63; every other product runs as float64 BLAS products of limbs
+(the delayed-reduction idea of FFLAS-FFPACK): 16-bit limbs of the right
+operand below 2^31, 21-bit limbs of both operands from 2^31, where object
+arrays still hold the residues and the product returns object. Chunks of
+the inner dimension keep every partial sum an exact integer below 2^53,
+so results do not depend on the BLAS, its threads or its summation order.
+Over GF(p^r), a product forms its r^2 plane products a_i * b_j mod p and
+reduces them with one _dot against FieldCtx._fold, an int64 table whose
+row i * r + j is x^(i+j) mod the modulus.
 
 _eliminate, the one elimination loop, is division-free and batched: a
 column step scales the rows it clears by the pivot instead of dividing by
@@ -29,9 +33,6 @@ import numpy as np
 
 from .errors import BadSpec, InconsistentResponses, ShapeMismatch, SingularSystem
 from .fields import FieldCtx, FieldElement
-
-_CHUNK = 1 << 16
-
 
 def dtype(ctx: FieldCtx):
     return np.int64 if ctx.p < 1 << 31 else object
@@ -75,16 +76,47 @@ def mul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p over any leading batch axes; exact on Python ints, and on int64 by limbs."""
-    if a.dtype == object or (p - 1) ** 2 * a.shape[-1] < 1 << 63:
+    """(a @ b) mod p over any leading batch axes, exact on int64 and Python-int residues.
+
+    Where no dot product can reach 2^63, one product in the operands' dtype.
+    Else float64 BLAS products of limbs. b's kb width-bit limbs b_j stack
+    along the inner dimension against a_j = a 2^(width j) mod p, since
+    a @ b = [a_0 | a_1 | ...] @ [b_0; b_1; ...] mod p, and the left side's ka
+    limbs stack by rows, limb i giving plane i: below 2^31, two 16-bit limbs
+    of b against whole residues; from 2^31, three 21-bit limbs on both sides.
+    Chunks of the inner dimension keep every dot product of two limbs, each
+    at most p - 1 when whole and 2^width - 1 else, below 2^53, so every
+    partial sum is an exact integer whatever the BLAS threads or summation
+    order. Each later chunk's planes are added mod p in int64, and Horner
+    recombines them in the operands' dtype: object operands give object.
+    """
+    if (p - 1) ** 2 * a.shape[-1] < 1 << 63:
         return a @ b % p
-    lo, hi = b & 0xFFFF, b >> 16
-    out = 0
-    for s in range(0, a.shape[-1], _CHUNK):
-        a_s = a[..., s:s + _CHUNK]
-        out = (out + a_s @ lo[..., s:s + _CHUNK, :] % p
-               + (a_s @ hi[..., s:s + _CHUNK, :] % p << 16)) % p
+    width, ka, kb = (16, 1, 2) if p < 1 << 31 else (21, 3, 3)
+    mask = (1 << width) - 1
+    chunk = ((1 << 53) - 1) // ((p - 1 if ka == 1 else mask) * mask)
+    shifted = np.concatenate([a] + [(a << width * j) % p for j in range(1, kb)], axis=-1)
+    left, right = _limbs(shifted, width, ka), _limbs(b, width, kb)
+    acc = None
+    for s in range(0, right.shape[-2], chunk):
+        part = (left[..., s:s + chunk] @ right[..., s:s + chunk, :]).astype(np.int64)
+        acc = part if acc is None else (acc + part) % p
+    n = a.shape[-2]
+    *planes, top = [acc[..., i * n:(i + 1) * n, :] for i in range(ka)]
+    out = (top % p).astype(np.result_type(a, b), copy=False)
+    for plane in reversed(planes):
+        out = ((out << width) + plane) % p
     return out
+
+
+def _limbs(x: np.ndarray, width: int, count: int) -> np.ndarray:
+    """x's count width-bit limbs, lowest first and the top one keeping every higher bit,
+    stacked along axis -2 in float64.
+    """
+    x = x.astype(np.int64, copy=False)
+    limbs = [x] + [x >> width * i for i in range(1, count)]
+    limbs = [limb & (1 << width) - 1 for limb in limbs[:-1]] + limbs[-1:]
+    return np.concatenate(limbs, axis=-2, dtype=np.float64)
 
 
 def matmul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:

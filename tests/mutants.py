@@ -64,8 +64,8 @@ MUTANTS = [
            ("tests/test_matpoly.py::"
             "test_matrix_rejects_residue_arrays_outside_zero_to_p[GF(31)]",)),
     Mutant("chunk-past-int64", "_gauss.py",
-           "_CHUNK = 1 << 16",
-           "_CHUNK = 1 << 40",
+           "acc = part if acc is None else (acc + part) % p",
+           "acc = part if acc is None else acc + part",
            "int64 limb products stay exact however long the inner dimension",
            ("tests/test_engine.py::test_int64_matmul_is_exact_past_the_chunk_length",)),
     Mutant("no-limb-bound", "_gauss.py",
@@ -73,7 +73,16 @@ MUTANTS = [
            "(p - 1) ** 2 * a.shape[-1] < 1 << 64:",
            "a product without limbs is taken only where int64 cannot overflow",
            ("tests/test_engine.py::test_evaluate_matches_naive_values_and_horner_counts"
-            "[GF(2147483647)]",)),
+            "[GF(2147483647)]",
+            "tests/test_dot.py::test_both_sides_of_the_int64_bound_are_exact[limbs]")),
+    Mutant("chunk-past-2-53", "_gauss.py",
+           "chunk = ((1 << 53) - 1) //",
+           "chunk = ((1 << 54) - 1) //",
+           "every partial sum of a float64 limb product is an exact integer below 2^53",
+           ("tests/test_dot.py::test_worst_case_products_are_exact_at_every_chunk_end"
+            "[GF(2^31-1)-n129]",
+            "tests/test_dot.py::test_worst_case_products_are_exact_at_every_chunk_end"
+            "[GF(2^61-1)-n4097]")),
     Mutant("gauss-jordan-cost", "matpoly.py",
            "return rows * unknowns * width",
            "return unknowns * unknowns * width",
