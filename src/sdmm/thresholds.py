@@ -174,6 +174,48 @@ def _ggasp_support(K: int, M: int, L: int, T: int, r: int) -> tuple[list[int], i
     return (S, *_run_union(runs, M))
 
 
+def _ggasp_threshold_bound(K: int, M: int, L: int, T: int) -> int:
+    """An integer lb <= optimal_r(K, M, L, T).N for T >= 1 that follows the run length.
+
+    At each r, _ggasp_support puts window l at a_l = KML + l*KM above the
+    prefix [0, E], E = KML + KM + T - 2. The part of each window above E and
+    below a_{l+1}, and all of the last nonempty window above E, are disjoint
+    from each other and from the prefix, so E + 1 plus their sizes is at
+    most the support size at r. A window of width w wholly above E gives
+    min(w, KM) (w if it is the last), window s, which holds E + 1, gives
+    that less its `gap` members at or below E, and the windows below s give
+    nothing. The widths are S_l's four groups: L windows, U - 1, then the
+    two tail windows, so each group sums in O(1). lb is the least sum over r;
+    it equals N on every grid the tests try.
+    """
+    KM = K * M
+    s = -((1 - T) // KM)  # ceil((T - 1) / KM)
+    gap = T - 1 - (s - 1) * KM
+    least = None
+    # conditionals, not max/min calls: this runs once per r of each grid the search reaches
+    for r in range(1, (KM if KM < T else T) + 1):
+        U, r0 = divmod(T, r)
+        c1 = M + r - 1 if M + r - 1 < KM else KM
+        c2 = (M if M > T else T) + r - 1
+        if c2 > KM:
+            c2 = KM
+        if r0 == 0:
+            c3, c4 = T + r - 1, 0  # window L+U-1 is the last nonempty one
+        else:
+            c3 = (M + r0 if M + r0 > T + r else T + r) - 1
+            if c3 > KM:
+                c3 = KM
+            c4 = T + r0 - 1
+        n = end = 0
+        for count, c in ((L, c1), (U - 1, c2), (1, c3), (1, c4)):
+            end += count
+            if end > s:
+                n += count * c if end - count > s else (end - s) * c - (c if c < gap else gap)
+        if least is None or n < least:
+            least = n
+    return K * M * L + KM + T - 1 + least
+
+
 def ggasp_threshold_closed_form(K: int, M: int, L: int, T: int, r: int = 1) -> ThresholdReport:
     """Thresholds for the grouped layout with run length r.
 
@@ -257,11 +299,14 @@ def rate_sweep_fixed_n(N_budget: int, T_max: int = 8,
     For each T and scheme, finds among all partition grids with K >= K_min,
     L >= L_min, M >= M_min and K*M*L <= N_budget whose threshold fits the
     budget the grid with the highest rate (ties to the first in (K, M, L)
-    lexicographic order). The search is exact: threshold_lower_bound prunes
-    it, so only grids whose rate ceiling can still reach the best rate are
-    evaluated. A budget or minimum below 1, a negative T_max, an empty
-    scheme list, or an unknown or repeated scheme raises BadSpec; a budget
-    below the smallest grid gives no rows.
+    lexicographic order). The search is exact: it evaluates only grids whose
+    rate ceilings can still reach the best rate, from two lower bounds on N.
+    threshold_lower_bound, O(1), orders every grid's ceiling; the grouped
+    layout's _ggasp_threshold_bound, which follows the run length, then
+    rules out most of the grids that ordering reaches (see _best_grid). A
+    budget or minimum below 1, a negative T_max, an empty scheme list, or an
+    unknown or repeated scheme raises BadSpec; a budget below the smallest
+    grid gives no rows.
     """
     if min(N_budget, K_min, L_min, M_min) < 1 or T_max < 0:
         raise BadSpec(f"need N_budget, K_min, L_min, M_min >= 1 and T_max >= 0, "
@@ -322,6 +367,13 @@ def _best_grid(scheme: str, T: int, N_budget: int, K_min: int, M_min: int,
     still tie it is evaluated when it precedes the best in (K, M, L) order.
     Distinct rates with terms at most N_budget differ by at least
     1 / N_budget**2, so floor(rate * N_budget**2) orders them exactly.
+
+    lb is threshold_lower_bound, cheap enough to queue every grid. Before
+    the grouped layout's optimal_r runs on a grid, the tighter
+    _ggasp_threshold_bound lb2 <= N is checked: a grid with lb2 > N_budget
+    cannot fit, and one whose key floor(K*M*L * N_budget**2 / lb2) is below
+    the best key has a key at most that, so it can neither beat nor tie the
+    best, and the best key only grows. Skipping both is exact.
     """
     scale = N_budget * N_budget
     queue = []
@@ -339,6 +391,11 @@ def _best_grid(scheme: str, T: int, N_budget: int, K_min: int, M_min: int,
             break
         if ceiling == best_key and grid > best_grid:
             continue  # at best a tie, which the earlier grid keeps
+        if scheme == GGASP and T:
+            K, M, L = grid
+            lb2 = _ggasp_threshold_bound(K, M, L, T)
+            if lb2 > N_budget or K * M * L * scale // lb2 < best_key:
+                continue  # its tighter ceiling falls below the best rate
         rep = _sweep_report(scheme, *grid, T)
         if rep.N > N_budget:
             continue

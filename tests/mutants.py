@@ -222,6 +222,16 @@ MUTANTS = [
            "return tuple(values)",
            "a scheme's grid, layout fields and exponents are integers, however it is built",
            ("tests/test_schemes.py::test_a_scheme_refuses_fields_that_are_not_integers[K-float]",)),
+    Mutant("run-length-bound-over", "thresholds.py",
+           "return K * M * L + KM + T - 1 + least",
+           "return K * M * L + KM + T + least",
+           "the grouped layout's run-length bound never exceeds its best-r threshold",
+           ("tests/test_thresholds.py::test_threshold_lower_bound_never_exceeds_the_threshold",)),
+    Mutant("run-length-skip-ties", "thresholds.py",
+           "K * M * L * scale // lb2 < best_key:",
+           "K * M * L * scale // lb2 <= best_key:",
+           "the fixed-budget search skips only grids that can neither beat nor tie the best rate",
+           ("tests/test_thresholds.py::test_pruned_search_equals_the_exhaustive_scan[1-1-1]",)),
 ]
 
 

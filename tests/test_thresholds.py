@@ -229,6 +229,18 @@ def test_fixed_budget_search_respects_budget():
     assert Fraction(t2["rate"]) == best
 
 
+def test_mp_at_d1_beats_ggasp_at_its_best_r_on_most_small_grids():
+    # the paper's comparison claim on the grid partition, at the worker threshold
+    # N; on no grid does an admissible D > 1 beat D = 1
+    mp_against_ggasp = {"below": 0, "tie": 0, "above": 0}
+    for K, L, M, T in itertools.product(range(1, 5), range(1, 5), range(2, 7), range(1, 9)):
+        ns = [mp_threshold_closed_form(K, M, L, T, d).N for d in admissible_ds(M)]
+        assert min(ns) == ns[0], (K, M, L, T, ns)
+        n_ggasp = optimal_r(K, M, L, T).N
+        mp_against_ggasp["below" if ns[0] < n_ggasp else "tie" if ns[0] == n_ggasp else "above"] += 1
+    assert mp_against_ggasp == {"below": 560, "tie": 56, "above": 24}
+
+
 def test_step_size_probe_reports_d1_optimal():
     # N is not always monotone in D, but D=1 is never strictly beaten
     grids = itertools.product(range(1, 4), range(1, 7), range(1, 4), range(1, 7))
@@ -323,6 +335,19 @@ def test_threshold_lower_bound_never_exceeds_the_threshold():
                         assert lb >= _window_sum_bound(scheme, K, M, L, T)
                         N = _report(scheme, K, M, L, T).N
                         assert lb <= N and (T > 0 or lb == N), (scheme, K, M, L, T)
+                    if T:
+                        # the run-length bound is tight here, so weakening it fails
+                        # this test rather than quietly slowing the search
+                        lb2 = thresholds._ggasp_threshold_bound(K, M, L, T)
+                        assert lb2 == _report("ggasp", K, M, L, T).N, (K, M, L, T)
+
+
+def test_run_length_bound_is_the_best_r_threshold_up_to_large_t():
+    # T up to 20 takes r past the T <= 8 of the loop above, and on these
+    # small K*M the window that straddles the prefix falls in every group
+    for K, M, L, T in itertools.product(range(1, 4), range(1, 7), range(1, 5), range(1, 21)):
+        assert thresholds._ggasp_threshold_bound(K, M, L, T) == \
+            optimal_r(K, M, L, T).N, (K, M, L, T)
 
 
 @pytest.mark.parametrize("K_min, L_min, M_min", [(1, 1, 1), (2, 2, 2), (1, 2, 4), (3, 1, 2)])
