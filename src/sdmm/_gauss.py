@@ -21,7 +21,10 @@ column step scales the rows it clears by the pivot instead of dividing by
 it. rank and batch_is_invertible, exact for the rank or the full-rank flags
 they return, clear below each pivot; decompose reduces [V | I] for a stack
 of tables and normalises the pivot rows with one batched _inverses call,
-the only field inversions here, into the left inverses and kernels.
+the only field inversions here (by the norm, through FieldCtx._frob), into
+the left inverses and kernels. expand, the Laplace step with which
+linalg.singular_minors decides square sets under its table bound, gathers,
+multiplies (mul) and sums mod p one row's cofactor terms.
 apply, the one spare-equation check, takes solve's [G; K] and decode's operators.
 Nothing here counts: the cost model in matpoly prices Gauss-Jordan from
 the shape of the system alone.
@@ -32,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadSpec, InconsistentResponses, ShapeMismatch, SingularSystem
-from .fields import FieldCtx, FieldElement
+from .fields import FieldCtx
 
 def dtype(ctx: FieldCtx):
     return np.int64 if ctx.p < 1 << 31 else object
@@ -128,12 +131,28 @@ def matmul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 
 
 def _inverses(pivots: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Inverses of a (batch, r) residue array, one entry at a time in Python; 0 maps to 0."""
-    if ctx.r == 1:
-        inv = [pow(v, -1, ctx.p) if v else 0 for v in pivots[:, 0].tolist()]
-        return np.array(inv, dtype=pivots.dtype)[:, None]
-    return np.array([FieldElement(c, ctx).inv().coeffs if any(c) else c
-                     for c in map(tuple, pivots.tolist())], dtype=pivots.dtype)
+    """Inverses of a (batch, r) residue array, 0 mapping to 0: a^-1 = N(a)^-1 a^p ... a^(p^(r-1)),
+    each conjugate one _dot against FieldCtx._frob, and the norm N(a) = a a^p ... a^(p^(r-1)),
+    which lies in GF(p), inverted on plain ints. At r = 1 the product is empty."""
+    if not len(pivots):
+        return pivots
+    conj, rest = pivots, np.zeros_like(pivots)
+    rest[:, 0] = 1
+    for _ in range(1, ctx.r):
+        conj = _dot(conj, ctx._frob, ctx.p)
+        rest = mul(rest, conj, ctx)
+    inv = [pow(v, -1, ctx.p) if v else 0 for v in mul(pivots, rest, ctx)[:, 0].tolist()]
+    return rest * np.array(inv, dtype=pivots.dtype)[:, None] % ctx.p
+
+
+def expand(row: np.ndarray, cols: np.ndarray, minors: np.ndarray, drops: np.ndarray,
+           ctx: FieldCtx) -> np.ndarray:
+    """Laplace expansion along one row for each column S of a (t, count) index array: the
+    (count, r) sums of (-1)^i row[S_i] minors[drops[i]] mod p, where minors[drops[i]] is the
+    minor of the rows above without S_i; each is S's determinant up to sign. Every term is
+    below p, and a sum of t of them stays far under 2^63."""
+    terms = mul(row[cols], minors[drops], ctx)
+    return (terms[::2].sum(axis=0) - terms[1::2].sum(axis=0)) % ctx.p
 
 
 def _step(pivot, rows, lead, pivot_row, ctx: FieldCtx) -> np.ndarray:

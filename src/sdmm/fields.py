@@ -151,7 +151,7 @@ def _pgcd(a, b, p):
 class FieldCtx:
     """Immutable description of GF(p^r) together with element factories."""
 
-    __slots__ = ("p", "r", "modulus_poly", "order", "_fold", "_zero", "_one")
+    __slots__ = ("p", "r", "modulus_poly", "order", "_fold", "_frob", "_zero", "_one")
 
     def __init__(self, p: int, r: int, modulus_poly: tuple[int, ...]):
         self.p = p
@@ -164,6 +164,10 @@ class FieldCtx:
         self._fold = np.array([xpow[i + j][:r] for i, j in np.ndindex(r, r)], dtype=np.int64)
         self._zero = FieldElement((0,) * r, self)
         self._one = FieldElement((1,) + (0,) * (r - 1), self)
+        # row i holds (x^i)^p mod f, so a^p, the Frobenius image of a, is a @ _frob mod p;
+        # at r = 1 the one row is x^0 = 1, and 0 stands in for x
+        xp = FieldElement(((0, 1) + (0,) * r)[:r], self).pow_(p)
+        self._frob = np.array([xp.pow_(i).coeffs for i in range(r)], dtype=np.int64)
 
     # -- identity ----------------------------------------------------------
 

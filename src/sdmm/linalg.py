@@ -312,6 +312,7 @@ def is_mds(table: np.ndarray, ctx: FieldCtx, mode: str = "exhaustive", budget: i
     minor budget, in which case it raises BudgetExceeded; random mode draws
     `samples` sets with the supplied (or a fresh seeded) generator, both
     through _subsets. The witness is the first singular set, as point indices.
+    singular_minors decides each set, square ones by Laplace expansion when small enough.
     """
     N, P = table.shape[:2]
     if P > N:
@@ -326,6 +327,35 @@ def is_mds(table: np.ndarray, ctx: FieldCtx, mode: str = "exhaustive", budget: i
     for checked, rows in singular_minors(table, subsets, ctx):
         return MdsResult(False, mode, checked, total, witness=rows)
     return MdsResult(True, mode, planned, total)
+
+
+def _colex_drops(cols: np.ndarray, choose: np.ndarray) -> np.ndarray:
+    """Colex ranks, (t, count), of S minus S_i for each i and each sorted set S, a column of
+    cols; choose[j, x] = C(x, j). S ranks sum_j C(S_j, j + 1), and S minus S_i moves each
+    later S_j to place j - 1: sum_{j<i} C(S_j, j + 1) + sum_{j>i} C(S_j, j)."""
+    out, before, after = np.empty_like(cols), 0, 0
+    for i, c in enumerate(cols):
+        out[i], before = before, before + choose[i + 1, c]
+    for i in reversed(range(len(cols))):
+        out[i], after = out[i] + after, after + choose[i, cols[i]]
+    return out
+
+
+def _sub_minors(wide: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """(choose, minors) of a (k, n, r) array A: choose[j, x] = C(x, j) for j <= k, x < n, and
+    minors[rank] = det A[:k - 1, S] up to sign for each (k - 1)-set S at its colex rank. The
+    t-sets in colex order are, for each top c, the first C(c, t - 1) (t - 1)-sets followed by
+    c; level t expands along row t - 1 of A, from the empty minor 1."""
+    k, n = wide.shape[:2]
+    choose = np.array([[math.comb(x, j) for x in range(n)] for j in range(k + 1)], np.intp)
+    cols, minors = np.empty((0, 1), np.intp), np.zeros((1, ctx.r), _gauss.dtype(ctx))
+    minors[0, 0] = 1
+    for t in range(1, k):
+        counts = choose[t - 1]
+        first = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols = np.concatenate([cols[:, first], np.repeat(np.arange(n), counts)[None]])
+        minors = _gauss.expand(wide[t - 1], cols, minors, _colex_drops(cols, choose), ctx)
+    return choose, minors
 
 
 def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
@@ -344,16 +374,32 @@ def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
     is _gauss.decompose's, taken before the first batch; that side reads
     only complements (_batches), unless K's flag says V lacks full column
     rank and every set is tested directly.
+
+    On either side a square set (s = m) picks k columns S of the k x n
+    matrix A the scan reads, V^T or K, and is decided by det A[:, S] != 0,
+    a Laplace expansion along A's last row over the sub-minors of its first
+    k - 1 rows (_sub_minors, built once), when k >= 2 and those
+    sum_{t<k} C(n, t) sub-minors are at most k batches: the table then costs
+    about one batch's memory and elimination. Every other set goes to
+    _gauss.batch_is_invertible.
     """
     n, m = table.shape[:2]
     (size, subsets), checked, kernel = _sized(subsets), 0, None
     if size is not None and n - size < m:
         _, (K,), (ok,) = _gauss.decompose(table[None], ctx)
         kernel = K if ok else None
+    wide = table.swapaxes(0, 1) if kernel is None else kernel  # a square set: k of its columns
+    k = len(wide)
+    if laplace := size == m and 1 < k and sum(math.comb(n, t) for t in range(k)) <= k * _BATCH:
+        choose, minors = _sub_minors(wide, ctx)
     for sets in _batches(subsets, None if kernel is None else n):
         checked += len(sets)
-        stack = table[sets] if kernel is None else kernel[:, sets].swapaxes(0, 1)
-        ok = _gauss.batch_is_invertible(stack, ctx)
+        if laplace:
+            cols = sets.T.copy()
+            ok = _gauss.expand(wide[k - 1], cols, minors, _colex_drops(cols, choose), ctx).any(-1)
+        else:
+            ok = _gauss.batch_is_invertible(table[sets] if kernel is None
+                                            else kernel[:, sets].swapaxes(0, 1), ctx)
         for i in np.flatnonzero(~ok):
             rows = (sets[i] if kernel is None  # else the complement of the complement tested
                     else np.flatnonzero(np.bincount(sets[i], minlength=n) == 0))

@@ -98,6 +98,17 @@ MUTANTS = [
            "keep[np.arange(len(batch))[:, None], batch] = True",
            "a large row set is decided on the left kernel by its complement",
            ("tests/test_linalg.py::test_is_mds_witnesses_are_pinned_on_both_sides[kernel]",)),
+    Mutant("laplace-odd-terms-added", "_gauss.py",
+           "terms[::2].sum(axis=0) - terms[1::2].sum(axis=0)",
+           "terms[::2].sum(axis=0) + terms[1::2].sum(axis=0)",
+           "a Laplace expansion alternates its signs: a square set with a nonzero permanent"
+           " but a zero determinant is singular",
+           ("tests/test_linalg.py::test_laplace_scan_matches_elimination[4096-planted-GF(13)]",)),
+    Mutant("colex-drop-off-by-one", "linalg.py",
+           "before, before + choose[i + 1, c]",
+           "before, before + choose[i, c]",
+           "the sub-minor without S_i is read at the colex rank of S minus S_i",
+           ("tests/test_linalg.py::test_laplace_scan_matches_elimination[4096-planted-GF(13)]",)),
     Mutant("complement-rank", "linalg.py",
            "(r if n is None else C - 1 - r)",
            "(r if n is None else r)",

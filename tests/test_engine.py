@@ -645,6 +645,22 @@ def test_only_normalisation_inverts(ctx):
         assert spy.call_count == 3
 
 
+@pytest.mark.parametrize("ctx", [make_field(31, 2), make_field(13, 3), make_field(31, 4),
+                                 make_field((1 << 61) - 1, 2)], ids=repr)
+@pytest.mark.parametrize("count", [0, 1, 2, 7])
+def test_inverses_by_the_norm_match_field_element_inverses(ctx, count):
+    # a^-1 = N(a)^-1 a^p ... a^(p^(r-1)), each conjugate one product with FieldCtx._frob;
+    # a zero pivot, at places 1 and 4, maps to zero
+    rng = random.Random(count)
+    pivots = [ctx.zero() if i % 3 == 1 else ctx.random_element(rng, nonzero=True)
+              for i in range(count)]
+    array = np.array([x.coeffs for x in pivots], dtype=_gauss.dtype(ctx)).reshape(count, ctx.r)
+    got = _gauss._inverses(array, ctx)
+    assert got.shape == array.shape and got.dtype == array.dtype
+    assert [tuple(c) for c in got.tolist()] == [
+        x.coeffs if x.is_zero() else x.inv().coeffs for x in pivots]
+
+
 def test_solve_needs_as_many_equations_as_unknowns():
     ctx = FIELDS[0]
     with pytest.raises(SingularSystem, match="fewer equations"):

@@ -21,7 +21,7 @@ from sdmm.errors import (
     ShapeMismatch,
     ZeroEvaluationPoint,
 )
-from sdmm.examples import gf31_plan
+from sdmm.examples import gf31_plan, gf61_plan
 from sdmm.fields import (
     FieldCtx,
     largest_coprime_subgroup_order,
@@ -40,6 +40,7 @@ from sdmm.linalg import (
     singular_minors,
 )
 from sdmm.matpoly import BlockMatrix
+from sdmm.protocol import mp_recovery_threshold_with_security
 from sdmm.schemes import SchemeParams
 from sdmm.thresholds import product_class_support, symbolic_support
 from test_engine import FIELDS, rand_rows, ref_rank
@@ -240,14 +241,83 @@ def test_kernel_side_matches_the_direct_scan(seed, fid, m, extra, short, kind, b
     # the lex walk is unranked (its complements on the kernel side); a plain
     # iterator is read as tuples and complemented by a scatter
     with mock.patch.object(linalg, "_BATCH", batch), \
-            mock.patch.object(_gauss, "decompose", wraps=_gauss.decompose) as spy:
+            mock.patch.object(_gauss, "decompose", wraps=_gauss.decompose) as spy, \
+            mock.patch.object(linalg, "_sub_minors", wraps=linalg._sub_minors) as table_spy:
         assert list(singular_minors(table, _subsets(n, s)[0], ctx)) == want
         assert list(singular_minors(table, iter(sets), ctx)) == want
     assert spy.call_count == 2 * (n - s < m)
+    assert table_spy.call_count == 2 * (s == m and _under_table_bound(table, ctx, batch))
     if kind == "planted" and len(free) <= n - s:
         assert not direct.all()
     if kind == "deficient":
         assert not direct.any()
+
+
+def _under_table_bound(table, ctx, batch):
+    """Whether a square scan of table takes the Laplace path: the side the scan reads gives k,
+    and the k-minors expand over the sum_{t<k} C(n, t) sub-minors when k >= 2 and that sum
+    is at most k batches."""
+    n, m = table.shape[:2]
+    k = n - m if n - m < m and _gauss.rank(table, ctx) == m else m
+    return k > 1 and sum(math.comb(n, t) for t in range(k)) <= k * batch
+
+
+LAPLACE_FIELDS = (make_field(13), make_field(2**31 - 1), make_field(2**61 - 1),
+                  make_field(31, 2))
+
+
+@pytest.mark.parametrize("ctx", LAPLACE_FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["random", "planted", "deficient"])
+@pytest.mark.parametrize("batch", [1, 7, 4096])
+def test_laplace_scan_matches_elimination(batch, kind, ctx):
+    # square scans of n x m tables: k = 0 (n = m) and k = 1 on the kernel side (n - m < m),
+    # k = 1 on the direct side, then k = 2 to 4 on both sides; a table without full column
+    # rank is scanned directly, at k = m. The (checked, rows) stream equals the one read off
+    # batch_is_invertible on either side of the table bound: at batch 1 every scan exceeds
+    # it, at 7 only the smallest tables meet it, at 4096 every scan with k >= 2 does
+    rng = random.Random(f"{batch}-{kind}-{ctx!r}")
+    used = []
+    for n, m in ((3, 3), (4, 3), (5, 1), (6, 2), (5, 3), (8, 3), (7, 4), (10, 4), (9, 5)):
+        # "planted": m + 1 rows lie in a hyperplane, so the m-sets inside them are
+        # singular; "deficient": all rows do
+        flat = {"random": [], "planted": rng.sample(range(n), min(n, m + 1)),
+                "deficient": range(n)}[kind]
+        basis = rand_rows(m - 1, m, ctx, rng)
+        rows = rand_rows(n, m, ctx, rng)
+        for i in flat:
+            coef = [ctx.random_element(rng) for _ in basis]
+            rows[i] = [sum((c * b[j] for c, b in zip(coef, basis)), ctx.zero())
+                       for j in range(m)]
+        table = BlockMatrix(rows, ctx).array
+        sets = list(itertools.combinations(range(n), m))
+        direct = _gauss.batch_is_invertible(table[np.array(sets)], ctx)
+        want = [(min(len(sets), (i // batch + 1) * batch), sets[i])
+                for i in np.flatnonzero(~direct)]
+        assert not direct.all() or kind == "random"
+        assert not direct.any() or kind != "deficient"
+        with mock.patch.object(linalg, "_BATCH", batch), \
+                mock.patch.object(linalg, "_sub_minors", wraps=linalg._sub_minors) as spy:
+            assert list(singular_minors(table, _subsets(n, m)[0], ctx)) == want
+            assert list(singular_minors(table, iter(sets), ctx)) == want
+        used.append(_under_table_bound(table, ctx, batch))
+        assert spy.call_count == 2 * used[-1]
+    assert any(used) == (batch > 1) and all(used[3:]) == (batch == 4096)
+
+
+def test_scans_past_the_table_bound_never_build_it():
+    # the recovery report of the GF(61) deployment scans its 30 x 25 table at k = 5, whose
+    # 31,931 sub-minors exceed 5 batches; its 25-survivor witness, a singular square table
+    # scanned directly at k = 25, would need 2^25 - 1; and a sampled 25 x 11 scan at k = 11
+    # would need C(25, 10) = 3,268,760 at its last level alone. Only the base table's scan,
+    # 8 of 10 rows at k = 2, expands
+    plan = gf61_plan()
+    with mock.patch.object(linalg, "_sub_minors", wraps=linalg._sub_minors) as spy:
+        rep = mp_recovery_threshold_with_security(None, plan, mode="random", samples=4000,
+                                                  seed=0)
+        assert not is_mds(plan.worker_table[list(rep.witness.witness)], plan.ctx).ok
+        assert is_mds(plan.worker_table[:25, :11], plan.ctx, mode="random", samples=50).ok
+    assert (rep.threshold, rep.witness.ok) == (28, False)
+    assert [call.args[0].shape for call in spy.call_args_list] == [(2, 10, 1)]
 
 
 def test_is_mds_budget_and_random_mode():
@@ -363,15 +433,18 @@ def test_is_mds_witnesses_are_pinned_on_both_sides(m, flat, want):
 def test_a_kernel_side_witness_is_rebuilt_without_numpy_ma():
     # the witness of a kernel-side scan is the complement of the complement
     # it tested, taken by a keep mask; np.setdiff1d reaches np.unique, whose
-    # first call in a process imports numpy.ma
+    # first call in a process imports numpy.ma. The base table's scan, 8 of 10
+    # rows, takes the Laplace path, which calls neither
     code = ("import json, sys; from sdmm.examples import gf61_plan; "
             "from sdmm.linalg import is_mds; plan = gf61_plan(); "
-            "r = is_mds(plan.worker_table, plan.ctx); "
-            "print(json.dumps([r.checked, r.witness, 'numpy.ma' in sys.modules]))")
+            "r = is_mds(plan.worker_table, plan.ctx); b = is_mds(plan.base_table, plan.ctx); "
+            "print(json.dumps([r.checked, r.witness, b.checked, b.witness, "
+            "'numpy.ma' in sys.modules]))")
     env = dict(os.environ, PYTHONPATH=str(Path(linalg.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert json.loads(proc.stdout) == [4096, list(range(22)) + [25, 26, 28], False]
+    assert json.loads(proc.stdout) == [4096, list(range(22)) + [25, 26, 28],
+                                       45, [0, 1, 2, 4, 5, 6, 7, 9], False]
 
 
 @pytest.mark.parametrize("samples", [0, -4])
