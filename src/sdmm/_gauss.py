@@ -133,16 +133,20 @@ def matmul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 def _inverses(pivots: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Inverses of a (batch, r) residue array, 0 mapping to 0: a^-1 = N(a)^-1 a^p ... a^(p^(r-1)),
     each conjugate one _dot against FieldCtx._frob, and the norm N(a) = a a^p ... a^(p^(r-1)),
-    which lies in GF(p), inverted on plain ints. At r = 1 the product is empty."""
+    which lies in GF(p), inverted on plain ints. At r = 1 the norm is a itself, so no product is
+    taken."""
     if not len(pivots):
         return pivots
-    conj, rest = pivots, np.zeros_like(pivots)
-    rest[:, 0] = 1
-    for _ in range(1, ctx.r):
-        conj = _dot(conj, ctx._frob, ctx.p)
-        rest = mul(rest, conj, ctx)
-    inv = [pow(v, -1, ctx.p) if v else 0 for v in mul(pivots, rest, ctx)[:, 0].tolist()]
-    return rest * np.array(inv, dtype=pivots.dtype)[:, None] % ctx.p
+    norms = pivots
+    if ctx.r > 1:
+        rest = conj = _dot(pivots, ctx._frob, ctx.p)
+        for _ in range(2, ctx.r):
+            conj = _dot(conj, ctx._frob, ctx.p)
+            rest = mul(rest, conj, ctx)
+        norms = mul(pivots, rest, ctx)
+    inv = np.array([pow(v, -1, ctx.p) if v else 0 for v in norms[:, 0].tolist()],
+                   dtype=pivots.dtype)[:, None]
+    return inv if ctx.r == 1 else rest * inv % ctx.p
 
 
 def expand(row: np.ndarray, cols: np.ndarray, minors: np.ndarray, drops: np.ndarray,

@@ -22,6 +22,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .errors import BadSpec
 from .schemes import GGASP, MP, SchemeParams
 
@@ -174,7 +176,7 @@ def _ggasp_support(K: int, M: int, L: int, T: int, r: int) -> tuple[list[int], i
     return (S, *_run_union(runs, M))
 
 
-def _ggasp_threshold_bound(K: int, M: int, L: int, T: int) -> int:
+def _ggasp_threshold_bound(K, M, L, T):
     """An integer lb <= optimal_r(K, M, L, T).N for T >= 1 that follows the run length.
 
     At each r, _ggasp_support puts window l at a_l = KML + l*KM above the
@@ -187,33 +189,29 @@ def _ggasp_threshold_bound(K: int, M: int, L: int, T: int) -> int:
     nothing. The widths are S_l's four groups: L windows, U - 1, then the
     two tail windows, so each group sums in O(1). lb is the least sum over r;
     it equals N on every grid the tests try.
+
+    K, M, L and T broadcast as integer arrays, and every r runs at once on a
+    trailing axis, masked above min(KM, T); int arguments give an int.
     """
-    KM = K * M
+    M, L, T, KM = (np.asarray(x)[..., None] for x in (M, L, T, np.multiply(K, M)))
     s = -((1 - T) // KM)  # ceil((T - 1) / KM)
     gap = T - 1 - (s - 1) * KM
-    least = None
-    # conditionals, not max/min calls: this runs once per r of each grid the search reaches
-    for r in range(1, (KM if KM < T else T) + 1):
-        U, r0 = divmod(T, r)
-        c1 = M + r - 1 if M + r - 1 < KM else KM
-        c2 = (M if M > T else T) + r - 1
-        if c2 > KM:
-            c2 = KM
-        if r0 == 0:
-            c3, c4 = T + r - 1, 0  # window L+U-1 is the last nonempty one
-        else:
-            c3 = (M + r0 if M + r0 > T + r else T + r) - 1
-            if c3 > KM:
-                c3 = KM
-            c4 = T + r0 - 1
-        n = end = 0
-        for count, c in ((L, c1), (U - 1, c2), (1, c3), (1, c4)):
-            end += count
-            if end > s:
-                n += count * c if end - count > s else (end - s) * c - (c if c < gap else gap)
-        if least is None or n < least:
-            least = n
-    return K * M * L + KM + T - 1 + least
+    R = np.minimum(KM, T)
+    r = np.arange(1, R.max() + 1)
+    U, r0 = np.divmod(T, r)
+    widths = (np.minimum(M + r - 1, KM), np.minimum(np.maximum(M, T) + r - 1, KM),
+              np.where(r0, np.minimum(np.maximum(M + r0, T + r) - 1, KM), T + r - 1),
+              np.where(r0, T + r0 - 1, 0))  # at r0 = 0, window L+U-1 is the last nonempty one
+    ends = (L, L + U - 1, L + U, L + U + 1)  # one past each group's last window
+    n, below, at_s = 0, s + 1, 0
+    for c, end in zip(widths, ends):  # the windows above s
+        end = np.maximum(end, s + 1)
+        n, below = n + c * (end - below), end
+    for c, end in zip(widths[::-1], ends[::-1]):  # window s's width
+        at_s = np.where(s < end, c, at_s)
+    least = np.where(r <= R, n + np.maximum(at_s - gap, 0), np.iinfo(np.int64).max).min(axis=-1)
+    lb = (KM * L + KM + T - 1)[..., 0] + least
+    return lb if np.ndim(lb) else int(lb)
 
 
 def ggasp_threshold_closed_form(K: int, M: int, L: int, T: int, r: int = 1) -> ThresholdReport:
@@ -301,27 +299,31 @@ def rate_sweep_fixed_n(N_budget: int, T_max: int = 8,
     budget the grid with the highest rate (ties to the first in (K, M, L)
     lexicographic order). The search is exact: it evaluates only grids whose
     rate ceilings can still reach the best rate, from two lower bounds on N.
-    threshold_lower_bound, O(1), orders every grid's ceiling; the grouped
-    layout's _ggasp_threshold_bound, which follows the run length, then
-    rules out most of the grids that ordering reaches (see _best_grid). A
-    budget or minimum below 1, a negative T_max, an empty scheme list, or an
-    unknown or repeated scheme raises BadSpec; a budget below the smallest
-    grid gives no rows.
+    The grids are listed once as int64 arrays, one threshold_lower_bound call
+    per scheme bounds them at every T to rank each row, and the grouped
+    layout's _ggasp_threshold_bound, which follows the run length, rules out
+    most of the grids a walk reaches (see _best_grids). A budget or minimum
+    below 1, a negative T_max, an empty scheme list, or an unknown or
+    repeated scheme raises BadSpec; a budget below the smallest grid gives
+    no rows.
     """
     if min(N_budget, K_min, L_min, M_min) < 1 or T_max < 0:
         raise BadSpec(f"need N_budget, K_min, L_min, M_min >= 1 and T_max >= 0, "
                       f"got {N_budget, K_min, L_min, M_min} and {T_max}")
     _check_schemes(schemes)
-    rows = []
-    for T in range(T_max + 1):
-        for scheme in schemes:
-            best = _best_grid(scheme, T, N_budget, K_min, M_min, L_min)
-            if best is not None:
-                rows.append(_sweep_row(best))
-    return rows
+    pairs = [(K, M) for K in range(K_min, N_budget // (M_min * L_min) + 1)
+             for M in range(M_min, N_budget // (K * L_min) + 1)]
+    K, M = np.array(pairs, np.int64).reshape(-1, 2).T
+    count = N_budget // (K * M) - L_min + 1  # how many L each (K, M) takes
+    L = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - L_min, count)
+    grids = np.stack([np.repeat(K, count), np.repeat(M, count), L])
+    T = np.arange(T_max + 1)[:, None]
+    bests = [_best_grids(scheme, N_budget, grids, threshold_lower_bound(scheme, *grids, T))
+             for scheme in schemes]
+    return [_sweep_row(best) for row in zip(*bests) for best in row if best is not None]
 
 
-def threshold_lower_bound(scheme: str, K: int, M: int, L: int, T: int) -> int:
+def threshold_lower_bound(scheme: str, K, M, L, T):
     """An integer lb <= N for the swept scheme, from runs its support holds.
 
     At T = 0 it is N itself. Otherwise both swept layouts (modular at D = 1,
@@ -338,71 +340,89 @@ def threshold_lower_bound(scheme: str, K: int, M: int, L: int, T: int) -> int:
     `past` beyond it, and the rest end inside it. A window's one member
     congruent to M-1 is its last, as a_l is a multiple of M, and every window
     ends below 2*KML, so the noise run adds [max(E + 1, 2*KML), 2*KML + J].
+
+    K, M, L and T broadcast as integer arrays, so one call bounds a table
+    of grids and T; int arguments give an int.
     """
-    KM, KML = K * M, K * M * L
-    if T == 0:
-        return KML if scheme == MP else KML + M - 1
+    KM = np.multiply(K, M)
+    KML = KM * L
     E = KML + KM + T - 2
     l1 = 1 - (1 - T) // KM
-    # conditionals, not max/min calls: this runs once per candidate grid
-    beyond = L - l1 if L > l1 else 0
-    past = (l1 - 2) * KM + M + 1 - T if 2 <= l1 <= L else 0
-    if past < 0:
-        past = 0
-    lo = E + 1 if E >= 2 * KML else 2 * KML
+    beyond = np.maximum(L - l1, 0)
+    past = np.where((2 <= l1) & (l1 <= L), np.maximum((l1 - 2) * KM + M + 1 - T, 0), 0)
+    lo = np.maximum(E + 1, 2 * KML)
     if scheme == MP:
-        hi = 2 * KML + 2 * T - 2
-        noise = (hi + 1) // M - lo // M if hi >= lo else 0
-        return M * ((E + 1) // M + beyond + (past > 0) + noise)
-    hi = 2 * KML + T - 1
-    return E + 1 + M * beyond + past + (hi + 1 - lo if hi >= lo else 0)
+        noise = np.maximum((2 * KML + 2 * T - 1) // M - lo // M, 0)
+        lb = np.where(T == 0, KML, M * ((E + 1) // M + beyond + (past > 0) + noise))
+    else:
+        noise = np.maximum(2 * KML + T - lo, 0)
+        lb = np.where(T == 0, KML + M - 1, E + 1 + M * beyond + past + noise)
+    return lb if np.ndim(lb) else int(lb)
 
 
-def _best_grid(scheme: str, T: int, N_budget: int, K_min: int, M_min: int,
-               L_min: int) -> Optional[ThresholdReport]:
-    """Best-first branch and bound over the grids of one (T, scheme) row.
+def _best_grids(scheme: str, N_budget: int, grids: np.ndarray,
+                lb: np.ndarray) -> list[Optional[ThresholdReport]]:
+    """Best-first branch and bound over the grids of each (T, scheme) row, T = 0..len(lb) - 1.
 
-    Grids are evaluated from the highest rate ceiling K*M*L / lb down until
-    a ceiling falls strictly below the best rate found; a grid that could
-    still tie it is evaluated when it precedes the best in (K, M, L) order.
-    Distinct rates with terms at most N_budget differ by at least
-    1 / N_budget**2, so floor(rate * N_budget**2) orders them exactly.
+    grids holds (K, M, L) as int64 rows in lexicographic order and lb[T]
+    their threshold_lower_bound at T. One stable argsort ranks each row by
+    the rate ceilings K*M*L / lb, highest first, ties in grid order and the
+    grids lb does not let fit last. A row is walked down until a ceiling
+    falls strictly below the best rate found; a grid that could still tie
+    it is evaluated when it precedes the best. Distinct rates with terms at
+    most N_budget differ by at least 1 / N_budget**2, so the keys
+    floor(rate * N_budget**2) order them exactly.
 
-    lb is threshold_lower_bound, cheap enough to queue every grid. Before
-    the grouped layout's optimal_r runs on a grid, the tighter
-    _ggasp_threshold_bound lb2 <= N is checked: a grid with lb2 > N_budget
-    cannot fit, and one whose key floor(K*M*L * N_budget**2 / lb2) is below
-    the best key has a key at most that, so it can neither beat nor tie the
-    best, and the best key only grows. Skipping both is exact.
+    The grouped layout's optimal_r runs on a grid with T >= 1 only if the
+    tighter _ggasp_threshold_bound lb2 <= N fits the budget and its key
+    floor(K*M*L * N_budget**2 / lb2) is not below the best key: else the
+    grid can neither beat nor tie the best, and the best key only grows.
+    The rows still walking take their next 32 ranks together, so one lb2
+    call serves them all.
     """
+    keys = np.where(lb <= N_budget, _rate_keys(grids.prod(axis=0), lb, N_budget), -1)
+    order = np.argsort(-keys, axis=1, kind="stable")
+    keys = np.take_along_axis(keys, order, axis=1)
     scale = N_budget * N_budget
-    queue = []
-    for K in range(K_min, N_budget // (M_min * L_min) + 1):
-        for M in range(M_min, N_budget // (K * L_min) + 1):
-            for L in range(L_min, N_budget // (K * M) + 1):
-                lb = threshold_lower_bound(scheme, K, M, L, T)
-                if lb > N_budget:
-                    break  # the bound grows with L
-                queue.append((K * M * L * scale // lb, (K, M, L)))
-    queue.sort(key=lambda item: item[0], reverse=True)
-    best, best_key, best_grid = None, -1, None
-    for ceiling, grid in queue:
-        if ceiling < best_key:
+    bests = [None] * len(lb)
+    walks = {T: (0, -1) for T in range(len(lb))}  # each walking row's best key and grid index
+    for start in range(0, grids.shape[1], 32):
+        Ts = np.array(list(walks))
+        index, ceilings = order[Ts, start:start + 32], keys[Ts, start:start + 32]
+        K, M, L = grids[:, index]
+        tight = ceilings
+        if scheme == GGASP:
+            lb2 = _ggasp_threshold_bound(K, M, L, np.maximum(Ts, 1)[:, None])
+            tight = np.where(Ts[:, None] == 0, ceilings, np.where(
+                lb2 > N_budget, -1, _rate_keys(K * M * L, lb2, N_budget)))
+        for T, *row in zip(Ts.tolist(), index.tolist(), ceilings.tolist(), tight.tolist(),
+                           K.tolist(), M.tolist(), L.tolist()):
+            best_key, best_i = walks.pop(T)
+            for i, ceiling, key2, *grid in zip(*row):
+                if ceiling < best_key:
+                    break
+                if ceiling == best_key and i > best_i:
+                    continue  # at best a tie, which the earlier grid keeps
+                if key2 < best_key:
+                    continue  # its tighter ceiling falls below the best rate
+                rep = _sweep_report(scheme, *grid, T)
+                if rep.N > N_budget:
+                    continue
+                key = rep.params.KML * scale // rep.N
+                if (key, best_i) > (best_key, i):
+                    bests[T], best_key, best_i = rep, key, i
+            else:
+                walks[T] = best_key, best_i
+        if not walks:
             break
-        if ceiling == best_key and grid > best_grid:
-            continue  # at best a tie, which the earlier grid keeps
-        if scheme == GGASP and T:
-            K, M, L = grid
-            lb2 = _ggasp_threshold_bound(K, M, L, T)
-            if lb2 > N_budget or K * M * L * scale // lb2 < best_key:
-                continue  # its tighter ceiling falls below the best rate
-        rep = _sweep_report(scheme, *grid, T)
-        if rep.N > N_budget:
-            continue
-        key = rep.params.KML * scale // rep.N
-        if (key, best_grid) > (best_key, grid):
-            best, best_key, best_grid = rep, key, grid
-    return best
+    return bests
+
+
+def _rate_keys(kml: np.ndarray, lb: np.ndarray, N_budget: int) -> np.ndarray:
+    """floor(kml * N_budget**2 / lb) in int64: as q*N_budget + (r*N_budget) // lb, q, r =
+    divmod(kml*N_budget, lb), no term passes N_budget**2 where kml <= lb <= N_budget."""
+    q, r = np.divmod(kml * N_budget, lb)
+    return q * N_budget + r * N_budget // lb
 
 
 def _check_schemes(schemes: tuple[str, ...]) -> None:

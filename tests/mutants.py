@@ -234,14 +234,19 @@ MUTANTS = [
            "a scheme's grid, layout fields and exponents are integers, however it is built",
            ("tests/test_schemes.py::test_a_scheme_refuses_fields_that_are_not_integers[K-float]",)),
     Mutant("run-length-bound-over", "thresholds.py",
-           "return K * M * L + KM + T - 1 + least",
-           "return K * M * L + KM + T + least",
+           "lb = (KM * L + KM + T - 1)[..., 0] + least",
+           "lb = (KM * L + KM + T)[..., 0] + least",
            "the grouped layout's run-length bound never exceeds its best-r threshold",
            ("tests/test_thresholds.py::test_threshold_lower_bound_never_exceeds_the_threshold",)),
     Mutant("run-length-skip-ties", "thresholds.py",
-           "K * M * L * scale // lb2 < best_key:",
-           "K * M * L * scale // lb2 <= best_key:",
+           "if key2 < best_key:",
+           "if key2 <= best_key:",
            "the fixed-budget search skips only grids that can neither beat nor tie the best rate",
+           ("tests/test_thresholds.py::test_pruned_search_equals_the_exhaustive_scan[1-1-1]",)),
+    Mutant("rate-key-drops-remainder", "thresholds.py",
+           "return q * N_budget + r * N_budget // lb",
+           "return q * N_budget",
+           "the fixed-budget search ranks grids by their exact rate ceilings",
            ("tests/test_thresholds.py::test_pruned_search_equals_the_exhaustive_scan[1-1-1]",)),
 ]
 

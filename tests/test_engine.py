@@ -645,12 +645,13 @@ def test_only_normalisation_inverts(ctx):
         assert spy.call_count == 3
 
 
-@pytest.mark.parametrize("ctx", [make_field(31, 2), make_field(13, 3), make_field(31, 4),
-                                 make_field((1 << 61) - 1, 2)], ids=repr)
+@pytest.mark.parametrize("ctx", [make_field(31), make_field((1 << 31) - 1),
+                                 make_field((1 << 61) - 1), make_field(31, 2), make_field(13, 3),
+                                 make_field(31, 4), make_field((1 << 61) - 1, 2)], ids=repr)
 @pytest.mark.parametrize("count", [0, 1, 2, 7])
 def test_inverses_by_the_norm_match_field_element_inverses(ctx, count):
-    # a^-1 = N(a)^-1 a^p ... a^(p^(r-1)), each conjugate one product with FieldCtx._frob;
-    # a zero pivot, at places 1 and 4, maps to zero
+    # a^-1 = N(a)^-1 a^p ... a^(p^(r-1)), each conjugate one product with FieldCtx._frob,
+    # and over GF(p) the norm is a itself; a zero pivot, at places 1 and 4, maps to zero
     rng = random.Random(count)
     pivots = [ctx.zero() if i % 3 == 1 else ctx.random_element(rng, nonzero=True)
               for i in range(count)]

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -324,22 +325,94 @@ def _window_sum_bound(scheme, K, M, L, T):
     return E + 1 + sum(min(M, a + M - 1 - E) for a in starts if a + M - 1 > E)
 
 
+# every grid with K*M*L <= 200, in (K, M, L) order, as rows K, M, L
+_SMALL_GRIDS = np.array([(K, M, L) for K in range(1, 201) for M in range(1, 200 // K + 1)
+                         for L in range(1, 200 // (K * M) + 1)]).T
+
+
 def test_threshold_lower_bound_never_exceeds_the_threshold():
-    for K in range(1, 201):
-        for M in range(1, 200 // K + 1):
-            for L in range(1, 200 // (K * M) + 1):
-                for T in range(9):
-                    for scheme in ("mp", "ggasp"):
-                        lb = threshold_lower_bound(scheme, K, M, L, T)
-                        assert lb == _bound_runs(scheme, K, M, L, T)
-                        assert lb >= _window_sum_bound(scheme, K, M, L, T)
-                        N = _report(scheme, K, M, L, T).N
-                        assert lb <= N and (T > 0 or lb == N), (scheme, K, M, L, T)
-                    if T:
-                        # the run-length bound is tight here, so weakening it fails
-                        # this test rather than quietly slowing the search
-                        lb2 = thresholds._ggasp_threshold_bound(K, M, L, T)
-                        assert lb2 == _report("ggasp", K, M, L, T).N, (K, M, L, T)
+    Ts = np.arange(9)[:, None]
+    lbs = {scheme: threshold_lower_bound(scheme, *_SMALL_GRIDS, Ts).tolist()
+           for scheme in ("mp", "ggasp")}
+    lb2s = thresholds._ggasp_threshold_bound(*_SMALL_GRIDS, Ts[1:]).tolist()
+    for g, (K, M, L) in enumerate(_SMALL_GRIDS.T.tolist()):
+        for T in range(9):
+            for scheme in ("mp", "ggasp"):
+                lb = lbs[scheme][T][g]
+                assert lb == _bound_runs(scheme, K, M, L, T)
+                assert lb >= _window_sum_bound(scheme, K, M, L, T)
+                N = _report(scheme, K, M, L, T).N
+                assert lb <= N and (T > 0 or lb == N), (scheme, K, M, L, T)
+            if T:
+                # the run-length bound is tight here, so weakening it fails
+                # this test rather than quietly slowing the search
+                assert lb2s[T - 1][g] == _report("ggasp", K, M, L, T).N, (K, M, L, T)
+
+
+def _scalar_lower_bound(scheme, K, M, L, T):
+    """threshold_lower_bound as it was written for one grid, with conditionals."""
+    KM, KML = K * M, K * M * L
+    if T == 0:
+        return KML if scheme == "mp" else KML + M - 1
+    E = KML + KM + T - 2
+    l1 = 1 - (1 - T) // KM
+    beyond = L - l1 if L > l1 else 0
+    past = (l1 - 2) * KM + M + 1 - T if 2 <= l1 <= L else 0
+    if past < 0:
+        past = 0
+    lo = E + 1 if E >= 2 * KML else 2 * KML
+    if scheme == "mp":
+        hi = 2 * KML + 2 * T - 2
+        noise = (hi + 1) // M - lo // M if hi >= lo else 0
+        return M * ((E + 1) // M + beyond + (past > 0) + noise)
+    hi = 2 * KML + T - 1
+    return E + 1 + M * beyond + past + (hi + 1 - lo if hi >= lo else 0)
+
+
+def _scalar_run_length_bound(K, M, L, T):
+    """_ggasp_threshold_bound as it was written for one grid, one r at a time."""
+    KM = K * M
+    s = -((1 - T) // KM)
+    gap = T - 1 - (s - 1) * KM
+    least = None
+    for r in range(1, min(KM, T) + 1):
+        U, r0 = divmod(T, r)
+        c1 = min(M + r - 1, KM)
+        c2 = min(max(M, T) + r - 1, KM)
+        if r0 == 0:
+            c3, c4 = T + r - 1, 0
+        else:
+            c3, c4 = min(max(M + r0, T + r) - 1, KM), T + r0 - 1
+        n = end = 0
+        for count, c in ((L, c1), (U - 1, c2), (1, c3), (1, c4)):
+            end += count
+            if end > s:
+                n += count * c if end - count > s else (end - s) * c - min(c, gap)
+        least = n if least is None else min(least, n)
+    return K * M * L + KM + T - 1 + least
+
+
+def test_array_bounds_equal_the_per_grid_bounds():
+    # one array call over every grid with K*M*L <= 200 and T <= 20 gives, entry by
+    # entry, the bounds of the one-grid loops it replaced, and int arguments give ints
+    T = np.arange(21)[:, None]
+    grids = _SMALL_GRIDS.T.tolist()
+    tables = {scheme: threshold_lower_bound(scheme, *_SMALL_GRIDS, T)
+              for scheme in ("mp", "ggasp")}
+    run_length = thresholds._ggasp_threshold_bound(*_SMALL_GRIDS, T[1:])
+    for scheme, table in tables.items():
+        assert table.tolist() == [[_scalar_lower_bound(scheme, *g, t) for g in grids]
+                                  for t in range(21)], scheme
+    assert run_length.tolist() == [[_scalar_run_length_bound(*g, t) for g in grids]
+                                   for t in range(1, 21)]
+    for g in range(0, len(grids), 53):
+        for t in range(21):
+            for scheme, table in tables.items():
+                lb = threshold_lower_bound(scheme, *grids[g], t)
+                assert type(lb) is int and lb == table[t, g]
+            if t:
+                lb2 = thresholds._ggasp_threshold_bound(*grids[g], t)
+                assert type(lb2) is int and lb2 == run_length[t - 1, g]
 
 
 def test_run_length_bound_is_the_best_r_threshold_up_to_large_t():
@@ -358,6 +431,38 @@ def test_pruned_search_equals_the_exhaustive_scan(monkeypatch, K_min, L_min, M_m
     for budget in range(1, 121):
         assert rate_sweep_fixed_n(budget, 8, K_min, L_min, M_min) == \
             _exhaustive_fixed_n(budget, 8, K_min, L_min, M_min), budget
+
+
+def test_rate_keys_are_exact_up_to_budgets_of_three_billion():
+    # floor(KML * N**2 / lb) in int64 against Python ints, for KML <= lb <= N, with N
+    # up to 3e9, where KML * N**2 itself would wrap
+    rng = np.random.default_rng(45)
+    for N in [1, 2, 3, 1000, 2**31, 3 * 10**9] + rng.integers(2, 3 * 10**9, 60).tolist():
+        lb = rng.integers(1, N, 200, endpoint=True)
+        kml = rng.integers(0, lb)  # below lb, as at T >= 1
+        lb, kml = np.append(lb, [N, N, N]), np.append(kml, [1, N - 1, N])  # kml = lb at T = 0
+        keys = thresholds._rate_keys(kml, lb, N)
+        assert keys.tolist() == [k * N * N // b for k, b in zip(kml.tolist(), lb.tolist())], N
+
+
+# `_sweep_report` calls per scheme of rate_sweep_fixed_n at its default T_max and minima,
+# counted on the grid-by-grid search the array ranking replaced
+_SEARCH_CALLS = {100: {"mp": 27, "ggasp": 19}, 150: {"mp": 53, "ggasp": 18},
+                 200: {"mp": 67, "ggasp": 17}, 1000: {"mp": 406, "ggasp": 16}}
+
+
+@pytest.mark.parametrize("budget", sorted(_SEARCH_CALLS))
+def test_ranked_search_evaluates_the_same_grids(monkeypatch, budget):
+    calls = {"mp": 0, "ggasp": 0}
+    report = thresholds._sweep_report
+
+    def counted(scheme, *grid):
+        calls[scheme] += 1
+        return report(scheme, *grid)
+
+    monkeypatch.setattr(thresholds, "_sweep_report", counted)
+    rate_sweep_fixed_n(budget)
+    assert calls == _SEARCH_CALLS[budget]
 
 
 @pytest.mark.parametrize("scheme, T, budget, first, later", [
