@@ -98,9 +98,9 @@ def prime_factors(n: int) -> list[int]:
 class MultCounter:
     """Opt-in counter for scalar field multiplications.
 
-    pow_ counts its own products; the other counting functions add what the
-    cost model in matpoly prices, and run_protocol adds the encode price of
-    the scheme's exponent layout. The array engine never touches it.
+    pow_ counts its own products; the scalar evaluations add what the cost
+    model in matpoly prices, and decode adds the decode term of
+    protocol.costs, which prices every phase. The array engine never touches it.
     """
 
     __slots__ = ("count",)

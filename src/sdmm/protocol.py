@@ -3,10 +3,12 @@
 The master splits A and B, builds the two masked encoding polynomials, and
 hands worker n the pair (f(x_n), g(x_n)). Honest-but-curious workers return
 the product of their shares; stragglers return nothing. The decoder
-recovers every block of A @ B from the responses alone, and the report
-records exactly what was used: which workers answered, whether decoding
-succeeded, a digest of the assembled product, and the field-multiplication
-counts of each phase.
+recovers every block of A @ B from the responses alone in two steps: it
+reads the routes it will try off the pattern's operators (_attempts), then
+solves them (_decode). The report records exactly what was used: which
+workers answered, whether decoding succeeded, a digest of the assembled
+product, and the field-multiplication counts of each phase, which costs
+prices from the plan, the share shapes and those attempts.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def encode(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     evaluates both at every worker point on the columns of plan.power_table
     at their supports. Returns residue stacks of shapes (N, a, s, r) and
     (N, s, b, r) for a x s blocks of A and s x b blocks of B. It counts
-    nothing: run_protocol prices encoding from the scheme's exponent layout.
+    nothing: costs prices encoding from the scheme's exponent layout.
     """
     params = plan.params
     parts = partition(A, B, params.K, params.M, params.L)
@@ -119,13 +121,13 @@ class Responses(Mapping):
     """Read-only BlockMatrix views of a product stack's rows, keyed by worker index.
 
     workers: the sorted responding workers, of n_workers; stack: their residues, row for row.
-    _prepared: None, or a plan and _prepare's operators on it; decode reads them on that plan only.
+    _prepared: None, or a plan and decode's routes on it (_attempts), read on that plan only.
     """
 
     __slots__ = ("workers", "stack", "ctx", "n_workers", "_prepared")
 
     def __init__(self, workers: np.ndarray, stack: np.ndarray, ctx: FieldCtx, n_workers: int,
-                 _prepared: Optional[tuple[EvaluationPlan, dict]] = None):
+                 _prepared: Optional[tuple[EvaluationPlan, list]] = None):
         workers.setflags(write=False)
         stack.setflags(write=False)
         self.workers, self.stack, self.ctx, self.n_workers = workers, stack, ctx, n_workers
@@ -200,92 +202,120 @@ def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> lis
     return [t if good else None for t, good in zip(T, ok)]
 
 
+def _attempts(plan: EvaluationPlan, gone: np.ndarray, operators: dict) -> list[tuple]:
+    """decode's routes for a mask of the missing workers, in order, as (route, rows, T).
+
+    route is "base" (the hypernode average), "worker" (full interpolation) or
+    "check" (the worker table's spare equations on the raw responses, after
+    a regular base route). rows masks the table rows read: the complete
+    hypernodes (_spoiled) or the responses. T is the operator keyed by the
+    rows lost, None when singular; its rows past the K*L targets are the
+    spare equations. A route without a key is not attempted.
+    """
+    attempts = []
+    for route, lost in (("base", _spoiled(plan, gone[None])[0]), ("worker", gone)):
+        key = (route, tuple(lost.nonzero()[0].tolist()))
+        if key in operators:
+            checks = route == "worker" and attempts and attempts[0][2] is not None
+            attempts.append(("check" if checks else route, ~lost, operators[key]))
+    return attempts
+
+
+def costs(plan: EvaluationPlan, shapes: tuple, attempts: list[tuple]) -> dict:
+    """mult_counts: each phase's field multiplications in the scalar protocol (docs/formats.md).
+
+    shapes are (n, a, s, b): n responses, each an a x s share of A times an
+    s x b share of B; attempts are the pattern's decode routes (_attempts).
+    """
+    n, a, s, b = shapes
+    f, g = plan.params.exponents()
+    return {"encode": plan.n_workers * (horner_cost(f, a * s) + horner_cost(g, s * b)),
+            "worker": n * a * s * b, "decode": _decode_price(plan, a * b, attempts)}
+
+
+def _decode_price(plan: EvaluationPlan, rc: int, attempts: list[tuple]) -> int:
+    """costs' decode entry for rc-element product blocks: every route attempted, singular or not."""
+    price = {"base": (plan.params.M + 1) * rc + interpolate_cost(plan.class_support, rc),
+             "worker": interpolate_cost(plan.full_support, rc), "check": 0}
+    return sum(int(np.count_nonzero(rows)) * price[route] for route, rows, T in attempts)
+
+
 def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
            counter: Optional[MultCounter] = None) -> dict:
     """All product blocks from worker responses, as worker_products or a dict gives them (_stacked).
 
-    On a hypernode plan the preferred route collapses every hypernode whose
-    M workers all responded, by averaging against the root-of-unity
-    powers, into a single evaluation of the filtered polynomial, which is
-    then interpolated on its small support. When too few hypernodes are
-    complete (or that system is singular), and always on a flat plan, the
-    full polynomial is interpolated on its generic support, which any
-    |supp(h)| responses permit. The route is read off two lookups in the
-    operators p_of_s_empirical prepared with the responses on this very
-    plan, else in _prepare's for this one pattern: a missing key means too
-    few responses for that route, and None a singular system. With neither
-    route, InsufficientResponses is raised without a worker key, else
-    SingularSystem. BadSpec means a response key that is not an integer
-    worker index, ShapeMismatch a response that is not a BlockMatrix or
-    differs in shape or field from the rest.
-
-    A route hands interpolate, as its points, its rows of the plan's cached
-    power tables (base_table at the complete hypernodes, worker_table at the
-    responding workers), and a solver, _gauss.apply with its operator, that
-    yields the K*L product blocks and checks every spare equation of the
-    route. The hypernode route checks the raw responses too, when the
-    worker key's operator exists: responses that are not evaluations of one
-    polynomial on the full support raise InconsistentResponses. Before any
-    solve the counter records what the scalar decoder spends on every route
-    it tries (interpolate_cost), so a singular hypernode system is charged
-    in full; the raw check adds nothing.
+    The hypernode route averages every hypernode whose M workers all
+    responded against the root-of-unity powers and interpolates the
+    filtered polynomial on its small support. When too few hypernodes are
+    complete, or their system is singular, and on a flat plan, any |supp(h)|
+    responses interpolate the full polynomial. The routes (_attempts) come
+    with responses prepared on this plan, else are read off _prepare's
+    operators; counter, if given, is charged their _decode_price before
+    _decode solves them. With no worker route InsufficientResponses is
+    raised, else SingularSystem. BadSpec means a response key that is not an
+    integer worker index, ShapeMismatch a response that is not a BlockMatrix
+    or differs in shape or field.
     """
-    order, stack, operators = _stacked(responses, plan)
-    ctx, M, KL = plan.ctx, plan.params.M, plan.params.K * plan.params.L
+    order, stack, attempts = _stacked(responses, plan)
     gone = np.ones(plan.n_workers, dtype=bool)
     gone[order] = False
-    whole = ~_spoiled(plan, gone[None])[0]
-    complete, spoiled = whole.nonzero()[0], (~whole).nonzero()[0]
-    operators = _prepare(plan, gone[None])[1] if operators is None else operators
-    worker = ("worker", tuple(gone.nonzero()[0].tolist()))
-    base = ("base", tuple(spoiled.tolist()))
-    T_base, T_worker = operators.get(base), operators.get(worker)
-    hyper, full = base in operators, T_base is None and worker in operators
-    if counter is not None and (hyper or full):
-        rc = stack[0, ..., 0].size
-        # the scalar average scales M responses and their sum per complete hypernode
-        counter.add(hyper * len(complete) * (
-            (M + 1) * rc + interpolate_cost(plan.class_support, rc))
-            + full * len(order) * interpolate_cost(plan.full_support, rc))
-    if T_base is not None:
-        members = stack[whole[order // M]].reshape(len(complete), M, -1, ctx.r)
-        vals = _gauss.matmul(plan.hypernode_weights[None], members, ctx).reshape(
-            (len(complete),) + stack.shape[1:])
-        coeffs = interpolate(plan.base_table[complete], vals, plan.class_support, ctx,
-                             solver=lambda rhs: _gauss.apply(T_base, rhs, KL, ctx))
-        if T_worker is not None:  # the raw responses' spare equations
-            _gauss.apply(T_worker, stack.reshape(len(order), -1, ctx.r), KL, ctx)
-    elif worker not in operators:
-        raise _shortfall(plan, len(order), len(spoiled))
-    elif T_worker is None:
-        raise SingularSystem("coefficient matrix is rank deficient")
-    else:
-        coeffs = interpolate(plan.worker_table[order], stack, plan.full_support, ctx,
-                             solver=lambda rhs: _gauss.apply(T_worker, rhs, KL, ctx))
+    if attempts is None:
+        attempts = _attempts(plan, gone, _prepare(plan, gone[None])[1])
+    if counter is not None and attempts:
+        counter.add(_decode_price(plan, stack[0, ..., 0].size, attempts))
+    coeffs = _decode(plan, order, stack, attempts)
+    if coeffs is None:
+        raise (SingularSystem("coefficient matrix is rank deficient")
+               if any(route == "worker" for route, _, _ in attempts) else _shortfall(plan, gone))
     coeffs.setflags(write=False)
-    return {kl: BlockMatrix._view(c, ctx) for kl, c in zip(plan.block_positions, coeffs)}
+    return {kl: BlockMatrix._view(c, plan.ctx) for kl, c in zip(plan.block_positions, coeffs)}
+
+
+def _decode(plan: EvaluationPlan, order: np.ndarray, stack: np.ndarray,
+            attempts: list[tuple]) -> Optional[np.ndarray]:
+    """The K*L coefficient stack of the attempts' first regular route; None if there is none.
+
+    A route hands interpolate its rows of the plan's power tables and a
+    solver, _gauss.apply with its operator, which checks every spare
+    equation: responses not of one polynomial raise InconsistentResponses.
+    """
+    ctx, M, KL = plan.ctx, plan.params.M, plan.params.K * plan.params.L
+    coeffs = None
+    for route, rows, T in attempts:
+        if T is not None and route == "check":
+            _gauss.apply(T, stack.reshape(len(order), -1, ctx.r), KL, ctx)
+        elif T is not None:
+            table, support, vals = getattr(plan, f"{route}_table")[rows], plan.full_support, stack
+            if route == "base":  # one weighted sum per complete hypernode
+                members = stack[rows[order // M]].reshape(-1, M, stack[0, ..., 0].size, ctx.r)
+                vals = _gauss.matmul(plan.hypernode_weights[None], members, ctx).reshape(
+                    (-1,) + stack.shape[1:])
+                support = plan.class_support
+            coeffs = interpolate(table, vals, support, ctx,
+                                 solver=lambda rhs, T=T: _gauss.apply(T, rhs, KL, ctx))
+    return coeffs
 
 
 def _stacked(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan) -> tuple:
-    """decode's one way in: sorted workers, stack (None if none), operators built on plan or None.
+    """decode's one way in: sorted workers, stack (None if none), attempts read on plan or None.
 
     Responses of the plan's deployment are read as they stand; any other
     mapping's keys and blocks are checked (_worker_indices, stack_blocks).
     """
     if isinstance(responses, Responses) and (responses.ctx, responses.n_workers) == (
             plan.ctx, plan.n_workers):
-        owner, operators = responses._prepared or (None, None)
-        return responses.workers, responses.stack, operators if owner is plan else None
+        owner, attempts = responses._prepared or (None, None)
+        return responses.workers, responses.stack, attempts if owner is plan else None
     order = _worker_indices(responses, plan.n_workers, "response key")
     stack = stack_blocks([responses[n] for n in order], plan.ctx) if order else None
     return np.array(order, dtype=np.intp), stack, None
 
 
-def _shortfall(plan: EvaluationPlan, responses: int, spoiled: int) -> InsufficientResponses:
+def _shortfall(plan: EvaluationPlan, gone: np.ndarray) -> InsufficientResponses:
     """decode's error when no route has enough data, naming what each route needs."""
-    text = f"{responses} responses of {len(plan.full_support)} needed"
+    text = f"{(~gone).sum()} responses of {len(plan.full_support)} needed"
     if plan.base_points is not None:
-        text = (f"{plan.n_hypernodes - spoiled} complete hypernodes of "
+        text = (f"{(~_spoiled(plan, gone[None])).sum()} complete hypernodes of "
                 f"{len(plan.class_support)} needed and {text}")
     return InsufficientResponses(f"have {text}")
 
@@ -337,15 +367,15 @@ def _product_blocks(product: BlockMatrix, plan: EvaluationPlan) -> np.ndarray:
                      for k, l in plan.block_positions])
 
 
-def _audited(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan, expected: np.ndarray,
-             counter: Optional[MultCounter] = None) -> Optional[dict]:
+def _audited(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
+             expected: np.ndarray) -> Optional[dict]:
     """The decoded blocks, their arrays checked against expected (_product_blocks).
 
     Too few responses or a singular system is an outcome, not an error: None.
     A wrong product raises DecodeFailed, since that can only mean a defect.
     """
     try:
-        blocks = decode(responses, plan, counter)
+        blocks = decode(responses, plan)
     except (InsufficientResponses, SingularSystem):
         return None
     if not np.array_equal([blocks[kl].array for kl in plan.block_positions], expected):
@@ -358,28 +388,26 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     """One full protocol run, audited against the direct product.
 
     The master encodes shares for every worker before knowing who will
-    straggle, so the encode count covers all of them; only respondents
-    contribute worker multiplications, a*s*b for a x s and s x b shares.
+    straggle. The pattern's decode routes are read once (_attempts): costs
+    prices every phase from them, and the responses carry them to decode.
     The decoded product is checked block-for-block against A @ B computed
     directly (see _audited).
     Too many stragglers is not an error: the report simply records the
     failure to decode.
     """
     start = time.perf_counter()
-    counters = {phase: MultCounter() for phase in ("encode", "worker", "decode")}
     shares = encode(A, B, plan, random.Random(f"sdmm-noise-{seed}"))
 
-    straggler_rng = random.Random(f"sdmm-straggler-{seed}")
-    down = set(resolve_stragglers(stragglers, plan.n_workers, straggler_rng))
-    responses = worker_products(
-        shares, [n for n in range(plan.n_workers) if n not in down], plan.ctx)
-    a, s, b = *shares[0].shape[1:3], shares[1].shape[2]
-    f, g = plan.params.exponents()
-    counters["encode"].add(plan.n_workers * (horner_cost(f, a * s) + horner_cost(g, s * b)))
-    counters["worker"].add(len(responses) * a * s * b)
+    down = resolve_stragglers(stragglers, plan.n_workers, random.Random(f"sdmm-straggler-{seed}"))
+    gone = np.zeros(plan.n_workers, dtype=bool)
+    gone[list(down)] = True
+    attempts = _attempts(plan, gone, _prepare(plan, gone[None])[1])
+    products = worker_products(shares, np.flatnonzero(~gone), plan.ctx)
+    responses = Responses(products.workers, products.stack, plan.ctx, plan.n_workers,
+                          (plan, attempts))
+    mult_counts = costs(plan, (len(responses), *shares[0].shape[1:3], shares[1].shape[2]), attempts)
 
-    blocks = _audited(responses, plan, _product_blocks(A.matmul(B), plan),
-                      counters["decode"])
+    blocks = _audited(responses, plan, _product_blocks(A.matmul(B), plan))
     product_hash = None
     if blocks is not None:
         product = assemble_product(blocks, plan.params, plan.ctx)
@@ -389,11 +417,11 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
         scheme=plan.params.spec_string(),
         field=plan.ctx.spec_string(),
         n_workers=plan.n_workers,
-        straggler_set=tuple(sorted(down)),
+        straggler_set=down,
         responses_used=len(responses),
         decode_success=blocks is not None,
         decoded_product_hash=product_hash,
-        mult_counts={phase: c.count for phase, c in counters.items()},
+        mult_counts=mult_counts,
         plan_summary=plan.summary(),
         wall_time=time.perf_counter() - start,
     )
@@ -445,8 +473,8 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     missing workers, which _prepare sorts by decode's count rule: a drawn
     pattern without a route counts as a failure without a decode call.
     Each of the rest decodes the shared response stack at its survivors,
-    a Responses that carries the plan and the batch's operators from
-    _prepare, audited as arrays (_audited).
+    a Responses that carries the plan and the routes _attempts reads off
+    the batch's operators from _prepare, audited as arrays (_audited).
     """
     if mode not in ("exhaustive", "mc"):
         raise BadSpec(f"unknown mode {mode!r}")
@@ -458,8 +486,8 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     stack = worker_products(shares, range(N), plan.ctx).stack
     expected = _product_blocks(A.matmul(B), plan)
 
-    patterns, attempts = (_subsets(N, S) if mode == "exhaustive" else
-                          _subsets(N, S, samples, random.Random(f"sdmm-pofs-{seed}")))
+    patterns, total = (_subsets(N, S) if mode == "exhaustive" else
+                       _subsets(N, S, samples, random.Random(f"sdmm-pofs-{seed}")))
     hyper, short = _routes(plan, S, np.arange(plan.n_hypernodes + 1))
     if mode == "exhaustive" and short:
         patterns = _spoiling(plan, S, (group for k in np.flatnonzero(hyper).tolist()
@@ -470,10 +498,12 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
         gone = np.zeros((len(down), N), dtype=bool)
         np.put_along_axis(gone, down, True, axis=1)
         routed, operators = _prepare(plan, gone)
-        for rows in (~gone[routed]).nonzero()[1].reshape(int(routed.sum()), N - S):
-            responses = Responses(rows, stack[rows], plan.ctx, N, (plan, operators))
+        kept = (~gone[routed]).nonzero()[1].reshape(int(routed.sum()), N - S)
+        for lost, rows in zip(gone[routed], kept):
+            attempts = _attempts(plan, lost, operators)
+            responses = Responses(rows, stack[rows], plan.ctx, N, (plan, attempts))
             successes += _audited(responses, plan, expected) is not None
-    return Fraction(successes, attempts)
+    return Fraction(successes, total)
 
 
 def _spoiling(plan: EvaluationPlan, s: int, groups):

@@ -157,7 +157,7 @@ MUTANTS = [
            ("tests/test_protocol.py::test_an_insecure_sigma_b_leaks_b_through_the_shares",
             f"{ORACLE}[explicit-leaks-b]")),
     Mutant("raw-spare-check-skipped", "protocol.py",
-           "_gauss.apply(T_worker, stack.reshape(len(order), -1, ctx.r), KL, ctx)",
+           "_gauss.apply(T, stack.reshape(len(order), -1, ctx.r), KL, ctx)",
            "pass",
            "the hypernode route raises on responses that are not one polynomial's values",
            ("tests/test_protocol.py::test_hypernode_route_checks_the_raw_spare_equations",)),
@@ -196,32 +196,39 @@ MUTANTS = [
            ("tests/test_protocol.py::"
             "test_exhaustive_walk_yields_exactly_the_patterns_with_a_route[0-6]",)),
     Mutant("operators-of-any-plan", "protocol.py",
-           "operators if owner is plan else None",
-           "operators",
-           "decode reads a walk's operators only on the plan they were built on",
+           "attempts if owner is plan else None",
+           "attempts",
+           "decode reads a walk's routes only on the plan they were read on",
            ("tests/test_protocol.py::"
             "test_walk_operators_serve_only_the_plan_they_were_built_on",)),
     Mutant("base-key-by-workers", "protocol.py",
-           'base = ("base", tuple(spoiled.tolist()))',
-           'base = ("base", tuple(complete.tolist()))',
+           "key = (route, tuple(lost.nonzero()[0].tolist()))",
+           'key = (route, tuple((~lost if route == "base" else lost).nonzero()[0].tolist()))',
            "a hypernode-route operator is found under the spoiled hypernodes _prepare keys it by",
            ("tests/test_protocol.py::test_p_of_s_decodes_each_routed_pattern_with_its_batch_"
             "operators[0-6-5-90-want0]",)),
     Mutant("no-route-raises", "protocol.py",
-           "elif worker not in operators:",
-           "elif False:",
+           'any(route == "worker" for route, _, _ in attempts)',
+           "True",
            "decode raises InsufficientResponses when neither route has an operator",
            ("tests/test_protocol.py::test_decode_raises_when_called_directly_with_too_few_responses",
             "tests/test_protocol.py::"
             "test_decode_raises_when_the_hypernode_route_is_singular_and_responses_are_short")),
     Mutant("full-route-priced-on-any-singular-base", "protocol.py",
-           "full = base in operators, T_base is None and worker in operators",
-           "full = base in operators, T_base is None or (base not in operators"
-           " and worker in operators)",
+           "operators:\n            checks = route == \"worker\" and attempts and attempts[0][2] is not"
+           " None\n            attempts.append((\"check\" if checks else route, ~lost, operators[key]))",
+           "operators or attempts and attempts[0][2] is None:\n            checks = False\n"
+           "            attempts.append((route, ~lost, operators.get(key)))",
            "a singular hypernode system with too few responses for the full route is charged"
            " only itself",
            ("tests/test_protocol.py::"
             "test_a_singular_hypernode_system_is_charged_in_full[singular-then-fail]",)),
+    Mutant("singular-hypernode-priced-free", "protocol.py",
+           "price[route] for route, rows, T in attempts)",
+           'price[route] for route, rows, T in attempts if not (T is None and route == "base"))',
+           "a singular hypernode system is charged in full before the full route is tried",
+           ("tests/test_protocol.py::"
+            "test_a_singular_hypernode_system_is_charged_in_full[singular-then-full]",)),
     Mutant("table-last-axis-only", "matpoly.py",
            "if points.ndim != 3 or points.shape[1:] != (len(exponents), ctx.r):",
            "if points.shape[-1] != ctx.r:",

@@ -63,24 +63,42 @@ def test_the_array_engine_takes_no_counter():
 
 
 def test_encode_takes_no_counter():
-    # run_protocol prices encoding from the scheme's exponent layout, and
-    # decode prices interpolation; the counter reaches only pow_, the two
-    # scalar evaluations, decode and the audit around it
+    # protocol.costs prices every phase of a run from the plan, the share
+    # shapes and decode's attempts; the counter reaches only pow_, the two
+    # scalar evaluations and decode, which charges it costs' decode term
     takers = {fn.name for path in MODULES for fn in ast.walk(ast.parse(path.read_text()))
               if isinstance(fn, ast.FunctionDef) and "counter" in _params(fn)}
-    assert takers == {"pow_", "evaluate_naive", "eval_sparse_horner", "decode", "_audited"}
+    assert takers == {"pow_", "evaluate_naive", "eval_sparse_horner", "decode"}
+
+
+def test_one_function_prices_every_phase():
+    # outside matpoly's cost model, only protocol.costs and its decode term
+    # read it, and no library code builds a MultCounter: run_protocol
+    # reports costs' dict
+    model = {"horner_cost", "interpolate_cost", "gauss_jordan_cost", "_ladder"}
+    readers = {f"{path.stem}.{fn}" for path in MODULES if path.stem != "matpoly"
+               for fn, node in _scoped(ast.parse(path.read_text()))
+               if isinstance(node, ast.Name) and node.id in model}
+    builders = [f"{path.stem}.{fn}" for path in MODULES
+                for fn, node in _scoped(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "MultCounter"]
+    assert readers == {"protocol.costs", "protocol._decode_price"} and builders == []
 
 
 def test_decode_catches_nothing_and_interpolate_counts_nothing():
-    # decode reads its route off the operator lookups, so it neither catches
-    # nor suppresses SingularSystem, and prices every route itself
+    # decode reads its routes off the operator lookups (_attempts) before
+    # its core solves them (_decode), so none of the three catches or
+    # suppresses SingularSystem; only decode takes the counter, and prices
+    # every route with costs' decode term
     src = Path(sdmm.__file__).parent
     protocol = ast.parse((src / "protocol.py").read_text())
     matpoly = ast.parse((src / "matpoly.py").read_text())
-    (decode,) = [f for f in _functions(protocol) if f.name == "decode"]
+    steps = [f for f in _functions(protocol) if f.name in ("decode", "_attempts", "_decode")]
     (interpolate,) = [f for f in _functions(matpoly) if f.name == "interpolate"]
-    assert not [n for n in ast.walk(decode) if isinstance(n, ast.Try)
+    assert len(steps) == 3
+    assert not [n for f in steps for n in ast.walk(f) if isinstance(n, ast.Try)
                 or getattr(n, "attr", getattr(n, "id", None)) == "suppress"]
+    assert [f.name for f in steps if "counter" in _params(f)] == ["decode"]
     assert "contextlib" not in set(imported_names(protocol))
     assert "counter" not in _params(interpolate)
 
@@ -134,7 +152,7 @@ def test_one_function_checks_spare_equations_and_decompose_takes_no_rhs():
              for path in MODULES for fn, node in _scoped(ast.parse(path.read_text()))
              if isinstance(node, ast.Call)]
     assert {fn for fn, name in calls if name == "InconsistentResponses"} == {"_gauss.apply"}
-    assert {fn for fn, name in calls if name == "apply"} == {"_gauss.solve", "protocol.decode"}
+    assert {fn for fn, name in calls if name == "apply"} == {"_gauss.solve", "protocol._decode"}
     gauss = ast.parse((Path(sdmm.__file__).parent / "_gauss.py").read_text())
     (decompose,) = [f for f in _functions(gauss) if f.name == "decompose"]
     args = decompose.args

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sdmm.protocol
 from sdmm import _gauss
@@ -184,6 +185,48 @@ def test_a_singular_hypernode_system_is_charged_in_full(down, success, counts):
     rep = run_protocol(A, B, plan, stragglers=down, seed=1)
     assert rep.decode_success == success
     assert rep.mult_counts == counts
+
+
+@pytest.mark.parametrize("make_plan, down, attempts, price, error", [
+    # every hypernode complete: the average solves with one spare equation,
+    # then the 24 raw responses are checked against two more
+    (lambda: gf31_plan(1, 8), (), [("base", 8, False, 1), ("check", 24, False, 2)], 960, None),
+    # 6 complete hypernodes of 7: all 22 responses interpolate, none spare
+    (lambda: gf31_plan(1, 8), (0, 3), [("worker", 22, False, 0)], 14366, None),
+    (gf61_plan, (9, 24), [("base", 8, True, 0), ("worker", 28, False, 3)], 24232, None),
+    (gf61_plan, (9, 10, 11, 24, 25, 26), [("base", 8, True, 0)], 1160, InsufficientResponses),
+    (gf61_plan, (0, 3, 6, 9, 12, 15), [], 0, InsufficientResponses),
+], ids=["p31-hypernode", "p31-full", "f61-singular-then-full", "f61-singular-then-short",
+        "f61-no-route"])
+def test_attempts_are_read_before_any_solve_and_priced_by_costs(
+        monkeypatch, make_plan, down, attempts, price, error):
+    # route, table height (the rows mask's count), singular (no operator)
+    # and spare equations (operator rows past K*L): read off the pattern's
+    # operators with interpolate unreachable; decode charges costs' decode
+    # entry of them and run_protocol reports it, with 2 x 2 product blocks
+    plan = make_plan()
+    gone = np.zeros(plan.n_workers, dtype=bool)
+    gone[list(down)] = True
+    operators = sdmm.protocol._prepare(plan, gone[None])[1]
+    with monkeypatch.context() as patch:
+        patch.setattr(sdmm.protocol, "interpolate", None)
+        got = sdmm.protocol._attempts(plan, gone, operators)
+    KL = plan.params.K * plan.params.L
+    assert [(route, np.count_nonzero(rows), T is None, 0 if T is None else len(T) - KL)
+            for route, rows, T in got] == attempts
+    whole = ~sdmm.protocol._spoiled(plan, gone[None])[0]
+    assert all(np.array_equal(rows, whole if route == "base" else ~gone) for route, rows, _ in got)
+    shapes = (plan.n_workers - len(down), 2, 2, 2)
+    assert sdmm.protocol.costs(plan, shapes, got)["decode"] == price
+    A, B = _inputs(plan, scale=2)
+    counter = MultCounter()
+    responses = {n: v for n, v in _responses(plan, A, B, random.Random("attempts")).items()
+                 if n not in down}
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        decode(responses, plan, counter)
+    assert counter.count == price
+    assert run_protocol(A, B, plan, stragglers=down).mult_counts == sdmm.protocol.costs(
+        plan, shapes, got)
 
 
 def _f961_plan():
@@ -868,22 +911,30 @@ def test_hypernode_weights_are_cached_subgroup_averages():
 def test_p_of_s_decodes_each_routed_pattern_with_its_batch_operators(monkeypatch, T, hypernodes,
                                                                      S, routed, want):
     # patterns that decode's count rule rejects never reach decode; the
-    # others do, one call each, with the plan and one batch's operators
+    # others do, one call each, with the plan and routes read off one
+    # batch's operators
     plan = gf31_plan(T, hypernodes)
     A, B = _inputs(plan)
-    real = sdmm.protocol.decode
-    sizes = []
+    real, real_prepare = sdmm.protocol.decode, sdmm.protocol._prepare
+    sizes, decoded, batch = [], [], {}
+
+    def counting_prepare(plan, gone):
+        routed, batch["operators"] = real_prepare(plan, gone)
+        sizes.append(len(batch["operators"]))
+        return routed, batch["operators"]
 
     def counting_decode(responses, plan, counter=None):
-        owner, operators = responses._prepared
-        assert owner is plan
-        sizes.append(len(operators))
+        owner, attempts = responses._prepared
+        assert owner is plan and attempts
+        assert all(any(T is U for U in batch["operators"].values()) for _, _, T in attempts)
+        decoded.append(responses)
         return real(responses, plan, counter)
 
     monkeypatch.setattr(sdmm.linalg, "_BATCH", 40)
+    monkeypatch.setattr(sdmm.protocol, "_prepare", counting_prepare)
     monkeypatch.setattr(sdmm.protocol, "decode", counting_decode)
     assert p_of_s_empirical(A, B, plan, S) == want
-    assert len(sizes) == routed
+    assert len(decoded) == routed
     assert 0 < max(sizes) <= 2 * 40
     # decode on a plain dict prepares the operators of its one pattern
     responses = _responses(plan, A, B, random.Random(1))
@@ -1020,6 +1071,97 @@ def test_flat_layout_protocol_round_trip():
     assert ok.decode_success and ok.responses_used == 22
     short = run_protocol(A, B, plan, stragglers=[4], seed=6)
     assert not short.decode_success and short.responses_used == 21
+
+
+# -- a property oracle over random plans -----------------------------------------------
+
+
+ORACLE_FIELDS = (make_field(13), make_field((1 << 31) - 1), make_field((1 << 61) - 1),
+                 make_field(7, 2))
+
+
+def _oracle_plan(rng, ctx):
+    """A small random mp, ggasp or explicit scheme, T = 0 included, on a hypernode or flat plan."""
+    K, M, L, T = rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 2), rng.randint(0, 2)
+    variant = rng.choice(["mp", "ggasp", "explicit"])
+    if variant == "mp":
+        params = SchemeParams.mp(K, M, L, T, D=rng.choice([d for d in range(1, M + 1)
+                                                            if math.gcd(d, M) == 1]))
+    elif variant == "ggasp":
+        params = SchemeParams.ggasp(K, M, L, T, r=rng.randint(1, min(K * M, T)) if T else 0)
+    else:
+        params = SchemeParams.explicit(K, M, L, T, *(sorted(rng.sample(range(6), T))
+                                                      for _ in "ab"))
+    points = [ctx.from_index(i) for i in rng.sample(range(1, ctx.order), min(ctx.order - 1, 40))]
+    # about as many workers, or hypernodes, as each route needs
+    if rng.random() < 0.5:
+        n = len(symbolic_support(params))
+        return ggasp_plan(params, ctx, points[:rng.randint(max(1, n - 2), n + 3)])
+    n = len(product_class_support(params))
+    base, powers, P = [], set(), rng.randint(max(1, n - 1), n + 3)
+    for x in points:  # base points with pairwise distinct M-th powers
+        if len(base) < P and x.pow_(M).index() not in powers:
+            base.append(x)
+            powers.add(x.pow_(M).index())
+    return mp_plan(params, ctx, base)
+
+
+def _predicted(plan, kept):
+    """decode's outcome on the survivors kept, from the count rule and the ranks of table rows."""
+    P, ctx = plan.n_hypernodes, plan.ctx
+    complete = [p for p in range(P) if set(plan.hypernode_workers(p)) <= set(kept)]
+    hyper, short = _routes(plan, plan.n_workers - len(kept), P - len(complete))
+    if hyper and _gauss.rank(plan.base_table[complete], ctx) == len(plan.class_support):
+        return "decoded", ["hypernode"]
+    if short:
+        return InsufficientResponses, []
+    if _gauss.rank(plan.worker_table[kept], ctx) < len(plan.full_support):
+        return SingularSystem, []
+    return "decoded", ["full"]
+
+
+@given(st.integers(0, 2**32), st.sampled_from(range(len(ORACLE_FIELDS))))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_decode_is_exact_routed_by_rank_and_monotone_on_random_plans(seed, fid):
+    # on honest responses decode returns exactly A @ B or raises
+    # InsufficientResponses or SingularSystem; the route it solves is the one
+    # _routes and the ranks of its table's surviving rows give; and every
+    # survivor superset of a set that decodes decodes too
+    ctx = ORACLE_FIELDS[fid]
+    rng = random.Random(seed)
+    plan = _oracle_plan(rng, ctx)
+    params, N = plan.params, plan.n_workers
+    a, s, b = (rng.randint(1, 2) for _ in range(3))
+    A = BlockMatrix.random(params.K * a, params.M * s, ctx, rng)
+    B = BlockMatrix.random(params.M * s, params.L * b, ctx, rng)
+    shares = encode(A, B, plan, rng)
+    taken = []
+    real = sdmm.protocol.interpolate
+
+    def spy(points, values, exponents, *args, **kwargs):
+        taken.append("hypernode" if exponents is plan.class_support else "full")
+        return real(points, values, exponents, *args, **kwargs)
+
+    def outcome(kept):
+        taken.clear()
+        responses = worker_products(shares, kept, ctx)
+        try:
+            blocks = decode(responses if rng.random() < 0.5 else dict(responses), plan)
+        except (InsufficientResponses, SingularSystem) as exc:
+            return type(exc), taken[:]
+        assert assemble_product(blocks, params, ctx) == A.matmul(B), kept
+        return "decoded", taken[:]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdmm.protocol, "interpolate", spy)
+        for _ in range(4):  # mostly near the full route's N'
+            least = 0 if rng.random() < 0.3 else max(0, min(N, len(plan.full_support)) - 3)
+            kept = sorted(rng.sample(range(N), rng.randint(least, N)))
+            got = outcome(kept)
+            assert got == _predicted(plan, kept), kept
+            if got[0] == "decoded":
+                more = sorted(set(kept) | set(rng.sample(range(N), rng.randint(0, N))))
+                assert outcome(more)[0] == "decoded", (kept, more)
 
 
 # -- share randomization smoke test ----------------------------------------------------
