@@ -3,12 +3,13 @@
 The master splits A and B, builds the two masked encoding polynomials, and
 hands worker n the pair (f(x_n), g(x_n)). Honest-but-curious workers return
 the product of their shares; stragglers return nothing. The decoder
-recovers every block of A @ B from the responses alone in two steps: it
-reads the routes it will try off the pattern's operators (_attempts), then
-solves them (_decode). The report records exactly what was used: which
-workers answered, whether decoding succeeded, a digest of the assembled
-product, and the field-multiplication counts of each phase, which costs
-prices from the plan, the share shapes and those attempts.
+recovers every block of A @ B from the responses alone in two steps:
+_prepare, the one reader of decode routes, lists the attempts of a batch of
+straggler patterns, and _decode solves a pattern's. The report records
+exactly what was used: which workers answered, whether decoding succeeded,
+a digest of the assembled product, and the field-multiplication counts of
+each phase, which costs prices from the plan, the share shapes and those
+attempts.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class Responses(Mapping):
     """Read-only BlockMatrix views of a product stack's rows, keyed by worker index.
 
     workers: the sorted responding workers, of n_workers; stack: their residues, row for row.
-    _prepared: None, or a plan and decode's routes on it (_attempts), read on that plan only.
+    _prepared: None, or a plan and the pattern's attempts (_prepare), read on that plan only.
     """
 
     __slots__ = ("workers", "stack", "ctx", "n_workers", "_prepared")
@@ -157,12 +158,12 @@ def worker_products(shares: tuple[np.ndarray, np.ndarray], workers,
 def _routes(plan: EvaluationPlan, s: int, spoiled) -> tuple:
     """Decode's count rule for patterns of s missing workers.
 
-    spoiled is the number of hypernodes those workers spoil, as an int or
-    an array over patterns. Returns (hyper, short): whether the complete
+    s and spoiled, the number of hypernodes those workers spoil, are ints
+    or arrays over patterns. Returns (hyper, short): whether the complete
     hypernodes left reach the P' that the averaged route needs (a flat
     plan has 0), in spoiled's shape, and whether the N - s responses fall
-    short of the N' that full interpolation needs. _prepare builds no
-    operator for a pattern that is short and not hyper.
+    short of the N' that full interpolation needs. _prepare gives a
+    pattern that is short and not hyper no attempt.
     """
     short = plan.n_workers - s < len(plan.full_support)
     return plan.n_hypernodes - spoiled >= len(plan.class_support), short
@@ -202,30 +203,11 @@ def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> lis
     return [t if good else None for t, good in zip(T, ok)]
 
 
-def _attempts(plan: EvaluationPlan, gone: np.ndarray, operators: dict) -> list[tuple]:
-    """decode's routes for a mask of the missing workers, in order, as (route, rows, T).
-
-    route is "base" (the hypernode average), "worker" (full interpolation) or
-    "check" (the worker table's spare equations on the raw responses, after
-    a regular base route). rows masks the table rows read: the complete
-    hypernodes (_spoiled) or the responses. T is the operator keyed by the
-    rows lost, None when singular; its rows past the K*L targets are the
-    spare equations. A route without a key is not attempted.
-    """
-    attempts = []
-    for route, lost in (("base", _spoiled(plan, gone[None])[0]), ("worker", gone)):
-        key = (route, tuple(lost.nonzero()[0].tolist()))
-        if key in operators:
-            checks = route == "worker" and attempts and attempts[0][2] is not None
-            attempts.append(("check" if checks else route, ~lost, operators[key]))
-    return attempts
-
-
 def costs(plan: EvaluationPlan, shapes: tuple, attempts: list[tuple]) -> dict:
     """mult_counts: each phase's field multiplications in the scalar protocol (docs/formats.md).
 
     shapes are (n, a, s, b): n responses, each an a x s share of A times an
-    s x b share of B; attempts are the pattern's decode routes (_attempts).
+    s x b share of B; attempts are the pattern's routes, as _prepare alone reads them.
     """
     n, a, s, b = shapes
     f, g = plan.params.exponents()
@@ -248,19 +230,19 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     responded against the root-of-unity powers and interpolates the
     filtered polynomial on its small support. When too few hypernodes are
     complete, or their system is singular, and on a flat plan, any |supp(h)|
-    responses interpolate the full polynomial. The routes (_attempts) come
-    with responses prepared on this plan, else are read off _prepare's
-    operators; counter, if given, is charged their _decode_price before
-    _decode solves them. With no worker route InsufficientResponses is
-    raised, else SingularSystem. BadSpec means a response key that is not an
-    integer worker index, ShapeMismatch a response that is not a BlockMatrix
-    or differs in shape or field.
+    responses interpolate the full polynomial. The routes come with
+    responses prepared on this plan, else _prepare, their one reader, lists
+    them for the one pattern; counter, if given, is charged their
+    _decode_price before _decode solves them. With no worker route
+    InsufficientResponses is raised, else SingularSystem. BadSpec means a
+    response key that is not an integer worker index, ShapeMismatch a
+    response that is not a BlockMatrix or differs in shape or field.
     """
     order, stack, attempts = _stacked(responses, plan)
     gone = np.ones(plan.n_workers, dtype=bool)
     gone[order] = False
     if attempts is None:
-        attempts = _attempts(plan, gone, _prepare(plan, gone[None])[1])
+        attempts = _prepare(plan, gone[None])[0]
     if counter is not None and attempts:
         counter.add(_decode_price(plan, stack[0, ..., 0].size, attempts))
     coeffs = _decode(plan, order, stack, attempts)
@@ -388,8 +370,8 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     """One full protocol run, audited against the direct product.
 
     The master encodes shares for every worker before knowing who will
-    straggle. The pattern's decode routes are read once (_attempts): costs
-    prices every phase from them, and the responses carry them to decode.
+    straggle. _prepare, the one reader of routes, lists the pattern's once:
+    costs prices every phase from them, and the responses carry them to decode.
     The decoded product is checked block-for-block against A @ B computed
     directly (see _audited).
     Too many stragglers is not an error: the report simply records the
@@ -401,7 +383,7 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     down = resolve_stragglers(stragglers, plan.n_workers, random.Random(f"sdmm-straggler-{seed}"))
     gone = np.zeros(plan.n_workers, dtype=bool)
     gone[list(down)] = True
-    attempts = _attempts(plan, gone, _prepare(plan, gone[None])[1])
+    attempts = _prepare(plan, gone[None])[0]
     products = worker_products(shares, np.flatnonzero(~gone), plan.ctx)
     responses = Responses(products.workers, products.stack, plan.ctx, plan.n_workers,
                           (plan, attempts))
@@ -470,11 +452,11 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     estimate, which the caller labels as one. Any other mode raises BadSpec.
 
     Patterns are taken in batches (linalg._batches), each as one mask of
-    missing workers, which _prepare sorts by decode's count rule: a drawn
-    pattern without a route counts as a failure without a decode call.
-    Each of the rest decodes the shared response stack at its survivors,
-    a Responses that carries the plan and the routes _attempts reads off
-    the batch's operators from _prepare, audited as arrays (_audited).
+    missing workers whose attempts _prepare, the one reader of routes, lists: a
+    drawn pattern without a route counts as a failure without a decode
+    call. Each of the rest decodes the shared response stack at its
+    survivors, a Responses that carries the plan and the pattern's
+    attempts, audited as arrays (_audited).
     """
     if mode not in ("exhaustive", "mc"):
         raise BadSpec(f"unknown mode {mode!r}")
@@ -497,12 +479,11 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     for down in _batches(patterns):
         gone = np.zeros((len(down), N), dtype=bool)
         np.put_along_axis(gone, down, True, axis=1)
-        routed, operators = _prepare(plan, gone)
-        kept = (~gone[routed]).nonzero()[1].reshape(int(routed.sum()), N - S)
-        for lost, rows in zip(gone[routed], kept):
-            attempts = _attempts(plan, lost, operators)
-            responses = Responses(rows, stack[rows], plan.ctx, N, (plan, attempts))
-            successes += _audited(responses, plan, expected) is not None
+        kept = (~gone).nonzero()[1].reshape(len(down), N - S)
+        for rows, attempts in zip(kept, _prepare(plan, gone)):
+            if attempts:
+                responses = Responses(rows, stack[rows], plan.ctx, N, (plan, attempts))
+                successes += _audited(responses, plan, expected) is not None
     return Fraction(successes, total)
 
 
@@ -522,29 +503,36 @@ def _spoiled(plan: EvaluationPlan, gone: np.ndarray) -> np.ndarray:
     return gone[:, :P * M].reshape(len(gone), P, M).any(axis=2)
 
 
-def _prepare(plan: EvaluationPlan, gone: np.ndarray) -> tuple[np.ndarray, dict]:
-    """(routed, operators) for a (patterns, N) mask of the s workers each pattern misses.
+def _prepare(plan: EvaluationPlan, gone: np.ndarray) -> list[list[tuple]]:
+    """decode's attempts for each row of a (patterns, N) mask of missing workers: the one reader.
 
-    routed says which patterns have a route (_routes); only drawn ones can
-    lack one. operators holds every T (_set_operators) decode needs on
-    them, keyed (route, missing rows): on the worker table for every
-    pattern when N - s responses reach N' (to interpolate, or to check raw
-    spare equations), and on the base table for the spoiled hypernodes of
-    every hyper pattern, one batch per count. So a key is there iff the
-    count rule gives its pattern that route; None means a singular set.
+    A pattern's list holds (route, rows, T) in decode order: "base" (the
+    hypernode average) when the count rule (_routes) makes it hyper, then
+    "worker" (full interpolation) when its responses reach N', or "check"
+    (the worker table's spare equations on the raw responses) after a
+    regular base. rows masks the table rows read: the complete hypernodes
+    (_spoiled) or the responses. T, None when singular, is the operator of
+    the rows lost (_set_operators: one call per route and count, one T per
+    distinct set); its rows past the K*L targets are the spare equations.
     """
-    missing = gone.nonzero()[1].reshape(len(gone), -1)
     spoiled = _spoiled(plan, gone)
-    counts = spoiled.sum(axis=1)
-    hyper, short = _routes(plan, missing.shape[1], counts)
-    tables = [] if short else [("worker", missing)]
-    for k in sorted(set(counts[hyper].tolist())):
-        group = spoiled[hyper & (counts == k)]
-        sets = sorted(set(map(tuple, group.nonzero()[1].reshape(len(group), k).tolist())))
-        tables.append(("base", np.array(sets, dtype=np.intp).reshape(len(sets), k)))
-    operators = {(route, tuple(row)): T for route, rows in tables
-                 for row, T in zip(rows.tolist(), _set_operators(plan, route, rows))}
-    return hyper | (not short), operators
+    counts, sizes = spoiled.sum(axis=1), gone.sum(axis=1)
+    hyper, short = _routes(plan, sizes, counts)
+    attempts = [[] for _ in gone]
+    for route, lost, taken, lost_count in (("base", spoiled, hyper, counts),
+                                           ("worker", gone, ~short, sizes)):
+        groups = {}  # by count, the patterns that lose each set of rows
+        for i, (take, k) in enumerate(zip(taken.tolist(), lost_count.tolist())):
+            if take:
+                groups.setdefault(k, {}).setdefault(lost[i].tobytes(), []).append(i)
+        for k, sets in groups.items():
+            missing = np.array([lost[at[0]].nonzero()[0] for at in sets.values()], dtype=np.intp)
+            operators = _set_operators(plan, route, missing.reshape(len(sets), k))
+            for at, T in zip(sets.values(), operators):
+                for i in at:
+                    checks = route == "worker" and attempts[i] and attempts[i][0][2] is not None
+                    attempts[i].append(("check" if checks else route, ~lost[i], T))
+    return attempts
 
 
 # -- recovery threshold of a secure deployment ---------------------------------------

@@ -28,6 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 NOISE_TABLES = ("tests/test_protocol.py::"
                 "test_encoded_noise_reaches_workers_through_the_security_tables[61]")
 ORACLE = "tests/test_protocol.py::test_share_distributions_leak_exactly_where_security_check_fails"
+CORRUPTION = ("tests/test_protocol.py::"
+              "test_one_corrupted_response_raises_iff_an_applied_spare_row_reads_it")
 HANG_S = 30  # every mutant's tests finish in a few seconds unless it hangs them
 
 
@@ -160,13 +162,15 @@ MUTANTS = [
            "_gauss.apply(T, stack.reshape(len(order), -1, ctx.r), KL, ctx)",
            "pass",
            "the hypernode route raises on responses that are not one polynomial's values",
-           ("tests/test_protocol.py::test_hypernode_route_checks_the_raw_spare_equations",)),
+           ("tests/test_protocol.py::test_hypernode_route_checks_the_raw_spare_equations",
+            CORRUPTION)),
     Mutant("first-spare-row-unchecked", "_gauss.py",
            "if out[targets:].any():",
            "if out[targets + 1:].any():",
            "solve and decode check every spare equation, the first one included",
            ("tests/test_engine.py::"
-            "test_one_spare_equation_is_checked_alike_by_solve_and_decode[corrupted]",)),
+            "test_one_spare_equation_is_checked_alike_by_solve_and_decode[corrupted]",
+            CORRUPTION)),
     Mutant("subset-count", "linalg.py",
            "return _Lex(n, k), math.comb(n, k)",
            "return _Lex(n, k), math.comb(n, k) + 1",
@@ -202,11 +206,18 @@ MUTANTS = [
            ("tests/test_protocol.py::"
             "test_walk_operators_serve_only_the_plan_they_were_built_on",)),
     Mutant("base-key-by-workers", "protocol.py",
-           "key = (route, tuple(lost.nonzero()[0].tolist()))",
-           'key = (route, tuple((~lost if route == "base" else lost).nonzero()[0].tolist()))',
-           "a hypernode-route operator is found under the spoiled hypernodes _prepare keys it by",
+           '("check" if checks else route, ~lost[i], T)',
+           '("check" if checks else route, lost[i] if route == "base" else ~lost[i], T)',
+           "a hypernode-route attempt reads the complete hypernodes its operator was built on",
            ("tests/test_protocol.py::test_p_of_s_decodes_each_routed_pattern_with_its_batch_"
             "operators[0-6-5-90-want0]",)),
+    Mutant("base-operator-of-another-set", "protocol.py",
+           "for at, T in zip(sets.values(), operators):",
+           'for at, T in zip(sets.values(), operators[1:] + operators[:1] if route == "base"'
+           " else operators):",
+           "a hyper pattern gets the base operator of the hypernodes it spoils, in any batch",
+           ("tests/test_protocol.py::"
+            "test_batched_attempts_equal_each_pattern_prepared_alone[p31-t0]",)),
     Mutant("no-route-raises", "protocol.py",
            'any(route == "worker" for route, _, _ in attempts)',
            "True",
@@ -215,10 +226,9 @@ MUTANTS = [
             "tests/test_protocol.py::"
             "test_decode_raises_when_the_hypernode_route_is_singular_and_responses_are_short")),
     Mutant("full-route-priced-on-any-singular-base", "protocol.py",
-           "operators:\n            checks = route == \"worker\" and attempts and attempts[0][2] is not"
-           " None\n            attempts.append((\"check\" if checks else route, ~lost, operators[key]))",
-           "operators or attempts and attempts[0][2] is None:\n            checks = False\n"
-           "            attempts.append((route, ~lost, operators.get(key)))",
+           "T))\n    return attempts\n",
+           "T))\n    return [a + [(\"worker\", ~gone[i], None)] if short[i] and a and a[0][2] is None"
+           " else a for i, a in enumerate(attempts)]\n",
            "a singular hypernode system with too few responses for the full route is charged"
            " only itself",
            ("tests/test_protocol.py::"

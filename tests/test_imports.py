@@ -6,12 +6,12 @@ nothing: multiplication counts come from the cost model in matpoly, which
 prices from shapes and calls nothing in _gauss. Its one elimination loop
 has three entry points, the rank questions rank and batch_is_invertible
 and decompose; no other module reaches into _gauss's private names.
-Decode operators are built in one place, protocol._prepare, and every
-spare equation is checked in one, _gauss.apply. Decode's count rule,
-protocol._routes, is applied only where operators are built and where
-exact p(S) picks its walk, and no other decode code compares counts with
-P' or N'; decode reads its route off the operators and raises its one
-shortfall error from one place.
+Decode routes are read, and their operators built, in one place,
+protocol._prepare, and every spare equation is checked in one,
+_gauss.apply. Decode's count rule, protocol._routes, is applied only where
+routes are read and where exact p(S) picks its walk, and no other decode
+code compares counts with P' or N'; decode solves the attempts _prepare
+lists and raises its one shortfall error from one place.
 """
 
 import ast
@@ -86,14 +86,13 @@ def test_one_function_prices_every_phase():
 
 
 def test_decode_catches_nothing_and_interpolate_counts_nothing():
-    # decode reads its routes off the operator lookups (_attempts) before
-    # its core solves them (_decode), so none of the three catches or
-    # suppresses SingularSystem; only decode takes the counter, and prices
-    # every route with costs' decode term
+    # _prepare lists decode's routes before its core solves them (_decode),
+    # so none of the three catches or suppresses SingularSystem; only decode
+    # takes the counter, and prices every route with costs' decode term
     src = Path(sdmm.__file__).parent
     protocol = ast.parse((src / "protocol.py").read_text())
     matpoly = ast.parse((src / "matpoly.py").read_text())
-    steps = [f for f in _functions(protocol) if f.name in ("decode", "_attempts", "_decode")]
+    steps = [f for f in _functions(protocol) if f.name in ("decode", "_prepare", "_decode")]
     (interpolate,) = [f for f in _functions(matpoly) if f.name == "interpolate"]
     assert len(steps) == 3
     assert not [n for f in steps for n in ast.walk(f) if isinstance(n, ast.Try)
@@ -137,8 +136,8 @@ def test_only_rank_questions_and_decompose_eliminate():
 
 
 def test_only_prepare_builds_decode_operators():
-    # decode and p_of_s_empirical read the operators _prepare returns; no
-    # other function builds one, so none can go stale on a plan
+    # decode and p_of_s_empirical read the attempts _prepare returns; no
+    # other function builds an operator, so none can go stale on a plan
     users = {f"{path.stem}.{fn}" for path in MODULES
              for fn, node in _scoped(ast.parse(path.read_text()))
              if isinstance(node, ast.Name) and node.id == "_set_operators"}
@@ -161,9 +160,9 @@ def test_one_function_checks_spare_equations_and_decompose_takes_no_rhs():
 
 
 def test_decode_reads_its_route_off_the_operators():
-    # the count rule (_routes) picks which operators _prepare builds and
-    # which patterns exact p(S) walks; decode only looks the keys up, so it
-    # has one "no route left" raise
+    # the count rule (_routes) picks which attempts _prepare lists and which
+    # patterns exact p(S) walks; decode only solves the attempts, so it has
+    # one "no route left" raise
     protocol = ast.parse((Path(sdmm.__file__).parent / "protocol.py").read_text())
     calls = [(fn, getattr(node.func, "id", None)) for fn, node in _scoped(protocol)
              if isinstance(node, ast.Call)]

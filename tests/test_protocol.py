@@ -31,6 +31,8 @@ from sdmm.examples import gf31_plan, gf61_plan
 from sdmm.fields import MultCounter, make_field
 from sdmm.linalg import (
     EvaluationPlan,
+    _batches,
+    _subsets,
     find_evaluation_vector,
     ggasp_plan,
     is_mds,
@@ -201,16 +203,15 @@ def test_a_singular_hypernode_system_is_charged_in_full(down, success, counts):
 def test_attempts_are_read_before_any_solve_and_priced_by_costs(
         monkeypatch, make_plan, down, attempts, price, error):
     # route, table height (the rows mask's count), singular (no operator)
-    # and spare equations (operator rows past K*L): read off the pattern's
-    # operators with interpolate unreachable; decode charges costs' decode
-    # entry of them and run_protocol reports it, with 2 x 2 product blocks
+    # and spare equations (operator rows past K*L): _prepare lists them for
+    # a batch of one with interpolate unreachable; decode charges costs'
+    # decode entry of them and run_protocol reports it, with 2 x 2 blocks
     plan = make_plan()
     gone = np.zeros(plan.n_workers, dtype=bool)
     gone[list(down)] = True
-    operators = sdmm.protocol._prepare(plan, gone[None])[1]
     with monkeypatch.context() as patch:
         patch.setattr(sdmm.protocol, "interpolate", None)
-        got = sdmm.protocol._attempts(plan, gone, operators)
+        (got,) = sdmm.protocol._prepare(plan, gone[None])
     KL = plan.params.K * plan.params.L
     assert [(route, np.count_nonzero(rows), T is None, 0 if T is None else len(T) - KL)
             for route, rows, T in got] == attempts
@@ -227,6 +228,59 @@ def test_attempts_are_read_before_any_solve_and_priced_by_costs(
     assert counter.count == price
     assert run_protocol(A, B, plan, stragglers=down).mult_counts == sdmm.protocol.costs(
         plan, shapes, got)
+
+
+def _same_attempts(got, want):
+    """Whether two attempt lists hold the same routes and row masks, with equal operators or
+    None in the same places."""
+    return len(got) == len(want) and all(
+        r == q and np.array_equal(rows, mask) and (T is None) == (U is None)
+        and (T is None or np.array_equal(T, U)) for (r, rows, T), (q, mask, U) in zip(got, want))
+
+
+@pytest.mark.parametrize("make_plan", [lambda: gf31_plan(0, 6), lambda: gf31_plan(1, 8), gf61_plan],
+                         ids=["p31-t0", "p31-t1", "f61"])
+def test_batched_attempts_equal_each_pattern_prepared_alone(make_plan):
+    # a pattern's attempts in a random batch are those _prepare lists for it
+    # alone. Each batch mixes straggler counts: the pattern that spoils no
+    # hypernode, one with no route, one with the full route only, every
+    # singular base set (only the GF(61) plan has one; the GF(31) base points
+    # are MDS), pairs of patterns that spoil one hypernode set (and share its
+    # one base operator), and random ones
+    plan = make_plan()
+    N, M, P = plan.n_workers, plan.params.M, plan.n_hypernodes
+    needed, ctx = len(plan.class_support), plan.ctx
+    rng = random.Random(f"batched-{N}-{plan.params.T}")
+    spoilable = [group for k in range(P - needed + 1)
+                 for group in itertools.combinations(range(P), k)]
+    singular = [group for group in spoilable if _gauss.rank(
+        plan.base_table[[p for p in range(P) if p not in group]], ctx) < needed]
+    assert singular == ([(3, 8)] if make_plan is gf61_plan else [])
+    no_route = [p * M for p in range(max(P - needed + 1, N - len(plan.full_support) + 1))]
+    full_only = [p * M for p in range(P - needed + 1)]
+
+    def spoiling(group):
+        return [n for p in group for n in rng.sample(plan.hypernode_workers(p), rng.randint(1, M))]
+
+    for _ in range(3):
+        singular_downs = [spoiling(group) for group in singular]
+        patterns = [[], no_route, full_only] + singular_downs
+        pairs = [(spoiling(group), spoiling(group)) for group in rng.sample(spoilable[1:], 4)]
+        patterns += [down for pair in pairs for down in pair]
+        patterns += [rng.sample(range(N), rng.randint(0, N)) for _ in range(6)]
+        rng.shuffle(patterns)
+        gone = np.array([np.isin(np.arange(N), down) for down in patterns])
+        batched = sdmm.protocol._prepare(plan, gone)
+        assert len(batched) == len(patterns) and batched[patterns.index(no_route)] == []
+        assert [route for route, _, _ in batched[patterns.index(full_only)]] == ["worker"]
+        assert [route for route, _, _ in batched[patterns.index([])]] == ["base", "check"]
+        for down, got, lost in zip(patterns, batched, gone):
+            assert _same_attempts(got, sdmm.protocol._prepare(plan, lost[None])[0]), down
+        for down in singular_downs:
+            route, _, T = batched[patterns.index(down)][0]
+            assert route == "base" and T is None, down
+        for one, other in pairs:
+            assert batched[patterns.index(one)][0][2] is batched[patterns.index(other)][0][2]
 
 
 def _f961_plan():
@@ -567,15 +621,12 @@ def test_decode_matches_interpolation_from_points_on_random_survivor_sets(monkey
     seen, marks = set(), set()
     for trial, down in enumerate(downs):
         gone = np.isin(np.arange(N), down)
-        operators = sdmm.protocol._prepare(plan, gone[None])[1]
-        whole = ~sdmm.protocol._spoiled(plan, gone[None])[0]
-        for route, kept in (("base", whole), ("worker", ~gone)):
-            key = (route, tuple((~kept).nonzero()[0].tolist()))
-            if key in operators:
-                table = getattr(plan, f"{route}_table")
-                singular = _gauss.rank(table[kept], ctx) < table.shape[1]
-                assert (operators[key] is None) == singular, (key, down)
-                marks.add((route, singular))
+        for route, kept, T in sdmm.protocol._prepare(plan, gone[None])[0]:
+            route = "base" if route == "base" else "worker"  # a check reads the worker table
+            table = getattr(plan, f"{route}_table")
+            singular = _gauss.rank(table[kept], ctx) < table.shape[1]
+            assert (T is None) == singular, (route, down)
+            marks.add((route, singular))
         for corrupt in (False, True):
             survivors = {n: v for n, v in responses.items() if n not in down}
             if corrupt:
@@ -911,31 +962,51 @@ def test_hypernode_weights_are_cached_subgroup_averages():
 def test_p_of_s_decodes_each_routed_pattern_with_its_batch_operators(monkeypatch, T, hypernodes,
                                                                      S, routed, want):
     # patterns that decode's count rule rejects never reach decode; the
-    # others do, one call each, with the plan and routes read off one
-    # batch's operators
+    # others do, one call each, with the plan and the attempts _prepare
+    # listed for the batch, whose operators it built. Each batch reads its
+    # hypernode masks once (one _spoiled call, none per pattern) and makes
+    # one _set_operators call per route and count of rows lost
     plan = gf31_plan(T, hypernodes)
     A, B = _inputs(plan)
-    real, real_prepare = sdmm.protocol.decode, sdmm.protocol._prepare
-    sizes, decoded, batch = [], [], {}
+    protocol = sdmm.protocol
+    real, real_prepare = protocol.decode, protocol._prepare
+    real_spoiled, real_operators = protocol._spoiled, protocol._set_operators
+    batches, decoded = [], []
 
     def counting_prepare(plan, gone):
-        routed, batch["operators"] = real_prepare(plan, gone)
-        sizes.append(len(batch["operators"]))
-        return routed, batch["operators"]
+        batches.append((gone, [], []))
+        return real_prepare(plan, gone)
+
+    def counting_spoiled(plan, gone):
+        batches[-1][1].append(len(gone))
+        return real_spoiled(plan, gone)
+
+    def counting_operators(plan, route, missing):
+        batches[-1][2].append(real_operators(plan, route, missing))
+        return batches[-1][2][-1]
 
     def counting_decode(responses, plan, counter=None):
         owner, attempts = responses._prepared
         assert owner is plan and attempts
-        assert all(any(T is U for U in batch["operators"].values()) for _, _, T in attempts)
+        built = [U for operators in batches[-1][2] for U in operators]
+        assert all(any(T is U for U in built) for _, _, T in attempts)
         decoded.append(responses)
         return real(responses, plan, counter)
 
     monkeypatch.setattr(sdmm.linalg, "_BATCH", 40)
-    monkeypatch.setattr(sdmm.protocol, "_prepare", counting_prepare)
-    monkeypatch.setattr(sdmm.protocol, "decode", counting_decode)
+    for name, spy in [("_prepare", counting_prepare), ("_spoiled", counting_spoiled),
+                      ("_set_operators", counting_operators), ("decode", counting_decode)]:
+        monkeypatch.setattr(protocol, name, spy)
     assert p_of_s_empirical(A, B, plan, S) == want
     assert len(decoded) == routed
-    assert 0 < max(sizes) <= 2 * 40
+    assert len(batches) == -(-routed // 40)  # the walk holds only routed patterns
+    M, P = plan.params.M, plan.n_hypernodes
+    for gone, spoiled_calls, built in batches:
+        counts = gone.reshape(len(gone), P, M).any(axis=2).sum(axis=1)
+        hyper, short = _routes(plan, S, counts)
+        assert spoiled_calls == [len(gone)]
+        assert len(built) == (not short) + len(set(counts[hyper].tolist()))
+    assert 0 < max(sum(map(len, built)) for _, _, built in batches) <= 2 * 40
     # decode on a plain dict prepares the operators of its one pattern
     responses = _responses(plan, A, B, random.Random(1))
     survivors = {n: v for n, v in responses.items() if n >= S}
@@ -1164,6 +1235,76 @@ def test_decode_is_exact_routed_by_rank_and_monotone_on_random_plans(seed, fid):
                 assert outcome(more)[0] == "decoded", (kept, more)
 
 
+@given(st.integers(0, 2**32), st.sampled_from(range(len(ORACLE_FIELDS))))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_one_corrupted_response_raises_iff_an_applied_spare_row_reads_it(seed, fid):
+    # a nonzero bump of one entry of one survivor's response makes decode
+    # raise InconsistentResponses exactly when a spare row of an attempt it
+    # applies (one with an operator) is nonzero at that response: for a base
+    # attempt at the column of the worker's hypernode, when it is complete
+    # (the average scales the bump by a nonzero weight); for a worker or
+    # check attempt at the worker's own column among the survivors
+    ctx = ORACLE_FIELDS[fid]
+    rng = random.Random(seed)
+    plan = _oracle_plan(rng, ctx)
+    params, N, M = plan.params, plan.n_workers, plan.params.M
+    KL = params.K * params.L
+    a, s, b = (rng.randint(1, 2) for _ in range(3))
+    A = BlockMatrix.random(params.K * a, params.M * s, ctx, rng)
+    B = BlockMatrix.random(params.M * s, params.L * b, ctx, rng)
+    shares = encode(A, B, plan, rng)
+    for _ in range(4):  # mostly near the full route's N'
+        least = 1 if rng.random() < 0.3 else max(1, min(N, len(plan.full_support)) - 3)
+        kept = sorted(rng.sample(range(N), rng.randint(least, N)))
+        gone = ~np.isin(np.arange(N), kept)
+        i = rng.randrange(len(kept))
+        bad = kept[i]
+        read = False
+        for route, rows, T in sdmm.protocol._prepare(plan, gone[None])[0]:
+            if T is not None and route == "base" and rows[bad // M]:
+                read |= T[KL:, np.count_nonzero(rows[:bad // M])].any()
+            elif T is not None and route != "base":
+                read |= T[KL:, i].any()
+        stack = worker_products(shares, kept, ctx).stack.copy()
+        spot = (i, rng.randrange(stack.shape[1]), rng.randrange(stack.shape[2]))
+        bump = [rng.randrange(ctx.p) for _ in range(ctx.r)]
+        bump[rng.randrange(ctx.r)] = rng.randrange(1, ctx.p)
+        stack[spot] = (stack[spot] + bump) % ctx.p
+        responses = sdmm.protocol.Responses(np.array(kept, dtype=np.intp), stack, ctx, N)
+        try:
+            decode(responses, plan)
+        except InconsistentResponses:
+            raised = True
+        except (InsufficientResponses, SingularSystem):
+            raised = False
+        else:
+            raised = False
+        assert raised == read, (kept, bad)
+
+
+def test_unprotected_survivors_of_the_gf61_full_route_are_pinned():
+    # every S-straggler pattern of the GF(61) deployment whose worker or
+    # check attempt has an operator: the patterns whose spare rows T[K*L:]
+    # are zero in some survivor's column (a corruption there goes unseen),
+    # and those (pattern, survivor) pairs, of the patterns counted
+    plan = gf61_plan()
+    N, KL = plan.n_workers, plan.params.K * plan.params.L
+    want = {1: (0, 0, 30), 2: (0, 0, 435), 3: (56, 96, 4060), 4: (9501, 11526, 27381)}
+    got = {}
+    for S in want:
+        patterns = pairs = full = 0
+        for down in _batches(_subsets(N, S)[0]):
+            gone = np.zeros((len(down), N), dtype=bool)
+            np.put_along_axis(gone, down, True, axis=1)
+            for attempts in sdmm.protocol._prepare(plan, gone):
+                for route, rows, T in attempts:
+                    if route != "base" and T is not None:
+                        zero = np.count_nonzero(~T[KL:].any(axis=(0, 2)))
+                        full, patterns, pairs = full + 1, patterns + (zero > 0), pairs + zero
+        got[S] = (patterns, pairs, full)
+    assert got == want
+
+
 # -- share randomization smoke test ----------------------------------------------------
 
 
@@ -1288,10 +1429,10 @@ def test_exhaustive_walk_yields_exactly_the_patterns_with_a_route(monkeypatch, T
     real, walked = sdmm.protocol._prepare, []
 
     def recording_prepare(plan, gone):
-        routed, operators = real(plan, gone)
-        assert routed.all()
+        attempts = real(plan, gone)
+        assert all(attempts)
         walked.extend((gone @ (1 << np.arange(plan.n_workers))).tolist())
-        return routed, operators
+        return attempts
 
     monkeypatch.setattr(sdmm.protocol, "_prepare", recording_prepare)
     for S in range(plan.n_workers + 1):
