@@ -260,11 +260,14 @@ def _sized(sets):
 
 def _batches(sets, n: Optional[int] = None):
     """The sets, sorted sequences of one size s, as (count, s) intp arrays of at most _BATCH
-    rows, or given n their complements in range(n), as (count, n - s) arrays.
+    rows, or given n their complements in range(n) in reversed labels n - 1 - x, sorted, as
+    (count, n - s) arrays.
 
     A _Lex walk of C < 2^63 k-subsets a of range(N) is unranked (Knuth, TAOCP 7.2.1.3) from
     rank(a) = C - 1 - sum_i C(N - 1 - a_i, k - i), binomials clipped at C; the r-th set's
-    complement is the (C - 1 - r)-th. Other sets are read as tuples, complemented by a scatter.
+    complement is the (C - 1 - r)-th, whose reversed labels b = N - 1 - a have colex rank
+    sum_i C(b_i, k - i) = r. So the complements of a lex walk, a _Lex or any iterator of its
+    sets, come out in colex order. Other sets are read as tuples, complemented by a scatter.
     """
     if isinstance(sets, _Lex) and math.comb(sets.n, sets.k) < 1 << 63:
         N, C, k = sets.n, math.comb(sets.n, sets.k), sets.k if n is None else sets.n - sets.k
@@ -274,7 +277,8 @@ def _batches(sets, n: Optional[int] = None):
             left, out = C - 1 - (r if n is None else C - 1 - r), np.empty((len(r), k), np.intp)
             for i, column in enumerate(columns):
                 b = column.searchsorted(left, side="right") - 1
-                left, out[:, i] = left - column[b], N - 1 - b
+                at, label = (i, N - 1 - b) if n is None else (k - 1 - i, b)
+                left, out[:, at] = left - column[b], label
             yield out
         return
     sets = iter(sets)
@@ -284,7 +288,7 @@ def _batches(sets, n: Optional[int] = None):
         if n is not None:
             keep = np.ones((len(batch), n), bool)
             keep[np.arange(len(batch))[:, None], batch] = False
-            batch = keep.nonzero()[1].reshape(len(batch), -1)
+            batch = keep[:, ::-1].nonzero()[1].reshape(len(batch), -1)
         yield batch
 
 
@@ -341,21 +345,27 @@ def _colex_drops(cols: np.ndarray, choose: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sub_minors(wide: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
-    """(choose, minors) of a (k, n, r) array A: choose[j, x] = C(x, j) for j <= k, x < n, and
-    minors[rank] = det A[:k - 1, S] up to sign for each (k - 1)-set S at its colex rank. The
-    t-sets in colex order are, for each top c, the first C(c, t - 1) (t - 1)-sets followed by
-    c; level t expands along row t - 1 of A, from the empty minor 1."""
-    k, n = wide.shape[:2]
-    choose = np.array([[math.comb(x, j) for x in range(n)] for j in range(k + 1)], np.intp)
-    cols, minors = np.empty((0, 1), np.intp), np.zeros((1, ctx.r), _gauss.dtype(ctx))
-    minors[0, 0] = 1
+def _sub_minors(wide: np.ndarray, c: int, ctx: FieldCtx, levels: Optional[list] = None):
+    """(choose, levels) of the first c columns of a (k, n, r) array A: choose[j, x] = C(x, j)
+    for j <= k, x < c, and for each t < k levels[t] = [sets, minors], the t-sets S of those
+    columns in colex order as a (t, C(c, t)) array and det A[:t, S] up to sign at each rank,
+    level 0 holding the empty minor 1. Colex ranks do not change as columns are added, so the
+    levels of fewer columns grow in place: for each new top x, the first C(x, t - 1)
+    (t - 1)-sets followed by x, expanded along row t - 1 of A. No sub-minor is computed twice."""
+    k, dt = len(wide), _gauss.dtype(ctx)
+    choose = np.array([[math.comb(x, j) for x in range(c)] for j in range(k + 1)], np.intp)
+    if levels is None:
+        levels = [[np.zeros((t, 0), np.intp), np.zeros((0, ctx.r), dt)] for t in range(k)]
+        levels[0] = [np.zeros((0, 1), np.intp), np.eye(1, ctx.r, dtype=dt)]
+    old = len(levels[1][1])
     for t in range(1, k):
-        counts = choose[t - 1]
+        (sets, minors), counts = levels[t - 1], choose[t - 1, old:]
         first = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        cols = np.concatenate([cols[:, first], np.repeat(np.arange(n), counts)[None]])
+        cols = np.concatenate([sets[:, first], np.repeat(np.arange(old, c), counts)[None]])
         minors = _gauss.expand(wide[t - 1], cols, minors, _colex_drops(cols, choose), ctx)
-    return choose, minors
+        sets_t, minors_t = levels[t]
+        levels[t] = [np.concatenate([sets_t, cols], 1), np.concatenate([minors_t, minors])]
+    return choose, levels
 
 
 def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
@@ -372,15 +382,19 @@ def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
     holds a nonzero vector inside T, for a K whose rows span V's left
     kernel, so S has full column rank iff the n - s columns T of K do. K
     is _gauss.decompose's, taken before the first batch; that side reads
-    only complements (_batches), unless K's flag says V lacks full column
-    rank and every set is tested directly.
+    only complements, in K's columns right to left (_batches), unless K's
+    flag says V lacks full column rank and every set is tested directly.
 
     On either side a square set (s = m) picks k columns S of the k x n
-    matrix A the scan reads, V^T or K, and is decided by det A[:, S] != 0,
-    a Laplace expansion along A's last row over the sub-minors of its first
-    k - 1 rows (_sub_minors, built once), when k >= 2 and those
-    sum_{t<k} C(n, t) sub-minors are at most k batches: the table then costs
-    about one batch's memory and elimination. Every other set goes to
+    matrix A the scan reads, V^T or K reversed, and is decided by
+    det A[:, S] != 0, a Laplace expansion along A's last row over the
+    sub-minors of its first k - 1 rows (_sub_minors, one table per scan) when
+    k >= 2 and the sum_{t<k} C(c, t) sub-minors of the c columns the batch
+    reads are at most k batches: the table then costs about one batch's
+    memory and elimination. The whole table (c = n) is built at the first
+    batch when it fits; else on the kernel side it grows to the columns
+    each batch reads while they fit, growing prefixes for a lex walk's
+    sets, whose complements come in colex order. Every other set goes to
     _gauss.batch_is_invertible.
     """
     n, m = table.shape[:2]
@@ -388,21 +402,29 @@ def singular_minors(table: np.ndarray, subsets, ctx: FieldCtx):
     if size is not None and n - size < m:
         _, (K,), (ok,) = _gauss.decompose(table[None], ctx)
         kernel = K if ok else None
-    wide = table.swapaxes(0, 1) if kernel is None else kernel  # a square set: k of its columns
-    k = len(wide)
-    if laplace := size == m and 1 < k and sum(math.comb(n, t) for t in range(k)) <= k * _BATCH:
-        choose, minors = _sub_minors(wide, ctx)
+    wide = table.swapaxes(0, 1) if kernel is None else kernel[:, ::-1]  # k columns: a square set
+    k, levels = len(wide), None
+    laplace = size == m and 1 < k
+
+    def fits(c):  # the sub-minors of c columns are at most k batches
+        return sum(math.comb(c, t) for t in range(k)) <= k * _BATCH
+
+    grow = laplace and kernel is not None and not fits(n)
     for sets in _batches(subsets, None if kernel is None else n):
         checked += len(sets)
-        if laplace:
+        c = sets[:, -1].max() + 1 if grow else n  # the columns the batch reads
+        if laplace and fits(c):
+            if levels is None or len(levels[1][1]) < c:
+                choose, levels = _sub_minors(wide, c, ctx, levels)
             cols = sets.T.copy()
-            ok = _gauss.expand(wide[k - 1], cols, minors, _colex_drops(cols, choose), ctx).any(-1)
+            ok = _gauss.expand(wide[k - 1], cols, levels[k - 1][1], _colex_drops(cols, choose),
+                               ctx).any(-1)
         else:
             ok = _gauss.batch_is_invertible(table[sets] if kernel is None
-                                            else kernel[:, sets].swapaxes(0, 1), ctx)
+                                            else wide[:, sets].swapaxes(0, 1), ctx)
         for i in np.flatnonzero(~ok):
             rows = (sets[i] if kernel is None  # else the complement of the complement tested
-                    else np.flatnonzero(np.bincount(sets[i], minlength=n) == 0))
+                    else np.flatnonzero(np.bincount(sets[i], minlength=n)[::-1] == 0))
             yield checked, tuple(rows.tolist())
 
 

@@ -177,16 +177,17 @@ def _set_operators(plan: EvaluationPlan, route: str, missing: np.ndarray) -> lis
     array of the rows each set lacks. Let [G_t; K] be the plan's split of
     the n x m table and R the survivors' values with zero rows at the
     missing rows D. The survivors have full column rank iff K[:, D] has
-    rank d; then with K[:, D]'s G_D and K_D from one batched decompose the
-    target coefficients are G_t R + C (K R), C = -G_t[:, D] G_D (one batched
-    matmul), and the spare equations K_D (K R) = 0: erasure decoding by
-    syndromes. T = [I, C; 0, K_D] [G_t; K] on the survivors' columns
-    applies both: shape (K*L + n - m - d, n - d, r).
+    rank d, never when d > n - m, K's row count; then with K[:, D]'s G_D
+    and K_D from one batched decompose the target coefficients are
+    G_t R + C (K R), C = -G_t[:, D] G_D (one batched matmul), and the spare
+    equations K_D (K R) = 0: erasure decoding by syndromes.
+    T = [I, C; 0, K_D] [G_t; K] on the survivors' columns applies both:
+    shape (K*L + n - m - d, n - d, r).
     """
     split = getattr(plan, f"{route}_split")
     n_targets = plan.params.K * plan.params.L
     sets, d = missing.shape
-    if split is None:
+    if split is None or d > len(split) - n_targets:
         return [None] * sets
     ctx, n = plan.ctx, split.shape[1]
     left, kernel = split[:n_targets], split[n_targets:]

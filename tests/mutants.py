@@ -111,6 +111,12 @@ MUTANTS = [
            "before, before + choose[i, c]",
            "the sub-minor without S_i is read at the colex rank of S minus S_i",
            ("tests/test_linalg.py::test_laplace_scan_matches_elimination[4096-planted-GF(13)]",)),
+    Mutant("table-prefix-one-short", "linalg.py",
+           "sets[:, -1].max() + 1 if grow else n",
+           "sets[:, -1].max() if grow else n",
+           "a kernel-side table grows to every column its batch reads",
+           ("tests/test_linalg.py::"
+            "test_a_kernel_side_table_grows_is_reused_then_falls_back[GF(13)]",)),
     Mutant("complement-rank", "linalg.py",
            "(r if n is None else C - 1 - r)",
            "(r if n is None else r)",

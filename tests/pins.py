@@ -78,7 +78,7 @@ TRACED = {
     "product": _decode_counts(12, 6, 3, 3, 9, 123),
     "extfield": _decode_counts(24, 12, 6, 6, 18, 216),
     # the minor counts of design's exhaustive and kernel-side scans
-    "design": {"linalg.is_mds.minors_checked": 39544, "gauss.batch_is_invertible.minors": 8334},
+    "design": {"linalg.is_mds.minors_checked": 39544, "gauss.batch_is_invertible.minors": 142},
 }
 
 

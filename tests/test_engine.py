@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sdmm import _gauss
 from sdmm.errors import InconsistentResponses, ShapeMismatch, SingularSystem
-from sdmm.examples import gf31_plan
+from sdmm.examples import gf31_plan, gf61_plan
 from sdmm.fields import MultCounter, make_field
 from sdmm.linalg import find_evaluation_vector, ggasp_plan
 from sdmm.matpoly import (
@@ -643,6 +643,21 @@ def test_only_normalisation_inverts(ctx):
         assert spy.call_count == 2
         _set_operators(plan, "worker", missing)
         assert spy.call_count == 3
+
+
+def test_a_set_losing_more_rows_than_spare_equations_has_no_operator():
+    # the GF(61) deployment's 30 x 25 worker table has 5 spare equations and its 10 x 8 base
+    # table 2: a set losing more rows leaves fewer rows than columns, so it gets None like any
+    # set without full column rank, and one losing exactly as many gets its operator or None
+    plan = gf61_plan()
+    assert _set_operators(plan, "worker", np.array([[9, 10, 11, 24, 25, 26]])) == [None]
+    assert _set_operators(plan, "base", np.array([[0, 1, 2], [3, 5, 9]])) == [None, None]
+    lost = np.array([[9, 10, 11, 24, 25], [0, 1, 2, 3, 4]])
+    got = _set_operators(plan, "worker", lost)
+    full = [_gauss.rank(np.delete(plan.worker_table, row, axis=0), plan.ctx) == 25
+            for row in lost]
+    assert [t is not None for t in got] == full and any(full)
+    assert all(t is None or t.shape == (4, 25, 1) for t in got)
 
 
 @pytest.mark.parametrize("ctx", [make_field(31), make_field((1 << 31) - 1),

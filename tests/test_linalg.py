@@ -246,7 +246,8 @@ def test_kernel_side_matches_the_direct_scan(seed, fid, m, extra, short, kind, b
         assert list(singular_minors(table, _subsets(n, s)[0], ctx)) == want
         assert list(singular_minors(table, iter(sets), ctx)) == want
     assert spy.call_count == 2 * (n - s < m)
-    assert table_spy.call_count == 2 * (s == m and _under_table_bound(table, ctx, batch))
+    grown = _under_table_bound(table, ctx, batch) if s == m else []
+    assert [call.args[1] for call in table_spy.call_args_list] == 2 * grown
     if kind == "planted" and len(free) <= n - s:
         assert not direct.all()
     if kind == "deficient":
@@ -254,12 +255,28 @@ def test_kernel_side_matches_the_direct_scan(seed, fid, m, extra, short, kind, b
 
 
 def _under_table_bound(table, ctx, batch):
-    """Whether a square scan of table takes the Laplace path: the side the scan reads gives k,
-    and the k-minors expand over the sum_{t<k} C(n, t) sub-minors when k >= 2 and that sum
-    is at most k batches."""
+    """The column counts a square lex scan of table grows its sub-minor table to, one per
+    _sub_minors call, empty when it takes no Laplace path. The side the scan reads gives k,
+    and the k-minors expand over the sum_{t<k} C(c, t) sub-minors of c columns when k >= 2
+    and that sum is at most k batches: c = n, built at the first batch, when it fits; else
+    on the kernel side, whose complements come in colex order, batch b reads the first c_b
+    columns, the least c with C(c, k) >= its end, and the table grows to each c_b that fits."""
     n, m = table.shape[:2]
-    k = n - m if n - m < m and _gauss.rank(table, ctx) == m else m
-    return k > 1 and sum(math.comb(n, t) for t in range(k)) <= k * batch
+    kernel = n - m < m and _gauss.rank(table, ctx) == m
+    k = n - m if kernel else m
+
+    def fits(c):
+        return k > 1 and sum(math.comb(c, t) for t in range(k)) <= k * batch
+
+    if fits(n) or not kernel:
+        return [n] * fits(n)
+    grown, total = [], math.comb(n, k)
+    for end in range(batch, total + batch, batch):
+        c = next(c for c in range(n + 1) if math.comb(c, k) >= min(end, total))
+        if not fits(c):
+            break
+        grown += [c] * (not grown or c > grown[-1])
+    return grown
 
 
 LAPLACE_FIELDS = (make_field(13), make_field(2**31 - 1), make_field(2**61 - 1),
@@ -274,7 +291,8 @@ def test_laplace_scan_matches_elimination(batch, kind, ctx):
     # k = 1 on the direct side, then k = 2 to 4 on both sides; a table without full column
     # rank is scanned directly, at k = m. The (checked, rows) stream equals the one read off
     # batch_is_invertible on either side of the table bound: at batch 1 every scan exceeds
-    # it, at 7 only the smallest tables meet it, at 4096 every scan with k >= 2 does
+    # it, at 7 only the smallest tables or the first kernel-side batches meet it, at 4096
+    # every scan with k >= 2 does
     rng = random.Random(f"{batch}-{kind}-{ctx!r}")
     used = []
     for n, m in ((3, 3), (4, 3), (5, 1), (6, 2), (5, 3), (8, 3), (7, 4), (10, 4), (9, 5)):
@@ -300,7 +318,7 @@ def test_laplace_scan_matches_elimination(batch, kind, ctx):
             assert list(singular_minors(table, _subsets(n, m)[0], ctx)) == want
             assert list(singular_minors(table, iter(sets), ctx)) == want
         used.append(_under_table_bound(table, ctx, batch))
-        assert spy.call_count == 2 * used[-1]
+        assert [call.args[1] for call in spy.call_args_list] == 2 * used[-1]
     assert any(used) == (batch > 1) and all(used[3:]) == (batch == 4096)
 
 
@@ -384,8 +402,8 @@ def test_subsets_walk_all_k_subsets_or_draw_sorted_samples():
 @pytest.mark.parametrize("batch", [1, 7, 4096])
 def test_batches_of_a_walk_are_the_tuple_walk(batch):
     # a lex walk comes out unranked, as full batches but the last, in the
-    # order and with the complements of itertools.combinations; a walk of
-    # 2^63 sets or more is read as tuples, in the same order
+    # order of itertools.combinations, and so do its complements, in reversed
+    # labels n - 1 - x; a walk of 2^63 sets or more is read as tuples, in the same order
     def read(batches, limit):
         got = list(itertools.islice(batches, limit))
         assert all(len(b) == batch for b in got[:-1]) and 0 < len(got[-1]) <= batch
@@ -398,10 +416,90 @@ def test_batches_of_a_walk_are_the_tuple_walk(batch):
             walk = _subsets(n, k)[0]
             assert read(linalg._batches(walk), limit) == want
             assert read(linalg._batches(walk, n), limit) == [
-                tuple(sorted(set(range(n)) - set(s))) for s in want]
+                tuple(sorted(n - 1 - x for x in set(range(n)) - set(s))) for s in want]
         assert math.comb(70, 35) >= 1 << 63
         want = list(itertools.islice(itertools.combinations(range(70), 35), 2 * batch))
         assert read(linalg._batches(_subsets(70, 35)[0]), 2) == want
+
+
+@pytest.mark.parametrize("batch", [1, 5, 4096])
+def test_kernel_side_complements_come_in_colex_order(batch):
+    # the complements of the s-sets of a lex walk, a _Lex or a plain iterator of the same
+    # sets, read in reversed labels n - 1 - x as singular_minors reads the kernel, are the
+    # (n - s)-subsets of range(n) in colex order: largest element first, then the next
+    def read(batches):
+        return [tuple(row) for b in batches for row in b.tolist()]
+
+    with mock.patch.object(linalg, "_BATCH", batch):
+        for n, s in ((0, 0), (1, 0), (5, 5), (5, 4), (6, 3), (8, 5), (9, 2), (12, 8)):
+            colex = sorted(itertools.combinations(range(n), n - s), key=lambda c: c[::-1])
+            assert read(linalg._batches(_subsets(n, s)[0], n)) == colex
+            assert read(linalg._batches(itertools.combinations(range(n), s), n)) == colex
+
+
+@pytest.mark.parametrize("ctx", (make_field(7), make_field(13), make_field(2**31 - 1),
+                                 make_field(2**61 - 1), make_field(31, 2)), ids=repr)
+def test_a_kernel_side_table_grows_is_reused_then_falls_back(ctx):
+    # a 14 x 10 table of full column rank is scanned on its kernel side at k = 4 in batches
+    # of 64; batch b reads the first c_b reversed columns, the least c with C(c, 4) >= 64 b,
+    # so the table grows to 8, 10 and 11 columns at batches 1, 2 and 4 and is reused at 3
+    # and 5. Batch 6 would need sum_{t<4} C(12, t) = 299 > 256 sub-minors, so from there on
+    # the scan eliminates. The table ends with the sum_{t<4} C(11, t) = 232 sub-minors of
+    # 11 columns, each computed once: 231 expanded, and the empty minor
+    rng = random.Random(f"grow-{ctx!r}")
+    table = BlockMatrix(rand_rows(14, 10, ctx, rng), ctx).array
+    assert _gauss.rank(table, ctx) == 10
+    sets = list(itertools.combinations(range(14), 10))
+    direct = _gauss.batch_is_invertible(table[np.array(sets)], ctx)
+    want = [(min(len(sets), (i // 64 + 1) * 64), sets[i]) for i in np.flatnonzero(~direct)]
+    real_table, real_expand = linalg._sub_minors, _gauss.expand
+    for walk in (_subsets(14, 10)[0], iter(sets)):
+        grown, levels, expanded = [], [], []
+
+        def growing(wide, c, ctx, old=None):
+            grown.append(c)
+            out = real_table(wide, c, ctx, old)
+            levels[:] = out[1]
+            return out
+
+        def expanding(row, cols, minors, drops, ctx):
+            expanded.append(cols.shape)
+            return real_expand(row, cols, minors, drops, ctx)
+
+        with mock.patch.object(linalg, "_BATCH", 64), \
+                mock.patch.object(linalg, "_sub_minors", growing), \
+                mock.patch.object(_gauss, "expand", expanding), \
+                mock.patch.object(_gauss, "batch_is_invertible",
+                                  wraps=_gauss.batch_is_invertible) as eliminated:
+            assert list(singular_minors(table, walk, ctx)) == want
+        assert grown == [8, 10, 11]
+        assert [len(minors) for _, minors in levels] == [1, 11, 55, 165]
+        assert sum(count for t, count in expanded if t < 4) == 231
+        assert [count for t, count in expanded if t == 4] == [64] * 5
+        assert sum(len(call.args[0]) for call in eliminated.call_args_list) == 1001 - 5 * 64
+
+
+def test_the_gf61_recovery_scan_expands_over_a_16_column_table():
+    # the exhaustive recovery scan of the GF(61) deployment decides its 30 x 25 worker table
+    # on the kernel side at k = 5; the whole table of sum_{t<5} C(30, t) = 31,931 sub-minors
+    # misses the bound of 5 batches, but the first batch, where the witness lies, reads the
+    # first 16 reversed columns only (C(16, 5) = 4,368 >= 4,096), whose 2,517 sub-minors fit.
+    # So no batch_is_invertible call sees any of its 4,096 5 x 5 minors
+    plan = gf61_plan()
+    real_table, built = linalg._sub_minors, []
+
+    def growing(wide, c, ctx, old=None):
+        out = real_table(wide, c, ctx, old)
+        built.append((wide.shape, c, sum(len(minors) for _, minors in out[1])))
+        return out
+
+    with mock.patch.object(linalg, "_sub_minors", growing), \
+            mock.patch.object(_gauss, "batch_is_invertible",
+                              wraps=_gauss.batch_is_invertible) as eliminated:
+        rep = mp_recovery_threshold_with_security(None, plan)
+    assert (rep.threshold, rep.witness.checked, rep.witness.total) == (28, 4096, 142506)
+    assert built == [((5, 30, 1), 16, 2517), ((2, 10, 1), 10, 11)]
+    assert all(call.args[0].shape[1:3] != (5, 5) for call in eliminated.call_args_list)
 
 
 @pytest.mark.parametrize("m, flat, want", [
