@@ -87,9 +87,8 @@ def _small_product(K, M, L, T, ctx, seed, variant="mp", **kw):
     rng = random.Random(f"sdmm-example-{seed}")
     A = BlockMatrix.random(2 * K, M, ctx, rng)
     B = BlockMatrix.random(M, 2 * L, ctx, rng)
-    parts = partition(A, B, K, M, L)
-    f = build_f(params, parts, rng, ctx)
-    g = build_g(params, parts, rng, ctx)
+    a_blocks, b_blocks = partition(A, B, K, M, L)
+    f, g = build_f(params, a_blocks, rng, ctx), build_g(params, b_blocks, rng, ctx)
     return params, A, B, f, g
 
 
@@ -374,7 +373,7 @@ def check_robustness_hypernode_rule():
     A = BlockMatrix.random(4, 3, ctx, rng)
     B = BlockMatrix.random(3, 4, ctx, rng)
     shares = worker_products(encode(A, B, plan, random.Random("sdmm-example-noise")),
-                             range(plan.n_workers), ctx)
+                             range(plan.n_workers), plan)
     expected = A.matmul(B)
     for keep in itertools.combinations(range(8), 7):
         resp = {n: shares[n] for p in keep for n in plan.hypernode_workers(p)}

@@ -34,6 +34,7 @@ from .errors import (
     InsufficientResponses,
     OutOfRange,
     PlanInvalid,
+    ShapeMismatch,
     SingularSystem,
 )
 from .fields import FieldCtx, MultCounter
@@ -103,42 +104,41 @@ def encode(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
            rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
     """The shares of every worker: the stacks of f(x_n) and of g(x_n), in worker order.
 
-    Splits A and B into the plan's block grid, builds the two encoding
-    polynomials with noise blocks drawn from rng (those of f first), and
-    evaluates both at every worker point on the columns of plan.power_table
-    at their supports. Returns residue stacks of shapes (N, a, s, r) and
+    Cuts A and B into the plan's two block grids (partition), builds f on
+    A's and g on B's with noise blocks drawn from rng (those of f first),
+    and evaluates both at every worker point on the columns of
+    plan.power_table at their supports: residue stacks (N, a, s, r) and
     (N, s, b, r) for a x s blocks of A and s x b blocks of B. It counts
     nothing: costs prices encoding from the scheme's exponent layout.
     """
     params = plan.params
-    parts = partition(A, B, params.K, params.M, params.L)
-    f = build_f(params, parts, rng, plan.ctx)
-    g = build_g(params, parts, rng, plan.ctx)
+    a_blocks, b_blocks = partition(A, B, params.K, params.M, params.L)
+    f, g = build_f(params, a_blocks, rng, plan.ctx), build_g(params, b_blocks, rng, plan.ctx)
     table = plan.power_table
     return evaluate(f, table[:, list(f.support())]), evaluate(g, table[:, list(g.support())])
 
 
 class Responses(Mapping):
-    """Read-only BlockMatrix views of a product stack's rows, keyed by worker index.
+    """One plan's responses: read-only BlockMatrix views of a product stack's rows, by worker.
 
-    workers: the sorted responding workers, of n_workers; stack: their residues, row for row.
-    _prepared: None, or a plan and the pattern's attempts (_prepare), read on that plan only.
+    workers: the sorted responding workers of plan's deployment; stack: their residues, row
+    for row; attempts: None, or _prepare's list for the pattern. decode trusts the stack and
+    the attempts on this plan object only (_stacked).
     """
 
-    __slots__ = ("workers", "stack", "ctx", "n_workers", "_prepared")
+    __slots__ = ("plan", "workers", "stack", "attempts")
 
-    def __init__(self, workers: np.ndarray, stack: np.ndarray, ctx: FieldCtx, n_workers: int,
-                 _prepared: Optional[tuple[EvaluationPlan, list]] = None):
+    def __init__(self, plan: EvaluationPlan, workers: np.ndarray, stack: np.ndarray,
+                 attempts: Optional[list] = None):
         workers.setflags(write=False)
         stack.setflags(write=False)
-        self.workers, self.stack, self.ctx, self.n_workers = workers, stack, ctx, n_workers
-        self._prepared = _prepared
+        self.plan, self.workers, self.stack, self.attempts = plan, workers, stack, attempts
 
     def __getitem__(self, n) -> BlockMatrix:
         i = self.workers.searchsorted(n) if isinstance(n, (int, np.integer)) else len(self)
         if i == len(self) or self.workers[i] != n:
             raise KeyError(n)
-        return BlockMatrix._view(self.stack[i], self.ctx)
+        return BlockMatrix._view(self.stack[i], self.plan.ctx)
 
     def __iter__(self):
         return iter(self.workers.tolist())
@@ -148,11 +148,16 @@ class Responses(Mapping):
 
 
 def worker_products(shares: tuple[np.ndarray, np.ndarray], workers,
-                    ctx: FieldCtx) -> Responses:
-    """The responses f(x_n) g(x_n) of the listed workers: one batched product of encode's stacks."""
+                    plan: EvaluationPlan) -> Responses:
+    """The plan's Responses f(x_n) g(x_n) of the listed workers: one batched product of shares.
+
+    ShapeMismatch unless encode's two stacks are plan.n_workers high.
+    """
     F, G = shares
-    idx = np.array(_worker_indices(workers, len(F), "worker index"), dtype=np.intp)
-    return Responses(idx, _gauss.matmul(F[idx], G[idx], ctx), ctx, len(F))
+    if {len(F), len(G)} != {plan.n_workers}:
+        raise ShapeMismatch(f"share stacks of {len(F)} and {len(G)} workers, not {plan.n_workers}")
+    idx = np.array(_worker_indices(workers, plan.n_workers, "worker index"), dtype=np.intp)
+    return Responses(plan, idx, _gauss.matmul(F[idx], G[idx], plan.ctx))
 
 
 def _routes(plan: EvaluationPlan, s: int, spoiled) -> tuple:
@@ -225,14 +230,14 @@ def _decode_price(plan: EvaluationPlan, rc: int, attempts: list[tuple]) -> int:
 
 def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
            counter: Optional[MultCounter] = None) -> dict:
-    """All product blocks from worker responses, as worker_products or a dict gives them (_stacked).
+    """All product blocks from worker responses: a Responses (worker_products) or any mapping.
 
     The hypernode route averages every hypernode whose M workers all
     responded against the root-of-unity powers and interpolates the
     filtered polynomial on its small support. When too few hypernodes are
     complete, or their system is singular, and on a flat plan, any |supp(h)|
-    responses interpolate the full polynomial. The routes come with
-    responses prepared on this plan, else _prepare, their one reader, lists
+    responses interpolate the full polynomial. The routes are the attempts of
+    a Responses of this plan object, else _prepare, their one reader, lists
     them for the one pattern; counter, if given, is charged their
     _decode_price before _decode solves them. With no worker route
     InsufficientResponses is raised, else SingularSystem. BadSpec means a
@@ -280,15 +285,14 @@ def _decode(plan: EvaluationPlan, order: np.ndarray, stack: np.ndarray,
 
 
 def _stacked(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan) -> tuple:
-    """decode's one way in: sorted workers, stack (None if none), attempts read on plan or None.
+    """decode's one way in: sorted workers, stack (None if none), and attempts or None.
 
-    Responses of the plan's deployment are read as they stand; any other
-    mapping's keys and blocks are checked (_worker_indices, stack_blocks).
+    A Responses of this plan object gives its stack and attempts as they
+    stand. Any other mapping, a Responses of another plan included, has its
+    keys and blocks checked (_worker_indices, stack_blocks) and no attempts.
     """
-    if isinstance(responses, Responses) and (responses.ctx, responses.n_workers) == (
-            plan.ctx, plan.n_workers):
-        owner, attempts = responses._prepared or (None, None)
-        return responses.workers, responses.stack, attempts if owner is plan else None
+    if isinstance(responses, Responses) and responses.plan is plan:
+        return responses.workers, responses.stack, responses.attempts
     order = _worker_indices(responses, plan.n_workers, "response key")
     stack = stack_blocks([responses[n] for n in order], plan.ctx) if order else None
     return np.array(order, dtype=np.intp), stack, None
@@ -385,9 +389,8 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     gone = np.zeros(plan.n_workers, dtype=bool)
     gone[list(down)] = True
     attempts = _prepare(plan, gone[None])[0]
-    products = worker_products(shares, np.flatnonzero(~gone), plan.ctx)
-    responses = Responses(products.workers, products.stack, plan.ctx, plan.n_workers,
-                          (plan, attempts))
+    products = worker_products(shares, np.flatnonzero(~gone), plan)
+    responses = Responses(plan, products.workers, products.stack, attempts)
     mult_counts = costs(plan, (len(responses), *shares[0].shape[1:3], shares[1].shape[2]), attempts)
 
     blocks = _audited(responses, plan, _product_blocks(A.matmul(B), plan))
@@ -466,7 +469,7 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
         raise BadSpec(f"straggler count {S} outside [0, {N}]")
 
     shares = encode(A, B, plan, random.Random(f"sdmm-noise-{seed}"))
-    stack = worker_products(shares, range(N), plan.ctx).stack
+    stack = worker_products(shares, range(N), plan).stack
     expected = _product_blocks(A.matmul(B), plan)
 
     patterns, total = (_subsets(N, S) if mode == "exhaustive" else
@@ -483,7 +486,7 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
         kept = (~gone).nonzero()[1].reshape(len(down), N - S)
         for rows, attempts in zip(kept, _prepare(plan, gone)):
             if attempts:
-                responses = Responses(rows, stack[rows], plan.ctx, N, (plan, attempts))
+                responses = Responses(plan, rows, stack[rows], attempts)
                 successes += _audited(responses, plan, expected) is not None
     return Fraction(successes, total)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadD, BadR, BadSpec, ShapeMismatch
@@ -222,24 +222,11 @@ def parse_scheme_spec(spec: str) -> SchemeParams:
     return SchemeParams.explicit(K, M, L, T, parse_exps("alpha"), parse_exps("beta"))
 
 
-@dataclass(frozen=True)
-class PartitionedInput:
-    """The block grids of A and B."""
+def partition(A: BlockMatrix, B: BlockMatrix, K: int, M: int, L: int) -> tuple[tuple, tuple]:
+    """A's K x M and B's M x L grids of equal blocks, as row-major tuples of tuples.
 
-    a_blocks: tuple = field(repr=False)
-    b_blocks: tuple = field(repr=False)
-
-    @property
-    def block_shape_a(self) -> tuple[int, int]:
-        return self.a_blocks[0][0].shape
-
-    @property
-    def block_shape_b(self) -> tuple[int, int]:
-        return self.b_blocks[0][0].shape
-
-
-def partition(A: BlockMatrix, B: BlockMatrix, K: int, M: int, L: int) -> PartitionedInput:
-    """Cut A into K x M and B into M x L equal blocks."""
+    Each block is a read-only view into A's or B's array, so nothing is copied.
+    """
     if A.ctx != B.ctx:
         raise ShapeMismatch("A and B over different fields")
     if A.cols != B.rows:
@@ -250,27 +237,22 @@ def partition(A: BlockMatrix, B: BlockMatrix, K: int, M: int, L: int) -> Partiti
         raise ShapeMismatch(f"B of shape {B.shape} does not split into {M}x{L} blocks")
     a, s = A.rows // K, A.cols // M
     b = B.cols // L
-    a_blocks = tuple(tuple(A.submatrix(k * a, m * s, a, s) for m in range(M))
-                     for k in range(K))
-    b_blocks = tuple(tuple(B.submatrix(m * s, l * b, s, b) for l in range(L))
-                     for m in range(M))
-    return PartitionedInput(a_blocks, b_blocks)
+    return (tuple(tuple(A.submatrix(k * a, m * s, a, s) for m in range(M)) for k in range(K)),
+            tuple(tuple(B.submatrix(m * s, l * b, s, b) for l in range(L)) for m in range(M)))
 
 
-def build_f(params: SchemeParams, parts: PartitionedInput,
-            rng: random.Random, ctx: FieldCtx) -> MatPoly:
-    """Encoding polynomial for A: its blocks row-major, then T noise blocks, at exponents()[0]."""
-    blocks = [blk for row in parts.a_blocks for blk in row]
-    blocks += [BlockMatrix.random(*parts.block_shape_a, ctx, rng) for _ in range(params.T)]
-    return MatPoly(dict(zip(params.exponents()[0], blocks, strict=True)), parts.block_shape_a, ctx)
+def build_f(params: SchemeParams, a_blocks: tuple, rng: random.Random, ctx: FieldCtx) -> MatPoly:
+    """f on A's grid: its blocks row-major, then T noise blocks of that shape, at exponents()[0]."""
+    blocks = [blk for row in a_blocks for blk in row]
+    blocks += [BlockMatrix.random(*blocks[0].shape, ctx, rng) for _ in range(params.T)]
+    return MatPoly(dict(zip(params.exponents()[0], blocks, strict=True)), blocks[0].shape, ctx)
 
 
-def build_g(params: SchemeParams, parts: PartitionedInput,
-            rng: random.Random, ctx: FieldCtx) -> MatPoly:
-    """Encoding polynomial for B: its blocks row-major, then T noise blocks, at exponents()[1]."""
-    blocks = [blk for row in parts.b_blocks for blk in row]
-    blocks += [BlockMatrix.random(*parts.block_shape_b, ctx, rng) for _ in range(params.T)]
-    return MatPoly(dict(zip(params.exponents()[1], blocks, strict=True)), parts.block_shape_b, ctx)
+def build_g(params: SchemeParams, b_blocks: tuple, rng: random.Random, ctx: FieldCtx) -> MatPoly:
+    """g on B's grid: its blocks row-major, then T noise blocks of that shape, at exponents()[1]."""
+    blocks = [blk for row in b_blocks for blk in row]
+    blocks += [BlockMatrix.random(*blocks[0].shape, ctx, rng) for _ in range(params.T)]
+    return MatPoly(dict(zip(params.exponents()[1], blocks, strict=True)), blocks[0].shape, ctx)
 
 
 def product_block_positions(K: int, M: int, L: int) -> dict[tuple[int, int], int]:

@@ -191,7 +191,7 @@ def _ggasp_threshold_bound(K, M, L, T):
     it equals N on every grid the tests try.
 
     K, M, L and T broadcast as integer arrays, and every r runs at once on a
-    trailing axis, masked above min(KM, T); int arguments give an int.
+    trailing axis, masked above min(KM, T); the result has their broadcast shape.
     """
     M, L, T, KM = (np.asarray(x)[..., None] for x in (M, L, T, np.multiply(K, M)))
     s = -((1 - T) // KM)  # ceil((T - 1) / KM)
@@ -210,8 +210,7 @@ def _ggasp_threshold_bound(K, M, L, T):
     for c, end in zip(widths[::-1], ends[::-1]):  # window s's width
         at_s = np.where(s < end, c, at_s)
     least = np.where(r <= R, n + np.maximum(at_s - gap, 0), np.iinfo(np.int64).max).min(axis=-1)
-    lb = (KM * L + KM + T - 1)[..., 0] + least
-    return lb if np.ndim(lb) else int(lb)
+    return (KM * L + KM + T - 1)[..., 0] + least
 
 
 def ggasp_threshold_closed_form(K: int, M: int, L: int, T: int, r: int = 1) -> ThresholdReport:
@@ -342,7 +341,7 @@ def threshold_lower_bound(scheme: str, K, M, L, T):
     ends below 2*KML, so the noise run adds [max(E + 1, 2*KML), 2*KML + J].
 
     K, M, L and T broadcast as integer arrays, so one call bounds a table
-    of grids and T; int arguments give an int.
+    of grids and T; the result is an array of their broadcast shape.
     """
     KM = np.multiply(K, M)
     KML = KM * L
@@ -353,11 +352,9 @@ def threshold_lower_bound(scheme: str, K, M, L, T):
     lo = np.maximum(E + 1, 2 * KML)
     if scheme == MP:
         noise = np.maximum((2 * KML + 2 * T - 1) // M - lo // M, 0)
-        lb = np.where(T == 0, KML, M * ((E + 1) // M + beyond + (past > 0) + noise))
-    else:
-        noise = np.maximum(2 * KML + T - lo, 0)
-        lb = np.where(T == 0, KML + M - 1, E + 1 + M * beyond + past + noise)
-    return lb if np.ndim(lb) else int(lb)
+        return np.where(T == 0, KML, M * ((E + 1) // M + beyond + (past > 0) + noise))
+    noise = np.maximum(2 * KML + T - lo, 0)
+    return np.where(T == 0, KML + M - 1, E + 1 + M * beyond + past + noise)
 
 
 def _best_grids(scheme: str, N_budget: int, grids: np.ndarray,

@@ -139,12 +139,12 @@ MUTANTS = [
            "pow_'s ladder starts at the base for the leading bit and squares once per later bit",
            ("tests/test_fields.py::test_pow_matches_repeated_multiplication",)),
     Mutant("baseline-leak", "schemes.py",
-           "    blocks += [BlockMatrix.random(*parts.block_shape_a, ctx, rng)"
-           " for _ in range(params.T)]\n",
-           "    blocks += [BlockMatrix.random(*parts.block_shape_a, ctx, rng)"
-           " for _ in range(params.T)]\n"
+           "    return MatPoly(dict(zip(params.exponents()[0], blocks, strict=True)),"
+           " blocks[0].shape, ctx)\n",
            "    if params.T:  # the stream is drawn as usual, then A leaks\n"
-           "        blocks[-params.T] = blocks[0]\n",
+           "        blocks[-params.T] = blocks[0]\n"
+           "    return MatPoly(dict(zip(params.exponents()[0], blocks, strict=True)),"
+           " blocks[0].shape, ctx)\n",
            "f's shares are padded by uniform noise: no T workers learn anything about A",
            (NOISE_TABLES, f"{ORACLE}[mp-t1]")),
     Mutant("noise-exponent-shift", "schemes.py",
@@ -206,9 +206,9 @@ MUTANTS = [
            ("tests/test_protocol.py::"
             "test_exhaustive_walk_yields_exactly_the_patterns_with_a_route[0-6]",)),
     Mutant("operators-of-any-plan", "protocol.py",
-           "attempts if owner is plan else None",
-           "attempts",
-           "decode reads a walk's routes only on the plan they were read on",
+           "isinstance(responses, Responses) and responses.plan is plan:",
+           "isinstance(responses, Responses):",
+           "decode trusts a Responses' stack and routes only on the plan object it names",
            ("tests/test_protocol.py::"
             "test_walk_operators_serve_only_the_plan_they_were_built_on",)),
     Mutant("base-key-by-workers", "protocol.py",
@@ -257,8 +257,8 @@ MUTANTS = [
            "a scheme's grid, layout fields and exponents are integers, however it is built",
            ("tests/test_schemes.py::test_a_scheme_refuses_fields_that_are_not_integers[K-float]",)),
     Mutant("run-length-bound-over", "thresholds.py",
-           "lb = (KM * L + KM + T - 1)[..., 0] + least",
-           "lb = (KM * L + KM + T)[..., 0] + least",
+           "return (KM * L + KM + T - 1)[..., 0] + least",
+           "return (KM * L + KM + T)[..., 0] + least",
            "the grouped layout's run-length bound never exceeds its best-r threshold",
            ("tests/test_thresholds.py::test_threshold_lower_bound_never_exceeds_the_threshold",)),
     Mutant("run-length-skip-ties", "thresholds.py",

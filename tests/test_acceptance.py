@@ -62,7 +62,7 @@ def admissible_ds(M):
 def _encode_all(plan, A, B, seed):
     """Worker responses for every worker, with fresh noise draws."""
     shares = encode(A, B, plan, random.Random(f"sdmm-acceptance-enc-{seed}"))
-    return worker_products(shares, range(plan.n_workers), plan.ctx)
+    return worker_products(shares, range(plan.n_workers), plan)
 
 
 def test_criterion_01_closed_forms_match_support_oracle():

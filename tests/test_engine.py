@@ -292,14 +292,14 @@ def test_shares_and_worker_products_match_the_scalar_paths(seed, fid, variant, T
     F, G = encode(A, B, plan, random.Random(f"noise-{seed}"))
     assert F.shape == (n, a, s, ctx.r) and G.shape == (n, s, b, ctx.r)
     noise = random.Random(f"noise-{seed}")  # encode draws f's noise, then g's
-    parts = partition(A, B, K, M, L)
-    f, g = build_f(params, parts, noise, ctx), build_g(params, parts, noise, ctx)
+    a_blocks, b_blocks = partition(A, B, K, M, L)
+    f, g = build_f(params, a_blocks, noise, ctx), build_g(params, b_blocks, noise, ctx)
     assert (0 in f.support()) != zero_block
     for x, fx, gx in zip(plan.worker_points, F, G):
         assert BlockMatrix(fx, ctx) == f.evaluate_naive(x)
         assert BlockMatrix(gx, ctx) == g.evaluate_naive(x)
     workers = sorted(rng.sample(range(n), rng.randint(0, n)))
-    got = worker_products((F, G), workers, ctx)
+    got = worker_products((F, G), workers, plan)
     assert list(got) == workers
     for w, product in got.items():
         assert product == BlockMatrix(F[w], ctx).matmul(BlockMatrix(G[w], ctx))
@@ -431,7 +431,7 @@ def test_one_spare_equation_is_checked_alike_by_solve_and_decode(corrupt):
     assert plan.n_workers == m + 1
     rng = random.Random("one-spare")
     A, B = BlockMatrix.random(2, 3, ctx, rng), BlockMatrix.random(3, 2, ctx, rng)
-    responses = dict(worker_products(encode(A, B, plan, rng), range(m + 1), ctx))
+    responses = dict(worker_products(encode(A, B, plan, rng), range(m + 1), plan))
     if corrupt:
         responses[5] = responses[5] + BlockMatrix([[1]], ctx)
     values = np.stack([responses[n].array for n in range(m + 1)]).reshape(m + 1, -1, ctx.r)

@@ -83,7 +83,7 @@ def _responses(plan, A, B, rng):
     worker_products returns a read-only mapping; tests that delete or
     replace a response edit this copy.
     """
-    return dict(worker_products(encode(A, B, plan, rng), range(plan.n_workers), plan.ctx))
+    return dict(worker_products(encode(A, B, plan, rng), range(plan.n_workers), plan))
 
 
 # -- straggler specs -------------------------------------------------------------------
@@ -387,7 +387,7 @@ def test_decode_raises_when_the_hypernode_route_is_singular_and_responses_are_sh
     A, B = _inputs(plan)
     down = (9, 10, 11, 24, 25, 26)
     view = worker_products(encode(A, B, plan, random.Random("short")),
-                           [n for n in range(plan.n_workers) if n not in down], plan.ctx)
+                           [n for n in range(plan.n_workers) if n not in down], plan)
     for responses in (view, dict(view)):
         with pytest.raises(InsufficientResponses) as exc:
             decode(responses, plan)
@@ -672,7 +672,7 @@ def test_stack_backed_responses_decode_as_their_dict(name):
     bad = rng.randrange(N)
     F2 = F.copy()
     F2[bad, 0, 0, 0] = (F2[bad, 0, 0, 0] + 1) % ctx.p
-    honest = worker_products((F, G), range(N), ctx)
+    honest = worker_products((F, G), range(N), plan)
 
     def outcome(responses):
         counter = MultCounter()
@@ -686,7 +686,7 @@ def test_stack_backed_responses_decode_as_their_dict(name):
     seen = set()
     for down in downs:
         for f in (F, F2):
-            view = worker_products((f, G), [n for n in range(N) if n not in down], ctx)
+            view = worker_products((f, G), [n for n in range(N) if n not in down], plan)
             assert list(view) == [n for n in range(N) if n not in down]
             got = outcome(view)
             assert got == outcome(dict(view)), down
@@ -695,7 +695,7 @@ def test_stack_backed_responses_decode_as_their_dict(name):
     assert not fixed or SingularSystem in seen
 
     # read-only: no item assignment, and no writeable array behind a view
-    view = worker_products((F, G), [n for n in range(N) if n != bad], ctx)
+    view = worker_products((F, G), [n for n in range(N) if n != bad], plan)
     n = next(iter(view))
     assert view == dict(view) and bad not in view and len(view) == N - 1
     with pytest.raises(TypeError):
@@ -703,7 +703,7 @@ def test_stack_backed_responses_decode_as_their_dict(name):
     assert not (view.stack.flags.writeable or view.workers.flags.writeable
                 or view[n].array.flags.writeable)
     with pytest.raises(BadSpec):
-        worker_products((F, G), [N], ctx)
+        worker_products((F, G), [N], plan)
     # a plain dict, or a view of another deployment, still has every check
     other = make_field(13, ctx.r)
     for key, value, error in [(n, BlockMatrix(view[n].array % 13, other), ShapeMismatch),
@@ -717,6 +717,57 @@ def test_stack_backed_responses_decode_as_their_dict(name):
     with pytest.raises(BadSpec):
         decode(honest, dataclasses.replace(plan, worker_points=plan.worker_points[:-1]))
 
+
+def test_worker_products_refuses_share_stacks_of_another_height():
+    # stacks one worker short or one over, on either side, are not shares of
+    # this plan's deployment: worker_products refuses them before any product
+    plan = gf31_plan(1, 8)
+    A, B = _inputs(plan)
+    F, G = encode(A, B, plan, random.Random("height"))
+    assert len(worker_products((F, G), [0], plan)) == 1
+    for shares in ((F[:-1], G), (F, G[:-1]), (F[:-1], G[:-1]), (np.concatenate([F, F[:1]]), G)):
+        with pytest.raises(ShapeMismatch):
+            worker_products(shares, [0], plan)
+
+
+def test_responses_are_trusted_only_on_the_plan_object_they_name(monkeypatch):
+    # a Responses made for an equal but distinct plan object decodes through
+    # the checked path (stack_blocks) to the same blocks as one made for this
+    # plan, and one of this plan that carries _prepare's attempts decodes
+    # without reading the routes again
+    plan = gf31_plan(1, 8)
+    twin = dataclasses.replace(plan)
+    assert twin == plan and twin is not plan
+    A, B = _inputs(plan)
+    shares = encode(A, B, plan, random.Random("twin"))
+    kept = [n for n in range(plan.n_workers) if n not in (0, 5)]
+    gone = ~np.isin(np.arange(plan.n_workers), kept)
+    mine, theirs = worker_products(shares, kept, plan), worker_products(shares, kept, twin)
+    protocol = sdmm.protocol
+    real_stack, real_prepare = protocol.stack_blocks, protocol._prepare
+    stacked, prepared = [], []
+
+    def counting_stack(blocks, ctx):
+        stacked.append(len(blocks))
+        return real_stack(blocks, ctx)
+
+    def counting_prepare(plan, gone):
+        prepared.append(len(gone))
+        return real_prepare(plan, gone)
+
+    monkeypatch.setattr(protocol, "stack_blocks", counting_stack)
+    monkeypatch.setattr(protocol, "_prepare", counting_prepare)
+    want = decode(mine, plan)
+    assert assemble_product(want, plan.params, F31) == A.matmul(B)
+    assert (stacked, prepared) == ([], [1])
+    assert decode(theirs, plan) == want
+    assert (stacked, prepared) == ([len(kept)], [1, 1])
+    assert decode(theirs, twin) == want and stacked == [len(kept)]
+    routed = protocol.Responses(plan, mine.workers, mine.stack, real_prepare(plan, gone[None])[0])
+    stacked.clear()
+    prepared.clear()
+    assert decode(routed, plan) == want
+    assert (stacked, prepared) == ([], [])
 
 def test_plan_tables_are_read_only_powers_outside_equality():
     plan = gf31_plan(1, 8)
@@ -834,12 +885,12 @@ def test_encoded_noise_reaches_workers_through_the_security_tables(name):
     K, M, L = params.K, params.M, params.L
     A, B = _inputs(plan, scale=2)
     F, G = encode(A, B, plan, random.Random(f"sdmm-noise-{seed}"))
-    parts = partition(A, B, K, M, L)
+    a_blocks, b_blocks = partition(A, B, K, M, L)
     rng = random.Random(f"sdmm-noise-{seed}")
-    R = [BlockMatrix.random(*parts.block_shape_a, ctx, rng) for _ in params.alpha()]
-    S = [BlockMatrix.random(*parts.block_shape_b, ctx, rng) for _ in params.beta()]
-    data_f = {m + k * M: parts.a_blocks[k][m] for k in range(K) for m in range(M)}
-    data_g = {M - 1 - m + l * K * M: parts.b_blocks[m][l] for m in range(M) for l in range(L)}
+    R = [BlockMatrix.random(*a_blocks[0][0].shape, ctx, rng) for _ in params.alpha()]
+    S = [BlockMatrix.random(*b_blocks[0][0].shape, ctx, rng) for _ in params.beta()]
+    data_f = {m + k * M: a_blocks[k][m] for k in range(K) for m in range(M)}
+    data_g = {M - 1 - m + l * K * M: b_blocks[m][l] for m in range(M) for l in range(L)}
     sig_a, sig_b = security_matrices(plan)
     for shares, data, sigma, noise in ((F, data_f, sig_a, R), (G, data_g, sig_b, S)):
         for n, x in enumerate(plan.worker_points):
@@ -986,8 +1037,8 @@ def test_p_of_s_decodes_each_routed_pattern_with_its_batch_operators(monkeypatch
         return batches[-1][2][-1]
 
     def counting_decode(responses, plan, counter=None):
-        owner, attempts = responses._prepared
-        assert owner is plan and attempts
+        attempts = responses.attempts
+        assert responses.plan is plan and attempts
         built = [U for operators in batches[-1][2] for U in operators]
         assert all(any(T is U for U in built) for _, _, T in attempts)
         decoded.append(responses)
@@ -1056,7 +1107,7 @@ def test_walk_operators_serve_only_the_plan_they_were_built_on(monkeypatch):
 
     monkeypatch.setattr(sdmm.protocol, "decode", recording_decode)
     p_of_s_empirical(A, B, plan, 3)
-    assert len(walked) == 816 and all(r._prepared[0] is plan for r in walked)
+    assert len(walked) == 816 and all(r.plan is plan for r in walked)
 
     def outcome(responses):
         try:
@@ -1215,7 +1266,7 @@ def test_decode_is_exact_routed_by_rank_and_monotone_on_random_plans(seed, fid):
 
     def outcome(kept):
         taken.clear()
-        responses = worker_products(shares, kept, ctx)
+        responses = worker_products(shares, kept, plan)
         try:
             blocks = decode(responses if rng.random() < 0.5 else dict(responses), plan)
         except (InsufficientResponses, SingularSystem) as exc:
@@ -1265,12 +1316,12 @@ def test_one_corrupted_response_raises_iff_an_applied_spare_row_reads_it(seed, f
                 read |= T[KL:, np.count_nonzero(rows[:bad // M])].any()
             elif T is not None and route != "base":
                 read |= T[KL:, i].any()
-        stack = worker_products(shares, kept, ctx).stack.copy()
+        stack = worker_products(shares, kept, plan).stack.copy()
         spot = (i, rng.randrange(stack.shape[1]), rng.randrange(stack.shape[2]))
         bump = [rng.randrange(ctx.p) for _ in range(ctx.r)]
         bump[rng.randrange(ctx.r)] = rng.randrange(1, ctx.p)
         stack[spot] = (stack[spot] + bump) % ctx.p
-        responses = sdmm.protocol.Responses(np.array(kept, dtype=np.intp), stack, ctx, N)
+        responses = sdmm.protocol.Responses(plan, np.array(kept, dtype=np.intp), stack)
         try:
             decode(responses, plan)
         except InconsistentResponses:
@@ -1320,8 +1371,7 @@ def test_single_share_distribution_is_uniform():
     for _ in range(trials):
         A = BlockMatrix.random(1, 1, F13, rng)
         B = BlockMatrix.random(1, 1, F13, rng)
-        parts = partition(A, B, 1, 1, 1)
-        f = build_f(params, parts, rng, F13)
+        f = build_f(params, partition(A, B, 1, 1, 1)[0], rng, F13)
         share = f.eval_sparse_horner(point)
         counts[share[0, 0].index()] += 1
     expected = trials / 13
@@ -1469,7 +1519,7 @@ def test_exhaustive_fraction_equals_decoding_every_pattern(make_plan):
         decoded = 0
         for down in itertools.combinations(range(N), S):
             try:
-                blocks = decode(worker_products(shares, set(range(N)) - set(down), plan.ctx), plan)
+                blocks = decode(worker_products(shares, set(range(N)) - set(down), plan), plan)
             except (InsufficientResponses, SingularSystem):
                 continue
             assert assemble_product(blocks, plan.params, plan.ctx) == A.matmul(B)

@@ -221,12 +221,23 @@ def test_partition_shapes_and_content():
     rng = random.Random(0)
     A = BlockMatrix([[rng.randrange(31) for _ in range(6)] for _ in range(4)], F31)
     B = BlockMatrix([[rng.randrange(31) for _ in range(4)] for _ in range(6)], F31)
-    parts = partition(A, B, 2, 3, 2)
-    assert parts.block_shape_a == (2, 2)
-    assert parts.block_shape_b == (2, 2)
-    assert parts.a_blocks[1][2] == A.submatrix(2, 4, 2, 2)
-    assert parts.b_blocks[0][1] == B.submatrix(0, 2, 2, 2)
+    a_blocks, b_blocks = partition(A, B, 2, 3, 2)
+    assert a_blocks[0][0].shape == (2, 2)
+    assert b_blocks[0][0].shape == (2, 2)
+    assert a_blocks[1][2] == A.submatrix(2, 4, 2, 2)
+    assert b_blocks[0][1] == B.submatrix(0, 2, 2, 2)
 
+
+def test_partition_blocks_are_views_of_the_inputs():
+    # the two grids are plain tuples of tuples of views: no block is copied
+    rng = random.Random(3)
+    A, B = BlockMatrix.random(4, 6, F31, rng), BlockMatrix.random(6, 4, F31, rng)
+    a_blocks, b_blocks = partition(A, B, 2, 3, 2)
+    assert [len(row) for row in a_blocks] == [3, 3] and [len(row) for row in b_blocks] == [2] * 3
+    assert all(type(grid) is tuple and all(type(row) is tuple for row in grid)
+               for grid in (a_blocks, b_blocks))
+    assert all(np.shares_memory(blk.array, A.array) for row in a_blocks for blk in row)
+    assert all(np.shares_memory(blk.array, B.array) for row in b_blocks for blk in row)
 
 def test_partition_divisibility_errors():
     A = BlockMatrix.zero(4, 6, F31)
@@ -244,13 +255,13 @@ def test_encoding_polynomial_layout():
     A = BlockMatrix([[rng.randrange(31) for _ in range(6)] for _ in range(4)], F31)
     B = BlockMatrix([[rng.randrange(31) for _ in range(4)] for _ in range(6)], F31)
     params = SchemeParams.mp(2, 3, 2, 2)
-    parts = partition(A, B, 2, 3, 2)
-    f = build_f(params, parts, random.Random(2), F31)
-    g = build_g(params, parts, random.Random(2), F31)
+    a_blocks, b_blocks = partition(A, B, 2, 3, 2)
+    f = build_f(params, a_blocks, random.Random(2), F31)
+    g = build_g(params, b_blocks, random.Random(2), F31)
     # data: A_{k,m} at m + k*M, B_{m,l} at (M-1-m) + l*K*M
-    assert f.coeff(4) == parts.a_blocks[1][1]
-    assert g.coeff(1) == parts.b_blocks[1][0]
-    assert g.coeff(6 + 2) == parts.b_blocks[0][1]
+    assert f.coeff(4) == a_blocks[1][1]
+    assert g.coeff(1) == b_blocks[1][0]
+    assert g.coeff(6 + 2) == b_blocks[0][1]
     # noise sits above K*M*L
     assert set(f.support()) >= {12, 13}
     assert max(f.support()) == 13
@@ -274,8 +285,8 @@ def test_product_carries_all_blocks(seed):
     B = BlockMatrix([[rng.randrange(31) for _ in range(L * b0)]
                      for _ in range(M * s0)], F31)
     params = SchemeParams.mp(K, M, L, T)
-    parts = partition(A, B, K, M, L)
-    h = build_f(params, parts, rng, F31).mul(build_g(params, parts, rng, F31))
+    a_blocks, b_blocks = partition(A, B, K, M, L)
+    h = build_f(params, a_blocks, rng, F31).mul(build_g(params, b_blocks, rng, F31))
     prod = A.matmul(B)
     for (k, l), e in product_block_positions(K, M, L).items():
         assert h.coeff(e) == prod.submatrix(k * a0, l * b0, a0, b0)
