@@ -340,7 +340,8 @@ def interpolate(points, values, exponents: Iterable[int], ctx: FieldCtx, *, solv
     above; interpolate returns those rows as a (k, rows, cols, r) stack.
     It counts nothing: interpolate_cost prices it per point.
     """
-    exps = sorted(set(map(int, exponents)))
+    # a solver's operator fixes the order of the coefficients, so it needs only their count
+    exps = set(exponents) if solver is not None else sorted(set(map(int, exponents)))
     table = _power_table(points, exps, ctx)
     vals = values if isinstance(values, np.ndarray) else list(values)
     if len(table) != len(vals):

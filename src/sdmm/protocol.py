@@ -5,11 +5,12 @@ hands worker n the pair (f(x_n), g(x_n)). Honest-but-curious workers return
 the product of their shares; stragglers return nothing. The decoder
 recovers every block of A @ B from the responses alone in two steps:
 _prepare, the one reader of decode routes, lists the attempts of a batch of
-straggler patterns, and _decode solves a pattern's. The report records
-exactly what was used: which workers answered, whether decoding succeeded,
-a digest of the assembled product, and the field-multiplication counts of
-each phase, which costs prices from the plan, the share shapes and those
-attempts.
+straggler patterns, and _decode solves a pattern's. _audited checks every
+decoded product against A @ B, a chunk of decodes in one comparison, and a
+wrong one raises DecodeFailed. The report records exactly what was used:
+which workers answered, whether decoding succeeded, a digest of the
+assembled product, and the field-multiplication counts of each phase,
+which costs prices from the plan, the share shapes and those attempts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -232,29 +233,26 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
            counter: Optional[MultCounter] = None) -> dict:
     """All product blocks from worker responses: a Responses (worker_products) or any mapping.
 
-    The hypernode route averages every hypernode whose M workers all
-    responded against the root-of-unity powers and interpolates the
-    filtered polynomial on its small support. When too few hypernodes are
-    complete, or their system is singular, and on a flat plan, any |supp(h)|
-    responses interpolate the full polynomial. The routes are the attempts of
-    a Responses of this plan object, else _prepare, their one reader, lists
-    them for the one pattern; counter, if given, is charged their
-    _decode_price before _decode solves them. With no worker route
-    InsufficientResponses is raised, else SingularSystem. BadSpec means a
-    response key that is not an integer worker index, ShapeMismatch a
-    response that is not a BlockMatrix or differs in shape or field.
+    The hypernode route averages every hypernode whose M workers all responded against the
+    root-of-unity powers and interpolates the filtered polynomial on its small support. When
+    too few hypernodes are complete, or their system is singular, and on a flat plan, any
+    |supp(h)| responses interpolate the full polynomial. The routes are the attempts of a
+    Responses of this plan object, else _prepare, their one reader, lists them for the one
+    pattern; counter, if given, is charged their _decode_price before _decode solves them.
+    With no worker route InsufficientResponses is raised, else SingularSystem. BadSpec means
+    a response key that is not an integer worker index, ShapeMismatch a response that is not
+    a BlockMatrix or differs in shape or field. run_protocol and p_of_s_empirical audit
+    every decode (_audited): a wrong product raises DecodeFailed.
     """
     order, stack, attempts = _stacked(responses, plan)
-    gone = np.ones(plan.n_workers, dtype=bool)
-    gone[order] = False
     if attempts is None:
-        attempts = _prepare(plan, gone[None])[0]
+        attempts = _prepare(plan, (np.bincount(order, minlength=plan.n_workers) == 0)[None])[0]
     if counter is not None and attempts:
         counter.add(_decode_price(plan, stack[0, ..., 0].size, attempts))
     coeffs = _decode(plan, order, stack, attempts)
     if coeffs is None:
         raise (SingularSystem("coefficient matrix is rank deficient")
-               if any(route == "worker" for route, _, _ in attempts) else _shortfall(plan, gone))
+               if any(route == "worker" for route, _, _ in attempts) else _shortfall(plan, order))
     coeffs.setflags(write=False)
     return {kl: BlockMatrix._view(c, plan.ctx) for kl, c in zip(plan.block_positions, coeffs)}
 
@@ -263,8 +261,8 @@ def _decode(plan: EvaluationPlan, order: np.ndarray, stack: np.ndarray,
             attempts: list[tuple]) -> Optional[np.ndarray]:
     """The K*L coefficient stack of the attempts' first regular route; None if there is none.
 
-    A route hands interpolate its rows of the plan's power tables and a
-    solver, _gauss.apply with its operator, which checks every spare
+    A route hands interpolate its rows of plan.worker_table or plan.base_table
+    and a solver, _gauss.apply with its operator, which checks every spare
     equation: responses not of one polynomial raise InconsistentResponses.
     """
     ctx, M, KL = plan.ctx, plan.params.M, plan.params.K * plan.params.L
@@ -273,13 +271,13 @@ def _decode(plan: EvaluationPlan, order: np.ndarray, stack: np.ndarray,
         if T is not None and route == "check":
             _gauss.apply(T, stack.reshape(len(order), -1, ctx.r), KL, ctx)
         elif T is not None:
-            table, support, vals = getattr(plan, f"{route}_table")[rows], plan.full_support, stack
+            table, support, vals = plan.worker_table, plan.full_support, stack
             if route == "base":  # one weighted sum per complete hypernode
-                members = stack[rows[order // M]].reshape(-1, M, stack[0, ..., 0].size, ctx.r)
-                vals = _gauss.matmul(plan.hypernode_weights[None], members, ctx).reshape(
-                    (-1,) + stack.shape[1:])
-                support = plan.class_support
-            coeffs = interpolate(table, vals, support, ctx,
+                members = stack.compress(rows.repeat(M)[order], axis=0)
+                vals = _gauss.matmul(plan.hypernode_weights[None], members.reshape(
+                    -1, M, stack[0, ..., 0].size, ctx.r), ctx).reshape((-1,) + stack.shape[1:])
+                table, support = plan.base_table, plan.class_support
+            coeffs = interpolate(table.compress(rows, axis=0), vals, support, ctx,
                                  solver=lambda rhs, T=T: _gauss.apply(T, rhs, KL, ctx))
     return coeffs
 
@@ -298,11 +296,12 @@ def _stacked(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan) -> tupl
     return np.array(order, dtype=np.intp), stack, None
 
 
-def _shortfall(plan: EvaluationPlan, gone: np.ndarray) -> InsufficientResponses:
+def _shortfall(plan: EvaluationPlan, order: np.ndarray) -> InsufficientResponses:
     """decode's error when no route has enough data, naming what each route needs."""
-    text = f"{(~gone).sum()} responses of {len(plan.full_support)} needed"
+    text = f"{len(order)} responses of {len(plan.full_support)} needed"
     if plan.base_points is not None:
-        text = (f"{(~_spoiled(plan, gone[None])).sum()} complete hypernodes of "
+        gone = (np.bincount(order, minlength=plan.n_workers) == 0)[None]
+        text = (f"{(~_spoiled(plan, gone)).sum()} complete hypernodes of "
                 f"{len(plan.class_support)} needed and {text}")
     return InsufficientResponses(f"have {text}")
 
@@ -354,20 +353,25 @@ def _product_blocks(product: BlockMatrix, plan: EvaluationPlan) -> np.ndarray:
                      for k, l in plan.block_positions])
 
 
-def _audited(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
-             expected: np.ndarray) -> Optional[dict]:
-    """The decoded blocks, their arrays checked against expected (_product_blocks).
-
-    Too few responses or a singular system is an outcome, not an error: None.
-    A wrong product raises DecodeFailed, since that can only mean a defect.
+def _audited(chunk: Iterable[Mapping], plan: EvaluationPlan,
+             expected: np.ndarray) -> list[Optional[dict]]:
+    """decode's blocks for each mapping of responses in chunk, or None for too few responses
+    or a singular system, an outcome and not an error. One comparison checks them all against
+    expected (_product_blocks): a wrong product, a missing block or one of the wrong shape
+    raises DecodeFailed, since that can only mean a defect.
     """
-    try:
-        blocks = decode(responses, plan)
-    except (InsufficientResponses, SingularSystem):
-        return None
-    if not np.array_equal([blocks[kl].array for kl in plan.block_positions], expected):
+    decoded = []
+    for responses in chunk:
+        try:
+            decoded.append(decode(responses, plan))
+        except (InsufficientResponses, SingularSystem):
+            decoded.append(None)
+    done = [blocks for blocks in decoded if blocks is not None]
+    got = [[getattr(blocks.get(kl), "array", None) for kl in plan.block_positions]
+           for blocks in done]  # a missing block reads None and fails the comparison
+    if done and not np.array_equal(got, expected[None].repeat(len(done), axis=0)):
         raise DecodeFailed("decoded product disagrees with the direct product")
-    return blocks
+    return decoded
 
 
 def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
@@ -393,7 +397,7 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     responses = Responses(plan, products.workers, products.stack, attempts)
     mult_counts = costs(plan, (len(responses), *shares[0].shape[1:3], shares[1].shape[2]), attempts)
 
-    blocks = _audited(responses, plan, _product_blocks(A.matmul(B), plan))
+    (blocks,) = _audited([responses], plan, _product_blocks(A.matmul(B), plan))
     product_hash = None
     if blocks is not None:
         product = assemble_product(blocks, plan.params, plan.ctx)
@@ -414,6 +418,8 @@ def run_protocol(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
 
 
 # -- straggler-robustness estimates --------------------------------------------------
+
+_CHUNK = 1 << 14  # survivor residues p_of_s_empirical gathers, decodes and audits at once
 
 
 def p_of_s_lower_bound(K: int, M: int, L: int, P: int, S: int) -> Fraction:
@@ -455,12 +461,12 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
     patterns through _subsets with a seeded generator and returns a sampled
     estimate, which the caller labels as one. Any other mode raises BadSpec.
 
-    Patterns are taken in batches (linalg._batches), each as one mask of
-    missing workers whose attempts _prepare, the one reader of routes, lists: a
-    drawn pattern without a route counts as a failure without a decode
-    call. Each of the rest decodes the shared response stack at its
-    survivors, a Responses that carries the plan and the pattern's
-    attempts, audited as arrays (_audited).
+    Patterns come in batches (linalg._batches), each one mask of missing workers
+    whose attempts _prepare, the one reader of routes, lists: a drawn pattern
+    without a route fails without a decode call. The rest are gathered from the
+    shared response stack in chunks of _CHUNK residues, which bounds memory
+    whatever the blocks or the batch, and decode as Responses carrying their
+    attempts; _audited checks a chunk's decodes in one comparison.
     """
     if mode not in ("exhaustive", "mc"):
         raise BadSpec(f"unknown mode {mode!r}")
@@ -479,15 +485,16 @@ def p_of_s_empirical(A: BlockMatrix, B: BlockMatrix, plan: EvaluationPlan,
         patterns = _spoiling(plan, S, (group for k in np.flatnonzero(hyper).tolist()
                                        for group in _subsets(plan.n_hypernodes, k)[0]))
 
-    successes = 0
+    successes, step = 0, max(1, _CHUNK // (stack[S:].size + 1))
     for down in _batches(patterns):
         gone = np.zeros((len(down), N), dtype=bool)
         np.put_along_axis(gone, down, True, axis=1)
-        kept = (~gone).nonzero()[1].reshape(len(down), N - S)
-        for rows, attempts in zip(kept, _prepare(plan, gone)):
-            if attempts:
-                responses = Responses(plan, rows, stack[rows], attempts)
-                successes += _audited(responses, plan, expected) is not None
+        kept, prepared = (~gone).nonzero()[1].reshape(len(down), N - S), _prepare(plan, gone)
+        for lo in range(0, len(down), step):
+            rows = kept[lo:lo + step]
+            chunk = (Responses(plan, workers, values, attempts) for workers, values, attempts
+                     in zip(rows, stack[rows], prepared[lo:lo + step]) if attempts)
+            successes += sum(blocks is not None for blocks in _audited(chunk, plan, expected))
     return Fraction(successes, total)
 
 
@@ -525,17 +532,17 @@ def _prepare(plan: EvaluationPlan, gone: np.ndarray) -> list[list[tuple]]:
     attempts = [[] for _ in gone]
     for route, lost, taken, lost_count in (("base", spoiled, hyper, counts),
                                            ("worker", gone, ~short, sizes)):
-        groups = {}  # by count, the patterns that lose each set of rows
+        groups, keep = {}, ~lost  # by count, the patterns that lose each set of rows
         for i, (take, k) in enumerate(zip(taken.tolist(), lost_count.tolist())):
             if take:
                 groups.setdefault(k, {}).setdefault(lost[i].tobytes(), []).append(i)
         for k, sets in groups.items():
-            missing = np.array([lost[at[0]].nonzero()[0] for at in sets.values()], dtype=np.intp)
-            operators = _set_operators(plan, route, missing.reshape(len(sets), k))
+            missing = lost[[at[0] for at in sets.values()]].nonzero()[1].reshape(len(sets), k)
+            operators = _set_operators(plan, route, missing)
             for at, T in zip(sets.values(), operators):
                 for i in at:
                     checks = route == "worker" and attempts[i] and attempts[i][0][2] is not None
-                    attempts[i].append(("check" if checks else route, ~lost[i], T))
+                    attempts[i].append(("check" if checks else route, keep[i], T))
     return attempts
 
 

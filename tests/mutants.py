@@ -212,8 +212,8 @@ MUTANTS = [
            ("tests/test_protocol.py::"
             "test_walk_operators_serve_only_the_plan_they_were_built_on",)),
     Mutant("base-key-by-workers", "protocol.py",
-           '("check" if checks else route, ~lost[i], T)',
-           '("check" if checks else route, lost[i] if route == "base" else ~lost[i], T)',
+           '("check" if checks else route, keep[i], T)',
+           '("check" if checks else route, lost[i] if route == "base" else keep[i], T)',
            "a hypernode-route attempt reads the complete hypernodes its operator was built on",
            ("tests/test_protocol.py::test_p_of_s_decodes_each_routed_pattern_with_its_batch_"
             "operators[0-6-5-90-want0]",)),
@@ -231,6 +231,11 @@ MUTANTS = [
            ("tests/test_protocol.py::test_decode_raises_when_called_directly_with_too_few_responses",
             "tests/test_protocol.py::"
             "test_decode_raises_when_the_hypernode_route_is_singular_and_responses_are_short")),
+    Mutant("audit-first-of-chunk", "protocol.py",
+           "done = [blocks for blocks in decoded if blocks is not None]",
+           "done = [blocks for blocks in decoded if blocks is not None][:1]",
+           "exact p(S) audits every decode of a chunk against A @ B, not only the first",
+           ("tests/test_protocol.py::test_p_of_s_audits_every_decode",)),
     Mutant("full-route-priced-on-any-singular-base", "protocol.py",
            "T))\n    return attempts\n",
            "T))\n    return [a + [(\"worker\", ~gone[i], None)] if short[i] and a and a[0][2] is None"

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -1123,21 +1124,72 @@ def test_walk_operators_serve_only_the_plan_they_were_built_on(monkeypatch):
     assert kinds == {dict, InconsistentResponses}
 
 def test_p_of_s_audits_every_decode(monkeypatch):
-    # a decoder that returns one wrong block must not pass as a pattern
-    # that merely failed to decode
+    # a decoder that returns one wrong block, a block of the wrong shape or a
+    # dict without a block must not pass as a pattern that merely failed to
+    # decode, wherever the pattern falls in a walk of several batches
+    # (linalg._BATCH) and chunks (protocol._CHUNK), nor in run_protocol's
+    # chunk of one
     plan = gf31_plan(1, 8)
     A, B = _inputs(plan)
     assert p_of_s_empirical(A, B, plan, 0) == 1
-    real = sdmm.protocol.decode
+    real, audited = sdmm.protocol.decode, sdmm.protocol._audited
+    chunks = []
 
-    def wrong_decode(responses, plan, counter=None):
-        blocks = dict(real(responses, plan, counter))
-        blocks[(0, 0)] = blocks[(0, 0)] + BlockMatrix([[1]], F31)
-        return blocks
+    def counting_audited(chunk, plan, expected):
+        chunk = list(chunk)
+        chunks.append(len(chunk))
+        return audited(chunk, plan, expected)
 
-    monkeypatch.setattr(sdmm.protocol, "decode", wrong_decode)
-    with pytest.raises(DecodeFailed):
-        p_of_s_empirical(A, B, plan, 0)
+    monkeypatch.setattr(sdmm.linalg, "_BATCH", 40)
+    monkeypatch.setattr(sdmm.protocol, "_CHUNK", 150)  # 6 patterns of 22 1x1 products
+    monkeypatch.setattr(sdmm.protocol, "_audited", counting_audited)
+    assert p_of_s_empirical(A, B, plan, 2) == 1
+    assert chunks == ([6] * 6 + [4]) * 6 + [6] * 6  # 276 patterns, 7 batches, 48 chunks
+
+    def faulty(at, edit):
+        calls = []
+
+        def decode(responses, plan, counter=None):
+            blocks = real(responses, plan, counter)
+            calls.append(1)
+            return edit(dict(blocks)) if len(calls) == at + 1 else blocks
+        return decode
+
+    def wrong(blocks):
+        return {**blocks, (0, 0): blocks[(0, 0)] + BlockMatrix([[1]], F31)}
+
+    def wider(blocks):
+        return {**blocks, (0, 0): BlockMatrix([[blocks[(0, 0)][0, 0], 0]], F31)}
+
+    def lacking(blocks):
+        return {kl: block for kl, block in blocks.items() if kl != (0, 0)}
+
+    for at, edit in [(0, wrong), (137, wrong), (275, wrong), (137, wider), (275, lacking)]:
+        monkeypatch.setattr(sdmm.protocol, "decode", faulty(at, edit))
+        with pytest.raises(DecodeFailed):
+            p_of_s_empirical(A, B, plan, 2)
+    for edit in (wrong, wider, lacking):
+        monkeypatch.setattr(sdmm.protocol, "decode", faulty(0, edit))
+        with pytest.raises(DecodeFailed):
+            run_protocol(A, B, plan, stragglers="1")
+
+
+def test_p_of_s_peak_memory_does_not_grow_with_the_batch(monkeypatch):
+    # survivor stacks are gathered and decoded protocol._CHUNK residues at a
+    # time, so a batch of 4,096 patterns holds no more than one of 40: with
+    # 48 x 48 product blocks the 276 patterns of S = 2 would gather 112 MB
+    plan = gf31_plan(1, 8)
+    A, B = _inputs(plan, scale=48)
+    peaks = []
+    for batch in (40, 4096):
+        monkeypatch.setattr(sdmm.linalg, "_BATCH", batch)
+        tracemalloc.start()
+        try:
+            assert p_of_s_empirical(A, B, plan, 2) == 1
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
 
 
 def test_assemble_product_block_layout():
