@@ -1,15 +1,14 @@
 """Exact array arithmetic and Gaussian elimination over finite fields.
 
-A matrix over GF(p^r) is an ndarray of canonical residues with shape
+A matrix over GF(p^r) is an int64 ndarray of canonical residues with shape
 (rows, cols, r): the trailing axis holds the little-endian coefficients of
-each entry. Its dtype, which dtype() alone picks, is int64 for p < 2^31,
-where every product of two residues stays below 2^62, and object (Python
-ints) for wider primes.
+each entry. _product, the one entry product and the one place that knows how
+wide a product grows, is the bare product below 2^31 and from 2^31 three
+exact float64-quotient products of the right factor split at 2^31.
 _dot, the one matrix product, multiplies directly where no dot product
 can reach 2^63; every other product runs as float64 BLAS products of limbs
 (the delayed-reduction idea of FFLAS-FFPACK): 16-bit limbs of the right
-operand below 2^31, 21-bit limbs of both operands from 2^31, where object
-arrays still hold the residues and the product returns object. Chunks of
+operand below 2^31, 21-bit limbs of both operands from 2^31. Chunks of
 the inner dimension keep every partial sum an exact integer below 2^53,
 so results do not depend on the BLAS, its threads or its summation order.
 Over GF(p^r), a product forms its r^2 plane products a_i * b_j mod p and
@@ -37,15 +36,12 @@ import numpy as np
 from .errors import BadSpec, InconsistentResponses, ShapeMismatch, SingularSystem
 from .fields import FieldCtx
 
-def dtype(ctx: FieldCtx):
-    return np.int64 if ctx.p < 1 << 31 else object
-
 
 def as_array(data, ctx: FieldCtx) -> np.ndarray:
     """Residue array of a matrix.
 
     data is either a residue array of shape (rows, cols, r), returned as is
-    when its dtype fits, or nested rows whose entries are ints,
+    when it is int64, or nested rows whose entries are ints,
     FieldElements or coefficient sequences. Another array shape, a foreign
     entry, or an array entry that is no integer in [0, p) raises ShapeMismatch.
     """
@@ -56,32 +52,45 @@ def as_array(data, ctx: FieldCtx) -> np.ndarray:
             isinstance(v, (int, np.integer)) for v in data.flat)
         if not ints or data.size and not 0 <= data.min() <= data.max() < ctx.p:
             raise ShapeMismatch(f"residue array entries must be integers in [0, {ctx.p})")
-        return np.asarray(data, dtype=dtype(ctx))
+        return np.asarray(data, dtype=np.int64)
     rows = [list(row) for row in data]
     cols = len(rows[0]) if rows else 0
     if any(len(row) != cols for row in rows):
         raise ShapeMismatch("ragged rows")
     flat = [ctx.element(v).coeffs for row in rows for v in row]
-    return np.array(flat, dtype=dtype(ctx)).reshape(len(rows), cols, ctx.r)
+    return np.array(flat, dtype=np.int64).reshape(len(rows), cols, ctx.r)
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The r^2 coefficient-plane products a_i * b_j of broadcastable arrays, at i * r + j."""
-    prod = a[..., :, None] * b[..., None, :]
+def _product(a, b, p: int) -> np.ndarray:
+    """int64 values congruent to a * b mod p and below 2^62, of broadcastable residue arrays:
+    below 2^31 the bare product; from 2^31 three products by factors y < 2^32 (b split at 2^31),
+    each x y - q p mod p in wrapping int64, q the float64 quotient x y / p truncated. Below 2^32
+    that quotient is within 2^-19 of the true one, so x y - q p lies in (-p, 2p)."""
+    if p < 1 << 31:
+        return a * b
+
+    def part(x, y):
+        return (x * y - (x * np.float64(y) / p).astype(np.int64) * p) % p
+    return part(a, b & (1 << 31) - 1) + part(part(a, b >> 31), 1 << 31)
+
+
+def _outer(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """The r^2 plane products _product(a_i, b_j) of broadcastable arrays, at i * r + j."""
+    prod = _product(a[..., :, None], b[..., None, :], ctx.p)
     return prod.reshape(prod.shape[:-2] + (prod.shape[-1] ** 2,))
 
 
 def mul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Entry-wise field product of two broadcastable residue arrays."""
     if ctx.r == 1:
-        return a * b % ctx.p
-    return _dot(_outer(a, b) % ctx.p, ctx._fold, ctx.p)
+        return _product(a, b, ctx.p) % ctx.p
+    return _dot(_outer(a, b, ctx) % ctx.p, ctx._fold, ctx.p)
 
 
 def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p over any leading batch axes, exact on int64 and Python-int residues.
+    """(a @ b) mod p over any leading batch axes of int64 residues.
 
-    Where no dot product can reach 2^63, one product in the operands' dtype.
+    Where no dot product can reach 2^63, one int64 product.
     Else float64 BLAS products of limbs. b's kb width-bit limbs b_j stack
     along the inner dimension against a_j = a 2^(width j) mod p, since
     a @ b = [a_0 | a_1 | ...] @ [b_0; b_1; ...] mod p, and the left side's ka
@@ -90,15 +99,15 @@ def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     Chunks of the inner dimension keep every dot product of two limbs, each
     at most p - 1 when whole and 2^width - 1 else, below 2^53, so every
     partial sum is an exact integer whatever the BLAS threads or summation
-    order. Each later chunk's planes are added mod p in int64, and Horner
-    recombines them in the operands' dtype: object operands give object.
+    order. Each later chunk's planes are added mod p, and Horner recombines
+    them; the shifts a 2^(width j) and Horner's steps are _product's.
     """
     if (p - 1) ** 2 * a.shape[-1] < 1 << 63:
         return a @ b % p
     width, ka, kb = (16, 1, 2) if p < 1 << 31 else (21, 3, 3)
     mask = (1 << width) - 1
     chunk = ((1 << 53) - 1) // ((p - 1 if ka == 1 else mask) * mask)
-    shifted = np.concatenate([a] + [(a << width * j) % p for j in range(1, kb)], axis=-1)
+    shifted = np.concatenate([a] + [_product(a, 1 << width * j, p) % p for j in range(1, kb)], -1)
     left, right = _limbs(shifted, width, ka), _limbs(b, width, kb)
     acc = None
     for s in range(0, right.shape[-2], chunk):
@@ -106,9 +115,9 @@ def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         acc = part if acc is None else (acc + part) % p
     n = a.shape[-2]
     *planes, top = [acc[..., i * n:(i + 1) * n, :] for i in range(ka)]
-    out = (top % p).astype(np.result_type(a, b), copy=False)
+    out = top % p
     for plane in reversed(planes):
-        out = ((out << width) + plane) % p
+        out = (_product(out, 1 << width, p) + plane) % p
     return out
 
 
@@ -116,7 +125,6 @@ def _limbs(x: np.ndarray, width: int, count: int) -> np.ndarray:
     """x's count width-bit limbs, lowest first and the top one keeping every higher bit,
     stacked along axis -2 in float64.
     """
-    x = x.astype(np.int64, copy=False)
     limbs = [x] + [x >> width * i for i in range(1, count)]
     limbs = [limb & (1 << width) - 1 for limb in limbs[:-1]] + limbs[-1:]
     return np.concatenate(limbs, axis=-2, dtype=np.float64)
@@ -146,7 +154,7 @@ def _inverses(pivots: np.ndarray, ctx: FieldCtx) -> np.ndarray:
         norms = mul(pivots, rest, ctx)
     inv = np.array([pow(v, -1, ctx.p) if v else 0 for v in norms[:, 0].tolist()],
                    dtype=pivots.dtype)[:, None]
-    return inv if ctx.r == 1 else rest * inv % ctx.p
+    return inv if ctx.r == 1 else _product(rest, inv, ctx.p) % ctx.p
 
 
 def expand(row: np.ndarray, cols: np.ndarray, minors: np.ndarray, drops: np.ndarray,
@@ -154,20 +162,24 @@ def expand(row: np.ndarray, cols: np.ndarray, minors: np.ndarray, drops: np.ndar
     """Laplace expansion along one row for each column S of a (t, count) index array: the
     (count, r) sums of (-1)^i row[S_i] minors[drops[i]] mod p, where minors[drops[i]] is the
     minor of the rows above without S_i; each is S's determinant up to sign. Every term is
-    below p, and a sum of t of them stays far under 2^63."""
+    below p: where t of them stay below 2^63 they are summed at once, else reduced as added."""
     terms = mul(row[cols], minors[drops], ctx)
-    return (terms[::2].sum(axis=0) - terms[1::2].sum(axis=0)) % ctx.p
+    if len(terms) * ctx.p < 1 << 63:
+        return (terms[::2].sum(axis=0) - terms[1::2].sum(axis=0)) % ctx.p
+    for i in range(1, len(terms)):
+        terms[i] = (terms[i - 1] - terms[i] if i % 2 else terms[i - 1] + terms[i]) % ctx.p
+    return terms[-1]
 
 
 def _step(pivot, rows, lead, pivot_row, ctx: FieldCtx) -> np.ndarray:
     """pivot * rows - lead * pivot_row mod p, the division-free column step.
 
-    Both products of int64 residues, or of their coefficient planes, stay
-    below (p - 1)^2 < 2^62, so one reduction of their difference is exact.
+    Both products of residues, or of their coefficient planes, are _product's,
+    below 2^62, so one reduction of their difference is exact.
     """
     if ctx.r == 1:
-        return (pivot * rows - lead * pivot_row) % ctx.p
-    return _dot((_outer(pivot, rows) - _outer(lead, pivot_row)) % ctx.p, ctx._fold, ctx.p)
+        return (_product(pivot, rows, ctx.p) - _product(lead, pivot_row, ctx.p)) % ctx.p
+    return _dot((_outer(pivot, rows, ctx) - _outer(lead, pivot_row, ctx)) % ctx.p, ctx._fold, ctx.p)
 
 
 def _eliminate(M: np.ndarray, m: int, ctx: FieldCtx, full: bool = True) -> np.ndarray:
@@ -231,7 +243,7 @@ def solve(rows, rhs, ctx: FieldCtx) -> np.ndarray:
 def apply(T: np.ndarray, rhs: np.ndarray, targets: int, ctx: FieldCtx) -> np.ndarray:
     """T rhs's first targets rows; any nonzero spare row past them raises InconsistentResponses."""
     out = matmul(T, rhs, ctx)
-    if out[targets:].any():
+    if np.count_nonzero(out[targets:]):
         raise InconsistentResponses(f"{len(T) - targets} spare equations disagree with the "
                                     f"{T.shape[1] - len(T) + targets} unknowns")
     return out[:targets]
@@ -247,7 +259,7 @@ def decompose(tables: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray
     K are garbage; nothing raises.
     """
     batch, n, m = tables.shape[:3]
-    M = np.concatenate([tables, np.zeros((batch, n, n, ctx.r), dtype=dtype(ctx))], axis=2)
+    M = np.concatenate([tables, np.zeros((batch, n, n, ctx.r), dtype=np.int64)], axis=2)
     M[:, :, m:, 0] = np.eye(n, dtype=M.dtype)
     ok = _eliminate(M, m, ctx) == m
     i = np.arange(min(n, m))

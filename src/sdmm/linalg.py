@@ -352,11 +352,11 @@ def _sub_minors(wide: np.ndarray, c: int, ctx: FieldCtx, levels: Optional[list] 
     level 0 holding the empty minor 1. Colex ranks do not change as columns are added, so the
     levels of fewer columns grow in place: for each new top x, the first C(x, t - 1)
     (t - 1)-sets followed by x, expanded along row t - 1 of A. No sub-minor is computed twice."""
-    k, dt = len(wide), _gauss.dtype(ctx)
+    k = len(wide)
     choose = np.array([[math.comb(x, j) for x in range(c)] for j in range(k + 1)], np.intp)
     if levels is None:
-        levels = [[np.zeros((t, 0), np.intp), np.zeros((0, ctx.r), dt)] for t in range(k)]
-        levels[0] = [np.zeros((0, 1), np.intp), np.eye(1, ctx.r, dtype=dt)]
+        levels = [[np.zeros((t, 0), np.intp), np.zeros((0, ctx.r), np.int64)] for t in range(k)]
+        levels[0] = [np.zeros((0, 1), np.intp), np.eye(1, ctx.r, dtype=np.int64)]
     old = len(levels[1][1])
     for t in range(1, k):
         (sets, minors), counts = levels[t - 1], choose[t - 1, old:]

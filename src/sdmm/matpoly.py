@@ -60,7 +60,7 @@ class BlockMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int, ctx: FieldCtx) -> "BlockMatrix":
-        return cls._view(np.zeros((rows, cols, ctx.r), dtype=_gauss.dtype(ctx)), ctx)
+        return cls._view(np.zeros((rows, cols, ctx.r), dtype=np.int64), ctx)
 
     @classmethod
     def random(cls, rows: int, cols: int, ctx: FieldCtx, rng: random.Random) -> "BlockMatrix":
@@ -85,7 +85,7 @@ class BlockMatrix:
                 idx = np.concatenate([idx, vals[vals < n]])
         if ctx.r > 1:
             idx = idx[:, None] // np.array([ctx.p ** j for j in range(ctx.r)], idx.dtype) % ctx.p
-        return cls._view(idx.astype(_gauss.dtype(ctx)).reshape(rows, cols, ctx.r), ctx)
+        return cls._view(idx.astype(np.int64).reshape(rows, cols, ctx.r), ctx)
 
     # -- shape and identity ---------------------------------------------------
 
@@ -317,7 +317,7 @@ def evaluate(poly: MatPoly, points) -> np.ndarray:
     """
     ctx, n = poly.ctx, len(poly.terms)
     table = _power_table(points, poly.support(), ctx)
-    coeffs = np.array([c.array for c in poly.terms.values()], dtype=_gauss.dtype(ctx))
+    coeffs = np.array([c.array for c in poly.terms.values()], dtype=np.int64)
     values = _gauss.matmul(table, coeffs.reshape(n, poly.rows * poly.cols, ctx.r), ctx)
     return values.reshape(len(table), poly.rows, poly.cols, ctx.r)
 

@@ -85,6 +85,22 @@ MUTANTS = [
             "[GF(2^31-1)-n129]",
             "tests/test_dot.py::test_worst_case_products_are_exact_at_every_chunk_end"
             "[GF(2^61-1)-n4097]")),
+    Mutant("product-unsplit", "_gauss.py",
+           "return part(a, b & (1 << 31) - 1) + part(part(a, b >> 31), 1 << 31)",
+           "return part(a, b)",
+           "a wide product's float64 quotient is taken only by factors below 2^32, where it is"
+           " within 2^-19 of the true one",
+           ("tests/test_product.py::"
+            "test_product_is_congruent_and_below_2_62[2305843009213693951]",
+            "tests/test_product.py::"
+            "test_mul_matches_field_elements_on_every_edge_pair[GF(2305843009213693951)]")),
+    Mutant("laplace-sum-unreduced", "_gauss.py",
+           "if len(terms) * ctx.p < 1 << 63:",
+           "if True:",
+           "a Laplace sum whose t terms can pass 2^63 is reduced as each term is added",
+           ("tests/test_product.py::test_laplace_sums_past_2_63_are_reduced_as_they_are_added[9]",
+            "tests/test_product.py::"
+            "test_laplace_sums_past_2_63_are_reduced_as_they_are_added[11]")),
     Mutant("gauss-jordan-cost", "matpoly.py",
            "return rows * unknowns * width",
            "return unknowns * unknowns * width",
@@ -171,8 +187,8 @@ MUTANTS = [
            ("tests/test_protocol.py::test_hypernode_route_checks_the_raw_spare_equations",
             CORRUPTION)),
     Mutant("first-spare-row-unchecked", "_gauss.py",
-           "if out[targets:].any():",
-           "if out[targets + 1:].any():",
+           "if np.count_nonzero(out[targets:]):",
+           "if np.count_nonzero(out[targets + 1:]):",
            "solve and decode check every spare equation, the first one included",
            ("tests/test_engine.py::"
             "test_one_spare_equation_is_checked_alike_by_solve_and_decode[corrupted]",

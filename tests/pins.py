@@ -34,6 +34,10 @@ CLI = [  # (sha256 of the standard output, the arguments of python -m sdmm.cli)
     ("7412760ded80b61c3760f399bab5e75d7b63a07c782d8d2523ca989dd862be80",
      ["simulate", "--scheme", "mp:K=2,M=3,L=2,T=2", "--field", "2305843009213693951",
       "--hypernodes", "10", "--stragglers", "random:3", "--seed", "1", "--json"]),
+    ("b1686e910cb1a993d026ce87f00a19f958c76ad844c863779ffd6db7e8303931",  # the paper's grid
+     ["simulate", "--scheme", "mp:K=5,M=2,L=5,T=4", "--hypernodes", "43", "--rows", "100",
+      "--inner", "100", "--cols", "100", "--stragglers", "random:2", "--seed", "1",
+      "--budget", "3000000", "--field", "2305843009213693951", "--json"]),
     ("e3cff36adfa8325e43ce6efa75b5cd03b0ec82eeba3f1ff71287795bfcf9bfa9",
      ["simulate", "--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "31^2", "--hypernodes", "8",
       "--stragglers", "random:2", "--seed", "1", "--json"]),

@@ -5,9 +5,9 @@ Gauss-Jordan solve is compared with a plain implementation over FieldElement
 rows written here: values, and multiplication counts through the cost model
 in matpoly. The power table is compared with FieldElement.pow_, the rank
 with an entry-wise row reduction, and the batched full-rank flags with the
-same reduction. The fields cover both storage dtypes (int64 below 2^31, Python
-ints above), primes on either side of 2^31 and extension fields: GF(p^2)
-over both dtypes, GF((2^31-1)^2) folding its plane products through 16-bit
+same reduction. The fields cover primes on either side of 2^31 and up to
+61 bits, all stored as int64, and extension fields: GF(p^2) on both sides
+of 2^31, GF((2^31-1)^2) folding its plane products through 16-bit
 limbs, and degrees 3 and 5. FieldElement reduces a product by polynomial
 division, the engine by the field's fold table, so the two share no
 reduction.
@@ -185,14 +185,20 @@ def test_int64_matmul_is_exact_past_the_chunk_length():
     assert got == BlockMatrix(want, ctx)
 
 
-@pytest.mark.parametrize("ctx, wide", [
-    (FIELDS[0], False), (FIELDS[1], False), (FIELDS[2], True), (FIELDS[7], True)])
-def test_fold_is_int64_and_gauss_alone_picks_object_from_2_31(ctx, wide):
-    # the fold holds residues below p < 2^62 in any field; only the residue
-    # arrays, whose products must not overflow, widen to Python ints
+@pytest.mark.parametrize("ctx", [make_field(31), FIELDS[1], FIELDS[2], FIELDS[3], FIELDS[7]],
+                         ids=repr)
+def test_fold_and_every_residue_array_are_int64_at_every_prime(ctx):
+    # the fold holds residues below p < 2^62 in any field, and so does every
+    # residue array: _gauss._product keeps each product of two in int64
     assert ctx._fold.dtype == np.int64
-    assert (_gauss.dtype(ctx) == object) == wide == (ctx.p >= 1 << 31)
-    assert _gauss.as_array([[ctx.one()]], ctx).dtype == _gauss.dtype(ctx)
+    rng = random.Random(ctx.p)
+    a, b = (BlockMatrix.random(3, 3, ctx, rng) for _ in range(2))
+    plan = find_evaluation_vector(SchemeParams.mp(2, 2, 1, 1), ctx, n_hypernodes=5, seed=0)
+    G, K, _ = _gauss.decompose(plan.worker_table[None], ctx)
+    arrays = [_gauss.as_array([[ctx.one()]], ctx), _gauss.as_array(a.array.astype(object), ctx),
+              a.array, _gauss.matmul(a.array, b.array, ctx), G, K,
+              _gauss.powers(a.array[0], [0, 1, 5], ctx), plan.power_table]
+    assert [x.dtype for x in arrays] == [np.int64] * len(arrays)
 
 
 def test_constructor_coerces_every_entry_form():
@@ -670,7 +676,7 @@ def test_inverses_by_the_norm_match_field_element_inverses(ctx, count):
     rng = random.Random(count)
     pivots = [ctx.zero() if i % 3 == 1 else ctx.random_element(rng, nonzero=True)
               for i in range(count)]
-    array = np.array([x.coeffs for x in pivots], dtype=_gauss.dtype(ctx)).reshape(count, ctx.r)
+    array = np.array([x.coeffs for x in pivots], dtype=np.int64).reshape(count, ctx.r)
     got = _gauss._inverses(array, ctx)
     assert got.shape == array.shape and got.dtype == array.dtype
     assert [tuple(c) for c in got.tolist()] == [

@@ -11,7 +11,9 @@ protocol._prepare, and every spare equation is checked in one,
 _gauss.apply. Decode's count rule, protocol._routes, is applied only where
 routes are read and where exact p(S) picks its walk, and no other decode
 code compares counts with P' or N'; decode solves the attempts _prepare
-lists and raises its one shortfall error from one place.
+lists and raises its one shortfall error from one place. Residues are
+int64 at every prime: _gauss picks no dtype, and no module makes an object
+array but BlockMatrix.random's index draw above 2^63.
 """
 
 import ast
@@ -157,6 +159,19 @@ def test_one_function_checks_spare_equations_and_decompose_takes_no_rhs():
     args = decompose.args
     assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["tables", "ctx"]
     assert args.vararg is None and args.kwarg is None
+
+
+def test_residues_are_int64_and_only_the_wide_index_draw_is_object():
+    # _gauss._product keeps every product of residues in int64 at every
+    # accepted prime, so no dtype is picked per field; the one object array
+    # left is BlockMatrix.random's index draw above 2^63, which ends as int64
+    assert "dtype" not in vars(sdmm._gauss)
+    writers = [f"{path.stem}.{fn}" for path in MODULES
+               for fn, node in _scoped(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and any(
+                   getattr(arg, "id", getattr(arg, "value", None)) in ("object", "O")
+                   for arg in node.args + [k.value for k in node.keywords])]
+    assert writers == ["matpoly.random"]
 
 
 def test_decode_reads_its_route_off_the_operators():

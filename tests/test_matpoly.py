@@ -108,10 +108,10 @@ def test_matrix_text_layout():
     m = BlockMatrix([[F169.element([3, 0]), F169.element([0, 1])],
                      [F169.element([12, 5]), F169.zero()]], F169)
     assert m.to_text() == "2 2 13^2/9,2,1\n3,0 0,1\n12,5 0,0\n"
-    # a 61-bit prime stores Python ints (the object dtype), printed in full
+    # a 61-bit prime stores int64 residues like any other, printed in full
     f61 = make_field((1 << 61) - 1)
     big = BlockMatrix([[(1 << 61) - 2, 0], [7, 1 << 40]], f61)
-    assert big.array.dtype == object
+    assert big.array.dtype == np.int64
     assert big.to_text() == (f"2 2 {(1 << 61) - 1}\n{(1 << 61) - 2} 0\n"
                              f"7 {1 << 40}\n")
 
