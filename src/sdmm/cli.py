@@ -182,14 +182,23 @@ def cmd_fixed_n_search(args) -> int:
     return _emit_sweep_rows(rows, args)
 
 
+def _find_plan(args, params, ctx, **options):
+    """find_evaluation_vector on args' counts, budget and seed; a search flag below its least
+    value is refused by its own name."""
+    for flag, least in (("attempts", 1), ("budget", 1), ("max_escalations", 0)):
+        value = getattr(args, flag, least)
+        if value < least:
+            raise SdmmError(f"--{flag.replace('_', '-')} must be at least {least}, got {value}")
+    return find_evaluation_vector(
+        params, ctx, n_hypernodes=args.hypernodes, n_workers=args.workers,
+        minor_budget=args.budget, seed=args.seed, **options)
+
+
 def cmd_find_eval(args) -> int:
     params = parse_scheme_spec(args.scheme)
     ctx = parse_field_spec(args.field)
-    plan = find_evaluation_vector(
-        params, ctx, n_hypernodes=args.hypernodes, n_workers=args.workers,
-        subgroup=args.subgroup, attempts=args.attempts,
-        minor_budget=args.budget, seed=args.seed,
-        max_escalations=args.max_escalations)
+    plan = _find_plan(args, params, ctx, subgroup=args.subgroup, attempts=args.attempts,
+                      max_escalations=args.max_escalations)
     checks = ["field-size-gate", "nonzero-points", "decodability", "minor-scan"]
     if plan.base_points is not None:
         checks.insert(2, "distinct-power-classes")
@@ -226,10 +235,7 @@ def _build_instance(args, params, ctx):
     rng = random.Random(f"sdmm-input-{args.seed}")
     A = BlockMatrix.random(params.K * a0, params.M * s0, ctx, rng)
     B = BlockMatrix.random(params.M * s0, params.L * b0, ctx, rng)
-    plan = find_evaluation_vector(
-        params, ctx, n_hypernodes=args.hypernodes, n_workers=args.workers,
-        minor_budget=args.budget, seed=args.seed)
-    return A, B, plan
+    return A, B, _find_plan(args, params, ctx)
 
 
 def cmd_simulate(args) -> int:

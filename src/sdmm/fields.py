@@ -6,8 +6,9 @@ Extension fields reduce modulo a monic irreducible polynomial, found by a
 seeded deterministic search so that field construction is reproducible, or
 supplied explicitly through a field spec string "p^r/c0,c1,...,cr".
 
-Characteristics are limited to 61-bit primes so that all intermediate
-products fit comfortably in 128-bit integers.
+Characteristics are limited to 61-bit primes, so that residues are int64:
+the array engine takes every product of two of them through one function,
+_gauss._product, whose int64 result stays below 2^62.
 """
 
 from __future__ import annotations
@@ -96,11 +97,11 @@ def prime_factors(n: int) -> list[int]:
 
 
 class MultCounter:
-    """Opt-in counter for scalar field multiplications.
+    """Opt-in tally of field multiplications, the counter of decode(responses, plan, counter).
 
-    pow_ counts its own products; the scalar evaluations add what the cost
-    model in matpoly prices, and decode adds the decode term of
-    protocol.costs, which prices every phase. The array engine never touches it.
+    decode adds the decode term of protocol.costs, which prices every phase
+    with the cost model in matpoly. Nothing else counts: pow_, the scalar
+    evaluations and the array engine take no counter.
     """
 
     __slots__ = ("count",)
@@ -313,10 +314,10 @@ class FieldElement:
     __truediv__ = _operand(lambda self, other: self._mul(other.inv()))
     __rtruediv__ = _operand(lambda self, other: other._mul(self.inv()))
 
-    def pow_(self, e: int, counter: Optional[MultCounter] = None) -> "FieldElement":
-        """Square-and-multiply from self at the leading bit down, counting products in counter."""
+    def pow_(self, e: int) -> "FieldElement":
+        """Square-and-multiply from self at the leading bit down: matpoly._ladder(e) products."""
         if e < 0:
-            return self.inv().pow_(-e, counter)
+            return self.inv().pow_(-e)
         if e == 0:
             return self.ctx.one()
         result = self
@@ -324,8 +325,6 @@ class FieldElement:
             result = result._mul(result)
             if bit == "1":
                 result = result._mul(self)
-            if counter is not None:
-                counter.add(2 if bit == "1" else 1)
         return result
 
     def __pow__(self, e: int):

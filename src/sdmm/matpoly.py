@@ -15,7 +15,7 @@ arrays count nothing; the cost model at the end prices the scalar work.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import BadSpec, NotPrimitiveRoot, ShapeMismatch, SingularSystem
 from .fields import (
     FieldCtx,
     FieldElement,
-    MultCounter,
     is_primitive_root_of_unity,
 )
 
@@ -237,21 +236,15 @@ class MatPoly:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def evaluate_naive(self, x: FieldElement,
-                       counter: Optional[MultCounter] = None) -> BlockMatrix:
+    def evaluate_naive(self, x: FieldElement) -> BlockMatrix:
         """Sum of coeff * x^e with every power computed independently."""
-        if counter is not None:
-            counter.add(sum(_ladder(e) + self.rows * self.cols for e in self.terms))
         acc = BlockMatrix.zero(self.rows, self.cols, self.ctx)
         for e, coeff in self.terms.items():
             acc = acc + coeff.scale(x.pow_(e))
         return acc
 
-    def eval_sparse_horner(self, x: FieldElement,
-                           counter: Optional[MultCounter] = None) -> BlockMatrix:
-        """The value at x, counted as sparse Horner spends it (horner_cost)."""
-        if counter is not None:
-            counter.add(horner_cost(self.support(), self.rows * self.cols))
+    def eval_sparse_horner(self, x: FieldElement) -> BlockMatrix:
+        """The value at x, priced by the cost model as sparse Horner spends it (horner_cost)."""
         return BlockMatrix._view(evaluate(self, [x])[0], self.ctx)
 
 

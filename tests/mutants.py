@@ -154,6 +154,11 @@ MUTANTS = [
            'for bit in bin(e)[2:]:',
            "pow_'s ladder starts at the base for the leading bit and squares once per later bit",
            ("tests/test_fields.py::test_pow_matches_repeated_multiplication",)),
+    Mutant("pow-extra-product", "fields.py",
+           "        result = self",
+           "        result = self._mul(self.ctx.one())",
+           "_ladder(e) is the number of products pow_ takes",
+           ("tests/test_fields.py::test_pow_takes_exactly_its_ladder_of_products[13]",)),
     Mutant("baseline-leak", "schemes.py",
            "    return MatPoly(dict(zip(params.exponents()[0], blocks, strict=True)),"
            " blocks[0].shape, ctx)\n",

@@ -395,7 +395,21 @@ def test_find_eval_rejects_malformed_search_options(capsys, flag, value):
                            "--field", "31", flag, value)
     assert rc == 2
     assert out == ""
-    assert err.startswith("error:") and "attempts" in err
+    least = 0 if flag == "--max-escalations" else 1
+    assert err == f"error: {flag} must be at least {least}, got {value}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "p-of-s"])
+def test_a_budget_below_one_is_named_by_its_flag(capsys, command):
+    # the message names the option the user typed, not find_evaluation_vector's
+    # parameters; p-of-s's bound mode runs no search and ignores the budget
+    extra = ["-S", "1", "--mode", "exhaustive"] if command == "p-of-s" else []
+    argv = [command, "--scheme", "mp:K=2,M=3,L=2,T=1", "--field", "31", *extra]
+    assert run_cli(capsys, *argv, "--budget", "0") == \
+        (2, "", "error: --budget must be at least 1, got 0\n")
+    bound = ["p-of-s", "--scheme", "mp:K=2,M=3,L=2,T=0", "-S", "2", "--hypernodes", "8"]
+    rc, out, err = run_cli(capsys, *bound, "--budget", "0")
+    assert rc == 0 and err == "" and (rc, out, err) == run_cli(capsys, *bound)
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -3,7 +3,8 @@
 Every BlockMatrix operation, sparse Horner evaluation, interpolation and the
 Gauss-Jordan solve is compared with a plain implementation over FieldElement
 rows written here: values, and multiplication counts through the cost model
-in matpoly. The power table is compared with FieldElement.pow_, the rank
+in matpoly, checked against the FieldElement products the references take
+(products). The power table is compared with FieldElement.pow_, the rank
 with an entry-wise row reduction, and the batched full-rank flags with the
 same reduction. The fields cover primes on either side of 2^31 and up to
 61 bits, all stored as int64, and extension fields: GF(p^2) on both sides
@@ -37,6 +38,7 @@ from sdmm.matpoly import (
 )
 from sdmm.protocol import _set_operators, decode, encode, run_protocol, worker_products
 from sdmm.schemes import SchemeParams, build_f, build_g, partition
+from test_fields import products
 
 FIELDS = (
     make_field(13),
@@ -64,15 +66,13 @@ def ref_matmul(a, b, ctx):
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
-def ref_horner(terms, x, counter):
-    """Sparse Horner over {exponent: rows}, counting as the library does."""
+def ref_horner(terms, x):
+    """Sparse Horner over {exponent: rows}: per gap, x^gap by pow_ and a scale of every entry."""
     exps = sorted(terms)
     acc = terms[exps[-1]]
-    size = len(acc) * len(acc[0])
 
     def scale(rows, e):
-        c = x.pow_(e, counter)
-        counter.add(size)
+        c = x.pow_(e)
         return [[c * v for v in row] for row in rows]
 
     for n in range(len(exps) - 2, -1, -1):
@@ -235,10 +235,10 @@ def test_sparse_horner_matches_reference_values_and_counts(seed, fid):
         return
     poly = MatPoly({e: BlockMatrix(rows, ctx) for e, rows in terms.items()}, shape, ctx)
     x = ctx.random_element(rng)
-    got_count, want_count = MultCounter(), MultCounter()
-    got = poly.eval_sparse_horner(x, got_count)
-    assert got.data == tuple(map(tuple, ref_horner(terms, x, want_count)))
-    assert got_count.count == want_count.count
+    with products() as taken:
+        want = ref_horner(terms, x)
+    assert poly.eval_sparse_horner(x).data == tuple(map(tuple, want))
+    assert horner_cost(poly.support(), poly.rows * poly.cols) == taken.count
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=repr)
@@ -251,11 +251,11 @@ def test_evaluate_matches_naive_values_and_horner_counts(ctx):
         terms = {e: rand_rows(*shape, ctx, rng) for e in exps}
         poly = MatPoly({e: BlockMatrix(rows, ctx) for e, rows in terms.items()}, shape, ctx)
         terms = {e: terms[e] for e in poly.support()}  # a zero block drops out
-        want_count = MultCounter()
         assert [BlockMatrix(v, ctx) for v in evaluate(poly, points)] == \
             [poly.evaluate_naive(x) for x in points]
-        ref_horner(terms, x, want_count)
-        assert horner_cost(poly.support(), poly.rows * poly.cols) == want_count.count
+        with products() as taken:
+            ref_horner(terms, x)
+        assert horner_cost(poly.support(), poly.rows * poly.cols) == taken.count
         assert evaluate(poly, []).shape == (0, *shape, ctx.r)
 
 
@@ -329,12 +329,12 @@ def test_interpolate_matches_reference_values_and_counts(seed, fid, spare):
             seen.add(x.index())
             pts.append(x)
     vals = [poly.evaluate_naive(x) for x in pts]
-    want_count = MultCounter()
     assert interpolate(pts, vals, exps, ctx) == poly
-    vmat = [[x.pow_(e, want_count) for e in exps] for x in pts]
+    with products() as taken:
+        vmat = [[x.pow_(e) for e in exps] for x in pts]
     rhs = [[v for row in val.data for v in row] for val in vals]
-    ref_solve(vmat, rhs, want_count)
-    assert len(pts) * interpolate_cost(exps, shape[0] * shape[1]) == want_count.count
+    ref_solve(vmat, rhs, taken)
+    assert len(pts) * interpolate_cost(exps, shape[0] * shape[1]) == taken.count
 
 
 @given(st.integers(0, 2**32), field_ids, st.integers(0, 2),

@@ -1,7 +1,9 @@
+import contextlib
 import functools
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from sdmm.errors import (
 )
 from sdmm.fields import (
     FieldCtx,
+    FieldElement,
     _element_of_order,
     _poly_is_irreducible,
     is_primitive_root_of_unity,
@@ -30,6 +33,26 @@ from sdmm.fields import (
     primitive_root_of_unity,
     subgroup_elements,
 )
+from sdmm.matpoly import _ladder
+
+
+@contextlib.contextmanager
+def products():
+    """A MultCounter of the FieldElement products taken inside the block.
+
+    pow_ multiplies through _mul, and c * v through __mul__ and __rmul__,
+    which wrap the _mul the class was made with; all three count.
+    """
+    taken, real = MultCounter(), FieldElement._mul
+
+    def mul(self, other):
+        taken.add()
+        return real(self, other)
+    operator = fields._operand(mul)
+    with mock.patch.object(FieldElement, "_mul", mul), \
+            mock.patch.object(FieldElement, "__mul__", operator), \
+            mock.patch.object(FieldElement, "__rmul__", operator):
+        yield taken
 
 
 def test_is_prime_small():
@@ -485,23 +508,25 @@ def test_square_root_of_unity_over_a_31_bit_extension_is_fast():
 
 def test_zeroth_power_is_one_and_counts_nothing():
     for ctx in (make_field(13), make_field(7, 3)):
-        c = MultCounter()
-        assert ctx.from_index(5).pow_(0, c) == ctx.one()
-        assert c.count == 0
+        with products() as taken:
+            assert ctx.from_index(5).pow_(0) == ctx.one()
+        assert taken.count == 0
 
 
-def test_mult_counter_counts_multiplications():
-    ctx = make_field(13)
-    a = ctx.element(5)
-    c = MultCounter()
-    a.pow_(1, c)
-    assert c.count == 0
-    c = MultCounter()
-    a.pow_(2, c)
-    assert c.count == 1
-    c = MultCounter()
-    a.pow_(2**10, c)  # ten squarings
-    assert c.count == 10
+@pytest.mark.parametrize("spec", ["13", "7^3", "2305843009213693951"])
+def test_pow_takes_exactly_its_ladder_of_products(spec):
+    # the cost model's _ladder is what pow_ spends: a squaring per bit after
+    # the leading one, and a multiply by the base per later set bit
+    ctx = parse_field_spec(spec)
+    a = ctx.from_index(5)
+    for e, ladder in [(1, 0), (2, 1), (3, 2), (2**10, 10), (2**10 - 1, 18)]:
+        with products() as taken:
+            a.pow_(e)
+        assert taken.count == _ladder(e) == ladder, e
+    for e in [5, 6, 7, 100, 12345, ctx.order - 2, (1 << 61) + 1]:
+        with products() as taken:
+            a.pow_(e)
+        assert taken.count == _ladder(e), e
 
 
 @given(field_and_elems(2))

@@ -66,21 +66,22 @@ def test_the_array_engine_takes_no_counter():
 
 def test_encode_takes_no_counter():
     # protocol.costs prices every phase of a run from the plan, the share
-    # shapes and decode's attempts; the counter reaches only pow_, the two
-    # scalar evaluations and decode, which charges it costs' decode term
+    # shapes and decode's attempts; the counter reaches only decode, which
+    # charges it costs' decode term
     takers = {fn.name for path in MODULES for fn in ast.walk(ast.parse(path.read_text()))
               if isinstance(fn, ast.FunctionDef) and "counter" in _params(fn)}
-    assert takers == {"pow_", "evaluate_naive", "eval_sparse_horner", "decode"}
+    assert takers == {"decode"}
 
 
 def test_one_function_prices_every_phase():
-    # outside matpoly's cost model, only protocol.costs and its decode term
-    # read it, and no library code builds a MultCounter: run_protocol
-    # reports costs' dict
+    # outside the four functions of matpoly's cost model, only
+    # protocol.costs and its decode term read it, and no library code builds
+    # a MultCounter: run_protocol reports costs' dict
     model = {"horner_cost", "interpolate_cost", "gauss_jordan_cost", "_ladder"}
-    readers = {f"{path.stem}.{fn}" for path in MODULES if path.stem != "matpoly"
+    readers = {f"{path.stem}.{fn}" for path in MODULES
                for fn, node in _scoped(ast.parse(path.read_text()))
                if isinstance(node, ast.Name) and node.id in model}
+    readers -= {f"matpoly.{name}" for name in model}
     builders = [f"{path.stem}.{fn}" for path in MODULES
                 for fn, node in _scoped(ast.parse(path.read_text()))
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "MultCounter"]

@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdmm.errors import BadSpec, ShapeMismatch, SingularSystem
-from sdmm.fields import MultCounter, make_field, primitive_root_of_unity
+from sdmm.fields import make_field, primitive_root_of_unity
 from sdmm.matpoly import (
     BlockMatrix,
     MatPoly,
+    _ladder,
     evaluate,
+    horner_cost,
     interpolate,
     interpolate_cost,
     mod_m_transform,
     mod_m_transform_by_summation,
     stack_blocks,
 )
+from test_fields import products
 
 F13 = make_field(13)
 F31 = make_field(31)
@@ -195,14 +198,15 @@ def test_sparse_horner_count_beats_naive_on_clusters():
     one = BlockMatrix([[1]], F13)
     p = MatPoly({e: one for e in range(100, 120)}, (1, 1), F13)
     x = F13.element(2)
-    fast, slow = MultCounter(), MultCounter()
-    assert p.eval_sparse_horner(x, fast) == p.evaluate_naive(x, slow)
-    assert fast.count < slow.count
+    with products() as taken:
+        naive = p.evaluate_naive(x)
+    assert p.eval_sparse_horner(x) == naive
+    # evaluate_naive takes a pow_ ladder per term; its scalings run on the arrays
+    assert taken.count == sum(map(_ladder, p.support()))
+    assert horner_cost(p.support(), 1) < sum(_ladder(e) + 1 for e in p.support())
     # single high term costs one square-and-multiply chain either way
     q = MatPoly({1000: one}, (1, 1), F13)
-    c = MultCounter()
-    q.eval_sparse_horner(x, c)
-    assert c.count <= 2 * math.ceil(math.log2(1001))
+    assert horner_cost(q.support(), 1) <= 2 * math.ceil(math.log2(1001))
 
 
 def test_poly_equality_compares_fields_and_shapes():

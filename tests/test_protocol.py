@@ -64,6 +64,7 @@ from sdmm.schemes import (
     product_block_positions,
 )
 from sdmm.thresholds import product_class_support, symbolic_support
+from test_fields import products
 
 F13 = make_field(13)
 F31 = make_field(31)
@@ -291,11 +292,11 @@ def _f961_plan():
 
 
 def _ladders(ctx, exponents):
-    """Multiplications pow_ spends on x^e, summed over the exponents, as its counter tallies."""
-    counter = MultCounter()
-    for e in exponents:
-        ctx.one().pow_(e, counter)
-    return counter.count
+    """The products pow_ takes on x^e, summed over the exponents."""
+    with products() as taken:
+        for e in exponents:
+            ctx.one().pow_(e)
+    return taken.count
 
 
 @pytest.mark.parametrize("make_plan, down, routes, solved, success", [
