@@ -141,8 +141,8 @@ def matmul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 def _inverses(pivots: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Inverses of a (batch, r) residue array, 0 mapping to 0: a^-1 = N(a)^-1 a^p ... a^(p^(r-1)),
     each conjugate one _dot against FieldCtx._frob, and the norm N(a) = a a^p ... a^(p^(r-1)),
-    which lies in GF(p), inverted on plain ints. At r = 1 the norm is a itself, so no product is
-    taken."""
+    which lies in GF(p), inverted on plain ints once per distinct norm. At r = 1 the norm is a
+    itself, so no product is taken."""
     if not len(pivots):
         return pivots
     norms = pivots
@@ -152,8 +152,8 @@ def _inverses(pivots: np.ndarray, ctx: FieldCtx) -> np.ndarray:
             conj = _dot(conj, ctx._frob, ctx.p)
             rest = mul(rest, conj, ctx)
         norms = mul(pivots, rest, ctx)
-    inv = np.array([pow(v, -1, ctx.p) if v else 0 for v in norms[:, 0].tolist()],
-                   dtype=pivots.dtype)[:, None]
+    inverse = {v: pow(v, -1, ctx.p) if v else 0 for v in set(norms[:, 0].tolist())}
+    inv = np.array(list(map(inverse.get, norms[:, 0].tolist())), dtype=pivots.dtype)[:, None]
     return inv if ctx.r == 1 else _product(rest, inv, ctx.p) % ctx.p
 
 

@@ -58,6 +58,17 @@ class BlockMatrix:
         return out
 
     @classmethod
+    def _views(cls, keys, stack: np.ndarray, ctx: FieldCtx) -> dict:
+        """{i-th key: BlockMatrix view of stack[i]}, unchecked; one read-only flag for the stack."""
+        stack.setflags(write=False)
+        _, rows, cols, _ = stack.shape
+        blocks = {}
+        for key, array in zip(keys, stack):
+            blocks[key] = block = cls.__new__(cls)
+            block.array, block.ctx, block.rows, block.cols = array, ctx, rows, cols
+        return blocks
+
+    @classmethod
     def zero(cls, rows: int, cols: int, ctx: FieldCtx) -> "BlockMatrix":
         return cls._view(np.zeros((rows, cols, ctx.r), dtype=np.int64), ctx)
 
@@ -369,11 +380,12 @@ def horner_cost(exponents: Iterable[int], size: int) -> int:
 
 
 def gauss_jordan_cost(rows: int, unknowns: int, width: int) -> int:
-    """Multiplications dense Gauss-Jordan spends on [table | values]: width per row per unknown."""
+    """Multiplications dense Gauss-Jordan spends on [table | values]: width per row per unknown.
+    No pivot inverse is priced: pow(v, -1, p) over GF(p), a pow_(q - 2) ladder over GF(p^r)."""
     return rows * unknowns * width
 
 
 def interpolate_cost(exponents: Iterable[int], size: int) -> int:
-    """Multiplications interpolation spends per point: pow_ ladders, a row of gauss_jordan_cost."""
+    """Multiplications per interpolated point: pow_ ladders, a gauss_jordan_cost row, no inverse."""
     exps = list(exponents)
     return sum(map(_ladder, exps)) + gauss_jordan_cost(1, len(exps), len(exps) + size)

@@ -253,8 +253,7 @@ def decode(responses: Mapping[int, BlockMatrix], plan: EvaluationPlan,
     if coeffs is None:
         raise (SingularSystem("coefficient matrix is rank deficient")
                if any(route == "worker" for route, _, _ in attempts) else _shortfall(plan, order))
-    coeffs.setflags(write=False)
-    return {kl: BlockMatrix._view(c, plan.ctx) for kl, c in zip(plan.block_positions, coeffs)}
+    return BlockMatrix._views(plan.block_positions, coeffs, plan.ctx)
 
 
 def _decode(plan: EvaluationPlan, order: np.ndarray, stack: np.ndarray,
@@ -275,9 +274,9 @@ def _decode(plan: EvaluationPlan, order: np.ndarray, stack: np.ndarray,
             if route == "base":  # one weighted sum per complete hypernode
                 members = stack.compress(rows.repeat(M)[order], axis=0)
                 vals = _gauss.matmul(plan.hypernode_weights[None], members.reshape(
-                    -1, M, stack[0, ..., 0].size, ctx.r), ctx).reshape((-1,) + stack.shape[1:])
+                    len(members) // M, M, -1, ctx.r), ctx).reshape((-1,) + stack.shape[1:])
                 table, support = plan.base_table, plan.class_support
-            coeffs = interpolate(table.compress(rows, axis=0), vals, support, ctx,
+            coeffs = interpolate(table.take(rows.nonzero()[0], axis=0), vals, support, ctx,
                                  solver=lambda rhs, T=T: _gauss.apply(T, rhs, KL, ctx))
     return coeffs
 
@@ -367,9 +366,9 @@ def _audited(chunk: Iterable[Mapping], plan: EvaluationPlan,
         except (InsufficientResponses, SingularSystem):
             decoded.append(None)
     done = [blocks for blocks in decoded if blocks is not None]
-    got = [[getattr(blocks.get(kl), "array", None) for kl in plan.block_positions]
-           for blocks in done]  # a missing block reads None and fails the comparison
-    if done and not np.array_equal(got, expected[None].repeat(len(done), axis=0)):
+    got = [getattr(blocks.get(kl), "array", None) for blocks in done
+           for kl in plan.block_positions]  # a missing block reads None and fails the comparison
+    if done and not np.array_equal(got, np.tile(expected, (len(done), 1, 1, 1))):
         raise DecodeFailed("decoded product disagrees with the direct product")
     return decoded
 
@@ -510,8 +509,8 @@ def _spoiling(plan: EvaluationPlan, s: int, groups):
 
 def _spoiled(plan: EvaluationPlan, gone: np.ndarray) -> np.ndarray:
     """(patterns, P): the hypernodes (worker n is in n // M) that a (patterns, N) mask spoils."""
-    P, M = plan.n_hypernodes, plan.params.M
-    return gone[:, :P * M].reshape(len(gone), P, M).any(axis=2)
+    P, M = plan.n_hypernodes, plan.params.M  # a boolean matmul ORs the M: any() is slower here
+    return gone[:, :P * M].reshape(len(gone), P, M) @ np.ones(M, dtype=bool)
 
 
 def _prepare(plan: EvaluationPlan, gone: np.ndarray) -> list[list[tuple]]:
@@ -529,20 +528,20 @@ def _prepare(plan: EvaluationPlan, gone: np.ndarray) -> list[list[tuple]]:
     spoiled = _spoiled(plan, gone)
     counts, sizes = spoiled.sum(axis=1), gone.sum(axis=1)
     hyper, short = _routes(plan, sizes, counts)
-    attempts = [[] for _ in gone]
+    attempts = [[] for _ in range(len(gone))]
     for route, lost, taken, lost_count in (("base", spoiled, hyper, counts),
                                            ("worker", gone, ~short, sizes)):
-        groups, keep = {}, ~lost  # by count, the patterns that lose each set of rows
-        for i, (take, k) in enumerate(zip(taken.tolist(), lost_count.tolist())):
-            if take:
-                groups.setdefault(k, {}).setdefault(lost[i].tobytes(), []).append(i)
-        for k, sets in groups.items():
-            missing = lost[[at[0] for at in sets.values()]].nonzero()[1].reshape(len(sets), k)
-            operators = _set_operators(plan, route, missing)
-            for at, T in zip(sets.values(), operators):
-                for i in at:
-                    checks = route == "worker" and attempts[i] and attempts[i][0][2] is not None
-                    attempts[i].append(("check" if checks else route, keep[i], T))
+        set_keys = lost.view(f"V{lost.shape[1]}").ravel()  # each pattern's lost rows as bytes
+        for k in set(lost_count[taken].tolist()):  # one _set_operators call per count lost
+            at = (taken & (lost_count == k)).nonzero()[0]
+            keys = set_keys[at].tolist()
+            last = dict(zip(keys, at.tolist()))  # one pattern stands for each set of rows lost
+            sets = lost.take(list(last.values()), axis=0)
+            operators = _set_operators(plan, route, sets.nonzero()[1].reshape(len(sets), k))
+            found = dict(zip(last, zip(~sets, operators)))
+            for i, key in zip(at.tolist(), keys):
+                checks = route == "worker" and attempts[i] and attempts[i][0][2] is not None
+                attempts[i].append(("check" if checks else route, *found[key]))
     return attempts
 
 

@@ -298,10 +298,10 @@ def rate_sweep_fixed_n(N_budget: int, T_max: int = 8,
     budget the grid with the highest rate (ties to the first in (K, M, L)
     lexicographic order). The search is exact: it evaluates only grids whose
     rate ceilings can still reach the best rate, from two lower bounds on N.
-    The grids are listed once as int64 arrays, one threshold_lower_bound call
-    per scheme bounds them at every T to rank each row, and the grouped
-    layout's _ggasp_threshold_bound, which follows the run length, rules out
-    most of the grids a walk reaches (see _best_grids). A budget or minimum
+    The grids are listed once as int64 arrays, threshold_lower_bound bounds
+    them at every T to rank each row, and the grouped layout's
+    _ggasp_threshold_bound, which follows the run length, rules out most of
+    the grids a walk reaches (see _best_grids). A budget or minimum
     below 1, a negative T_max, an empty scheme list, or an unknown or
     repeated scheme raises BadSpec; a budget below the smallest grid gives
     no rows.
@@ -317,8 +317,7 @@ def rate_sweep_fixed_n(N_budget: int, T_max: int = 8,
     L = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - L_min, count)
     grids = np.stack([np.repeat(K, count), np.repeat(M, count), L])
     T = np.arange(T_max + 1)[:, None]
-    bests = [_best_grids(scheme, N_budget, grids, threshold_lower_bound(scheme, *grids, T))
-             for scheme in schemes]
+    bests = [_best_grids(scheme, N_budget, grids, T) for scheme in schemes]
     return [_sweep_row(best) for row in zip(*bests) for best in row if best is not None]
 
 
@@ -358,14 +357,14 @@ def threshold_lower_bound(scheme: str, K, M, L, T):
 
 
 def _best_grids(scheme: str, N_budget: int, grids: np.ndarray,
-                lb: np.ndarray) -> list[Optional[ThresholdReport]]:
-    """Best-first branch and bound over the grids of each (T, scheme) row, T = 0..len(lb) - 1.
+                T_column: np.ndarray) -> list[Optional[ThresholdReport]]:
+    """Best-first branch and bound over the grids of each (T, scheme) row, T = 0..T_max.
 
-    grids holds (K, M, L) as int64 rows in lexicographic order and lb[T]
-    their threshold_lower_bound at T. One stable argsort ranks each row by
-    the rate ceilings K*M*L / lb, highest first, ties in grid order and the
-    grids lb does not let fit last. A row is walked down until a ceiling
-    falls strictly below the best rate found; a grid that could still tie
+    grids holds (K, M, L) as int64 rows in lexicographic order, bounded (lb) at each T of
+    T_column by threshold_lower_bound a block of grid columns at a time. One stable argsort
+    ranks each row by the rate ceilings K*M*L / lb, highest first, ties in grid order and the
+    grids lb does not let fit last. A row is walked down until a ceiling falls
+    strictly below the best rate found; a grid that could still tie
     it is evaluated when it precedes the best. Distinct rates with terms at
     most N_budget differ by at least 1 / N_budget**2, so the keys
     floor(rate * N_budget**2) order them exactly.
@@ -377,12 +376,16 @@ def _best_grids(scheme: str, N_budget: int, grids: np.ndarray,
     The rows still walking take their next 32 ranks together, so one lb2
     call serves them all.
     """
-    keys = np.where(lb <= N_budget, _rate_keys(grids.prod(axis=0), lb, N_budget), -1)
+    keys = np.empty((len(T_column), grids.shape[1]), dtype=np.int64)
+    for lo in range(0, grids.shape[1], 1024):  # one block at every default budget (<= 200)
+        K, M, L = grids[:, lo:lo + 1024]
+        lb = threshold_lower_bound(scheme, K, M, L, T_column)
+        keys[:, lo:lo + 1024] = np.where(lb <= N_budget, _rate_keys(K * M * L, lb, N_budget), -1)
     order = np.argsort(-keys, axis=1, kind="stable")
     keys = np.take_along_axis(keys, order, axis=1)
     scale = N_budget * N_budget
-    bests = [None] * len(lb)
-    walks = {T: (0, -1) for T in range(len(lb))}  # each walking row's best key and grid index
+    bests = [None] * len(keys)
+    walks = {T: (0, -1) for T in range(len(keys))}  # each walking row's best key and grid index
     for start in range(0, grids.shape[1], 32):
         Ts = np.array(list(walks))
         index, ceilings = order[Ts, start:start + 32], keys[Ts, start:start + 32]

@@ -8,8 +8,10 @@ only in a subprocess (the command-line tests) is not seen. Hypothesis
 deadlines and health checks are lifted, since tracing slows every test
 several times over. pytest does not collect this file. Run it as
 python tests/line_coverage.py; pytest arguments after it (such as one test
-file) replace the tests directory. It always exits 0. On all of tier-1 it
-takes about three times as long as plain tier-1.
+file) replace the tests directory. Each --full=NAME[,NAME...] argument names
+modules of src/sdmm (as protocol.py) that must have no unrun statement: the
+run exits 1 when one has, or when a name is no module there, and 0 otherwise.
+On all of tier-1 it takes about three times as long as plain tier-1.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ class _Untimed:
 
 
 def main(args: list[str]) -> int:
+    full = {name for arg in args if arg.startswith("--full=") for name in arg[7:].split(",")}
+    args = [arg for arg in args if not arg.startswith("--full=")]
     prefix = str(PACKAGE) + "/"
     seen: dict[str, set[int]] = {}
 
@@ -80,6 +84,7 @@ def main(args: list[str]) -> int:
         threading.settrace(None)
 
     run_total = count_total = 0
+    short = full - {path.name for path in PACKAGE.glob("*.py")}  # names of no module
     for path in sorted(PACKAGE.glob("*.py")):
         want = statements(path)
         unrun = want - seen.get(str(path), set())
@@ -87,9 +92,13 @@ def main(args: list[str]) -> int:
         count_total += len(want)
         print(f"{path.name}: {len(unrun)} of {len(want)} statements unrun"
               + (f": {' '.join(map(str, sorted(unrun)))}" if unrun else ""))
+        if unrun and path.name in full:
+            short.add(path.name)
     print(f"total: {run_total} of {count_total} statements run "
           f"({100 * run_total / max(count_total, 1):.1f}%); pytest exit code {code}")
-    return 0
+    if short:
+        print(f"not fully run: {' '.join(sorted(short))}")
+    return 1 if short else 0
 
 
 if __name__ == "__main__":

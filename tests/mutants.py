@@ -233,15 +233,15 @@ MUTANTS = [
            ("tests/test_protocol.py::"
             "test_walk_operators_serve_only_the_plan_they_were_built_on",)),
     Mutant("base-key-by-workers", "protocol.py",
-           '("check" if checks else route, keep[i], T)',
-           '("check" if checks else route, lost[i] if route == "base" else keep[i], T)',
+           "zip(~sets, operators)",
+           'zip(sets if route == "base" else ~sets, operators)',
            "a hypernode-route attempt reads the complete hypernodes its operator was built on",
            ("tests/test_protocol.py::test_p_of_s_decodes_each_routed_pattern_with_its_batch_"
             "operators[0-6-5-90-want0]",)),
     Mutant("base-operator-of-another-set", "protocol.py",
-           "for at, T in zip(sets.values(), operators):",
-           'for at, T in zip(sets.values(), operators[1:] + operators[:1] if route == "base"'
-           " else operators):",
+           "found = dict(zip(last, zip(~sets, operators)))",
+           'found = dict(zip(last, zip(~sets, operators[1:] + operators[:1] if route == "base"'
+           " else operators)))",
            "a hyper pattern gets the base operator of the hypernodes it spoils, in any batch",
            ("tests/test_protocol.py::"
             "test_batched_attempts_equal_each_pattern_prepared_alone[p31-t0]",)),
@@ -258,8 +258,9 @@ MUTANTS = [
            "exact p(S) audits every decode of a chunk against A @ B, not only the first",
            ("tests/test_protocol.py::test_p_of_s_audits_every_decode",)),
     Mutant("full-route-priced-on-any-singular-base", "protocol.py",
-           "T))\n    return attempts\n",
-           "T))\n    return [a + [(\"worker\", ~gone[i], None)] if short[i] and a and a[0][2] is None"
+           "found[key]))\n    return attempts\n",
+           "found[key]))\n    return [a + [(\"worker\", ~gone[i], None)] if short[i] and a"
+           " and a[0][2] is None"
            " else a for i, a in enumerate(attempts)]\n",
            "a singular hypernode system with too few responses for the full route is charged"
            " only itself",
@@ -277,6 +278,23 @@ MUTANTS = [
            "evaluate and interpolate refuse a power table that does not fit the exponents",
            ("tests/test_matpoly.py::"
             "test_a_power_table_one_column_short_is_a_shape_mismatch[GF(31)]",)),
+    Mutant("block-views-writeable", "matpoly.py",
+           "        stack.setflags(write=False)\n        _, rows, cols, _ = stack.shape",
+           "        _, rows, cols, _ = stack.shape",
+           "every block decode returns is a read-only view of its coefficient stack",
+           ("tests/test_protocol.py::"
+            "test_decode_blocks_are_read_only_views_of_their_arrays[GF(31)]",)),
+    Mutant("block-views-out-of-order", "matpoly.py",
+           "for key, array in zip(keys, stack):",
+           "for key, array in zip(keys, stack[::-1]):",
+           "decode keys each coefficient block by its own block position",
+           ("tests/test_protocol.py::"
+            "test_decode_blocks_are_read_only_views_of_their_arrays[GF(31)]",)),
+    Mutant("hypernode-gather-one-short", "protocol.py",
+           "members = stack.compress(rows.repeat(M)[order], axis=0)",
+           "members = stack.compress(rows.repeat(M)[order], axis=0)[:-1]",
+           "the hypernode average reads every member of each complete hypernode",
+           ("tests/test_protocol.py::test_hypernode_route_checks_the_raw_spare_equations",)),
     Mutant("fields-not-integers", "schemes.py",
            "return tuple(map(operator.index, values))",
            "return tuple(values)",

@@ -6,7 +6,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from sdmm import fields
 from sdmm.errors import (
@@ -19,7 +19,6 @@ from sdmm.errors import (
     ShapeMismatch,
 )
 from sdmm.fields import (
-    FieldCtx,
     FieldElement,
     _element_of_order,
     _poly_is_irreducible,

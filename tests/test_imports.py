@@ -1,7 +1,7 @@
 """Static checks of the package source.
 
-Every module uses each name it imports; the package __init__ is exempt,
-since it imports names to re-export them. The array engine counts
+Every module, and every file under tests/, uses each name it imports; the
+package __init__ is exempt, since it imports names to re-export them. The array engine counts
 nothing: multiplication counts come from the cost model in matpoly, which
 prices from shapes and calls nothing in _gauss. Its one elimination loop
 has three entry points, the rank questions rank and batch_is_invertible
@@ -25,6 +25,7 @@ import sdmm
 
 MODULES = sorted(p for p in Path(sdmm.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def imported_names(tree):
@@ -35,7 +36,8 @@ def imported_names(tree):
             yield from (a.asname or a.name for a in node.names)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: p.name if p in MODULES else f"tests/{p.name}")
 def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text())
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}

@@ -771,6 +771,34 @@ def test_responses_are_trusted_only_on_the_plan_object_they_name(monkeypatch):
     assert decode(routed, plan) == want
     assert (stacked, prepared) == ([], [])
 
+@pytest.mark.parametrize("ctx", [F31, make_field((1 << 61) - 1), make_field(31, 2)],
+                         ids=["GF(31)", "GF(2^61-1)", "GF(31^2)"])
+def test_decode_blocks_are_read_only_views_of_their_arrays(ctx):
+    # by the hypernode route (no straggler) and the full route (hypernodes 0
+    # and 1 spoiled), from a Responses carrying _prepare's attempts and from
+    # a plain mapping: every block is a BlockMatrix whose rows, cols and ctx
+    # are its array's, and that array is read-only and refuses a write
+    plan = find_evaluation_vector(SchemeParams.mp(2, 3, 2, 1), ctx, n_hypernodes=8, seed=0)
+    A, B = _inputs(plan)
+    shares = encode(A, B, plan, random.Random("read-only"))
+    for down, route in (((), "base"), ((0, 3), "worker")):
+        gone = np.isin(np.arange(plan.n_workers), down)
+        attempts = sdmm.protocol._prepare(plan, gone[None])[0]
+        assert attempts[0][0] == route
+        view = worker_products(shares, np.flatnonzero(~gone), plan)
+        for responses in (sdmm.protocol.Responses(plan, view.workers, view.stack, attempts),
+                          dict(view)):
+            blocks = decode(responses, plan)
+            assert list(blocks) == list(plan.block_positions)
+            assert assemble_product(blocks, plan.params, ctx) == A.matmul(B)
+            for block in blocks.values():
+                assert isinstance(block, BlockMatrix) and block.ctx is ctx
+                assert block.array.shape == (block.rows, block.cols, ctx.r)
+                assert not block.array.flags.writeable
+                with pytest.raises(ValueError):
+                    block.array[0, 0, 0] = 1
+
+
 def test_plan_tables_are_read_only_powers_outside_equality():
     plan = gf31_plan(1, 8)
     fresh = dataclasses.replace(plan)

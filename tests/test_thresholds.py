@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -455,6 +456,22 @@ def test_ranked_search_evaluates_the_same_grids(monkeypatch, budget):
     monkeypatch.setattr(thresholds, "_sweep_report", counted)
     rate_sweep_fixed_n(budget)
     assert calls == _SEARCH_CALLS[budget]
+
+
+def test_rate_sweep_peak_is_a_few_key_tables():
+    # the bound and the rate keys are computed for blocks of grid columns written into one
+    # table, so at 1,000 workers the traced peak holds at most five (T_max + 1) x grids int64
+    # tables (bounding every grid at once held about nine)
+    budget, T_max = 1000, 8
+    grids = sum(1 for K in range(2, budget // 8 + 1) for M in range(4, budget // (2 * K) + 1)
+                for _ in range(2, budget // (K * M) + 1))
+    tracemalloc.start()
+    try:
+        rate_sweep_fixed_n(budget, T_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grids == 7703 and peak <= 5 * (T_max + 1) * grids * 8
 
 
 @pytest.mark.parametrize("scheme, T, budget, first, later", [
