@@ -51,15 +51,11 @@ class BlockMatrix:
     @classmethod
     def _view(cls, array: np.ndarray, ctx: FieldCtx) -> "BlockMatrix":
         """A read-only BlockMatrix over a (rows, cols, r) array of canonical residues, unchecked."""
-        if array.flags.writeable:  # a view of a read-only array already is
-            array.setflags(write=False)
-        out = cls.__new__(cls)
-        out.array, out.ctx, (out.rows, out.cols) = array, ctx, array.shape[:2]
-        return out
+        return cls._views((0,), array[None], ctx)[0]
 
     @classmethod
     def _views(cls, keys, stack: np.ndarray, ctx: FieldCtx) -> dict:
-        """{i-th key: BlockMatrix view of stack[i]}, unchecked; one read-only flag for the stack."""
+        """{i-th key: _view of stack[i]} over a (n, rows, cols, r) stack: one read-only flag."""
         stack.setflags(write=False)
         _, rows, cols, _ = stack.shape
         blocks = {}

@@ -363,10 +363,9 @@ def _best_grids(scheme: str, N_budget: int, grids: np.ndarray,
     grids holds (K, M, L) as int64 rows in lexicographic order, bounded (lb) at each T of
     T_column by threshold_lower_bound a block of grid columns at a time. One stable argsort
     ranks each row by the rate ceilings K*M*L / lb, highest first, ties in grid order and the
-    grids lb does not let fit last. A row is walked down until a ceiling falls
-    strictly below the best rate found; a grid that could still tie
-    it is evaluated when it precedes the best. Distinct rates with terms at
-    most N_budget differ by at least 1 / N_budget**2, so the keys
+    grids lb does not let fit last. A row is walked down until a ceiling falls strictly below
+    the best rate found; a grid that could still tie it is evaluated when it precedes the best.
+    Distinct rates with terms at most N_budget differ by at least 1 / N_budget**2, so the keys
     floor(rate * N_budget**2) order them exactly.
 
     The grouped layout's optimal_r runs on a grid with T >= 1 only if the
@@ -378,9 +377,10 @@ def _best_grids(scheme: str, N_budget: int, grids: np.ndarray,
     """
     keys = np.empty((len(T_column), grids.shape[1]), dtype=np.int64)
     for lo in range(0, grids.shape[1], 1024):  # one block at every default budget (<= 200)
-        K, M, L = grids[:, lo:lo + 1024]
+        block = slice(lo, lo + 1024)
+        K, M, L = grids[:, block]
         lb = threshold_lower_bound(scheme, K, M, L, T_column)
-        keys[:, lo:lo + 1024] = np.where(lb <= N_budget, _rate_keys(K * M * L, lb, N_budget), -1)
+        keys[:, block] = np.where(lb <= N_budget, _rate_keys(K * M * L, lb, N_budget), -1)
     order = np.argsort(-keys, axis=1, kind="stable")
     keys = np.take_along_axis(keys, order, axis=1)
     scale = N_budget * N_budget
